@@ -9,10 +9,11 @@ winning plans, then commit the updated
 
 The fixture records, per incremental search space, the winning plan's
 deterministic hash and predicted objective at smoke scale. The paired
-test (``tests/baselines/test_plan_fixtures.py``) asserts both the
-vectorized and the interpreted engine still reproduce these values bit
-for bit — drift in either engine, or between them, fails with a
-per-space diff.
+test (``tests/baselines/test_plan_fixtures.py``) asserts that both the
+compiled cost model and the per-config interpreter
+(``CompiledExpr.interpret``, swapped in by the test) still reproduce
+these values bit for bit — drift in either, or between them, fails
+with a per-space diff.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "baselines" \
 
 def build_fixture(scale_name: str = "smoke") -> dict:
     scale = get_scale(scale_name)
-    measured = measure_fig16(scale, prune=True, engine="vectorized")
+    measured = measure_fig16(scale, prune=True)
     spaces = {
         name: {
             "plan_hash": measured["plan_hashes"][name],

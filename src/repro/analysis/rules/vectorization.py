@@ -1,16 +1,13 @@
 """Vectorization-discipline rule: no per-config loops in hot menu code.
 
-The batched cost-model engine's contract is that an intra-stage config
-menu is evaluated as columnar numpy arrays in a handful of whole-menu
-calls — a Python ``for``/``while`` over menu rows silently degrades
-that path back to per-config interpretation, which is exactly the
-regression the vectorized/interpreted split exists to prevent.
+The batched cost model's contract is that an intra-stage config menu
+is evaluated as columnar numpy arrays in a handful of whole-menu calls
+— a Python ``for``/``while`` over menu rows silently degrades that path
+back to per-config interpretation.
 
 Scope is the hot batched-evaluation modules
 (:attr:`~repro.analysis.config.CheckConfig.vectorization_paths`). Every
-loop statement there is flagged unless it lives inside a function whose
-name marks it as the sanctioned ``engine="interpreted"`` reference path
-(the name contains ``interpreted``). Loops that iterate something other
+loop statement there is flagged. Loops that iterate something other
 than menu rows — option blocks, already-reduced frontiers — stay, each
 carrying a ``# repro: allow[vectorization-discipline] <why>``
 suppression so the exception is visible and justified.
@@ -28,32 +25,11 @@ from ..registry import register_rule
 __all__ = ["VectorizationDisciplineRule"]
 
 
-def _loops_outside_reference(tree: ast.AST) -> "list[ast.stmt]":
-    """Loop statements not enclosed by an ``*interpreted*`` function."""
-    out: list[ast.stmt] = []
-
-    def visit(node: ast.AST, in_reference: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_in_reference = in_reference
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_in_reference = (in_reference
-                                      or "interpreted" in child.name.lower())
-            elif isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                if not in_reference:
-                    out.append(child)
-            visit(child, child_in_reference)
-
-    visit(tree, False)
-    return out
-
-
 @register_rule("vectorization-discipline")
 class VectorizationDisciplineRule:
-    """Flag per-config loops outside the interpreted reference path."""
+    """Flag per-config loops in batched-evaluation code."""
 
-    hint = ("evaluate the whole menu through batched numpy calls; "
-            "per-config iteration belongs to the engine=\"interpreted\" "
-            "reference path only")
+    hint = "evaluate the whole menu through batched numpy calls"
 
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
@@ -61,7 +37,9 @@ class VectorizationDisciplineRule:
             if not path_matches(module.path,
                                 project.config.vectorization_paths):
                 continue
-            for loop in _loops_outside_reference(module.tree):
+            for loop in ast.walk(module.tree):
+                if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+                    continue
                 kind = ("while" if isinstance(loop, ast.While) else "for")
                 findings.append(Finding(
                     rule="vectorization-discipline", path=module.path,
@@ -69,8 +47,7 @@ class VectorizationDisciplineRule:
                     message=(f"python {kind!r} loop in batched-evaluation "
                              "code — menu rows must be evaluated as "
                              "columnar arrays"),
-                    hint="vectorize it, move it into the interpreted "
-                         "reference path, or suppress a justified "
+                    hint="vectorize it, or suppress a justified "
                          "non-row loop",
                 ))
         return findings

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.spaces import SearchSpace, get_space, space_from_dict
-from repro.symbolic import validate_engine
 from repro.evaluation.workloads import (
     TuningScale,
     WorkloadSpec,
@@ -77,11 +76,6 @@ class TuningJob:
     #: worker threads for the outer (S, G) search; 1 = serial,
     #: 0 = one per CPU core
     parallelism: int = 1
-    #: cost-model evaluation engine: "vectorized" (compiled numpy
-    #: closures over whole config menus, the default) or "interpreted"
-    #: (per-config tree walking — the slow differential-test reference).
-    #: Solved plans are bit-identical across engines.
-    engine: str = "vectorized"
     #: number of top predicted plans the solver may execute/verify
     keep_top: int = 3
     #: explicit cluster topology (repro.hardware.cluster_from_dict
@@ -118,10 +112,6 @@ class TuningJob:
                 f"interference must be one of {_INTERFERENCE_POLICIES}, "
                 f"got {self.interference!r}"
             )
-        try:
-            validate_engine(self.engine)
-        except ValueError as exc:
-            raise JobValidationError(str(exc)) from exc
 
     # -- resolution --------------------------------------------------------
 
@@ -203,12 +193,13 @@ class TuningJob:
         # dict shape — and, below, their cache fingerprints
         if self.cluster is not None:
             out["cluster"] = self.cluster
-        if self.engine != "vectorized":
-            out["engine"] = self.engine
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuningJob":
+        # unknown keys are ignored: 1.x documents may still carry the
+        # removed "engine" field, and must load (and fingerprint) as if
+        # it were absent
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
         return cls(**known)
 
@@ -222,14 +213,11 @@ class TuningJob:
     def fingerprint(self) -> str:
         """Stable content hash — the on-disk plan-cache key.
 
-        ``parallelism`` and ``engine`` are excluded: they change how
-        fast the search runs, never which plan it returns (the engines
-        are bit-identical by contract, and the differential test suite
-        holds them to it).
+        ``parallelism`` is excluded: it changes how fast the search
+        runs, never which plan it returns.
         """
         payload = self.to_dict()
         payload.pop("parallelism")
-        payload.pop("engine", None)
         canonical = json.dumps(payload, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:20]

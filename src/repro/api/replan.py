@@ -8,7 +8,7 @@ topology moves, so the new job's fingerprint is the natural cache key
 for the re-tuned plan). :func:`replan` then solves that job
 warm-started from the incumbent plan: the branch-and-bound seeds its
 best-first order with the incumbent's (S, G) cell and prunes against
-the first solved objective from step zero, while the engine-scoped
+the first solved objective from step zero, while the per-group-scoped
 menu memo keeps serving device groups the delta did not touch.
 
 The contract (held by ``tests/core/test_replan.py`` and gated in CI by
@@ -66,7 +66,7 @@ def delta_job(job: TuningJob, delta: "ClusterDelta | dict") -> TuningJob:
         seq_len=job.seq_len, flash=job.flash,
         space=job.space, scale=job.scale,
         interference=job.interference, parallelism=job.parallelism,
-        engine=job.engine, keep_top=job.keep_top,
+        keep_top=job.keep_top,
         options=dict(job.options),
     )
 

@@ -135,7 +135,6 @@ class MistSolver:
         tuning = tuner.search(job.global_batch,
                               parallelism=job.parallelism,
                               keep_top=job.keep_top,
-                              engine=job.engine,
                               progress=progress, should_stop=should_stop)
         return self._report(job, tuning)
 
@@ -156,7 +155,6 @@ class MistSolver:
         tuner = self.make_tuner(job)
         tuning = tuner.replan(job.global_batch, incumbent=incumbent,
                               parallelism=job.parallelism, keep_top=1,
-                              engine=job.engine,
                               progress=progress, should_stop=should_stop)
         return self._report(job, tuning)
 

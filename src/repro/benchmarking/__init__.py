@@ -12,11 +12,10 @@ perf trajectory:
   hash-equal cold plans, at a gated configuration-count speedup);
 * :mod:`repro.benchmarking.bench` runs the suite at a chosen scale,
   emits the schema'd snapshot, validates the pruned search against the
-  exhaustive reference *and* the vectorized cost-model engine against
-  the interpreted reference path (plan hashes must match bit for bit,
-  and the vectorized engine must clear a minimum speedup), and
-  compares wall time against a committed baseline — the artifact and
-  the gates the CI ``perf`` job is built on.
+  exhaustive reference (plan hashes must match bit for bit) and warm
+  replans against cold searches, and compares wall time against a
+  committed baseline — the artifact and the gates the CI ``perf`` job
+  is built on.
 
 The artifact filenames (re-exported from
 :mod:`repro.benchmarking.artifacts`, a dependency-free leaf module) are
@@ -34,7 +33,6 @@ from .artifacts import (
 from .bench import (
     BENCH_SCHEMA,
     check_against_baseline,
-    check_engine_speedup,
     check_warm_speedup,
     format_bench,
     plan_hash,
@@ -51,7 +49,6 @@ __all__ = [
     "LOAD_ARTIFACT",
     "LOAD_BASELINE",
     "check_against_baseline",
-    "check_engine_speedup",
     "check_warm_speedup",
     "fig16_spec",
     "format_bench",

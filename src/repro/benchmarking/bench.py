@@ -8,16 +8,13 @@ One invocation produces a ``BENCH_4.json`` document::
       "environment": {"python": ..., "platform": ..., "cpu_count": ...,
                       "version": ...},
       "benchmarks": {
-        "fig16_tuning_time":          {... pruned search, vectorized ...},
+        "fig16_tuning_time":          {... pruned search ...},
         "fig16_exhaustive_reference": {... exhaustive search path ...},
-        "fig16_interpreted_engine":   {... pruned search, interpreted ...},
         "fig_replan":                 {... warm-vs-cold replan pass ...}
       },
       "derived": {
         "fig16_speedup": <exhaustive wall / pruned wall>,
         "plans_match_exhaustive": true,
-        "fig16_engine_speedup": <interpreted wall / pruned wall>,
-        "plans_match_interpreted": true,
         "fig_replan_speedup": <geomean cold/warm configs evaluated>,
         "replan_plans_match": true
       }
@@ -26,16 +23,15 @@ One invocation produces a ``BENCH_4.json`` document::
 Gates (used by the CI ``perf`` job):
 
 * :func:`validate_bench` — internal consistency: every pruned plan
-  hash must equal the exhaustive reference's *and* the interpreted
-  engine's, the parallel fan-out must return the serial plan, and the
-  pruned/memo-hit counters must be nonzero (a silent fallback to
-  exhaustive search would otherwise pass unnoticed);
+  hash must equal the exhaustive reference's, the parallel fan-out
+  must return the serial plan, and the pruned/memo-hit counters must
+  be nonzero (a silent fallback to exhaustive search would otherwise
+  pass unnoticed);
 * :func:`check_against_baseline` — wall-time regression against the
   committed baseline snapshot (default threshold: 25%), plus a schema /
   scale sanity check;
-* :func:`check_engine_speedup` — the vectorized engine must beat the
-  interpreted reference by at least the given factor (CI: 2x at smoke
-  scale; the target-scale acceptance bar is higher).
+* :func:`check_warm_speedup` — warm replans must evaluate at least the
+  given factor fewer configurations than cold searches (CI: 2x).
 """
 
 from __future__ import annotations
@@ -50,34 +46,27 @@ from repro.evaluation.workloads import get_scale
 from .fig16 import measure_fig16, plan_hash
 from .fig_replan import measure_replan
 
-__all__ = ["BENCH_SCHEMA", "check_against_baseline", "check_engine_speedup",
-           "check_warm_speedup", "format_bench", "plan_hash", "run_bench",
-           "validate_bench"]
+__all__ = ["BENCH_SCHEMA", "check_against_baseline", "check_warm_speedup",
+           "format_bench", "plan_hash", "run_bench", "validate_bench"]
 
 BENCH_SCHEMA = "repro-bench/1"
 
 #: the benchmark whose wall time the baseline gate watches
 PRIMARY_BENCH = "fig16_tuning_time"
 REFERENCE_BENCH = "fig16_exhaustive_reference"
-#: the same pruned search, run through the per-config interpreted
-#: cost-model engine — the denominator of the vectorization speedup
-INTERPRETED_BENCH = "fig16_interpreted_engine"
 #: the warm-vs-cold elastic replan pass
 REPLAN_BENCH = "fig_replan"
 
 
 def run_bench(scale_name: str = "smoke", *,
               include_exhaustive: bool = True,
-              include_interpreted: bool = True,
               include_replan: bool = True) -> dict:
     """Run the benchmark suite at ``scale_name`` and build the snapshot.
 
     ``include_exhaustive=False`` skips the exhaustive reference pass
     (and with it the plan-hash cross-check) — useful for quick local
-    timing runs, never for the CI artifact. ``include_interpreted=False``
-    likewise skips the interpreted-engine pass and with it the
-    vectorized-vs-interpreted comparison; ``include_replan=False`` skips
-    the warm-vs-cold replan pass and its speedup gate.
+    timing runs, never for the CI artifact. ``include_replan=False``
+    skips the warm-vs-cold replan pass and its speedup gate.
     """
     scale = get_scale(scale_name)
     benchmarks: dict[str, dict] = {}
@@ -94,17 +83,6 @@ def run_bench(scale_name: str = "smoke", *,
         )
         derived["plans_match_exhaustive"] = (
             pruned["plan_hashes"] == reference["plan_hashes"]
-        )
-    if include_interpreted:
-        benchmarks[INTERPRETED_BENCH] = measure_fig16(
-            scale, prune=True, engine="interpreted")
-        interpreted = benchmarks[INTERPRETED_BENCH]
-        derived["fig16_engine_speedup"] = (
-            interpreted["wall_time_seconds"] / pruned["wall_time_seconds"]
-            if pruned["wall_time_seconds"] > 0 else 0.0
-        )
-        derived["plans_match_interpreted"] = (
-            pruned["plan_hashes"] == interpreted["plan_hashes"]
         )
     if include_replan:
         benchmarks[REPLAN_BENCH] = measure_replan(scale)
@@ -143,28 +121,6 @@ def validate_bench(result: dict) -> list[str]:
             "pruned plans drifted from the exhaustive reference: "
             + ", ".join(drifted)
         )
-    if "plans_match_interpreted" in derived and \
-            not derived["plans_match_interpreted"]:
-        interpreted = result["benchmarks"][INTERPRETED_BENCH]
-        drifted = sorted(
-            name for name, value in pruned["plan_hashes"].items()
-            if interpreted["plan_hashes"].get(name) != value
-        )
-        problems.append(
-            "vectorized plans drifted from the interpreted engine: "
-            + ", ".join(drifted)
-        )
-    interpreted = result["benchmarks"].get(INTERPRETED_BENCH)
-    if interpreted is not None:
-        for counter in ("configs_evaluated", "configs_prefiltered"):
-            vec = pruned.get("stats", {}).get(counter)
-            ref = interpreted.get("stats", {}).get(counter)
-            if vec != ref:
-                problems.append(
-                    f"{counter} differs across engines "
-                    f"(vectorized {vec} vs interpreted {ref}) — work "
-                    "accounting is no longer engine-deterministic"
-                )
     parallel = pruned.get("parallel")
     if parallel is not None and not parallel["matches_serial"]:
         problems.append("parallel (S, G) fan-out returned a different plan "
@@ -172,7 +128,7 @@ def validate_bench(result: dict) -> list[str]:
     stats = pruned.get("stats", {})
     if stats.get("cells_pruned", 0) <= 0:
         problems.append("branch-and-bound pruned no (S, G) cell — the "
-                        "engine silently fell back to exhaustive search")
+                        "search silently fell back to exhaustive")
     if stats.get("configs_prefiltered", 0) <= 0:
         problems.append("memory pre-filter rejected no configuration")
     memo_hits = stats.get("memo_hits", 0)
@@ -246,25 +202,6 @@ def check_against_baseline(current: dict, baseline: dict, *,
     return problems
 
 
-def check_engine_speedup(current: dict, *,
-                         min_speedup: float = 2.0) -> list[str]:
-    """Vectorized-vs-interpreted speedup failures (empty = OK).
-
-    Applies only when the snapshot carries the interpreted-engine
-    comparison; a snapshot produced with ``include_interpreted=False``
-    passes vacuously (there is nothing to gate).
-    """
-    speedup = current.get("derived", {}).get("fig16_engine_speedup")
-    if speedup is None or min_speedup <= 0:
-        return []
-    if speedup < min_speedup:
-        return [
-            f"vectorized engine is only {speedup:.2f}x faster than the "
-            f"interpreted reference (gate: >= {min_speedup:.1f}x)"
-        ]
-    return []
-
-
 def check_warm_speedup(current: dict, *,
                        min_speedup: float = 2.0) -> list[str]:
     """Warm-vs-cold replan speedup failures (empty = OK).
@@ -322,10 +259,6 @@ def format_bench(result: dict) -> str:
         lines.append(f"  speedup vs exhaustive: "
                      f"{derived['fig16_speedup']:.2f}x  "
                      f"(plans match: {derived['plans_match_exhaustive']})")
-    if "fig16_engine_speedup" in derived:
-        lines.append(f"  vectorized vs interpreted engine: "
-                     f"{derived['fig16_engine_speedup']:.2f}x  "
-                     f"(plans match: {derived['plans_match_interpreted']})")
     if "fig_replan_speedup" in derived:
         lines.append(f"  warm replan vs cold search: "
                      f"{derived['fig_replan_speedup']:.2f}x fewer configs "
@@ -335,13 +268,10 @@ def format_bench(result: dict) -> str:
 
 def main_check(current: dict, baseline: dict | None, *,
                max_regression: float = 0.25,
-               min_engine_speedup: float = 0.0,
                min_warm_speedup: float = 0.0, out=None) -> int:
     """Apply all gates; print verdicts; return a process exit code."""
     out = out if out is not None else sys.stdout
     problems = validate_bench(current)
-    problems += check_engine_speedup(current,
-                                     min_speedup=min_engine_speedup)
     problems += check_warm_speedup(current, min_speedup=min_warm_speedup)
     if baseline is not None:
         problems += check_against_baseline(

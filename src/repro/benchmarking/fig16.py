@@ -54,8 +54,7 @@ def _make_tuner(spec: WorkloadSpec, scale: TuningScale, space,
 
 
 def measure_fig16(scale: TuningScale, *, prune: bool = True,
-                  parallel_rerun: bool = False,
-                  engine: str = "vectorized") -> dict:
+                  parallel_rerun: bool = False) -> dict:
     """Tune the Fig. 16 workload over every incremental space.
 
     Returns a JSON-ready dict::
@@ -65,9 +64,7 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
          "plan_hashes": {name: hash-or-None},
          "parallel": {...} }            # only with parallel_rerun
 
-    ``prune`` selects the search path and ``engine`` the cost-model
-    evaluation path (``"vectorized"`` compiled numpy closures vs the
-    ``"interpreted"`` per-config reference); with ``parallel_rerun``
+    ``prune`` selects the search path; with ``parallel_rerun``
     the widest space is searched once more with one worker per core
     against the same menu memo — proving both that the fan-out returns
     the identical plan and that the memo serves the repeated
@@ -88,8 +85,7 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
     for space in INCREMENTAL_SPACES:
         tuner = _make_tuner(spec, scale, space, interference)
         start = time.perf_counter()
-        result = tuner.search(spec.global_batch, prune=prune, memo=memo,
-                              engine=engine)
+        result = tuner.search(spec.global_batch, prune=prune, memo=memo)
         seconds = time.perf_counter() - start
         wall += seconds
         entry = {
@@ -109,7 +105,6 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
     out = {
         "workload": spec.name,
         "prune": prune,
-        "engine": engine,
         "wall_time_seconds": wall,
         "per_space": per_space,
         "stats": totals,
@@ -120,7 +115,7 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
         tuner, serial = last
         start = time.perf_counter()
         parallel = tuner.search(spec.global_batch, parallelism=0,
-                                prune=prune, memo=memo, engine=engine)
+                                prune=prune, memo=memo)
         seconds = time.perf_counter() - start
         stats = parallel.stats.to_dict() if parallel.stats else {}
         out["parallel"] = {

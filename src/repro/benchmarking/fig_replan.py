@@ -85,11 +85,10 @@ def _tuner(model_name: str,
     )
 
 
-def measure_replan(scale: TuningScale, *,
-                   engine: str = "vectorized") -> dict:
+def measure_replan(scale: TuningScale) -> dict:
     """Run the warm-vs-cold suite; returns a JSON-ready dict::
 
-        {"wall_time_seconds": ..., "engine": ...,
+        {"wall_time_seconds": ...,
          "scenarios": {name: {"delta", "cold": {...}, "warm": {...},
                               "plans_match", "config_speedup"}},
          "config_speedup_geomean": ...,
@@ -111,16 +110,16 @@ def measure_replan(scale: TuningScale, *,
         # the warm state a long-running service would already hold
         memo = MenuMemo()
         incumbent = _tuner(scenario["model"], old_cluster,
-                           scale).search(gb, memo=memo, engine=engine)
+                           scale).search(gb, memo=memo)
 
         start = time.perf_counter()
         cold = _tuner(scenario["model"], new_cluster, scale).search(
-            gb, memo=MenuMemo(), engine=engine)
+            gb, memo=MenuMemo())
         cold_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
         warm = _tuner(scenario["model"], new_cluster, scale).replan(
-            gb, incumbent=incumbent.best_plan, memo=memo, engine=engine)
+            gb, incumbent=incumbent.best_plan, memo=memo)
         warm_seconds = time.perf_counter() - start
         wall += cold_seconds + warm_seconds
 
@@ -156,7 +155,6 @@ def measure_replan(scale: TuningScale, *,
     geomean = (math.exp(sum(math.log(s) for s in speedups) / len(speedups))
                if speedups else 0.0)
     return {
-        "engine": engine,
         "wall_time_seconds": wall,
         "scenarios": scenarios,
         "config_speedup_geomean": geomean,

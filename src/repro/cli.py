@@ -32,9 +32,8 @@ Commands:
   baseline (see ``docs/SERVICE.md``).
 * ``bench``    — run the perf-benchmark suite at a chosen scale, write
   the schema'd ``BENCH_4.json`` snapshot, and gate the pruned search
-  against the exhaustive reference, the vectorized cost-model engine
-  against the interpreted reference (plan bit-identity + minimum
-  speedup), and (optionally) a committed baseline (see
+  against the exhaustive reference (plan bit-identity), warm replans
+  against cold searches, and (optionally) a committed baseline (see
   ``docs/BENCHMARKS.md``).
 * ``solvers``  — list the registered solver backends.
 * ``models``   — list available model configurations.
@@ -95,7 +94,6 @@ from repro.hardware import (
     load_cluster,
 )
 from repro.models import get_model, list_models
-from repro.symbolic import ENGINES
 
 __all__ = ["main"]
 
@@ -123,12 +121,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallelism", type=int, default=1,
                         help="worker threads for the (S, G) search "
                              "(0 = one per core)")
-    parser.add_argument("--engine", choices=sorted(ENGINES),
-                        default="vectorized",
-                        help="cost-model evaluation engine: 'vectorized' "
-                             "compiled numpy closures (default) or the "
-                             "per-config 'interpreted' reference path "
-                             "(slow; bit-identical plans)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="reuse/store solved plans in this directory")
     parser.add_argument("--json", metavar="FILE", default=None,
@@ -156,7 +148,6 @@ def _job(args) -> TuningJob:
         seq_len=args.seq_len, flash=not args.no_flash,
         space=args.space, scale=args.scale,
         parallelism=args.parallelism,
-        engine=getattr(args, "engine", "vectorized"),
     )
     cluster_file = getattr(args, "cluster", None)
     if cluster_file:
@@ -580,13 +571,10 @@ def _cmd_bench(args) -> int:
     print(f"running bench suite at scale {args.scale!r} "
           f"(exhaustive reference: "
           f"{'off' if args.no_exhaustive else 'on'}, "
-          f"interpreted engine: "
-          f"{'off' if args.no_interpreted else 'on'}, "
           f"replan suite: "
           f"{'off' if args.no_replan else 'on'}) ...")
     result = run_bench(args.scale,
                        include_exhaustive=not args.no_exhaustive,
-                       include_interpreted=not args.no_interpreted,
                        include_replan=not args.no_replan)
     print(format_bench(result))
     with open(args.out, "w") as fh:
@@ -601,13 +589,10 @@ def _cmd_bench(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read baseline {args.baseline}: {exc}")
             return 2
-    if args.no_exhaustive and args.no_interpreted and args.no_replan \
-            and baseline is None:
+    if args.no_exhaustive and args.no_replan and baseline is None:
         return 0  # timing-only run: no gates to apply
     return main_check(result, baseline,
                       max_regression=args.max_regression,
-                      min_engine_speedup=(0.0 if args.no_interpreted
-                                          else args.min_engine_speedup),
                       min_warm_speedup=(0.0 if args.no_replan
                                         else args.min_warm_speedup))
 
@@ -902,15 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--no-exhaustive", action="store_true",
                          help="skip the exhaustive reference pass "
                               "(timing-only; disables the plan-hash gate)")
-    p_bench.add_argument("--no-interpreted", action="store_true",
-                         help="skip the interpreted-engine pass "
-                              "(disables the vectorized-vs-interpreted "
-                              "comparison and its speedup gate)")
-    p_bench.add_argument("--min-engine-speedup", type=float, default=2.0,
-                         metavar="FACTOR",
-                         help="fail unless the vectorized engine beats "
-                              "the interpreted reference by this factor "
-                              "(default: 2.0; 0 disables)")
     p_bench.add_argument("--no-replan", action="store_true",
                          help="skip the warm-vs-cold replan suite "
                               "(disables its bit-identity and speedup "

@@ -15,9 +15,7 @@ queries by value substitution:
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 import numpy.typing as npt
@@ -25,7 +23,7 @@ import numpy.typing as npt
 from repro.costmodel.interference import InterferenceModel
 from repro.execution.schedule import MIST_IMPL_OVERHEAD
 from repro.hardware import ClusterSpec, GPUSpec
-from repro.symbolic import CompiledExpr, compile_expr, validate_engine
+from repro.symbolic import compile_expr
 from repro.tracing import ALL_SYMBOLS, TracedModel
 from repro.tracing.memory import FRAMEWORK_OVERHEAD_BYTES
 from repro.tracing.symbols import hardware_env
@@ -180,23 +178,12 @@ class SymbolicPerformanceAnalyzer:
 
     # -- prediction -------------------------------------------------------------
 
-    @staticmethod
-    def _entry(fn: CompiledExpr, engine: str) -> Callable[..., Any]:
-        """The evaluation entry point for ``engine`` on a compiled bundle.
-
-        ``vectorized`` is the compiled numpy closure; ``interpreted`` is
-        the per-config tree-walking reference path (same arguments, same
-        outputs, bit-identical values — just slow).
-        """
-        return fn if validate_engine(engine) == "vectorized" else fn.interpret
-
-    def predict(self, env: dict[str, np.ndarray], *,
-                engine: str = "vectorized") -> StagePrediction:
+    def predict(self, env: dict[str, np.ndarray]) -> StagePrediction:
         """Evaluate all expressions and apply the interference model."""
         (comp_f, nccl_f, d2h_f, h2d_f,
          comp_b, nccl_b, d2h_b, h2d_b,
          comp_fx, nccl_fx, d2h_fx, h2d_fx,
-         nccl_lx, peak_fwd, peak_bwd) = self._entry(self._fn, engine)(
+         nccl_lx, peak_fwd, peak_bwd) = self._fn(
             **{name: env[name] for name in _ARG_NAMES}
         )
         predict = self.interference.predict
@@ -219,8 +206,7 @@ class SymbolicPerformanceAnalyzer:
             peak_bwd=np.asarray(peak_bwd, dtype=float),
         )
 
-    def predict_memory(self, env: dict[str, np.ndarray], *,
-                       engine: str = "vectorized") -> np.ndarray:
+    def predict_memory(self, env: dict[str, np.ndarray]) -> np.ndarray:
         """Peak memory alone, via the memory-only compiled projection.
 
         Bit-identical to ``predict(env).peak_mem`` (same expression
@@ -229,13 +215,12 @@ class SymbolicPerformanceAnalyzer:
         full candidate grid and hands only the surviving rows to
         :meth:`predict`.
         """
-        peak_fwd, peak_bwd = self._entry(self._mem_fn, engine)(
+        peak_fwd, peak_bwd = self._mem_fn(
             **{name: env[name] for name in self._mem_fn.used_symbols}
         )
         return np.asarray(np.maximum(peak_fwd, peak_bwd), dtype=float)
 
-    def compute_channel(self, env: dict[str, np.ndarray], *,
-                        engine: str = "vectorized") -> np.ndarray:
+    def compute_channel(self, env: dict[str, np.ndarray]) -> np.ndarray:
         """Compute-channel busy time (fwd + bwd), interference-free.
 
         With all interference factors >= 1 (see
@@ -244,7 +229,7 @@ class SymbolicPerformanceAnalyzer:
         returns for the same configuration — the property the
         branch-and-bound lower bound rests on.
         """
-        comp_fwd, comp_bwd = self._entry(self._comp_fn, engine)(
+        comp_fwd, comp_bwd = self._comp_fn(
             **{name: env[name] for name in self._comp_fn.used_symbols}
         )
         return np.asarray(comp_fwd + comp_bwd, dtype=float)

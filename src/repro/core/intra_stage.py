@@ -19,11 +19,9 @@ is nearly free, the enumeration is brute force — "which would not miss
 any optimization possibilities" (Section 5.3).
 
 Per-config Python loops are banished from this module (the
-``vectorization-discipline`` check enforces it); the one sanctioned
-per-config path is ``engine="interpreted"``, which routes the same
-columnar menu through :meth:`repro.symbolic.CompiledExpr.interpret` —
-the row-at-a-time reference interpreter the differential tests compare
-against.
+``vectorization-discipline`` check enforces it). The row-at-a-time
+reference the differential tests compare against is
+:meth:`repro.symbolic.CompiledExpr.interpret`, swapped in by the tests.
 
 The frontier — rather than a single winner — is the hand-off to the
 inter-stage MILP: different ``(t, d)`` trade-offs win depending on how
@@ -36,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.symbolic import validate_engine
 
 from .analyzer import SymbolicPerformanceAnalyzer
 from .plan import StageConfig
@@ -137,26 +133,16 @@ class StageShape:
 
 
 class IntraStageTuner:
-    """Batched columnar enumeration over one stage's search space.
-
-    ``engine`` selects the cost-model evaluation path: ``"vectorized"``
-    (default) runs the compiled numpy closures over the whole columnar
-    menu at once; ``"interpreted"`` routes the *same* menu through the
-    per-config tree-walking interpreter. The two produce bit-identical
-    menus and identical ``evaluated`` / ``prefiltered`` counters — the
-    interpreted path exists purely as the differential-testing
-    reference.
-    """
+    """Batched columnar enumeration over one stage's search space."""
 
     def __init__(self, analyzer: SymbolicPerformanceAnalyzer,
                  space: SearchSpace, *, global_batch: int, seq_len: int,
-                 max_pareto_points: int = 8, engine: str = "vectorized"):
+                 max_pareto_points: int = 8):
         self.analyzer = analyzer
         self.space = space
         self.global_batch = global_batch
         self.seq_len = seq_len
         self.max_pareto_points = max_pareto_points
-        self.engine = validate_engine(engine)
         #: configurations enumerated so far (tuning-time accounting);
         #: includes rows the memory pre-filter later rejected, so the
         #: count is identical with and without pre-filtering
@@ -301,7 +287,7 @@ class IntraStageTuner:
                             "wo", "go", "oo", "ao")},
         )
         if prefilter:
-            fits_mem = (analyzer.predict_memory(env, engine=self.engine)
+            fits_mem = (analyzer.predict_memory(env)
                         <= analyzer.memory_budget)
             self.prefiltered += int(n - fits_mem.sum())
             if not fits_mem.any():
@@ -313,7 +299,7 @@ class IntraStageTuner:
                        for name, value in env.items()}
                 cols = {name: value[fits_mem]
                         for name, value in cols.items()}
-        pred = analyzer.predict(env, engine=self.engine)
+        pred = analyzer.predict(env)
 
         fits = pred.peak_mem <= analyzer.memory_budget
         if fits.any():

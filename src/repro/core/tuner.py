@@ -18,7 +18,7 @@ thread pool when ``parallelism > 1``, and merges results in enumeration
 order so the chosen plan is identical to the serial path.
 
 Pruning (Fig. 16's tractability claim): by default the search runs the
-**prune-and-memoize engine** instead of exhaustively solving every
+**prune-and-memoize search** instead of exhaustively solving every
 cell, while still returning bit-identical plans:
 
 * a *memory-feasibility pre-filter* evaluates the symbolic peak-memory
@@ -41,8 +41,9 @@ cell, while still returning bit-identical plans:
 
 Explored/pruned/memo-hit counters are reported per search in
 :class:`SearchStats` (surfaced as ``SolveReport.search_stats`` and in
-the service ``/metrics``). ``prune=False`` restores the exhaustive
-reference path the property tests and `repro bench` compare against.
+the service ``/metrics``). ``prune=False`` runs the same driver and the
+same per-cell routine with every cut switched off — the exhaustive
+reference the property tests and `repro bench` compare against.
 
 On a :class:`~repro.hardware.HeterogeneousCluster` the outer loop
 additionally enumerates stage -> device-group assignments
@@ -62,10 +63,6 @@ is solved first, every later cell prunes against the best solved
 objective, and per-device-group memo scoping keeps menus of unchanged
 groups warm — while returning a ``best_plan`` bit-identical to a cold
 :meth:`MistTuner.search` of the new cluster.
-
-Deprecation: :meth:`MistTuner.tune` (the pre-registry entry point) has
-emitted :class:`DeprecationWarning` since v1.1 and will be removed in
-v2.0 — use :meth:`MistTuner.search` or :func:`repro.api.solve`.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ import math
 import os
 import threading
 import time
-import warnings
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -85,16 +81,11 @@ import numpy as np
 from repro.costmodel.interference import InterferenceModel
 from repro.hardware import ClusterSpec, HeterogeneousCluster
 from repro.models.config import ModelConfig
-from repro.symbolic import validate_engine
 from repro.tracing import trace
 
 from . import inter_stage
 from .analyzer import SymbolicPerformanceAnalyzer
-from .inter_stage import (
-    StageSlot,
-    group_stage_assignments,
-    objective_lower_bound,
-)
+from .inter_stage import group_stage_assignments, objective_lower_bound
 from .intra_stage import (
     IntraStageTuner,
     ParetoPoint,
@@ -128,14 +119,17 @@ class SearchStats:
     the telemetry that distinguishes replay from fresh work. Under a
     parallel pruned search the explored/pruned split may vary slightly
     run-to-run (incumbents arrive in timing-dependent order); the
-    returned plans never do. All counters are also independent of
-    ``engine`` — both evaluation paths score the same configurations.
+    returned plans never do.
+
+    An exhaustive search (``prune=False``) explores every cell, so
+    ``cells_explored == cells_total`` and ``cells_pruned == 0``. It
+    shares subproblems across cells through a private per-search memo,
+    so its ``memo_hits`` / ``memo_misses`` count reuse within that one
+    search.
     """
 
     #: False when the search ran the exhaustive reference path
     prune: bool = True
-    #: cost-model evaluation path ("vectorized" or "interpreted")
-    engine: str = "vectorized"
     cells_total: int = 0
     cells_explored: int = 0
     #: cells skipped by the branch-and-bound cut
@@ -163,7 +157,6 @@ class SearchStats:
     def to_dict(self) -> dict:
         return {
             "prune": self.prune,
-            "engine": self.engine,
             "cells_total": self.cells_total,
             "cells_explored": self.cells_explored,
             "cells_pruned": self.cells_pruned,
@@ -180,7 +173,11 @@ class SearchStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchStats":
-        """Rebuild from :meth:`to_dict` output (manifest resume path)."""
+        """Rebuild from :meth:`to_dict` output (manifest resume path).
+
+        Unknown keys are ignored, so 1.x payloads that still carry an
+        ``engine`` field load unchanged.
+        """
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
         for key in ("seed", "warm_seed"):
             value = known.get(key)
@@ -423,11 +420,10 @@ class MistTuner:
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
                prune: bool = True,
-               memo: MenuMemo | None = None,
-               engine: str = "vectorized") -> TuningResult:
+               memo: MenuMemo | None = None) -> TuningResult:
         """Solve the (S, G) grid and return the ranked outcome.
 
-        ``prune=True`` (the default) runs the prune-and-memoize engine:
+        ``prune=True`` (the default) runs the prune-and-memoize search:
         memory-infeasible configurations are rejected symbolically
         before cost evaluation, cells whose optimistic lower bound
         exceeds the ``keep_top``-th best solved objective are skipped,
@@ -435,7 +431,10 @@ class MistTuner:
         (default: the process-wide
         :data:`~repro.core.memo.GLOBAL_MENU_MEMO`). The returned
         ``best_plan`` / ``top_plans`` / objectives are bit-identical to
-        ``prune=False``, which runs the exhaustive reference path.
+        ``prune=False``, the exhaustive reference: the same driver with
+        the prefilter, the bounds, the heuristic seed and the option cut
+        all off, solving every cell in enumeration order against a
+        private per-search memo (``memo`` is ignored).
 
         ``parallelism > 1`` fans the independent per-(S, G) solves over
         that many worker threads (``0`` means one per CPU core); results
@@ -449,92 +448,23 @@ class MistTuner:
         :class:`SearchCancelled`, discarding partial results. Both hooks
         exist for long-running callers (the ``repro serve`` daemon) that
         need liveness and cancellation.
-
-        ``engine`` selects the cost-model evaluation path:
-        ``"vectorized"`` (the default) evaluates whole config menus
-        through the compiled numpy closures; ``"interpreted"`` walks
-        the raw expression trees one configuration at a time. Returned
-        plans, objectives and work counters are bit-identical across
-        engines — the interpreted path exists as the slow reference the
-        differential tests compare against.
         """
-        engine = validate_engine(engine)
-        if prune:
-            return self._search_pruned(
-                global_batch, parallelism=parallelism, verbose=verbose,
-                keep_top=keep_top, progress=progress,
-                should_stop=should_stop,
-                memo=memo if memo is not None else GLOBAL_MENU_MEMO,
-                engine=engine,
-            )
-        start = time.perf_counter()
-        grid = self._sg_grid(global_batch)
-        total = len(grid)
-        done_lock = threading.Lock()
-        done = [0]
-
-        def _solve_cell(task: tuple) -> tuple:
-            if should_stop is not None and should_stop():
-                raise SearchCancelled(
-                    f"search cancelled after {done[0]}/{total} cells")
-            solution = self._tune_pipeline(global_batch, *task, engine=engine)
-            with done_lock:
-                done[0] += 1
-                if progress is not None:
-                    progress(done[0], total)
-            return solution
-
-        workers = parallelism if parallelism > 0 else (os.cpu_count() or 1)
-        if workers > 1 and len(grid) > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(workers, len(grid))) as pool:
-                solutions = list(pool.map(_solve_cell, grid))
-        else:
-            solutions = [_solve_cell(task) for task in grid]
-
-        candidates: list[tuple[float, TrainingPlan]] = []
-        evaluated = 0
-        search_log: list[dict] = []
-        for (num_stages, _, gacc, _, assignment), (solution, n_evaluated) \
-                in zip(grid, solutions):
-            evaluated += n_evaluated
-            # infeasible cells log None, not inf — search logs must stay
-            # strictly JSON-serializable (SolveReport round-trip contract)
-            entry = {
-                "num_stages": num_stages,
-                "gacc": gacc,
-                "objective": float(solution.objective) if solution else None,
-            }
-            if assignment is not None:
-                entry["groups"] = [slot.group for slot in assignment]
-            search_log.append(entry)
-            if verbose:  # pragma: no cover - console aid
-                obj = entry["objective"]
-                print(f"  S={num_stages} G={gacc}: "
-                      + (f"{obj * 1e3:.1f} ms" if obj is not None
-                         else "infeasible"))
-            if solution:
-                candidates.append((
-                    solution.objective,
-                    self._plan_from_solution(solution, global_batch, gacc),
-                ))
-
-        candidates.sort(key=lambda item: item[0])
-        stats = SearchStats(
-            prune=False, engine=engine, cells_total=total,
-            cells_explored=total, configs_evaluated=evaluated,
-            bound_pruning=False,
+        if not prune:
+            memo = MenuMemo()
+        elif memo is None:
+            memo = GLOBAL_MENU_MEMO
+        return self._search(
+            global_batch, parallelism=parallelism, verbose=verbose,
+            keep_top=keep_top, progress=progress, should_stop=should_stop,
+            prune=prune, memo=memo,
         )
-        return self._result(candidates, global_batch, start, evaluated,
-                            search_log, keep_top, stats)
 
     def replan(self, global_batch: int, *, incumbent: TrainingPlan,
                parallelism: int = 1, verbose: bool = False,
                keep_top: int = 1,
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
-               memo: MenuMemo | None = None,
-               engine: str = "vectorized") -> TuningResult:
+               memo: MenuMemo | None = None) -> TuningResult:
         """Warm-started search for a changed cluster (elastic re-tuning).
 
         ``incumbent`` is the plan that was running before the cluster
@@ -562,12 +492,12 @@ class MistTuner:
           replay instead of recompute (pass the same ``memo`` the cold
           search used; counters stay deterministic either way).
         """
-        engine = validate_engine(engine)
-        return self._search_pruned(
+        return self._search(
             global_batch, parallelism=parallelism, verbose=verbose,
             keep_top=keep_top, progress=progress, should_stop=should_stop,
+            prune=True,
             memo=memo if memo is not None else GLOBAL_MENU_MEMO,
-            engine=engine, incumbent=incumbent,
+            incumbent=incumbent,
         )
 
     def _incumbent_cell(self, grid: list[tuple],
@@ -609,47 +539,32 @@ class MistTuner:
             source=f"mist[{self.space.name}]",
         )
 
-    def _result(self, candidates: list[tuple[float, TrainingPlan]],
-                global_batch: int, start: float,
-                evaluated: int, search_log: list, keep_top: int,
-                stats: SearchStats) -> TuningResult:
-        best_objective = candidates[0][0] if candidates else np.inf
-        best_plan = candidates[0][1] if candidates else None
-        elapsed = time.perf_counter() - start
-        return TuningResult(
-            best_plan=best_plan,
-            predicted_iteration_time=best_objective,
-            predicted_throughput=(
-                throughput(global_batch, best_objective)
-                if np.isfinite(best_objective) else 0.0
-            ),
-            tuning_time_seconds=elapsed,
-            configurations_evaluated=evaluated,
-            search_log=search_log,
-            top_plans=[plan for _, plan in candidates[:keep_top]],
-            stats=stats,
-        )
+    # -- the search driver ---------------------------------------------------
 
-    # -- pruned search ------------------------------------------------------
-
-    def _search_pruned(self, global_batch: int, *, parallelism: int,
-                       verbose: bool, keep_top: int,
-                       progress: "Callable[[int, int], None] | None",
-                       should_stop: "Callable[[], bool] | None",
-                       memo: MenuMemo, engine: str = "vectorized",
-                       incumbent: TrainingPlan | None = None) -> TuningResult:
+    def _search(self, global_batch: int, *, parallelism: int,
+                verbose: bool, keep_top: int,
+                progress: "Callable[[int, int], None] | None",
+                should_stop: "Callable[[], bool] | None",
+                prune: bool, memo: MenuMemo,
+                incumbent: TrainingPlan | None = None) -> TuningResult:
         start = time.perf_counter()
         grid = self._sg_grid(global_batch)
         total = len(grid)
-        stats = SearchStats(cells_total=total, engine=engine)
-        # The bound argument needs every interference factor >= 1 (see
-        # InterferenceModel.min_factor); a physically meaningless model
-        # silently falls back to prefilter + memoization only.
-        bound_ok = all(a.interference.min_factor() >= 1.0
-                       for a in self.analyzers.values())
+        stats = SearchStats(prune=prune, cells_total=total)
+        if prune:
+            # The bound argument needs every interference factor >= 1
+            # (see InterferenceModel.min_factor); a physically
+            # meaningless model silently falls back to prefilter +
+            # memoization only.
+            bound_ok = all(a.interference.min_factor() >= 1.0
+                           for a in self.analyzers.values())
+            bounds, feasible = self._cell_bounds(global_batch, grid)
+        else:
+            # exhaustive reference: no bounds, no feasibility screen —
+            # every cell is solved, in enumeration order
+            bound_ok = False
+            bounds, feasible = [math.inf] * total, [True] * total
         stats.bound_pruning = bound_ok
-        bounds, feasible = self._cell_bounds(global_batch, grid,
-                                             engine=engine)
         seed_idx = None
         if incumbent is not None:
             # Warm start (replan): solve the incumbent plan's (S, G)
@@ -664,9 +579,9 @@ class MistTuner:
                 "gacc": incumbent.gacc,
                 "matched": seed_idx is not None,
             }
-        if seed_idx is None and self.hetero is None:
+        if prune and seed_idx is None and self.hetero is None:
             seed_idx, seed_info = self._heuristic_seed(
-                global_batch, grid, feasible, engine=engine)
+                global_batch, grid, feasible)
             stats.seed = seed_info
         order = sorted(
             range(total),
@@ -692,11 +607,11 @@ class MistTuner:
             elif bound_ok and bounds[idx] > incumbents.threshold():
                 outcomes[idx] = ("pruned", None, _CellCounts())
             else:
-                solution, counts = self._tune_pipeline_memo(
+                solution, counts = self._solve_cell(
                     global_batch, grid[idx], memo,
                     threshold=(incumbents.threshold() if bound_ok
                                else math.inf),
-                    engine=engine)
+                    prefilter=prune)
                 if solution:
                     incumbents.offer(solution.objective)
                 outcomes[idx] = ("explored", solution, counts)
@@ -716,10 +631,8 @@ class MistTuner:
 
         candidates: list[tuple[float, int, TrainingPlan]] = []
         search_log: list[dict] = []
-        evaluated = 0
         for idx, (num_stages, _, gacc, _, assignment) in enumerate(grid):
             status, solution, counts = outcomes[idx]
-            evaluated += counts.evaluated
             stats.configs_evaluated += counts.evaluated
             stats.configs_prefiltered += counts.prefiltered
             stats.memo_hits += counts.memo_hits
@@ -730,6 +643,8 @@ class MistTuner:
                 stats.cells_pruned += 1
             else:
                 stats.cells_infeasible += 1
+            # unsolvable cells log None, not inf — search logs must stay
+            # strictly JSON-serializable (SolveReport round-trip contract)
             entry = {
                 "num_stages": num_stages,
                 "gacc": gacc,
@@ -752,15 +667,24 @@ class MistTuner:
                     self._plan_from_solution(solution, global_batch, gacc),
                 ))
 
-        # ties resolve by enumeration order — the same order the stable
-        # sort of the exhaustive path preserves
+        # ties resolve by enumeration order
         candidates.sort(key=lambda item: (item[0], item[1]))
-        ranked = [(obj, plan) for obj, _, plan in candidates]
-        return self._result(ranked, global_batch, start, evaluated,
-                            search_log, keep_top, stats)
+        best_objective = candidates[0][0] if candidates else math.inf
+        return TuningResult(
+            best_plan=candidates[0][2] if candidates else None,
+            predicted_iteration_time=best_objective,
+            predicted_throughput=(
+                throughput(global_batch, best_objective)
+                if math.isfinite(best_objective) else 0.0
+            ),
+            tuning_time_seconds=time.perf_counter() - start,
+            configurations_evaluated=stats.configs_evaluated,
+            search_log=search_log,
+            top_plans=[plan for _, _, plan in candidates[:keep_top]],
+            stats=stats,
+        )
 
-    def _cell_bounds(self, global_batch: int, grid: list[tuple], *,
-                     engine: str = "vectorized",
+    def _cell_bounds(self, global_batch: int, grid: list[tuple],
                      ) -> tuple[list[float], list[bool]]:
         """Optimistic lower bound + feasibility flag per (S, G) cell.
 
@@ -814,7 +738,7 @@ class MistTuner:
                 gacc=gacc_a, inflight=np.ones(n),
                 has_pre=np.zeros(n), has_post=np.zeros(n),
             )
-            comp = analyzer.compute_channel(env, engine=engine)
+            comp = analyzer.compute_channel(env)
             pos = 0
             for key, options in entries:
                 floor = math.inf
@@ -844,8 +768,7 @@ class MistTuner:
         return bounds, feasible
 
     def _heuristic_seed(self, global_batch: int, grid: list[tuple],
-                        feasible: list[bool], *,
-                        engine: str = "vectorized",
+                        feasible: list[bool],
                         ) -> "tuple[int | None, dict | None]":
         """Pick the cell a Megatron-style uniform layout prefers.
 
@@ -904,7 +827,7 @@ class MistTuner:
             gacc=gacc_a, inflight=inflight_a,
             has_pre=pre_a, has_post=post_a,
         )
-        pred = self.analyzer.predict(env, engine=engine)
+        pred = self.analyzer.predict(env)
         fits = pred.peak_mem <= self.analyzer.memory_budget
 
         best_idx, best_obj, best_gacc, best_stages = None, math.inf, 0, 0
@@ -966,21 +889,31 @@ class MistTuner:
             cut.append(filtered)
         return cut, removed
 
-    def _tune_pipeline_memo(
+    def _solve_cell(
             self, global_batch: int, task: tuple, memo: MenuMemo, *,
-            threshold: float = math.inf, engine: str = "vectorized",
+            threshold: float, prefilter: bool,
     ) -> "tuple[inter_stage.InterStageSolution | None, _CellCounts]":
-        """Solve one (S, G) cell through the memoized, prefiltered path.
+        """Solve one (S, G) cell: stage menus, then the inter-stage solve.
 
-        Returns ``(solution, _CellCounts)``. Results are bit-identical
-        to :meth:`_tune_pipeline`: the memo stores pure menus keyed by
-        the full subproblem fingerprint, and a hit replays the
-        evaluated/prefiltered counters its original computation
-        recorded, keeping work accounting deterministic. A finite
-        ``threshold`` additionally applies :meth:`_cut_menus` before
-        the inter-stage solve — plans that can still reach the top-k
-        are unaffected; a cell whose optimum is already worse may
-        resolve to a (correctly ranked) weaker solution or ``None``.
+        Returns ``(solution, _CellCounts)``. Stage menus come from
+        ``memo``, which stores pure menus keyed by the full subproblem
+        fingerprint; a hit replays the evaluated/prefiltered counters
+        its original computation recorded, keeping work accounting
+        deterministic. ``prefilter`` is forwarded to
+        :meth:`IntraStageTuner.tune` (menus are identical either way,
+        only the ``prefiltered`` counter differs, so a memo must only
+        ever see one setting). A finite ``threshold`` additionally
+        applies :meth:`_cut_menus` before the inter-stage solve — plans
+        that can still reach the top-k are unaffected; a cell whose
+        optimum is already worse may resolve to a (correctly ranked)
+        weaker solution or ``None``.
+
+        Heterogeneous cells tune each stage with its device group's
+        analyzer, so every Pareto point is priced with that group's
+        cost model and filtered against that group's memory budget;
+        stages adjacent to a group boundary additionally price pipeline
+        p2p over the inter-group link (the same clamp the execution
+        engine applies).
         """
         num_stages, stage_gpus, gacc, layer_counts, assignment = task
         counts = _CellCounts()
@@ -989,11 +922,7 @@ class MistTuner:
 
         def menus_for(group: str, shape: StageShape, lcounts: list[int],
                       ) -> dict[int, list[ParetoPoint]]:
-            # engine is part of the key: menus are bit-identical across
-            # engines, but replaying a vectorized entry under
-            # engine="interpreted" would let memo warmth mask exactly
-            # the divergence the differential tests exist to catch
-            key = (self._memo_scopes[group], engine, global_batch, shape,
+            key = (self._memo_scopes[group], global_batch, shape,
                    tuple(lcounts))
             entry = memo.lookup(key)
             if entry is None:
@@ -1004,11 +933,10 @@ class MistTuner:
                         self.analyzers[group], self.space,
                         global_batch=global_batch, seq_len=self.seq_len,
                         max_pareto_points=self.max_pareto_points,
-                        engine=engine,
                     )
                 before_eval = tuner.evaluated
                 before_pre = tuner.prefiltered
-                menus = tuner.tune(shape, lcounts, prefilter=True)
+                menus = tuner.tune(shape, lcounts, prefilter=prefilter)
                 entry = MemoEntry(
                     menus=menus,
                     evaluated=tuner.evaluated - before_eval,
@@ -1017,46 +945,34 @@ class MistTuner:
                 memo.store(key, entry)
             else:
                 counts.memo_hits += 1
-            # count each unique subproblem once per cell — the same
-            # dedup the exhaustive path's per-cell shape cache applies,
-            # so explored cells report identical work either way
+            # count each unique subproblem once per cell, so a cell
+            # reports the same work however warm the memo is
             if key not in seen_in_cell:
                 seen_in_cell.add(key)
                 counts.evaluated += entry.evaluated
                 counts.prefiltered += entry.prefiltered
             return entry.menus
 
+        # a homogeneous cell is a run of stages on the one "" group
+        slots = ([("", stage_gpus)] * num_stages if assignment is None
+                 else [(slot.group, slot.stage_gpus) for slot in assignment])
+        stage_counts = (layer_counts if num_stages > 1
+                        else [self.model.num_layers])
         menus = []
-        if assignment is None:
-            counts_for_stage = (layer_counts if num_stages > 1
-                                else [self.model.num_layers])
-            for idx in range(num_stages):
-                inflight = min(gacc, num_stages - idx)
-                shape = StageShape(
-                    stage_gpus=stage_gpus, gacc=gacc,
-                    inflight=inflight if num_stages > 1 else 1,
-                    has_pre=(idx == 0), has_post=(idx == num_stages - 1),
-                )
-                menus.append(menus_for("", shape, counts_for_stage))
-        else:
-            boundary = [False] * num_stages
-            for i in range(num_stages - 1):
-                if assignment[i].group != assignment[i + 1].group:
-                    boundary[i] = boundary[i + 1] = True
-            for idx, slot in enumerate(assignment):
-                inflight = min(gacc, num_stages - idx)
-                shape = StageShape(
-                    stage_gpus=slot.stage_gpus, gacc=gacc, inflight=inflight,
-                    has_pre=(idx == 0), has_post=(idx == num_stages - 1),
-                    group=slot.group,
-                    p2p_bandwidth_cap=(self.hetero.inter_group_bandwidth
-                                       if boundary[idx] else None),
-                    p2p_latency_floor=(self.hetero.inter_group_latency
-                                       if boundary[idx] else None),
-                )
-                stage_counts = (layer_counts if num_stages > 1
-                                else [self.model.num_layers])
-                menus.append(menus_for(slot.group, shape, stage_counts))
+        for idx, (group, gpus) in enumerate(slots):
+            boundary = any(slots[j][0] != group for j in (idx - 1, idx + 1)
+                           if 0 <= j < num_stages)
+            shape = StageShape(
+                stage_gpus=gpus, gacc=gacc,
+                inflight=min(gacc, num_stages - idx),
+                has_pre=(idx == 0), has_post=(idx == num_stages - 1),
+                group=group,
+                p2p_bandwidth_cap=(self.hetero.inter_group_bandwidth
+                                   if boundary else None),
+                p2p_latency_floor=(self.hetero.inter_group_latency
+                                   if boundary else None),
+            )
+            menus.append(menus_for(group, shape, stage_counts))
 
         def _solve(stage_menus: list,
                    ) -> "inter_stage.InterStageSolution | None":
@@ -1085,132 +1001,3 @@ class MistTuner:
                 screened.objective <= threshold * (1.0 + 1e-6):
             return _solve(menus), counts
         return screened, counts
-
-    def tune(self, global_batch: int, *, verbose: bool = False,
-             keep_top: int = 3) -> TuningResult:
-        """Deprecated alias for :meth:`search` (serial path).
-
-        Deprecated since v1.1 (the ``repro.api`` registry redesign);
-        scheduled for removal in v2.0. Call :meth:`search` or go
-        through :func:`repro.api.solve` — see the deprecation policy in
-        ``docs/API.md``.
-        """
-        warnings.warn(
-            "MistTuner.tune() is deprecated since v1.1 and will be removed "
-            "in v2.0; use MistTuner.search() or the repro.api solver "
-            "registry (repro.api.solve).",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.search(global_batch, verbose=verbose, keep_top=keep_top)
-
-    # -- per-(S, G) solve ---------------------------------------------------------
-
-    def _tune_pipeline(
-            self, global_batch: int, num_stages: int,
-            stage_gpus: int, gacc: int,
-            layer_counts: list[int],
-            assignment: "tuple[StageSlot, ...] | None" = None,
-            *, engine: str = "vectorized",
-    ) -> "tuple[inter_stage.InterStageSolution | None, int]":
-        """Solve one (S, G) candidate (exhaustive reference path).
-
-        Returns ``(solution, evaluated)`` where ``evaluated`` is the
-        number of configurations the intra-stage tuner scored — each
-        call owns fresh :class:`IntraStageTuner`\\ s, so the method is
-        safe to run concurrently across (S, G) candidates. With an
-        ``assignment`` (heterogeneous clusters) each stage is tuned by
-        its device group's analyzer.
-        """
-        if assignment is not None:
-            return self._tune_pipeline_hetero(global_batch, gacc,
-                                              layer_counts, assignment,
-                                              engine=engine)
-        intra = IntraStageTuner(
-            self.analyzer, self.space, global_batch=global_batch,
-            seq_len=self.seq_len, max_pareto_points=self.max_pareto_points,
-            engine=engine,
-        )
-
-        if num_stages == 1:
-            shape = StageShape(stage_gpus=stage_gpus, gacc=gacc, inflight=1,
-                               has_pre=True, has_post=True)
-            menus = [intra.tune(shape, [self.model.num_layers])]
-            solution = inter_stage.solve(
-                menus, self.model.num_layers, gacc,
-                imbalance_aware=self.space.imbalance_aware,
-            )
-            return solution, intra.evaluated
-
-        # Stage positions with identical (inflight, pre, post) share menus.
-        menus = []
-        cache: dict[tuple, dict] = {}
-        for idx in range(num_stages):
-            inflight = min(gacc, num_stages - idx)
-            key = (inflight, idx == 0, idx == num_stages - 1)
-            if key not in cache:
-                shape = StageShape(
-                    stage_gpus=stage_gpus, gacc=gacc, inflight=inflight,
-                    has_pre=key[1], has_post=key[2],
-                )
-                cache[key] = intra.tune(shape, layer_counts)
-            menus.append(cache[key])
-        solution = inter_stage.solve(
-            menus, self.model.num_layers, gacc,
-            imbalance_aware=self.space.imbalance_aware,
-        )
-        return solution, intra.evaluated
-
-    def _tune_pipeline_hetero(
-            self, global_batch: int, gacc: int,
-            layer_counts: list[int],
-            assignment: "tuple[StageSlot, ...]",
-            *, engine: str = "vectorized",
-    ) -> "tuple[inter_stage.InterStageSolution | None, int]":
-        """Solve one heterogeneous (assignment, G) candidate.
-
-        Stage menus come from the analyzer of the stage's device group,
-        so every Pareto point is priced with that group's cost model
-        and filtered against that group's memory budget; stages
-        adjacent to a group boundary additionally price pipeline p2p
-        over the inter-group link (the same clamp the execution engine
-        applies). Stage positions sharing (group, gpus, inflight, pre,
-        post, boundary) share menus, mirroring the homogeneous cache.
-        """
-        num_stages = len(assignment)
-        intra = {
-            name: IntraStageTuner(
-                self.analyzers[name], self.space, global_batch=global_batch,
-                seq_len=self.seq_len,
-                max_pareto_points=self.max_pareto_points,
-                engine=engine,
-            )
-            for name in {slot.group for slot in assignment}
-        }
-        boundary = [False] * num_stages
-        for i in range(num_stages - 1):
-            if assignment[i].group != assignment[i + 1].group:
-                boundary[i] = boundary[i + 1] = True
-        menus = []
-        cache: dict[tuple, dict] = {}
-        for idx, slot in enumerate(assignment):
-            inflight = min(gacc, num_stages - idx)
-            key = (slot.group, slot.stage_gpus, inflight,
-                   idx == 0, idx == num_stages - 1, boundary[idx])
-            if key not in cache:
-                shape = StageShape(
-                    stage_gpus=slot.stage_gpus, gacc=gacc, inflight=inflight,
-                    has_pre=key[3], has_post=key[4], group=slot.group,
-                    p2p_bandwidth_cap=(self.hetero.inter_group_bandwidth
-                                       if boundary[idx] else None),
-                    p2p_latency_floor=(self.hetero.inter_group_latency
-                                       if boundary[idx] else None),
-                )
-                counts = (layer_counts if num_stages > 1
-                          else [self.model.num_layers])
-                cache[key] = intra[slot.group].tune(shape, counts)
-            menus.append(cache[key])
-        solution = inter_stage.solve(
-            menus, self.model.num_layers, gacc,
-            imbalance_aware=self.space.imbalance_aware,
-        )
-        return solution, sum(t.evaluated for t in intra.values())

@@ -27,17 +27,6 @@ from .workloads import (
 )
 
 
-def __getattr__(name: str):
-    # deprecated shim, forwarded lazily so importing this package stays
-    # warning-free; repro.evaluation.runner.__getattr__ emits the
-    # DeprecationWarning on actual access
-    if name == "BASELINE_TUNERS":
-        from . import runner
-
-        return runner.BASELINE_TUNERS
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Comparison",
     "SCALES",

@@ -20,7 +20,6 @@ process lifetime.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,54 +39,6 @@ __all__ = [
     "run_via_service",
     "compare_systems",
 ]
-
-#: deprecated runner-era system names -> registry solver names
-_LEGACY_SYSTEM_ALIASES = {"uniform-heuristic": "uniform"}
-
-
-def _canonical_system(system: str) -> str:
-    """Map a requested system name onto its registry solver name.
-
-    Legacy runner-era names (``"uniform-heuristic"``) keep working for
-    one release with a :class:`DeprecationWarning`, mirroring the
-    ``MistTuner.tune()`` policy (see ``docs/API.md``).
-    """
-    alias = _LEGACY_SYSTEM_ALIASES.get(system)
-    if alias is None:
-        return system
-    warnings.warn(
-        f"system name {system!r} is deprecated; use the repro.api "
-        f"registry name {alias!r} (removal in v2.0)",
-        DeprecationWarning, stacklevel=3,
-    )
-    return alias
-
-
-def __getattr__(name: str):
-    # BASELINE_TUNERS predates the solver registry; kept one release as
-    # a lazily built shim so old callers keep working with a warning
-    if name == "BASELINE_TUNERS":
-        from repro.baselines import (
-            AcesoTuner,
-            DeepSpeedTuner,
-            MegatronTuner,
-            UniformHeuristicTuner,
-        )
-
-        warnings.warn(
-            "BASELINE_TUNERS is deprecated; consult the repro.api solver "
-            "registry (solver_registry()) instead (removal in v2.0)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return {
-            "megatron": MegatronTuner,
-            "deepspeed": DeepSpeedTuner,
-            "aceso": AcesoTuner,
-            "uniform-heuristic": UniformHeuristicTuner,
-        }
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 @lru_cache(maxsize=4)
 def calibrated_interference(pcie_only: bool) -> InterferenceModel:
@@ -224,14 +175,13 @@ def run_baseline(spec: WorkloadSpec, system: str) -> SystemOutcome:
     """Run one baseline solver end to end (registry-driven)."""
     from repro.api import TuningJob, get_solver, solver_names
 
-    solver = _canonical_system(system)
-    valid = (set(solver_names()) | set(_LEGACY_SYSTEM_ALIASES)) - {"mist"}
+    valid = set(solver_names()) - {"mist"}
     if system not in valid:
         raise KeyError(
             f"unknown baseline {system!r}; options: {sorted(valid)}"
         )
     job = TuningJob.from_workload(spec, scale=scale_ref(current_scale()))
-    report = get_solver(solver).solve(job)
+    report = get_solver(system).solve(job)
     return SystemOutcome(
         system=system,
         plan=report.plan,
@@ -257,12 +207,11 @@ def run_via_service(spec: WorkloadSpec, system: str, service_url: str, *,
     from repro.api import TuningJob
     from repro.service import Client
 
-    solver = _canonical_system(system)
     job = TuningJob.from_workload(
         spec, scale=scale_ref(scale or current_scale()),
         parallelism=parallelism,
     )
-    report = Client(service_url).solve(job, solver=solver, timeout=timeout)
+    report = Client(service_url).solve(job, solver=system, timeout=timeout)
     return _outcome_from_report(system, report, service_url=service_url)
 
 
@@ -283,12 +232,11 @@ def compare_systems(spec: WorkloadSpec,
     from repro.campaigns import CampaignSpec, run_campaign
 
     scale = scale or current_scale()
-    solvers = tuple(_canonical_system(system) for system in systems)
     cluster_entry = (dict(spec.cluster_dict) if spec.cluster_dict is not None
                      else {"gpu": spec.gpu_name, "num_gpus": spec.num_gpus})
     campaign = CampaignSpec(
         name=f"compare-{spec.name}",
-        solvers=solvers,
+        solvers=tuple(systems),
         models=(spec.model_spec,),
         clusters=(cluster_entry,),
         scales=(scale_ref(scale),),
@@ -311,12 +259,12 @@ def compare_systems(spec: WorkloadSpec,
                  on_event=on_event)
 
     outcomes: dict[str, SystemOutcome] = {}
-    for system, solver in zip(systems, solvers):
-        report = reports.get(solver)
+    for system in systems:
+        report = reports.get(system)
         if report is None:
             raise RuntimeError(
                 f"system {system!r} failed on {spec.name}: "
-                f"{errors.get(solver, 'no report produced')}")
+                f"{errors.get(system, 'no report produced')}")
         outcomes[system] = _outcome_from_report(
             system, report, service_url=service_url)
     return Comparison(workload=spec, outcomes=outcomes)

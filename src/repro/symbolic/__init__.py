@@ -41,12 +41,10 @@ from .expr import (
     substitute,
 )
 from .evaluate import (
-    ENGINES,
     CompiledExpr,
     EvaluationError,
     compile_expr,
     evaluate,
-    validate_engine,
 )
 from .simplify import collect_terms, count_nodes, simplify
 from .symbols import SymbolManager, global_symbol_manager
@@ -58,7 +56,6 @@ __all__ = [
     "CompiledExpr",
     "Const",
     "Div",
-    "ENGINES",
     "EqCmp",
     "EvaluationError",
     "Expr",
@@ -90,5 +87,4 @@ __all__ = [
     "smax",
     "smin",
     "substitute",
-    "validate_engine",
 ]

@@ -45,28 +45,11 @@ from .expr import (
 ArrayLike = Union[int, float, np.ndarray]
 
 __all__ = [
-    "ENGINES",
     "evaluate",
     "compile_expr",
     "CompiledExpr",
     "EvaluationError",
-    "validate_engine",
 ]
-
-#: Recognised cost-model evaluation engines. ``vectorized`` runs the
-#: compiled numpy closures over whole config menus at once; ``interpreted``
-#: walks the raw expression trees one config at a time and exists as the
-#: reference path for differential testing.
-ENGINES = ("vectorized", "interpreted")
-
-
-def validate_engine(engine: str) -> str:
-    """Return ``engine`` if it names a known evaluation engine."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {list(ENGINES)}"
-        )
-    return engine
 
 
 class EvaluationError(RuntimeError):
@@ -174,7 +157,8 @@ class CompiledExpr:
       statements over the whole env (scalars or arrays, broadcasting).
     * :meth:`interpret` — the per-config reference path: walks the raw
       expression trees row by row through :func:`evaluate`. Slow by
-      design; it anchors the differential tests proving the vectorized
+      design and never called by the tuner; it anchors the differential
+      tests, which swap it in for ``__call__`` to prove the vectorized
       path is bit-identical.
     """
 

@@ -306,25 +306,6 @@ def tune(menu):
     return out
 """
 
-VEC_REFERENCE_PATH = """\
-import numpy as np
-
-def _interpreted_rows(menu):
-    # the engine="interpreted" reference path may loop by design
-    for row in menu:
-        yield row * 2
-
-class Engine:
-    def interpreted_pass(self, menu):
-        total = 0.0
-        for row in menu:
-            total += row
-        return total
-
-def tune(menu):
-    return np.asarray(menu) * 2
-"""
-
 VEC_SUPPRESSED = """\
 def tune(menu, groups):
     # repro: allow[vectorization-discipline] iterates option groups, not rows
@@ -342,13 +323,6 @@ def test_vectorization_fires_on_menu_loops():
     assert any("'for' loop" in m for m in messages)
     assert any("'while' loop" in m for m in messages)
     assert all("columnar arrays" in m for m in messages)
-
-
-def test_vectorization_exempts_interpreted_reference_functions():
-    # loops inside *interpret* functions (incl. nested statements) are
-    # the sanctioned reference path; the vectorized code stays silent
-    assert run_on({"pkg/vec.py": VEC_REFERENCE_PATH},
-                  "vectorization-discipline") == ()
 
 
 def test_vectorization_scoped_to_configured_paths():

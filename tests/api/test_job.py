@@ -51,6 +51,38 @@ class TestFingerprint:
         assert JOB.with_(parallelism=8).fingerprint() == JOB.fingerprint()
 
 
+class TestV1Compatibility:
+    """Documents written by 1.x may still carry the removed ``engine``."""
+
+    #: a 1.x ``repro tune --engine interpreted --json`` job, verbatim
+    V1_JOB = ('{"engine": "interpreted", "flash": true, "global_batch": 32, '
+              '"gpu": "L4", "interference": "auto", "keep_top": 3, '
+              '"model": "gpt3-1.3b", "num_gpus": 2, "options": {}, '
+              '"parallelism": 2, "scale": "smoke", "seq_len": 2048, '
+              '"space": "mist"}')
+    #: JOB.fingerprint() as 1.x computed it: plan caches and campaign
+    #: manifests written then are keyed by this value
+    V1_FINGERPRINT = "adc9bfa0230af9128f5c"
+
+    def test_job_with_engine_field_loads(self):
+        job = TuningJob.from_json(self.V1_JOB)
+        assert job == JOB
+        assert "engine" not in job.to_dict()
+
+    def test_fingerprint_matches_1x(self):
+        assert TuningJob.from_json(self.V1_JOB).fingerprint() \
+            == JOB.fingerprint() == self.V1_FINGERPRINT
+
+    def test_search_stats_with_engine_field_load(self):
+        from repro.core import SearchStats
+
+        data = SearchStats(cells_total=4, cells_explored=3,
+                           cells_pruned=1).to_dict()
+        stats = SearchStats.from_dict({**data, "engine": "interpreted"})
+        assert stats.to_dict() == data
+        assert "engine" not in data
+
+
 class TestResolution:
     def test_workload(self):
         spec = JOB.workload

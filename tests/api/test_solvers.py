@@ -66,21 +66,14 @@ class TestParallelSearch:
         assert result.found
 
     def test_evaluation_count_returned_directly(self):
-        # the count comes back with each (S, G) solution, not through
+        # the count comes back with the search result, not through
         # mutable tuner state
         tuner = _make_tuner("gpt3-1.3b", 1, 2, 2048)
-        solution, evaluated = tuner._tune_pipeline(16, 1, 2, 1, [24])
-        assert evaluated > 0
+        result = tuner.search(16, prune=False)
+        assert result.configurations_evaluated > 0
+        assert result.stats.configs_evaluated \
+            == result.configurations_evaluated
         assert not hasattr(tuner, "_last_intra")
-
-
-class TestDeprecatedShim:
-    def test_tune_still_works_with_warning(self):
-        tuner = _make_tuner("gpt3-1.3b", 1, 2, 2048)
-        with pytest.deprecated_call():
-            old = tuner.tune(16)
-        new = tuner.search(16)
-        assert old.best_plan == new.best_plan
 
 
 class TestMistSolver:

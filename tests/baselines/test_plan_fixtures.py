@@ -1,10 +1,12 @@
-"""Golden plan-hash fixture: both engines reproduce the committed plans.
+"""Golden plan-hash fixture: both evaluation paths reproduce the plans.
 
 ``PLANS_fig16.json`` pins, per incremental search space, the winning
 plan's deterministic hash and predicted objective for the smoke-scale
 Fig. 16 workload. Any drift — a cost-model edit, a changed tie-break, a
 vectorization bug — fails here with a per-space diff naming exactly
-which space moved and how, for *either* engine independently.
+which space moved and how, for the compiled closures and for the
+per-config interpreter (:meth:`CompiledExpr.interpret`, swapped in for
+``__call__``) independently.
 
 After an intentional change, regenerate with::
 
@@ -20,7 +22,7 @@ import pytest
 
 from repro.benchmarking import measure_fig16
 from repro.evaluation.workloads import get_scale
-from repro.symbolic import ENGINES
+from repro.symbolic import CompiledExpr
 
 FIXTURE = Path(__file__).parent / "PLANS_fig16.json"
 
@@ -30,14 +32,17 @@ def golden() -> dict:
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.fixture(scope="module", params=sorted(ENGINES))
+@pytest.fixture(scope="module", params=["interpreted", "vectorized"])
 def measured(request, golden) -> tuple[str, dict]:
     scale = get_scale(golden["scale"])
-    return request.param, measure_fig16(scale, prune=True,
-                                        engine=request.param)
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "interpreted":
+            patch.setattr(CompiledExpr, "__call__", CompiledExpr.interpret)
+        # measure_fig16 searches against its own fresh MenuMemo
+        return request.param, measure_fig16(scale, prune=True)
 
 
-def _diff(golden: dict, measured: dict, engine: str) -> list[str]:
+def _diff(golden: dict, measured: dict, path: str) -> list[str]:
     """Readable per-space drift report; empty when everything matches."""
     lines = []
     for name, want in sorted(golden["spaces"].items()):
@@ -57,7 +62,7 @@ def _diff(golden: dict, measured: dict, engine: str) -> list[str]:
         if name not in golden["spaces"]:
             lines.append(f"  {name}: new space absent from fixture")
     if lines:
-        lines.insert(0, f"engine={engine!r} drifted from PLANS_fig16.json "
+        lines.insert(0, f"{path} evaluation drifted from PLANS_fig16.json "
                         "(regenerate via scripts/refresh_plan_fixtures.py "
                         "if intentional):")
     return lines
@@ -71,8 +76,8 @@ def test_fixture_schema(golden):
 
 
 def test_engine_reproduces_golden_plans(golden, measured):
-    engine, result = measured
-    drift = _diff(golden, result, engine)
+    path, result = measured
+    drift = _diff(golden, result, path)
     assert not drift, "\n".join(drift)
 
 

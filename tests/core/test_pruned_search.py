@@ -22,6 +22,7 @@ from repro.core import (
     MistTuner,
     SearchCancelled,
 )
+from repro.core.memo import GLOBAL_MENU_MEMO
 from repro.evaluation import calibrated_interference
 from repro.evaluation.workloads import get_scale
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
@@ -131,6 +132,45 @@ class TestBitIdentity:
         assert second.stats.configs_prefiltered \
             == first.stats.configs_prefiltered
         assert second.stats.memo_hits > 0
+        assert _plan_bytes(second.best_plan) == _plan_bytes(first.best_plan)
+
+
+class TestExhaustiveMode:
+    """``prune=False`` is the same driver and per-cell routine, cuts off."""
+
+    @pytest.mark.parametrize("cluster", [make_cluster("L4", 1, 4),
+                                         _mixed_cluster()],
+                             ids=["homogeneous", "heterogeneous"])
+    def test_every_cell_explored_in_enumeration_order(self, cluster):
+        tuner = _make_tuner(_case("gpt3-1.3b", cluster, 16, "mist", 3))
+        result = tuner.search(16, prune=False)
+        stats = result.stats
+        grid = tuner._sg_grid(16)
+        assert not stats.prune and not stats.bound_pruning
+        assert stats.cells_explored == stats.cells_total == len(grid)
+        assert stats.cells_pruned == stats.cells_infeasible == 0
+        # no heuristic seed, no memory prefilter, no bounds
+        assert stats.seed is None
+        assert stats.configs_prefiltered == 0
+        assert all(entry["status"] == "explored" and "bound" not in entry
+                   for entry in result.search_log)
+        assert [(e["num_stages"], e["gacc"]) for e in result.search_log] \
+            == [(s, g) for s, _, g, _, _ in grid]
+
+    def test_private_memo_per_search(self):
+        tuner = _make_tuner(_case("gpt3-1.3b", make_cluster("L4", 1, 2),
+                                  16, "mist", 3))
+        memo = MenuMemo()
+        global_entries = len(GLOBAL_MENU_MEMO)
+        first = tuner.search(16, prune=False, memo=memo)
+        # the memo argument is ignored and the process-wide memo untouched
+        assert len(memo) == 0
+        assert len(GLOBAL_MENU_MEMO) == global_entries
+        # the counters report reuse within the one search, so a second
+        # search starts just as cold and counts the same
+        assert first.stats.memo_misses > 0
+        second = tuner.search(16, prune=False)
+        assert second.stats.to_dict() == first.stats.to_dict()
         assert _plan_bytes(second.best_plan) == _plan_bytes(first.best_plan)
 
 

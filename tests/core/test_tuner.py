@@ -78,10 +78,24 @@ class TestTuner:
         result = make_tuner(space=space).search(BATCH)
         assert result.found
 
-    def test_deprecated_tune_alias(self, mist_result):
-        with pytest.deprecated_call():
-            legacy = make_tuner().tune(BATCH)
-        assert legacy.best_plan == mist_result.best_plan
+
+class TestOneSearchPath:
+    """``search`` and ``replan`` share one driver and one cell routine."""
+
+    def test_single_per_cell_routine(self):
+        assert callable(MistTuner._solve_cell)
+        for removed in ("tune", "_tune_pipeline", "_tune_pipeline_hetero",
+                        "_tune_pipeline_memo", "_search_pruned"):
+            assert not hasattr(MistTuner, removed), removed
+
+    @pytest.mark.parametrize("method", ["search", "replan"])
+    def test_engine_keyword_rejected(self, method, mist_result):
+        # there is one evaluation path, so there is nothing to select
+        kwargs = ({"incumbent": mist_result.best_plan}
+                  if method == "replan" else {})
+        with pytest.raises(TypeError, match="engine"):
+            getattr(make_tuner(), method)(BATCH, engine="interpreted",
+                                          **kwargs)
 
 
 class TestSearchHooks:

@@ -95,32 +95,14 @@ class TestRunner:
         with pytest.raises(KeyError):
             run_baseline(self.SPEC, "alpa")
 
-
-class TestRunnerDeprecations:
-    SPEC = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
-
-    def test_baseline_tuners_shim_warns(self):
+    def test_names_removed_in_2_0_are_gone(self):
         import repro.evaluation as evaluation
-
-        with pytest.warns(DeprecationWarning, match="BASELINE_TUNERS"):
-            tuners = evaluation.BASELINE_TUNERS
-        assert set(tuners) == {"megatron", "deepspeed", "aceso",
-                               "uniform-heuristic"}
-
-    def test_runner_module_shim_warns_too(self):
         from repro.evaluation import runner
 
-        with pytest.warns(DeprecationWarning):
-            runner.BASELINE_TUNERS
-        with pytest.raises(AttributeError):
-            runner.NO_SUCH_THING
-
-    def test_legacy_uniform_heuristic_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
-        with pytest.warns(DeprecationWarning, match="uniform"):
-            outcome = run_baseline(self.SPEC, "uniform-heuristic")
-        assert outcome.found
-        assert outcome.system == "uniform-heuristic"
+        with pytest.raises(KeyError, match="uniform"):
+            run_baseline(self.SPEC, "uniform-heuristic")
+        for module in (evaluation, runner):
+            assert not hasattr(module, "BASELINE_TUNERS")
 
 
 class TestComparison:

@@ -11,9 +11,11 @@ directions:
   ways (batched interpreter, per-row scalar interpreter, scalar
   compiled calls, whole-array compiled call) must agree bit for bit,
   including NaN/inf propagation, empty menus and length-1 menus;
-* **search level** — ``MistTuner.search(engine=...)`` must return
-  byte-identical plans and identical work counters across engines, with
-  prune on and off, on homogeneous *and* heterogeneous clusters.
+* **search level** — ``MistTuner.search`` with
+  :meth:`~repro.symbolic.CompiledExpr.interpret` swapped in for the
+  compiled closures must return byte-identical plans and identical work
+  counters, with prune on and off, on homogeneous *and* heterogeneous
+  clusters.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.evaluation.workloads import get_scale
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model
 from repro.symbolic import (
-    ENGINES,
+    CompiledExpr,
     EvaluationError,
     Lt,
     Piecewise,
@@ -41,7 +43,6 @@ from repro.symbolic import (
     evaluate,
     smax,
     smin,
-    validate_engine,
 )
 
 SYMBOL_NAMES = ("x", "y", "z")
@@ -189,22 +190,13 @@ class TestEvaluationErrors:
         assert "(x + (y * z))" in message or "x" in message
 
     def test_interpret_requires_raw_trees(self):
-        from repro.symbolic.evaluate import CompiledExpr
-
         bare = CompiledExpr(lambda a: a, ("x",), 1, "def _compiled(a): ...")
         with pytest.raises(EvaluationError, match="raw expression trees"):
             bare.interpret(x=1.0)
 
-    def test_validate_engine(self):
-        assert validate_engine("vectorized") == "vectorized"
-        assert validate_engine("interpreted") == "interpreted"
-        with pytest.raises(ValueError, match="interpreted"):
-            validate_engine("turbo")
-        assert set(ENGINES) == {"vectorized", "interpreted"}
-
 
 # ---------------------------------------------------------------------------
-# search-level differential: whole tuner runs, both engines
+# search-level differential: whole tuner runs, compiled vs interpreted
 # ---------------------------------------------------------------------------
 
 SMOKE = get_scale("smoke")
@@ -235,7 +227,8 @@ def _plan_bytes(plan):
 
 
 class TestSearchDifferential:
-    """Engines are interchangeable: same plans, same work accounting.
+    """The compiled closures are interchangeable with the interpreter:
+    same plans, same work accounting.
 
     Spaces are kept small ('3d', '3d-ckpt') because the interpreted
     reference path costs ~5ms per configuration by design.
@@ -244,17 +237,24 @@ class TestSearchDifferential:
     @pytest.mark.parametrize("prune", [False, True],
                              ids=["exhaustive", "pruned"])
     @pytest.mark.parametrize("cluster_kind", ["homogeneous", "heterogeneous"])
-    def test_engines_bit_identical(self, cluster_kind, prune):
+    def test_engines_bit_identical(self, cluster_kind, prune, monkeypatch):
         cluster = (make_cluster("L4", 1, 2) if cluster_kind == "homogeneous"
                    else _mixed_cluster())
         tuner = _make_tuner(cluster, "3d-ckpt")
-        results = {}
-        for engine in ENGINES:
-            results[engine] = tuner.search(
-                16, keep_top=3, prune=prune,
-                memo=MenuMemo() if prune else None, engine=engine)
+        vec = tuner.search(16, keep_top=3, prune=prune, memo=MenuMemo())
+        interpreted = []
 
-        vec, ref = results["vectorized"], results["interpreted"]
+        def interpret(fn, **env):
+            interpreted.append(fn)
+            return CompiledExpr.interpret(fn, **env)
+
+        # every compiled-closure call now walks the raw expression trees;
+        # a fresh memo keeps compiled menus from replaying
+        monkeypatch.setattr(CompiledExpr, "__call__", interpret)
+        ref = tuner.search(16, keep_top=3, prune=prune, memo=MenuMemo())
+        monkeypatch.undo()
+
+        assert interpreted, "the search never reached the interpreter"
         assert _plan_bytes(vec.best_plan) == _plan_bytes(ref.best_plan)
         assert [_plan_bytes(p) for p in vec.top_plans] \
             == [_plan_bytes(p) for p in ref.top_plans]
@@ -264,22 +264,18 @@ class TestSearchDifferential:
         # the engine may not change how much work is *counted*
         assert vec.configurations_evaluated == ref.configurations_evaluated
         assert vec.stats.configs_prefiltered == ref.stats.configs_prefiltered
-        assert vec.stats.engine == "vectorized"
-        assert ref.stats.engine == "interpreted"
 
-    def test_memo_entries_are_engine_scoped(self):
-        # a warm memo from one engine must not replay into the other:
-        # cross-engine hits would mask exactly the divergence this
-        # harness exists to catch
+    def test_warm_memo_replays_into_interpreted_search(self, monkeypatch):
+        # memo keys name the subproblem, not how it was evaluated: a warm
+        # memo serves every menu of an interpreter-swapped search, which
+        # is why the differential above gives each side a fresh memo
         tuner = _make_tuner(make_cluster("L4", 1, 2), "3d")
         memo = MenuMemo()
-        vec = tuner.search(16, memo=memo, engine="vectorized")
-        ref = tuner.search(16, memo=memo, engine="interpreted")
-        assert ref.stats.memo_hits == 0
-        assert ref.stats.memo_misses > 0
-        assert _plan_bytes(vec.best_plan) == _plan_bytes(ref.best_plan)
-
-    def test_unknown_engine_rejected_before_any_work(self):
-        tuner = _make_tuner(make_cluster("L4", 1, 2), "3d")
-        with pytest.raises(ValueError, match="unknown engine"):
-            tuner.search(16, engine="numba")
+        vec = tuner.search(16, memo=memo)
+        monkeypatch.setattr(CompiledExpr, "__call__", CompiledExpr.interpret)
+        ref = tuner.search(16, memo=memo)
+        assert ref.stats.memo_misses == 0
+        assert ref.stats.memo_hits == vec.stats.memo_misses \
+            + vec.stats.memo_hits
+        assert ref.configurations_evaluated == vec.configurations_evaluated
+        assert _plan_bytes(ref.best_plan) == _plan_bytes(vec.best_plan)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
 
 import pytest
@@ -10,12 +11,12 @@ import pytest
 from repro.benchmarking import (
     BENCH_SCHEMA,
     check_against_baseline,
-    check_engine_speedup,
     check_warm_speedup,
     format_bench,
     run_bench,
     validate_bench,
 )
+from repro.benchmarking.bench import main_check
 from repro.cli import main
 
 
@@ -30,7 +31,7 @@ class TestSnapshot:
         assert snapshot["scale"] == "smoke"
         assert set(snapshot["benchmarks"]) == {
             "fig16_tuning_time", "fig16_exhaustive_reference",
-            "fig16_interpreted_engine", "fig_replan"}
+            "fig_replan"}
         pruned = snapshot["benchmarks"]["fig16_tuning_time"]
         assert pruned["wall_time_seconds"] > 0
         assert pruned["per_space"]
@@ -46,14 +47,6 @@ class TestSnapshot:
         assert snapshot["derived"]["plans_match_exhaustive"]
         assert snapshot["derived"]["fig16_speedup"] > 0
 
-    def test_engine_comparison_recorded(self, snapshot):
-        assert snapshot["derived"]["plans_match_interpreted"]
-        assert snapshot["derived"]["fig16_engine_speedup"] > 1.0
-        interpreted = snapshot["benchmarks"]["fig16_interpreted_engine"]
-        assert interpreted["engine"] == "interpreted"
-        assert snapshot["benchmarks"]["fig16_tuning_time"]["engine"] \
-            == "vectorized"
-
     def test_counters_nonzero(self, snapshot):
         stats = snapshot["benchmarks"]["fig16_tuning_time"]["stats"]
         assert stats["cells_pruned"] > 0
@@ -65,7 +58,6 @@ class TestSnapshot:
         text = format_bench(snapshot)
         assert "fig16_tuning_time" in text
         assert "speedup vs exhaustive" in text
-        assert "vectorized vs interpreted engine" in text
 
     def test_replan_pass_recorded(self, snapshot):
         replan = snapshot["benchmarks"]["fig_replan"]
@@ -77,13 +69,11 @@ class TestSnapshot:
 
     def test_comparison_passes_are_optional(self):
         trimmed = run_bench("smoke", include_exhaustive=False,
-                            include_interpreted=False,
                             include_replan=False)
         assert set(trimmed["benchmarks"]) == {"fig16_tuning_time"}
-        assert "fig16_engine_speedup" not in trimmed["derived"]
+        assert "fig16_speedup" not in trimmed["derived"]
         assert "fig_replan_speedup" not in trimmed["derived"]
-        # no comparison data: both speedup gates pass vacuously
-        assert check_engine_speedup(trimmed, min_speedup=2.0) == []
+        # no comparison data: the speedup gate passes vacuously
         assert check_warm_speedup(trimmed, min_speedup=2.0) == []
 
 
@@ -130,33 +120,6 @@ class TestGates:
             "wall_time_seconds"] = 0.3
         assert check_against_baseline(tiny_cur, tiny_base) == []
 
-    def test_engine_plan_drift_fails_validation(self, snapshot):
-        tampered = copy.deepcopy(snapshot)
-        hashes = tampered["benchmarks"]["fig16_interpreted_engine"][
-            "plan_hashes"]
-        space = next(iter(hashes))
-        hashes[space] = "deadbeefdeadbeef"
-        tampered["derived"]["plans_match_interpreted"] = False
-        problems = validate_bench(tampered)
-        assert any("interpreted engine" in p and space in p
-                   for p in problems)
-
-    def test_engine_counter_mismatch_fails_validation(self, snapshot):
-        tampered = copy.deepcopy(snapshot)
-        tampered["benchmarks"]["fig16_interpreted_engine"]["stats"][
-            "configs_evaluated"] += 1
-        problems = validate_bench(tampered)
-        assert any("engine-deterministic" in p for p in problems)
-
-    def test_engine_speedup_gate(self, snapshot):
-        assert check_engine_speedup(snapshot, min_speedup=2.0) == []
-        slow = copy.deepcopy(snapshot)
-        slow["derived"]["fig16_engine_speedup"] = 1.5
-        problems = check_engine_speedup(slow, min_speedup=2.0)
-        assert len(problems) == 1 and "1.50x" in problems[0]
-        # an explicit 0 disables the gate
-        assert check_engine_speedup(slow, min_speedup=0.0) == []
-
     def test_warm_speedup_gate(self, snapshot):
         assert check_warm_speedup(snapshot, min_speedup=2.0) == []
         slow = copy.deepcopy(snapshot)
@@ -176,6 +139,20 @@ class TestGates:
         problems = validate_bench(tampered)
         assert any("warm replan plans drifted" in p and name in p
                    for p in problems)
+
+    def test_1x_baseline_with_interpreted_pass_still_gates(self, snapshot):
+        # baselines written by 1.x carry the removed interpreted-engine
+        # pass; they stay valid and the gates ignore the extra pass
+        old = copy.deepcopy(snapshot)
+        old["benchmarks"]["fig16_interpreted_engine"] = copy.deepcopy(
+            old["benchmarks"]["fig16_tuning_time"])
+        old["derived"].update(fig16_engine_speedup=39.0,
+                              plans_match_interpreted=True)
+        assert validate_bench(old) == []
+        assert check_against_baseline(snapshot, old) == []
+        out = io.StringIO()
+        assert main_check(snapshot, old, out=out) == 0
+        assert "interpreted" not in out.getvalue()
 
     def test_scale_mismatch_fails(self, snapshot):
         other = copy.deepcopy(snapshot)

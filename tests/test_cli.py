@@ -26,6 +26,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tune", "--model", "gpt3-1.3b"])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--sizes", "1.3b"], ["--engine", "vectorized"]),
+        (["replan", "--model", "gpt3-1.3b", "--global-batch", "8",
+          "--delta", "delta.json"], ["--engine", "vectorized"]),
+        (["bench"], ["--no-interpreted"]),
+        (["bench"], ["--min-engine-speedup", "2.0"]),
+    ], ids=["sweep-engine", "replan-engine", "bench-no-interpreted",
+            "bench-min-engine-speedup"])
+    def test_flags_removed_in_2_0_rejected(self, argv, flag, capsys):
+        build_parser().parse_args(argv)  # valid without the flag
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + flag)
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_analyze_valid_config(self, capsys):
@@ -107,34 +121,14 @@ class TestTune:
         loaded = SolveReport.from_dict(payload[0])
         assert loaded.solver == "mist" and loaded.found
 
-    def test_tune_engine_flag_is_plan_invariant(self, capsys, tmp_path):
-        # --engine selects the cost-model path only: same plan, same
-        # report payload (modulo the non-fingerprinted runtime field)
-        from repro.api import TuningJob
-        payloads = {}
-        for engine in ("vectorized", "interpreted"):
-            out_file = tmp_path / f"report-{engine}.json"
-            code = main([
-                "tune", "--model", "gpt3-1.3b", "--gpu", "L4",
-                "--gpus", "2", "--global-batch", "8", "--seq-len", "2048",
-                "--scale", "smoke", "--space", "3d",
-                "--engine", engine, "--json", str(out_file),
-            ])
-            assert code == 0
-            payloads[engine] = json.loads(out_file.read_text())
-        vec, ref = payloads["vectorized"], payloads["interpreted"]
-        assert vec["plan"] == ref["plan"]
-        assert ref["job"]["engine"] == "interpreted"
-        assert "engine" not in vec["job"]  # default stays implicit
-        assert TuningJob.from_dict(vec["job"]).fingerprint() \
-            == TuningJob.from_dict(ref["job"]).fingerprint()
-
-    def test_tune_unknown_engine_rejected(self, capsys):
+    def test_tune_engine_flag_removed(self, capsys):
+        # --engine went away in 2.0: the only evaluation path is the
+        # compiled one, so argparse rejects the flag outright
         with pytest.raises(SystemExit):
             main([
                 "tune", "--model", "gpt3-1.3b", "--gpu", "L4",
                 "--gpus", "2", "--global-batch", "8",
-                "--engine", "turbo",
+                "--engine", "vectorized",
             ])
         assert "--engine" in capsys.readouterr().err
 
