@@ -52,13 +52,6 @@ class CheckConfig:
     async_paths: tuple[str, ...] = (
         "repro/service/",
     )
-    #: hot batched-evaluation modules that must stay loop-free over
-    #: config-menu rows: the vectorized cost-model engine's speed rests
-    #: on whole-menu numpy calls, and a stray per-config Python loop
-    #: here silently re-interprets the menu row by row
-    vectorization_paths: tuple[str, ...] = (
-        "repro/core/intra_stage.py",
-    )
     #: modules allowed to import registry-decorated classes directly
     #: (everyone else dispatches by name through the registry)
     registry_allowed_paths: tuple[str, ...] = (

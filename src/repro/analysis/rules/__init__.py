@@ -17,7 +17,6 @@ from .locks import LockDisciplineRule
 from .registry_discipline import RegistryDisciplineRule
 from .serialization import SerializationRule
 from .taint import FingerprintTaintRule
-from .vectorization import VectorizationDisciplineRule
 
 __all__ = [
     "AsyncSafetyRule",
@@ -28,5 +27,4 @@ __all__ = [
     "LockOrderRule",
     "RegistryDisciplineRule",
     "SerializationRule",
-    "VectorizationDisciplineRule",
 ]

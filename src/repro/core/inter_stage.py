@@ -1,4 +1,4 @@
-"""Inter-stage tuning: the imbalance-aware MILP (paper Eq. 2/3).
+"""Inter-stage tuning: the imbalance-aware partition of paper Eq. 2/3.
 
 Given, for every stage position ``i`` and candidate layer count ``l``, a
 menu of Pareto points ``(t, d)`` from intra-stage tuning, choose one
@@ -7,19 +7,23 @@ and
 
     (G-1) * max_i t_i  +  sum_i t_i  +  max_i (d_i - sum_{j<i} t_j)
 
-is minimized. Both max terms linearize as ``>=`` constraints, so the
-problem is a pure binary assignment MILP solved with scipy's HiGHS
-backend — the off-the-shelf-solver route the paper takes.
+is minimized (the exposed-delta term clamped at zero).
 
-:func:`solve_exact` enumerates assignments for small instances and is
-used to validate the MILP in tests. :func:`solve` picks automatically.
+The paper hands this to an off-the-shelf MILP solver. Here
+:func:`solve` — the only solver the tuner calls — is an exact,
+deterministic label-setting dynamic program over (stage, layers used):
+no wall-clock limit, and ties resolve to the first optimum in
+lexicographic menu order, the same pick as :func:`solve_exact`. Two
+test oracles stay beside it: :func:`solve_exact` enumerates every
+assignment, and :func:`solve_milp` is the paper's binary MILP solved by
+scipy's HiGHS backend.
 
 Heterogeneous clusters extend the stage partition with a *device-group
 assignment*: every pipeline stage is pinned to one
 :class:`~repro.hardware.topology.DeviceGroup` (contiguously, in group
 order), and its menu of Pareto points is produced by that group's
 analyzer — so each ``(t, d)`` option already reflects the group's
-calibrated cost model and memory budget. The MILP itself is unchanged:
+calibrated cost model and memory budget. The solve itself is unchanged:
 it only sees per-stage menus, which now differ per group.
 :func:`group_stage_assignments` enumerates the candidate assignments
 the outer tuner loops over.
@@ -155,9 +159,23 @@ def _flatten(menus: Menus) -> list[list[tuple[int, ParetoPoint]]]:
     return options
 
 
+def _price(choices: list[ParetoPoint], gacc: int,
+           imbalance_aware: bool) -> float:
+    """Eq. (1) for one pick per stage — every solver's final objective."""
+    t = np.array([p.t for p in choices])
+    d = np.array([p.d for p in choices])
+    if not imbalance_aware:
+        d = np.zeros_like(d)
+    return pipeline_iteration_time(t, d, gacc)
+
+
 def solve_exact(menus: Menus, total_layers: int, gacc: int,
                 imbalance_aware: bool = True) -> InterStageSolution | None:
-    """Exhaustive enumeration (exponential; for tests / tiny instances)."""
+    """Exhaustive enumeration (exponential; a test oracle for :func:`solve`).
+
+    Keeps the first strict minimum in ``itertools.product`` order over
+    :func:`_flatten` — the tie-break :func:`solve` reproduces.
+    """
     options = _flatten(menus)
     if any(not opts for opts in options):
         return None
@@ -165,25 +183,22 @@ def solve_exact(menus: Menus, total_layers: int, gacc: int,
     for combo in itertools.product(*options):
         if sum(l for l, _ in combo) != total_layers:
             continue
-        t = np.array([p.t for _, p in combo])
-        d = np.array([p.d for _, p in combo])
-        if not imbalance_aware:
-            d = np.zeros_like(d)
-        objective = pipeline_iteration_time(t, d, gacc)
+        choices = [p for _, p in combo]
+        objective = _price(choices, gacc, imbalance_aware)
         if best is None or objective < best.objective:
-            best = InterStageSolution(
-                objective=objective, choices=[p for _, p in combo]
-            )
+            best = InterStageSolution(objective=objective, choices=choices)
     return best
 
 
 def solve_milp(menus: Menus, total_layers: int, gacc: int,
                imbalance_aware: bool = True,
                time_limit: float = 30.0) -> InterStageSolution | None:
-    """Eq. (2) as a binary MILP solved by HiGHS.
+    """Eq. (2) as a binary MILP solved by HiGHS (a test oracle).
 
     Variables: ``x[i, o]`` (stage ``i`` picks option ``o``), plus the
-    bottleneck time ``T`` and the exposed-delta bound ``Z``.
+    bottleneck time ``T`` and the exposed-delta bound ``Z``. Among tied
+    optima the pick is HiGHS's, and a run that hits ``time_limit``
+    returns ``None`` — which is why the tuner uses :func:`solve`.
     """
     options = _flatten(menus)
     if any(not opts for opts in options):
@@ -274,22 +289,102 @@ def solve_milp(menus: Menus, total_layers: int, gacc: int,
         choices.append(options[i][picked][1])
 
     # Recompute the objective exactly (guards against MILP tolerance).
-    t = np.array([p.t for p in choices])
-    d = np.array([p.d for p in choices])
-    if not imbalance_aware:
-        d = np.zeros_like(d)
-    objective = pipeline_iteration_time(t, d, gacc)
-    return InterStageSolution(objective=objective, choices=choices)
+    return InterStageSolution(
+        objective=_price(choices, gacc, imbalance_aware), choices=choices)
+
+
+def _undominated(state: np.ndarray, bottleneck: np.ndarray,
+                 exposed: np.ndarray) -> np.ndarray:
+    """Mask of labels no *earlier* label at the same state dominates.
+
+    Labels arrive in lexicographic path order. Label ``b`` is dropped
+    when some label ``a`` before it at the same state has
+    ``bottleneck_a <= bottleneck_b`` and ``exposed_a <= exposed_b``:
+    every completion of ``b`` then costs at least as much as the same
+    completion of ``a``, whose path is lexicographically smaller.
+    Dominance is transitive, so comparing against every earlier label
+    (kept or not) gives the same mask as comparing against kept ones.
+    """
+    keep = np.ones(len(state), dtype=bool)
+    order = np.argsort(state, kind="stable")
+    cuts = np.flatnonzero(np.diff(state[order])) + 1
+    for group in np.split(order, cuts):
+        if len(group) < 2:
+            continue
+        m, e = bottleneck[group], exposed[group]
+        # dominated[a, b]: a is no worse than b on both label components
+        dominated = (m[:, None] <= m[None, :]) & (e[:, None] <= e[None, :])
+        earlier = np.tri(len(group), k=-1, dtype=bool).T
+        keep[group] = ~(dominated & earlier).any(axis=0)
+    return keep
 
 
 def solve(menus: Menus, total_layers: int, gacc: int, *,
-          imbalance_aware: bool = True,
-          exact_threshold: int = 2000) -> InterStageSolution | None:
-    """Dispatch to exact enumeration (tiny instances) or the MILP."""
+          imbalance_aware: bool = True) -> InterStageSolution | None:
+    """Eq. (2), solved exactly by a label-setting DP.
+
+    Stages are walked in order; a state is the number of layers placed
+    so far, and every path reaching it carries a label ``(M, E)``: the
+    bottleneck ``M = max t`` so far and ``E' = t_i + max(E, d_i)``
+    (``E_0 = 0``; ``d = 0`` when not ``imbalance_aware``). Unrolled,
+    ``E_S = sum t + max(0, max_i (d_i - sum_{j<i} t_j))``, so a complete
+    path costs ``(G-1) * M + E`` — Eq. (1). Both components only grow
+    along a path, so a label that an earlier label at the same state
+    matches or beats on both can never finish ahead of it
+    (:func:`_undominated`).
+
+    Candidates are generated in lexicographic order over the per-stage
+    option indices of :func:`_flatten` and only *earlier* labels may
+    prune, so the surviving labels at ``(S, total_layers)`` include the
+    first optimum in that order; re-pricing them exactly as
+    :func:`solve_exact` does and keeping the first strict minimum
+    reproduces its choice.
+    """
     options = _flatten(menus)
     if any(not opts for opts in options):
         return None
-    combos = math.prod(len(opts) for opts in options)
-    if combos <= exact_threshold:
-        return solve_exact(menus, total_layers, gacc, imbalance_aware)
-    return solve_milp(menus, total_layers, gacc, imbalance_aware)
+    num_stages = len(options)
+    layers = [np.array([l for l, _ in opts]) for opts in options]
+    t_of = [np.array([p.t for _, p in opts], dtype=float) for opts in options]
+    d_of = [np.array([p.d for _, p in opts], dtype=float) if imbalance_aware
+            else np.zeros(len(opts)) for opts in options]
+    # fewest / most layers the stages from i on can still absorb
+    rest_lo = np.cumsum([0] + [int(a.min()) for a in reversed(layers)])[::-1]
+    rest_hi = np.cumsum([0] + [int(a.max()) for a in reversed(layers)])[::-1]
+
+    used = np.zeros(1, dtype=np.int64)
+    bottleneck = np.full(1, -np.inf)
+    exposed = np.zeros(1)
+    back: list[tuple[np.ndarray, np.ndarray]] = []
+    for i in range(num_stages):
+        reached = (used[:, None] + layers[i][None, :]).ravel()
+        left = total_layers - reached
+        # row-major over (label, option): lexicographic path order
+        flat = np.flatnonzero((left >= rest_lo[i + 1])
+                              & (left <= rest_hi[i + 1]))
+        if flat.size == 0:
+            return None
+        parent, option = np.divmod(flat, len(layers[i]))
+        t = t_of[i][option]
+        cand_m = np.maximum(bottleneck[parent], t)
+        cand_e = t + np.maximum(exposed[parent], d_of[i][option])
+        keep = _undominated(reached[flat], cand_m, cand_e)
+        back.append((parent[keep], option[keep]))
+        used = reached[flat][keep]
+        bottleneck, exposed = cand_m[keep], cand_e[keep]
+
+    # walk the back pointers of every final label at once
+    picks = np.empty((len(used), num_stages), dtype=np.int64)
+    label = np.arange(len(used))
+    for i in reversed(range(num_stages)):
+        parent, option = back[i]
+        picks[:, i] = option[label]
+        label = parent[label]
+
+    best: InterStageSolution | None = None
+    for row in picks:
+        choices = [options[i][o][1] for i, o in enumerate(row)]
+        objective = _price(choices, gacc, imbalance_aware)
+        if best is None or objective < best.objective:
+            best = InterStageSolution(objective=objective, choices=choices)
+    return best

@@ -18,13 +18,13 @@ budget (Eq. 4's constraint), and extracts the Pareto frontier over
 is nearly free, the enumeration is brute force — "which would not miss
 any optimization possibilities" (Section 5.3).
 
-Per-config Python loops are banished from this module (the
-``vectorization-discipline`` check enforces it). The row-at-a-time
+Python loops here run over option blocks, layer-count segments and
+already-reduced frontiers, never over menu rows. The row-at-a-time
 reference the differential tests compare against is
 :meth:`repro.symbolic.CompiledExpr.interpret`, swapped in by the tests.
 
 The frontier — rather than a single winner — is the hand-off to the
-inter-stage MILP: different ``(t, d)`` trade-offs win depending on how
+inter-stage solve: different ``(t, d)`` trade-offs win depending on how
 many microbatches amortize the deltas and where the stage sits in the
 pipeline (the paper's Pareto-frontier sampling).
 """
@@ -57,7 +57,6 @@ def stage_parallelism_options(analyzer: SymbolicPerformanceAnalyzer,
     if per_wave * gacc != global_batch:
         return []
     options = []
-    # repro: allow[vectorization-discipline] iterates (dp, tp) options, not menu rows
     for dp, tp in analyzer.cluster.stage_parallelism_options(stage_gpus):
         if analyzer.traced.config.hidden_size % tp != 0:
             continue
@@ -90,7 +89,6 @@ def _frontier_candidates(l_g: np.ndarray, t_v: np.ndarray,
     d_s = d_v[order]
     starts = np.flatnonzero(np.r_[True, l_s[1:] != l_s[:-1]])
     ends = np.r_[starts[1:], l_s.size]
-    # repro: allow[vectorization-discipline] iterates layer-count segments, not menu rows
     for s, e in zip(starts, ends):
         seg = d_s[s:e]
         prev_min = np.r_[np.inf, np.minimum.accumulate(seg)[:-1]]
@@ -195,7 +193,6 @@ class IntraStageTuner:
         hw_keys: list[str] | None = None
         blocks: list[dict[str, np.ndarray]] = []
 
-        # repro: allow[vectorization-discipline] iterates (dp, tp, b) option blocks, not menu rows
         for dp, tp, b in self._parallelism_options(shape):
             grid = np.meshgrid(
                 l_vals, ckpt_vals, zero_levels,
@@ -309,7 +306,6 @@ class IntraStageTuner:
                 fits &= _frontier_candidates(
                     cols["l"], np.asarray(pred.t_stable, dtype=float),
                     np.asarray(pred.delta, dtype=float))
-            # repro: allow[vectorization-discipline] builds StageConfigs for surviving frontier candidates only
             for i in np.nonzero(fits)[0]:
                 cfg = StageConfig(
                     layers=int(cols["l"][i]), microbatch=int(cols["b"][i]),
@@ -347,7 +343,6 @@ class IntraStageTuner:
         entries.sort(key=lambda e: (e[0], e[1]))
         frontier = []
         best_d = np.inf
-        # repro: allow[vectorization-discipline] walks the sorted frontier, already reduced
         for t, d, mem, cfg in entries:
             if d < best_d - 1e-12:
                 frontier.append(ParetoPoint(t=t, d=d, peak_mem=mem, config=cfg))
@@ -357,7 +352,6 @@ class IntraStageTuner:
             t_arr = np.array([p.t for p in frontier])
             d_arr = np.array([p.d for p in frontier])
             keep: set[int] = {0, len(frontier) - 1}  # min-t and min-d ends
-            # repro: allow[vectorization-discipline] alpha-sweep over <= max_pareto_points scalarizations
             for alpha in np.linspace(0.0, 1.0, self.max_pareto_points):
                 scores = alpha * gacc * t_arr + (1.0 - alpha) * d_arr
                 keep.add(int(np.argmin(scores)))

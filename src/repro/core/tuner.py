@@ -7,8 +7,9 @@ discrete choices — pipeline depth ``S`` and gradient-accumulation steps
 1. **intra-stage tuning** builds Pareto frontiers of
    ``(t_stable, d_delta)`` per stage position and candidate layer count
    (batched symbolic evaluation, memory-constrained);
-2. **inter-stage tuning** assembles them through the imbalance-aware
-   MILP (Eq. 2) into the best pipeline partition.
+2. **inter-stage tuning** assembles them into the best pipeline
+   partition by solving the imbalance-aware Eq. 2 exactly
+   (:func:`repro.core.inter_stage.solve`, a label-setting DP).
 
 The winner across all ``(S, G)`` becomes the output
 :class:`~repro.core.plan.TrainingPlan`. Searching the ``(S, G)`` grid is
@@ -51,7 +52,7 @@ additionally enumerates stage -> device-group assignments
 gets its own traced cost model and
 :class:`~repro.core.analyzer.SymbolicPerformanceAnalyzer` bounded by
 that group's GPU memory, so a stage menu offered to the inter-stage
-MILP always respects the device that would host it. A single-group
+solve always respects the device that would host it. A single-group
 heterogeneous cluster is reduced to its plain
 :class:`~repro.hardware.ClusterSpec` and follows the homogeneous code
 path bit for bit.
@@ -432,9 +433,11 @@ class MistTuner:
         :data:`~repro.core.memo.GLOBAL_MENU_MEMO`). The returned
         ``best_plan`` / ``top_plans`` / objectives are bit-identical to
         ``prune=False``, the exhaustive reference: the same driver with
-        the prefilter, the bounds, the heuristic seed and the option cut
-        all off, solving every cell in enumeration order against a
-        private per-search memo (``memo`` is ignored).
+        the prefilter, the bounds and the heuristic seed all off,
+        solving every cell in enumeration order against a private
+        per-search memo (``memo`` is ignored). Every explored cell gets
+        the same single exact inter-stage solve either way, so its
+        ``search_log`` objective does not depend on ``prune``.
 
         ``parallelism > 1`` fans the independent per-(S, G) solves over
         that many worker threads (``0`` means one per CPU core); results
@@ -608,10 +611,7 @@ class MistTuner:
                 outcomes[idx] = ("pruned", None, _CellCounts())
             else:
                 solution, counts = self._solve_cell(
-                    global_batch, grid[idx], memo,
-                    threshold=(incumbents.threshold() if bound_ok
-                               else math.inf),
-                    prefilter=prune)
+                    global_batch, grid[idx], memo, prefilter=prune)
                 if solution:
                     incumbents.offer(solution.objective)
                 outcomes[idx] = ("explored", solution, counts)
@@ -853,45 +853,9 @@ class MistTuner:
             "objective": float(best_obj),
         }
 
-    @staticmethod
-    def _cut_menus(menus: list, gacc: int,
-                   threshold: float) -> tuple[list, int]:
-        """Drop stage options that provably cannot beat ``threshold``.
-
-        For an option with stable time ``t`` in stage ``i``, every plan
-        using it costs at least ``(G - 1) * t + t + sum_{j != i}
-        min_t_j`` (Eq. 1 with the exposed-delta term clamped at zero),
-        so when that exceeds the current k-th-best incumbent the option
-        cannot appear in any plan that reaches the final top-k. Options
-        of every plan with objective <= threshold survive by the same
-        inequality, which keeps the cell's returned solution identical
-        whenever it still matters for the ranking. Menus come from the
-        (shared, immutable) memo, so the cut builds filtered copies.
-        """
-        mins = []
-        for stage in menus:
-            best = min((p.t for points in stage.values() for p in points),
-                       default=math.inf)
-            mins.append(best)
-        if any(not math.isfinite(m) for m in mins):
-            return menus, 0  # an empty stage: solve() returns None anyway
-        total_min = sum(mins)
-        cut = []
-        removed = 0
-        for i, stage in enumerate(menus):
-            others = total_min - mins[i]
-            filtered = {}
-            for l, points in stage.items():
-                kept = [p for p in points
-                        if (gacc * p.t + others) * (1.0 - 1e-9) <= threshold]
-                removed += len(points) - len(kept)
-                filtered[l] = kept
-            cut.append(filtered)
-        return cut, removed
-
     def _solve_cell(
             self, global_batch: int, task: tuple, memo: MenuMemo, *,
-            threshold: float, prefilter: bool,
+            prefilter: bool,
     ) -> "tuple[inter_stage.InterStageSolution | None, _CellCounts]":
         """Solve one (S, G) cell: stage menus, then the inter-stage solve.
 
@@ -902,11 +866,9 @@ class MistTuner:
         deterministic. ``prefilter`` is forwarded to
         :meth:`IntraStageTuner.tune` (menus are identical either way,
         only the ``prefiltered`` counter differs, so a memo must only
-        ever see one setting). A finite ``threshold`` additionally
-        applies :meth:`_cut_menus` before the inter-stage solve — plans
-        that can still reach the top-k are unaffected; a cell whose
-        optimum is already worse may resolve to a (correctly ranked)
-        weaker solution or ``None``.
+        ever see one setting). The menus then go through one exact
+        :func:`~repro.core.inter_stage.solve`, so a cell's solution is
+        the same whether the search prunes or not.
 
         Heterogeneous cells tune each stage with its device group's
         analyzer, so every Pareto point is priced with that group's
@@ -974,30 +936,8 @@ class MistTuner:
             )
             menus.append(menus_for(group, shape, stage_counts))
 
-        def _solve(stage_menus: list,
-                   ) -> "inter_stage.InterStageSolution | None":
-            return inter_stage.solve(
-                stage_menus, self.model.num_layers, gacc,
-                imbalance_aware=self.space.imbalance_aware,
-            )
-
-        if not math.isfinite(threshold):
-            return _solve(menus), counts
-        # Screen-then-canonicalize: solve the option-cut menus first
-        # (cheap — dominated options gone). If the cell still lands at
-        # or under the incumbent threshold it may enter the top-k, so
-        # re-solve the *full* menus: the MILP's tie-breaking among
-        # equal-objective optima depends on the exact model, and only
-        # the full-menu solution matches the exhaustive path bit for
-        # bit. Cells screened out (worse than the threshold, or
-        # infeasible after the cut) are provably outside the top-k and
-        # keep the cheap answer. The relative margin absorbs float
-        # drift between the recomputed objectives of tied optima.
-        cut, removed = self._cut_menus(menus, gacc, threshold)
-        if removed == 0:
-            return _solve(menus), counts
-        screened = _solve(cut)
-        if screened is not None and \
-                screened.objective <= threshold * (1.0 + 1e-6):
-            return _solve(menus), counts
-        return screened, counts
+        solution = inter_stage.solve(
+            menus, self.model.num_layers, gacc,
+            imbalance_aware=self.space.imbalance_aware,
+        )
+        return solution, counts

@@ -20,8 +20,7 @@ from repro.cli import main
 
 BUILTIN_RULES = ("async-safety", "determinism", "exception-flow",
                  "fingerprint-taint", "lock-discipline", "lock-order",
-                 "registry-discipline", "serialization",
-                 "vectorization-discipline")
+                 "registry-discipline", "serialization")
 
 
 def test_builtin_rules_registered():

@@ -6,7 +6,6 @@ from repro.analysis import CheckConfig, Project, check_project
 FIXTURE_CONFIG = CheckConfig(
     determinism_paths=("pkg/det.py",),
     async_paths=("pkg/svc/",),
-    vectorization_paths=("pkg/vec.py",),
     registry_allowed_paths=("pkg/registry.py", "tests/"),
 )
 
@@ -289,61 +288,6 @@ class Ledger:
 """
     findings = run_on({"pkg/l.py": source}, "lock-discipline")
     assert findings and all("self.counts" in f.message for f in findings)
-
-
-# -- vectorization-discipline ----------------------------------------------
-
-VEC_VIOLATION = """\
-import numpy as np
-
-def tune(menu):
-    out = []
-    for row in menu:
-        out.append(row * 2)
-    i = 0
-    while i < len(menu):
-        i += 1
-    return out
-"""
-
-VEC_SUPPRESSED = """\
-def tune(menu, groups):
-    # repro: allow[vectorization-discipline] iterates option groups, not rows
-    for group in groups:
-        pass
-    return menu
-"""
-
-
-def test_vectorization_fires_on_menu_loops():
-    findings = run_on({"pkg/vec.py": VEC_VIOLATION},
-                      "vectorization-discipline")
-    messages = [f.message for f in findings]
-    assert len(findings) == 2
-    assert any("'for' loop" in m for m in messages)
-    assert any("'while' loop" in m for m in messages)
-    assert all("columnar arrays" in m for m in messages)
-
-
-def test_vectorization_scoped_to_configured_paths():
-    assert run_on({"pkg/other.py": VEC_VIOLATION},
-                  "vectorization-discipline") == ()
-
-
-def test_vectorization_respects_allow_comment():
-    assert run_on({"pkg/vec.py": VEC_SUPPRESSED},
-                  "vectorization-discipline") == ()
-
-
-def test_vectorization_unused_suppression_is_flagged():
-    source = """\
-def tune(menu):
-    # repro: allow[vectorization-discipline] nothing to allow here
-    return menu
-"""
-    findings = run_on({"pkg/vec.py": source}, "vectorization-discipline")
-    assert len(findings) == 1
-    assert findings[0].rule == "unused-suppression"
 
 
 # -- registry-discipline ---------------------------------------------------

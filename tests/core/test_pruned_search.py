@@ -16,6 +16,8 @@ import random
 
 import pytest
 
+from repro.api import TuningJob
+from repro.api.solvers import MistSolver
 from repro.core import (
     NAMED_SPACES,
     MenuMemo,
@@ -115,6 +117,25 @@ class TestBitIdentity:
         assert stats.cells_explored + stats.cells_pruned \
             + stats.cells_infeasible == stats.cells_total
         assert stats.memo_misses > 0 or stats.cells_explored == 0
+
+    def test_explored_cells_log_the_exhaustive_objective(self):
+        # every explored cell makes the same single exact solve either
+        # way, so pruning may skip cells but never alter a logged one
+        job = TuningJob(model="gpt3-6.7b", num_gpus=8, global_batch=128,
+                        scale="quick")
+        tuner = MistSolver().make_tuner(job)
+        exhaustive = tuner.search(job.global_batch, keep_top=job.keep_top,
+                                  prune=False)
+        pruned = tuner.search(job.global_batch, keep_top=job.keep_top,
+                              prune=True, memo=MenuMemo())
+        reference = {(e["num_stages"], e["gacc"]): e["objective"]
+                     for e in exhaustive.search_log}
+        explored = [e for e in pruned.search_log
+                    if e["status"] == "explored"]
+        assert explored
+        for entry in explored:
+            assert entry["objective"] == \
+                reference[(entry["num_stages"], entry["gacc"])], entry
 
     def test_work_accounting_is_deterministic(self):
         # configs_evaluated must not depend on memo warmth: a hit
