@@ -1,19 +1,21 @@
 """``repro check`` — dataflow-powered invariant checker for this repo.
 
 Static analysis that enforces the contracts the test suite cannot see
-per-commit: determinism of fingerprint/memo/serialization paths,
-``to_dict``/``from_dict`` agreement, a non-blocking service event loop,
-lock discipline around shared state, and registry-mediated access to
-solver/executor implementations.
+per-commit. Five rules, each kept because it pins a documented
+invariant or has caught a real defect (``docs/CHECKS.md`` names which):
 
-Since PR 10 the checker is built on a small intraprocedural dataflow
-engine: a shared CFG builder (:mod:`~repro.analysis.cfg`),
-reaching-definitions / use-def chains and kind-aware taint tracking
-(:mod:`~repro.analysis.dataflow`), and a project-wide call graph
-(:mod:`~repro.analysis.callgraph`). On top of it ride the
-``fingerprint-taint``, ``lock-order``, and ``exception-flow`` rule
-families, plus the ported ``determinism`` rule (a strict superset of
-its pre-engine findings).
+* ``determinism`` — fingerprint/memo/serialization paths are pure, both
+  per line and through dataflow into fingerprint sinks;
+* ``lock-discipline`` and ``lock-order`` — guarded state is touched
+  under its lock, and the global lock graph has no inversion cycles;
+* ``exception-flow`` — no broad handler on a solver path swallows a
+  control-flow exception (cancellation, worker death, admission);
+* ``async-safety`` — the service event loop never blocks.
+
+The checker is built on a small intraprocedural dataflow engine: a
+shared CFG builder (:mod:`~repro.analysis.cfg`), kind-aware taint
+tracking (:mod:`~repro.analysis.dataflow`), and a project-wide call
+graph (:mod:`~repro.analysis.callgraph`).
 
 Rules are plain classes registered with
 :func:`~repro.analysis.registry.register_rule` — the same decorator
@@ -30,15 +32,7 @@ from __future__ import annotations
 from .callgraph import CallGraph, FunctionInfo
 from .cfg import CFG, Block, build_cfg, iter_functions
 from .config import DEFAULT_CONFIG, CheckConfig, path_matches
-from .dataflow import (
-    Definition,
-    ReachingDefinitions,
-    TaintAnalysis,
-    TaintSource,
-    TaintSpec,
-    UseDef,
-    use_def_chains,
-)
+from .dataflow import Definition, TaintAnalysis, TaintSource, TaintSpec
 from .findings import Finding
 from .project import ModuleSource, Project, iter_python_files
 from .registry import (
@@ -67,14 +61,12 @@ __all__ = [
     "FunctionInfo",
     "ModuleSource",
     "Project",
-    "ReachingDefinitions",
     "RuleNotFoundError",
     "SuppressionIndex",
     "TaintAnalysis",
     "TaintSource",
     "TaintSpec",
     "UNUSED_RULE_ID",
-    "UseDef",
     "build_cfg",
     "check_project",
     "get_rule",
@@ -86,5 +78,4 @@ __all__ = [
     "rule_registry",
     "run_check",
     "to_sarif",
-    "use_def_chains",
 ]

@@ -37,7 +37,8 @@ class CheckConfig:
 
     #: fingerprint / memo-key / serialization code paths: anything
     #: wall-clock, RNG- or hash-order-dependent here corrupts the
-    #: PlanCache, campaign resume, or the CI perf gate
+    #: PlanCache, campaign resume, or the CI perf gate. The determinism
+    #: rule scans them for direct references and for flows into sinks
     determinism_paths: tuple[str, ...] = (
         "repro/api/job.py",
         "repro/api/cache.py",
@@ -51,30 +52,6 @@ class CheckConfig:
     #: modules whose ``async def`` bodies share the service event loop
     async_paths: tuple[str, ...] = (
         "repro/service/",
-    )
-    #: modules allowed to import registry-decorated classes directly
-    #: (everyone else dispatches by name through the registry)
-    registry_allowed_paths: tuple[str, ...] = (
-        "repro/api/registry.py",
-        "repro/campaigns/executors.py",
-        "repro/analysis/registry.py",
-        # the built-in rule package is its own registration wiring
-        "repro/analysis/rules/",
-        "tests/",
-        "conftest.py",
-    )
-    #: modules whose locals are taint-tracked into fingerprint sinks
-    #: (the dataflow companion to ``determinism_paths``: same surface,
-    #: but flows instead of direct references)
-    taint_paths: tuple[str, ...] = (
-        "repro/api/job.py",
-        "repro/api/cache.py",
-        "repro/api/report.py",
-        "repro/core/memo.py",
-        "repro/core/plan.py",
-        "repro/campaigns/spec.py",
-        "repro/campaigns/manifest.py",
-        "repro/service/state.py",
     )
     #: modules contributing to the global lock-acquisition graph
     lock_order_paths: tuple[str, ...] = (

@@ -1,14 +1,11 @@
 """Dataflow analyses over :mod:`repro.analysis.cfg` graphs.
 
-Three layers, each built on the one below:
+Two layers, the second built on the first:
 
-* **definitions/uses** — :func:`element_defs` / :func:`element_uses`
-  turn one CFG element into the variables it binds and the names it
-  reads (assignments, ``for`` targets, ``with ... as``, ``except ...
-  as``, imports, walrus, parameters, ``match`` captures);
-* **reaching definitions** — :class:`ReachingDefinitions`, the classic
-  forward may-analysis (worklist over blocks, union join), exposing
-  per-element states and :func:`use_def_chains`;
+* **definitions** — :func:`element_defs` turns one CFG element into
+  the variables it binds (assignments, ``for`` targets, ``with ...
+  as``, ``except ... as``, imports, walrus, parameters, ``match``
+  captures);
 * **taint** — :class:`TaintAnalysis`, a forward fixpoint propagating
   :class:`TaintSource` sets through assignments and expressions, with
   kind-aware sanitizers (``sorted`` launders hash-order, not
@@ -32,14 +29,10 @@ from .project import dotted_name
 
 __all__ = [
     "Definition",
-    "ReachingDefinitions",
     "TaintAnalysis",
     "TaintSource",
     "TaintSpec",
-    "UseDef",
     "element_defs",
-    "element_uses",
-    "use_def_chains",
 ]
 
 
@@ -159,127 +152,6 @@ def _own_exprs(element: ast.AST) -> "list | None":
     return None
 
 
-def element_uses(element: ast.AST) -> list:
-    """``ast.Name`` loads one element performs (nested scopes skipped).
-
-    Composite elements (``for`` heads, ``except`` heads, ``match``
-    cases) contribute only their own expressions — their bodies are
-    separate CFG elements and would double-count here.
-    """
-    out: list = []
-    #: names bound by comprehension generators, per active comp scope
-    comp_bound: list = []
-
-    def visit(node: ast.AST) -> None:
-        if isinstance(node, _SKIP_SCOPES):
-            return
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                             ast.GeneratorExp)):
-            bound = set()
-            for gen in node.generators:
-                for name in _target_names(gen.target):
-                    bound.add(name.id)
-            comp_bound.append(bound)
-            for child in ast.iter_child_nodes(node):
-                visit(child)
-            comp_bound.pop()
-            return
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if not any(node.id in bound for bound in comp_bound):
-                out.append(node)
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    if isinstance(element, ast.arguments):
-        return out
-    own = _own_exprs(element)
-    if own is not None:
-        for expr in own:
-            visit(expr)
-        return out
-    visit(element)
-    return out
-
-
-class ReachingDefinitions:
-    """Which definitions of each variable may reach each element."""
-
-    def __init__(self, cfg: CFG):
-        self.cfg = cfg
-        # definitions are identity-hashed: compute them once per
-        # element so repeated transfers reuse the same objects and the
-        # fixpoint can observe convergence
-        self._defs: dict[int, list] = {
-            id(element): element_defs(element)
-            for _block, element in cfg.iter_elements()}
-        self._in: dict[int, dict] = {}
-        self._out: dict[int, dict] = {}
-        self._element_state: dict[int, dict] = {}
-        self._solve()
-
-    def _transfer(self, state: dict, element: ast.AST) -> dict:
-        defs = self._defs[id(element)]
-        if not defs:
-            return state
-        state = dict(state)
-        for definition in defs:
-            state[definition.name] = frozenset({definition})
-        return state
-
-    def _solve(self) -> None:
-        order = self.cfg.block_order()
-        self._in = {bid: {} for bid in order}
-        self._out = {bid: {} for bid in order}
-        work = list(order)
-        while work:
-            bid = work.pop(0)
-            block = self.cfg.blocks[bid]
-            state: dict = {}
-            for pred in block.preds:
-                for name, defs in self._out[pred].items():
-                    state[name] = state.get(name, frozenset()) | defs
-            self._in[bid] = state
-            for element in block.elements:
-                state = self._transfer(state, element)
-            if state != self._out[bid]:
-                self._out[bid] = state
-                for succ in block.succs:
-                    if succ not in work:
-                        work.append(succ)
-        # record the state *before* each element for queries
-        for bid in order:
-            state = self._in[bid]
-            for element in self.cfg.blocks[bid].elements:
-                self._element_state[id(element)] = state
-                state = self._transfer(state, element)
-
-    def before(self, element: ast.AST) -> dict:
-        """``{name: frozenset[Definition]}`` just before ``element``."""
-        return self._element_state.get(id(element), {})
-
-
-@dataclass(frozen=True, eq=False)
-class UseDef:
-    """One name load and every definition that may reach it."""
-
-    name: str
-    use: ast.Name
-    element: ast.AST
-    defs: frozenset
-
-
-def use_def_chains(cfg: CFG) -> list:
-    """Every :class:`UseDef` chain of a CFG, in element order."""
-    reaching = ReachingDefinitions(cfg)
-    chains = []
-    for _block, element in cfg.iter_elements():
-        state = reaching.before(element)
-        for use in element_uses(element):
-            chains.append(UseDef(name=use.id, use=use, element=element,
-                                 defs=state.get(use.id, frozenset())))
-    return chains
-
-
 # -- taint ----------------------------------------------------------------
 
 
@@ -353,8 +225,8 @@ class TaintAnalysis:
 
     ``call_summary(node)`` (optional) returns extra
     :class:`TaintSource` sets for a resolved call — the hook the
-    fingerprint-taint rule uses to splice in one level of call-graph
-    propagation. ``param_taints`` seeds parameter names, which turns
+    determinism rule's flow scan uses to splice in one level of
+    call-graph propagation. ``param_taints`` seeds parameter names, which turns
     the same machinery into a "does this argument reach a sink /
     the return value" query for callee summaries.
     """

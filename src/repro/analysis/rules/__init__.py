@@ -14,17 +14,11 @@ from .determinism import DeterminismRule
 from .exception_flow import ExceptionFlowRule
 from .lock_order import LockOrderRule
 from .locks import LockDisciplineRule
-from .registry_discipline import RegistryDisciplineRule
-from .serialization import SerializationRule
-from .taint import FingerprintTaintRule
 
 __all__ = [
     "AsyncSafetyRule",
     "DeterminismRule",
     "ExceptionFlowRule",
-    "FingerprintTaintRule",
     "LockDisciplineRule",
     "LockOrderRule",
-    "RegistryDisciplineRule",
-    "SerializationRule",
 ]

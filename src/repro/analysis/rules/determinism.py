@@ -19,13 +19,18 @@ rule flags:
 Wall-clock *display* timestamps are legitimate — suppress them with a
 justification: ``# repro: allow[determinism] wall-clock display only``.
 
-Since the dataflow engine landed, the rule additionally reports
-**flow** findings on the same engine the ``fingerprint-taint`` rule
-uses: a source laundered through locals into a fingerprint sink is a
-determinism violation even though no single line pattern-matches. The
-pattern-matched findings above are kept verbatim, so this rule's
-output is a strict superset of the pre-engine rule (the differential
-test pins that).
+The rule also reports **flow** findings from the dataflow engine
+(:mod:`.taint`): a source laundered through locals into a fingerprint,
+``json.dump(s)``, ``hashlib`` or memo-key sink is a determinism
+violation even though no single line pattern-matches. The rule reports
+the union of both halves, so the flow scan only ever adds to the
+pattern matches.
+
+Justification: it pins the documented content-address contract that
+equal jobs fingerprint to equal bytes (the PlanCache key and campaign
+resume depend on it). Both halves flag the wall-clock event timestamp
+that ``campaigns/manifest.py`` writes with ``json.dumps``; it is
+display-only and suppressed with a justification.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from ..config import path_matches
 from ..findings import Finding
 from ..project import ModuleSource, Project, dotted_name
 from ..registry import register_rule
+from .taint import taint_findings
 
-__all__ = ["DeterminismRule", "legacy_findings"]
+__all__ = ["DeterminismRule"]
 
 #: dotted references that read the wall clock or equivalent
 _CLOCK_REFS = {
@@ -162,12 +168,8 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def legacy_findings(project: Project) -> list[Finding]:
-    """The pre-engine (PR 6) pattern-matched findings, verbatim.
-
-    Exposed so the differential test can pin the superset guarantee:
-    ``DeterminismRule.check(p) ⊇ legacy_findings(p)`` on any corpus.
-    """
+def _pattern_findings(project: Project) -> list[Finding]:
+    """The per-line pattern matches over the determinism paths."""
     findings: list[Finding] = []
     for module in project.modules:
         if not path_matches(module.path,
@@ -187,13 +189,9 @@ class DeterminismRule:
             "pure functions of their inputs")
 
     def check(self, project: Project) -> list[Finding]:
-        # deferred import: rules.taint also imports this package
-        from .taint import taint_findings
-        findings = legacy_findings(project)
+        findings = _pattern_findings(project)
         seen = {(f.path, f.line, f.message) for f in findings}
-        for flow in taint_findings(project,
-                                   project.config.determinism_paths,
-                                   rule="determinism"):
+        for flow in taint_findings(project):
             key = (flow.path, flow.line, flow.message)
             if key not in seen:
                 seen.add(key)

@@ -1,11 +1,12 @@
-"""Fingerprint-taint rule: no nondeterminism may *flow* into a key.
+"""Flow half of the determinism rule: no nondeterminism may *reach* a key.
 
-The determinism rule flags nondeterministic **references** inside
-fingerprint paths; this rule closes the laundering gap it cannot see:
-a ``time.time()`` stashed in a local, threaded through arithmetic, an
-f-string, a dict, or a helper function's return value, and only then
-handed to a fingerprint/serialization sink. Powered by the dataflow
-engine (:mod:`repro.analysis.dataflow`) with one level of call-graph
+The pattern half (:mod:`.determinism`) flags nondeterministic
+**references** inside fingerprint paths; this scan closes the
+laundering gap a per-line matcher cannot see: a ``time.time()``
+stashed in a local, threaded through arithmetic, an f-string, a dict,
+or a helper function's return value, and only then handed to a
+fingerprint/serialization sink. Powered by the dataflow engine
+(:mod:`repro.analysis.dataflow`) with one level of call-graph
 propagation (:mod:`repro.analysis.callgraph`).
 
 **Sources** (kind): wall clock incl. monotonic/perf counters
@@ -23,9 +24,9 @@ helpers).
 value flowing through it; ``len``/``min``/``max``/``sum`` launder
 ``hash-order`` too (order-insensitive folds).
 
-Scope: modules matching
-:attr:`~repro.analysis.config.CheckConfig.taint_paths`. Locals only —
-attribute/global flows stay the determinism rule's domain.
+Scope: the modules the determinism rule covers
+(:attr:`~repro.analysis.config.CheckConfig.determinism_paths`). Locals
+only — attribute/global flows stay the pattern half's domain.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from ..config import path_matches
 from ..dataflow import TaintAnalysis, TaintSpec
 from ..findings import Finding
 from ..project import Project, dotted_name
-from ..registry import register_rule
 
-__all__ = ["FingerprintTaintRule", "TAINT_SPEC", "taint_findings"]
+__all__ = ["TAINT_SPEC", "taint_findings"]
 
 _WALL_CLOCK = {
     name: ("wall-clock", name) for name in (
@@ -109,11 +109,6 @@ def _sink_description(node: ast.Call) -> "str | None":
     return None
 
 
-def _spec_with_random_exemption() -> TaintSpec:
-    """``random.Random(seed)`` is reproducible; keep it source-free."""
-    return TAINT_SPEC
-
-
 class _Summaries:
     """Lazy intraprocedural return-taint summaries, one per function.
 
@@ -144,13 +139,11 @@ class _Summaries:
 
 class _FunctionChecker:
     def __init__(self, info: FunctionInfo, graph: CallGraph,
-                 summaries: _Summaries, spec: TaintSpec,
-                 rule: str = "fingerprint-taint"):
+                 summaries: _Summaries, spec: TaintSpec):
         self.info = info
         self.graph = graph
         self.summaries = summaries
         self.spec = spec
-        self.rule = rule
 
     def _call_summary(self, node: ast.Call) -> frozenset:
         taints: frozenset = frozenset()
@@ -191,7 +184,7 @@ class _FunctionChecker:
                         continue
                     seen.add(key)
                     out.append(Finding(
-                        rule=self.rule,
+                        rule="determinism",
                         path=self.info.module.path,
                         line=node.lineno,
                         message=(f"{taint.kind} value from "
@@ -205,19 +198,14 @@ class _FunctionChecker:
         return out
 
 
-def taint_findings(project: Project, paths: tuple,
-                   rule: str = "fingerprint-taint") -> list:
-    """Run the taint scan over ``paths``, reporting under ``rule``.
-
-    Shared by :class:`FingerprintTaintRule` and the ported determinism
-    rule (which reports flows in its own path set under its own id).
-    """
+def taint_findings(project: Project) -> list:
+    """Run the taint scan over the determinism paths."""
     graph = CallGraph.build(project)
-    spec = _spec_with_random_exemption()
-    summaries = _Summaries(graph, spec)
+    summaries = _Summaries(graph, TAINT_SPEC)
     findings = []
     for module in project.modules:
-        if not path_matches(module.path, paths):
+        if not path_matches(module.path,
+                            project.config.determinism_paths):
             continue
         for qual, node in iter_functions(module.tree):
             info = graph.functions.get(f"{module.path}::{qual}")
@@ -225,19 +213,8 @@ def taint_findings(project: Project, paths: tuple,
                 info = FunctionInfo(
                     qualname=f"{module.path}::{qual}",
                     module=module, node=node)
-            checker = _FunctionChecker(info, graph, summaries, spec,
-                                       rule=rule)
+            checker = _FunctionChecker(info, graph, summaries, TAINT_SPEC)
             findings.extend(checker.findings())
     findings.sort(key=lambda f: f.sort_key())
     return findings
 
-
-@register_rule("fingerprint-taint")
-class FingerprintTaintRule:
-    """Trace nondeterministic values flowing into fingerprint sinks."""
-
-    hint = ("a laundered clock/entropy/hash-order value poisons every "
-            "cache keyed on the fingerprint it reaches")
-
-    def check(self, project: Project) -> list:
-        return taint_findings(project, project.config.taint_paths)

@@ -28,7 +28,7 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.findings
 
-    def to_dict(self) -> dict:  # repro: allow[serialization] 'ok' is derived from findings on load
+    def to_dict(self) -> dict:
         return {
             "ok": self.ok,
             "rules": list(self.rules),

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .findings import Finding
 from .project import ModuleSource
+from .registry import rule_names
 
 __all__ = ["Suppression", "SuppressionIndex", "UNUSED_RULE_ID",
            "collect_suppressions"]
@@ -98,9 +99,12 @@ class SuppressionIndex:
         """Drop suppressed findings; append unused-suppression findings.
 
         ``active_rules`` is the set this run actually executed: an
-        allow for a rule that was filtered out with ``--rule`` is
-        neither applied nor reported unused.
+        allow for a registered rule that was filtered out with
+        ``--rule`` is neither applied nor reported unused. An allow
+        naming no registered rule (a typo, or a deleted rule) is
+        always stale.
         """
+        skipped = set(rule_names()) - set(active_rules)
         kept: list[Finding] = []
         for finding in findings:
             matched = None
@@ -114,10 +118,7 @@ class SuppressionIndex:
                 kept.append(finding)
         for suppression in self._suppressions:
             for rule in suppression.rules:
-                # an allow[unused-suppression] can never match anything
-                # (the meta-rule is unsuppressable), so it is stale by
-                # definition whatever rules ran
-                if rule != UNUSED_RULE_ID and rule not in active_rules:
+                if rule in skipped:
                     continue
                 if rule not in suppression.used:
                     kept.append(Finding(

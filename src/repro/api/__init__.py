@@ -33,11 +33,11 @@ from .registry import (
 from .replan import delta_job, replan
 from .report import SolveReport
 from .solvers import (
-    AcesoSolver,  # repro: allow[registry-discipline] public API re-export
-    DeepSpeedSolver,  # repro: allow[registry-discipline] public API re-export
-    MegatronSolver,  # repro: allow[registry-discipline] public API re-export
-    MistSolver,  # repro: allow[registry-discipline] public API re-export
-    UniformSolver,  # repro: allow[registry-discipline] public API re-export
+    AcesoSolver,
+    DeepSpeedSolver,
+    MegatronSolver,
+    MistSolver,
+    UniformSolver,
     solve,
 )
 

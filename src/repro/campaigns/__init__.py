@@ -26,9 +26,9 @@ stream), and :mod:`repro.campaigns.report` (speedup aggregation).
 from .executors import (
     Executor,
     ExecutorNotFoundError,
-    InlineExecutor,  # repro: allow[registry-discipline] public API re-export
-    ProcessPoolExecutor,  # repro: allow[registry-discipline] public API re-export
-    ServiceExecutor,  # repro: allow[registry-discipline] public API re-export
+    InlineExecutor,
+    ProcessPoolExecutor,
+    ServiceExecutor,
     executor_names,
     executor_registry,
     get_executor,

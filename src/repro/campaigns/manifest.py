@@ -210,7 +210,7 @@ class CampaignManifest:
 
     def event(self, payload: dict) -> None:
         """Append one JSON line to the streaming event log."""
-        line = json.dumps({"ts": time.time(), **payload}, sort_keys=True)  # repro: allow[determinism, fingerprint-taint] event-log display timestamp, not a fingerprint input
+        line = json.dumps({"ts": time.time(), **payload}, sort_keys=True)  # repro: allow[determinism] event-log display timestamp, not a fingerprint input
         with self.events_path.open("a") as fh:
             fh.write(line + "\n")
 

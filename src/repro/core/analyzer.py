@@ -61,10 +61,6 @@ class StagePrediction:
     peak_fwd: np.ndarray
     peak_bwd: np.ndarray
 
-    @property
-    def t_iteration_contrib(self) -> np.ndarray:  # pragma: no cover - alias
-        return self.t_stable
-
 
 @dataclass
 class PlanPrediction:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.plan import StageConfig, TrainingPlan
-from repro.hardware import ClusterSpec, HeterogeneousCluster
+from repro.hardware import ClusterSpec, GPUSpec, HeterogeneousCluster
 from repro.models.config import ModelConfig
 from repro.symbolic import compile_expr
 from repro.tracing import ALL_SYMBOLS, TracedModel, trace
@@ -116,8 +116,11 @@ class ExecutionEngine:
         self.contention = contention or ContentionSpec.default(
             pcie_only=pcie_only
         )
-        self._traced_cache: dict[tuple[str, bool, str], TracedModel] = {}
-        self._fn_cache: dict[tuple[str, bool, str], object] = {}
+        # keyed on the full frozen configs: get_model(..., **overrides)
+        # keeps the name, so a name key would serve another shape's trace
+        self._traced_cache: dict[tuple[ModelConfig, bool, GPUSpec],
+                                 TracedModel] = {}
+        self._fn_cache: dict[tuple[ModelConfig, bool, GPUSpec], object] = {}
 
     # -- caches -----------------------------------------------------------
 
@@ -129,14 +132,14 @@ class ExecutionEngine:
 
     def _traced(self, model: ModelConfig, flash: bool,
                 cluster: ClusterSpec) -> TracedModel:
-        key = (model.name, flash, cluster.gpu.name)
+        key = (model, flash, cluster.gpu)
         if key not in self._traced_cache:
             self._traced_cache[key] = trace(model, cluster.gpu, flash=flash)
         return self._traced_cache[key]
 
     def _components_fn(self, model: ModelConfig, flash: bool,
                        cluster: ClusterSpec):
-        key = (model.name, flash, cluster.gpu.name)
+        key = (model, flash, cluster.gpu)
         if key not in self._fn_cache:
             rt = self._traced(model, flash, cluster).runtime
             exprs = [getattr(rt, name) for name in _COMPONENT_FIELDS]

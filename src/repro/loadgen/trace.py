@@ -66,7 +66,7 @@ class TraceSpec:
             scale=self.scale, interference="none", options=options,
         )
 
-    def to_dict(self) -> dict:  # repro: allow[serialization] config snapshot for the report; never parsed back
+    def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 

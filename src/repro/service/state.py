@@ -154,7 +154,7 @@ class JobRecord:
             self._finished_monotonic = time.monotonic()
             return True
 
-    def to_dict(self, *, include_report: bool = True) -> dict[str, Any]:  # repro: allow[serialization] one-way wire snapshot, records are never rebuilt from JSON
+    def to_dict(self, *, include_report: bool = True) -> dict[str, Any]:
         with self._lock:
             out: dict[str, Any] = {
                 "id": self.id,
@@ -221,7 +221,7 @@ class CampaignRecord:
             "coalesced": sum(1 for r in self.records if r.coalesced),
         }
 
-    def to_dict(self, *, include_cells: bool = True) -> dict[str, Any]:  # repro: allow[serialization] one-way wire snapshot, records are never rebuilt from JSON
+    def to_dict(self, *, include_cells: bool = True) -> dict[str, Any]:
         out: dict[str, Any] = {
             "id": self.id,
             "name": self.name,

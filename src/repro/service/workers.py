@@ -42,7 +42,7 @@ import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import Future
-from concurrent.futures import ProcessPoolExecutor  # repro: allow[registry-discipline] stdlib pool, not the campaign executor of the same name
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from typing import Any
 

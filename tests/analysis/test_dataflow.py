@@ -1,17 +1,15 @@
-"""Reaching definitions, use-def chains, and taint transfer functions."""
+"""Element definitions and taint transfer functions."""
 
 import ast
 
 from repro.analysis import (
-    ReachingDefinitions,
     TaintAnalysis,
     TaintSource,
     TaintSpec,
     build_cfg,
     iter_functions,
-    use_def_chains,
 )
-from repro.analysis.dataflow import element_defs, element_uses
+from repro.analysis.dataflow import element_defs
 
 
 def cfg_of(source, name=None):
@@ -31,7 +29,7 @@ SPEC = TaintSpec(
 )
 
 
-# -- element-level defs/uses -----------------------------------------------
+# -- element-level defs ---------------------------------------------------
 
 def test_element_defs_cover_binding_forms():
     mod = ast.parse(
@@ -50,93 +48,6 @@ def test_element_defs_cover_binding_forms():
         "a": "assign", "b": "assign", "c": "assign",
         "d": "ann", "e": "aug", "f": "assign", "g": "walrus",
     }
-
-
-def test_element_uses_skip_comprehension_bound_names():
-    stmt = ast.parse("ys = [x + z for x in xs]").body[0]
-    used = sorted({n.id for n in element_uses(stmt)})
-    assert used == ["xs", "z"]  # x is comprehension-local
-
-
-def test_element_uses_skip_nested_scopes():
-    stmt = ast.parse("f = lambda q: q + outer\n").body[0]
-    assert {n.id for n in element_uses(stmt)} == set()
-
-
-# -- reaching definitions / use-def golden tests ---------------------------
-
-def test_branch_merges_both_definitions():
-    cfg = cfg_of(
-        "def f(a):\n"          # line 1
-        "    if a:\n"          # 2
-        "        x = 1\n"      # 3
-        "    else:\n"
-        "        x = 2\n"      # 5
-        "    return x\n")      # 6
-    chains = [c for c in use_def_chains(cfg) if c.name == "x"]
-    assert len(chains) == 1
-    assert sorted(d.line for d in chains[0].defs) == [3, 5]
-
-
-def test_straight_line_redefinition_kills_old_def():
-    cfg = cfg_of(
-        "def f():\n"
-        "    x = 1\n"          # 2
-        "    x = 2\n"          # 3
-        "    return x\n")      # 4
-    chains = [c for c in use_def_chains(cfg) if c.name == "x"]
-    assert [d.line for d in chains[-1].defs] == [3]
-
-
-def test_loop_carried_definition_reaches_header_use():
-    cfg = cfg_of(
-        "def f(n):\n"          # 1
-        "    x = 0\n"          # 2
-        "    while n:\n"       # 3 (use of n and x's defs flow around)
-        "        x = x + 1\n"  # 4
-        "    return x\n")      # 5
-    ret_chain = [c for c in use_def_chains(cfg)
-                 if c.name == "x"
-                 and isinstance(c.element, ast.Return)][0]
-    assert sorted(d.line for d in ret_chain.defs) == [2, 4]
-    # inside the loop body, both the init and the loop-carried def reach
-    body_chain = [c for c in use_def_chains(cfg)
-                  if c.name == "x" and c.use.lineno == 4][0]
-    assert sorted(d.line for d in body_chain.defs) == [2, 4]
-
-
-def test_except_handler_binding_reaches_handler_body():
-    cfg = cfg_of(
-        "def f():\n"
-        "    try:\n"
-        "        risky()\n"
-        "    except ValueError as exc:\n"   # 4
-        "        return exc\n")             # 5
-    chain = [c for c in use_def_chains(cfg) if c.name == "exc"][0]
-    assert [(d.line, d.kind) for d in chain.defs] == [(4, "except")]
-
-
-def test_with_and_for_targets_are_definitions():
-    cfg = cfg_of(
-        "def f(xs, cm):\n"
-        "    with cm as fh:\n"       # 2
-        "        for row in xs:\n"   # 3
-        "            use(fh, row)\n")
-    chains = {c.name: c for c in use_def_chains(cfg)
-              if c.name in ("fh", "row")}
-    assert {d.kind for d in chains["fh"].defs} == {"with"}
-    assert {d.kind for d in chains["row"].defs} == {"for"}
-
-
-def test_parameters_defined_at_entry():
-    cfg = cfg_of("def f(a, *rest, **kw):\n    return a, rest, kw\n")
-    reaching = ReachingDefinitions(cfg)
-    ret = [el for _b, el in cfg.iter_elements()
-           if isinstance(el, ast.Return)][0]
-    state = reaching.before(ret)
-    assert {name for name in ("a", "rest", "kw")} <= set(state)
-    assert all(next(iter(state[n])).kind == "param"
-               for n in ("a", "rest", "kw"))
 
 
 # -- taint ------------------------------------------------------------------
@@ -203,6 +114,16 @@ def test_branch_join_unions_taint():
         "    return x\n")
     assert {t.kind for t in analysis.return_taint} == \
         {"wall-clock", "entropy"}
+
+
+def test_loop_carried_taint_reaches_return():
+    analysis = taint_of(
+        "def f(n):\n"
+        "    x = 0\n"
+        "    while n:\n"
+        "        x = x + time.time()\n"
+        "    return x\n")
+    assert {t.kind for t in analysis.return_taint} == {"wall-clock"}
 
 
 def test_param_taints_seed_entry_state():

@@ -19,12 +19,14 @@ from repro.analysis.registry import _REGISTRY
 from repro.cli import main
 
 BUILTIN_RULES = ("async-safety", "determinism", "exception-flow",
-                 "fingerprint-taint", "lock-discipline", "lock-order",
-                 "registry-discipline", "serialization")
+                 "lock-discipline", "lock-order")
 
 
 def test_builtin_rules_registered():
     assert set(BUILTIN_RULES) <= set(rule_names())
+    builtin = {name for name, cls in rule_registry().items()
+               if cls.__module__.startswith("repro.analysis.rules.")}
+    assert builtin == set(BUILTIN_RULES)
 
 
 def test_get_rule_instantiates_and_unknown_raises():
@@ -82,6 +84,17 @@ def test_finding_round_trip_and_format():
 
 # -- CLI -------------------------------------------------------------------
 
+#: lock-discipline is path-unscoped, so it fires on any file
+UNLOCKED_READ = (
+    "import threading\n"
+    "class Registry:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self._items = {}\n"
+    "    def get(self, key):\n"
+    "        return self._items.get(key)\n"
+)
+
 def test_cli_check_clean_tree_exits_zero(tmp_path, capsys):
     target = tmp_path / "clean.py"
     target.write_text("def f():\n    return 1\n")
@@ -91,29 +104,15 @@ def test_cli_check_clean_tree_exits_zero(tmp_path, capsys):
 
 def test_cli_check_findings_exit_one(tmp_path, capsys):
     target = tmp_path / "bad.py"
-    target.write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass\n"
-        "class S:\n"
-        "    a: int = 0\n"
-        "    def to_dict(self):\n"
-        "        return {'a': self.a}\n"
-    )
+    target.write_text(UNLOCKED_READ)
     assert main(["check", str(target)]) == 1
     out = capsys.readouterr().out
-    assert "[serialization]" in out and "no from_dict" in out
+    assert "[lock-discipline]" in out and "self._items" in out
 
 
 def test_cli_check_rule_filter_and_json(tmp_path, capsys):
     target = tmp_path / "bad.py"
-    target.write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass\n"
-        "class S:\n"
-        "    a: int = 0\n"
-        "    def to_dict(self):\n"
-        "        return {'a': self.a}\n"
-    )
+    target.write_text(UNLOCKED_READ)
     # the violating rule filtered out: clean
     assert main(["check", "--rule", "determinism", str(target)]) == 0
     capsys.readouterr()
@@ -121,12 +120,19 @@ def test_cli_check_rule_filter_and_json(tmp_path, capsys):
     assert main(["check", "--format", "json", str(target)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
-    assert payload["findings"][0]["rule"] == "serialization"
+    assert payload["findings"][0]["rule"] == "lock-discipline"
     assert payload["findings"][0]["path"].endswith("bad.py")
 
 
 def test_cli_check_unknown_rule_exits_two(tmp_path, capsys):
     assert main(["check", "--rule", "nope", str(tmp_path)]) == 2
+    assert "unknown rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "deleted", ["fingerprint-taint", "registry-discipline", "serialization"])
+def test_cli_check_deleted_rule_exits_two(tmp_path, capsys, deleted):
+    assert main(["check", "--rule", deleted, str(tmp_path)]) == 2
     assert "unknown rule" in capsys.readouterr().err
 
 

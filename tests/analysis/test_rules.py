@@ -6,7 +6,6 @@ from repro.analysis import CheckConfig, Project, check_project
 FIXTURE_CONFIG = CheckConfig(
     determinism_paths=("pkg/det.py",),
     async_paths=("pkg/svc/",),
-    registry_allowed_paths=("pkg/registry.py", "tests/"),
 )
 
 
@@ -69,101 +68,6 @@ def test_determinism_silent_on_clean_fixture():
 def test_determinism_scoped_to_configured_paths():
     # same violating source outside the declared path set: no findings
     assert run_on({"pkg/other.py": DET_VIOLATION}, "determinism") == ()
-
-
-# -- serialization ---------------------------------------------------------
-
-SER_MISSING_FROM_DICT = """\
-from dataclasses import dataclass
-
-@dataclass
-class Snapshot:
-    a: int = 0
-
-    def to_dict(self):
-        return {"a": self.a}
-"""
-
-SER_KEY_DRIFT = """\
-from dataclasses import dataclass, field
-
-@dataclass
-class Spec:
-    a: int = 0
-    b: int = 0
-    hidden: object = field(default=None, repr=False)
-
-    def to_dict(self):
-        out = {"a": self.a}
-        out["extra"] = 1
-        return out
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(a=data["a"], b=data["renamed"])
-"""
-
-SER_CLEAN = """\
-from dataclasses import dataclass, field
-
-@dataclass
-class Spec:
-    a: int = 0
-    b: int = 0
-    hidden: object = field(default=None, repr=False)
-
-    def to_dict(self):
-        return {"a": self.a, "b": self.b}
-
-    @classmethod
-    def from_dict(cls, data):
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        return cls(**known)
-"""
-
-
-def test_serialization_missing_from_dict():
-    findings = run_on({"pkg/ser.py": SER_MISSING_FROM_DICT}, "serialization")
-    assert len(findings) == 1
-    assert "no from_dict" in findings[0].message
-
-
-def test_serialization_key_and_field_drift():
-    findings = run_on({"pkg/ser.py": SER_KEY_DRIFT}, "serialization")
-    messages = [f.message for f in findings]
-    # emitted but never read back
-    assert any("'extra'" in m and "never reads" in m for m in messages)
-    # required but never emitted
-    assert any("'renamed'" in m and "never emits" in m for m in messages)
-    # dataclass field dropped by to_dict
-    assert any("Spec.b" in m and "never emitted" in m for m in messages)
-    # runtime-only (repr=False) field is exempt
-    assert not any("hidden" in m for m in messages)
-
-
-def test_serialization_silent_on_clean_wildcard_from_dict():
-    assert run_on({"pkg/ser.py": SER_CLEAN}, "serialization") == ()
-
-
-def test_serialization_skips_delegating_to_dict():
-    source = """\
-from dataclasses import dataclass
-
-def spec_to_dict(spec):
-    return {"a": spec.a}
-
-@dataclass
-class Spec:
-    a: int = 0
-
-    def to_dict(self):
-        return spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(a=data["a"])
-"""
-    assert run_on({"pkg/ser.py": source}, "serialization") == ()
 
 
 # -- async-safety ----------------------------------------------------------
@@ -288,50 +192,6 @@ class Ledger:
 """
     findings = run_on({"pkg/l.py": source}, "lock-discipline")
     assert findings and all("self.counts" in f.message for f in findings)
-
-
-# -- registry-discipline ---------------------------------------------------
-
-REGISTRY_SOURCES = {
-    "pkg/registry.py": """\
-def register_solver(name):
-    def deco(cls):
-        return cls
-    return deco
-""",
-    "pkg/impls.py": """\
-from pkg.registry import register_solver
-
-@register_solver("alpha")
-class AlphaSolver:
-    pass
-""",
-    "pkg/caller.py": """\
-from pkg.impls import AlphaSolver
-
-def run():
-    return AlphaSolver()
-""",
-}
-
-
-def test_registry_discipline_fires_on_direct_import():
-    findings = run_on(REGISTRY_SOURCES, "registry-discipline")
-    assert len(findings) == 1
-    assert findings[0].path == "pkg/caller.py"
-    assert "AlphaSolver" in findings[0].message
-
-
-def test_registry_discipline_allows_configured_paths():
-    sources = dict(REGISTRY_SOURCES)
-    sources["tests/test_alpha.py"] = sources.pop("pkg/caller.py")
-    assert run_on(sources, "registry-discipline") == ()
-
-
-def test_registry_discipline_allows_defining_module():
-    sources = {k: v for k, v in REGISTRY_SOURCES.items()
-               if k != "pkg/caller.py"}
-    assert run_on(sources, "registry-discipline") == ()
 
 
 # -- cross-cutting ---------------------------------------------------------

@@ -147,15 +147,15 @@ def fingerprint(payload):
     return hash(payload)
 
 def build_key(job):
-    stamp = time.time()
+    stamp = time.time()  # repro: allow[determinism] only the flow is reported
     return fingerprint(stamp)
 """
 
 
 def result_with_findings():
-    config = CheckConfig(taint_paths=("pkg/fp.py",))
+    config = CheckConfig(determinism_paths=("pkg/fp.py",))
     project = Project.from_sources({"pkg/fp.py": VIOLATION}, config=config)
-    return check_project(project, rules=["fingerprint-taint"])
+    return check_project(project, rules=["determinism"])
 
 
 def test_sarif_with_findings_validates_against_schema():
@@ -163,25 +163,25 @@ def test_sarif_with_findings_validates_against_schema():
     jsonschema.validate(log, SARIF_SCHEMA)
     (run,) = log["runs"]
     (result,) = run["results"]
-    assert result["ruleId"] == "fingerprint-taint"
+    assert result["ruleId"] == "determinism"
     assert result["level"] == "error"
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "pkg/fp.py"
     assert location["region"]["startLine"] == 8
     # ruleIndex points at the matching descriptor
     rules = run["tool"]["driver"]["rules"]
-    assert rules[result["ruleIndex"]]["id"] == "fingerprint-taint"
+    assert rules[result["ruleIndex"]]["id"] == "determinism"
 
 
 def test_sarif_clean_run_still_lists_rules():
-    config = CheckConfig(taint_paths=("pkg/fp.py",))
+    config = CheckConfig(determinism_paths=("pkg/fp.py",))
     project = Project.from_sources(
         {"pkg/fp.py": "def f():\n    return 1\n"}, config=config)
-    log = to_sarif(check_project(project, rules=["fingerprint-taint"]))
+    log = to_sarif(check_project(project, rules=["determinism"]))
     jsonschema.validate(log, SARIF_SCHEMA)
     assert log["runs"][0]["results"] == []
     assert [r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]] \
-        == ["fingerprint-taint"]
+        == ["determinism"]
 
 
 def test_sarif_round_trips_as_json():

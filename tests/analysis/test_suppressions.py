@@ -8,8 +8,7 @@ from repro.analysis import (
 )
 
 CONFIG = CheckConfig(determinism_paths=("pkg/det.py",),
-                     async_paths=("pkg/svc/",),
-                     registry_allowed_paths=("tests/",))
+                     async_paths=("pkg/svc/",))
 
 
 def run(source, rules=None, path="pkg/det.py"):
@@ -76,6 +75,21 @@ def test_unused_suppression_not_reported_for_inactive_rule():
         "NOW = time.time()  # repro: allow[determinism] display only\n"
     )
     assert run(source, rules=["lock-discipline"]) == ()
+
+
+def test_allow_naming_no_registered_rule_is_reported():
+    # a typo or a deleted rule id suppresses nothing, whatever ran
+    source = (
+        "import time\n"
+        "NOW = 1  # repro: allow[no-such-rule] typo\n"
+        "X = 2  # repro: allow[serialization] rule since deleted\n"
+    )
+    for rules in (None, ["determinism"]):
+        findings = run(source, rules=rules)
+        assert [(f.rule, f.line) for f in findings] == [
+            (UNUSED_RULE_ID, 2), (UNUSED_RULE_ID, 3)]
+        assert "allow[no-such-rule]" in findings[0].message
+        assert "allow[serialization]" in findings[1].message
 
 
 def test_unused_suppression_cannot_be_suppressed():

@@ -1,13 +1,19 @@
-"""fingerprint-taint rule: laundered nondeterminism reaching key sinks."""
+"""determinism rule, flow half: laundered nondeterminism reaching key sinks."""
 
 from repro.analysis import CheckConfig, Project, check_project
 
-CONFIG = CheckConfig(taint_paths=("pkg/fp.py",))
+CONFIG = CheckConfig(determinism_paths=("pkg/fp.py",))
+
+
+def check(sources, config=CONFIG):
+    project = Project.from_sources(sources, config=config)
+    return check_project(project, rules=["determinism"]).findings
 
 
 def run_on(sources, config=CONFIG):
-    project = Project.from_sources(sources, config=config)
-    return check_project(project, rules=["fingerprint-taint"]).findings
+    """The flow findings only (the pattern half is tested in test_rules)."""
+    return tuple(f for f in check(sources, config)
+                 if " flows into " in f.message)
 
 
 #: the ISSUE's seeded fixture: wall-clock -> intermediate -> fingerprint
@@ -51,18 +57,46 @@ def test_wall_clock_through_local_into_fingerprint_is_caught():
     findings = run_on({"pkg/fp.py": TAINT_VIOLATION})
     assert len(findings) == 1
     (finding,) = findings
-    assert finding.rule == "fingerprint-taint"
+    assert finding.rule == "determinism"
     assert "wall-clock" in finding.message
     assert "fingerprint" in finding.message
     assert finding.line == 9  # the fingerprint(salted) call site
 
 
+def test_rule_reports_pattern_and_flow_findings_together():
+    findings = check({"pkg/fp.py": TAINT_VIOLATION})
+    assert [(f.line, "flows into" in f.message) for f in findings] == [
+        (7, False),  # the time.time() reference itself
+        (9, True),   # its flow into fingerprint()
+    ]
+
+
+#: invisible to a per-line matcher: the clock reference is suppressed
+#: where it is read, then laundered through a local into a sink
+LAUNDERED = """\
+import json
+import time
+
+def snapshot(payload):
+    stamp = time.time()  # repro: allow[determinism] measured elsewhere
+    meta = {"at": stamp}
+    return json.dumps({"payload": payload, "meta": meta}, sort_keys=True)
+"""
+
+
+def test_laundered_clock_into_json_dumps_is_caught():
+    (finding,) = check({"pkg/fp.py": LAUNDERED})
+    assert finding.line == 7
+    assert "wall-clock" in finding.message
+    assert "flows into json.dumps()" in finding.message
+
+
 def test_sorted_sanitized_flow_is_not_caught():
-    assert run_on({"pkg/fp.py": TAINT_SANITIZED}) == ()
+    assert check({"pkg/fp.py": TAINT_SANITIZED}) == ()
 
 
 def test_clean_fixture_passes():
-    assert run_on({"pkg/fp.py": TAINT_CLEAN}) == ()
+    assert check({"pkg/fp.py": TAINT_CLEAN}) == ()
 
 
 def test_unsanitized_set_order_is_caught():
@@ -125,10 +159,10 @@ def test_suppression_silences_a_deliberate_flow():
         "def fingerprint(payload):\n"
         "    return hash(payload)\n"
         "def build_key(job):\n"
-        "    stamp = time.time()\n"
+        "    stamp = time.time()  # repro: allow[determinism] test fixture\n"
         "    return fingerprint(stamp)  "
-        "# repro: allow[fingerprint-taint] test fixture\n")
+        "# repro: allow[determinism] test fixture\n")
     project = Project.from_sources({"pkg/fp.py": source}, config=CONFIG)
-    result = check_project(project, rules=["fingerprint-taint"])
+    result = check_project(project, rules=["determinism"])
     assert result.findings == ()
-    assert result.suppression_count == 1
+    assert result.suppression_count == 2

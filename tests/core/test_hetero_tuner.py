@@ -194,5 +194,5 @@ class TestHeterogeneousExecution:
         engine = ExecutionEngine(mixed(), system="mist")
         result = make_tuner(mixed()).search(BATCH)
         engine.run(result.best_plan, MODEL, seq_len=SEQ_LEN)
-        gpus = {key[2] for key in engine._traced_cache}
+        gpus = {key[2].name for key in engine._traced_cache}
         assert gpus == {"A100-40GB", "L4"}

@@ -130,3 +130,22 @@ class TestTimeline:
         assert max(
             deep.pipeline.bubble_fraction(i) for i in range(4)
         ) > max(shallow.pipeline.bubble_fraction(i) for i in range(2))
+
+
+class TestTraceCache:
+    def test_same_name_different_shape_is_not_a_cache_hit(self, cluster):
+        """``get_model(..., **overrides)`` keeps the model's name, so the
+        per-engine trace cache must key on the whole config."""
+        base = get_model("gpt3-1.3b")
+        narrow = get_model("gpt3-1.3b",
+                         ffn_hidden_size=2 * base.hidden_size)
+        assert narrow.name == base.name and narrow != base
+        plan = uniform_plan(base, cluster, global_batch=8, gacc=4,
+                            num_stages=2, dp=2, tp=1, ckpt_all=True)
+        shared = ExecutionEngine(cluster, system="mist")
+        shared.run(plan, base, seq_len=2048)
+        reused = shared.run(plan, narrow, seq_len=2048)
+        fresh = ExecutionEngine(cluster, system="mist").run(
+            plan, narrow, seq_len=2048)
+        assert reused.iteration_time == fresh.iteration_time
+        assert reused.peak_memory == fresh.peak_memory
