@@ -27,11 +27,11 @@ import numpy as np
 from repro.core.analyzer import SymbolicPerformanceAnalyzer
 from repro.core.objectives import pipeline_time_uniform
 from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
+from repro.core.tuner import traced_model
 from repro.costmodel.interference import InterferenceModel
 from repro.execution import ExecutionEngine, OOMError
 from repro.hardware import ClusterSpec
 from repro.models.config import ModelConfig
-from repro.tracing import trace
 
 from .common import BaselineResult, Capabilities, pipeline_grids
 
@@ -70,7 +70,7 @@ class AcesoTuner:
         self.cluster = cluster
         self.seq_len = seq_len
         self.flash = flash
-        traced = trace(model, cluster.gpu, flash=flash)
+        traced = traced_model(model, cluster.gpu, flash=flash)
         self.analyzer = SymbolicPerformanceAnalyzer(
             traced, cluster, interference=SerialInterferenceModel()
         )

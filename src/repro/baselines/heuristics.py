@@ -21,11 +21,11 @@ from repro.core.analyzer import SymbolicPerformanceAnalyzer
 from repro.core.objectives import pipeline_iteration_time
 from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
 from repro.core.spaces import SPACE_MIST, SearchSpace
+from repro.core.tuner import traced_model
 from repro.costmodel.interference import InterferenceModel
 from repro.execution import ExecutionEngine, OOMError
 from repro.hardware import ClusterSpec
 from repro.models.config import ModelConfig
-from repro.tracing import trace
 
 from .common import BaselineResult, Capabilities, pipeline_grids
 
@@ -52,7 +52,7 @@ class UniformHeuristicTuner:
         self.seq_len = seq_len
         self.flash = flash
         self.space = space
-        traced = trace(model, cluster.gpu, flash=flash)
+        traced = traced_model(model, cluster.gpu, flash=flash)
         self.analyzer = SymbolicPerformanceAnalyzer(
             traced, cluster, interference=interference
         )

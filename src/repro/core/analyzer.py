@@ -28,6 +28,7 @@ from repro.tracing import ALL_SYMBOLS, TracedModel
 from repro.tracing.memory import FRAMEWORK_OVERHEAD_BYTES
 from repro.tracing.symbols import hardware_env
 
+from .memo import GLOBAL_KERNEL_CACHE
 from .objectives import pipeline_iteration_time, throughput
 from .plan import TrainingPlan
 
@@ -100,7 +101,11 @@ class SymbolicPerformanceAnalyzer:
         self.interference = interference or InterferenceModel.default(
             pcie_only=not gpu.has_nvlink
         )
+        # Compiled once per process: each kernel is a pure function of
+        # the trace, shared through GLOBAL_KERNEL_CACHE under the trace
+        # key plus a purpose tag.
         rt, mem = traced.runtime, traced.memory
+        key = (traced.config, traced.gpu, traced.flash)
         # Channel mapping mirrors the execution schedule: TP all-reduces
         # serialize with compute (dependent kernels wait on them), so
         # they live in the compute channel; the NCCL channel carries the
@@ -108,8 +113,8 @@ class SymbolicPerformanceAnalyzer:
         # backward phases are predicted separately (they have different
         # channel mixes) and summed into the stable microbatch time.
         comp_scale = 1.0 + MIST_IMPL_OVERHEAD
-        self._fn = compile_expr(
-            [
+        self._fn = GLOBAL_KERNEL_CACHE.get(key + ("analyzer.fn",), lambda: (
+            compile_expr([
                 # forward phase channels
                 rt.comp_fwd * comp_scale + rt.tp_fwd,
                 rt.dp_fwd + rt.p2p_fwd,
@@ -126,9 +131,7 @@ class SymbolicPerformanceAnalyzer:
                 # last-microbatch extra (applied to the backward phase)
                 rt.dp_last,
                 mem.peak_fwd, mem.peak_bwd,
-            ],
-            arg_names=_ARG_NAMES,
-        )
+            ], arg_names=_ARG_NAMES)))
         # Narrow projections for the pruned search:
         # * the memory-feasibility pre-filter evaluates peak memory alone
         #   (cheap) to reject candidates before any runtime evaluation;
@@ -137,11 +140,13 @@ class SymbolicPerformanceAnalyzer:
         #   for its optimistic, interference-free stage-time floor.
         # Compiled over their own free symbols (CompiledExpr.used_symbols)
         # so calls feed only the columns the projection actually reads.
-        self._mem_fn = compile_expr([mem.peak_fwd, mem.peak_bwd])
-        self._comp_fn = compile_expr(
-            [rt.comp_fwd * comp_scale + rt.tp_fwd,
-             rt.comp_bwd * comp_scale + rt.tp_bwd],
-        )
+        self._mem_fn = GLOBAL_KERNEL_CACHE.get(
+            key + ("analyzer.mem_fn",),
+            lambda: compile_expr([mem.peak_fwd, mem.peak_bwd]))
+        self._comp_fn = GLOBAL_KERNEL_CACHE.get(
+            key + ("analyzer.comp_fn",),
+            lambda: compile_expr([rt.comp_fwd * comp_scale + rt.tp_fwd,
+                                  rt.comp_bwd * comp_scale + rt.tp_bwd]))
 
     # -- environment construction ---------------------------------------------
 

@@ -80,9 +80,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.costmodel.interference import InterferenceModel
-from repro.hardware import ClusterSpec, HeterogeneousCluster
+from repro.hardware import ClusterSpec, GPUSpec, HeterogeneousCluster
 from repro.models.config import ModelConfig
-from repro.tracing import trace
+from repro.tracing import TracedModel, trace
 
 from . import inter_stage
 from .analyzer import SymbolicPerformanceAnalyzer
@@ -93,12 +93,25 @@ from .intra_stage import (
     StageShape,
     stage_parallelism_options,
 )
-from .memo import GLOBAL_MENU_MEMO, MemoEntry, MenuMemo
+from .memo import GLOBAL_KERNEL_CACHE, GLOBAL_MENU_MEMO, MemoEntry, MenuMemo
 from .objectives import pipeline_iteration_time, throughput
 from .plan import TrainingPlan
 from .spaces import SPACE_MIST, SearchSpace
 
-__all__ = ["MistTuner", "SearchCancelled", "SearchStats", "TuningResult"]
+__all__ = ["MistTuner", "SearchCancelled", "SearchStats", "TuningResult",
+           "traced_model"]
+
+
+def traced_model(model: ModelConfig, gpu: GPUSpec, *,
+                 flash: bool = True) -> TracedModel:
+    """The process-wide trace of ``model`` on ``gpu``.
+
+    Served from :data:`~repro.core.memo.GLOBAL_KERNEL_CACHE`; a miss
+    calls this module's ``trace``, so a tool that wraps that name sees
+    every real trace and no cache hit.
+    """
+    return GLOBAL_KERNEL_CACHE.get(
+        (model, gpu, flash), lambda: trace(model, gpu, flash=flash))
 
 
 class SearchCancelled(RuntimeError):
@@ -278,7 +291,7 @@ class MistTuner:
         self.flash = flash
         self.space = space
         if self.hetero is None:
-            traced = trace(model, cluster.gpu, flash=flash)
+            traced = traced_model(model, cluster.gpu, flash=flash)
             self.analyzer = SymbolicPerformanceAnalyzer(
                 traced, cluster,
                 interference=self._group_interference(interference, ""),
@@ -287,7 +300,7 @@ class MistTuner:
         else:
             self.analyzers = {}
             for group in self.hetero.groups:
-                traced = trace(model, group.gpu, flash=flash)
+                traced = traced_model(model, group.gpu, flash=flash)
                 self.analyzers[group.name] = SymbolicPerformanceAnalyzer(
                     traced, group.cluster,
                     interference=self._group_interference(interference,

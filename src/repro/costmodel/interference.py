@@ -96,17 +96,19 @@ class InterferenceModel:
         """Build all 2/3/4-way factors from pairwise ones (capped products)."""
         factors: dict[frozenset[str], dict[str, float]] = {}
         for combo_idx in _COMBOS:
-            names = frozenset(CHANNELS[i] for i in combo_idx)
+            # CHANNELS order, not set order: the products must not
+            # depend on the string hash seed
+            channels = [CHANNELS[i] for i in combo_idx]
             entry: dict[str, float] = {}
-            for ch in names:
+            for ch in channels:
                 product = 1.0
-                for other in names:
+                for other in channels:
                     if other == ch:
                         continue
                     pair = pairs.get(frozenset((ch, other)), {})
                     product *= pair.get(ch, 1.0)
                 entry[ch] = min(product, max_factor)
-            factors[names] = entry
+            factors[frozenset(channels)] = entry
         return cls(factors=factors, max_factor=max_factor)
 
     @classmethod

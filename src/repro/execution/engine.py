@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.memo import GLOBAL_KERNEL_CACHE
 from repro.core.plan import StageConfig, TrainingPlan
-from repro.hardware import ClusterSpec, GPUSpec, HeterogeneousCluster
+from repro.hardware import ClusterSpec, HeterogeneousCluster
 from repro.models.config import ModelConfig
 from repro.symbolic import compile_expr
-from repro.tracing import ALL_SYMBOLS, TracedModel, trace
+from repro.tracing import ALL_SYMBOLS, TracedModel
 from repro.tracing.symbols import hardware_env
 
 from .events import ContentionSpec
@@ -116,13 +117,8 @@ class ExecutionEngine:
         self.contention = contention or ContentionSpec.default(
             pcie_only=pcie_only
         )
-        # keyed on the full frozen configs: get_model(..., **overrides)
-        # keeps the name, so a name key would serve another shape's trace
-        self._traced_cache: dict[tuple[ModelConfig, bool, GPUSpec],
-                                 TracedModel] = {}
-        self._fn_cache: dict[tuple[ModelConfig, bool, GPUSpec], object] = {}
 
-    # -- caches -----------------------------------------------------------
+    # -- traces and kernels -------------------------------------------------
 
     def _stage_cluster(self, stage: StageConfig) -> ClusterSpec:
         """The homogeneous (sub-)cluster executing ``stage``."""
@@ -130,21 +126,23 @@ class ExecutionEngine:
             return self.cluster
         return self.hetero.group_for_stage(stage.device_group).cluster
 
-    def _traced(self, model: ModelConfig, flash: bool,
+    @staticmethod
+    def _traced(model: ModelConfig, flash: bool,
                 cluster: ClusterSpec) -> TracedModel:
-        key = (model, flash, cluster.gpu)
-        if key not in self._traced_cache:
-            self._traced_cache[key] = trace(model, cluster.gpu, flash=flash)
-        return self._traced_cache[key]
+        # the tuner module owns the process-wide trace entry point; a
+        # module-level import would close the core <-> execution cycle
+        from repro.core.tuner import traced_model
 
-    def _components_fn(self, model: ModelConfig, flash: bool,
-                       cluster: ClusterSpec):
-        key = (model, flash, cluster.gpu)
-        if key not in self._fn_cache:
-            rt = self._traced(model, flash, cluster).runtime
-            exprs = [getattr(rt, name) for name in _COMPONENT_FIELDS]
-            self._fn_cache[key] = compile_expr(exprs, arg_names=_ARG_NAMES)
-        return self._fn_cache[key]
+        return traced_model(model, cluster.gpu, flash=flash)
+
+    @staticmethod
+    def _components_fn(traced: TracedModel):
+        rt = traced.runtime
+        return GLOBAL_KERNEL_CACHE.get(
+            (traced.config, traced.gpu, traced.flash, "engine.components"),
+            lambda: compile_expr([getattr(rt, name)
+                                  for name in _COMPONENT_FIELDS],
+                                 arg_names=_ARG_NAMES))
 
     # -- execution ------------------------------------------------------------
 
@@ -162,10 +160,13 @@ class ExecutionEngine:
         max_p2p_lat = 0.0
         boundary = self._group_boundaries(plan)
 
+        def wall(phase: PhaseComponents) -> float:
+            return phase_wall_time(phase, self.capability, self.contention)
+
         for idx, stage in enumerate(plan.stages):
             gcluster = self._stage_cluster(stage)
             traced = self._traced(model, flash, gcluster)
-            fn = self._components_fn(model, flash, gcluster)
+            fn = self._components_fn(traced)
             report = track_stage_memory(
                 traced.graph, gcluster.gpu, stage,
                 stage_idx=idx, num_stages=num_stages,
@@ -195,17 +196,15 @@ class ExecutionEngine:
             )
             last_extra = PhaseComponents(dp=comp["dp_last"])
 
-            stage_fwd = []
-            stage_bwd = []
-            for k in range(gacc):
-                fwd_k = fwd + first_extra if k == 0 else fwd
-                bwd_k = bwd + last_extra if k == gacc - 1 else bwd
-                stage_fwd.append(phase_wall_time(fwd_k, self.capability,
-                                                 self.contention))
-                stage_bwd.append(phase_wall_time(bwd_k, self.capability,
-                                                 self.contention))
-            fwd_times.append(stage_fwd)
-            bwd_times.append(stage_bwd)
+            # Only microbatch 0's forward and microbatch gacc-1's
+            # backward carry extras: price each distinct phase once.
+            fwd_row = [wall(fwd + first_extra)]
+            bwd_row = [wall(bwd + last_extra)]
+            if gacc > 1:
+                fwd_row += [wall(fwd)] * (gacc - 1)
+                bwd_row = [wall(bwd)] * (gacc - 1) + bwd_row
+            fwd_times.append(fwd_row)
+            bwd_times.append(bwd_row)
             max_p2p_lat = max(max_p2p_lat, float(env["p2p_lat"][0]))
 
         pipeline = simulate_pipeline(fwd_times, bwd_times,

@@ -49,7 +49,7 @@ def _default_pairs(pcie_only: bool) -> dict[frozenset[str], dict[str, float]]:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContentionSpec:
     """Pairwise contention coefficients with product composition."""
 
@@ -57,6 +57,18 @@ class ContentionSpec:
         default_factory=dict
     )
     max_factor: float = 3.0
+    #: ``table[mask, ch]`` = slowdown of channel ``ch`` while the
+    #: channels in bitmask ``mask`` are active; built once per spec
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        table = np.ones((16, 4))
+        for mask in range(16):
+            active = frozenset(CHANNELS[i] for i in range(4) if mask >> i & 1)
+            for i in range(4):
+                if mask >> i & 1:
+                    table[mask, i] = self.slowdown(CHANNELS[i], active)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def default(cls, *, pcie_only: bool) -> "ContentionSpec":
@@ -65,22 +77,14 @@ class ContentionSpec:
     def slowdown(self, channel: str, active: frozenset[str]) -> float:
         """Slowdown of ``channel`` given the set of active channels."""
         factor = 1.0
-        for other in active:
-            if other == channel:
+        # CHANNELS order, not set order: the product must not depend on
+        # the string hash seed
+        for other in CHANNELS:
+            if other == channel or other not in active:
                 continue
             pair = self.pair_factors.get(frozenset((channel, other)), {})
             factor *= pair.get(channel, 1.0)
         return min(factor, self.max_factor)
-
-    def _slowdown_table(self) -> np.ndarray:
-        """table[mask, ch] = slowdown of channel ch when ``mask`` active."""
-        table = np.ones((16, 4))
-        for mask in range(16):
-            active = frozenset(CHANNELS[i] for i in range(4) if mask >> i & 1)
-            for i in range(4):
-                if mask >> i & 1:
-                    table[mask, i] = self.slowdown(CHANNELS[i], active)
-        return table
 
 
 def corun_total_time(times, spec: ContentionSpec) -> np.ndarray:
@@ -94,7 +98,7 @@ def corun_total_time(times, spec: ContentionSpec) -> np.ndarray:
     squeeze = arr.ndim == 1
     work = arr.reshape(-1, 4).copy()
     total = np.zeros(work.shape[0])
-    table = spec._slowdown_table()
+    table = spec.table
 
     # At most 4 channels finish, so at most 4 integration segments.
     for _ in range(4):

@@ -4,7 +4,9 @@ The `repro serve` daemon shares one cache across its worker pool (and
 potentially across daemon processes pointed at the same directory), so
 stores must be atomic: a reader may see a miss or a complete entry,
 never a torn/partial file, and concurrent writers of the same key must
-not clobber each other's in-progress temp files.
+not clobber each other's in-progress temp files. Its worker threads
+also share the process-wide menu memo and trace/kernel cache, so
+concurrent solves must serve the serial reports.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import threading
 
 import pytest
 
-from repro.api import PlanCache, SolveReport, TuningJob
+from repro.api import PlanCache, SolveReport, TuningJob, solve
+from repro.core.memo import GLOBAL_MENU_MEMO
 
 JOB = TuningJob(model="gpt3-1.3b", gpu="L4", num_gpus=2, global_batch=16,
                 scale="smoke")
@@ -105,3 +108,37 @@ class TestConcurrentAccess:
         cache.store(_report(JOB, 2.0))
         assert cache.load(JOB, "mist").throughput == 2.0
         json.loads(path.read_text())  # and the file on disk is valid JSON
+
+
+SOLVE_JOBS = (
+    JOB.with_(interference="none"),
+    JOB.with_(interference="none", flash=False),
+    TuningJob(model="gpt3-2.7b", gpu="L4", num_gpus=4, global_batch=32,
+              scale="smoke", interference="none"),
+)
+
+
+def _served(report: SolveReport) -> dict:
+    data = report.to_dict()
+    return {name: data[name]
+            for name in ("plan", "predicted", "measured", "search_log")}
+
+
+class TestConcurrentSolves:
+    def test_thread_solves_from_a_cold_process_cache_match_serial(self):
+        """Worker threads share the process-wide menu memo and the
+        trace/kernel cache; solving at once from cold must serve the
+        serial reports."""
+        GLOBAL_MENU_MEMO.clear()
+        expected = [_served(solve(job)) for job in SOLVE_JOBS]
+        GLOBAL_MENU_MEMO.clear()
+        got: list[tuple[int, dict]] = []
+
+        def solver(i):
+            return lambda: got.append((i, _served(solve(SOLVE_JOBS[i]))))
+
+        _run_threads([solver(i) for i in range(len(SOLVE_JOBS))] * 2)
+
+        assert sorted(i for i, _ in got) == [0, 0, 1, 1, 2, 2]
+        for i, report in got:
+            assert report == expected[i]

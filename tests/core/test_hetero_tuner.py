@@ -2,8 +2,12 @@
 
 import pytest
 
+import repro.core.tuner as tuner_module
+import repro.execution.engine as engine_module
 from repro.core import MistTuner, SPACE_MIST
 from repro.core.inter_stage import StageSlot, group_stage_assignments
+from repro.core.memo import GLOBAL_MENU_MEMO
+from repro.core.tuner import traced_model
 from repro.evaluation.workloads import get_scale
 from repro.execution import ExecutionEngine
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
@@ -190,9 +194,14 @@ class TestHeterogeneousExecution:
         with pytest.raises(OOMError):
             engine.run(plan, MODEL, seq_len=SEQ_LEN)
 
-    def test_engine_caches_traced_models_per_gpu(self):
+    def test_engine_caches_traced_models_per_gpu(self, monkeypatch):
+        GLOBAL_MENU_MEMO.clear()
         engine = ExecutionEngine(mixed(), system="mist")
         result = make_tuner(mixed()).search(BATCH)
         engine.run(result.best_plan, MODEL, seq_len=SEQ_LEN)
-        gpus = {key[2].name for key in engine._traced_cache}
-        assert gpus == {"A100-40GB", "L4"}
+        # a second run finds every group's trace and kernel cached
+        monkeypatch.setattr(tuner_module, "trace", None)
+        monkeypatch.setattr(engine_module, "compile_expr", None)
+        engine.run(result.best_plan, MODEL, seq_len=SEQ_LEN)
+        for group in mixed().groups:
+            assert traced_model(MODEL, group.gpu).gpu == group.gpu

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.memo import GLOBAL_MENU_MEMO
 from repro.core.plan import StageConfig, TrainingPlan, uniform_plan
+from repro.core.tuner import traced_model
 from repro.execution import ExecutionEngine, OOMError, render_timeline
 from repro.hardware import make_cluster
 from repro.models import get_model
@@ -135,16 +137,19 @@ class TestTimeline:
 class TestTraceCache:
     def test_same_name_different_shape_is_not_a_cache_hit(self, cluster):
         """``get_model(..., **overrides)`` keeps the model's name, so the
-        per-engine trace cache must key on the whole config."""
+        process-wide trace cache must key on the whole config."""
         base = get_model("gpt3-1.3b")
         narrow = get_model("gpt3-1.3b",
-                         ffn_hidden_size=2 * base.hidden_size)
+                           ffn_hidden_size=2 * base.hidden_size)
         assert narrow.name == base.name and narrow != base
+        assert (traced_model(narrow, cluster.gpu)
+                is not traced_model(base, cluster.gpu))
         plan = uniform_plan(base, cluster, global_batch=8, gacc=4,
                             num_stages=2, dp=2, tp=1, ckpt_all=True)
         shared = ExecutionEngine(cluster, system="mist")
         shared.run(plan, base, seq_len=2048)
         reused = shared.run(plan, narrow, seq_len=2048)
+        GLOBAL_MENU_MEMO.clear()
         fresh = ExecutionEngine(cluster, system="mist").run(
             plan, narrow, seq_len=2048)
         assert reused.iteration_time == fresh.iteration_time
