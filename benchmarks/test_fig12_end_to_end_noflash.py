@@ -12,12 +12,8 @@ sharded DP).
 
 import pytest
 
-from repro.evaluation import (
-    compare_systems,
-    current_scale,
-    format_throughput_rows,
-    paper_workloads,
-)
+from repro.campaigns import CampaignSpec, run_campaign
+from repro.evaluation import current_scale, format_throughput_rows, scale_ref
 
 SYSTEMS = ("megatron", "deepspeed", "aceso", "mist")
 
@@ -32,22 +28,16 @@ def _sizes(gpu_name: str):
 
 
 def _sweep(gpu_name: str):
-    results = {}
-    comparisons = {}
-    for spec in paper_workloads(gpu_name, family="gpt3",
-                                sizes=_sizes(gpu_name), flash=False):
-        cmp = compare_systems(spec, systems=SYSTEMS)
-        results[spec.name] = {
-            system: outcome.throughput
-            for system, outcome in cmp.outcomes.items()
-        }
-        comparisons[spec.name] = cmp
-    return results, comparisons
+    campaign = run_campaign(CampaignSpec.paper_grid(
+        gpu=gpu_name, family="gpt3", sizes=_sizes(gpu_name), solvers=SYSTEMS,
+        scale=scale_ref(current_scale()), flash=False))
+    assert campaign.complete, campaign.describe()
+    return campaign.results(), campaign.speedups("megatron")
 
 
 @pytest.mark.parametrize("gpu_name", ["L4", "A100-40GB"])
 def test_fig12_end_to_end_noflash(gpu_name, report, benchmark):
-    results, comparisons = benchmark.pedantic(
+    results, speedups = benchmark.pedantic(
         lambda: _sweep(gpu_name), rounds=1, iterations=1
     )
     report(format_throughput_rows(
@@ -57,16 +47,15 @@ def test_fig12_end_to_end_noflash(gpu_name, report, benchmark):
 
     mist_vs_megatron = []
     mist_vs_aceso = []
-    for name, cmp in comparisons.items():
-        mist = cmp.outcomes["mist"].throughput
+    for name, row in results.items():
+        mist = row["mist"]
         assert mist > 0, f"{name}: Mist infeasible"
-        baselines = {s: cmp.outcomes[s].throughput
-                     for s in SYSTEMS if s != "mist"}
-        assert mist >= 0.93 * max(baselines.values()), name
-        if baselines["megatron"] > 0:
-            mist_vs_megatron.append(mist / baselines["megatron"])
-        if baselines["aceso"] > 0:
-            mist_vs_aceso.append(mist / baselines["aceso"])
+        assert mist >= 0.93 * max(row[s] for s in SYSTEMS if s != "mist"), \
+            name
+        if row["megatron"] > 0:
+            mist_vs_megatron.append(speedups[name]["mist"])
+        if row["aceso"] > 0:
+            mist_vs_aceso.append(mist / row["aceso"])
 
     assert mist_vs_megatron and mist_vs_aceso
     avg_m = sum(mist_vs_megatron) / len(mist_vs_megatron)

@@ -15,13 +15,14 @@ Shape target: monotonically non-decreasing speedups, with flexible CKPT
 and offloading contributing the bulk.
 """
 
-from repro.core import INCREMENTAL_SPACES
+from repro.api import TuningJob, solve
+from repro.core import INCREMENTAL_SPACES, SPACE_MIST
+from repro.core.spaces import space_ref
 from repro.evaluation import (
     WorkloadSpec,
     current_scale,
     format_series,
-    run_baseline,
-    run_mist,
+    scale_ref,
 )
 
 
@@ -36,17 +37,22 @@ def _workloads():
     return specs
 
 
+def _throughput(spec: WorkloadSpec, solver: str, space=SPACE_MIST) -> float:
+    """Measured samples/s of ``solver``'s plan (0.0 when none is found)."""
+    job = TuningJob.from_workload(spec, space=space_ref(space),
+                                  scale=scale_ref(current_scale()))
+    return solve(job, solver).throughput
+
+
 def _breakdown():
     space_names = []
     relative = {}
     for spec in _workloads():
-        megatron = run_baseline(spec, "megatron").throughput
+        megatron = _throughput(spec, "megatron")
         row = []
         for space in INCREMENTAL_SPACES:
-            imbalance = space.name == "+Imbalance-Aware Pipelining"
-            outcome = run_mist(spec, space=space,
-                               imbalance_aware=imbalance or None)
-            row.append(outcome.throughput / megatron if megatron else 0.0)
+            mist = _throughput(spec, "mist", space)
+            row.append(mist / megatron if megatron else 0.0)
         relative[spec.name] = row
         space_names = [space.name for space in INCREMENTAL_SPACES]
     return space_names, relative

@@ -11,12 +11,7 @@ grows and the full space holding its lead.
 """
 
 from repro.core import SPACE_3D, SPACE_MIST
-from repro.evaluation import (
-    WorkloadSpec,
-    current_scale,
-    format_series,
-    run_mist,
-)
+from repro.evaluation import WorkloadSpec, current_scale, format_series
 from repro.models import get_model
 
 

@@ -10,18 +10,22 @@ average — crucially NOT diminishing at large batch sizes, because
 mispredicted bottlenecks are multiplied by more microbatches.
 """
 
+from repro.api import TuningJob, solve
 from repro.core import SPACE_3D, SPACE_MIST
+from repro.core.spaces import space_ref
 from repro.evaluation import (
     WorkloadSpec,
     current_scale,
     format_series,
-    run_mist,
+    scale_ref,
 )
 
 SPACES = {
-    "3D Parallelism": ("space3d", None),
-    "Mist w/o Imbalance-Aware PP": ("mist", False),
-    "Mist": ("mist", True),
+    "3D Parallelism": SPACE_3D.with_(name="3d", ckpt_policy="full"),
+    # not SPACE_MIST_NO_IMBALANCE: a space's name is part of the job
+    # fingerprint, and this ablation keeps SPACE_MIST's
+    "Mist w/o Imbalance-Aware PP": SPACE_MIST.with_(imbalance_aware=False),
+    "Mist": SPACE_MIST,
 }
 
 
@@ -39,15 +43,10 @@ def _sweep():
     series = {name: [] for name in SPACES}
     for batch in batches:
         spec = WorkloadSpec(model_spec, "L4", num_gpus, batch, 2048)
-        for name, (kind, imbalance) in SPACES.items():
-            if kind == "space3d":
-                outcome = run_mist(
-                    spec, space=SPACE_3D.with_(name="3d", ckpt_policy="full")
-                )
-            else:
-                outcome = run_mist(spec, space=SPACE_MIST,
-                                   imbalance_aware=imbalance)
-            series[name].append(outcome.throughput)
+        for name, space in SPACES.items():
+            job = TuningJob.from_workload(spec, space=space_ref(space),
+                                          scale=scale_ref(current_scale()))
+            series[name].append(solve(job, "mist").throughput)
     return batches, series
 
 

@@ -13,12 +13,12 @@ memory-tight configuration.
 
 import pytest
 
+from repro.api import TuningJob, solve
 from repro.evaluation import (
     WorkloadSpec,
     current_scale,
     format_table,
-    run_baseline,
-    run_mist,
+    scale_ref,
 )
 
 
@@ -38,9 +38,9 @@ def _workloads():
 def _measure():
     rows = []
     for spec in _workloads():
-        uniform = run_baseline(spec, "uniform")
-        mist = run_mist(spec)
-        rows.append((spec.name, uniform.throughput, mist.throughput))
+        job = TuningJob.from_workload(spec, scale=scale_ref(current_scale()))
+        rows.append((spec.name, solve(job, "uniform").throughput,
+                     solve(job, "mist").throughput))
     return rows
 
 

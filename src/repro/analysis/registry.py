@@ -1,7 +1,6 @@
 """Rule registry: every invariant checker plugs in under a stable id.
 
-Mirrors :func:`repro.api.registry.register_solver` /
-:func:`repro.campaigns.executors.register_executor` — a rule family is
+Mirrors :func:`repro.api.registry.register_solver` — a rule family is
 a registry entry, not a hard-coded branch in the runner::
 
     @register_rule("my-invariant")

@@ -393,3 +393,19 @@ def solve(job: TuningJob, solver: str = "mist", *,
     if cache is not None:
         cache.store(report)
     return report
+
+
+def solve_in_worker(solver: str, job_dict: dict[str, Any],
+                    cache_dir: str | None
+                    ) -> tuple[int, dict[str, Any], bool]:
+    """Worker-process body: :func:`solve` one serialized job.
+
+    Module-level so process pools can pickle it by reference. The
+    worker opens the *same on-disk* :class:`PlanCache` directory as
+    its parent, so its stores are immediately visible there (atomic
+    tmp-file writes make this safe concurrently). Returns the worker's
+    pid, the report as a dict, and whether it came from the cache.
+    """
+    cache = PlanCache(cache_dir) if cache_dir is not None else None
+    report = solve(TuningJob.from_dict(job_dict), solver, cache=cache)
+    return os.getpid(), report.to_dict(), bool(report.from_cache)

@@ -18,21 +18,17 @@ scale) matrix once, run it anywhere, resume it after a crash::
 
 See :mod:`repro.campaigns.spec` (the matrix + exclude rules),
 :mod:`repro.campaigns.executors` (``inline`` / ``process-pool`` /
-``service`` behind ``@register_executor``),
+``service``, picked by name),
 :mod:`repro.campaigns.manifest` (resumable on-disk state + event
 stream), and :mod:`repro.campaigns.report` (speedup aggregation).
 """
 
 from .executors import (
-    Executor,
     ExecutorNotFoundError,
     InlineExecutor,
     ProcessPoolExecutor,
     ServiceExecutor,
-    executor_names,
-    executor_registry,
     get_executor,
-    register_executor,
 )
 from .manifest import (
     CampaignError,
@@ -51,17 +47,13 @@ __all__ = [
     "CampaignReport",
     "CampaignSpec",
     "CampaignValidationError",
-    "Executor",
     "ExecutorNotFoundError",
     "InlineExecutor",
     "ProcessPoolExecutor",
     "ServiceExecutor",
     "aggregate",
-    "executor_names",
-    "executor_registry",
     "finished_cell_record",
     "get_executor",
     "pending_cell_record",
-    "register_executor",
     "run_campaign",
 ]

@@ -1,10 +1,9 @@
-"""Pluggable campaign executors behind one protocol and registry.
+"""Campaign executors: where a campaign's cells solve.
 
 An *executor* consumes a list of pending :class:`CampaignCell`\\ s and
 reports each cell's outcome through an ``on_result`` callback — it
 decides *where* cells solve, never *what* they mean. Three backends
-ship, selected by name via a small registry mirroring
-``@register_solver``:
+ship, selected by name through :func:`get_executor`:
 
 * ``inline``       — solve every cell serially in this process;
 * ``process-pool`` — fan cells out to a bounded pool of worker
@@ -25,74 +24,45 @@ from __future__ import annotations
 
 import time
 from concurrent import futures as _futures
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional
 
-from repro.api import PlanCache, SolveReport, TuningJob, solve
+from repro.api import SolveReport, solve
+from repro.api.solvers import solve_in_worker
 
 from .spec import CampaignCell
 
 __all__ = [
-    "Executor",
     "ExecutorNotFoundError",
     "InlineExecutor",
     "ProcessPoolExecutor",
     "ServiceExecutor",
-    "executor_names",
-    "executor_registry",
     "get_executor",
-    "register_executor",
 ]
 
 #: callback signature: (cell, report or None, error message or None)
 OnResult = Callable[[CampaignCell, Optional[SolveReport], Optional[str]],
                     None]
 
-_REGISTRY: dict[str, type] = {}
-
 
 class ExecutorNotFoundError(KeyError):
-    """No executor registered under the requested name."""
+    """No executor ships under the requested name."""
 
     def __init__(self, name: str):
         super().__init__(
-            f"unknown executor {name!r}; registered: {executor_names()}"
+            f"unknown executor {name!r}; available: {sorted(_EXECUTORS)}"
         )
         self.name = name
 
 
-@runtime_checkable
-class Executor(Protocol):
-    """What a registered campaign executor must implement."""
-
-    def run(self, cells: list[CampaignCell], *,
-            cache: PlanCache | None = None,
-            on_result: OnResult,
-            should_stop: Callable[[], bool] | None = None,
-            label: str | None = None) -> None:  # pragma: no cover
-        ...
-
-
-def register_executor(name: str, *, overwrite: bool = False):
-    """Class decorator: expose an executor class under ``name``."""
-
-    def decorate(cls: type) -> type:
-        if not overwrite and name in _REGISTRY and _REGISTRY[name] is not cls:
-            raise ValueError(f"executor {name!r} already registered")
-        cls.executor_name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def get_executor(name: str, **options) -> Executor:
-    """Instantiate the executor registered under ``name``.
+def get_executor(name: str, **options
+                 ) -> "InlineExecutor | ProcessPoolExecutor | ServiceExecutor":
+    """Instantiate the executor named ``name``.
 
     ``options`` are passed to the constructor (e.g. ``workers=4`` for
     ``process-pool``, ``url=...`` for ``service``).
     """
     try:
-        cls = _REGISTRY[name]
+        cls = _EXECUTORS[name]
     except KeyError:
         raise ExecutorNotFoundError(name) from None
     try:
@@ -102,16 +72,6 @@ def get_executor(name: str, **options) -> Executor:
             f"invalid options for executor {name!r}: {exc}") from None
 
 
-def executor_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def executor_registry() -> dict[str, type]:
-    """A snapshot of the registry (name -> executor class)."""
-    return dict(_REGISTRY)
-
-
-@register_executor("inline")
 class InlineExecutor:
     """Solve every cell serially in this process (the default)."""
 
@@ -128,16 +88,6 @@ class InlineExecutor:
                 on_result(cell, report, None)
 
 
-def _solve_cell(solver: str, job_dict: dict,
-                cache_dir: str | None) -> tuple[dict, bool]:
-    """Worker-process body for the pool executor (must stay picklable)."""
-    job = TuningJob.from_dict(job_dict)
-    cache = PlanCache(cache_dir) if cache_dir else None
-    report = solve(job, solver, cache=cache)
-    return report.to_dict(), bool(report.from_cache)
-
-
-@register_executor("process-pool")
 class ProcessPoolExecutor:
     """Fan cells out to a bounded pool of worker processes.
 
@@ -162,8 +112,8 @@ class ProcessPoolExecutor:
             max_workers=min(self.workers, len(cells)))
         try:
             pending = {
-                pool.submit(_solve_cell, cell.solver, cell.job.to_dict(),
-                            cache_dir): cell
+                pool.submit(solve_in_worker, cell.solver,
+                            cell.job.to_dict(), cache_dir): cell
                 for cell in cells
             }
             for future in _futures.as_completed(pending):
@@ -171,7 +121,7 @@ class ProcessPoolExecutor:
                     break
                 cell = pending[future]
                 try:
-                    data, from_cache = future.result()
+                    _, data, from_cache = future.result()
                 except Exception as exc:  # noqa: BLE001 — per-cell
                     on_result(cell, None, f"{type(exc).__name__}: {exc}")
                 else:
@@ -184,7 +134,6 @@ class ProcessPoolExecutor:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-@register_executor("service")
 class ServiceExecutor:
     """Delegate cells to a live ``repro serve`` daemon.
 
@@ -288,3 +237,10 @@ class ServiceExecutor:
                 deadline = time.monotonic() + self.timeout
             elif pending:
                 time.sleep(self.poll_interval)
+
+
+_EXECUTORS: dict[str, type] = {
+    "inline": InlineExecutor,
+    "process-pool": ProcessPoolExecutor,
+    "service": ServiceExecutor,
+}

@@ -3,18 +3,16 @@
 :func:`aggregate` folds a campaign's per-cell records into a
 serializable :class:`CampaignReport`: run counters (solved / plan-cache
 hits / manifest hits / failures), a ``results`` matrix
-(``workload -> solver -> samples/s``), Figure 11/12-style normalized
-throughput tables, and — via :meth:`CampaignReport.comparisons` — real
-:class:`~repro.evaluation.runner.Comparison` objects for code that
-already speaks the single-workload evaluation shapes.
+(``workload -> solver -> samples/s``), per-workload ``speedups``
+against a reference solver, and Figure 11/12-style normalized
+throughput tables. It is the grid-level counterpart of the per-job
+:class:`~repro.api.SolveReport`.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.api.job import TuningJob
-from repro.core.plan import TrainingPlan
 from repro.evaluation.reporting import format_throughput_rows
 
 from .spec import CampaignSpec
@@ -82,39 +80,6 @@ class CampaignReport:
                 for solver, value in row.items()
             }
         return out
-
-    def comparisons(self) -> dict:
-        """Per-workload :class:`~repro.evaluation.runner.Comparison`.
-
-        Outcomes are rebuilt from the serialized records (plan +
-        measured metrics); live execution objects never survive
-        aggregation, exactly like reports fetched from a daemon.
-        """
-        from repro.evaluation.runner import Comparison, SystemOutcome
-
-        grouped: dict[str, dict] = {}
-        workloads: dict[str, object] = {}
-        for rec in self.cells:
-            name = rec["workload"]
-            if name not in workloads and rec.get("job"):
-                workloads[name] = TuningJob.from_dict(rec["job"]).workload
-            plan = (TrainingPlan.from_dict(rec["plan"])
-                    if rec.get("plan") else None)
-            grouped.setdefault(name, {})[rec["solver"]] = SystemOutcome(
-                system=rec["solver"],
-                plan=plan,
-                result=None,
-                tuning_time_seconds=float(
-                    rec.get("tuning_time_seconds", 0.0)),
-                extra={"source": rec.get("source"),
-                       "status": rec.get("status")},
-                measured=dict(rec.get("measured", {})),
-            )
-        return {
-            name: Comparison(workload=workloads.get(name),
-                             outcomes=outcomes)
-            for name, outcomes in grouped.items()
-        }
 
     def table(self, title: str | None = None) -> str:
         """Figure 11/12-style normalized-throughput table."""

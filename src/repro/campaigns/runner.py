@@ -1,9 +1,9 @@
 """Campaign orchestration: expand, short-circuit, execute, aggregate.
 
 :func:`run_campaign` is the one entry point every surface shares — the
-``repro campaign`` CLI, the reworked ``repro sweep``, and
-:func:`repro.evaluation.runner.compare_systems` are all thin wrappers
-over it. The flow:
+``repro campaign`` CLI, ``repro sweep``, and the Figure 11/12
+benchmarks all call it and read the returned
+:class:`~repro.campaigns.report.CampaignReport`. The flow:
 
 1. expand the :class:`CampaignSpec` matrix into fingerprinted cells;
 2. with ``resume=True``, serve every cell whose manifest record says

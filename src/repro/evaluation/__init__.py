@@ -1,15 +1,7 @@
-"""Evaluation harness: workloads, runner, reporting (paper Section 6)."""
+"""Evaluation harness: workloads, interference calibration, reporting (§6)."""
 
 from .reporting import format_series, format_table, format_throughput_rows
-from .runner import (
-    Comparison,
-    SystemOutcome,
-    calibrated_interference,
-    compare_systems,
-    run_baseline,
-    run_mist,
-    run_via_service,
-)
+from .runner import calibrated_interference
 from .workloads import (
     SCALES,
     TuningScale,
@@ -28,14 +20,11 @@ from .workloads import (
 
 
 __all__ = [
-    "Comparison",
     "SCALES",
-    "SystemOutcome",
     "TuningScale",
     "WorkloadSpec",
     "batch_for_size",
     "calibrated_interference",
-    "compare_systems",
     "current_scale",
     "default_seq_len",
     "format_series",
@@ -45,9 +34,6 @@ __all__ = [
     "gpu_count_for_size",
     "mixed_workload",
     "paper_workloads",
-    "run_baseline",
-    "run_mist",
-    "run_via_service",
     "scale_from_dict",
     "scale_ref",
     "scale_to_dict",

@@ -24,7 +24,9 @@ Chaos semantics: a worker process dying mid-search surfaces as
 retires the broken pool, respawns the slot lazily, and retries the
 search up to ``retries`` times before raising :class:`WorkerDiedError`
 — so one ``kill -9`` fails (or transparently retries) exactly the jobs
-routed to that worker and never wedges the queue.
+routed to that worker and never wedges the queue. An exception the
+solver itself raises inside a healthy worker (``OOMError``, a bad job,
+...) propagates unchanged: the worker is kept and nothing is retried.
 
 Cancellation in the process tier is dispatch-side: ``should_stop`` is
 polled while awaiting the worker future. A search already running in a
@@ -47,6 +49,7 @@ from concurrent.futures import TimeoutError as _FutureTimeoutError
 from typing import Any
 
 from repro.api import PlanCache, SolveReport, TuningJob, solve
+from repro.api.solvers import solve_in_worker
 from repro.core.tuner import SearchCancelled
 
 try:  # BrokenProcessPool moved around across 3.x; be explicit
@@ -69,21 +72,6 @@ StopFn = Callable[[], bool]
 
 class WorkerDiedError(RuntimeError):
     """A routed worker process died mid-search (retries exhausted)."""
-
-
-def _process_solve(solver: str, job_dict: dict[str, Any],
-                   cache_dir: str | None) -> tuple[int, dict[str, Any], bool]:
-    """Worker-process body: solve one job, return a picklable triple.
-
-    Mirrors the campaigns process-pool executor's cache-sharing
-    pattern: the worker opens the *same on-disk* :class:`PlanCache`
-    directory as the daemon, so its stores are immediately visible to
-    the front (atomic tmp-file writes make this safe concurrently).
-    """
-    job = TuningJob.from_dict(job_dict)
-    cache = PlanCache(cache_dir) if cache_dir is not None else None
-    report = solve(job, solver, cache=cache)
-    return os.getpid(), report.to_dict(), bool(report.from_cache)
 
 
 def _process_ping() -> int:
@@ -200,25 +188,30 @@ class ProcessWorkerTier:
             attempts += 1
             pool = self._pool_for(index)
             try:
-                future = pool.submit(_process_solve, solver,
+                # RuntimeError here: the pool broke (or was shut down)
+                # between route and submit
+                future = pool.submit(solve_in_worker, solver,
                                      job.to_dict(), cache_dir)
-                pid, data, from_cache = self._await(future, should_stop)
-            except (BrokenProcessPool, RuntimeError) as exc:
-                # BrokenProcessPool: the worker died mid-search.
-                # RuntimeError: the pool broke between route and submit.
-                if isinstance(exc, SearchCancelled):
-                    raise
-                self._retire(index, pool)
-                if attempts > self.retries:
-                    raise WorkerDiedError(
-                        f"solver worker {index} died mid-search "
-                        f"({attempts} attempt(s)): {exc}") from exc
-                continue
-            with self._lock:
-                self._pids[index] = pid
-            report = SolveReport.from_dict(data)
-            report.from_cache = from_cache
-            return report
+            except RuntimeError as exc:
+                died: Exception = exc
+            else:
+                try:
+                    pid, data, from_cache = self._await(future, should_stop)
+                except BrokenProcessPool as exc:
+                    # the worker died mid-search; anything else raised
+                    # here is the solver's own error and propagates
+                    died = exc
+                else:
+                    with self._lock:
+                        self._pids[index] = pid
+                    report = SolveReport.from_dict(data)
+                    report.from_cache = from_cache
+                    return report
+            self._retire(index, pool)
+            if attempts > self.retries:
+                raise WorkerDiedError(
+                    f"solver worker {index} died mid-search "
+                    f"({attempts} attempt(s)): {died}") from died
 
     def _await(self, future: Future[tuple[int, dict[str, Any], bool]],
                should_stop: StopFn | None) -> tuple[int, dict[str, Any], bool]:

@@ -130,5 +130,43 @@ class TestBaselineSolvers:
         assert report.solver == name
         assert report.found
         assert report.throughput > 0
+        assert report.extra["candidates_tried"] > 0
         assert SolveReport.from_json(report.to_json()).to_json() \
             == report.to_json()
+
+
+class TestSolveInWorker:
+    """The one worker-process body both process pools submit."""
+
+    def test_round_trips_through_the_shared_cache(self, tmp_path):
+        import os
+
+        from repro.api import PlanCache, TuningJob, register_solver
+        from repro.api.solvers import solve_in_worker
+
+        calls = []
+
+        @register_solver("worker-body-stub", overwrite=True)
+        class _Stub:  # noqa: F841 — registered for its side effect
+            def solve(self, job):
+                calls.append(job.fingerprint())
+                return SolveReport(solver="worker-body-stub", job=job,
+                                   measured={"throughput": 3.0,
+                                             "iteration_time": 0.1})
+
+        job = TuningJob(model="gpt3-1.3b", gpu="L4", num_gpus=2,
+                        global_batch=8, scale="smoke", interference="none")
+        pid, data, from_cache = solve_in_worker(
+            "worker-body-stub", job.to_dict(), str(tmp_path))
+        assert pid == os.getpid()
+        assert from_cache is False
+        report = SolveReport.from_dict(data)
+        assert report.job == job
+        assert report.throughput == 3.0
+        # the store landed in the directory the parent passed in
+        assert PlanCache(tmp_path).load(job, "worker-body-stub") is not None
+        _, again, from_cache = solve_in_worker(
+            "worker-body-stub", job.to_dict(), str(tmp_path))
+        assert from_cache is True
+        assert again == data
+        assert calls == [job.fingerprint()]

@@ -1,4 +1,4 @@
-"""Tests for the executor registry and the inline/service backends.
+"""Tests for executor lookup and the inline/service backends.
 
 (The process-pool backend crosses a real process boundary and is
 covered with real solvers in ``test_resume.py``.)
@@ -7,35 +7,41 @@ covered with real solvers in ``test_resume.py``.)
 import pytest
 
 from repro.api import PlanCache
-from repro.campaigns import (
-    ExecutorNotFoundError,
-    executor_names,
-    executor_registry,
-    get_executor,
-    register_executor,
-    run_campaign,
+from repro.campaigns import ExecutorNotFoundError, get_executor, run_campaign
+from repro.campaigns.executors import (
+    InlineExecutor,
+    ProcessPoolExecutor,
+    ServiceExecutor,
 )
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert {"inline", "process-pool", "service"} <= set(executor_names())
+class TestGetExecutor:
+    @pytest.mark.parametrize("name, cls, options", [
+        ("inline", InlineExecutor, {}),
+        ("process-pool", ProcessPoolExecutor, {}),
+        ("service", ServiceExecutor, {"url": "http://127.0.0.1:1"}),
+    ])
+    def test_builtin_executors(self, name, cls, options):
+        assert type(get_executor(name, **options)) is cls
 
     def test_unknown_executor(self):
         with pytest.raises(ExecutorNotFoundError):
             get_executor("quantum")
 
-    def test_duplicate_registration_rejected(self):
-        @register_executor("exec-dup-test", overwrite=True)
-        class One:
-            def run(self, cells, **kwargs):
-                pass
+    def test_unknown_executor_lists_the_builtins(self):
+        with pytest.raises(ExecutorNotFoundError) as err:
+            get_executor("quantum")
+        message = str(err.value)
+        assert "quantum" in message
+        for name in ("inline", "process-pool", "service"):
+            assert name in message
 
-        with pytest.raises(ValueError, match="already registered"):
-            @register_executor("exec-dup-test")
-            class Two:
-                def run(self, cells, **kwargs):
-                    pass
+    def test_registry_api_is_gone(self):
+        from repro.campaigns import executors
+
+        assert sorted(executors.__all__) == [
+            "ExecutorNotFoundError", "InlineExecutor",
+            "ProcessPoolExecutor", "ServiceExecutor", "get_executor"]
 
     def test_options_forwarded_and_validated(self):
         pool = get_executor("process-pool", workers=4)
@@ -46,10 +52,6 @@ class TestRegistry:
             get_executor("process-pool", workers=0)
         with pytest.raises(ValueError, match="url"):
             get_executor("service")
-
-    def test_registry_snapshot(self):
-        snap = executor_registry()
-        assert snap["inline"].executor_name == "inline"
 
 
 class TestInlineExecutor:
@@ -129,6 +131,8 @@ class TestServiceExecutor:
         )
         assert report.counters["done"] == 4
         assert report.counters["solved"] == 4
+        # measurements cross the wire: same throughputs as inline
+        assert report.results() == run_campaign(stub_spec).results()
         # the daemon tracked the batch as one campaign
         from repro.service import Client
 

@@ -32,22 +32,38 @@ class TestAggregation:
         with pytest.raises(ValueError, match="available"):
             report.speedups(reference="megatron")
 
+    def test_missing_reference_names_it_and_the_solvers(self, stub_spec,
+                                                        stub_a, stub_b):
+        report = run_campaign(stub_spec)
+        with pytest.raises(ValueError) as err:
+            report.speedups(reference="deepspeed")
+        message = str(err.value)
+        assert "deepspeed" in message
+        assert "camp-a" in message and "camp-b" in message
+
+    def test_one_row_per_workload(self, stub_spec, stub_a, stub_b):
+        report = run_campaign(stub_spec)
+        workloads = {cell.workload for cell in stub_spec.expand()}
+        assert len(workloads) == 2
+        assert set(report.results()) == workloads
+        assert set(report.speedups()) == workloads
+        for row in report.results().values():
+            assert set(row) == {"camp-a", "camp-b"}
+
+    def test_failed_reference_gives_infinite_speedup(self, stub_spec,
+                                                     stub_a, stub_b):
+        bad = stub_spec.expand()[0]
+        stub_a.fail_on.add(bad.job.fingerprint())
+        row = run_campaign(stub_spec).speedups()[bad.workload]
+        assert row["camp-a"] == 0.0
+        assert row["camp-b"] == float("inf")
+
     def test_json_round_trip(self, stub_spec, stub_a, stub_b):
         report = run_campaign(stub_spec)
         loaded = CampaignReport.from_json(report.to_json())
         assert loaded.to_json() == report.to_json()
         assert loaded.counters == report.counters
         assert loaded.spec == stub_spec
-
-    def test_comparisons_round_trip_to_runner_shapes(self, stub_spec,
-                                                     stub_a, stub_b):
-        report = run_campaign(stub_spec)
-        comparisons = report.comparisons()
-        assert len(comparisons) == 2      # one per workload
-        for name, comparison in comparisons.items():
-            assert comparison.workload.name == name
-            assert comparison.speedup("camp-b", reference="camp-a") \
-                == pytest.approx(1.5)
 
     def test_failures_render_as_zero(self, stub_spec, stub_a, stub_b):
         bad = stub_spec.expand()[0]

@@ -1,16 +1,13 @@
-"""Tests for workload specs, the runner, and report formatting."""
+"""Tests for workload specs and report formatting."""
 
 import pytest
 
 from repro.evaluation import (
-    SCALES,
     WorkloadSpec,
     format_series,
     format_table,
     format_throughput_rows,
     paper_workloads,
-    run_baseline,
-    run_mist,
 )
 from repro.evaluation.workloads import gpu_count_for_size
 
@@ -76,107 +73,116 @@ class TestMixedWorkloads:
         assert spec.cluster_dict is None
 
 
-class TestRunner:
+class TestSolveFromWorkload:
+    """§6 measures one system on one workload through ``repro.api.solve``."""
+
     SPEC = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
 
-    def test_run_mist_outcome(self):
-        outcome = run_mist(self.SPEC, scale=SCALES["smoke"])
-        assert outcome.found
-        assert outcome.throughput > 0
-        assert outcome.plan is not None
-        assert "configurations_evaluated" in outcome.extra
+    def _job(self):
+        from repro.api import TuningJob
 
-    def test_run_baseline_outcome(self):
-        outcome = run_baseline(self.SPEC, "megatron")
-        assert outcome.found
-        assert outcome.extra["candidates_tried"] > 0
+        return TuningJob.from_workload(self.SPEC, scale="smoke")
 
-    def test_unknown_baseline_rejected(self):
-        with pytest.raises(KeyError):
-            run_baseline(self.SPEC, "alpa")
+    def test_mist_report(self):
+        from repro.api import solve
+
+        report = solve(self._job(), "mist")
+        assert report.found
+        assert report.throughput > 0
+        assert report.plan is not None
+        assert report.configurations_evaluated > 0
+
+    def test_baseline_report(self):
+        from repro.api import solve
+
+        report = solve(self._job(), "megatron")
+        assert report.found
+        assert report.extra["candidates_tried"] > 0
+
+    def test_unknown_solver_rejected(self):
+        from repro.api import SolverNotFoundError, solve
+
+        with pytest.raises(SolverNotFoundError, match="alpa"):
+            solve(self._job(), "alpa")
+
+    def test_space_name_is_part_of_the_fingerprint(self):
+        # Fig. 15 rebuilds its ablation space with ``with_`` rather than
+        # using the named preset: same knobs, different name, different
+        # cache identity
+        from repro.api import TuningJob
+        from repro.core import SPACE_MIST, SPACE_MIST_NO_IMBALANCE
+        from repro.core.spaces import space_ref
+        from repro.evaluation import SCALES, scale_ref
+
+        def fingerprint(space):
+            return TuningJob.from_workload(
+                self.SPEC, space=space_ref(space),
+                scale=scale_ref(SCALES["smoke"])).fingerprint()
+
+        rebuilt = SPACE_MIST.with_(imbalance_aware=False)
+        assert rebuilt.imbalance_aware \
+            == SPACE_MIST_NO_IMBALANCE.imbalance_aware
+        assert fingerprint(rebuilt) != fingerprint(SPACE_MIST_NO_IMBALANCE)
+        assert fingerprint(rebuilt) \
+            == fingerprint(SPACE_MIST.with_(imbalance_aware=False))
+
+
+class TestRunner:
+    def test_runner_keeps_only_calibration(self):
+        from repro.evaluation import runner
+
+        assert runner.__all__ == ["calibrated_interference"]
+
+    def test_evaluation_imports_no_upper_layer(self):
+        # repro.api imports repro.evaluation; the reverse edge would be
+        # an import cycle
+        import ast
+        from pathlib import Path
+
+        import repro.evaluation as evaluation
+
+        upper = ("repro.api", "repro.campaigns", "repro.service")
+        for path in Path(evaluation.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert not name.startswith(upper), (path.name, name)
+
+    def test_calibration_calls_the_module_global_fit(self, monkeypatch):
+        # the bench's ``costmodel.calibrate`` span wraps this name
+        from repro.evaluation import runner
+
+        calls = []
+        real_fit = runner.fit_interference_model
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("pcie_only"))
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "fit_interference_model", spy)
+        runner.calibrated_interference.cache_clear()
+        try:
+            model = runner.calibrated_interference(True)
+        finally:
+            runner.calibrated_interference.cache_clear()
+        assert calls == [True]
+        assert model is not None
 
     def test_names_removed_in_2_0_are_gone(self):
         import repro.evaluation as evaluation
+        from repro.api import SolverNotFoundError, get_solver
         from repro.evaluation import runner
 
-        with pytest.raises(KeyError, match="uniform"):
-            run_baseline(self.SPEC, "uniform-heuristic")
+        with pytest.raises(SolverNotFoundError, match="uniform"):
+            get_solver("uniform-heuristic")
         for module in (evaluation, runner):
             assert not hasattr(module, "BASELINE_TUNERS")
-
-
-class TestComparison:
-    def _comparison(self):
-        from repro.evaluation.runner import Comparison, SystemOutcome
-
-        def outcome(name, throughput):
-            return SystemOutcome(system=name, plan=None, result=None,
-                                 tuning_time_seconds=0.0,
-                                 measured={"throughput": throughput})
-
-        spec = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
-        return Comparison(workload=spec, outcomes={
-            "megatron": outcome("megatron", 2.0),
-            "mist": outcome("mist", 3.0),
-        })
-
-    def test_speedup(self):
-        assert self._comparison().speedup("mist") == pytest.approx(1.5)
-
-    def test_missing_reference_is_a_clear_valueerror(self):
-        with pytest.raises(ValueError) as err:
-            self._comparison().speedup("mist", reference="deepspeed")
-        message = str(err.value)
-        assert "deepspeed" in message
-        assert "megatron" in message and "mist" in message
-
-    def test_missing_system_is_a_clear_valueerror(self):
-        with pytest.raises(ValueError, match="available"):
-            self._comparison().speedup("alpa")
-
-
-class TestCompareSystemsViaCampaign:
-    def test_inline_comparison_over_stub_solvers(self):
-        from repro.api import SolveReport, register_solver
-        from repro.evaluation import SCALES
-        from repro.evaluation.runner import compare_systems
-
-        @register_solver("eval-a", overwrite=True)
-        class EvalA:
-            def solve(self, job):
-                return SolveReport(solver="eval-a", job=job,
-                                   measured={"throughput": 2.0,
-                                             "iteration_time": 0.1})
-
-        @register_solver("eval-b", overwrite=True)
-        class EvalB:
-            def solve(self, job):
-                return SolveReport(solver="eval-b", job=job,
-                                   measured={"throughput": 5.0,
-                                             "iteration_time": 0.1})
-
-        spec = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
-        comparison = compare_systems(spec, systems=("eval-a", "eval-b"),
-                                     scale=SCALES["smoke"])
-        assert comparison.workload is spec
-        assert comparison.outcomes["eval-a"].throughput == 2.0
-        assert comparison.speedup("eval-b", reference="eval-a") \
-            == pytest.approx(2.5)
-
-    def test_failed_system_raises_with_detail(self):
-        from repro.api import register_solver
-        from repro.evaluation import SCALES
-        from repro.evaluation.runner import compare_systems
-
-        @register_solver("eval-boom", overwrite=True)
-        class EvalBoom:
-            def solve(self, job):
-                raise RuntimeError("boom")
-
-        spec = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
-        with pytest.raises(RuntimeError, match="boom"):
-            compare_systems(spec, systems=("eval-boom",),
-                            scale=SCALES["smoke"])
 
 
 class TestReporting:

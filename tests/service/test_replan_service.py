@@ -7,10 +7,12 @@ solver at smoke scale to prove the warm path end to end.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
+from repro.api import MistSolver
 from repro.hardware import ClusterDelta
 from repro.service.client import ServiceError
 
@@ -101,13 +103,27 @@ class TestReplanEndpoint:
             client.replan(job, DELTA, solver="no-such-solver")
         assert exc.value.status == 404
 
-    def test_budget_expiry_surfaces_cached_incumbent(self, client, job):
+    def test_budget_expiry_surfaces_cached_incumbent(self, client, job,
+                                                     monkeypatch):
         # a real mist solve caches a plan; the zero-budget replan then
-        # expires immediately (the warm search takes seconds) and the
-        # 202 carries that plan as the one to keep running
+        # expires while its warm search is held at the gate, and the
+        # 202 carries that plan as the one to keep running. The gate
+        # makes the expiry deterministic: a warm process-wide menu memo
+        # can otherwise finish the search before the budget check.
+        gate = threading.Event()
+        warm_replan = MistSolver.replan
+
+        def gated_replan(self, *args, **kwargs):
+            gate.wait(timeout=300)
+            return warm_replan(self, *args, **kwargs)
+
+        monkeypatch.setattr(MistSolver, "replan", gated_replan)
         client.solve(job, solver="mist", timeout=300)
-        record = client.replan(job, DELTA, solver="mist",
-                               budget_seconds=0)
+        try:
+            record = client.replan(job, DELTA, solver="mist",
+                                   budget_seconds=0)
+        finally:
+            gate.set()
         assert record["budget_expired"] is True
         assert record["incumbent_plan"] is not None
         final = client.wait(record["id"], timeout=300)
@@ -117,7 +133,6 @@ class TestReplanEndpoint:
     def test_budget_waits_for_fast_finish(self, client, job, slow):
         # a generous budget returns 200 once the flight finishes: the
         # release happens from a timer shorter than the budget
-        import threading
         threading.Timer(0.2, slow.release.set).start()
         start = time.perf_counter()
         record = client.replan(job, DELTA, solver="svc-slow",

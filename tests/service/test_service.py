@@ -183,27 +183,28 @@ class TestErrorHandling:
             json.loads(response.read().decode())
 
 
-class TestRunnerIntegration:
-    def test_run_via_service(self, client, stub):
-        from repro.evaluation import WorkloadSpec
-        from repro.evaluation.runner import run_via_service
+class TestMeasurementsOverTheWire:
+    def test_client_solve_ships_measurements_not_runtime_objects(
+            self, client, job, stub):
+        report = client.solve(job, solver="svc-stub", timeout=10)
+        assert report.result is None           # runtime objects never ship
+        assert report.throughput == 7.5        # ...but measurements do
+        assert report.measured["iteration_time"] == 0.2
 
-        spec = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
-        outcome = run_via_service(spec, "svc-stub",
-                                  client.base_url, timeout=10)
-        assert outcome.found
-        assert outcome.result is None          # runtime objects never ship
-        assert outcome.throughput == 7.5       # ...but measurements do
-        assert outcome.extra["service_url"] == client.base_url
+    def test_campaign_against_live_server(self, client, job, stub):
+        from repro.campaigns import CampaignSpec, run_campaign
 
-    def test_compare_systems_against_live_server(self, client, stub):
-        from repro.evaluation import WorkloadSpec
-        from repro.evaluation.runner import compare_systems
-
-        spec = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
-        comparison = compare_systems(spec, systems=("svc-stub",),
-                                     service_url=client.base_url)
-        assert comparison.outcomes["svc-stub"].throughput == 7.5
+        spec = CampaignSpec(
+            name="svc-grid", solvers=("svc-stub",),
+            models=(job.model,),
+            clusters=({"gpu": job.gpu, "num_gpus": job.num_gpus},),
+            scales=("smoke",), global_batches=(job.global_batch,),
+            interference="none")
+        report = run_campaign(spec, executor="service",
+                              executor_options={"url": client.base_url})
+        assert report.complete
+        assert [row["svc-stub"] for row in report.results().values()] \
+            == [7.5]
 
 
 class TestInProcessApi:

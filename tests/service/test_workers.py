@@ -1,4 +1,4 @@
-"""Worker tiers: routing, differential plan identity, coalescing.
+"""Worker tiers: routing, plan identity, coalescing, solver errors.
 
 The differential tests are the PR's core guarantee: a plan produced by
 a routed worker *process* is bit-identical (by
@@ -15,12 +15,13 @@ import threading
 
 import pytest
 
-from repro.api import PlanCache, TuningJob, solve
+from repro.api import PlanCache, TuningJob, register_solver, solve
 from repro.benchmarking import plan_hash
 from repro.service import running_service
 from repro.service.workers import (
     ProcessWorkerTier,
     ThreadWorkerTier,
+    WorkerDiedError,
     make_tier,
 )
 
@@ -169,3 +170,24 @@ class TestCoalescingUnderProcesses:
         joined = sum(1 for final in finals if final["coalesced"])
         hits = metrics["cache"]["hits"]
         assert joined + hits == 3, (joined, hits, metrics)
+
+
+class TestSolverErrorsInWorkers:
+    def test_solver_error_propagates_without_restart(self):
+        @register_solver("worker-bug", overwrite=True)
+        class _Bug:  # noqa: F841 — registered for its side effect
+            def solve(self, job):
+                raise RuntimeError("solver bug")
+
+        # fork: the worker inherits the registration above
+        tier = ProcessWorkerTier(1, retries=1, start_method="fork")
+        try:
+            [pid] = tier.warm(timeout=60)
+            with pytest.raises(RuntimeError, match="solver bug") as err:
+                tier.run(SMOKE_JOB, "worker-bug")
+            # the solver's own error, not a misreported worker death
+            assert not isinstance(err.value, WorkerDiedError)
+            assert tier.stats()["restarts"] == 0
+            assert tier.worker_pids() == [pid]
+        finally:
+            tier.shutdown()
