@@ -26,11 +26,15 @@ an ephemeral port with a throwaway plan-cache directory, then:
 
 Exit code 0 on success. Runs in ~10s.
 
-Usage: python scripts/service_smoke.py  (from the repo root)
+Usage: python scripts/service_smoke.py [--worker-mode thread|process]
+(from the repo root). ``--worker-mode process`` runs every solve on a
+routed worker process while ``/replan`` still searches on a daemon
+thread, so both paths must share the one plan cache.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import sys
 import tempfile
@@ -56,13 +60,21 @@ VARIANT_JOB = dataclasses.replace(JOB, parallelism=2,
 CAMPAIGN_JOB = dataclasses.replace(JOB, global_batch=8)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--worker-mode", choices=("thread", "process"),
+                        default="thread")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as cache_dir:
-        with spawn_daemon(workers=1, cache_dir=cache_dir) as daemon:
+        with spawn_daemon(workers=1, worker_mode=args.worker_mode,
+                          cache_dir=cache_dir) as daemon:
             client = Client(daemon.url, timeout=30)
 
-            assert client.health()["status"] == "ok"
-            print(f"daemon healthy at {daemon.url}")
+            health = client.health()
+            assert health["status"] == "ok"
+            assert health["worker_mode"] == args.worker_mode, health
+            print(f"daemon healthy at {daemon.url} "
+                  f"({args.worker_mode} workers)")
 
             start = time.perf_counter()
             first = client.solve(JOB, solver="mist", timeout=300)
@@ -151,7 +163,7 @@ def main() -> int:
             assert metrics["replan"]["within_budget"] == 1, metrics
             print("replan: warm-started from the incumbent, "
                   "answered within budget")
-    print("service smoke: OK")
+    print(f"service smoke ({args.worker_mode} workers): OK")
     return 0
 
 

@@ -83,8 +83,9 @@ class CheckConfig:
     solver_roots: tuple[str, ...] = (
         "MistTuner.search",
         "TuningService.submit",
+        "TuningService.submit_replan",
+        "TuningService.submit_campaign",
         "TuningService._run_search",
-        "TuningService._run_flight",
         "run_campaign",
     )
 

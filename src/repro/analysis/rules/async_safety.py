@@ -13,8 +13,10 @@ flags *direct calls* in ``async def`` bodies to:
 * sync sockets & subprocesses: ``socket.*``, ``subprocess.*``,
   ``urllib.request.urlopen``, ``requests.*``;
 * a solver search: ``solve(...)`` or any ``*.solve(...)``;
-* service state entry points that take locks and touch disk:
-  ``self.submit``, ``self.submit_campaign``, ``self.cache.*``.
+* the daemon's entry points, which take the service lock (and the
+  submissions read the plan cache under it): ``self.submit``,
+  ``self.submit_replan``, ``self.submit_campaign``, ``self.get_job``,
+  ``self.get_campaign``, ``self.cancel_job``; and ``self.cache.*``.
 
 Passing a blocking callable *to* the executor
 (``loop.run_in_executor(None, self.submit, job)``) is the sanctioned
@@ -46,11 +48,10 @@ _BLOCKING_EXACT = {
     "subprocess.check_output": "use asyncio.create_subprocess_exec(...)",
     "subprocess.Popen": "use asyncio.create_subprocess_exec(...)",
     "urllib.request.urlopen": "route through a worker thread",
-    "self.submit": "submit takes the service lock and reads the plan "
-                   "cache: await loop.run_in_executor(None, self.submit, "
-                   "...)",
-    "self.submit_campaign": "await loop.run_in_executor(None, "
-                            "self.submit_campaign, ...)",
+    **{f"self.{name}": f"{name} takes the service lock: await "
+                       f"loop.run_in_executor(None, self.{name}, ...)"
+       for name in ("submit", "submit_replan", "submit_campaign",
+                    "get_job", "get_campaign", "cancel_job")},
 }
 
 _BLOCKING_PREFIXES = {

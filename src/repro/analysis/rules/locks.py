@@ -11,6 +11,11 @@ the owning lock". This rule enforces it structurally, in two shapes:
   mutable container attributes (``self._jobs = {}``): every method
   access to those containers must sit inside ``with self.<lock>:``.
   ``__init__`` / ``__post_init__`` are construction-time and exempt.
+  A method named ``*_locked`` runs under its caller's lock: its body
+  counts as guarded, and instead every reference to it
+  (``self.x_locked``) must itself sit inside ``with self.<lock>:`` or
+  another ``*_locked`` method — the naming convention is checked, not
+  trusted.
 * **module-scoped** — a module that declares a module-level
   ``threading.Lock()``: every function-body use of a module-level
   mutable container must sit inside ``with <that lock>:``.
@@ -168,6 +173,11 @@ def _check_class(module: ModuleSource,
         return []
     findings: list[Finding] = []
     flag_names = {name: f"self.{name}" for name in mutables}
+    for item in node.body:
+        if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name.endswith("_locked")):
+            flag_names[item.name] = (f"self.{item.name} (runs under the "
+                                     f"caller's lock)")
     lock_names = {f"self.{name}" for name in locks}
     for item in node.body:
         if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -177,6 +187,8 @@ def _check_class(module: ModuleSource,
         visitor = _GuardVisitor(
             module, f"{node.name}.{item.name}", lock_names, flag_names,
             self_attrs=True)
+        if item.name.endswith("_locked"):
+            visitor.depth = 1  # held by the caller; references are checked
         for stmt in item.body:
             visitor.visit(stmt)
         findings.extend(visitor.findings)

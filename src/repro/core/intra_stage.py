@@ -256,7 +256,6 @@ class IntraStageTuner:
         applies the exact constraint the post-evaluation check applies,
         just earlier.
         """
-        self._gacc = shape.gacc
         menus: dict[int, list[tuple[float, float, float, StageConfig]]] = {
             l: [] for l in layer_counts
         }
@@ -321,14 +320,14 @@ class IntraStageTuner:
                 )
 
         return {
-            l: self._pareto(entries)
+            l: self._pareto(entries, shape.gacc)
             for l, entries in menus.items()
         }
 
     # -- frontier extraction -------------------------------------------------------
 
     def _pareto(self, entries: list[tuple[float, float, float, StageConfig]],
-                ) -> list[ParetoPoint]:
+                gacc: int) -> list[ParetoPoint]:
         """Non-dominated (t, d) points, downsampled by the alpha-sweep.
 
         Extraction keeps every non-dominated point; when the frontier
@@ -348,7 +347,6 @@ class IntraStageTuner:
                 frontier.append(ParetoPoint(t=t, d=d, peak_mem=mem, config=cfg))
                 best_d = d
         if len(frontier) > self.max_pareto_points:
-            gacc = getattr(self, "_gacc", 1)
             t_arr = np.array([p.t for p in frontier])
             d_arr = np.array([p.d for p in frontier])
             keep: set[int] = {0, len(frontier) - 1}  # min-t and min-d ends

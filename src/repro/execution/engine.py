@@ -32,7 +32,12 @@ from repro.tracing import ALL_SYMBOLS, TracedModel
 from repro.tracing.symbols import hardware_env
 
 from .events import ContentionSpec
-from .memory_tracker import OOMError, StageMemoryReport, track_stage_memory
+from .memory_tracker import (
+    OOMError,
+    StageMemoryReport,
+    quantize_ratio,
+    track_stage_memory,
+)
 from .pipeline import PipelineResult, simulate_pipeline
 from .schedule import SCHEDULES, OverlapCapability, PhaseComponents, \
     phase_wall_time
@@ -76,12 +81,6 @@ class IterationResult:
                 f"({report.utilization * 100:.0f}% of device)"
             )
         return "\n".join(lines)
-
-
-def _quantize(ratio: float, layers: int) -> float:
-    if layers <= 0:
-        return ratio
-    return round(ratio * layers) / layers
 
 
 class ExecutionEngine:
@@ -245,10 +244,10 @@ class ExecutionEngine:
             "l": stage.layers, "ckpt": stage.ckpt,
             "z1": z1, "z2": z2, "z3": z3,
             # execution quantizes offload ratios to whole layers
-            "wo": _quantize(stage.wo, stage.layers),
-            "go": _quantize(stage.go, stage.layers),
-            "oo": _quantize(stage.oo, stage.layers),
-            "ao": _quantize(stage.ao, stage.layers),
+            "wo": quantize_ratio(stage.wo, stage.layers),
+            "go": quantize_ratio(stage.go, stage.layers),
+            "oo": quantize_ratio(stage.oo, stage.layers),
+            "ao": quantize_ratio(stage.ao, stage.layers),
             "gacc": plan.gacc, "inflight": plan.inflight(idx),
             "has_pre": int(idx == 0),
             "has_post": int(idx == plan.num_stages - 1),

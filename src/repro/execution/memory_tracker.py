@@ -26,7 +26,7 @@ from repro.tracing.memory import ALLOCATOR_SLACK, FRAMEWORK_OVERHEAD_BYTES
 from ..core.plan import StageConfig
 
 __all__ = ["OOMError", "StageMemoryReport", "track_stage_memory",
-           "ALLOCATOR_SLACK"]
+           "quantize_ratio", "ALLOCATOR_SLACK"]
 
 FP16_BYTES = 2
 GRAD_BYTES = 2
@@ -68,7 +68,7 @@ class StageMemoryReport:
         return self.peak / self.capacity
 
 
-def _quantize_ratio(ratio: float, layers: int) -> float:
+def quantize_ratio(ratio: float, layers: int) -> float:
     """Round an offload ratio to whole layers (ratio of ``layers``)."""
     if layers <= 0:
         return ratio
@@ -99,10 +99,10 @@ def track_stage_memory(graph: ModelGraph, gpu: GPUSpec, stage: StageConfig,
 
     z1, z2, z3 = stage.zero_flags
     dp = stage.dp
-    wo = _quantize_ratio(stage.wo, stage.layers)
-    go = _quantize_ratio(stage.go, stage.layers)
-    oo = _quantize_ratio(stage.oo, stage.layers)
-    ao = _quantize_ratio(stage.ao, stage.layers)
+    wo = quantize_ratio(stage.wo, stage.layers)
+    go = quantize_ratio(stage.go, stage.layers)
+    oo = quantize_ratio(stage.oo, stage.layers)
+    ao = quantize_ratio(stage.ao, stage.layers)
 
     p16 = FP16_BYTES * param_elems
     g16 = GRAD_BYTES * param_elems

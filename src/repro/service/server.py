@@ -6,12 +6,14 @@ supervisors*, and a pluggable worker tier (``repro.service.workers``):
 
 * the loop accepts connections and parses/serializes JSON; nothing on
   it ever runs a solver;
-* submissions are keyed by ``(solver, TuningJob.fingerprint())``;
-  a cache hit completes immediately, an identical in-flight key
-  coalesces onto the running search, anything else must pass
-  *admission control* (bounded pending queue + per-client quotas; a
-  rejection is ``429 Too Many Requests`` with a ``Retry-After`` hint)
-  before a supervisor thread hands it to the worker tier;
+* submissions — ``POST /jobs``, ``/replan`` and every ``/campaigns``
+  cell — pass through one locked step keyed by
+  ``(solver, TuningJob.fingerprint())``: a cache hit completes
+  immediately, an identical in-flight key coalesces onto the running
+  search, anything else must pass *admission control* (bounded
+  pending queue + per-client quotas; a rejection is ``429 Too Many
+  Requests`` with a ``Retry-After`` hint) before a supervisor thread
+  hands it to the worker tier;
 * ``worker_mode="thread"`` runs the search on the supervisor thread
   itself via :func:`repro.api.solve` (full ``progress`` /
   ``should_stop`` hook fidelity); ``worker_mode="process"`` routes it
@@ -37,29 +39,27 @@ import traceback
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Literal
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
-from repro.api import (
-    PlanCache,
-    SolveReport,
-    SolverNotFoundError,
-    TuningJob,
-    solve,
-)
+from repro.api import PlanCache, SolveReport, SolverNotFoundError, TuningJob
 from repro.api.registry import solver_names
 from repro.api.replan import delta_job
 from repro.api.replan import replan as api_replan
 from repro.core.plan import TrainingPlan
 from repro.core.tuner import SearchCancelled
-from repro.hardware import ClusterDelta, DeltaError
+from repro.hardware import ClusterDelta
 
 from .state import CampaignRecord, InFlight, JobRecord, ServiceMetrics
-from .workers import ProgressFn, SolveFn, StopFn, make_tier
+from .workers import SolveFn, make_tier
 
-#: one flight's search body: ``runner(progress, should_stop) -> report``
-_Runner = Callable[[ProgressFn, StopFn], SolveReport]
+#: one flight's search body:
+#: ``runner(progress=..., should_stop=...) -> report``
+_Runner = Callable[..., SolveReport]
+#: how a submission entered: answered from the plan cache, attached to
+#: an identical in-flight search, or started a new one
+_Outcome = Literal["hit", "coalesced", "started"]
 
 __all__ = ["AdmissionError", "ServiceHandle", "TuningService",
            "UnknownCampaignError", "UnknownJobError"]
@@ -115,6 +115,31 @@ class _HttpError(Exception):
         self.extra: dict[str, Any] = extra or {}
 
 
+def _parse_job_body(payload: Any, *, cell: int | None = None,
+                   ) -> tuple[TuningJob, str]:
+    """``(job, solver)`` from a ``{"job": {...}, "solver": ...}`` object.
+
+    The one parser for the ``POST /jobs`` and ``POST /replan`` bodies
+    and for every ``POST /campaigns`` cell (``cell`` is its index, for
+    the error message). ``solver`` defaults to ``"mist"``; a malformed
+    body raises ``ValueError``.
+    """
+    where = "body" if cell is None else f"cell {cell}"
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be an object")
+    job_dict = payload.get("job")
+    if not isinstance(job_dict, dict):
+        raise ValueError(f'{where} must carry {{"job": {{...}}}}')
+    try:
+        job = TuningJob.from_dict(job_dict)
+    except (KeyError, TypeError, ValueError) as exc:
+        # everything a malformed job dict can raise out of from_dict
+        # (JobValidationError is a ValueError)
+        prefix = "" if cell is None else f"{where}: "
+        raise ValueError(f"{prefix}invalid job: {exc}") from None
+    return job, payload.get("solver", "mist")
+
+
 @dataclass
 class ServiceHandle:
     """A started service: where it listens and how to stop it."""
@@ -164,7 +189,6 @@ class TuningService:
         self.quota = quota
         self.cache = cache if cache is not None else PlanCache()
         self.metrics = ServiceMetrics()
-        self._solve: SolveFn = solve_fn if solve_fn is not None else solve
         self._tier = make_tier(worker_mode, workers, solve_fn=solve_fn,
                                retries=worker_retries)
         self._jobs: dict[str, JobRecord] = {}
@@ -186,56 +210,18 @@ class TuningService:
     # -- job lifecycle (thread-safe, usable without HTTP) ------------------
 
     def submit(self, job: TuningJob, solver: str = "mist", *,
-               client: str = "", preadmitted: bool = False) -> JobRecord:
+               client: str = "") -> JobRecord:
         """Register a job: cache hit, coalesce, or start a search.
 
         ``client`` is the submitter's id (the HTTP front passes the
         ``X-Repro-Client`` header) and feeds the per-client quota
         ledger. Raises :class:`AdmissionError` when the pending queue
         is full (new searches only — cache hits and coalescing add no
-        load) or the client is over quota. ``preadmitted=True`` skips
-        those checks: :meth:`submit_campaign` admits its whole batch
-        up front instead of failing halfway through.
+        load) or the client is over quota.
         """
-        if solver not in solver_names():
-            raise SolverNotFoundError(solver)
-        fingerprint = job.fingerprint()
-        record = JobRecord(job=job, solver=solver, fingerprint=fingerprint,
-                           client=client)
-        key = (solver, fingerprint)
+        record = self._record(job, solver, client)
         with self._lock:
-            # the cache read must happen under the same lock as the
-            # in-flight check. The worker's own store is NOT locked —
-            # the invariant is ordering: solve() stores the report
-            # strictly before _finish_flight detaches the flight under
-            # this lock, so a racing submission sees either the flight
-            # (coalesce) or the already-stored entry (hit), never
-            # neither. Keep that store-before-detach order.
-            hit = self.cache.load(job, solver)
-            if hit is not None:
-                self.metrics.inc("jobs_submitted")
-                self._jobs[record.id] = record
-                record.complete(hit, from_cache=True)
-                self.metrics.inc("cache_hits")
-                self.metrics.inc("jobs_completed")
-                return record
-            flight = self._inflight.get(key)
-            if not preadmitted:
-                self._admit_locked(client, new_flight=flight is None)
-            self.metrics.inc("jobs_submitted")
-            self.metrics.inc("cache_misses")
-            self._jobs[record.id] = record
-            # the record holds one quota slot until it goes terminal
-            record.counted = True
-            self._clients[client] = self._clients.get(client, 0) + 1
-            if flight is not None:
-                flight.attach(record)
-                record.coalesced = True
-                self.metrics.inc("coalesced")
-                return record
-            flight = InFlight(key, record)
-            self._inflight[key] = flight
-            self._pool.submit(self._run_flight, flight, job, solver)
+            self._enter_locked(record)
         return record
 
     def submit_replan(self, job: TuningJob,
@@ -246,111 +232,148 @@ class TuningService:
 
         Returns ``(record, incumbent_plan)``. The record tracks the
         *post-delta* job (its fingerprint is the plan-cache key for the
-        re-tuned plan), so a repeated replan is a cache hit and an
-        identical concurrent one coalesces — and both share admission
-        control with ordinary submissions. The incumbent plan is looked
-        up in the cache under the pre-delta job; ``None`` means the
-        search runs cold (still correct, just slower).
+        re-tuned plan) and enters through the same step as
+        :meth:`submit`, so a repeated replan is a cache hit, an
+        identical concurrent one (or a plain submit of the post-delta
+        job) coalesces, and admission control applies unchanged. The
+        incumbent plan is looked up in the cache under the pre-delta
+        job; ``None`` means a started search runs cold (still correct,
+        just slower).
 
-        Replan flights run on the supervisor thread itself via
+        Replan searches run on the supervisor thread itself via
         :func:`repro.api.replan` — the process tier's IPC cannot carry
         an incumbent plan — so ``worker_mode="process"`` daemons replan
         on a thread while ordinary solves keep their worker processes.
         """
-        if solver not in solver_names():
-            raise SolverNotFoundError(solver)
         if isinstance(delta, dict):
             delta = ClusterDelta.from_dict(delta)
-        new_job = delta_job(job, delta)
-        fingerprint = new_job.fingerprint()
-        record = JobRecord(job=new_job, solver=solver,
-                           fingerprint=fingerprint, client=client)
-        key = (solver, fingerprint)
+        record = self._record(delta_job(job, delta), solver, client)
         self.metrics.inc("replan_requests")
+        incumbent = self.cache.load(job, solver)
+        plan = incumbent.plan if incumbent is not None else None
         with self._lock:
-            # same ordering contract as submit(): cache read and
-            # in-flight check under one lock (see submit's comment)
-            hit = self.cache.load(new_job, solver)
-            if hit is not None:
-                self.metrics.inc("jobs_submitted")
-                self._jobs[record.id] = record
-                record.complete(hit, from_cache=True)
-                self.metrics.inc("cache_hits")
-                self.metrics.inc("replan_cache_hits")
-                self.metrics.inc("jobs_completed")
-                return record, None
-            flight = self._inflight.get(key)
-            self._admit_locked(client, new_flight=flight is None)
-            self.metrics.inc("jobs_submitted")
-            self.metrics.inc("cache_misses")
-            self._jobs[record.id] = record
-            record.counted = True
-            self._clients[client] = self._clients.get(client, 0) + 1
-            incumbent = self.cache.load(job, solver)
-            plan = incumbent.plan if incumbent is not None else None
-            if flight is not None:
-                # someone is already solving this exact post-delta job
-                # (a racing replan or a plain submit); ride that search
-                flight.attach(record)
-                record.coalesced = True
-                self.metrics.inc("coalesced")
-                return record, plan
+            outcome = self._enter_locked(record, functools.partial(
+                api_replan, job, delta, solver, cache=self.cache,
+                incumbent=plan))
+        if outcome == "hit":
+            self.metrics.inc("replan_cache_hits")
+        elif outcome == "started":
             self.metrics.inc("replan_warm" if plan is not None
                              else "replan_cold_fallback")
-            flight = InFlight(key, record)
-            self._inflight[key] = flight
-            self._pool.submit(self._run_replan_flight, flight, job, delta,
-                              solver, plan)
         return record, plan
 
-    def _admit_locked(self, client: str, *, new_flight: bool) -> None:
-        """Admission checks; the caller holds ``self._lock``.
+    def submit_campaign(self, cells: list[dict[str, Any]],
+                        name: str = "campaign", *,
+                        client: str = "") -> CampaignRecord:
+        """Register a batch of ``{"job": ..., "solver": ...}`` cells.
 
-        Coalescing submissions (``new_flight=False``) bypass the
-        queue-depth bound — they attach to a search that is already
-        paid for — but still consume client quota.
+        Every cell is validated *before* any is submitted, so a bad
+        cell rejects the whole campaign instead of leaving a partial
+        batch behind. The batch is then admitted as one unit (worst
+        case: every cell starts its own search) and every cell enters
+        the ordinary submission step under that same lock hold, so no
+        concurrent submission can slip in between admission and entry.
+        """
+        if not isinstance(cells, list) or not cells:
+            raise ValueError("campaign needs a non-empty cell list")
+        records = [self._record(*_parse_job_body(cell, cell=index), client)
+                   for index, cell in enumerate(cells)]
+        campaign = CampaignRecord(name=str(name), records=records)
+        with self._lock:
+            self._admit_locked(client, jobs=len(records),
+                               searches=len(records),
+                               what=f"campaign of {len(records)} cell(s)")
+            for record in records:
+                self._enter_locked(record, admit=False)
+            self._campaigns[campaign.id] = campaign
+        self.metrics.inc("campaigns_submitted")
+        self.metrics.inc("campaign_cells", len(records))
+        return campaign
+
+    @staticmethod
+    def _record(job: TuningJob, solver: str, client: str) -> JobRecord:
+        """A fresh, not yet entered record for ``job``."""
+        if solver not in solver_names():
+            raise SolverNotFoundError(solver)
+        return JobRecord(job=job, solver=solver,
+                         fingerprint=job.fingerprint(), client=client)
+
+    def _enter_locked(self, record: JobRecord, runner: _Runner | None = None,
+                      *, admit: bool = True) -> _Outcome:
+        """The one submission step; the caller holds ``self._lock``.
+
+        Completes ``record`` from the plan cache (``"hit"``), attaches
+        it to an identical in-flight search (``"coalesced"``), or
+        starts ``runner`` — by default a plain solve on the worker tier
+        — as a new search (``"started"``). A miss must pass admission
+        first unless the caller already admitted it (``admit=False``)
+        under this same lock hold; from then on it holds one client
+        quota slot until it goes terminal.
+        """
+        # the cache read must happen under the same lock as the
+        # in-flight check. The worker's own store is NOT locked — the
+        # invariant is ordering: a search stores its report strictly
+        # before _finish_flight detaches the flight under this lock, so
+        # a racing submission sees either the flight (coalesce) or the
+        # already-stored entry (hit), never neither. Keep that
+        # store-before-detach order.
+        hit = self.cache.load(record.job, record.solver)
+        key = (record.solver, record.fingerprint)
+        flight = self._inflight.get(key)
+        if hit is None and admit:
+            self._admit_locked(record.client, jobs=1,
+                               searches=int(flight is None))
+        self.metrics.inc("jobs_submitted")
+        self._jobs[record.id] = record
+        if hit is not None:
+            record.complete(hit, from_cache=True)
+            self.metrics.inc("cache_hits")
+            self.metrics.inc("jobs_completed")
+            return "hit"
+        self.metrics.inc("cache_misses")
+        record.counted = True
+        self._clients[record.client] = self._clients.get(record.client,
+                                                         0) + 1
+        if flight is not None:
+            flight.attach(record)
+            record.coalesced = True
+            self.metrics.inc("coalesced")
+            return "coalesced"
+        if runner is None:
+            runner = functools.partial(self._tier.run, record.job,
+                                       record.solver, cache=self.cache)
+        flight = self._inflight[key] = InFlight(key, record)
+        self._pool.submit(self._run_search, flight, runner)
+        return "started"
+
+    def _admit_locked(self, client: str, *, jobs: int, searches: int,
+                      what: str = "job") -> None:
+        """Admit ``jobs`` new records that start up to ``searches`` new
+        searches, or raise :class:`AdmissionError`; the caller holds
+        ``self._lock``.
+
+        A lone submission asks for one search only when it would start
+        one — coalescing rides a search that is already paid for, but
+        still takes a quota slot. A campaign asks for its worst case
+        (every cell a fresh search), so it fits entirely or is rejected
+        as one unit.
         """
         if self.quota > 0:
-            held = self._clients.get(client, 0)  # repro: allow[lock-discipline] caller holds self._lock
-            if held >= self.quota:
+            held = self._clients.get(client, 0)
+            if held + jobs > self.quota:
                 self.metrics.inc("rejected_quota")
                 raise AdmissionError(
-                    f"client {client or 'anonymous'!r} already holds "
-                    f"{held} unresolved job(s) (quota {self.quota})",
+                    f"{what} would put client {client or 'anonymous'!r} "
+                    f"over quota ({held} unresolved job(s) held, quota "
+                    f"{self.quota})",
                     reason="quota", retry_after=self._retry_after_locked())
-        if new_flight and self.max_pending > 0:
-            depth = len(self._inflight)  # repro: allow[lock-discipline] caller holds self._lock
-            if depth >= self.max_pending:
+        if searches and self.max_pending > 0:
+            depth = len(self._inflight)
+            if depth + searches > self.max_pending:
                 self.metrics.inc("rejected_queue")
                 raise AdmissionError(
-                    f"pending queue is full ({depth}/{self.max_pending} "
-                    f"searches in flight)",
-                    reason="queue", retry_after=self._retry_after_locked())
-
-    def _admit_batch_locked(self, cells: int, client: str) -> None:
-        """Worst-case batch admission; the caller holds ``self._lock``.
-
-        Assumes every cell misses the cache and starts its own search
-        — a conservative bound (hits and coalesces consume less), so a
-        campaign either fits entirely or is rejected as one unit
-        before any cell is submitted.
-        """
-        if self.quota > 0:
-            held = self._clients.get(client, 0)  # repro: allow[lock-discipline] caller holds self._lock
-            if held + cells > self.quota:
-                self.metrics.inc("rejected_quota")
-                raise AdmissionError(
-                    f"campaign of {cells} cell(s) would put client "
-                    f"{client or 'anonymous'!r} over quota "
-                    f"({held} held, quota {self.quota})",
-                    reason="quota", retry_after=self._retry_after_locked())
-        if self.max_pending > 0:
-            depth = len(self._inflight)  # repro: allow[lock-discipline] caller holds self._lock
-            if depth + cells > self.max_pending:
-                self.metrics.inc("rejected_queue")
-                raise AdmissionError(
-                    f"campaign of {cells} cell(s) would overflow the "
-                    f"pending queue ({depth}/{self.max_pending} in flight)",
+                    f"pending queue is full: {what} needs {searches} new "
+                    f"search(es), {depth}/{self.max_pending} in flight",
                     reason="queue", retry_after=self._retry_after_locked())
 
     def _retry_after_locked(self) -> int:
@@ -359,7 +382,7 @@ class TuningService:
         Average solve wall-time times queue depth over worker count,
         clamped to [1, 60]; 1 before the first solve finishes.
         """
-        depth = len(self._inflight)  # repro: allow[lock-discipline] caller holds self._lock
+        depth = len(self._inflight)
         estimate = (self.metrics.avg_solve_seconds() * max(1, depth)
                     / max(1, self.workers))
         return int(max(1, min(60, math.ceil(estimate))))
@@ -380,52 +403,6 @@ class TuningService:
                 self._clients.pop(record.client, None)
             else:
                 self._clients[record.client] = held - 1
-
-    def submit_campaign(self, cells: list[dict[str, Any]],
-                        name: str = "campaign", *,
-                        client: str = "") -> CampaignRecord:
-        """Register a batch of ``{"job": ..., "solver": ...}`` cells.
-
-        Every cell is validated *before* any is submitted, so a bad
-        cell rejects the whole campaign instead of leaving a partial
-        batch behind. Each accepted cell then rides the ordinary
-        :meth:`submit` path — plan-cache hits complete immediately,
-        identical concurrent cells coalesce onto one search, the rest
-        queue on the bounded worker pool.
-        """
-        if not isinstance(cells, list) or not cells:
-            raise ValueError("campaign needs a non-empty cell list")
-        parsed: list[tuple[TuningJob, str]] = []
-        for index, cell in enumerate(cells):
-            if not isinstance(cell, dict):
-                raise ValueError(f"cell {index} must be an object")
-            solver = cell.get("solver", "mist")
-            if solver not in solver_names():
-                raise SolverNotFoundError(solver)
-            job_dict = cell.get("job")
-            if not isinstance(job_dict, dict):
-                raise ValueError(f'cell {index} must carry {{"job": ...}}')
-            try:
-                job = TuningJob.from_dict(job_dict)
-            except (KeyError, TypeError, ValueError) as exc:
-                # everything a malformed job dict can raise out of
-                # from_dict (JobValidationError is a ValueError)
-                raise ValueError(f"cell {index}: invalid job: {exc}") \
-                    from None
-            parsed.append((job, solver))
-        # admit the whole batch up front (worst case: every cell is a
-        # fresh search), then submit cells with checks already passed —
-        # a campaign never dies halfway through on a 429
-        with self._lock:
-            self._admit_batch_locked(len(parsed), client)
-        records = [self.submit(job, solver, client=client, preadmitted=True)
-                   for job, solver in parsed]
-        campaign = CampaignRecord(name=str(name), records=records)
-        with self._lock:
-            self._campaigns[campaign.id] = campaign
-        self.metrics.inc("campaigns_submitted")
-        self.metrics.inc("campaign_cells", len(records))
-        return campaign
 
     def get_campaign(self, campaign_id: str) -> CampaignRecord:
         with self._lock:
@@ -452,27 +429,9 @@ class TuningService:
         """Routed worker-process pids (empty list in thread mode)."""
         return self._tier.worker_pids()
 
-    def _run_flight(self, flight: InFlight, job: TuningJob,
-                    solver: str) -> None:
-        """Worker-thread body: one search feeding 1..n coalesced records."""
-        self._run_search(
-            flight,
-            lambda progress, should_stop: self._tier.run(
-                job, solver, cache=self.cache,
-                progress=progress, should_stop=should_stop))
-
-    def _run_replan_flight(self, flight: InFlight, base_job: TuningJob,
-                           delta: ClusterDelta, solver: str,
-                           plan: TrainingPlan | None) -> None:
-        """Supervisor-thread body of one warm-started replan search."""
-        self._run_search(
-            flight,
-            lambda progress, should_stop: api_replan(
-                base_job, delta, solver, cache=self.cache, incumbent=plan,
-                progress=progress, should_stop=should_stop))
-
     def _run_search(self, flight: InFlight, runner: _Runner) -> None:
-        """Run one search (``runner(progress, should_stop)``) for a flight."""
+        """Supervisor-thread body: one search feeding 1..n coalesced
+        records (``runner(progress=..., should_stop=...)``)."""
         flight.mark_running()
 
         def progress(done: int, total: int) -> None:
@@ -485,7 +444,7 @@ class TuningService:
 
         start = time.perf_counter()
         try:
-            report = runner(progress, should_stop)
+            report = runner(progress=progress, should_stop=should_stop)
         except SearchCancelled:
             self.metrics.inc("solver_invocations")
             self._finish_flight(flight)
@@ -630,6 +589,26 @@ class TuningService:
 
     async def _dispatch(self, method: str, path: str, headers: dict[str, str],
                         body: bytes) -> tuple[int, dict[str, Any]]:
+        """Route one request; the service's typed errors map to HTTP
+        statuses here, once for every route."""
+        try:
+            return await self._route(method, path, headers, body)
+        except (SolverNotFoundError, UnknownJobError,
+                UnknownCampaignError) as exc:
+            raise _HttpError(404, exc.args[0]) from None
+        except AdmissionError as exc:
+            raise _HttpError(
+                429, str(exc), headers={"Retry-After": str(exc.retry_after)},
+                extra={"retry_after": exc.retry_after,
+                       "reason": exc.reason}) from None
+        except ValueError as exc:
+            # malformed input: a bad body or cell, a job that fails
+            # validation (JobValidationError), a delta that does not
+            # fit the cluster (DeltaError)
+            raise _HttpError(400, str(exc)) from None
+
+    async def _route(self, method: str, path: str, headers: dict[str, str],
+                     body: bytes) -> tuple[int, dict[str, Any]]:
         split = urlsplit(path)
         segments = [s for s in split.path.split("/") if s]
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
@@ -648,75 +627,37 @@ class TuningService:
                 "cache_dir": str(self.cache.root),
             }
         if segments == ["metrics"] and method == "GET":
-            # self._lock may be held by a submit() doing cache I/O, so
+            # self._lock may be held by a submission doing cache I/O, so
             # even short lock acquisitions stay off the event loop
             return 200, await loop.run_in_executor(None, self._metrics_body)
         if segments == ["jobs"]:
             if method == "POST":
-                payload = self._parse_json(body)
-                job_dict = payload.get("job")
-                if not isinstance(job_dict, dict):
-                    raise _HttpError(400, 'body must carry {"job": {...}}')
-                solver = payload.get("solver", "mist")
-                try:
-                    job = TuningJob.from_dict(job_dict)
-                except (KeyError, TypeError, ValueError) as exc:
-                    # everything a malformed job dict can raise out of
-                    # from_dict (JobValidationError is a ValueError)
-                    raise _HttpError(400, f"invalid job: {exc}") from None
-                try:
-                    # submit touches the cache (disk): keep it off the loop
-                    record = await loop.run_in_executor(
-                        None, functools.partial(self.submit, job, solver,
-                                                client=client))
-                except SolverNotFoundError as exc:
-                    raise _HttpError(404, exc.args[0]) from None
-                except AdmissionError as exc:
-                    raise _HttpError(
-                        429, str(exc),
-                        headers={"Retry-After": str(exc.retry_after)},
-                        extra={"retry_after": exc.retry_after,
-                               "reason": exc.reason}) from None
+                job, solver = _parse_job_body(self._parse_json(body))
+                # submit touches the cache (disk): keep it off the loop
+                record = await loop.run_in_executor(
+                    None, functools.partial(self.submit, job, solver,
+                                            client=client))
                 return 202, record.to_dict()
             if method == "GET":
                 return 200, await loop.run_in_executor(
                     None, self._jobs_body)
             raise _HttpError(405, f"{method} not allowed on /jobs")
         if len(segments) == 2 and segments[0] == "jobs" and method == "GET":
-            try:
-                record = await loop.run_in_executor(
-                    None, self.get_job, segments[1])
-                return 200, record.to_dict()
-            except UnknownJobError as exc:
-                raise _HttpError(404, exc.args[0]) from None
+            record = await loop.run_in_executor(
+                None, self.get_job, segments[1])
+            return 200, record.to_dict()
         if (len(segments) == 3 and segments[0] == "jobs"
                 and segments[2] == "cancel" and method == "POST"):
-            try:
-                record = await loop.run_in_executor(
-                    None, self.cancel_job, segments[1])
-                return 200, record.to_dict()
-            except UnknownJobError as exc:
-                raise _HttpError(404, exc.args[0]) from None
+            record = await loop.run_in_executor(
+                None, self.cancel_job, segments[1])
+            return 200, record.to_dict()
         if segments == ["campaigns"]:
             if method == "POST":
                 payload = self._parse_json(body)
-                cells = payload.get("cells")
-                name = payload.get("name", "campaign")
-                try:
-                    # validates + submits; cache reads stay off the loop
-                    campaign = await loop.run_in_executor(
-                        None, functools.partial(self.submit_campaign,
-                                                cells, name, client=client))
-                except SolverNotFoundError as exc:
-                    raise _HttpError(404, exc.args[0]) from None
-                except AdmissionError as exc:
-                    raise _HttpError(
-                        429, str(exc),
-                        headers={"Retry-After": str(exc.retry_after)},
-                        extra={"retry_after": exc.retry_after,
-                               "reason": exc.reason}) from None
-                except ValueError as exc:
-                    raise _HttpError(400, str(exc)) from None
+                campaign = await loop.run_in_executor(
+                    None, functools.partial(
+                        self.submit_campaign, payload.get("cells"),
+                        payload.get("name", "campaign"), client=client))
                 return 202, campaign.to_dict()
             if method == "GET":
                 return 200, await loop.run_in_executor(
@@ -724,50 +665,33 @@ class TuningService:
             raise _HttpError(405, f"{method} not allowed on /campaigns")
         if (len(segments) == 2 and segments[0] == "campaigns"
                 and method == "GET"):
-            try:
-                campaign = await loop.run_in_executor(
-                    None, self.get_campaign, segments[1])
-                return 200, campaign.to_dict()
-            except UnknownCampaignError as exc:
-                raise _HttpError(404, exc.args[0]) from None
+            campaign = await loop.run_in_executor(
+                None, self.get_campaign, segments[1])
+            return 200, campaign.to_dict()
         if segments == ["replan"] and method == "POST":
             payload = self._parse_json(body)
-            job_dict = payload.get("job")
-            if not isinstance(job_dict, dict):
-                raise _HttpError(400, 'body must carry {"job": {...}}')
+            job, solver = _parse_job_body(payload)
             delta_dict = payload.get("delta")
             if not isinstance(delta_dict, dict):
                 raise _HttpError(400, 'body must carry {"delta": {...}}')
-            solver = payload.get("solver", "mist")
-            try:
-                budget = float(payload.get("budget_seconds", 0.0))
-            except (TypeError, ValueError):
-                raise _HttpError(400, "budget_seconds must be a number") \
-                    from None
-            try:
-                job = TuningJob.from_dict(job_dict)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _HttpError(400, f"invalid job: {exc}") from None
             try:
                 delta = ClusterDelta.from_dict(delta_dict)
             except (KeyError, TypeError, ValueError) as exc:
                 raise _HttpError(400, f"invalid delta: {exc}") from None
             try:
-                record, plan = await loop.run_in_executor(
-                    None, functools.partial(self.submit_replan, job, delta,
-                                            solver, client=client))
-            except SolverNotFoundError as exc:
-                raise _HttpError(404, exc.args[0]) from None
-            except AdmissionError as exc:
-                raise _HttpError(
-                    429, str(exc),
-                    headers={"Retry-After": str(exc.retry_after)},
-                    extra={"retry_after": exc.retry_after,
-                           "reason": exc.reason}) from None
-            except (DeltaError, ValueError) as exc:
-                # a delta that doesn't fit the cluster, or a post-delta
-                # job that fails validation (JobValidationError)
-                raise _HttpError(400, str(exc)) from None
+                budget = float(payload.get("budget_seconds", 0.0))
+            except (TypeError, ValueError, OverflowError):
+                raise _HttpError(400, "budget_seconds must be a number") \
+                    from None
+            # json.loads takes NaN and Infinity: a NaN budget would skip
+            # the wait and echo back as invalid JSON, an infinite one
+            # would hold an executor thread until the search ends
+            if not 0.0 <= budget < math.inf:
+                raise _HttpError(400,
+                                 "budget_seconds must be finite and >= 0")
+            record, plan = await loop.run_in_executor(
+                None, functools.partial(self.submit_replan, job, delta,
+                                        solver, client=client))
             if not record.finished and budget > 0:
                 # latency budget: block off the loop until the search
                 # lands or the budget runs out, whichever comes first

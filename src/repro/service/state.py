@@ -189,10 +189,11 @@ class CampaignRecord:
     """One ``POST /campaigns`` batch: a named list of cell job records.
 
     The record only *groups* — each cell is an ordinary
-    :class:`JobRecord` that went through :meth:`TuningService.submit`,
-    so cache hits, coalescing, and cancellation all behave exactly as
-    for individually submitted jobs. The cell list is fixed at
-    creation; per-cell state lives on the records themselves.
+    :class:`JobRecord` that entered through the same submission step as
+    :meth:`TuningService.submit`, so cache hits, coalescing, and
+    cancellation all behave exactly as for individually submitted jobs.
+    The cell list is fixed at creation; per-cell state lives on the
+    records themselves.
     """
 
     name: str

@@ -18,8 +18,9 @@ ZeRO < 2 (last microbatch).
 Downstream consumers combine components differently:
 
 * the **analyzer** (Mist's predictor) feeds the four hardware channels
-  ``(comp, tp+dp+p2p, d2h, h2d)`` to the interference model — fully
-  overlap-aware (Eq. 5/6);
+  ``(comp+tp, dp+p2p, d2h, h2d)`` per phase to the interference model —
+  TP all-reduces serialize with the kernels that wait on them, so they
+  ride the compute channel — fully overlap-aware (Eq. 5/6);
 * the **execution engine** combines components according to the
   executing system's overlap capabilities (Mist overlaps everything;
   Megatron-style systems only overlap the gradient sync), which is what
@@ -99,45 +100,6 @@ class StageRuntimeExprs:
     h2d_first: Expr
     # last-microbatch extra (gradient sync for ZeRO < 2)
     dp_last: Expr
-
-    # -- channel views (what the interference model consumes) ---------------
-
-    @property
-    def comp_stable(self) -> Expr:
-        return self.comp_fwd + self.comp_bwd
-
-    @property
-    def nccl_stable(self) -> Expr:
-        return (self.tp_fwd + self.tp_bwd + self.dp_fwd + self.dp_bwd
-                + self.p2p_fwd + self.p2p_bwd)
-
-    @property
-    def d2h_stable(self) -> Expr:
-        return self.d2h_fwd + self.d2h_bwd
-
-    @property
-    def h2d_stable(self) -> Expr:
-        return self.h2d_fwd + self.h2d_bwd
-
-    @property
-    def comp_first_extra(self) -> Expr:
-        return self.comp_first
-
-    @property
-    def nccl_first_extra(self) -> Expr:
-        return self.dp_first
-
-    @property
-    def d2h_first_extra(self) -> Expr:
-        return self.d2h_first
-
-    @property
-    def h2d_first_extra(self) -> Expr:
-        return self.h2d_first
-
-    @property
-    def nccl_last_extra(self) -> Expr:
-        return self.dp_last
 
 
 def _sum_fwd(db: OperatorDatabase, layer: LayerGraph) -> Expr:

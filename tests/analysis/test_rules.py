@@ -105,6 +105,18 @@ def test_async_safety_fires_on_blocking_calls():
     assert any("self.cache.load" in m for m in messages)
 
 
+def test_async_safety_flags_every_daemon_entry_point():
+    entry_points = ("submit", "submit_replan", "submit_campaign",
+                    "get_job", "get_campaign", "cancel_job")
+    source = "class Handler:\n    async def handle(self, job):\n" + "".join(
+        f"        self.{name}(job)\n" for name in entry_points)
+    findings = run_on({"pkg/svc/h.py": source}, "async-safety")
+    assert [f.message for f in findings] == [
+        f"blocking call self.{name}() inside 'async def handle'"
+        for name in entry_points]
+    assert "run_in_executor(None, self.submit_replan" in findings[1].hint
+
+
 def test_async_safety_silent_on_executor_pattern():
     assert run_on({"pkg/svc/h.py": ASYNC_CLEAN}, "async-safety") == ()
 
@@ -156,6 +168,49 @@ def test_lock_discipline_fires_on_unlocked_access():
 
 def test_lock_discipline_silent_when_guarded():
     assert run_on({"pkg/reg.py": LOCK_CLEAN}, "lock-discipline") == ()
+
+
+LOCKED_HELPER = """\
+import threading
+
+class Registry:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._items = {}
+
+    def put(self, key, value):
+        with self._lock:
+            self._put_locked(key, value)
+
+    def _put_locked(self, key, value):
+        self._items[key] = value
+        return self._size_locked()
+
+    def _size_locked(self):
+        return len(self._items)
+"""
+
+
+def test_lock_discipline_locked_helpers_run_under_callers_lock():
+    # a *_locked body is guarded because every reference to it is
+    assert run_on({"pkg/reg.py": LOCKED_HELPER}, "lock-discipline") == ()
+
+
+def test_lock_discipline_flags_locked_helper_used_unlocked():
+    source = LOCKED_HELPER + """
+    def racy_put(self, key, value):
+        return self._put_locked(key, value)
+
+    def deferred(self, pool):
+        # handing the helper to another thread drops the lock too
+        pool.submit(self._size_locked)
+"""
+    findings = run_on({"pkg/reg.py": source}, "lock-discipline")
+    assert [(f.line, f.message) for f in findings] == [
+        (20, "self._put_locked (runs under the caller's lock) accessed "
+             "outside 'with <lock>' in Registry.racy_put"),
+        (24, "self._size_locked (runs under the caller's lock) accessed "
+             "outside 'with <lock>' in Registry.deferred")]
 
 
 def test_lock_discipline_module_level_state():

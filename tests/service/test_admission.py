@@ -9,11 +9,13 @@ client, which folds them into :class:`ServiceError`.
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
 from repro.api import PlanCache
-from repro.service import AdmissionError, Client, running_service
+from repro.service import AdmissionError, Client, TuningService, \
+    running_service
 from repro.service.state import percentiles
 
 
@@ -137,6 +139,89 @@ class TestClientQuota:
             second = alice.submit(_distinct(job, 2), solver="svc-slow")
             slow.release.set()
             alice.wait(second["id"], timeout=10)
+
+
+class _ReleaseHookLock:
+    """A lock that runs a hook once, right after the arming thread's
+    next release — the earliest moment another submission can get in."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._armed: tuple[int, object] | None = None
+
+    def arm(self, hook):
+        self._armed = (threading.get_ident(), hook)
+
+    def __enter__(self):
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        armed = self._armed
+        if armed is not None and armed[0] == threading.get_ident():
+            self._armed = None
+            armed[1]()
+
+
+class _RacingService(TuningService):
+    """Submits ``rival`` the first time a campaign lets go of the lock.
+
+    If the campaign's admission and its cell entry were two separate
+    lock holds, the rival would land between them: admitted against a
+    queue and a quota ledger that do not yet count the campaign.
+    """
+
+    def __init__(self, rival, **kwargs):
+        super().__init__(**kwargs)
+        self._lock = _ReleaseHookLock()
+        self.rival = rival
+        self.rival_error: AdmissionError | None = None
+
+    def submit_campaign(self, cells, name="campaign", *, client=""):
+        self._lock.arm(lambda: self._submit_rival(client))
+        return super().submit_campaign(cells, name, client=client)
+
+    def _submit_rival(self, client):
+        try:
+            self.submit(self.rival, "svc-slow", client=client)
+        except AdmissionError as exc:
+            self.rival_error = exc
+
+
+class TestCampaignAdmissionIsAtomic:
+    def _race(self, job, tmp_path, **bounds):
+        service = _RacingService(_distinct(job, "rival"), workers=2,
+                                 cache=PlanCache(tmp_path / "plans"),
+                                 **bounds)
+        handle = service.run_in_thread()
+        cells = [{"solver": "svc-slow",
+                  "job": _distinct(job, tag).to_dict()} for tag in (1, 2)]
+        return service, handle, cells
+
+    def test_rival_cannot_overflow_the_queue(self, job, slow, tmp_path):
+        service, handle, cells = self._race(job, tmp_path, max_pending=2)
+        try:
+            service.submit_campaign(cells, name="fills-queue")
+            depth = service._metrics_body()["admission"]["queue_depth"]
+            assert depth <= 2
+            assert service.rival_error is not None
+            assert service.rival_error.reason == "queue"
+        finally:
+            slow.release.set()
+            handle.stop()
+
+    def test_rival_cannot_overdraw_the_quota(self, job, slow, tmp_path):
+        service, handle, cells = self._race(job, tmp_path, quota=2)
+        try:
+            service.submit_campaign(cells, name="fills-quota",
+                                    client="alice")
+            assert service._clients["alice"] <= 2
+            assert service.rival_error is not None
+            assert service.rival_error.reason == "quota"
+        finally:
+            slow.release.set()
+            handle.stop()
 
 
 class TestAdmissionApi:

@@ -7,13 +7,19 @@ solver at smoke scale to prove the warm path end to end.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
-from repro.api import MistSolver
+from repro.api import MistSolver, PlanCache
+from repro.api.replan import delta_job
 from repro.hardware import ClusterDelta
+from repro.service import running_service
 from repro.service.client import ServiceError
 
 DELTA = ClusterDelta.degrade_link(0.5)
@@ -97,6 +103,17 @@ class TestReplanEndpoint:
                              "delta": DELTA.to_dict(),
                              "budget_seconds": "soon"})
         assert exc.value.status == 400
+        # json.loads takes NaN/Infinity: non-finite or negative budgets
+        # must be refused, not waited on or echoed back as bare NaN; an
+        # integer too large for a float must not escape as a 500
+        for budget in (float("nan"), float("inf"), float("-inf"), -1.0,
+                       10**400):
+            with pytest.raises(ServiceError) as exc:
+                client.replan(job, DELTA, solver="svc-stub",
+                              budget_seconds=budget)
+            assert exc.value.status == 400, budget
+            assert "budget_seconds" in str(exc.value)
+        assert client.metrics()["replan"]["requests"] == 0
 
     def test_unknown_solver_404(self, client, job):
         with pytest.raises(ServiceError) as exc:
@@ -141,3 +158,101 @@ class TestReplanEndpoint:
         assert record["status"] == "done"
         assert "budget_expired" not in record
         assert elapsed < 10
+
+
+def _post(url, path, payload):
+    """Raw POST: ``(status, headers, body)`` even for an error status."""
+    request = urllib.request.Request(
+        url + path, data=json.dumps(payload).encode(), method="POST",
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, response.headers, \
+                json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers, json.loads(exc.read())
+
+
+class TestReplanSharesTheSubmissionPath:
+    def test_full_queue_rejects_with_429_and_retry_after(
+            self, job, slow, tmp_path):
+        with running_service(workers=2, max_pending=1,
+                             cache=PlanCache(tmp_path / "plans")
+                             ) as (service, client):
+            other = dataclasses.replace(job, options={"cell": "other"})
+            client.submit(other, solver="svc-slow")
+            assert slow.started.wait(timeout=5)
+            status, headers, body = _post(
+                client.base_url, "/replan",
+                {"job": job.to_dict(), "delta": DELTA.to_dict(),
+                 "solver": "svc-slow", "budget_seconds": 0})
+            assert status == 429
+            assert body["reason"] == "queue"
+            assert int(headers["Retry-After"]) == body["retry_after"] >= 1
+            metrics = client.metrics()
+            assert metrics["admission"]["rejected_queue"] == 1
+            assert metrics["jobs"]["submitted"] == 1
+            assert metrics["replan"]["requests"] == 1
+            assert metrics["replan"]["cold_fallback"] == 0
+
+    def test_finished_replan_releases_its_quota_slot(
+            self, job, slow, tmp_path):
+        with running_service(workers=2, quota=1,
+                             cache=PlanCache(tmp_path / "plans"),
+                             client_id="alice") as (service, alice):
+            record = alice.replan(job, DELTA, solver="svc-slow",
+                                  budget_seconds=0)
+            assert record["budget_expired"] is True
+            other = dataclasses.replace(job, options={"cell": "other"})
+            # the running replan holds alice's only slot
+            with pytest.raises(ServiceError) as exc:
+                alice.submit(other, solver="svc-slow")
+            assert exc.value.status == 429
+            assert exc.value.payload["reason"] == "quota"
+            slow.release.set()
+            assert alice.wait(record["id"], timeout=10)["status"] == "done"
+            # ...and gave it back when it finished
+            accepted = alice.submit(other, solver="svc-slow")
+            assert alice.wait(accepted["id"], timeout=10)["status"] == "done"
+
+    def test_replan_coalesces_onto_an_in_flight_post_delta_job(
+            self, client, job, slow):
+        first = client.submit(delta_job(job, DELTA), solver="svc-slow")
+        assert slow.started.wait(timeout=5)
+        record = client.replan(job, DELTA, solver="svc-slow",
+                               budget_seconds=0)
+        assert record["coalesced"] is True
+        assert record["fingerprint"] == first["fingerprint"]
+        slow.release.set()
+        final = client.wait(record["id"], timeout=10)
+        assert final["status"] == "done"
+        assert slow.invocations == 1
+        metrics = client.metrics()
+        assert metrics["jobs"]["coalesced"] == 1
+        # the ridden search was a plain submit: no replan search started
+        assert metrics["replan"] == {
+            "requests": 1, "warm": 0, "cold_fallback": 0, "cache_hits": 0,
+            "within_budget": 0, "budget_expired": 1}
+
+
+class TestReplanOnProcessDaemon:
+    def test_warm_replan_on_process_workers(self, job, tmp_path):
+        with running_service(workers=1, worker_mode="process",
+                             cache=PlanCache(tmp_path / "plans"),
+                             client_timeout=120.0) as (service, client):
+            client.solve(job, solver="mist", timeout=120)
+            pids = service.worker_pids()
+            record = client.replan(job, DELTA, solver="mist",
+                                   budget_seconds=120)
+            assert record["status"] == "done"
+            extra = record["report"]["extra"]["replan"]
+            assert extra["warm"] is True
+            assert extra["incumbent"] == "explicit"
+            # the replanned plan is in the shared cache for everyone
+            again = client.solve(delta_job(job, DELTA), solver="mist",
+                                 timeout=30)
+            assert again.from_cache
+            assert service.worker_pids() == pids
+            metrics = client.metrics()
+            assert metrics["replan"]["warm"] == 1
+            assert metrics["solver"]["invocations"] == 2
