@@ -7,17 +7,14 @@ Mist's design on this reproduction:
    factors vs factors fitted to the engine's contention ground truth;
 2. **inter-stage solvers** — the tuner's label-setting DP, the paper's
    MILP (HiGHS) and exhaustive enumeration reach the same objective;
-   the table reports the time of each;
-3. **Pareto-point budget** — how many sampled frontier points the
-   inter-stage solve needs before the objective stops improving (the
-   paper's "Pareto frontier sampling" knob).
+   the table reports the time of each.
 """
 
 import time
 
 import numpy as np
 
-from repro.core import MistTuner, SPACE_MIST, SymbolicPerformanceAnalyzer
+from repro.core import SymbolicPerformanceAnalyzer
 from repro.core.inter_stage import solve, solve_exact, solve_milp
 from repro.core.intra_stage import ParetoPoint
 from repro.core.plan import StageConfig, uniform_plan
@@ -139,27 +136,3 @@ def test_ablation_milp_vs_exact(report, benchmark):
                + [f"{name} time" for name in solvers], table,
            ))
 
-
-def test_ablation_pareto_budget(report, benchmark):
-    def measure():
-        results = {}
-        for k in (1, 2, 4, 8):
-            tuner = MistTuner(
-                MODEL, CLUSTER, seq_len=SEQ_LEN, space=SPACE_MIST,
-                interference=calibrated_interference(True),
-                max_pareto_points=k, max_gacc_candidates=3,
-            )
-            tuned = tuner.search(16)
-            results[k] = tuned.predicted_iteration_time
-        return results
-
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    report("Ablation — Pareto-point budget vs tuned objective\n"
-           + format_table(
-               ["max Pareto points", "predicted iteration (ms)"],
-               [[k, f"{v * 1e3:.1f}"] for k, v in results.items()],
-           ))
-    # more frontier points never hurt the objective
-    values = [results[k] for k in sorted(results)]
-    for a, b in zip(values, values[1:]):
-        assert b <= a * 1.02

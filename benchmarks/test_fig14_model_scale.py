@@ -62,7 +62,6 @@ def _run_with_model(spec, model, space):
         model, cluster, seq_len=spec.seq_len, flash=spec.flash,
         space=scale.apply(space),
         interference=calibrated_interference(not cluster.gpu.has_nvlink),
-        max_pareto_points=scale.max_pareto_points,
         max_gacc_candidates=scale.max_gacc_candidates,
     )
     tuned = tuner.search(spec.global_batch)

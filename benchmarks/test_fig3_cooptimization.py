@@ -33,7 +33,6 @@ def _run(space_key):
     tuner = MistTuner(
         MODEL, CLUSTER, seq_len=SEQ_LEN, space=space,
         interference=interference,
-        max_pareto_points=scale.max_pareto_points,
         max_gacc_candidates=scale.max_gacc_candidates,
     )
     tuned = tuner.search(GLOBAL_BATCH)

@@ -64,12 +64,12 @@ def test_sec33_uniform_vs_heterogeneous(report, benchmark):
                 # Known smoke-scale artifact (ISSUE 3 triage): the
                 # "never loses to its uniform restriction" guarantee
                 # needs Mist's grid to be a superset of the uniform
-                # tuner's, but the smoke preset clamps
-                # max_gacc_candidates=2 / max_pareto_points=3, pruning
-                # the very configs the uniform search still reaches
-                # (mist 5.97 vs uniform 6.40 on gpt3-2.7b/L4x4/B32 in
-                # the pristine seed). Quick/full scales keep the
-                # superset property and enforce the assertion.
+                # tuner's, but the smoke preset clamps Mist to
+                # max_gacc_candidates=2 while the uniform search still
+                # reaches every gacc (mist 5.97 vs uniform 6.40 on
+                # gpt3-2.7b/L4x4/B32 in the pristine seed). Lifting only
+                # that clamp makes the assertion hold. Quick/full scales
+                # keep the superset property and enforce the assertion.
                 pytest.xfail(
                     "ISSUE 3: smoke-scale grid clamps break the "
                     "superset property vs the uniform heuristic "

@@ -4,8 +4,9 @@ Tuning is deterministic for a given :class:`~repro.api.job.TuningJob`,
 so a solved report can be reused by any later process that submits an
 equivalent job (``parallelism`` differences excluded — they change
 speed, not the answer). Entries are one JSON file per
-``(solver, job.fingerprint())`` pair under a root directory taken from,
-in order: the constructor argument, ``$REPRO_PLAN_CACHE``, or
+``(solver, job.fingerprint())`` pair, tagged with
+:data:`SOLVER_SEMANTICS`, under a root directory taken from, in order:
+the constructor argument, ``$REPRO_PLAN_CACHE``, or
 ``~/.cache/repro/plans``.
 """
 
@@ -18,7 +19,16 @@ from pathlib import Path
 from .job import TuningJob
 from .report import SolveReport
 
-__all__ = ["PlanCache", "default_cache_dir"]
+__all__ = ["PlanCache", "SOLVER_SEMANTICS", "default_cache_dir"]
+
+#: Version of what the solvers return for an unchanged job fingerprint.
+#: It is part of every entry's file name, so bumping it turns every
+#: entry written before into a miss that is never served. Bump it when
+#: a change can alter a report (plan, predicted winner, ``top_plans``,
+#: search log) without altering :meth:`TuningJob.fingerprint`.
+#: Version 1: the whole Pareto frontier reaches the inter-stage solve
+#: (entries without a version predate it).
+SOLVER_SEMANTICS = 1
 
 
 def default_cache_dir() -> Path:
@@ -44,7 +54,7 @@ class PlanCache:
         return self.path_for_fingerprint(job.fingerprint(), solver)
 
     def path_for_fingerprint(self, fingerprint: str, solver: str) -> Path:
-        return self.root / f"{solver}-{fingerprint}.json"
+        return self.root / f"{solver}-{fingerprint}-v{SOLVER_SEMANTICS}.json"
 
     def load(self, job: TuningJob, solver: str) -> SolveReport | None:
         """The cached report, or ``None`` on miss/corruption."""

@@ -123,7 +123,6 @@ class MistSolver:
             spec.model, spec.cluster, seq_len=spec.seq_len,
             flash=spec.flash, space=scale.apply(job.resolved_space()),
             interference=_job_interference(job),
-            max_pareto_points=scale.max_pareto_points,
             max_gacc_candidates=scale.max_gacc_candidates,
         )
 

@@ -48,7 +48,6 @@ def _make_tuner(spec: WorkloadSpec, scale: TuningScale, space,
     return MistTuner(
         spec.model, spec.cluster, seq_len=spec.seq_len,
         space=scale.apply(space), interference=interference,
-        max_pareto_points=scale.max_pareto_points,
         max_gacc_candidates=scale.max_gacc_candidates,
     )
 

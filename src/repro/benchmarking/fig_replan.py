@@ -80,7 +80,6 @@ def _tuner(model_name: str,
     return MistTuner(
         get_model(model_name), cluster, seq_len=2048,
         space=scale.apply(SPACE_MIST),
-        max_pareto_points=scale.max_pareto_points,
         max_gacc_candidates=scale.max_gacc_candidates,
     )
 

@@ -1,4 +1,4 @@
-"""Intra-stage tuning: batched enumeration and Pareto-frontier sampling.
+"""Intra-stage tuning: batched enumeration and Pareto-frontier extraction.
 
 For a stage shape — device count, position (has_pre/has_post), in-flight
 microbatch count and gradient-accumulation steps — the tuner enumerates
@@ -26,7 +26,10 @@ reference the differential tests compare against is
 The frontier — rather than a single winner — is the hand-off to the
 inter-stage solve: different ``(t, d)`` trade-offs win depending on how
 many microbatches amortize the deltas and where the stage sits in the
-pipeline (the paper's Pareto-frontier sampling).
+pipeline. The paper *samples* each frontier with an alpha sweep over
+Eq. (4)'s dual objective to keep its MILP small; the inter-stage solve
+here is an exact DP that drops dominated labels itself, so the whole
+frontier is handed over and no sampling can lose a plan.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import SymbolicPerformanceAnalyzer
+from .analyzer import StagePrediction, SymbolicPerformanceAnalyzer
 from .plan import StageConfig
 from .spaces import SearchSpace
 
@@ -68,32 +71,43 @@ def stage_parallelism_options(analyzer: SymbolicPerformanceAnalyzer,
     return options
 
 
-def _frontier_candidates(l_g: np.ndarray, t_v: np.ndarray,
-                         d_v: np.ndarray) -> np.ndarray:
-    """Mask of rows that can still reach the Pareto frontier.
+def _pareto_rows(l_g: np.ndarray, t_v: np.ndarray,
+                 d_v: np.ndarray) -> dict[int, np.ndarray]:
+    """Row indices of the ``(t, d)`` Pareto frontier per layer count.
 
-    Vectorized dominance pre-reduction for the prefiltered path: within
-    each layer-count group, a row ordered by ``(t, d)`` survives only if
-    its ``d`` is *strictly* below every earlier row's ``d``. Any row
-    :meth:`IntraStageTuner._pareto` would keep satisfies that (a kept
-    row's ``d`` undercuts all earlier entries by more than the
-    frontier epsilon), and rows `_pareto` skips never update its
-    running state — so dropping them here provably cannot change the
-    extracted frontier, while skipping the per-row
-    :class:`~repro.core.plan.StageConfig` construction for the
-    overwhelmingly dominated bulk.
+    Within each layer-count group, rows are ordered by ``(t, d)`` with
+    exact ties kept in row order (a stable sort), and each group's
+    frontier lists its rows in that order — ascending ``t``, descending
+    ``d``. A row joins the frontier only if its ``d`` undercuts the
+    previous frontier point's by more than ``1e-12``, so of several
+    rows with equal ``(t, d)`` the first in row order is kept.
+
+    A vectorized mask first drops every row whose ``d`` is not
+    *strictly* below all earlier rows' ``d``; such a row can never
+    undercut the running frontier value, so the epsilon scan that
+    follows only visits the few survivors. Callers pass only
+    memory-feasible rows: an over-budget row must not dominate, and so
+    remove, a feasible one.
     """
-    keep = np.zeros(l_g.size, dtype=bool)
+    if l_g.size == 0:
+        return {}
     order = np.lexsort((d_v, t_v, l_g))  # stable: by l, then t, then d
     l_s = l_g[order]
-    d_s = d_v[order]
     starts = np.flatnonzero(np.r_[True, l_s[1:] != l_s[:-1]])
     ends = np.r_[starts[1:], l_s.size]
+    frontiers: dict[int, np.ndarray] = {}
     for s, e in zip(starts, ends):
-        seg = d_s[s:e]
+        rows = order[s:e]
+        seg = d_v[rows]
         prev_min = np.r_[np.inf, np.minimum.accumulate(seg)[:-1]]
-        keep[order[s:e][seg < prev_min]] = True
-    return keep
+        kept: list[int] = []
+        best_d = np.inf
+        for i in rows[seg < prev_min]:
+            if d_v[i] < best_d - 1e-12:
+                kept.append(int(i))
+                best_d = d_v[i]
+        frontiers[int(l_s[s])] = np.asarray(kept, dtype=np.intp)
+    return frontiers
 
 
 @dataclass(frozen=True)
@@ -104,10 +118,6 @@ class ParetoPoint:
     d: float
     peak_mem: float
     config: StageConfig
-
-    def objective(self, alpha: float, gacc: int) -> float:
-        """Dual objective of Eq. (4)."""
-        return alpha * gacc * self.t + (1.0 - alpha) * self.d
 
 
 @dataclass(frozen=True)
@@ -134,13 +144,11 @@ class IntraStageTuner:
     """Batched columnar enumeration over one stage's search space."""
 
     def __init__(self, analyzer: SymbolicPerformanceAnalyzer,
-                 space: SearchSpace, *, global_batch: int, seq_len: int,
-                 max_pareto_points: int = 8):
+                 space: SearchSpace, *, global_batch: int, seq_len: int):
         self.analyzer = analyzer
         self.space = space
         self.global_batch = global_batch
         self.seq_len = seq_len
-        self.max_pareto_points = max_pareto_points
         #: configurations enumerated so far (tuning-time accounting);
         #: includes rows the memory pre-filter later rejected, so the
         #: count is identical with and without pre-filtering
@@ -245,8 +253,9 @@ class IntraStageTuner:
              prefilter: bool = False) -> dict[int, list[ParetoPoint]]:
         """Pareto frontiers per layer count: ``{l: [ParetoPoint, ...]}``.
 
-        Returns an empty list for layer counts with no feasible (within
-        memory budget) configuration.
+        Each list is the whole frontier of the memory-feasible rows, in
+        ascending ``t`` order (see :func:`_pareto_rows`); it is empty
+        for layer counts with no feasible configuration.
 
         ``prefilter=True`` enables the symbolic memory-feasibility
         pre-filter: peak memory is evaluated first through the
@@ -256,9 +265,6 @@ class IntraStageTuner:
         applies the exact constraint the post-evaluation check applies,
         just earlier.
         """
-        menus: dict[int, list[tuple[float, float, float, StageConfig]]] = {
-            l: [] for l in layer_counts
-        }
         cols = self._menu_columns(shape, layer_counts)
         if cols is None:
             return {l: [] for l in layer_counts}
@@ -297,61 +303,26 @@ class IntraStageTuner:
                         for name, value in cols.items()}
         pred = analyzer.predict(env)
 
-        fits = pred.peak_mem <= analyzer.memory_budget
-        if fits.any():
-            if prefilter:
-                # every row already fits; cheaply discard dominated rows
-                # before the per-row StageConfig construction
-                fits &= _frontier_candidates(
-                    cols["l"], np.asarray(pred.t_stable, dtype=float),
-                    np.asarray(pred.delta, dtype=float))
-            for i in np.nonzero(fits)[0]:
-                cfg = StageConfig(
-                    layers=int(cols["l"][i]), microbatch=int(cols["b"][i]),
-                    dp=int(cols["dp"][i]), tp=int(cols["tp"][i]),
-                    zero=int(cols["zero"][i]), ckpt=int(cols["ckpt"][i]),
-                    wo=float(cols["wo"][i]), go=float(cols["go"][i]),
-                    oo=float(cols["oo"][i]), ao=float(cols["ao"][i]),
-                    device_group=shape.group,
-                )
-                menus[int(cols["l"][i])].append(
-                    (float(pred.t_stable[i]), float(pred.delta[i]),
-                     float(pred.peak_mem[i]), cfg)
-                )
+        fits = np.flatnonzero(pred.peak_mem <= analyzer.memory_budget)
+        menus: dict[int, list[ParetoPoint]] = {l: [] for l in layer_counts}
+        frontiers = _pareto_rows(cols["l"][fits], pred.t_stable[fits],
+                                 pred.delta[fits])
+        for layers, rows in frontiers.items():
+            menus[layers] = [self._point(cols, pred, int(i), shape.group)
+                             for i in fits[rows]]
+        return menus
 
-        return {
-            l: self._pareto(entries, shape.gacc)
-            for l, entries in menus.items()
-        }
-
-    # -- frontier extraction -------------------------------------------------------
-
-    def _pareto(self, entries: list[tuple[float, float, float, StageConfig]],
-                gacc: int) -> list[ParetoPoint]:
-        """Non-dominated (t, d) points, downsampled by the alpha-sweep.
-
-        Extraction keeps every non-dominated point; when the frontier
-        exceeds the budget, points are selected by uniformly sampling
-        the dual objective of Eq. (4) — ``alpha*G*t + (1-alpha)*d`` for
-        ``alpha`` in [0, 1] — which guarantees the minimizers of the
-        scalarizations the inter-stage objective is built from survive
-        (this is the paper's Pareto frontier *sampling*).
-        """
-        if not entries:
-            return []
-        entries.sort(key=lambda e: (e[0], e[1]))
-        frontier = []
-        best_d = np.inf
-        for t, d, mem, cfg in entries:
-            if d < best_d - 1e-12:
-                frontier.append(ParetoPoint(t=t, d=d, peak_mem=mem, config=cfg))
-                best_d = d
-        if len(frontier) > self.max_pareto_points:
-            t_arr = np.array([p.t for p in frontier])
-            d_arr = np.array([p.d for p in frontier])
-            keep: set[int] = {0, len(frontier) - 1}  # min-t and min-d ends
-            for alpha in np.linspace(0.0, 1.0, self.max_pareto_points):
-                scores = alpha * gacc * t_arr + (1.0 - alpha) * d_arr
-                keep.add(int(np.argmin(scores)))
-            frontier = [frontier[i] for i in sorted(keep)]
-        return frontier
+    @staticmethod
+    def _point(cols: dict[str, np.ndarray], pred: StagePrediction, i: int,
+               group: str) -> ParetoPoint:
+        """The frontier point for menu row ``i``."""
+        cfg = StageConfig(
+            layers=int(cols["l"][i]), microbatch=int(cols["b"][i]),
+            dp=int(cols["dp"][i]), tp=int(cols["tp"][i]),
+            zero=int(cols["zero"][i]), ckpt=int(cols["ckpt"][i]),
+            wo=float(cols["wo"][i]), go=float(cols["go"][i]),
+            oo=float(cols["oo"][i]), ao=float(cols["ao"][i]),
+            device_group=group,
+        )
+        return ParetoPoint(t=float(pred.t_stable[i]), d=float(pred.delta[i]),
+                           peak_mem=float(pred.peak_mem[i]), config=cfg)

@@ -278,7 +278,6 @@ class MistTuner:
                  seq_len: int, flash: bool = True,
                  space: SearchSpace = SPACE_MIST,
                  interference: "InterferenceModel | Mapping | None" = None,
-                 max_pareto_points: int = 8,
                  max_gacc_candidates: int | None = None):
         self.model = model
         if isinstance(cluster, HeterogeneousCluster) and cluster.is_homogeneous:
@@ -309,7 +308,6 @@ class MistTuner:
                 )
             # convenience alias: the first group's analyzer
             self.analyzer = self.analyzers[self.hetero.groups[0].name]
-        self.max_pareto_points = max_pareto_points
         self.max_gacc_candidates = max_gacc_candidates
         # Everything a memoized stage-cost subproblem depends on besides
         # its StageShape/layer counts/global batch. The scope is *per
@@ -329,7 +327,6 @@ class MistTuner:
                 repr(self.model), repr(group_cluster), self.seq_len,
                 self.flash, repr(self.space),
                 analyzer.interference.fingerprint(),
-                self.max_pareto_points,
             )
 
         if self.hetero is None:
@@ -907,7 +904,6 @@ class MistTuner:
                     tuner = intra[group] = IntraStageTuner(
                         self.analyzers[group], self.space,
                         global_batch=global_batch, seq_len=self.seq_len,
-                        max_pareto_points=self.max_pareto_points,
                     )
                 before_eval = tuner.evaluated
                 before_pre = tuner.prefiltered

@@ -162,7 +162,6 @@ class TuningScale:
     offload_grid: tuple[float, ...]
     binary_grid: tuple[float, ...]
     ckpt_grid_points: int
-    max_pareto_points: int
     layer_slack: int
     #: cap on gradient-accumulation candidates per pipeline depth
     max_gacc_candidates: int
@@ -187,19 +186,16 @@ class TuningScale:
 SCALES: dict[str, TuningScale] = {
     "smoke": TuningScale(
         name="smoke", offload_grid=(0.0, 0.5), binary_grid=(0.0,),
-        ckpt_grid_points=3, max_pareto_points=3, layer_slack=1,
-        max_gacc_candidates=2,
+        ckpt_grid_points=3, layer_slack=1, max_gacc_candidates=2,
     ),
     "quick": TuningScale(
         name="quick", offload_grid=(0.0, 0.5, 1.0), binary_grid=(0.0, 1.0),
-        ckpt_grid_points=5, max_pareto_points=5, layer_slack=1,
-        max_gacc_candidates=4,
+        ckpt_grid_points=5, layer_slack=1, max_gacc_candidates=4,
     ),
     "full": TuningScale(
         name="full", offload_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
         binary_grid=(0.0, 0.5, 1.0),
-        ckpt_grid_points=9, max_pareto_points=8, layer_slack=2,
-        max_gacc_candidates=8,
+        ckpt_grid_points=9, layer_slack=2, max_gacc_candidates=8,
     ),
 }
 
@@ -230,20 +226,23 @@ def scale_to_dict(scale: TuningScale) -> dict:
         "offload_grid": [float(v) for v in scale.offload_grid],
         "binary_grid": [float(v) for v in scale.binary_grid],
         "ckpt_grid_points": scale.ckpt_grid_points,
-        "max_pareto_points": scale.max_pareto_points,
         "layer_slack": scale.layer_slack,
         "max_gacc_candidates": scale.max_gacc_candidates,
     }
 
 
 def scale_from_dict(data: dict) -> TuningScale:
-    """Inverse of :func:`scale_to_dict`."""
+    """Inverse of :func:`scale_to_dict`.
+
+    A 2.x dict may still carry ``max_pareto_points``, the removed
+    frontier-sampling cap; it is ignored, because the whole Pareto
+    frontier now reaches the inter-stage solve.
+    """
     return TuningScale(
         name=data["name"],
         offload_grid=tuple(float(v) for v in data["offload_grid"]),
         binary_grid=tuple(float(v) for v in data["binary_grid"]),
         ckpt_grid_points=int(data["ckpt_grid_points"]),
-        max_pareto_points=int(data["max_pareto_points"]),
         layer_slack=int(data["layer_slack"]),
         max_gacc_candidates=int(data["max_gacc_candidates"]),
     )

@@ -4,7 +4,8 @@ import pytest
 
 from repro.api import JobValidationError, TuningJob
 from repro.core import SPACE_MIST, SPACE_3D, space_ref, space_to_dict
-from repro.evaluation import SCALES, WorkloadSpec, scale_ref, scale_to_dict
+from repro.evaluation import (SCALES, WorkloadSpec, scale_from_dict,
+                              scale_ref, scale_to_dict)
 
 JOB = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=32,
                 scale="smoke", parallelism=2)
@@ -81,6 +82,43 @@ class TestV1Compatibility:
         stats = SearchStats.from_dict({**data, "engine": "interpreted"})
         assert stats.to_dict() == data
         assert "engine" not in data
+
+
+class TestV2ScaleCompatibility:
+    """2.x scale dicts carry ``max_pareto_points``, since removed."""
+
+    #: ``scale_to_dict(SCALES["quick"])`` as 2.x wrote it, verbatim
+    V2_QUICK = {"binary_grid": [0.0, 1.0], "ckpt_grid_points": 5,
+                "layer_slack": 1, "max_gacc_candidates": 4,
+                "max_pareto_points": 5, "name": "quick",
+                "offload_grid": [0.0, 0.5, 1.0]}
+    #: 2.x fingerprints of a named-preset job and of the same job with
+    #: the inlined 2.x dict: plan caches and campaign manifests written
+    #: then are keyed by these values
+    V2_NAMED_FINGERPRINT = "cb34828fdb987e022dc5"
+    V2_INLINED_FINGERPRINT = "2dbef3e671c25c011ccc"
+
+    def test_legacy_key_ignored(self):
+        scale = scale_from_dict(self.V2_QUICK)
+        assert scale == SCALES["quick"]
+        assert scale_ref(scale) == "quick"
+        legacy_free = {k: v for k, v in self.V2_QUICK.items()
+                       if k != "max_pareto_points"}
+        assert scale_to_dict(scale) == legacy_free
+        assert scale_from_dict(scale_to_dict(scale)) == scale
+
+    def test_v2_job_file_round_trip(self):
+        job = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=32,
+                        scale=dict(self.V2_QUICK))
+        again = TuningJob.from_json(job.to_json())
+        assert again == job
+        assert again.resolved_scale() == SCALES["quick"]
+        assert again.fingerprint() == self.V2_INLINED_FINGERPRINT
+
+    def test_named_preset_fingerprint_unchanged(self):
+        job = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=32,
+                        scale="quick")
+        assert job.fingerprint() == self.V2_NAMED_FINGERPRINT
 
 
 class TestResolution:

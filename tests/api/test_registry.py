@@ -13,6 +13,7 @@ from repro.api import (
     solver_names,
     solver_registry,
 )
+from repro.api.cache import SOLVER_SEMANTICS
 from repro.core import StageConfig, TrainingPlan
 
 JOB = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=16,
@@ -105,6 +106,21 @@ class TestSolveAndCache:
         cache.store(_dummy_report(JOB, "test-dummy"))
         assert cache.clear() == 1
         assert cache.load(JOB, "test-dummy") is None
+
+    def test_unversioned_entry_never_served(self, tmp_path):
+        # an entry a pre-versioning release wrote under the bare
+        # "<solver>-<fingerprint>.json" name may hold a plan the current
+        # solver semantics no longer return: it must be a miss, also on
+        # the raw-fingerprint lookup behind GET /plans/<fp>
+        cache = PlanCache(tmp_path)
+        legacy = tmp_path / f"test-dummy-{JOB.fingerprint()}.json"
+        legacy.write_text(_dummy_report(JOB, "test-dummy").to_json())
+        assert cache.load(JOB, "test-dummy") is None
+        assert cache.load_fingerprint(JOB.fingerprint(), "test-dummy") is None
+        path = cache.store(_dummy_report(JOB, "test-dummy"))
+        assert path != legacy
+        assert path.name.endswith(f"-v{SOLVER_SEMANTICS}.json")
+        assert cache.load(JOB, "test-dummy") is not None
 
 
 class TestReportSerialization:

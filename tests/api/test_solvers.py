@@ -26,7 +26,7 @@ def _make_tuner(model_spec, nodes, gpus, seq_len):
     return MistTuner(
         model, cluster, seq_len=seq_len, space=SPACE_MIST,
         interference=calibrated_interference(True),
-        max_pareto_points=3, max_gacc_candidates=2,
+        max_gacc_candidates=2,
     )
 
 

@@ -28,7 +28,7 @@ def mixed() -> HeterogeneousCluster:
 
 def make_tuner(cluster):
     return MistTuner(MODEL, cluster, seq_len=SEQ_LEN, space=SPACE,
-                     max_pareto_points=3, max_gacc_candidates=2)
+                     max_gacc_candidates=2)
 
 
 class TestGroupStageAssignments:

@@ -225,6 +225,5 @@ class TestLabelSettingDP:
         scale = get_scale("smoke")
         tuner = MistTuner(get_model("gpt3-1.3b"), make_cluster("L4", 1, 4),
                           seq_len=2048, space=scale.apply(SPACE_MIST),
-                          max_pareto_points=scale.max_pareto_points,
                           max_gacc_candidates=scale.max_gacc_candidates)
         assert tuner.search(16, memo=MenuMemo()).found

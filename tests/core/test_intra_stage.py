@@ -1,9 +1,11 @@
 """Tests for the intra-stage tuner and Pareto frontier extraction."""
 
+import numpy as np
 import pytest
 
 from repro.core import SPACE_3D, SPACE_MIST, SymbolicPerformanceAnalyzer
-from repro.core.intra_stage import IntraStageTuner, StageShape
+from repro.core.intra_stage import IntraStageTuner, StageShape, _pareto_rows
+from repro.evaluation import SCALES
 from repro.hardware import make_cluster
 from repro.models import get_model
 from repro.tracing import trace
@@ -17,7 +19,7 @@ def analyzer():
 
 
 def make_tuner(analyzer, space=SPACE_MIST, **kwargs):
-    defaults = dict(global_batch=16, seq_len=2048, max_pareto_points=6)
+    defaults = dict(global_batch=16, seq_len=2048)
     defaults.update(kwargs)
     return IntraStageTuner(analyzer, space, **defaults)
 
@@ -82,11 +84,6 @@ class TestParetoFrontier:
         ts = [p.t for p in points]
         assert ts == sorted(ts)
 
-    def test_frontier_capped(self, analyzer):
-        tuner = make_tuner(analyzer, max_pareto_points=3)
-        points = tuner.tune(SHAPE, [12])[12]
-        assert len(points) <= 3
-
     def test_memory_respected(self, analyzer):
         tuner = make_tuner(analyzer)
         for points in tuner.tune(SHAPE, [10, 12]).values():
@@ -107,11 +104,103 @@ class TestParetoFrontier:
         for point in points:
             assert point.config.ckpt in (0, point.config.layers)
 
-    def test_objective_helper(self, analyzer):
-        tuner = make_tuner(analyzer)
-        points = tuner.tune(SHAPE, [12])[12]
-        point = points[0]
-        assert point.objective(alpha=1.0, gacc=4) == pytest.approx(
-            4 * point.t
-        )
-        assert point.objective(alpha=0.0, gacc=4) == pytest.approx(point.d)
+
+#: (shape, layer counts) whose quick-scale menus mix memory-feasible and
+#: over-budget rows
+BRUTE_FORCE_CASES = [
+    (SHAPE, [10, 12, 14]),
+    (StageShape(stage_gpus=1, gacc=1, inflight=1, has_pre=True,
+                has_post=True), [24]),
+    (StageShape(stage_gpus=1, gacc=2, inflight=4, has_pre=True,
+                has_post=False), [16, 20]),
+    (StageShape(stage_gpus=4, gacc=2, inflight=1, has_pre=True,
+                has_post=True), [24]),
+]
+
+
+def _full_menu(analyzer, tuner, shape, layer_counts, monkeypatch):
+    """Every row of the menu as ``(l, t, d, peak_mem)`` arrays."""
+    seen = []
+    predict = analyzer.predict
+
+    def spy(env):
+        pred = predict(env)
+        seen.append((env["l"], pred))
+        return pred
+
+    monkeypatch.setattr(analyzer, "predict", spy)
+    tuner.tune(shape, layer_counts, prefilter=False)
+    monkeypatch.undo()
+    [(l_col, pred)] = seen
+    return (l_col.astype(int), np.asarray(pred.t_stable),
+            np.asarray(pred.delta), np.asarray(pred.peak_mem))
+
+
+def _brute_force_frontier(l_col, t, d, mem, budget):
+    """``{l: [(t, d), ...]}`` of the non-dominated feasible rows, by an
+    O(n^2) check of every feasible row against every other.
+
+    Row ``b`` dominates row ``a`` when it has the same layer count, comes
+    first in ``(t, d, row)`` order, and its ``d`` is at most ``a``'s plus
+    the extraction's ``1e-12`` tolerance: deltas that are equal by
+    construction can differ by float noise, which is not a trade-off.
+    """
+    feasible = np.flatnonzero(mem <= budget)
+    frontier: dict[int, list] = {}
+    for a in feasible:
+        b = feasible
+        first = (t[b] < t[a]) | ((t[b] == t[a]) & (
+            (d[b] < d[a]) | ((d[b] == d[a]) & (b < a))))
+        if not np.any((l_col[b] == l_col[a]) & first
+                      & (d[b] <= d[a] + 1e-12)):
+            frontier.setdefault(int(l_col[a]), []).append(
+                (float(t[a]), float(d[a])))
+    return {layers: sorted(pairs) for layers, pairs in frontier.items()}
+
+
+class TestFrontierIsExact:
+    """The whole non-dominated set reaches the inter-stage solve."""
+
+    @pytest.mark.parametrize("prefilter", [False, True])
+    @pytest.mark.parametrize("case", range(len(BRUTE_FORCE_CASES)))
+    def test_matches_brute_force(self, analyzer, monkeypatch, case,
+                                 prefilter):
+        shape, layer_counts = BRUTE_FORCE_CASES[case]
+        space = SCALES["quick"].apply(SPACE_MIST)
+        menu = _full_menu(analyzer, make_tuner(analyzer, space=space),
+                          shape, layer_counts, monkeypatch)
+        expected = _brute_force_frontier(*menu, analyzer.memory_budget)
+        menus = make_tuner(analyzer, space=space).tune(
+            shape, layer_counts, prefilter=prefilter)
+        assert set(menus) == set(layer_counts)
+        for layers in layer_counts:
+            got = [(p.t, p.d) for p in menus[layers]]
+            # one point per (t, d) pair, in ascending-t order
+            assert got == expected.get(layers, []), (case, layers)
+
+    def test_cases_carry_over_budget_rows(self, analyzer, monkeypatch):
+        space = SCALES["quick"].apply(SPACE_MIST)
+        over = 0
+        for shape, layer_counts in BRUTE_FORCE_CASES:
+            *_, mem = _full_menu(analyzer, make_tuner(analyzer, space=space),
+                                 shape, layer_counts, monkeypatch)
+            over += int((mem > analyzer.memory_budget).sum())
+        assert over > 0
+
+    def test_ties_keep_first_row(self):
+        l_col = np.array([4, 4, 4, 4, 2])
+        t = np.array([1.0, 1.0, 0.5, 2.0, 3.0])
+        d = np.array([2.0, 2.0, 3.0, 1.0, 1.0])
+        frontiers = _pareto_rows(l_col, t, d)
+        assert {layers: rows.tolist() for layers, rows in frontiers.items()} \
+            == {2: [4], 4: [2, 0, 3]}
+
+    def test_near_ties_within_epsilon_dropped(self):
+        l_col = np.array([1, 1])
+        t = np.array([1.0, 2.0])
+        d = np.array([1.0, 1.0 - 1e-13])
+        assert _pareto_rows(l_col, t, d)[1].tolist() == [0]
+
+    def test_empty_menu(self):
+        empty = np.array([], dtype=float)
+        assert _pareto_rows(empty.astype(int), empty, empty) == {}

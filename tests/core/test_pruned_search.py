@@ -85,7 +85,6 @@ def _make_tuner(case) -> MistTuner:
         get_model(case["model"]), cluster, seq_len=case["seq_len"],
         space=case["scale"].apply(NAMED_SPACES[case["space"]]),
         interference=interference,
-        max_pareto_points=case["scale"].max_pareto_points,
         max_gacc_candidates=case["scale"].max_gacc_candidates,
     )
 

@@ -29,7 +29,6 @@ def _tuner(model_name, cluster) -> MistTuner:
     return MistTuner(
         get_model(model_name), cluster, seq_len=2048,
         space=SMOKE.apply(NAMED_SPACES["mist"]),
-        max_pareto_points=SMOKE.max_pareto_points,
         max_gacc_candidates=SMOKE.max_gacc_candidates,
     )
 

@@ -22,7 +22,7 @@ BATCH = 16
 def make_tuner(space=SPACE_MIST, **kwargs):
     defaults = dict(seq_len=SEQ_LEN, flash=True, space=space,
                     interference=calibrated_interference(True),
-                    max_pareto_points=4, max_gacc_candidates=3)
+                    max_gacc_candidates=3)
     defaults.update(kwargs)
     return MistTuner(MODEL, CLUSTER, **defaults)
 

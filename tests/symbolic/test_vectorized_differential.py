@@ -217,7 +217,6 @@ def _make_tuner(cluster, space: str) -> MistTuner:
         get_model("gpt3-1.3b"), cluster, seq_len=2048,
         space=SMOKE.apply(NAMED_SPACES[space]),
         interference=calibrated_interference(pcie_only),
-        max_pareto_points=SMOKE.max_pareto_points,
         max_gacc_candidates=SMOKE.max_gacc_candidates,
     )
 
