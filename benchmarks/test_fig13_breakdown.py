@@ -18,42 +18,36 @@ and offloading contributing the bulk.
 from repro.api import TuningJob, solve
 from repro.core import INCREMENTAL_SPACES, SPACE_MIST
 from repro.core.spaces import space_ref
-from repro.evaluation import (
-    WorkloadSpec,
-    current_scale,
-    format_series,
-    scale_ref,
-)
+from repro.evaluation import current_scale, format_series, scale_ref
 
 
-def _workloads():
-    scale = current_scale().name
-    if scale == "smoke":
-        return [WorkloadSpec("gpt3-2.7b", "L4", 4, 64, 2048)]
-    specs = [WorkloadSpec("gpt3-6.7b", "L4", 8, 128, 2048)]
-    if scale == "full":
-        specs.append(WorkloadSpec("gpt3-13b", "L4", 16, 256, 2048))
-        specs.append(WorkloadSpec("gpt3-22b", "L4", 32, 512, 2048))
-    return specs
+def _jobs():
+    scale = current_scale()
+    grid = [("gpt3-6.7b", 8, 128)]
+    if scale.name == "smoke":
+        grid = [("gpt3-2.7b", 4, 64)]
+    elif scale.name == "full":
+        grid += [("gpt3-13b", 16, 256), ("gpt3-22b", 32, 512)]
+    return [TuningJob(model=model, num_gpus=gpus, global_batch=batch,
+                      scale=scale_ref(scale))
+            for model, gpus, batch in grid]
 
 
-def _throughput(spec: WorkloadSpec, solver: str, space=SPACE_MIST) -> float:
+def _throughput(job: TuningJob, solver: str, space=SPACE_MIST) -> float:
     """Measured samples/s of ``solver``'s plan (0.0 when none is found)."""
-    job = TuningJob.from_workload(spec, space=space_ref(space),
-                                  scale=scale_ref(current_scale()))
-    return solve(job, solver).throughput
+    return solve(job.with_(space=space_ref(space)), solver).throughput
 
 
 def _breakdown():
     space_names = []
     relative = {}
-    for spec in _workloads():
-        megatron = _throughput(spec, "megatron")
+    for job in _jobs():
+        megatron = _throughput(job, "megatron")
         row = []
         for space in INCREMENTAL_SPACES:
-            mist = _throughput(spec, "mist", space)
+            mist = _throughput(job, "mist", space)
             row.append(mist / megatron if megatron else 0.0)
-        relative[spec.name] = row
+        relative[job.name] = row
         space_names = [space.name for space in INCREMENTAL_SPACES]
     return space_names, relative
 

@@ -11,7 +11,8 @@ grows and the full space holding its lead.
 """
 
 from repro.core import SPACE_3D, SPACE_MIST
-from repro.evaluation import WorkloadSpec, current_scale, format_series
+from repro.api import TuningJob
+from repro.evaluation import current_scale, format_series
 from repro.models import get_model
 
 
@@ -41,35 +42,33 @@ def _sweep():
     series = {name: [] for name in SPACES}
     for depth in _depths():
         model = base.with_layers(depth)
-        spec = WorkloadSpec(
-            model_spec=base.name, gpu_name="L4", num_gpus=num_gpus,
-            global_batch=128 if num_gpus == 8 else 512, seq_len=2048,
-        )
+        job = TuningJob(model=base.name, num_gpus=num_gpus,
+                        global_batch=128 if num_gpus == 8 else 512)
         for name, space in SPACES.items():
-            outcome = _run_with_model(spec, model, space)
+            outcome = _run_with_model(job, model, space)
             series[name].append(outcome)
     return series
 
 
-def _run_with_model(spec, model, space):
+def _run_with_model(job, model, space):
     from repro.core import MistTuner
     from repro.evaluation import calibrated_interference
     from repro.execution import ExecutionEngine, OOMError
 
     scale = current_scale()
-    cluster = spec.cluster
+    cluster = job.resolved_cluster()
     tuner = MistTuner(
-        model, cluster, seq_len=spec.seq_len, flash=spec.flash,
+        model, cluster, seq_len=job.seq_len, flash=job.flash,
         space=scale.apply(space),
         interference=calibrated_interference(not cluster.gpu.has_nvlink),
         max_gacc_candidates=scale.max_gacc_candidates,
     )
-    tuned = tuner.search(spec.global_batch)
+    tuned = tuner.search(job.global_batch)
     if tuned.best_plan is None:
         return 0.0
     try:
         result = ExecutionEngine(cluster, system="mist").run(
-            tuned.best_plan, model, seq_len=spec.seq_len, flash=spec.flash
+            tuned.best_plan, model, seq_len=job.seq_len, flash=job.flash
         )
     except OOMError:
         return 0.0

@@ -13,12 +13,7 @@ mispredicted bottlenecks are multiplied by more microbatches.
 from repro.api import TuningJob, solve
 from repro.core import SPACE_3D, SPACE_MIST
 from repro.core.spaces import space_ref
-from repro.evaluation import (
-    WorkloadSpec,
-    current_scale,
-    format_series,
-    scale_ref,
-)
+from repro.evaluation import current_scale, format_series, scale_ref
 
 SPACES = {
     "3D Parallelism": SPACE_3D.with_(name="3d", ckpt_policy="full"),
@@ -42,10 +37,10 @@ def _sweep():
     model_spec, num_gpus, batches = _config()
     series = {name: [] for name in SPACES}
     for batch in batches:
-        spec = WorkloadSpec(model_spec, "L4", num_gpus, batch, 2048)
         for name, space in SPACES.items():
-            job = TuningJob.from_workload(spec, space=space_ref(space),
-                                          scale=scale_ref(current_scale()))
+            job = TuningJob(model=model_spec, num_gpus=num_gpus,
+                            global_batch=batch, space=space_ref(space),
+                            scale=scale_ref(current_scale()))
             series[name].append(solve(job, "mist").throughput)
     return batches, series
 

@@ -20,7 +20,7 @@ memo-hit counters while the parallel fan-out returns the serial plan.
 """
 
 from repro.baselines import AcesoTuner
-from repro.benchmarking import fig16_spec, measure_fig16
+from repro.benchmarking import fig16_job, measure_fig16
 from repro.core import INCREMENTAL_SPACES, log10_configurations
 from repro.evaluation import current_scale, format_series
 
@@ -30,7 +30,7 @@ SIMULATION_SECONDS_PER_CONFIG = 6.0
 
 def _measure():
     scale = current_scale()
-    spec = fig16_spec(scale.name)
+    job = fig16_job(scale)
     mist = measure_fig16(scale, prune=True, parallel_rerun=True)
 
     times = {name: entry["seconds"]
@@ -39,14 +39,15 @@ def _measure():
                for name, entry in mist["per_space"].items()}
     times["Mist (parallel S,G)"] = mist["parallel"]["seconds"]
 
-    aceso = AcesoTuner(spec.model, spec.cluster, seq_len=spec.seq_len)
-    aceso_result = aceso.tune(spec.global_batch)
+    model = job.resolved_model()
+    aceso = AcesoTuner(model, job.resolved_cluster(), seq_len=job.seq_len)
+    aceso_result = aceso.tune(job.global_batch)
     times["Aceso"] = aceso_result.tuning_time_seconds
 
     # simulation-per-configuration estimate for the parallelism-only
     # space (the Alpa-style approach the paper contrasts against)
     log10_parallel = log10_configurations(
-        spec.model.num_layers, spec.num_gpus
+        model.num_layers, job.num_gpus
     )
     times["simulation-based (est.)"] = (
         10 ** min(log10_parallel, 12) * SIMULATION_SECONDS_PER_CONFIG
@@ -58,14 +59,14 @@ def test_fig16_tuning_time(report, benchmark):
     times, configs, mist = benchmark.pedantic(_measure, rounds=1,
                                               iterations=1)
     scale = current_scale()
-    spec = fig16_spec(scale.name)
+    job = fig16_job(scale)
     rows = {
         name: [f"{seconds:,.1f}",
                f"{configs.get(name, '-')}"]
         for name, seconds in times.items()
     }
     report(format_series(
-        f"Figure 16 — tuning time ({spec.name})",
+        f"Figure 16 — tuning time ({job.name})",
         "tuner", rows, ["seconds", "#configs evaluated"],
     ))
 

@@ -11,37 +11,25 @@ heuristic on the same workload, with a measurable gap on the
 memory-tight configuration.
 """
 
-import pytest
-
 from repro.api import TuningJob, solve
-from repro.evaluation import (
-    WorkloadSpec,
-    current_scale,
-    format_table,
-    scale_ref,
-)
+from repro.evaluation import current_scale, format_table, scale_ref
 
 
-def _workloads():
-    scale = current_scale().name
-    if scale == "smoke":
-        return [WorkloadSpec("gpt3-2.7b", "L4", 4, 32, 2048)]
-    specs = [
-        WorkloadSpec("gpt3-2.7b", "L4", 4, 64, 2048),
-        WorkloadSpec("gpt3-6.7b", "L4", 8, 128, 2048),
-    ]
-    if scale == "full":
-        specs.append(WorkloadSpec("gpt3-13b", "L4", 16, 256, 2048))
-    return specs
+def _jobs():
+    scale = current_scale()
+    grid = [("gpt3-2.7b", 4, 64), ("gpt3-6.7b", 8, 128)]
+    if scale.name == "smoke":
+        grid = [("gpt3-2.7b", 4, 32)]
+    elif scale.name == "full":
+        grid.append(("gpt3-13b", 16, 256))
+    return [TuningJob(model=model, num_gpus=gpus, global_batch=batch,
+                      scale=scale_ref(scale))
+            for model, gpus, batch in grid]
 
 
 def _measure():
-    rows = []
-    for spec in _workloads():
-        job = TuningJob.from_workload(spec, scale=scale_ref(current_scale()))
-        rows.append((spec.name, solve(job, "uniform").throughput,
-                     solve(job, "mist").throughput))
-    return rows
+    return [(job.name, solve(job, "uniform").throughput,
+             solve(job, "mist").throughput) for job in _jobs()]
 
 
 def test_sec33_uniform_vs_heterogeneous(report, benchmark):
@@ -60,21 +48,6 @@ def test_sec33_uniform_vs_heterogeneous(report, benchmark):
     for name, uniform, mist in rows:
         assert mist > 0, name
         if uniform > 0:
-            if current_scale().name == "smoke" and mist < uniform * 0.97:
-                # Known smoke-scale artifact (ISSUE 3 triage): the
-                # "never loses to its uniform restriction" guarantee
-                # needs Mist's grid to be a superset of the uniform
-                # tuner's, but the smoke preset clamps Mist to
-                # max_gacc_candidates=2 while the uniform search still
-                # reaches every gacc (mist 5.97 vs uniform 6.40 on
-                # gpt3-2.7b/L4x4/B32 in the pristine seed). Lifting only
-                # that clamp makes the assertion hold. Quick/full scales
-                # keep the superset property and enforce the assertion.
-                pytest.xfail(
-                    "ISSUE 3: smoke-scale grid clamps break the "
-                    "superset property vs the uniform heuristic "
-                    f"({name}: mist {mist:.2f} < uniform {uniform:.2f})"
-                )
             # heterogeneous tuning never loses to its uniform restriction
             assert mist >= uniform * 0.97, name
             advantages.append(mist / uniform)

@@ -29,6 +29,10 @@ __all__ = ["PlanCache", "SOLVER_SEMANTICS", "default_cache_dir"]
 #: Version 1: the whole Pareto frontier reaches the inter-stage solve
 #: (entries without a version predate it).
 SOLVER_SEMANTICS = 1
+#: Solvers whose reports moved again since, each with its own version.
+#: ``uniform`` 2: the heuristic draws its gacc steps from Mist's capped
+#: candidate set.
+_SOLVER_VERSIONS = {"uniform": 2}
 
 
 def default_cache_dir() -> Path:
@@ -54,7 +58,8 @@ class PlanCache:
         return self.path_for_fingerprint(job.fingerprint(), solver)
 
     def path_for_fingerprint(self, fingerprint: str, solver: str) -> Path:
-        return self.root / f"{solver}-{fingerprint}-v{SOLVER_SEMANTICS}.json"
+        version = _SOLVER_VERSIONS.get(solver, SOLVER_SEMANTICS)
+        return self.root / f"{solver}-{fingerprint}-v{version}.json"
 
     def load(self, job: TuningJob, solver: str) -> SolveReport | None:
         """The cached report, or ``None`` on miss/corruption."""

@@ -14,7 +14,8 @@ are stored either as registry slugs (``"mist"``, ``"quick"``) or as
 fully inlined dicts for customized instances — both serialize.
 
 Clusters default to the homogeneous shape implied by ``gpu`` /
-``num_gpus``; an explicit ``cluster`` dict (the
+``num_gpus`` (one node of up to 8 GPUs, or whole 8-GPU nodes); an
+explicit ``cluster`` dict (the
 :func:`repro.hardware.cluster_from_dict` schema, see ``docs/API.md``)
 pins the exact topology and is how heterogeneous fleets — named device
 groups with different GPU types — enter the API. Build such jobs with
@@ -26,26 +27,32 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Any
 
 from repro.core.spaces import SearchSpace, get_space, space_from_dict
 from repro.evaluation.workloads import (
     TuningScale,
-    WorkloadSpec,
     get_scale,
-    mixed_workload,
     scale_from_dict,
 )
 from repro.hardware import (
     ClusterSpec,
     HeterogeneousCluster,
     cluster_from_dict,
+    cluster_to_dict,
+    make_cluster,
 )
+from repro.models.config import ModelConfig
+from repro.models.registry import get_model
 
 __all__ = ["TuningJob", "JobValidationError"]
 
 #: interference-model policies a job may request
 _INTERFERENCE_POLICIES = ("auto", "none")
+
+#: node size of the homogeneous cluster implied by ``gpu`` / ``num_gpus``
+GPUS_PER_NODE = 8
 
 
 class JobValidationError(ValueError):
@@ -99,6 +106,13 @@ class TuningJob:
                     f"cluster has {parsed.total_gpus} GPUs but "
                     f"num_gpus={self.num_gpus}"
                 )
+        elif (self.num_gpus > GPUS_PER_NODE
+              and self.num_gpus % GPUS_PER_NODE):
+            raise JobValidationError(
+                f"num_gpus={self.num_gpus} does not fill whole "
+                f"{GPUS_PER_NODE}-GPU nodes; describe an irregular shape "
+                f"with cluster={{...}}"
+            )
         if self.global_batch < 1:
             raise JobValidationError("global_batch must be >= 1")
         if self.seq_len < 1:
@@ -116,28 +130,38 @@ class TuningJob:
     # -- resolution --------------------------------------------------------
 
     @property
-    def workload(self) -> WorkloadSpec:
-        return WorkloadSpec(
-            model_spec=self.model, gpu_name=self.gpu,
-            num_gpus=self.num_gpus, global_batch=self.global_batch,
-            seq_len=self.seq_len, flash=self.flash,
-            cluster_dict=self.cluster,
-        )
+    def name(self) -> str:
+        """Human-readable workload label, e.g.
+        ``gpt3-1.3b-L4x2-B16-s2048-flash``; campaign manifests and
+        reports group rows by it."""
+        where = f"{self.gpu}x{self.num_gpus}"
+        if self.cluster is not None:
+            cluster = self.resolved_cluster()
+            if isinstance(cluster, HeterogeneousCluster):
+                where = cluster.name
+        return (f"{self.model}-{where}-B{self.global_batch}"
+                f"-s{self.seq_len}{'-flash' if self.flash else ''}")
+
+    def resolved_model(self) -> ModelConfig:
+        return get_model(self.model)
 
     def resolved_cluster(self) -> "ClusterSpec | HeterogeneousCluster":
         """The cluster this job tunes for (explicit dict or implied)."""
-        return self.workload.cluster
+        if self.cluster is not None:
+            return cluster_from_dict(self.cluster)
+        if self.num_gpus <= GPUS_PER_NODE:
+            return make_cluster(self.gpu, 1, self.num_gpus)
+        return make_cluster(self.gpu, self.num_gpus // GPUS_PER_NODE,
+                            GPUS_PER_NODE)
 
-    @classmethod
-    def from_workload(cls, spec: WorkloadSpec,
-                      **overrides: Any) -> "TuningJob":
-        if spec.cluster_dict is not None:
-            overrides.setdefault("cluster", spec.cluster_dict)
-        return cls(
-            model=spec.model_spec, gpu=spec.gpu_name,
-            num_gpus=spec.num_gpus, global_batch=spec.global_batch,
-            seq_len=spec.seq_len, flash=spec.flash, **overrides,
-        )
+    @property
+    def workload(self) -> SimpleNamespace:
+        """``model`` and ``cluster``, resolved. Kept only because
+        ``bench/run.py`` reads ``job.workload.model`` and
+        ``job.workload.cluster``; new code calls :meth:`resolved_model`
+        and :meth:`resolved_cluster`."""
+        return SimpleNamespace(model=self.resolved_model(),
+                               cluster=self.resolved_cluster())
 
     @classmethod
     def for_cluster(cls,
@@ -146,18 +170,25 @@ class TuningJob:
                     flash: bool = True, **kwargs: Any) -> "TuningJob":
         """Build a job for an explicit (possibly heterogeneous) cluster.
 
-        ``num_gpus`` and ``gpu`` are derived from the cluster (via
-        :func:`repro.evaluation.workloads.mixed_workload`); all other
+        ``num_gpus`` and ``gpu`` (the first device group's GPU on a
+        mixed fleet) are derived from the cluster; all other
         :class:`TuningJob` fields pass through ``kwargs``.
         """
         try:
-            spec = mixed_workload(cluster, model, global_batch,
-                                  seq_len=seq_len, flash=flash)
+            if isinstance(cluster, (ClusterSpec, HeterogeneousCluster)):
+                data = cluster_to_dict(cluster)
+            else:
+                data = dict(cluster)
+            parsed = cluster_from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise JobValidationError(
                 f"invalid cluster description: {exc}"
             ) from exc
-        return cls.from_workload(spec, **kwargs)
+        gpu = (parsed.groups[0].gpu if isinstance(parsed, HeterogeneousCluster)
+               else parsed.gpu)
+        return cls(model=model, gpu=gpu.name, num_gpus=parsed.total_gpus,
+                   global_batch=global_batch, seq_len=seq_len, flash=flash,
+                   cluster=data, **kwargs)
 
     def resolved_space(self) -> SearchSpace:
         if isinstance(self.space, str):

@@ -117,11 +117,11 @@ class MistSolver:
     def make_tuner(self, job: TuningJob) -> MistTuner:
         """The configured :class:`MistTuner` for one job (shared by
         :meth:`solve` and :meth:`replan`)."""
-        spec = job.workload
         scale = job.resolved_scale()
         return MistTuner(
-            spec.model, spec.cluster, seq_len=spec.seq_len,
-            flash=spec.flash, space=scale.apply(job.resolved_space()),
+            job.resolved_model(), job.resolved_cluster(),
+            seq_len=job.seq_len, flash=job.flash,
+            space=scale.apply(job.resolved_space()),
             interference=_job_interference(job),
             max_gacc_candidates=scale.max_gacc_candidates,
         )
@@ -161,18 +161,17 @@ class MistSolver:
         # Execute the top predicted plans and keep the best measured one
         # (the artifact's benchmark-one-case step, which absorbs the
         # winner's-curse bias of the argmin over noisy predictions).
-        spec = job.workload
         scale = job.resolved_scale()
         space = scale.apply(job.resolved_space())
-        engine = ExecutionEngine(spec.cluster, system="mist")
+        model = job.resolved_model()
+        engine = ExecutionEngine(job.resolved_cluster(), system="mist")
         result = None
         best_plan = None
         for plan in tuning.top_plans or (
                 [tuning.best_plan] if tuning.best_plan else []):
             try:
-                candidate = engine.run(plan, spec.model,
-                                       seq_len=spec.seq_len,
-                                       flash=spec.flash)
+                candidate = engine.run(plan, model, seq_len=job.seq_len,
+                                       flash=job.flash)
             except OOMError:
                 continue
             if result is None or candidate.throughput > result.throughput:
@@ -208,10 +207,9 @@ class _BaselineSolver:
     tuner_cls: "ClassVar[type | None]" = None
 
     def make_tuner(self, job: TuningJob) -> Any:
-        spec = job.workload
         cluster = _baseline_cluster(job, self.solver_name)
-        return self.tuner_cls(spec.model, cluster,
-                              seq_len=spec.seq_len, flash=spec.flash)
+        return self.tuner_cls(job.resolved_model(), cluster,
+                              seq_len=job.seq_len, flash=job.flash)
 
     def solve(self, job: TuningJob) -> SolveReport:
         tuner = self.make_tuner(job)
@@ -263,17 +261,17 @@ class UniformSolver(_BaselineSolver):
     tuner_cls = UniformHeuristicTuner
 
     def make_tuner(self, job: TuningJob) -> Any:
-        spec = job.workload
-        space = job.resolved_scale().apply(job.resolved_space())
+        scale = job.resolved_scale()
         cluster = _baseline_cluster(job, self.solver_name)
         interference = None
         if job.interference != "none":
             # single-model tuner: calibrate for the fallback fabric
             interference = calibrated_interference(not cluster.gpu.has_nvlink)
         return self.tuner_cls(
-            spec.model, cluster, seq_len=spec.seq_len,
-            flash=spec.flash, space=space,
+            job.resolved_model(), cluster, seq_len=job.seq_len,
+            flash=job.flash, space=scale.apply(job.resolved_space()),
             interference=interference,
+            max_gacc_candidates=scale.max_gacc_candidates,
         )
 
 

@@ -8,7 +8,9 @@ motivational examples).
 
 Implemented on top of Mist's analyzer: enumerate shared configurations
 batched, evaluate every stage position, and keep the best Eq. 1
-objective.
+objective. Gradient-accumulation steps come from Mist's own
+:func:`~repro.core.tuner.gacc_candidates` under the same cap, so Mist's
+(S, G) grid covers this tuner's at every scale.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.analyzer import SymbolicPerformanceAnalyzer
 from repro.core.objectives import pipeline_iteration_time
 from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
 from repro.core.spaces import SPACE_MIST, SearchSpace
-from repro.core.tuner import traced_model
+from repro.core.tuner import gacc_candidates, traced_model
 from repro.costmodel.interference import InterferenceModel
 from repro.execution import ExecutionEngine, OOMError
 from repro.hardware import ClusterSpec
@@ -46,12 +48,14 @@ class UniformHeuristicTuner:
     def __init__(self, model: ModelConfig, cluster: ClusterSpec, *,
                  seq_len: int, flash: bool = True,
                  space: SearchSpace = SPACE_MIST,
-                 interference: InterferenceModel | None = None):
+                 interference: InterferenceModel | None = None,
+                 max_gacc_candidates: int | None = None):
         self.model = model
         self.cluster = cluster
         self.seq_len = seq_len
         self.flash = flash
         self.space = space
+        self.max_gacc_candidates = max_gacc_candidates
         traced = traced_model(model, cluster.gpu, flash=flash)
         self.analyzer = SymbolicPerformanceAnalyzer(
             traced, cluster, interference=interference
@@ -76,16 +80,23 @@ class UniformHeuristicTuner:
         )
         return [g.reshape(-1) for g in grids]
 
+    def pipeline_grid(self, global_batch: int):
+        """The (num_stages, dp, tp, gacc, microbatch) tuples searched:
+        :func:`pipeline_grids` restricted to Mist's gacc candidates."""
+        for point in pipeline_grids(self.model, self.cluster, global_batch):
+            num_stages, gacc = point[0], point[3]
+            if gacc in gacc_candidates(global_batch, num_stages,
+                                       self.max_gacc_candidates):
+                yield point
+
     def tune(self, global_batch: int) -> BaselineResult:
         start = time.perf_counter()
         best_obj = np.inf
         best_plan: TrainingPlan | None = None
         tried = 0
 
-        for num_stages, dp, tp, gacc, microbatch in pipeline_grids(
-                self.model, self.cluster, global_batch):
-            if self.model.num_layers % num_stages != 0:
-                continue
+        for num_stages, dp, tp, gacc, microbatch in self.pipeline_grid(
+                global_batch):
             tried += 1
             layers = self.model.num_layers // num_stages
             zero_g, ckpt_g, wo_g, go_g, oo_g, ao_g = \

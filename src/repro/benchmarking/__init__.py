@@ -39,7 +39,7 @@ from .bench import (
     run_bench,
     validate_bench,
 )
-from .fig16 import fig16_spec, measure_fig16
+from .fig16 import fig16_job, measure_fig16
 from .fig_replan import measure_replan, replan_scenarios
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "LOAD_BASELINE",
     "check_against_baseline",
     "check_warm_speedup",
-    "fig16_spec",
+    "fig16_job",
     "format_bench",
     "measure_fig16",
     "measure_replan",

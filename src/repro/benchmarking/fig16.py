@@ -17,12 +17,12 @@ from __future__ import annotations
 import hashlib
 import time
 
-from repro.core import INCREMENTAL_SPACES, MenuMemo, MistTuner
+from repro.api import MistSolver, TuningJob
+from repro.core import INCREMENTAL_SPACES, MenuMemo, space_ref
 from repro.core.plan import TrainingPlan
-from repro.evaluation import WorkloadSpec, calibrated_interference
-from repro.evaluation.workloads import TuningScale
+from repro.evaluation.workloads import TuningScale, scale_ref
 
-__all__ = ["fig16_spec", "measure_fig16", "plan_hash"]
+__all__ = ["fig16_job", "measure_fig16", "plan_hash"]
 
 
 def plan_hash(plan: "TrainingPlan | None") -> str | None:
@@ -34,22 +34,14 @@ def plan_hash(plan: "TrainingPlan | None") -> str | None:
     ).hexdigest()[:16]
 
 
-def fig16_spec(scale_name: str) -> WorkloadSpec:
+def fig16_job(scale: TuningScale) -> TuningJob:
     """The Fig. 16 workload for one scale preset (paper: 22B on 32)."""
-    if scale_name == "full":
-        return WorkloadSpec("gpt3-22b", "L4", 32, 512, 2048)
-    if scale_name == "smoke":
-        return WorkloadSpec("gpt3-2.7b", "L4", 4, 64, 2048)
-    return WorkloadSpec("gpt3-6.7b", "L4", 8, 128, 2048)
-
-
-def _make_tuner(spec: WorkloadSpec, scale: TuningScale, space,
-                interference) -> MistTuner:
-    return MistTuner(
-        spec.model, spec.cluster, seq_len=spec.seq_len,
-        space=scale.apply(space), interference=interference,
-        max_gacc_candidates=scale.max_gacc_candidates,
-    )
+    model, num_gpus, global_batch = {
+        "full": ("gpt3-22b", 32, 512),
+        "smoke": ("gpt3-2.7b", 4, 64),
+    }.get(scale.name, ("gpt3-6.7b", 8, 128))
+    return TuningJob(model=model, num_gpus=num_gpus,
+                     global_batch=global_batch, scale=scale_ref(scale))
 
 
 def measure_fig16(scale: TuningScale, *, prune: bool = True,
@@ -69,9 +61,7 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
     the identical plan and that the memo serves the repeated
     subproblems (its ``memo_hits`` land in the ``parallel`` section).
     """
-    spec = fig16_spec(scale.name)
-    cluster = spec.cluster
-    interference = calibrated_interference(not cluster.gpu.has_nvlink)
+    job = fig16_job(scale)
     memo = MenuMemo()
 
     per_space: dict[str, dict] = {}
@@ -82,9 +72,9 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
     wall = 0.0
     last = None
     for space in INCREMENTAL_SPACES:
-        tuner = _make_tuner(spec, scale, space, interference)
+        tuner = MistSolver().make_tuner(job.with_(space=space_ref(space)))
         start = time.perf_counter()
-        result = tuner.search(spec.global_batch, prune=prune, memo=memo)
+        result = tuner.search(job.global_batch, prune=prune, memo=memo)
         seconds = time.perf_counter() - start
         wall += seconds
         entry = {
@@ -102,7 +92,7 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
         last = (tuner, result)
 
     out = {
-        "workload": spec.name,
+        "workload": job.name,
         "prune": prune,
         "wall_time_seconds": wall,
         "per_space": per_space,
@@ -113,7 +103,7 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
     if parallel_rerun and last is not None:
         tuner, serial = last
         start = time.perf_counter()
-        parallel = tuner.search(spec.global_batch, parallelism=0,
+        parallel = tuner.search(job.global_batch, parallelism=0,
                                 prune=prune, memo=memo)
         seconds = time.perf_counter() - start
         stats = parallel.stats.to_dict() if parallel.stats else {}

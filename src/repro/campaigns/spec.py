@@ -13,8 +13,8 @@ compiles one to the flat list of fingerprinted
 :class:`CampaignCell`\\ s — (solver, job) pairs — that the executors in
 :mod:`repro.campaigns.executors` actually run.
 
-Cells are built through the exact same :meth:`TuningJob.from_workload`
-path the single-job runner uses, so a campaign cell's fingerprint — and
+Cells are plain :class:`TuningJob`\\ s built from the same fields a
+single job would carry, so a campaign cell's fingerprint — and
 therefore its :class:`~repro.api.cache.PlanCache` entry — is identical
 to the one an individual :func:`repro.api.solve` call would produce.
 """
@@ -29,7 +29,6 @@ from pathlib import Path
 from repro.api.job import JobValidationError, TuningJob
 from repro.api.registry import solver_names
 from repro.evaluation.workloads import (
-    WorkloadSpec,
     batch_for_size,
     default_seq_len,
     gpu_count_for_size,
@@ -70,7 +69,7 @@ class CampaignCell:
 
     @property
     def workload(self) -> str:
-        return self.job.workload.name
+        return self.job.name
 
     def axes(self) -> dict:
         """The axis values ``exclude`` rules match against."""
@@ -267,21 +266,16 @@ class CampaignSpec:
                                 except KeyError as exc:
                                     raise CampaignValidationError(
                                         f"unknown size: {exc}") from exc
-                            workload = WorkloadSpec(
-                                model_spec=model,
-                                gpu_name=resolved.gpu_name,
-                                num_gpus=num_gpus,
-                                global_batch=batch,
-                                seq_len=seq_len,
-                                flash=self.flash,
-                                cluster_dict=resolved.cluster_dict,
-                            )
                             try:
-                                job = TuningJob.from_workload(
-                                    workload, space=self.space, scale=scale,
+                                job = TuningJob(
+                                    model=model, gpu=resolved.gpu_name,
+                                    num_gpus=num_gpus, global_batch=batch,
+                                    seq_len=seq_len, flash=self.flash,
+                                    space=self.space, scale=scale,
                                     interference=self.interference,
                                     parallelism=self.parallelism,
                                     keep_top=self.keep_top,
+                                    cluster=resolved.cluster_dict,
                                 )
                             except JobValidationError as exc:
                                 raise CampaignValidationError(

@@ -84,7 +84,7 @@ from repro.benchmarking.artifacts import (
 from repro.core.plan import uniform_plan
 from repro.core.spaces import NAMED_SPACES
 from repro.evaluation.reporting import format_throughput_rows
-from repro.evaluation.workloads import SCALES, WorkloadSpec
+from repro.evaluation.workloads import SCALES
 from repro.execution import ExecutionEngine, OOMError, render_timeline
 from repro.hardware import (
     ClusterDelta,
@@ -678,13 +678,15 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    spec = WorkloadSpec(
-        model_spec=args.model, gpu_name=args.gpu or "L4",
-        num_gpus=args.gpus, global_batch=args.global_batch,
-        seq_len=args.seq_len, flash=not args.no_flash,
-    )
-    model = spec.model
-    cluster = spec.cluster
+    try:
+        job = TuningJob(model=args.model, gpu=args.gpu or "L4",
+                        num_gpus=args.gpus, global_batch=args.global_batch,
+                        seq_len=args.seq_len, flash=not args.no_flash)
+    except JobValidationError as exc:
+        print(f"invalid job: {exc}")
+        return 2
+    model = job.resolved_model()
+    cluster = job.resolved_cluster()
     gacc = args.gacc or max(1, args.global_batch // (args.dp or 1))
     ckpt_all = args.ckpt == "full"
     try:

@@ -99,7 +99,7 @@ from .plan import TrainingPlan
 from .spaces import SPACE_MIST, SearchSpace
 
 __all__ = ["MistTuner", "SearchCancelled", "SearchStats", "TuningResult",
-           "traced_model"]
+           "gacc_candidates", "traced_model"]
 
 
 def traced_model(model: ModelConfig, gpu: GPUSpec, *,
@@ -112,6 +112,32 @@ def traced_model(model: ModelConfig, gpu: GPUSpec, *,
     """
     return GLOBAL_KERNEL_CACHE.get(
         (model, gpu, flash), lambda: trace(model, gpu, flash=flash))
+
+
+def gacc_candidates(global_batch: int, num_stages: int,
+                    cap: int | None = None) -> list[int]:
+    """Gradient-accumulation steps worth trying for this depth: powers
+    of two dividing ``global_batch`` plus ``global_batch`` itself, at
+    most ``cap`` of them. The uniform heuristic draws from the same
+    set, so Mist's (S, G) grid covers its grid at every scale."""
+    out = []
+    g = 1
+    while g <= global_batch:
+        if global_batch % g == 0:
+            out.append(g)
+        g *= 2
+    if global_batch not in out:
+        out.append(global_batch)
+    # Deep pipelines need G >= S to fill; keep one undersized G as a
+    # fallback but skip the clearly wasteful ones.
+    if num_stages > 1:
+        out = [g for g in out if g * 2 >= num_stages] or out[-1:]
+    if cap is not None and len(out) > cap:
+        # keep the spread: smallest, largest, and evenly in between
+        idx = np.unique(np.round(
+            np.linspace(0, len(out) - 1, cap)).astype(int))
+        out = [out[i] for i in idx]
+    return out
 
 
 class SearchCancelled(RuntimeError):
@@ -361,29 +387,6 @@ class MistTuner:
             if s <= self.model.num_layers
         ]
 
-    def _gacc_candidates(self, global_batch: int, num_stages: int) -> list[int]:
-        """Gradient-accumulation steps worth trying for this depth."""
-        out = []
-        g = 1
-        while g <= global_batch:
-            if global_batch % g == 0:
-                out.append(g)
-            g *= 2
-        if global_batch not in out:
-            out.append(global_batch)
-        # Deep pipelines need G >= S to fill; keep one undersized G as a
-        # fallback but skip the clearly wasteful ones.
-        if num_stages > 1:
-            out = [g for g in out if g * 2 >= num_stages] or out[-1:]
-        if self.max_gacc_candidates is not None and \
-                len(out) > self.max_gacc_candidates:
-            # keep the spread: smallest, largest, and evenly in between
-            idx = np.unique(np.round(
-                np.linspace(0, len(out) - 1, self.max_gacc_candidates)
-            ).astype(int))
-            out = [out[i] for i in idx]
-        return out
-
     def _layer_counts(self, num_stages: int, *,
                       slack: int | None = None) -> list[int]:
         """Candidate per-stage layer counts around the balanced split."""
@@ -414,14 +417,16 @@ class MistTuner:
                     self.hetero, self.model.num_layers):
                 num_stages = len(assignment)
                 layer_counts = self._layer_counts(num_stages, slack=slack)
-                for gacc in self._gacc_candidates(global_batch, num_stages):
+                for gacc in gacc_candidates(global_batch, num_stages,
+                                            self.max_gacc_candidates):
                     grid.append((num_stages, None, gacc, layer_counts,
                                  assignment))
             return grid
         for num_stages in self._stage_counts():
             stage_gpus = self.cluster.total_gpus // num_stages
             layer_counts = self._layer_counts(num_stages)
-            for gacc in self._gacc_candidates(global_batch, num_stages):
+            for gacc in gacc_candidates(global_batch, num_stages,
+                                        self.max_gacc_candidates):
                 grid.append((num_stages, stage_gpus, gacc, layer_counts,
                              None))
         return grid

@@ -5,14 +5,11 @@ from .runner import calibrated_interference
 from .workloads import (
     SCALES,
     TuningScale,
-    WorkloadSpec,
     batch_for_size,
     current_scale,
     default_seq_len,
     get_scale,
     gpu_count_for_size,
-    mixed_workload,
-    paper_workloads,
     scale_from_dict,
     scale_ref,
     scale_to_dict,
@@ -22,7 +19,6 @@ from .workloads import (
 __all__ = [
     "SCALES",
     "TuningScale",
-    "WorkloadSpec",
     "batch_for_size",
     "calibrated_interference",
     "current_scale",
@@ -32,8 +28,6 @@ __all__ = [
     "format_throughput_rows",
     "get_scale",
     "gpu_count_for_size",
-    "mixed_workload",
-    "paper_workloads",
     "scale_from_dict",
     "scale_ref",
     "scale_to_dict",

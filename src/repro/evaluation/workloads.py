@@ -13,26 +13,15 @@ search-grid resolution, never the model or the objective.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.spaces import SearchSpace
-from repro.hardware import (
-    ClusterSpec,
-    HeterogeneousCluster,
-    cluster_from_dict,
-    make_cluster,
-)
-from repro.models.config import ModelConfig
-from repro.models.registry import get_model
 
 __all__ = [
-    "WorkloadSpec",
     "TuningScale",
     "SCALES",
     "current_scale",
     "get_scale",
-    "mixed_workload",
-    "paper_workloads",
     "batch_for_size",
     "default_seq_len",
     "gpu_count_for_size",
@@ -48,10 +37,9 @@ _SIZE_TO_GPUS = {"1.3b": 2, "2.7b": 4, "6.7b": 8, "7b": 8, "13b": 16,
 _SIZE_TO_BATCH = {"1.3b": 32, "2.7b": 64, "6.7b": 128, "7b": 128,
                   "13b": 256, "22b": 512}
 
-GPUS_PER_NODE = 8
-
 
 def gpu_count_for_size(size: str) -> int:
+    """GPU count the Table 4 scaling rule pairs with a model size."""
     return _SIZE_TO_GPUS[size.lower()]
 
 
@@ -63,95 +51,6 @@ def batch_for_size(size: str) -> int:
 def default_seq_len(gpu_name: str) -> int:
     """Paper default: 2048 on L4 machines, 4096 otherwise."""
     return 2048 if gpu_name == "L4" else 4096
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One evaluation point: model + cluster + batch + sequence length.
-
-    ``cluster_dict`` optionally pins an explicit cluster topology (the
-    :func:`repro.hardware.cluster_from_dict` schema) — required for
-    heterogeneous fleets, also usable to override the default
-    8-GPUs-per-node homogeneous shape. When unset the cluster is
-    derived from ``gpu_name``/``num_gpus`` exactly as before.
-    """
-
-    model_spec: str
-    gpu_name: str
-    num_gpus: int
-    global_batch: int
-    seq_len: int
-    flash: bool = True
-    cluster_dict: dict | None = field(default=None)
-
-    @property
-    def model(self) -> ModelConfig:
-        return get_model(self.model_spec)
-
-    @property
-    def cluster(self) -> "ClusterSpec | HeterogeneousCluster":
-        if self.cluster_dict is not None:
-            return cluster_from_dict(self.cluster_dict)
-        nodes = max(1, self.num_gpus // GPUS_PER_NODE)
-        per_node = min(self.num_gpus, GPUS_PER_NODE)
-        return make_cluster(self.gpu_name, nodes, per_node)
-
-    @property
-    def name(self) -> str:
-        if self.cluster_dict is not None:
-            cluster = self.cluster
-            if isinstance(cluster, HeterogeneousCluster):
-                return (f"{self.model_spec}-{cluster.name}"
-                        f"-B{self.global_batch}-s{self.seq_len}"
-                        f"{'-flash' if self.flash else ''}")
-        return (f"{self.model_spec}-{self.gpu_name}x{self.num_gpus}"
-                f"-B{self.global_batch}-s{self.seq_len}"
-                f"{'-flash' if self.flash else ''}")
-
-
-def mixed_workload(cluster: "dict | ClusterSpec | HeterogeneousCluster",
-                   model_spec: str, global_batch: int, *,
-                   seq_len: int = 2048, flash: bool = True) -> WorkloadSpec:
-    """Workload on an explicit (possibly heterogeneous) cluster.
-
-    ``gpu_name``/``num_gpus`` are derived from the cluster so the spec
-    stays consistent; the Fig. 11-style sweep over mixed fleets builds
-    its grid from these.
-    """
-    from repro.hardware import cluster_to_dict
-
-    if isinstance(cluster, (ClusterSpec, HeterogeneousCluster)):
-        data = cluster_to_dict(cluster)
-    else:
-        data = dict(cluster)
-    parsed = cluster_from_dict(data)
-    gpu_name = (parsed.groups[0].gpu.name
-                if isinstance(parsed, HeterogeneousCluster)
-                else parsed.gpu.name)
-    return WorkloadSpec(
-        model_spec=model_spec, gpu_name=gpu_name,
-        num_gpus=parsed.total_gpus, global_batch=global_batch,
-        seq_len=seq_len, flash=flash, cluster_dict=data,
-    )
-
-
-def paper_workloads(gpu_name: str, *, family: str = "gpt3",
-                    sizes: tuple[str, ...] = ("1.3b", "2.7b", "6.7b",
-                                              "13b", "22b"),
-                    flash: bool = True) -> list[WorkloadSpec]:
-    """The Table 4 grid for one GPU type and model family."""
-    seq_len = default_seq_len(gpu_name)
-    return [
-        WorkloadSpec(
-            model_spec=f"{family}-{size}",
-            gpu_name=gpu_name,
-            num_gpus=_SIZE_TO_GPUS[size],
-            global_batch=_SIZE_TO_BATCH[size],
-            seq_len=seq_len,
-            flash=flash,
-        )
-        for size in sizes
-    ]
 
 
 @dataclass(frozen=True)

@@ -60,13 +60,26 @@ class TestJobSerialization:
                       cluster={"groups": [{"gpu": "no-such-gpu",
                                            "gpus_per_node": 4}]})
 
-    def test_workload_threads_cluster_through(self):
-        spec = hetero_job().workload
-        assert spec.cluster_dict is not None
-        assert isinstance(spec.cluster, HeterogeneousCluster)
-        rebuilt = TuningJob.from_workload(spec, scale="smoke",
-                                          interference="none")
-        assert rebuilt.cluster == spec.cluster_dict
+    def test_for_cluster_accepts_cluster_objects(self):
+        # a parsed cluster is stored as its dict form, same as the dict
+        job = hetero_job()
+        rebuilt = TuningJob.for_cluster(
+            job.resolved_cluster(), model="gpt3-1.3b", global_batch=16,
+            scale="smoke", interference="none")
+        assert rebuilt.resolved_cluster() == job.resolved_cluster()
+        assert (rebuilt.gpu, rebuilt.num_gpus) == (job.gpu, job.num_gpus)
+
+    def test_for_cluster_rejects_bad_cluster(self):
+        with pytest.raises(JobValidationError, match="invalid cluster"):
+            TuningJob.for_cluster({"groups": "nope"}, model="gpt3-1.3b",
+                                  global_batch=16)
+        with pytest.raises(JobValidationError, match="invalid cluster"):
+            TuningJob.for_cluster(["not", "a", "dict"], model="gpt3-1.3b",
+                                  global_batch=16)
+
+    def test_name_uses_the_fleet(self):
+        assert hetero_job().name \
+            == "gpt3-1.3b-2xA100-40GB+2xL4-B16-s2048-flash"
 
 
 class TestSolvers:
@@ -83,7 +96,7 @@ class TestSolvers:
     def test_plan_fits_every_groups_device(self, mist_report):
         cluster = hetero_job().resolved_cluster()
         mist_report.plan.validate(
-            hetero_job().workload.model, cluster)
+            hetero_job().resolved_model(), cluster)
         assert mist_report.measured["peak_memory"] > 0
 
     def test_report_round_trips(self, mist_report):

@@ -1,11 +1,19 @@
 """Tests for declarative TuningJob serialization and resolution."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import JobValidationError, TuningJob
 from repro.core import SPACE_MIST, SPACE_3D, space_ref, space_to_dict
-from repro.evaluation import (SCALES, WorkloadSpec, scale_from_dict,
-                              scale_ref, scale_to_dict)
+from repro.evaluation import (SCALES, scale_from_dict, scale_ref,
+                              scale_to_dict)
+from repro.hardware import HeterogeneousCluster
+
+MIXED_A100_L4 = json.loads(
+    (Path(__file__).parents[2] / "examples" / "mixed_a100_l4.json")
+    .read_text())
 
 JOB = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=32,
                 scale="smoke", parallelism=2)
@@ -121,17 +129,66 @@ class TestV2ScaleCompatibility:
         assert job.fingerprint() == self.V2_NAMED_FINGERPRINT
 
 
-class TestResolution:
-    def test_workload(self):
-        spec = JOB.workload
-        assert isinstance(spec, WorkloadSpec)
-        assert spec.model_spec == "gpt3-1.3b"
-        assert spec.cluster.total_gpus == 2
+class TestPinnedNames:
+    """``name`` and ``fingerprint()`` as 2.x computed them: campaign
+    manifests store the names under ``"workload"`` and plan caches are
+    keyed by the fingerprints."""
 
-    def test_from_workload_inverse(self):
-        spec = JOB.workload
-        assert TuningJob.from_workload(spec, scale="smoke",
-                                       parallelism=2) == JOB
+    #: (job, name, fingerprint): implied homogeneous, explicit
+    #: homogeneous cluster dict, heterogeneous fleet
+    PINNED = [
+        (TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=16,
+                   scale="smoke"),
+         "gpt3-1.3b-L4x2-B16-s2048-flash", "c4a9ebae034a54fa3c7e"),
+        (TuningJob(model="gpt3-2.7b", num_gpus=16, global_batch=64,
+                   scale="smoke",
+                   cluster={"gpu": "L4", "num_nodes": 2,
+                            "gpus_per_node": 8}),
+         "gpt3-2.7b-L4x16-B64-s2048-flash", "ab6bcb891501da00b8fb"),
+        (TuningJob.for_cluster(MIXED_A100_L4, model="gpt3-1.3b",
+                               global_batch=16, scale="smoke"),
+         "gpt3-1.3b-4xA100-40GB+4xL4-B16-s2048-flash",
+         "dc7fdf909ef0e76e954e"),
+    ]
+
+    @pytest.mark.parametrize("job,name,fingerprint", PINNED)
+    def test_name_and_fingerprint(self, job, name, fingerprint):
+        assert job.name == name
+        assert job.fingerprint() == fingerprint
+
+    def test_name_marks_flash_off(self):
+        assert JOB.with_(flash=False).name \
+            == "gpt3-1.3b-L4x2-B32-s2048"
+
+
+class TestResolution:
+    def test_model_and_implied_cluster(self):
+        assert JOB.resolved_model().name == "gpt3-1.3b"
+        cluster = JOB.resolved_cluster()
+        assert (cluster.num_nodes, cluster.gpus_per_node) == (1, 2)
+
+    @pytest.mark.parametrize("num_gpus,shape", [
+        (1, (1, 1)), (8, (1, 8)), (16, (2, 8)), (24, (3, 8)),
+        (32, (4, 8)),
+    ])
+    def test_implied_cluster_is_whole_nodes(self, num_gpus, shape):
+        cluster = JOB.with_(num_gpus=num_gpus).resolved_cluster()
+        assert (cluster.num_nodes, cluster.gpus_per_node) == shape
+        assert cluster.total_gpus == num_gpus
+
+    def test_explicit_cluster_wins(self):
+        job = JOB.with_(num_gpus=12, cluster={
+            "gpu": "L4", "num_nodes": 3, "gpus_per_node": 4})
+        cluster = job.resolved_cluster()
+        assert (cluster.num_nodes, cluster.gpus_per_node) == (3, 4)
+        assert job.name == "gpt3-1.3b-L4x12-B32-s2048-flash"
+
+    def test_for_cluster_derives_gpu_and_count(self):
+        job = TuningJob.for_cluster(MIXED_A100_L4, model="gpt3-1.3b",
+                                    global_batch=16)
+        assert (job.gpu, job.num_gpus) == ("A100-40GB", 8)
+        assert job.cluster == MIXED_A100_L4
+        assert isinstance(job.resolved_cluster(), HeterogeneousCluster)
 
     def test_named_space_and_scale(self):
         assert JOB.resolved_space() == SPACE_MIST
@@ -158,3 +215,10 @@ class TestValidation:
             JOB.with_(parallelism=-1)
         with pytest.raises(JobValidationError):
             JOB.with_(interference="sometimes")
+
+    @pytest.mark.parametrize("num_gpus", [9, 12, 20])
+    def test_partial_nodes_need_a_cluster_dict(self, num_gpus):
+        # the implied cluster is whole 8-GPU nodes: 12 GPUs must not be
+        # tuned on 8 while the job still says 12
+        with pytest.raises(JobValidationError, match="cluster="):
+            JOB.with_(num_gpus=num_gpus)

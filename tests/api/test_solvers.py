@@ -102,8 +102,8 @@ class TestMistSolver:
         assert again.top_plans == report.top_plans
 
     def test_plan_valid_for_workload(self, report):
-        spec = report.job.workload
-        report.plan.validate(spec.model, spec.cluster)
+        report.plan.validate(report.job.resolved_model(),
+                             report.job.resolved_cluster())
 
     def test_infeasible_cells_stay_strict_json(self):
         # 6.7B on 2 L4s in the parallelism-only space: (S, G) cells are

@@ -112,6 +112,29 @@ class TestUniformHeuristic:
         stages = result.best_plan.stages
         assert len({(s.ckpt, s.zero, s.oo, s.ao) for s in stages}) == 1
 
+    @pytest.mark.parametrize("scale", ["smoke", "quick", "full"])
+    def test_mist_grid_covers_uniform_grid(self, scale):
+        # §3.3's "Mist never loses to its uniform restriction" needs
+        # every uniform (S, G) pair in Mist's grid, at every preset cap;
+        # pure enumeration, nothing is searched or executed
+        from repro.api import MistSolver, TuningJob, UniformSolver
+        from repro.evaluation.workloads import (batch_for_size,
+                                                gpu_count_for_size)
+
+        for size in ("1.3b", "2.7b", "6.7b", "13b", "22b"):
+            job = TuningJob(model=f"gpt3-{size}",
+                            num_gpus=gpu_count_for_size(size),
+                            global_batch=batch_for_size(size),
+                            scale=scale, interference="none")
+            mist = MistSolver().make_tuner(job)
+            uniform = UniformSolver().make_tuner(job)
+            mist_sg = {(s, g) for s, _, g, _, _
+                       in mist._sg_grid(job.global_batch)}
+            uniform_sg = {(p[0], p[3])
+                          for p in uniform.pipeline_grid(job.global_batch)}
+            assert uniform_sg, size
+            assert uniform_sg <= mist_sg, (size, uniform_sg - mist_sg)
+
 
 class TestCapabilityTable:
     def test_five_rows(self):

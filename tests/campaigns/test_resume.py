@@ -6,8 +6,12 @@ the manifest is rewritten atomically per cell), then re-run with
 resume. Solved cells must be served from the manifest + PlanCache with
 no re-search; only missing cells may execute, and the counters prove
 which path each cell took. Plans must stay bit-identical to individual
-``repro.api.solve()`` calls.
+``repro.api.solve()`` calls. The last class resumes a directory written
+by 2.0 with the conftest stub solvers.
 """
+
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +141,37 @@ class TestResumeGuards:
         changed = stub_spec.with_(global_batches=(8,))
         with pytest.raises(CampaignError, match="spec changed"):
             run_campaign(changed, directory=tmp_path / "run", resume=True)
+
+
+class TestManifestWrittenByV2:
+    """A campaign directory 2.0 wrote (stub solvers ``camp-a``/``camp-b``
+    from conftest; implied, explicit-homogeneous and mixed clusters):
+    its cells keep their ids and ``workload`` names, so a resume serves
+    every one of them and reports the same rows."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "v2_campaign"
+    #: ``report.results()`` of the 2.0 run that wrote the fixture
+    RESULTS = {
+        "gpt3-1.3b-L4x2-B8-s2048-flash": {"camp-a": 8.0, "camp-b": 12.0},
+        "gpt3-1.3b-L4x16-B8-s2048-flash": {"camp-a": 8.0, "camp-b": 12.0},
+        "gpt3-1.3b-2xA100-40GB+2xL4-B8-s4096-flash":
+            {"camp-a": 8.0, "camp-b": 12.0},
+    }
+
+    def test_resume_reports_same_rows_without_solving(self, tmp_path,
+                                                      stub_a, stub_b):
+        directory = tmp_path / "campaign"
+        shutil.copytree(self.FIXTURE, directory)
+        manifest = CampaignManifest(directory)
+        assert manifest.load()
+        spec = CampaignSpec.from_dict(manifest.spec_dict)
+        stored = {rec["cell_id"]: rec["workload"]
+                  for rec in manifest.cells()}
+        assert {cell.cell_id: cell.workload
+                for cell in spec.expand()} == stored
+
+        report = run_campaign(spec, directory=directory, resume=True)
+        assert report.counters["solved"] == 0
+        assert report.counters["manifest_hits"] == 6
+        assert stub_a.invocations == stub_b.invocations == 0
+        assert report.results() == self.RESULTS

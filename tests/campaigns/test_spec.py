@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import TuningJob
 from repro.campaigns import CampaignCell, CampaignSpec, CampaignValidationError
-from repro.evaluation.workloads import paper_workloads
 
 
 class TestValidation:
@@ -61,6 +60,16 @@ class TestValidation:
         with pytest.raises(CampaignValidationError, match="num_gpus"):
             spec.expand()
 
+    def test_shorthand_cluster_must_fill_whole_nodes(self):
+        # the implied cluster is whole 8-GPU nodes; 12 GPUs needs an
+        # explicit cluster dict instead of being priced on 8
+        spec = CampaignSpec(name="x", solvers=("mist",),
+                            models=("gpt3-1.3b",),
+                            clusters=({"gpu": "L4", "num_gpus": 12},),
+                            global_batches=(8,))
+        with pytest.raises(CampaignValidationError, match="cluster="):
+            spec.expand()
+
 
 class TestExpansion:
     def test_family_grid_follows_table4_rule(self):
@@ -75,6 +84,24 @@ class TestExpansion:
         assert cell.job.global_batch == 64
         assert cell.job.seq_len == 2048       # L4 default
 
+    def test_family_grid_is_the_table4_grid(self):
+        # 1.3B on 2 GPUs with batch 32 up to 22B on 32 with batch 512;
+        # sequence length 2048 on L4 and 4096 on A100
+        sizes = ("1.3b", "2.7b", "6.7b", "13b", "22b")
+        for gpu, seq_len in (("L4", 2048), ("A100-40GB", 4096)):
+            spec = CampaignSpec.paper_grid(gpu=gpu, sizes=sizes,
+                                           solvers=("mist",))
+            shapes = [(c.job.model, c.job.num_gpus, c.job.global_batch,
+                       c.job.seq_len, c.job.cluster)
+                      for c in spec.expand()]
+            assert shapes == [
+                ("gpt3-1.3b", 2, 32, seq_len, None),
+                ("gpt3-2.7b", 4, 64, seq_len, None),
+                ("gpt3-6.7b", 8, 128, seq_len, None),
+                ("gpt3-13b", 16, 256, seq_len, None),
+                ("gpt3-22b", 32, 512, seq_len, None),
+            ]
+
     def test_cells_match_single_job_path(self):
         # the acceptance-critical identity: campaign cells must carry
         # the exact jobs (and so fingerprints) the sweep/runner builds
@@ -82,12 +109,11 @@ class TestExpansion:
                             sizes=("1.3b",), clusters=({"gpu": "L4"},),
                             scales=("smoke",), global_batches=(8,))
         [cell] = spec.expand()
-        workload = paper_workloads("L4", sizes=("1.3b",))[0]
-        import dataclasses
-        workload = dataclasses.replace(workload, global_batch=8)
-        direct = TuningJob.from_workload(workload, space="mist",
-                                         scale="smoke")
+        direct = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=8,
+                           space="mist", scale="smoke")
+        assert cell.job == direct
         assert cell.job.fingerprint() == direct.fingerprint()
+        assert cell.workload == direct.name
 
     def test_exclude_rules_drop_cells(self):
         spec = CampaignSpec(

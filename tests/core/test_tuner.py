@@ -8,6 +8,7 @@ from repro.core import (
     SPACE_3D_ZERO,
     SPACE_MIST,
 )
+from repro.core.tuner import gacc_candidates
 from repro.evaluation import calibrated_interference
 from repro.execution import ExecutionEngine
 from repro.hardware import make_cluster
@@ -64,8 +65,13 @@ class TestTuner:
         assert result.found
 
     def test_gacc_candidates_capped(self):
+        assert gacc_candidates(256, 1) == [1, 2, 4, 8, 16, 32, 64, 128, 256]
+        assert gacc_candidates(256, 1, 2) == [1, 256]
+        # deep pipelines skip G < S / 2
+        assert gacc_candidates(16, 8) == [4, 8, 16]
         tuner = make_tuner(max_gacc_candidates=2)
-        assert len(tuner._gacc_candidates(256, 1)) <= 2
+        for num_stages, _, gacc, _, _ in tuner._sg_grid(256):
+            assert gacc in gacc_candidates(256, num_stages, 2)
 
     def test_layer_counts_around_balance(self):
         tuner = make_tuner()

@@ -1,87 +1,45 @@
-"""Tests for workload specs and report formatting."""
+"""Tests for the Table-4 scaling rule and report formatting."""
 
 import pytest
 
 from repro.evaluation import (
-    WorkloadSpec,
+    batch_for_size,
+    default_seq_len,
     format_series,
     format_table,
     format_throughput_rows,
-    paper_workloads,
 )
 from repro.evaluation.workloads import gpu_count_for_size
 
 
 class TestWorkloads:
     def test_paper_grid_scaling_rule(self):
-        specs = paper_workloads("L4")
-        assert len(specs) == 5
-        by_size = {s.model_spec: s for s in specs}
-        assert by_size["gpt3-1.3b"].num_gpus == 2
-        assert by_size["gpt3-22b"].num_gpus == 32
-        assert by_size["gpt3-22b"].global_batch == 512
+        sizes = ("1.3b", "2.7b", "6.7b", "13b", "22b")
+        assert [gpu_count_for_size(s) for s in sizes] == [2, 4, 8, 16, 32]
+        assert [batch_for_size(s) for s in sizes] \
+            == [32, 64, 128, 256, 512]
+        assert gpu_count_for_size("22B") == 32   # case-insensitive
 
     def test_seq_len_per_gpu_type(self):
-        assert paper_workloads("L4")[0].seq_len == 2048
-        assert paper_workloads("A100-40GB")[0].seq_len == 4096
-
-    def test_cluster_shape(self):
-        spec = WorkloadSpec("gpt3-13b", "L4", 16, 256, 2048)
-        cluster = spec.cluster
-        assert cluster.total_gpus == 16
-        assert cluster.gpus_per_node == 8
-        assert cluster.num_nodes == 2
+        assert default_seq_len("L4") == 2048
+        assert default_seq_len("A100-40GB") == 4096
 
     def test_gpu_count_lookup(self):
         assert gpu_count_for_size("6.7b") == 8
         with pytest.raises(KeyError):
             gpu_count_for_size("100b")
-
-    def test_workload_name_unique_per_config(self):
-        a = WorkloadSpec("gpt3-1.3b", "L4", 2, 32, 2048)
-        b = WorkloadSpec("gpt3-1.3b", "L4", 2, 32, 2048, flash=False)
-        assert a.name != b.name
+        with pytest.raises(KeyError):
+            batch_for_size("100b")
 
 
-class TestMixedWorkloads:
-    MIXED = {"groups": [
-        {"name": "a100", "gpu": "A100-40GB", "num_nodes": 1,
-         "gpus_per_node": 2},
-        {"name": "l4", "gpu": "L4", "num_nodes": 1, "gpus_per_node": 2},
-    ]}
-
-    def test_mixed_workload_derives_shape(self):
-        from repro.evaluation.workloads import mixed_workload
-        from repro.hardware import HeterogeneousCluster
-
-        spec = mixed_workload(self.MIXED, "gpt3-1.3b", 16)
-        assert spec.num_gpus == 4
-        assert isinstance(spec.cluster, HeterogeneousCluster)
-        assert "2xA100-40GB+2xL4" in spec.name
-
-    def test_mixed_workload_to_job(self):
-        from repro.api import TuningJob
-        from repro.evaluation.workloads import mixed_workload
-
-        spec = mixed_workload(self.MIXED, "gpt3-1.3b", 16)
-        job = TuningJob.from_workload(spec, scale="smoke")
-        assert job.cluster == spec.cluster_dict
-        assert job.num_gpus == 4
-
-    def test_plain_workloads_have_no_cluster_dict(self):
-        spec = paper_workloads("L4")[0]
-        assert spec.cluster_dict is None
-
-
-class TestSolveFromWorkload:
+class TestSolveFromJob:
     """§6 measures one system on one workload through ``repro.api.solve``."""
-
-    SPEC = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
 
     def _job(self):
         from repro.api import TuningJob
 
-        return TuningJob.from_workload(self.SPEC, scale="smoke")
+        return TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=16,
+                         scale="smoke")
 
     def test_mist_report(self):
         from repro.api import solve
@@ -109,14 +67,13 @@ class TestSolveFromWorkload:
         # Fig. 15 rebuilds its ablation space with ``with_`` rather than
         # using the named preset: same knobs, different name, different
         # cache identity
-        from repro.api import TuningJob
         from repro.core import SPACE_MIST, SPACE_MIST_NO_IMBALANCE
         from repro.core.spaces import space_ref
         from repro.evaluation import SCALES, scale_ref
 
         def fingerprint(space):
-            return TuningJob.from_workload(
-                self.SPEC, space=space_ref(space),
+            return self._job().with_(
+                space=space_ref(space),
                 scale=scale_ref(SCALES["smoke"])).fingerprint()
 
         rebuilt = SPACE_MIST.with_(imbalance_aware=False)

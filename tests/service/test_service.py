@@ -176,6 +176,15 @@ class TestErrorHandling:
         assert err.value.status == 400
         assert "num_gpus" in str(err.value)
 
+    def test_partial_node_gpu_count_400(self, client, job):
+        # 12 GPUs without a cluster dict would be priced on 8
+        bad = dict(job.to_dict(), num_gpus=12)
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/jobs",
+                            {"job": bad, "solver": "svc-stub"})
+        assert err.value.status == 400
+        assert "cluster=" in str(err.value)
+
     def test_responses_are_strict_json(self, client):
         with urllib.request.urlopen(client.base_url + "/healthz",
                                     timeout=5) as response:

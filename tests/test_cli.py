@@ -140,6 +140,16 @@ class TestTune:
         assert code == 2
         assert "invalid job" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["tune", "analyze"])
+    def test_partial_node_gpu_count_rejected(self, capsys, command):
+        # 12 GPUs is not whole 8-GPU nodes: exit 2, never a silent
+        # search on 8 while "L4 x 12" is printed
+        code = main([command, "--model", "gpt3-1.3b", "--gpu", "L4",
+                     "--gpus", "12", "--global-batch", "8"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "invalid job" in out and "cluster=" in out
+
     def test_tune_json_written_when_infeasible(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code = main([
