@@ -41,6 +41,7 @@ from repro.hardware import (
     HeterogeneousCluster,
     cluster_from_dict,
     cluster_to_dict,
+    get_gpu,
     make_cluster,
 )
 from repro.models.config import ModelConfig
@@ -50,6 +51,9 @@ __all__ = ["TuningJob", "JobValidationError"]
 
 #: interference-model policies a job may request
 _INTERFERENCE_POLICIES = ("auto", "none")
+#: fields that must be plain ``int`` (not ``bool``, not ``float``)
+_INT_FIELDS = ("num_gpus", "global_batch", "seq_len", "parallelism",
+               "keep_top")
 
 #: node size of the homogeneous cluster implied by ``gpu`` / ``num_gpus``
 GPUS_PER_NODE = 8
@@ -92,6 +96,38 @@ class TuningJob:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            # bool is an int subclass, and 32.0 would fingerprint apart
+            # from 32
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise JobValidationError(
+                    f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.flash, bool):
+            raise JobValidationError(
+                f"flash must be true or false, got {self.flash!r}")
+        if not isinstance(self.options, dict):
+            raise JobValidationError(
+                f"options must be an object, got {self.options!r}")
+        for name, kinds, resolve in (
+                ("model", str, self.resolved_model),
+                ("gpu", str, lambda: get_gpu(self.gpu)),
+                ("space", (str, dict), self.resolved_space),
+                ("scale", (str, dict), self.resolved_scale)):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise JobValidationError(
+                    f"{name} must be a name"
+                    f"{'' if kinds is str else ' or an object'}, "
+                    f"got {value!r}")
+            try:
+                resolve()
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = exc.args[0] if exc.args else exc
+                if isinstance(exc, KeyError) and isinstance(value, dict):
+                    detail = f"missing field {detail!r}"
+                raise JobValidationError(
+                    f"invalid {name}: {detail}") from exc
         if self.num_gpus < 1:
             raise JobValidationError("num_gpus must be >= 1")
         if self.cluster is not None:

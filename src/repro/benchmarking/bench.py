@@ -28,8 +28,9 @@ Gates (used by the CI ``perf`` job):
   be nonzero (a silent fallback to exhaustive search would otherwise
   pass unnoticed);
 * :func:`check_against_baseline` — wall-time regression against the
-  committed baseline snapshot (default threshold: 25%), plus a schema /
-  scale sanity check;
+  committed baseline snapshot (default threshold: 25%), any drift in
+  the deterministic work counters and plan hashes it records, plus a
+  schema / scale sanity check;
 * :func:`check_warm_speedup` — warm replans must evaluate at least the
   given factor fewer configurations than cold searches (CI: 2x).
 """
@@ -164,14 +165,50 @@ def validate_bench(result: dict) -> list[str]:
     return problems
 
 
+def _pinned_fields(benchmarks: dict, names: set[str]) -> dict[str, object]:
+    """The deterministic fields of the ``names`` passes, keyed by path.
+
+    These are the fig16 plan hashes, the serial pruned and exhaustive
+    ``stats`` counters (summed and per space), and each fig_replan
+    scenario's cold and warm work and plan hash. The parallel re-run is
+    left out: which worker thread stores a shared menu first, and so
+    its ``memo_hits``, varies from run to run, and
+    :func:`validate_bench` already holds its plan to the serial one.
+    """
+    fields: dict[str, object] = {}
+    for name in (PRIMARY_BENCH, REFERENCE_BENCH):
+        if name not in names:
+            continue
+        bench = benchmarks[name]
+        for space, value in bench.get("plan_hashes", {}).items():
+            fields[f"{name}.plan_hashes[{space}]"] = value
+        for key, value in bench.get("stats", {}).items():
+            fields[f"{name}.stats.{key}"] = value
+        for space, entry in bench.get("per_space", {}).items():
+            for key, value in entry.get("stats", {}).items():
+                fields[f"{name}.per_space[{space}].stats.{key}"] = value
+    if REPLAN_BENCH in names:
+        scenarios = benchmarks[REPLAN_BENCH].get("scenarios", {})
+        for scenario, entry in scenarios.items():
+            for side in ("cold", "warm"):
+                for key in ("configurations_evaluated", "cells_explored",
+                            "plan_hash"):
+                    fields[f"{REPLAN_BENCH}.{scenario}.{side}.{key}"] = \
+                        entry.get(side, {}).get(key)
+    return fields
+
+
 def check_against_baseline(current: dict, baseline: dict, *,
                            max_regression: float = 0.25,
                            min_abs_seconds: float = 1.0) -> list[str]:
     """Regression failures vs the committed baseline (empty = OK).
 
-    A regression must exceed *both* the relative threshold and
-    ``min_abs_seconds`` of absolute drift — sub-second smoke runs are
-    scheduler-noise-dominated and would otherwise flake the gate.
+    A wall-time regression must exceed *both* the relative threshold
+    and ``min_abs_seconds`` of absolute drift — sub-second smoke runs
+    are scheduler-noise-dominated and would otherwise flake the gate.
+    Work counters and plan hashes must match the baseline exactly in
+    every pass both snapshots ran (see :func:`_pinned_fields`); a
+    change meant to move them regenerates the baseline.
     """
     problems: list[str] = []
     if baseline.get("schema") != current.get("schema"):
@@ -199,6 +236,15 @@ def check_against_baseline(current: dict, baseline: dict, *,
             f"({cur_wall:.2f}s vs {base_wall:.2f}s, "
             f"threshold +{max_regression:.0%})"
         )
+    names = set(baseline["benchmarks"]) & set(current["benchmarks"])
+    base_fields = _pinned_fields(baseline["benchmarks"], names)
+    cur_fields = _pinned_fields(current["benchmarks"], names)
+    for path in sorted(base_fields.keys() | cur_fields.keys()):
+        was = base_fields.get(path, "absent")
+        now = cur_fields.get(path, "absent")
+        if was != now:
+            problems.append(
+                f"{path} differs from the baseline: {was} -> {now}")
     return problems
 
 

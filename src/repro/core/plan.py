@@ -14,7 +14,7 @@ to their pre-heterogeneity serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.hardware import ClusterSpec, HeterogeneousCluster
 from repro.models.config import ModelConfig
@@ -225,9 +225,6 @@ class TrainingPlan:
                     f"{used.get(group.name, 0)} GPUs, group has "
                     f"{group.total_gpus}"
                 )
-
-    def with_source(self, source: str) -> "TrainingPlan":
-        return replace(self, source=source)
 
     # -- serialization -----------------------------------------------------
 

@@ -26,15 +26,13 @@ cell, while still returning bit-identical plans:
   expressions alone and rejects over-budget configurations before any
   runtime cost evaluation (:meth:`IntraStageTuner.tune` with
   ``prefilter=True`` — the exact constraint, applied earlier);
-* a *branch-and-bound cut* orders cells by an optimistic compute-only,
-  interference-free lower bound
-  (:func:`repro.core.inter_stage.objective_lower_bound`), seeds the
-  first incumbent from the cell a Megatron-style uniform heuristic
-  prefers, and skips any cell whose bound already exceeds the current
-  ``keep_top``-th best incumbent — so ``top_plans`` stays identical,
-  not just the winner. Incumbents come only from solved cells (the
-  heuristic chooses *where to look first*, never the bound itself),
-  which is what makes the bit-identity guarantee unconditional;
+* a *branch-and-bound cut* solves cells in order of an optimistic
+  compute-only, interference-free lower bound
+  (:func:`repro.core.inter_stage.objective_lower_bound`), ties broken
+  by enumeration order, and skips any cell whose bound already exceeds
+  the current ``keep_top``-th best incumbent — so ``top_plans`` stays
+  identical, not just the winner. Incumbents come only from solved
+  cells, which is what makes the bit-identity guarantee unconditional;
 * a *keyed memoization layer* (:class:`repro.core.memo.MenuMemo`)
   shares identical stage-cost subproblems — same layer slice, device
   group, parallelism, budget — across cells, across the parallel
@@ -52,10 +50,11 @@ additionally enumerates stage -> device-group assignments
 gets its own traced cost model and
 :class:`~repro.core.analyzer.SymbolicPerformanceAnalyzer` bounded by
 that group's GPU memory, so a stage menu offered to the inter-stage
-solve always respects the device that would host it. A single-group
-heterogeneous cluster is reduced to its plain
-:class:`~repro.hardware.ClusterSpec` and follows the homogeneous code
-path bit for bit.
+solve always respects the device that would host it. A homogeneous
+cluster is one device group named ``""`` whose cells hold ``S`` equal
+stages; a single-group heterogeneous cluster is reduced to its plain
+:class:`~repro.hardware.ClusterSpec` and gives the same plans bit for
+bit.
 
 Elastic re-tuning: :meth:`MistTuner.replan` warm-starts the same
 pruned search from an incumbent plan after a cluster change
@@ -86,7 +85,11 @@ from repro.tracing import TracedModel, trace
 
 from . import inter_stage
 from .analyzer import SymbolicPerformanceAnalyzer
-from .inter_stage import group_stage_assignments, objective_lower_bound
+from .inter_stage import (
+    StageSlot,
+    group_stage_assignments,
+    objective_lower_bound,
+)
 from .intra_stage import (
     IntraStageTuner,
     ParetoPoint,
@@ -94,7 +97,7 @@ from .intra_stage import (
     stage_parallelism_options,
 )
 from .memo import GLOBAL_KERNEL_CACHE, GLOBAL_MENU_MEMO, MemoEntry, MenuMemo
-from .objectives import pipeline_iteration_time, throughput
+from .objectives import throughput
 from .plan import TrainingPlan
 from .spaces import SPACE_MIST, SearchSpace
 
@@ -182,9 +185,6 @@ class SearchStats:
     memo_misses: int = 0
     #: False disables the bound cut (e.g. interference factors < 1)
     bound_pruning: bool = True
-    #: Megatron-style heuristic seed cell, when one was feasible:
-    #: ``{"num_stages": S, "gacc": G, "objective": predicted}``
-    seed: dict | None = None
     #: True when the search was warm-started from an incumbent plan
     #: (:meth:`MistTuner.replan`)
     warm: bool = False
@@ -206,7 +206,6 @@ class SearchStats:
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "bound_pruning": self.bound_pruning,
-            "seed": dict(self.seed) if self.seed else None,
             "warm": self.warm,
             "warm_seed": dict(self.warm_seed) if self.warm_seed else None,
         }
@@ -215,14 +214,12 @@ class SearchStats:
     def from_dict(cls, data: dict) -> "SearchStats":
         """Rebuild from :meth:`to_dict` output (manifest resume path).
 
-        Unknown keys are ignored, so 1.x payloads that still carry an
-        ``engine`` field load unchanged.
+        Unknown keys are ignored, so older payloads that still carry an
+        ``engine`` (1.x) or ``seed`` (2.x) field load unchanged.
         """
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        for key in ("seed", "warm_seed"):
-            value = known.get(key)
-            if value is not None:
-                known[key] = dict(value)
+        if known.get("warm_seed") is not None:
+            known["warm_seed"] = dict(known["warm_seed"])
         return cls(**known)
 
 
@@ -307,7 +304,7 @@ class MistTuner:
                  max_gacc_candidates: int | None = None):
         self.model = model
         if isinstance(cluster, HeterogeneousCluster) and cluster.is_homogeneous:
-            # one group == a plain cluster; take the (identical) fast path
+            # one group == a plain cluster, planned bit for bit the same
             cluster = cluster.groups[0].cluster
         self.cluster = cluster
         self.hetero = (cluster if isinstance(cluster, HeterogeneousCluster)
@@ -315,55 +312,34 @@ class MistTuner:
         self.seq_len = seq_len
         self.flash = flash
         self.space = space
-        if self.hetero is None:
-            traced = traced_model(model, cluster.gpu, flash=flash)
-            self.analyzer = SymbolicPerformanceAnalyzer(
-                traced, cluster,
-                interference=self._group_interference(interference, ""),
-            )
-            self.analyzers = {"": self.analyzer}
-        else:
-            self.analyzers = {}
-            for group in self.hetero.groups:
-                traced = traced_model(model, group.gpu, flash=flash)
-                self.analyzers[group.name] = SymbolicPerformanceAnalyzer(
-                    traced, group.cluster,
-                    interference=self._group_interference(interference,
-                                                          group.name),
-                    gpu=group.gpu,
-                )
-            # convenience alias: the first group's analyzer
-            self.analyzer = self.analyzers[self.hetero.groups[0].name]
         self.max_gacc_candidates = max_gacc_candidates
-        # Everything a memoized stage-cost subproblem depends on besides
-        # its StageShape/layer counts/global batch. The scope is *per
-        # device group*: a stage menu is priced entirely by its group's
-        # sub-cluster (plus the p2p clamps already inside StageShape),
-        # so a cluster delta that leaves a group untouched keeps that
-        # group's scope — and its memo entries — valid, which is what
-        # lets a replan on the delta'd cluster reuse menus for the
-        # unchanged groups. Frozen-dataclass reprs spell out every
-        # field, so two tuners share entries only when the group's cost
-        # model is parameter-identical; false *misses* merely lose
-        # sharing.
-        def _group_scope(analyzer: SymbolicPerformanceAnalyzer,
-                         group_cluster: "ClusterSpec | HeterogeneousCluster",
-                         ) -> tuple:
-            return (
+        # a homogeneous cluster is one device group named ""
+        groups = ([(g.name, g.cluster) for g in self.hetero.groups]
+                  if self.hetero is not None else [("", cluster)])
+        # Besides its StageShape/layer counts/global batch, a memoized
+        # stage-cost subproblem depends on everything in its group's
+        # memo scope. The scope is *per device group*: a stage menu is
+        # priced entirely by its group's sub-cluster (plus the p2p
+        # clamps already inside StageShape), so a cluster delta that
+        # leaves a group untouched keeps that group's scope — and its
+        # memo entries — valid, which is what lets a replan on the
+        # delta'd cluster reuse menus for the unchanged groups.
+        # Frozen-dataclass reprs spell out every field, so two tuners
+        # share entries only when the group's cost model is
+        # parameter-identical; false *misses* merely lose sharing.
+        self.analyzers: dict[str, SymbolicPerformanceAnalyzer] = {}
+        self._memo_scopes: dict[str, tuple] = {}
+        for name, group_cluster in groups:
+            analyzer = self.analyzers[name] = SymbolicPerformanceAnalyzer(
+                traced_model(model, group_cluster.gpu, flash=flash),
+                group_cluster,
+                interference=self._group_interference(interference, name),
+            )
+            self._memo_scopes[name] = (
                 repr(self.model), repr(group_cluster), self.seq_len,
                 self.flash, repr(self.space),
                 analyzer.interference.fingerprint(),
             )
-
-        if self.hetero is None:
-            self._memo_scopes = {"": _group_scope(self.analyzer,
-                                                  self.cluster)}
-        else:
-            self._memo_scopes = {
-                group.name: _group_scope(self.analyzers[group.name],
-                                         group.cluster)
-                for group in self.hetero.groups
-            }
 
     @staticmethod
     def _group_interference(
@@ -381,12 +357,6 @@ class MistTuner:
 
     # -- candidate enumeration ---------------------------------------------
 
-    def _stage_counts(self) -> list[int]:
-        return [
-            s for s in self.cluster.pipeline_stage_counts()
-            if s <= self.model.num_layers
-        ]
-
     def _layer_counts(self, num_stages: int, *,
                       slack: int | None = None) -> list[int]:
         """Candidate per-stage layer counts around the balanced split."""
@@ -400,35 +370,34 @@ class MistTuner:
 
     # -- main loop ------------------------------------------------------------
 
-    def _sg_grid(self, global_batch: int) -> list[tuple]:
-        """The outer grid: (num_stages, stage_gpus, gacc, layers, groups).
+    def _sg_grid(self, global_batch: int,
+                 ) -> list[tuple[int, list[int], tuple[StageSlot, ...]]]:
+        """The outer grid: ``(gacc, layer_counts, slots)`` per cell.
 
-        Homogeneous clusters enumerate pipeline depths with equal-size
-        stages (``groups is None``); heterogeneous clusters enumerate
-        stage -> device-group assignments, where ``stage_gpus`` varies
-        per stage and lives inside the assignment.
+        ``slots`` holds one :class:`~repro.core.inter_stage.StageSlot`
+        per pipeline stage, so ``len(slots)`` is the depth ``S``.
+        Homogeneous clusters enumerate power-of-two depths of equal
+        stages on the one ``""`` group; heterogeneous clusters enumerate
+        stage -> device-group assignments.
         """
-        grid = []
         if self.hetero is not None:
             # mixed memory capacities want more skew than the balanced
             # split allows, so widen the per-stage layer slack by one
             slack = self.space.layer_slack + 1
-            for assignment in group_stage_assignments(
-                    self.hetero, self.model.num_layers):
-                num_stages = len(assignment)
-                layer_counts = self._layer_counts(num_stages, slack=slack)
-                for gacc in gacc_candidates(global_batch, num_stages,
-                                            self.max_gacc_candidates):
-                    grid.append((num_stages, None, gacc, layer_counts,
-                                 assignment))
-            return grid
-        for num_stages in self._stage_counts():
-            stage_gpus = self.cluster.total_gpus // num_stages
-            layer_counts = self._layer_counts(num_stages)
-            for gacc in gacc_candidates(global_batch, num_stages,
+            assignments = group_stage_assignments(
+                self.hetero, self.model.num_layers)
+        else:
+            slack = self.space.layer_slack
+            total_gpus = self.cluster.total_gpus
+            assignments = [(StageSlot("", total_gpus // s),) * s
+                           for s in self.cluster.pipeline_stage_counts()
+                           if s <= self.model.num_layers]
+        grid = []
+        for slots in assignments:
+            layer_counts = self._layer_counts(len(slots), slack=slack)
+            for gacc in gacc_candidates(global_batch, len(slots),
                                         self.max_gacc_candidates):
-                grid.append((num_stages, stage_gpus, gacc, layer_counts,
-                             None))
+                grid.append((gacc, layer_counts, slots))
         return grid
 
     def search(self, global_batch: int, *, parallelism: int = 1,
@@ -448,11 +417,11 @@ class MistTuner:
         :data:`~repro.core.memo.GLOBAL_MENU_MEMO`). The returned
         ``best_plan`` / ``top_plans`` / objectives are bit-identical to
         ``prune=False``, the exhaustive reference: the same driver with
-        the prefilter, the bounds and the heuristic seed all off,
-        solving every cell in enumeration order against a private
-        per-search memo (``memo`` is ignored). Every explored cell gets
-        the same single exact inter-stage solve either way, so its
-        ``search_log`` objective does not depend on ``prune``.
+        the prefilter and the bounds off, solving every cell in
+        enumeration order against a private per-search memo (``memo``
+        is ignored). Every explored cell gets the same single exact
+        inter-stage solve either way, so its ``search_log`` objective
+        does not depend on ``prune``.
 
         ``parallelism > 1`` fans the independent per-(S, G) solves over
         that many worker threads (``0`` means one per CPU core); results
@@ -522,27 +491,23 @@ class MistTuner:
                         plan: TrainingPlan) -> int | None:
         """Locate ``plan``'s (S, G) cell in the current grid, if any.
 
-        Homogeneous grids match on pipeline depth and gacc (stage size
-        is implied by depth). Heterogeneous grids match the stage ->
-        device-group sequence too, preferring an assignment with the
-        exact per-stage GPU counts but settling for the same group
-        sequence when the delta resized a group.
+        A cell matches on gacc and on the stage -> device-group
+        sequence (which fixes the depth), preferring one with the exact
+        per-stage GPU counts but settling for the same group sequence
+        when the delta resized a group. A stage on a group this cluster
+        lacks counts as on ``""``, so on a homogeneous cluster (the one
+        ``""`` group) any plan matches by depth and gacc alone.
         """
-        if self.hetero is None:
-            for idx, (s, _, g, _, assignment) in enumerate(grid):
-                if assignment is None and s == plan.num_stages \
-                        and g == plan.gacc:
-                    return idx
-            return None
-        stage_groups = tuple(s.device_group for s in plan.stages)
+        stage_groups = tuple(
+            s.device_group if s.device_group in self.analyzers else ""
+            for s in plan.stages)
         stage_gpus = tuple(s.gpus for s in plan.stages)
         group_match = None
-        for idx, (s, _, g, _, assignment) in enumerate(grid):
-            if assignment is None or s != plan.num_stages or g != plan.gacc:
+        for idx, (g, _, slots) in enumerate(grid):
+            if g != plan.gacc \
+                    or tuple(slot.group for slot in slots) != stage_groups:
                 continue
-            if tuple(slot.group for slot in assignment) != stage_groups:
-                continue
-            if tuple(slot.stage_gpus for slot in assignment) == stage_gpus:
+            if tuple(slot.stage_gpus for slot in slots) == stage_gpus:
                 return idx
             if group_match is None:
                 group_match = idx
@@ -586,10 +551,10 @@ class MistTuner:
         seed_idx = None
         if incumbent is not None:
             # Warm start (replan): solve the incumbent plan's (S, G)
-            # cell first. Like the heuristic seed, the incumbent only
-            # chooses *where to look first* — its old objective is
-            # never reused as a bound (the delta changed the cost
-            # model under it), so bit-identity stays unconditional.
+            # cell first. The incumbent only chooses *where to look
+            # first* — its old objective is never reused as a bound
+            # (the delta changed the cost model under it), so
+            # bit-identity stays unconditional.
             seed_idx = self._incumbent_cell(grid, incumbent)
             stats.warm = True
             stats.warm_seed = {
@@ -597,10 +562,6 @@ class MistTuner:
                 "gacc": incumbent.gacc,
                 "matched": seed_idx is not None,
             }
-        if prune and seed_idx is None and self.hetero is None:
-            seed_idx, seed_info = self._heuristic_seed(
-                global_batch, grid, feasible)
-            stats.seed = seed_info
         order = sorted(
             range(total),
             key=lambda i: (i != seed_idx, bounds[i], i),
@@ -646,7 +607,7 @@ class MistTuner:
 
         candidates: list[tuple[float, int, TrainingPlan]] = []
         search_log: list[dict] = []
-        for idx, (num_stages, _, gacc, _, assignment) in enumerate(grid):
+        for idx, (gacc, _, slots) in enumerate(grid):
             status, solution, counts = outcomes[idx]
             stats.configs_evaluated += counts.evaluated
             stats.configs_prefiltered += counts.prefiltered
@@ -661,21 +622,21 @@ class MistTuner:
             # unsolvable cells log None, not inf — search logs must stay
             # strictly JSON-serializable (SolveReport round-trip contract)
             entry = {
-                "num_stages": num_stages,
+                "num_stages": len(slots),
                 "gacc": gacc,
                 "objective": float(solution.objective) if solution else None,
                 "status": status,
             }
             if math.isfinite(bounds[idx]):
                 entry["bound"] = float(bounds[idx])
-            if assignment is not None:
-                entry["groups"] = [slot.group for slot in assignment]
+            if self.hetero is not None:
+                entry["groups"] = [slot.group for slot in slots]
             search_log.append(entry)
             if verbose:  # pragma: no cover - console aid
                 obj = entry["objective"]
                 detail = (f"{obj * 1e3:.1f} ms" if obj is not None
                           else status)
-                print(f"  S={num_stages} G={gacc}: {detail}")
+                print(f"  S={len(slots)} G={gacc}: {detail}")
             if solution:
                 candidates.append((
                     solution.objective, idx,
@@ -713,13 +674,8 @@ class MistTuner:
         infeasible (the exhaustive path would explore it and find
         nothing).
         """
-        slot_keys: set[tuple[str, int, int]] = set()
-        for num_stages, stage_gpus, gacc, _, assignment in grid:
-            if assignment is None:
-                slot_keys.add(("", stage_gpus, gacc))
-            else:
-                for slot in assignment:
-                    slot_keys.add((slot.group, slot.stage_gpus, gacc))
+        slot_keys = {(slot.group, slot.stage_gpus, gacc)
+                     for gacc, _, slots in grid for slot in slots}
 
         floors: dict[tuple[str, int, int], float | None] = {}
         by_group: dict[str, list[tuple]] = {}
@@ -766,107 +722,18 @@ class MistTuner:
         bounds: list[float] = []
         feasible: list[bool] = []
         total_layers = self.model.num_layers
-        for num_stages, stage_gpus, gacc, _, assignment in grid:
-            if assignment is None:
-                slot_floors = [floors[("", stage_gpus, gacc)]]
-            else:
-                slot_floors = [floors[(s.group, s.stage_gpus, gacc)]
-                               for s in assignment]
+        for gacc, _, slots in grid:
+            slot_floors = [floors[(s.group, s.stage_gpus, gacc)]
+                           for s in slots]
             finite = [f for f in slot_floors if f is not None]
             if len(finite) != len(slot_floors):
                 bounds.append(math.inf)
                 feasible.append(False)
                 continue
             bounds.append(objective_lower_bound(
-                min(finite), total_layers, num_stages, gacc))
+                min(finite), total_layers, len(slots), gacc))
             feasible.append(True)
         return bounds, feasible
-
-    def _heuristic_seed(self, global_batch: int, grid: list[tuple],
-                        feasible: list[bool],
-                        ) -> "tuple[int | None, dict | None]":
-        """Pick the cell a Megatron-style uniform layout prefers.
-
-        For every feasible homogeneous cell, price the uniform
-        heuristic candidates — balanced layer split, one shared
-        (dp, tp, b) option, distributed optimizer (ZeRO-1 when the
-        space allows it), full-or-none recomputation, no offloading —
-        in a single batched prediction, and return the cell whose best
-        memory-feasible candidate predicts the lowest Eq. (1)
-        objective. That cell is solved *first*, so the branch-and-bound
-        cut starts from a strong incumbent; the heuristic objective
-        itself is advisory (recorded in :class:`SearchStats`) and never
-        used as a bound, which keeps bit-identity unconditional.
-        """
-        space = self.space
-        zero = 1 if 1 in space.zero_levels else space.zero_levels[0]
-        total_layers = self.model.num_layers
-        rows: list[tuple] = []
-        row_meta: list[tuple[int, int]] = []  # (cell idx, candidate id)
-        for idx, (num_stages, stage_gpus, gacc, _, assignment) in \
-                enumerate(grid):
-            if assignment is not None or not feasible[idx]:
-                continue
-            options = stage_parallelism_options(
-                self.analyzer, stage_gpus, gacc, global_batch)
-            base, extra = divmod(total_layers, num_stages)
-            candidate = 0
-            for dp, tp, b in options:
-                ckpt_choices = ((lambda l: l),) if space.ckpt_policy == "full" \
-                    else ((lambda l: 0), (lambda l: l))
-                for ckpt_of in ckpt_choices:
-                    for pos in range(num_stages):
-                        layers = base + (1 if pos < extra else 0)
-                        rows.append((
-                            dp, tp, b, layers, ckpt_of(layers), zero, gacc,
-                            min(gacc, num_stages - pos),
-                            int(pos == 0), int(pos == num_stages - 1),
-                        ))
-                        row_meta.append((idx, candidate))
-                    candidate += 1  # one candidate per (option, ckpt)
-        if not rows:
-            return None, None
-
-        n = len(rows)
-        cols = [np.array([row[i] for row in rows], dtype=float)
-                for i in range(10)]
-        dp_a, tp_a, b_a, l_a, ckpt_a, zero_a, gacc_a, inflight_a, \
-            pre_a, post_a = cols
-        env = self.analyzer.build_env(
-            b=b_a, s=np.full(n, self.seq_len), tp=tp_a, dp=dp_a,
-            l=l_a, ckpt=ckpt_a,
-            z1=(zero_a >= 1).astype(float),
-            z2=(zero_a >= 2).astype(float),
-            z3=(zero_a >= 3).astype(float),
-            wo=np.zeros(n), go=np.zeros(n), oo=np.zeros(n), ao=np.zeros(n),
-            gacc=gacc_a, inflight=inflight_a,
-            has_pre=pre_a, has_post=post_a,
-        )
-        pred = self.analyzer.predict(env)
-        fits = pred.peak_mem <= self.analyzer.memory_budget
-
-        best_idx, best_obj, best_gacc, best_stages = None, math.inf, 0, 0
-        pos = 0
-        while pos < n:
-            idx, candidate = row_meta[pos]
-            end = pos
-            while end < n and row_meta[end] == (idx, candidate):
-                end += 1
-            if bool(fits[pos:end].all()):
-                gacc = int(gacc_a[pos])
-                objective = pipeline_iteration_time(
-                    pred.t_stable[pos:end], pred.delta[pos:end], gacc)
-                if objective < best_obj:
-                    best_idx, best_obj = idx, objective
-                    best_gacc, best_stages = gacc, end - pos
-            pos = end
-        if best_idx is None:
-            return None, None
-        return best_idx, {
-            "num_stages": best_stages,
-            "gacc": best_gacc,
-            "objective": float(best_obj),
-        }
 
     def _solve_cell(
             self, global_batch: int, task: tuple, memo: MenuMemo, *,
@@ -892,7 +759,8 @@ class MistTuner:
         p2p over the inter-group link (the same clamp the execution
         engine applies).
         """
-        num_stages, stage_gpus, gacc, layer_counts, assignment = task
+        gacc, layer_counts, slots = task
+        num_stages = len(slots)
         counts = _CellCounts()
         intra: dict[str, IntraStageTuner] = {}
         seen_in_cell: set[tuple] = set()
@@ -929,9 +797,6 @@ class MistTuner:
                 counts.prefiltered += entry.prefiltered
             return entry.menus
 
-        # a homogeneous cell is a run of stages on the one "" group
-        slots = ([("", stage_gpus)] * num_stages if assignment is None
-                 else [(slot.group, slot.stage_gpus) for slot in assignment])
         stage_counts = (layer_counts if num_stages > 1
                         else [self.model.num_layers])
         menus = []

@@ -49,10 +49,6 @@ class ModelConfig:
         if self.family not in ("gpt3", "llama", "falcon"):
             raise ValueError(f"unknown family {self.family!r}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_size // self.num_heads
-
     # -- parameter counts ---------------------------------------------------
 
     @property

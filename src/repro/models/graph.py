@@ -34,13 +34,6 @@ class ModelGraph:
         """Bytes sent between adjacent pipeline stages per microbatch."""
         return 2 * B * S * self.config.hidden_size
 
-    def stage_layers(self, stage_idx: int, num_stages: int,
-                     layers_in_stage: int) -> tuple[bool, bool, int]:
-        """(has_pre, has_post, num_blocks) composition of one stage."""
-        has_pre = stage_idx == 0
-        has_post = stage_idx == num_stages - 1
-        return has_pre, has_post, layers_in_stage
-
 
 def trace_model(config: ModelConfig, *, flash: bool = True) -> ModelGraph:
     """Build the symbolic graph for ``config``.

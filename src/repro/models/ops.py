@@ -117,10 +117,6 @@ class LayerGraph:
     # -- aggregate expressions (the intra-layer pass) -----------------------
 
     @property
-    def output_tensor(self) -> str:
-        return self.ops[-1].output
-
-    @property
     def output_bytes(self) -> Expr:
         return self.ops[-1].output_bytes
 
@@ -134,18 +130,6 @@ class LayerGraph:
         total: Expr = Const(0)
         for op in self.ops:
             total = total + op.flops * op.bwd_flops_factor
-        return total
-
-    def fwd_io_bytes(self) -> Expr:
-        total: Expr = Const(0)
-        for op in self.ops:
-            total = total + op.io_bytes
-        return total
-
-    def bwd_io_bytes(self) -> Expr:
-        total: Expr = Const(0)
-        for op in self.ops:
-            total = total + op.io_bytes * op.bwd_io_factor
         return total
 
     def saved_activation_bytes(self) -> Expr:
@@ -170,9 +154,3 @@ class LayerGraph:
         for op in self.ops:
             total = total + op.tp_allreduce_bwd
         return total
-
-    def op_by_name(self, name: str) -> Op:
-        for op in self.ops:
-            if op.name == name:
-                return op
-        raise KeyError(f"no op named {name!r} in {self.name}")

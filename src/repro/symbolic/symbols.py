@@ -73,11 +73,6 @@ class SymbolManager:
     def defaults(self) -> dict[str, Number]:
         return dict(self._defaults)
 
-    def set_default(self, name: str, value: Number) -> None:
-        if name not in self._symbols:
-            raise KeyError(f"unknown symbol {name!r}")
-        self._defaults[name] = value
-
     def concretize(self, expr: Expr,
                    overrides: Mapping[str, Number] | None = None) -> Number:
         """Substitute default (plus override) values; expect a constant result."""

@@ -87,9 +87,14 @@ class TestV1Compatibility:
 
         data = SearchStats(cells_total=4, cells_explored=3,
                            cells_pruned=1).to_dict()
-        stats = SearchStats.from_dict({**data, "engine": "interpreted"})
-        assert stats.to_dict() == data
-        assert "engine" not in data
+        # 1.x payloads carry "engine"; 2.x payloads carry the retired
+        # heuristic "seed" cell
+        for legacy in ({"engine": "interpreted"},
+                       {"seed": {"num_stages": 2, "gacc": 4,
+                                 "objective": 1.5}}):
+            stats = SearchStats.from_dict({**data, **legacy})
+            assert stats.to_dict() == data
+            assert not legacy.keys() & data.keys()
 
 
 class TestV2ScaleCompatibility:
@@ -201,8 +206,9 @@ class TestResolution:
         assert scale_ref(SCALES["full"]) == "full"
 
     def test_unknown_space_rejected(self):
-        with pytest.raises(KeyError):
-            JOB.with_(space="galaxy").resolved_space()
+        # rejected when the job is built, not later when it is resolved
+        with pytest.raises(JobValidationError, match="galaxy"):
+            JOB.with_(space="galaxy")
 
 
 class TestValidation:
@@ -215,6 +221,21 @@ class TestValidation:
             JOB.with_(parallelism=-1)
         with pytest.raises(JobValidationError):
             JOB.with_(interference="sometimes")
+        # wrong types and names that do not resolve fail at construction,
+        # from the constructor and from a JSON document alike
+        for field, value in (
+                ("num_gpus", True), ("num_gpus", 2.0),
+                ("global_batch", 32.0), ("global_batch", "32"),
+                ("seq_len", 2048.0), ("parallelism", False),
+                ("keep_top", None), ("flash", "no"), ("flash", 1),
+                ("model", "gpt3-99b"), ("model", None), ("gpu", "H900"),
+                ("space", "galaxy"), ("space", {"zero_levels": [1]}),
+                ("space", 3), ("scale", "huge"), ("scale", {"name": "x"}),
+                ("options", [])):
+            with pytest.raises(JobValidationError, match=field):
+                JOB.with_(**{field: value})
+            with pytest.raises(JobValidationError, match=field):
+                TuningJob.from_dict(dict(JOB.to_dict(), **{field: value}))
 
     @pytest.mark.parametrize("num_gpus", [9, 12, 20])
     def test_partial_nodes_need_a_cluster_dict(self, num_gpus):

@@ -1,5 +1,7 @@
 """Tests for the solver registry and the cache-aware solve() helper."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -18,6 +20,8 @@ from repro.core import StageConfig, TrainingPlan
 
 JOB = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=16,
                 scale="smoke")
+V2_CAMPAIGN_PLANS = (Path(__file__).parents[1] / "campaigns" / "fixtures"
+                     / "v2_campaign" / "plans")
 
 
 class TestRegistry:
@@ -111,16 +115,31 @@ class TestSolveAndCache:
         # an entry a pre-versioning release wrote under the bare
         # "<solver>-<fingerprint>.json" name may hold a plan the current
         # solver semantics no longer return: it must be a miss, also on
-        # the raw-fingerprint lookup behind GET /plans/<fp>
+        # the raw-fingerprint lookup behind GET /plans/<fp>. So must a
+        # mist v1 entry, whose search log and counters predate the
+        # removal of the heuristic seed cell.
         cache = PlanCache(tmp_path)
-        legacy = tmp_path / f"test-dummy-{JOB.fingerprint()}.json"
-        legacy.write_text(_dummy_report(JOB, "test-dummy").to_json())
-        assert cache.load(JOB, "test-dummy") is None
-        assert cache.load_fingerprint(JOB.fingerprint(), "test-dummy") is None
-        path = cache.store(_dummy_report(JOB, "test-dummy"))
-        assert path != legacy
-        assert path.name.endswith(f"-v{SOLVER_SEMANTICS}.json")
-        assert cache.load(JOB, "test-dummy") is not None
+        fp = JOB.fingerprint()
+        for solver, legacy_name, version in (
+                ("test-dummy", f"test-dummy-{fp}.json", SOLVER_SEMANTICS),
+                ("mist", f"mist-{fp}-v1.json", 2)):
+            legacy = tmp_path / legacy_name
+            legacy.write_text(_dummy_report(JOB, solver).to_json())
+            assert cache.load(JOB, solver) is None
+            assert cache.load_fingerprint(fp, solver) is None
+            path = cache.store(_dummy_report(JOB, solver))
+            assert path != legacy
+            assert path.name.endswith(f"-v{version}.json")
+            assert cache.load(JOB, solver) is not None
+        # every other solver keeps its version: uniform its own 2, the
+        # stub solvers of the campaign directory 2.0 wrote the shared one
+        assert cache.path_for(JOB, "uniform").name.endswith("-v2.json")
+        entries = sorted(V2_CAMPAIGN_PLANS.glob("*.json"))
+        assert entries
+        for entry in entries:
+            solver, entry_fp, _ = entry.name.rsplit("-", 2)
+            assert cache.path_for_fingerprint(entry_fp, solver).name \
+                == entry.name
 
 
 class TestReportSerialization:

@@ -128,7 +128,7 @@ class TestUniformHeuristic:
                             scale=scale, interference="none")
             mist = MistSolver().make_tuner(job)
             uniform = UniformSolver().make_tuner(job)
-            mist_sg = {(s, g) for s, _, g, _, _
+            mist_sg = {(len(slots), g) for g, _, slots
                        in mist._sg_grid(job.global_batch)}
             uniform_sg = {(p[0], p[3])
                           for p in uniform.pipeline_grid(job.global_batch)}

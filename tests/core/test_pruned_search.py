@@ -169,13 +169,12 @@ class TestExhaustiveMode:
         assert not stats.prune and not stats.bound_pruning
         assert stats.cells_explored == stats.cells_total == len(grid)
         assert stats.cells_pruned == stats.cells_infeasible == 0
-        # no heuristic seed, no memory prefilter, no bounds
-        assert stats.seed is None
+        # no memory prefilter, no bounds
         assert stats.configs_prefiltered == 0
         assert all(entry["status"] == "explored" and "bound" not in entry
                    for entry in result.search_log)
         assert [(e["num_stages"], e["gacc"]) for e in result.search_log] \
-            == [(s, g) for s, _, g, _, _ in grid]
+            == [(len(slots), g) for g, _, slots in grid]
 
     def test_private_memo_per_search(self):
         tuner = _make_tuner(_case("gpt3-1.3b", make_cluster("L4", 1, 2),

@@ -70,8 +70,8 @@ class TestTuner:
         # deep pipelines skip G < S / 2
         assert gacc_candidates(16, 8) == [4, 8, 16]
         tuner = make_tuner(max_gacc_candidates=2)
-        for num_stages, _, gacc, _, _ in tuner._sg_grid(256):
-            assert gacc in gacc_candidates(256, num_stages, 2)
+        for gacc, _, slots in tuner._sg_grid(256):
+            assert gacc in gacc_candidates(256, len(slots), 2)
 
     def test_layer_counts_around_balance(self):
         tuner = make_tuner()

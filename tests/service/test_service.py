@@ -168,13 +168,20 @@ class TestErrorHandling:
             client._request("POST", "/jobs", {"solver": "svc-stub"})
         assert err.value.status == 400
 
-    def test_invalid_job_400(self, client, job):
-        bad = dict(job.to_dict(), num_gpus=0)
-        with pytest.raises(ServiceError) as err:
-            client._request("POST", "/jobs",
-                            {"job": bad, "solver": "svc-stub"})
-        assert err.value.status == 400
-        assert "num_gpus" in str(err.value)
+    def test_invalid_job_400(self, client, job, stub):
+        # besides out-of-range values: fields once accepted and then
+        # solved with the wrong setting (flash, num_gpus), failed in the
+        # worker (model), or cached under a second fingerprint (32.0)
+        for field, value in (("num_gpus", 0), ("flash", "no"),
+                             ("num_gpus", True), ("model", "gpt3-99b"),
+                             ("global_batch", 32.0), ("options", [])):
+            bad = dict(job.to_dict(), **{field: value})
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/jobs",
+                                {"job": bad, "solver": "svc-stub"})
+            assert err.value.status == 400
+            assert field in str(err.value)
+        assert stub.invocations == 0
 
     def test_partial_node_gpu_count_400(self, client, job):
         # 12 GPUs without a cluster dict would be priced on 8

@@ -120,6 +120,39 @@ class TestGates:
             "wall_time_seconds"] = 0.3
         assert check_against_baseline(tiny_cur, tiny_base) == []
 
+    def test_counter_drift_fails(self, snapshot):
+        # the parallel re-run's memo_hits varies run to run: not pinned
+        noisy = copy.deepcopy(snapshot)
+        noisy["benchmarks"]["fig16_tuning_time"]["parallel"][
+            "memo_hits"] += 1
+        assert check_against_baseline(noisy, snapshot) == []
+        # a pass the current run skipped is not compared
+        trimmed = copy.deepcopy(snapshot)
+        del trimmed["benchmarks"]["fig16_exhaustive_reference"]
+        del trimmed["benchmarks"]["fig_replan"]
+        assert check_against_baseline(trimmed, snapshot) == []
+
+        drifted = copy.deepcopy(snapshot)
+        benches = drifted["benchmarks"]
+        pruned = benches["fig16_tuning_time"]
+        space = next(iter(pruned["per_space"]))
+        pruned["plan_hashes"][space] = "deadbeefdeadbeef"
+        pruned["per_space"][space]["stats"]["configs_evaluated"] += 1
+        benches["fig16_exhaustive_reference"]["stats"]["cells_explored"] += 1
+        scenario = next(iter(benches["fig_replan"]["scenarios"]))
+        benches["fig_replan"]["scenarios"][scenario]["warm"][
+            "configurations_evaluated"] += 1
+        # a counter the baseline has and the run lacks is drift too
+        del pruned["stats"]["memo_hits"]
+        problems = check_against_baseline(drifted, snapshot)
+        assert sorted(p.split(" differs")[0] for p in problems) == sorted([
+            f"fig16_tuning_time.plan_hashes[{space}]",
+            f"fig16_tuning_time.per_space[{space}].stats.configs_evaluated",
+            "fig16_exhaustive_reference.stats.cells_explored",
+            f"fig_replan.{scenario}.warm.configurations_evaluated",
+            "fig16_tuning_time.stats.memo_hits",
+        ])
+
     def test_warm_speedup_gate(self, snapshot):
         assert check_warm_speedup(snapshot, min_speedup=2.0) == []
         slow = copy.deepcopy(snapshot)

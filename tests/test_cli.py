@@ -139,6 +139,13 @@ class TestTune:
         ])
         assert code == 2
         assert "invalid job" in capsys.readouterr().out
+        # an unknown model is a clean error too, not a traceback
+        code = main([
+            "tune", "--model", "gpt3-99b", "--gpu", "L4",
+            "--gpus", "2", "--global-batch", "8", "--scale", "smoke",
+        ])
+        assert code == 2
+        assert "invalid model" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["tune", "analyze"])
     def test_partial_node_gpu_count_rejected(self, capsys, command):

@@ -52,7 +52,6 @@ def stats():
                        cells_pruned=3, cells_infeasible=2,
                        configs_evaluated=120, configs_prefiltered=30,
                        memo_hits=5, memo_misses=7, bound_pruning=False,
-                       seed={"num_stages": 2, "gacc": 2, "objective": 1.5},
                        warm=True,
                        warm_seed={"num_stages": 2, "gacc": 2,
                                   "matched": True})
