@@ -16,7 +16,7 @@ from repro import get_model
 from repro.hardware import get_gpu, make_cluster
 from repro.symbolic import SymbolManager, count_nodes, free_symbols
 from repro.tracing import trace
-from repro.tracing.symbols import hardware_env
+from repro.tracing.symbols import symbol_env
 
 def main() -> None:
     # -- 1. symbols with concrete defaults (the paper's Figure 9 API) -----
@@ -39,13 +39,11 @@ def main() -> None:
     ckpt = np.arange(0, 33)
     ao = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     ckpt_grid, ao_grid = np.meshgrid(ckpt, ao, indexing="ij")
-    env = dict(
-        b=2, s=2048, tp=1, dp=2, l=32, ckpt=ckpt_grid, z1=0, z2=0, z3=0,
+    env = symbol_env(
+        cluster, b=2, s=2048, tp=1, dp=2, l=32, ckpt=ckpt_grid, zero=0,
         wo=0.0, go=0.0, oo=0.0, ao=ao_grid, gacc=8, inflight=2,
         has_pre=1, has_post=0,
     )
-    env.update({k: float(v.reshape(-1)[0])
-                for k, v in hardware_env(cluster, 2, 1).items()})
     from repro.symbolic import evaluate
 
     peaks = evaluate(peak, env) / 2**30

@@ -22,7 +22,9 @@ an ephemeral port with a throwaway plan-cache directory, then:
 6. POSTs ``/replan`` with a degraded-link delta: the daemon must
    warm-start from the cached incumbent plan and answer within the
    latency budget (per the ``/metrics`` ``replan`` section);
-7. shuts the daemon down.
+7. POSTs a job whose cluster has a negative ``inter_node_latency``:
+   the daemon must answer HTTP 400 without invoking the solver;
+8. shuts the daemon down.
 
 Exit code 0 on success. Runs in ~10s.
 
@@ -36,9 +38,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import tempfile
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +63,19 @@ VARIANT_JOB = dataclasses.replace(JOB, parallelism=2,
 #: a third fingerprint, submitted twice in one campaign batch: the
 #: duplicate must coalesce, and a repeat campaign must be pure cache
 CAMPAIGN_JOB = dataclasses.replace(JOB, global_batch=8)
+
+
+def post_status(url: str, body: dict) -> int:
+    """HTTP status of a raw JSON POST (the client would refuse to send
+    an invalid job)."""
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode(), method="POST",
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status
+    except urllib.error.HTTPError as exc:
+        return exc.code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,6 +181,18 @@ def main(argv: list[str] | None = None) -> int:
             assert metrics["replan"]["within_budget"] == 1, metrics
             print("replan: warm-started from the incumbent, "
                   "answered within budget")
+
+            # a malformed cluster is a 400 at submission, never a solve
+            invocations = metrics["solver"]["invocations"]
+            status = post_status(daemon.url + "/jobs", {
+                "job": dict(JOB.to_dict(), cluster={
+                    "gpu": "L4", "num_nodes": 4, "gpus_per_node": 1,
+                    "inter_node_latency": -1.0}),
+                "solver": "mist"})
+            assert status == 400, status
+            metrics = client.metrics()
+            assert metrics["solver"]["invocations"] == invocations, metrics
+            print("malformed cluster: HTTP 400, no solver invocation")
     print(f"service smoke ({args.worker_mode} workers): OK")
     return 0
 

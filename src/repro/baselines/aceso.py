@@ -89,21 +89,11 @@ class AcesoTuner:
         flat_l, flat_c = l_vals.reshape(-1), c_vals.reshape(-1)
         valid = flat_c <= flat_l
         flat_l, flat_c = flat_l[valid], flat_c[valid]
-        n = flat_l.size
-        hw = {k: float(v.reshape(-1)[0])
-              for k, v in self.analyzer.hardware_env(dp, tp).items()}
-        env = self.analyzer.build_env(
-            b=np.full(n, b), s=np.full(n, self.seq_len),
-            tp=np.full(n, tp), dp=np.full(n, dp),
-            l=flat_l, ckpt=flat_c,
-            z1=np.zeros(n), z2=np.zeros(n), z3=np.zeros(n),
-            wo=np.zeros(n), go=np.zeros(n), oo=np.zeros(n), ao=np.zeros(n),
-            gacc=np.full(n, gacc), inflight=np.full(n, inflight),
-            has_pre=np.full(n, int(has_pre)),
-            has_post=np.full(n, int(has_post)),
-            **hw,
-        )
-        pred = self.analyzer.predict(env)
+        pred = self.analyzer.predict(self.analyzer.build_env(
+            b=b, s=self.seq_len, dp=dp, tp=tp, l=flat_l, ckpt=flat_c,
+            zero=0, wo=0, go=0, oo=0, ao=0, gacc=gacc,
+            inflight=inflight, has_pre=int(has_pre), has_post=int(has_post),
+        ))
         t = np.full((max_layers + 1, max_layers + 1), np.inf)
         mem = np.full((max_layers + 1, max_layers + 1), np.inf)
         t[flat_l, flat_c] = pred.t_stable

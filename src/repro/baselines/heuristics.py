@@ -102,28 +102,18 @@ class UniformHeuristicTuner:
             zero_g, ckpt_g, wo_g, go_g, oo_g, ao_g = \
                 self._shared_config_grid(layers)
             n = zero_g.size
-            hw = {k: float(v.reshape(-1)[0])
-                  for k, v in self.analyzer.hardware_env(dp, tp).items()}
 
             stage_t = np.zeros((num_stages, n))
             stage_d = np.zeros((num_stages, n))
             fits = np.ones(n, dtype=bool)
             for i in range(num_stages):
-                env = self.analyzer.build_env(
-                    b=np.full(n, microbatch), s=np.full(n, self.seq_len),
-                    tp=np.full(n, tp), dp=np.full(n, dp),
-                    l=np.full(n, layers), ckpt=ckpt_g,
-                    z1=(zero_g >= 1).astype(float),
-                    z2=(zero_g >= 2).astype(float),
-                    z3=(zero_g >= 3).astype(float),
-                    wo=wo_g, go=go_g, oo=oo_g, ao=ao_g,
-                    gacc=np.full(n, gacc),
-                    inflight=np.full(n, min(gacc, num_stages - i)),
-                    has_pre=np.full(n, int(i == 0)),
-                    has_post=np.full(n, int(i == num_stages - 1)),
-                    **hw,
-                )
-                pred = self.analyzer.predict(env)
+                pred = self.analyzer.predict(self.analyzer.build_env(
+                    b=microbatch, s=self.seq_len, dp=dp, tp=tp, l=layers,
+                    ckpt=ckpt_g, zero=zero_g,
+                    wo=wo_g, go=go_g, oo=oo_g, ao=ao_g, gacc=gacc,
+                    inflight=min(gacc, num_stages - i),
+                    has_pre=int(i == 0), has_post=int(i == num_stages - 1),
+                ))
                 stage_t[i] = pred.t_stable
                 stage_d[i] = pred.delta
                 fits &= pred.peak_mem <= self.analyzer.memory_budget

@@ -39,8 +39,8 @@ Commands:
 * ``models``   — list available model configurations.
 * ``analyze``  — predict time/memory for an explicit configuration.
 * ``check``    — run the AST-based invariant checker (determinism,
-  serialization contracts, async-safety, lock discipline, registry
-  discipline) over the tree; see ``docs/CHECKS.md``.
+  lock order, exception flow, async-safety, lock discipline) over the
+  tree; see ``docs/CHECKS.md``.
 
 Examples::
 

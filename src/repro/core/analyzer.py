@@ -16,9 +16,9 @@ queries by value substitution:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.costmodel.interference import InterferenceModel
 from repro.execution.schedule import MIST_IMPL_OVERHEAD
@@ -26,7 +26,7 @@ from repro.hardware import ClusterSpec, GPUSpec
 from repro.symbolic import compile_expr
 from repro.tracing import ALL_SYMBOLS, TracedModel
 from repro.tracing.memory import FRAMEWORK_OVERHEAD_BYTES
-from repro.tracing.symbols import hardware_env
+from repro.tracing.symbols import symbol_env
 
 from .memo import GLOBAL_KERNEL_CACHE
 from .objectives import pipeline_iteration_time, throughput
@@ -155,27 +155,11 @@ class SymbolicPerformanceAnalyzer:
         """Per-GPU byte budget available to the plan (this device's)."""
         return memory_budget_bytes(self.gpu)
 
-    def hardware_env(self, dp: npt.ArrayLike,
-                     tp: npt.ArrayLike) -> dict[str, np.ndarray]:
-        """Bandwidth/latency symbol values for (possibly batched) dp, tp."""
-        return hardware_env(self.cluster, dp, tp)
-
-    def build_env(self, **values: npt.ArrayLike) -> dict[str, np.ndarray]:
-        """Full symbol environment: config values + derived hardware values."""
-        env = {name: np.asarray(values[name], dtype=float)
-               for name in values}
-        missing_hw = [name for name in ("tp_bw", "dp_bw") if name not in env]
-        if missing_hw:
-            if "dp" not in values or "tp" not in values:
-                raise ValueError(
-                    "missing symbol values: hardware bandwidths require "
-                    "'dp' and 'tp'"
-                )
-            env.update(self.hardware_env(values["dp"], values["tp"]))
-        missing = [name for name in _ARG_NAMES if name not in env]
-        if missing:
-            raise ValueError(f"missing symbol values: {missing}")
-        return env
+    def build_env(self, **values: Any) -> dict[str, np.ndarray]:
+        """:func:`~repro.tracing.symbols.symbol_env` on this analyzer's
+        cluster: config values (``zero=`` the ZeRO level) in, every
+        symbol's value out."""
+        return symbol_env(self.cluster, **values)
 
     # -- prediction -------------------------------------------------------------
 
@@ -239,11 +223,9 @@ class SymbolicPerformanceAnalyzer:
                   seq_len: int) -> dict[str, np.ndarray]:
         """Symbol environment for one concrete stage of a plan."""
         stage = plan.stages[stage_idx]
-        z1, z2, z3 = stage.zero_flags
         return self.build_env(
             b=stage.microbatch, s=seq_len, tp=stage.tp, dp=stage.dp,
-            l=stage.layers, ckpt=stage.ckpt,
-            z1=z1, z2=z2, z3=z3,
+            l=stage.layers, ckpt=stage.ckpt, zero=stage.zero,
             wo=stage.wo, go=stage.go, oo=stage.oo, ao=stage.ao,
             gacc=plan.gacc, inflight=plan.inflight(stage_idx),
             has_pre=int(stage_idx == 0),

@@ -10,13 +10,14 @@ every combination of
 * candidate per-stage layer counts,
 
 materializes the whole menu as **columnar arrays** (one array per
-symbol) and evaluates memory feasibility, the dominance pre-reduction
-and the runtime objective in a handful of vectorized analyzer calls
-(Section 5.2's "batched value substitutions"), filters by the memory
-budget (Eq. 4's constraint), and extracts the Pareto frontier over
-``(t_stable, d_delta)`` per layer count. Because querying single points
-is nearly free, the enumeration is brute force — "which would not miss
-any optimization possibilities" (Section 5.3).
+symbol, from :func:`~repro.tracing.symbols.symbol_env`) and evaluates
+memory feasibility and the runtime objective in a handful of
+vectorized analyzer calls (Section 5.2's "batched value
+substitutions"), filters by the memory budget (Eq. 4's constraint),
+and extracts the Pareto frontier over ``(t_stable, d_delta)`` per
+layer count. Because querying single points is nearly free, the
+enumeration is brute force — "which would not miss any optimization
+possibilities" (Section 5.3).
 
 Python loops here run over option blocks, layer-count segments and
 already-reduced frontiers, never over menu rows. The row-at-a-time
@@ -133,11 +134,11 @@ class StageShape:
     #: configurations produced for this shape carry the tag, and the
     #: tuner evaluating the shape must use that group's analyzer
     group: str = ""
-    #: pipeline p2p clamps for stages adjacent to a device-group
-    #: boundary: bandwidth capped at (latency floored to) the
-    #: inter-group link, matching what the execution engine charges
-    p2p_bandwidth_cap: float | None = None
-    p2p_latency_floor: float | None = None
+    #: ``(bandwidth, latency)`` of the inter-group link the stage's
+    #: pipeline p2p crosses, or None (see
+    #: :meth:`~repro.hardware.HeterogeneousCluster.p2p_links`, which
+    #: the execution engine applies too)
+    p2p_link: tuple[float, float] | None = None
 
 
 class IntraStageTuner:
@@ -171,37 +172,27 @@ class IntraStageTuner:
         return np.unique(np.round(np.linspace(0, max_layers, points))
                          .astype(int))
 
-    def _zero_grid(self) -> np.ndarray:
-        return np.asarray(self.space.zero_levels, dtype=int)
-
-    def _parallelism_options(self, shape: StageShape) -> list[tuple[int, int, int]]:
-        """Feasible (dp, tp, b) triples for this stage."""
-        return stage_parallelism_options(
-            self.analyzer, shape.stage_gpus, shape.gacc, self.global_batch)
-
     # -- menu materialization -----------------------------------------------
 
-    def _menu_columns(self, shape: StageShape,
-                      layer_counts: list[int]) -> dict[str, np.ndarray] | None:
-        """The stage's full config menu as columnar arrays.
+    def _menu_env(self, shape: StageShape,
+                  layer_counts: list[int]) -> dict[str, np.ndarray] | None:
+        """The stage's full config menu as one symbol environment.
 
-        One array per symbol, rows ordered by (dp, tp, b) option first
-        and meshgrid enumeration within each option second — the same
-        order the per-option batches used to accumulate in, which the
-        stable frontier extraction's tie-breaking depends on.
-
-        Hardware symbol values are constant within an option block, so
-        they are resolved once per option (the topology lookup is a
-        per-pair table walk, not an elementwise kernel) and broadcast
-        into full columns.
+        One column per symbol, rows ordered by (dp, tp, b) option first
+        and meshgrid enumeration within each option second — the order
+        the stable frontier extraction's tie-breaking depends on. Each
+        option block goes through
+        :func:`~repro.tracing.symbols.symbol_env` with scalar ``dp`` and
+        ``tp``, so the topology is looked up once per option.
         """
-        zero_levels = self._zero_grid()
+        zero_levels = np.asarray(self.space.zero_levels, dtype=int)
         ckpt_vals = self._ckpt_grid(layer_counts)
         l_vals = np.asarray(sorted(layer_counts), dtype=int)
-        hw_keys: list[str] | None = None
         blocks: list[dict[str, np.ndarray]] = []
 
-        for dp, tp, b in self._parallelism_options(shape):
+        for dp, tp, b in stage_parallelism_options(
+                self.analyzer, shape.stage_gpus, shape.gacc,
+                self.global_batch):
             grid = np.meshgrid(
                 l_vals, ckpt_vals, zero_levels,
                 np.asarray(self.space.wo_grid), np.asarray(self.space.go_grid),
@@ -217,30 +208,16 @@ class IntraStageTuner:
                 valid = (ckpt_g == 0) | (ckpt_g == l_g)
             else:
                 valid = ckpt_g <= l_g
-            l_g, ckpt_g, zero_g = l_g[valid], ckpt_g[valid], zero_g[valid]
-            wo_g, go_g, oo_g, ao_g = (wo_g[valid], go_g[valid], oo_g[valid],
-                                      ao_g[valid])
-            n = l_g.size
-            if n == 0:
+            if not valid.any():
                 continue
-
-            # hardware values are constant for this (dp, tp) choice
-            hw = {k: float(v.reshape(-1)[0])
-                  for k, v in self.analyzer.hardware_env(dp, tp).items()}
-            if shape.p2p_bandwidth_cap is not None:
-                hw["p2p_bw"] = min(hw["p2p_bw"], shape.p2p_bandwidth_cap)
-            if shape.p2p_latency_floor is not None:
-                hw["p2p_lat"] = max(hw["p2p_lat"], shape.p2p_latency_floor)
-            if hw_keys is None:
-                hw_keys = sorted(hw)
-
-            block = {
-                "b": np.full(n, b), "tp": np.full(n, tp), "dp": np.full(n, dp),
-                "l": l_g, "ckpt": ckpt_g, "zero": zero_g,
-                "wo": wo_g, "go": go_g, "oo": oo_g, "ao": ao_g,
-            }
-            block.update({k: np.full(n, hw[k]) for k in hw_keys})
-            blocks.append(block)
+            blocks.append(self.analyzer.build_env(
+                b=b, s=self.seq_len, dp=dp, tp=tp,
+                l=l_g[valid], ckpt=ckpt_g[valid], zero=zero_g[valid],
+                wo=wo_g[valid], go=go_g[valid], oo=oo_g[valid],
+                ao=ao_g[valid], gacc=shape.gacc, inflight=shape.inflight,
+                has_pre=int(shape.has_pre), has_post=int(shape.has_post),
+                p2p_link=shape.p2p_link,
+            ))
 
         if not blocks:
             return None
@@ -265,29 +242,13 @@ class IntraStageTuner:
         applies the exact constraint the post-evaluation check applies,
         just earlier.
         """
-        cols = self._menu_columns(shape, layer_counts)
-        if cols is None:
+        env = self._menu_env(shape, layer_counts)
+        if env is None:
             return {l: [] for l in layer_counts}
-        n = cols["l"].size
+        n = env["l"].size
         self.evaluated += n
 
         analyzer = self.analyzer
-        env = analyzer.build_env(
-            b=cols["b"], s=np.full(n, self.seq_len),
-            tp=cols["tp"], dp=cols["dp"],
-            l=cols["l"], ckpt=cols["ckpt"],
-            z1=(cols["zero"] >= 1).astype(float),
-            z2=(cols["zero"] >= 2).astype(float),
-            z3=(cols["zero"] >= 3).astype(float),
-            wo=cols["wo"], go=cols["go"], oo=cols["oo"], ao=cols["ao"],
-            gacc=np.full(n, shape.gacc),
-            inflight=np.full(n, shape.inflight),
-            has_pre=np.full(n, int(shape.has_pre)),
-            has_post=np.full(n, int(shape.has_post)),
-            **{k: cols[k] for k in cols
-               if k not in ("b", "tp", "dp", "l", "ckpt", "zero",
-                            "wo", "go", "oo", "ao")},
-        )
         if prefilter:
             fits_mem = (analyzer.predict_memory(env)
                         <= analyzer.memory_budget)
@@ -295,33 +256,29 @@ class IntraStageTuner:
             if not fits_mem.any():
                 return {l: [] for l in layer_counts}
             if not fits_mem.all():
-                env = {name: (value[fits_mem]
-                              if getattr(value, "ndim", 0) >= 1
-                              else value)
-                       for name, value in env.items()}
-                cols = {name: value[fits_mem]
-                        for name, value in cols.items()}
+                env = {name: value[fits_mem] for name, value in env.items()}
         pred = analyzer.predict(env)
 
         fits = np.flatnonzero(pred.peak_mem <= analyzer.memory_budget)
         menus: dict[int, list[ParetoPoint]] = {l: [] for l in layer_counts}
-        frontiers = _pareto_rows(cols["l"][fits], pred.t_stable[fits],
+        frontiers = _pareto_rows(env["l"][fits], pred.t_stable[fits],
                                  pred.delta[fits])
         for layers, rows in frontiers.items():
-            menus[layers] = [self._point(cols, pred, int(i), shape.group)
+            menus[layers] = [self._point(env, pred, int(i), shape.group)
                              for i in fits[rows]]
         return menus
 
     @staticmethod
-    def _point(cols: dict[str, np.ndarray], pred: StagePrediction, i: int,
+    def _point(env: dict[str, np.ndarray], pred: StagePrediction, i: int,
                group: str) -> ParetoPoint:
         """The frontier point for menu row ``i``."""
         cfg = StageConfig(
-            layers=int(cols["l"][i]), microbatch=int(cols["b"][i]),
-            dp=int(cols["dp"][i]), tp=int(cols["tp"][i]),
-            zero=int(cols["zero"][i]), ckpt=int(cols["ckpt"][i]),
-            wo=float(cols["wo"][i]), go=float(cols["go"][i]),
-            oo=float(cols["oo"][i]), ao=float(cols["ao"][i]),
+            layers=int(env["l"][i]), microbatch=int(env["b"][i]),
+            dp=int(env["dp"][i]), tp=int(env["tp"][i]),
+            zero=int(env["z1"][i] + env["z2"][i] + env["z3"][i]),
+            ckpt=int(env["ckpt"][i]),
+            wo=float(env["wo"][i]), go=float(env["go"][i]),
+            oo=float(env["oo"][i]), ao=float(env["ao"][i]),
             device_group=group,
         )
         return ParetoPoint(t=float(pred.t_stable[i]), d=float(pred.delta[i]),

@@ -320,7 +320,7 @@ class MistTuner:
         # stage-cost subproblem depends on everything in its group's
         # memo scope. The scope is *per device group*: a stage menu is
         # priced entirely by its group's sub-cluster (plus the p2p
-        # clamps already inside StageShape), so a cluster delta that
+        # link already inside StageShape), so a cluster delta that
         # leaves a group untouched keeps that group's scope — and its
         # memo entries — valid, which is what lets a replan on the
         # delta'd cluster reuse menus for the unchanged groups.
@@ -695,21 +695,12 @@ class MistTuner:
                     for (_, _, gacc), options in entries
                     for dp, tp, b in options
                     for layers in (1, 2)]
-            n = len(rows)
-            dp_a, tp_a, b_a, gacc_a, l_a = (
-                np.array([row[i] for row in rows], dtype=float)
-                for i in range(5)
-            )
-            env = analyzer.build_env(
-                b=b_a, s=np.full(n, self.seq_len), tp=tp_a, dp=dp_a,
-                l=l_a, ckpt=np.zeros(n),
-                z1=np.zeros(n), z2=np.zeros(n), z3=np.zeros(n),
-                wo=np.zeros(n), go=np.zeros(n), oo=np.zeros(n),
-                ao=np.zeros(n),
-                gacc=gacc_a, inflight=np.ones(n),
-                has_pre=np.zeros(n), has_post=np.zeros(n),
-            )
-            comp = analyzer.compute_channel(env)
+            dp_a, tp_a, b_a, gacc_a, l_a = np.array(rows).T
+            comp = analyzer.compute_channel(analyzer.build_env(
+                b=b_a, s=self.seq_len, dp=dp_a, tp=tp_a, l=l_a, ckpt=0,
+                zero=0, wo=0, go=0, oo=0, ao=0, gacc=gacc_a, inflight=1,
+                has_pre=0, has_post=0,
+            ))
             pos = 0
             for key, options in entries:
                 floor = math.inf
@@ -756,8 +747,9 @@ class MistTuner:
         analyzer, so every Pareto point is priced with that group's
         cost model and filtered against that group's memory budget;
         stages adjacent to a group boundary additionally price pipeline
-        p2p over the inter-group link (the same clamp the execution
-        engine applies).
+        p2p over the inter-group link
+        (:meth:`~repro.hardware.HeterogeneousCluster.p2p_links`, which
+        the execution engine applies too).
         """
         gacc, layer_counts, slots = task
         num_stages = len(slots)
@@ -799,19 +791,14 @@ class MistTuner:
 
         stage_counts = (layer_counts if num_stages > 1
                         else [self.model.num_layers])
+        links = self.cluster.p2p_links([slot.group for slot in slots])
         menus = []
-        for idx, (group, gpus) in enumerate(slots):
-            boundary = any(slots[j][0] != group for j in (idx - 1, idx + 1)
-                           if 0 <= j < num_stages)
+        for idx, ((group, gpus), link) in enumerate(zip(slots, links)):
             shape = StageShape(
                 stage_gpus=gpus, gacc=gacc,
                 inflight=min(gacc, num_stages - idx),
                 has_pre=(idx == 0), has_post=(idx == num_stages - 1),
-                group=group,
-                p2p_bandwidth_cap=(self.hetero.inter_group_bandwidth
-                                   if boundary else None),
-                p2p_latency_floor=(self.hetero.inter_group_latency
-                                   if boundary else None),
+                group=group, p2p_link=link,
             )
             menus.append(menus_for(group, shape, stage_counts))
 

@@ -21,15 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.memo import GLOBAL_KERNEL_CACHE
 from repro.core.plan import StageConfig, TrainingPlan
 from repro.hardware import ClusterSpec, HeterogeneousCluster
 from repro.models.config import ModelConfig
 from repro.symbolic import compile_expr
 from repro.tracing import ALL_SYMBOLS, TracedModel
-from repro.tracing.symbols import hardware_env
+from repro.tracing.symbols import symbol_env
 
 from .events import ContentionSpec
 from .memory_tracker import (
@@ -157,7 +155,8 @@ class ExecutionEngine:
         fwd_times: list[list[float]] = []
         bwd_times: list[list[float]] = []
         max_p2p_lat = 0.0
-        boundary = self._group_boundaries(plan)
+        links = self.cluster.p2p_links(
+            [stage.device_group for stage in plan.stages])
 
         def wall(phase: PhaseComponents) -> float:
             return phase_wall_time(phase, self.capability, self.contention)
@@ -176,10 +175,8 @@ class ExecutionEngine:
             if check_memory and not report.fits:
                 raise OOMError(idx, report.peak, report.capacity)
 
-            env = self._stage_env(plan, idx, stage, seq_len, gcluster,
-                                  crosses_groups=boundary[idx])
-            values = [float(np.asarray(v).reshape(-1)[0]) for v in fn(**env)]
-            comp = dict(zip(_COMPONENT_FIELDS, values))
+            env = self._stage_env(plan, idx, seq_len, gcluster, links[idx])
+            comp = dict(zip(_COMPONENT_FIELDS, map(float, fn(**env))))
 
             fwd = PhaseComponents(
                 comp=comp["comp_fwd"], tp=comp["tp_fwd"], dp=comp["dp_fwd"],
@@ -204,7 +201,7 @@ class ExecutionEngine:
                 bwd_row = [wall(bwd)] * (gacc - 1) + bwd_row
             fwd_times.append(fwd_row)
             bwd_times.append(bwd_row)
-            max_p2p_lat = max(max_p2p_lat, float(env["p2p_lat"][0]))
+            max_p2p_lat = max(max_p2p_lat, env["p2p_lat"])
 
         pipeline = simulate_pipeline(fwd_times, bwd_times,
                                      p2p_delay=max_p2p_lat)
@@ -222,42 +219,25 @@ class ExecutionEngine:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _group_boundaries(self, plan: TrainingPlan) -> list[bool]:
-        """Per stage: does its pipeline p2p cross a device-group edge?"""
-        flags = [False] * plan.num_stages
-        if self.hetero is None:
-            return flags
-        for i in range(plan.num_stages - 1):
-            if (plan.stages[i].device_group
-                    != plan.stages[i + 1].device_group):
-                flags[i] = flags[i + 1] = True
-        return flags
-
-    def _stage_env(self, plan: TrainingPlan, idx: int, stage: StageConfig,
-                   seq_len: int, cluster: ClusterSpec | None = None, *,
-                   crosses_groups: bool = False) -> dict:
-        cluster = cluster if cluster is not None else self.cluster
-        z1, z2, z3 = stage.zero_flags
-        env = {
-            "b": stage.microbatch, "s": seq_len,
-            "tp": stage.tp, "dp": stage.dp,
-            "l": stage.layers, "ckpt": stage.ckpt,
-            "z1": z1, "z2": z2, "z3": z3,
+    @staticmethod
+    def _stage_env(plan: TrainingPlan, idx: int, seq_len: int,
+                   cluster: ClusterSpec,
+                   p2p_link: tuple[float, float] | None) -> dict[str, float]:
+        """Symbol values of one stage as Python floats: the compiled
+        kernel runs several times faster on scalars than on 1-element
+        arrays."""
+        stage = plan.stages[idx]
+        env = symbol_env(
+            cluster, b=stage.microbatch, s=seq_len, dp=stage.dp,
+            tp=stage.tp, l=stage.layers, ckpt=stage.ckpt, zero=stage.zero,
             # execution quantizes offload ratios to whole layers
-            "wo": quantize_ratio(stage.wo, stage.layers),
-            "go": quantize_ratio(stage.go, stage.layers),
-            "oo": quantize_ratio(stage.oo, stage.layers),
-            "ao": quantize_ratio(stage.ao, stage.layers),
-            "gacc": plan.gacc, "inflight": plan.inflight(idx),
-            "has_pre": int(idx == 0),
-            "has_post": int(idx == plan.num_stages - 1),
-        }
-        env.update(hardware_env(cluster, stage.dp, stage.tp))
-        if crosses_groups and self.hetero is not None:
-            # activations to/from an adjacent stage on another device
-            # group ride the inter-group link
-            env["p2p_bw"] = np.minimum(env["p2p_bw"],
-                                       self.hetero.inter_group_bandwidth)
-            env["p2p_lat"] = np.maximum(env["p2p_lat"],
-                                        self.hetero.inter_group_latency)
-        return env
+            wo=quantize_ratio(stage.wo, stage.layers),
+            go=quantize_ratio(stage.go, stage.layers),
+            oo=quantize_ratio(stage.oo, stage.layers),
+            ao=quantize_ratio(stage.ao, stage.layers),
+            gacc=plan.gacc, inflight=plan.inflight(idx),
+            has_pre=int(idx == 0),
+            has_post=int(idx == plan.num_stages - 1),
+            p2p_link=p2p_link,
+        )
+        return {name: float(value[0]) for name, value in env.items()}

@@ -39,6 +39,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -206,7 +207,12 @@ class ClusterDelta:
             data["groups"] = groups
         else:
             data = dict(groups[0])
-        result = cluster_from_dict(data)  # validates the outcome
+        try:
+            result = cluster_from_dict(data)  # validates the outcome
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = exc.args[0] if exc.args else exc
+            raise DeltaError(
+                f"delta leaves an invalid cluster: {detail}") from exc
         return cluster_to_dict(result) if as_dict else result
 
     def _apply_op(self, op: dict, data: dict, groups: list[dict],
@@ -289,8 +295,10 @@ class ClusterDelta:
     @staticmethod
     def _factor(op: dict) -> float:
         factor = float(op.get("factor", 0.0))
-        if factor <= 0.0:
-            raise DeltaError("degrade_link 'factor' must be > 0")
+        if not (math.isfinite(factor) and factor > 0.0):
+            raise DeltaError(
+                f"degrade_link 'factor' must be finite and > 0, got "
+                f"{factor!r}")
         return factor
 
     @staticmethod

@@ -25,6 +25,8 @@ and the CLI's ``--cluster file.json`` (see ``docs/API.md``).
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .gpu import GPUSpec, get_gpu
@@ -39,6 +41,21 @@ __all__ = [
     "load_cluster",
     "make_cluster",
 ]
+
+
+def _check_links(spec, bandwidths: tuple[str, ...],
+                 latencies: tuple[str, ...]) -> None:
+    """Reject non-finite or non-positive bandwidths and non-finite or
+    negative latencies among ``spec``'s named fields."""
+    for name in bandwidths:
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    for name in latencies:
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(
+                f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +93,8 @@ class ClusterSpec:
     def __post_init__(self):
         if self.num_nodes < 1 or self.gpus_per_node < 1:
             raise ValueError("cluster must have at least one node and one GPU")
+        _check_links(self, ("inter_node_bandwidth",),
+                     ("inter_node_latency", "intra_node_latency"))
 
     @property
     def total_gpus(self) -> int:
@@ -156,6 +175,12 @@ class ClusterSpec:
         if stage_gpus < self.gpus_per_node or self.num_nodes == 1:
             return self.intra_node_latency
         return self.inter_node_latency
+
+    def p2p_links(self, stage_groups: Sequence[str],
+                  ) -> list[tuple[float, float] | None]:
+        """No inter-group links (see
+        :meth:`HeterogeneousCluster.p2p_links`)."""
+        return [None] * len(stage_groups)
 
     # -- mesh enumeration ---------------------------------------------------
 
@@ -277,8 +302,8 @@ class HeterogeneousCluster:
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate device-group names: {names}")
-        if self.inter_group_bandwidth <= 0:
-            raise ValueError("inter_group_bandwidth must be > 0")
+        _check_links(self, ("inter_group_bandwidth",),
+                     ("inter_group_latency",))
 
     @property
     def total_gpus(self) -> int:
@@ -315,6 +340,18 @@ class HeterogeneousCluster:
                 f"{len(self.groups)} groups {list(self.group_names)}"
             )
         return self.group_named(device_group)
+
+    def p2p_links(self, stage_groups: Sequence[str],
+                  ) -> list[tuple[float, float] | None]:
+        """Per stage (``stage_groups`` in pipeline order), the
+        ``(bandwidth, latency)`` of the inter-group link its p2p
+        crosses: set when a neighbour stage is on another group, else
+        None. The tuner and the execution engine both read it."""
+        link = (self.inter_group_bandwidth, self.inter_group_latency)
+        last = len(stage_groups) - 1
+        return [link if (idx > 0 and stage_groups[idx - 1] != group)
+                or (idx < last and stage_groups[idx + 1] != group) else None
+                for idx, group in enumerate(stage_groups)]
 
     # -- worst-case homogeneous view (baseline fallback) -----------------
 
@@ -409,12 +446,21 @@ def _read_latency(data: dict, key: str, default: float) -> float:
     return float(data.get(key, default))
 
 
+def _read_count(data: dict, key: str, default: int | None = None) -> int:
+    """A node or GPU count: a plain integer (not a bool, float or
+    string, which ``int()`` would silently coerce)."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _homogeneous_from_dict(data: dict) -> ClusterSpec:
     gpu = get_gpu(data["gpu"])
     spec = ClusterSpec(
         gpu=gpu,
-        num_nodes=int(data.get("num_nodes", 1)),
-        gpus_per_node=int(data["gpus_per_node"]),
+        num_nodes=_read_count(data, "num_nodes", 1),
+        gpus_per_node=_read_count(data, "gpus_per_node"),
         inter_node_bandwidth=_read_bandwidth(
             data, "inter_node_bandwidth", _default_network_bandwidth(gpu)),
         inter_node_latency=_read_latency(

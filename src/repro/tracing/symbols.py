@@ -28,6 +28,10 @@ Stage-configuration symbols (Table 2):
 Hardware symbols (substituted from the cluster topology per candidate
 placement): ``tp_bw/tp_lat``, ``dp_bw/dp_lat``, ``p2p_bw/p2p_lat``,
 ``h2d_bw``, ``d2h_bw``.
+
+:func:`symbol_env` turns a (batched) stage configuration into values
+for all of them; every pricing path — the analyzer, the tuners, the
+baselines and the execution engine — builds its environment there.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ __all__ = [
     "TP_BW", "TP_LAT", "DP_BW", "DP_LAT", "P2P_BW", "P2P_LAT",
     "H2D_BW", "D2H_BW",
     "CONFIG_SYMBOLS", "HARDWARE_SYMBOLS", "ALL_SYMBOLS",
-    "hardware_env",
+    "hardware_env", "symbol_env",
 ]
 
 DP = Sym("dp", integer=True)
@@ -82,34 +86,60 @@ HARDWARE_SYMBOLS = (TP_BW, TP_LAT, DP_BW, DP_LAT, P2P_BW, P2P_LAT,
 ALL_SYMBOLS = CONFIG_SYMBOLS + HARDWARE_SYMBOLS
 
 
+def _hardware_row(cluster: ClusterSpec, dp: int,
+                  tp: int) -> tuple[float, ...]:
+    """:data:`HARDWARE_SYMBOLS` values of one ``(dp, tp)`` stage grid."""
+    tg, dg = cluster.tp_group(tp), cluster.dp_group(dp, tp)
+    pcie = cluster.gpu.pcie_bandwidth
+    return (tg.bus_bandwidth, tg.latency, dg.bus_bandwidth, dg.latency,
+            cluster.p2p_bandwidth(dp * tp), cluster.p2p_latency(dp * tp),
+            pcie, pcie)
+
+
 def hardware_env(cluster: ClusterSpec, dp, tp) -> dict[str, np.ndarray]:
     """Hardware symbol values for (possibly batched) ``dp``/``tp`` arrays.
 
-    Bandwidths and latencies are resolved per (dp, tp) pair from the
-    cluster topology; unique pairs are looked up once and broadcast.
+    Each distinct (dp, tp) pair is looked up in the cluster topology
+    once; the result has the broadcast shape of ``dp`` and ``tp`` (at
+    least 1-d).
     """
-    dp = np.atleast_1d(np.asarray(dp, dtype=int))
-    tp = np.atleast_1d(np.asarray(tp, dtype=int))
-    dp, tp = np.broadcast_arrays(dp, tp)
-    out = {name: np.empty(dp.shape) for name in
-           ("tp_bw", "tp_lat", "dp_bw", "dp_lat", "p2p_bw", "p2p_lat")}
-    pairs: dict[tuple[int, int], tuple[float, ...]] = {}
-    for i in np.ndindex(dp.shape):
-        key = (int(dp[i]), int(tp[i]))
-        if key not in pairs:
-            tg = cluster.tp_group(key[1])
-            dg = cluster.dp_group(key[0], key[1])
-            stage_gpus = key[0] * key[1]
-            pairs[key] = (
-                tg.bus_bandwidth, tg.latency,
-                dg.bus_bandwidth, dg.latency,
-                cluster.p2p_bandwidth(stage_gpus),
-                cluster.p2p_latency(stage_gpus),
-            )
-        values = pairs[key]
-        for name, value in zip(("tp_bw", "tp_lat", "dp_bw", "dp_lat",
-                                "p2p_bw", "p2p_lat"), values):
-            out[name][i] = value
-    out["h2d_bw"] = np.full(dp.shape, cluster.gpu.pcie_bandwidth)
-    out["d2h_bw"] = np.full(dp.shape, cluster.gpu.pcie_bandwidth)
-    return out
+    dp, tp = np.broadcast_arrays(np.atleast_1d(np.asarray(dp, dtype=int)),
+                                 np.atleast_1d(np.asarray(tp, dtype=int)))
+    pairs = list(zip(dp.ravel().tolist(), tp.ravel().tolist()))
+    table = {pair: _hardware_row(cluster, *pair) for pair in set(pairs)}
+    rows = np.array([table[pair] for pair in pairs])
+    return {sym.name: rows[:, j].reshape(dp.shape)
+            for j, sym in enumerate(HARDWARE_SYMBOLS)}
+
+
+def symbol_env(cluster: ClusterSpec, *, b, s, dp, tp, l, ckpt, zero,
+               wo, go, oo, ao, gacc, inflight, has_pre, has_post,
+               p2p_link: tuple[float, float] | None = None,
+               ) -> dict[str, np.ndarray]:
+    """Every symbol's value for a (batched) stage configuration.
+
+    Scalars and arrays broadcast to one float array shape (at least
+    1-d); ``zero`` (the ZeRO level) expands to the ``z1..z3`` flags.
+    Hardware is looked up on ``dp``/``tp`` *before* broadcasting, so
+    scalar ``dp``/``tp`` cost one lookup however long the columns are.
+    ``p2p_link``, an inter-group ``(bandwidth, latency)`` from
+    :meth:`~repro.hardware.HeterogeneousCluster.p2p_links`, caps
+    ``p2p_bw`` and floors ``p2p_lat``.
+    """
+    zero = np.asarray(zero)
+    values = {
+        "b": b, "s": s, "dp": dp, "tp": tp, "l": l, "ckpt": ckpt,
+        "z1": zero >= 1, "z2": zero >= 2, "z3": zero >= 3,
+        "wo": wo, "go": go, "oo": oo, "ao": ao,
+        "gacc": gacc, "inflight": inflight,
+        "has_pre": has_pre, "has_post": has_post,
+        **hardware_env(cluster, dp, tp),
+    }
+    if p2p_link is not None:
+        bandwidth, latency = p2p_link
+        values["p2p_bw"] = np.minimum(values["p2p_bw"], bandwidth)
+        values["p2p_lat"] = np.maximum(values["p2p_lat"], latency)
+    arrays = [np.asarray(v, dtype=float) for v in values.values()]
+    shape = np.broadcast(*arrays).shape  # >= 1-d: the hardware columns are
+    return {name: a if a.shape == shape else np.full(shape, a)
+            for name, a in zip(values, arrays)}

@@ -236,6 +236,29 @@ class TestValidation:
                 JOB.with_(**{field: value})
             with pytest.raises(JobValidationError, match=field):
                 TuningJob.from_dict(dict(JOB.to_dict(), **{field: value}))
+        # malformed cluster dicts: bad links, non-integer counts
+        hetero = dict(MIXED_A100_L4)
+        for field, value in (
+                ("inter_node_bandwidth", -5e9), ("inter_node_bandwidth", 0),
+                ("inter_node_latency", -1.0), ("gpus_per_node", 1.5),
+                ("num_nodes", True), ("num_nodes", "1"),
+                ("inter_group_bandwidth", float("nan")),
+                ("inter_group_latency", float("inf"))):
+            if field.startswith("inter_group"):
+                cluster = dict(hetero, **{field: value})
+                num_gpus = 8
+            else:
+                cluster = {"gpu": "L4", "num_nodes": 2, "gpus_per_node": 1,
+                           field: value}
+                num_gpus = 2
+            with pytest.raises(JobValidationError, match=field):
+                JOB.with_(num_gpus=num_gpus, cluster=cluster)
+            with pytest.raises(JobValidationError, match=field):
+                TuningJob.from_dict(dict(JOB.to_dict(), num_gpus=num_gpus,
+                                         cluster=cluster))
+            with pytest.raises(JobValidationError, match=field):
+                TuningJob.for_cluster(cluster, model="gpt3-1.3b",
+                                      global_batch=32)
 
     @pytest.mark.parametrize("num_gpus", [9, 12, 20])
     def test_partial_nodes_need_a_cluster_dict(self, num_gpus):

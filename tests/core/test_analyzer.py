@@ -23,7 +23,7 @@ def analyzer(cluster):
 
 def base_env(analyzer, **overrides):
     values = dict(
-        b=2, s=2048, tp=1, dp=2, l=12, ckpt=0, z1=0, z2=0, z3=0,
+        b=2, s=2048, tp=1, dp=2, l=12, ckpt=0, zero=0,
         wo=0.0, go=0.0, oo=0.0, ao=0.0, gacc=4, inflight=2,
         has_pre=1, has_post=0,
     )
@@ -52,7 +52,7 @@ class TestPrediction:
 
     def test_offload_trades_delta_for_memory(self, analyzer):
         base = analyzer.predict(base_env(analyzer))
-        off = analyzer.predict(base_env(analyzer, oo=1.0, z1=1))
+        off = analyzer.predict(base_env(analyzer, oo=1.0, zero=1))
         assert off.peak_mem < base.peak_mem
         assert off.delta > base.delta
 
@@ -64,7 +64,7 @@ class TestPrediction:
         assert np.all(np.diff(pred.peak_mem) < 0)
 
     def test_missing_symbol_rejected(self, analyzer):
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(TypeError, match="missing"):
             analyzer.build_env(b=2, s=2048)
 
     def test_budget_below_device_memory(self, analyzer, cluster):

@@ -31,12 +31,12 @@ def per_microbatch_oracle(engine: ExecutionEngine, plan: TrainingPlan, *,
     """The engine's pipeline, pricing every (stage, microbatch) phase."""
     fwd_times, bwd_times = [], []
     max_p2p_lat = 0.0
-    boundary = engine._group_boundaries(plan)
+    links = engine.cluster.p2p_links(
+        [stage.device_group for stage in plan.stages])
     for idx, stage in enumerate(plan.stages):
         gcluster = engine._stage_cluster(stage)
         fn = engine._components_fn(engine._traced(MODEL, flash, gcluster))
-        env = engine._stage_env(plan, idx, stage, SEQ_LEN, gcluster,
-                                crosses_groups=boundary[idx])
+        env = engine._stage_env(plan, idx, SEQ_LEN, gcluster, links[idx])
         comp = dict(zip(_COMPONENT_FIELDS,
                         (float(np.asarray(v).reshape(-1)[0])
                          for v in fn(**env))))
@@ -63,7 +63,7 @@ def per_microbatch_oracle(engine: ExecutionEngine, plan: TrainingPlan, *,
                                              engine.contention))
         fwd_times.append(stage_fwd)
         bwd_times.append(stage_bwd)
-        max_p2p_lat = max(max_p2p_lat, float(env["p2p_lat"][0]))
+        max_p2p_lat = max(max_p2p_lat, env["p2p_lat"])
     return simulate_pipeline(fwd_times, bwd_times, p2p_delay=max_p2p_lat)
 
 

@@ -143,8 +143,18 @@ class TestApplyErrors:
                 make_cluster("L4", 1, 4))
 
     def test_nonpositive_factor_and_count(self):
-        with pytest.raises(DeltaError, match="factor"):
-            ClusterDelta.degrade_link(0.0).apply(make_cluster("L4", 2, 4))
+        for factor in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DeltaError, match="factor"):
+                ClusterDelta.degrade_link(factor).apply(
+                    make_cluster("L4", 2, 4))
         with pytest.raises(DeltaError, match="positive 'count'"):
             ClusterDelta(ops=({"op": "add_nodes", "count": 0},)).apply(
                 make_cluster("L4", 1, 4))
+
+    @pytest.mark.parametrize("cluster", [make_cluster("L4", 1, 2), mixed()])
+    def test_invalid_outcome_raises_delta_error(self, cluster):
+        group = "l4" if isinstance(cluster, HeterogeneousCluster) else ""
+        delta = ClusterDelta(ops=({"op": "resize_group", "group": group,
+                                   "gpus_per_node": 0},))
+        with pytest.raises(DeltaError, match="invalid cluster"):
+            delta.apply(cluster)

@@ -56,6 +56,37 @@ class TestConstruction:
             groups=(DeviceGroup("only", make_cluster("L4", 1, 4)),))
         assert single.group_for_stage("").name == "only"
 
+    @pytest.mark.parametrize("field, value", [
+        ("inter_group_bandwidth", 0.0), ("inter_group_bandwidth", -1.0),
+        ("inter_group_bandwidth", float("nan")),
+        ("inter_group_bandwidth", float("inf")),
+        ("inter_group_latency", -1e-6),
+        ("inter_group_latency", float("nan")),
+        ("inter_group_latency", float("inf")),
+    ])
+    def test_bad_inter_group_link_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HeterogeneousCluster(groups=mixed().groups, **{field: value})
+
+
+class TestP2PLinks:
+    def test_stages_beside_a_boundary_cross(self):
+        h = HeterogeneousCluster(groups=mixed().groups,
+                                 inter_group_bandwidth=5e9,
+                                 inter_group_latency=40e-6)
+        link = (5e9, 40e-6)
+        # first and last stages each have one neighbour
+        assert h.p2p_links(["a100", "a100", "l4", "l4", "l4"]) == [
+            None, link, link, None, None]
+        assert h.p2p_links(["a100", "l4", "l4"]) == [link, link, None]
+        assert h.p2p_links(["a100", "a100", "l4"]) == [None, link, link]
+        assert h.p2p_links(["a100", "l4"]) == [link, link]
+
+    def test_one_group_sequence_never_crosses(self):
+        assert mixed().p2p_links(["l4", "l4", "l4"]) == [None] * 3
+        assert mixed().p2p_links(["a100"]) == [None]
+        assert make_cluster("L4", 1, 4).p2p_links(["", ""]) == [None] * 2
+
 
 class TestWorstCaseFallback:
     def test_worst_gpu_is_min_memory(self):

@@ -1,8 +1,16 @@
 """Tests for GPU specs and cluster topology."""
 
+import dataclasses
+
 import pytest
 
-from repro.hardware import GPU_REGISTRY, GiB, get_gpu, make_cluster
+from repro.hardware import (
+    GPU_REGISTRY,
+    GiB,
+    cluster_from_dict,
+    get_gpu,
+    make_cluster,
+)
 
 
 class TestGPUSpecs:
@@ -93,3 +101,48 @@ class TestClusterSpec:
     def test_invalid_cluster_raises(self):
         with pytest.raises(ValueError):
             make_cluster("L4", 0, 8)
+
+
+class TestClusterFieldChecks:
+    """Malformed link values and counts are rejected, not planned."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("inter_node_bandwidth", -5e9),
+        ("inter_node_bandwidth", 0.0),
+        ("inter_node_bandwidth", float("nan")),
+        ("inter_node_bandwidth", float("inf")),
+        ("inter_node_latency", -1.0),
+        ("inter_node_latency", float("nan")),
+        ("intra_node_latency", float("inf")),
+    ])
+    def test_bad_link_rejected(self, field, value):
+        base = make_cluster("L4", 2, 1)
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(base, **{field: value})
+
+    def test_zero_latency_allowed(self):
+        base = make_cluster("L4", 2, 1)
+        cluster = dataclasses.replace(base, inter_node_latency=0.0,
+                                      intra_node_latency=0.0)
+        assert cluster.inter_node_latency == 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("gpus_per_node", 1.5), ("gpus_per_node", 2.0),
+        ("gpus_per_node", True), ("gpus_per_node", "1"),
+        ("num_nodes", True), ("num_nodes", "1"), ("num_nodes", None),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        data = {"gpu": "L4", "num_nodes": 2, "gpus_per_node": 1}
+        data[field] = value
+        with pytest.raises(ValueError, match=field):
+            cluster_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("inter_node_bandwidth", -5e9), ("inter_node_bandwidth", 0),
+        ("inter_node_latency", -1.0), ("inter_node_bandwidth_gbps", "nan"),
+    ])
+    def test_bad_link_in_dict_rejected(self, field, value):
+        data = {"gpu": "L4", "num_nodes": 2, "gpus_per_node": 1,
+                field: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            cluster_from_dict(data)

@@ -181,6 +181,21 @@ class TestErrorHandling:
                                 {"job": bad, "solver": "svc-stub"})
             assert err.value.status == 400
             assert field in str(err.value)
+        # malformed cluster dicts: once solved with a wrong link or node
+        # count, or failed in the worker
+        for field, value in (("inter_node_bandwidth", -5e9),
+                             ("inter_node_bandwidth", 0),
+                             ("inter_node_latency", -1.0),
+                             ("gpus_per_node", 1.5), ("num_nodes", True),
+                             ("num_nodes", "1")):
+            cluster = {"gpu": job.gpu, "num_nodes": job.num_gpus,
+                       "gpus_per_node": 1, field: value}
+            bad = dict(job.to_dict(), cluster=cluster)
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/jobs",
+                                {"job": bad, "solver": "svc-stub"})
+            assert err.value.status == 400
+            assert field in str(err.value)
         assert stub.invocations == 0
 
     def test_partial_node_gpu_count_400(self, client, job):

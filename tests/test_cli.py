@@ -222,6 +222,14 @@ class TestClusterCommand:
                                     "gpus_per_node": 4}))
         assert main(["cluster", str(path)]) == 2
         assert "invalid cluster file" in capsys.readouterr().out
+        path.write_text(json.dumps({"gpu": "L4", "num_nodes": 2,
+                                    "gpus_per_node": 1,
+                                    "inter_node_latency": -1.0}))
+        assert main(["cluster", str(path)]) == 2
+        assert "inter_node_latency" in capsys.readouterr().out
+        assert main(["tune", "--model", "gpt3-1.3b", "--global-batch",
+                     "8", "--cluster", str(path), "--scale", "smoke"]) == 2
+        assert "inter_node_latency" in capsys.readouterr().out
 
     def test_non_object_json_clean_error(self, capsys, tmp_path):
         path = tmp_path / "list.json"
@@ -298,6 +306,20 @@ class TestTuneCluster:
                      "--global-batch", "16", "--scale", "smoke"])
         assert code == 2
         assert "--gpus is required" in capsys.readouterr().out
+
+
+class TestReplan:
+    def test_delta_leaving_invalid_cluster_clean_error(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(
+            {"ops": [{"op": "resize_group", "gpus_per_node": 0}]}))
+        code = main(["replan", "--model", "gpt3-1.3b", "--gpus", "2",
+                     "--global-batch", "8", "--scale", "smoke",
+                     "--delta", str(path)])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "invalid cluster" in out and "at least one" in out
 
 
 class TestSweep:

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core.plan import zero_flags
 from repro.hardware import get_gpu, make_cluster
 from repro.models import build_transformer_layer, get_model
 from repro.symbolic import evaluate, free_symbols
 from repro.tracing import (
+    ALL_SYMBOLS,
+    HARDWARE_SYMBOLS,
     backward_transient,
     forward_transient,
     trace,
 )
-from repro.tracing.symbols import hardware_env
+from repro.tracing.symbols import hardware_env, symbol_env
 
 BASE_ENV = {"b": 2, "s": 2048, "tp": 1}
 
@@ -153,3 +156,69 @@ class TestStageRuntime:
             scalar = evaluate(traced.runtime.comp_bwd,
                               full_env(cluster, ckpt=int(c)))
             assert batched[i] == pytest.approx(scalar)
+
+
+class TestSymbolEnv:
+    @pytest.fixture(scope="class")
+    def multinode(self):
+        return make_cluster("L4", 2, 4)
+
+    def test_hardware_env_repeated_pairs_match_scalar_lookups(self,
+                                                              multinode):
+        dp = np.array([[1, 2, 8], [2, 1, 8], [1, 2, 2]])
+        tp = np.array([[4, 2, 1], [2, 4, 1], [4, 2, 4]])
+        env = hardware_env(multinode, dp, tp)
+        assert set(env) == {sym.name for sym in HARDWARE_SYMBOLS}
+        for name, values in env.items():
+            assert values.shape == dp.shape
+            for i in np.ndindex(dp.shape):
+                scalar = hardware_env(multinode, int(dp[i]), int(tp[i]))
+                assert scalar[name].shape == (1,)
+                assert values[i] == scalar[name][0]
+
+    def config(self, **overrides):
+        values = dict(b=2, s=2048, dp=2, tp=1, l=8, ckpt=0, zero=0,
+                      wo=0.0, go=0.0, oo=0.0, ao=0.0, gacc=4, inflight=2,
+                      has_pre=0, has_post=0)
+        values.update(overrides)
+        return values
+
+    def test_broadcasts_scalars_against_columns(self, multinode):
+        ckpt = np.array([0, 2, 4, 8])
+        env = symbol_env(multinode, **self.config(ckpt=ckpt, wo=0.5))
+        assert set(env) == {sym.name for sym in ALL_SYMBOLS}
+        for values in env.values():
+            assert values.shape == (4,) and values.dtype == float
+        assert env["ckpt"].tolist() == ckpt.tolist()
+        assert env["wo"].tolist() == [0.5] * 4
+        hw = hardware_env(multinode, 2, 1)
+        assert env["dp_bw"].tolist() == [hw["dp_bw"][0]] * 4
+        assert symbol_env(multinode, **self.config())["b"].shape == (1,)
+
+    def test_zero_level_expands_to_flags(self, multinode):
+        env = symbol_env(multinode, **self.config(zero=np.array([0, 1, 2, 3])))
+        assert env["z1"].tolist() == [0, 1, 1, 1]
+        assert env["z2"].tolist() == [0, 0, 1, 1]
+        assert env["z3"].tolist() == [0, 0, 0, 1]
+        for level in range(4):
+            flags = symbol_env(multinode, **self.config(zero=level))
+            assert tuple(flags[z][0] for z in ("z1", "z2", "z3")) \
+                == zero_flags(level)
+
+    def test_p2p_link_applies_only_when_given(self, multinode):
+        # dp * tp = 4 fills a node, so p2p rides the network
+        plain = symbol_env(multinode, **self.config(dp=4))
+        hw = hardware_env(multinode, 4, 1)
+        assert plain["p2p_bw"][0] == hw["p2p_bw"][0]
+        assert plain["p2p_lat"][0] == hw["p2p_lat"][0]
+        slow = symbol_env(multinode, **self.config(dp=4),
+                          p2p_link=(1e9, 1e-3))
+        assert slow["p2p_bw"][0] == 1e9 < hw["p2p_bw"][0]
+        assert slow["p2p_lat"][0] == 1e-3 > hw["p2p_lat"][0]
+        fast = symbol_env(multinode, **self.config(dp=4),
+                          p2p_link=(1e15, 0.0))
+        assert fast["p2p_bw"][0] == hw["p2p_bw"][0]
+        assert fast["p2p_lat"][0] == hw["p2p_lat"][0]
+        for name in plain:
+            if name not in ("p2p_bw", "p2p_lat"):
+                assert slow[name][0] == plain[name][0]
