@@ -24,7 +24,9 @@ an ephemeral port with a throwaway plan-cache directory, then:
    latency budget (per the ``/metrics`` ``replan`` section);
 7. POSTs a job whose cluster has a negative ``inter_node_latency``:
    the daemon must answer HTTP 400 without invoking the solver;
-8. shuts the daemon down.
+8. POSTs ``/replan`` with a ``remove_nodes`` delta whose ``count`` is
+   1.5: the daemon must answer HTTP 400 without invoking the solver;
+9. shuts the daemon down.
 
 Exit code 0 on success. Runs in ~10s.
 
@@ -193,6 +195,18 @@ def main(argv: list[str] | None = None) -> int:
             metrics = client.metrics()
             assert metrics["solver"]["invocations"] == invocations, metrics
             print("malformed cluster: HTTP 400, no solver invocation")
+
+            # so is a delta count that is not a plain integer (on two
+            # nodes, where int() would once have applied it as 1)
+            two_nodes = dict(JOB.to_dict(), cluster={
+                "gpu": "L4", "num_nodes": 2, "gpus_per_node": 2})
+            status = post_status(daemon.url + "/replan", {
+                "job": two_nodes, "solver": "mist",
+                "delta": {"ops": [{"op": "remove_nodes", "count": 1.5}]}})
+            assert status == 400, status
+            metrics = client.metrics()
+            assert metrics["solver"]["invocations"] == invocations, metrics
+            print("non-integer delta count: HTTP 400, no solver invocation")
     print(f"service smoke ({args.worker_mode} workers): OK")
     return 0
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Any
@@ -173,7 +174,7 @@ class TuningJob:
         where = f"{self.gpu}x{self.num_gpus}"
         if self.cluster is not None:
             cluster = self.resolved_cluster()
-            if isinstance(cluster, HeterogeneousCluster):
+            if len(cluster.sub_clusters) > 1:
                 where = cluster.name
         return (f"{self.model}-{where}-B{self.global_batch}"
                 f"-s{self.seq_len}{'-flash' if self.flash else ''}")
@@ -211,17 +212,14 @@ class TuningJob:
         :class:`TuningJob` fields pass through ``kwargs``.
         """
         try:
-            if isinstance(cluster, (ClusterSpec, HeterogeneousCluster)):
-                data = cluster_to_dict(cluster)
-            else:
-                data = dict(cluster)
+            data = (dict(cluster) if isinstance(cluster, Mapping)
+                    else cluster_to_dict(cluster))
             parsed = cluster_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise JobValidationError(
                 f"invalid cluster description: {exc}"
             ) from exc
-        gpu = (parsed.groups[0].gpu if isinstance(parsed, HeterogeneousCluster)
-               else parsed.gpu)
+        gpu = parsed.sub_clusters[0][1].gpu
         return cls(model=model, gpu=gpu.name, num_gpus=parsed.total_gpus,
                    global_batch=global_batch, seq_len=seq_len, flash=flash,
                    cluster=data, **kwargs)

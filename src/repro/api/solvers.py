@@ -71,21 +71,14 @@ def _measured(result: IterationResult | None) -> dict:
 
 
 def _job_interference(job: TuningJob) -> Any:
-    """Interference model(s) for the job's fabric(s).
-
-    Homogeneous clusters get one calibrated model; heterogeneous
-    clusters a per-device-group mapping (the shape
-    :class:`~repro.core.MistTuner` accepts).
-    """
+    """Interference models for the job's fabrics: a mapping from
+    device-group name to calibrated model (the shape
+    :class:`~repro.core.MistTuner` accepts; a plain cluster's one group
+    is ``""``)."""
     if job.interference == "none":
         return None
-    cluster = job.resolved_cluster()
-    if isinstance(cluster, HeterogeneousCluster):
-        return {
-            group.name: calibrated_interference(not group.gpu.has_nvlink)
-            for group in cluster.groups
-        }
-    return calibrated_interference(not cluster.gpu.has_nvlink)
+    return {name: calibrated_interference(not sub.gpu.has_nvlink)
+            for name, sub in job.resolved_cluster().sub_clusters}
 
 
 def _baseline_cluster(
@@ -93,7 +86,7 @@ def _baseline_cluster(
         solver_name: str) -> "ClusterSpec | HeterogeneousCluster":
     """Baselines see mixed fleets as worst-GPU homogeneous (warned)."""
     cluster = job.resolved_cluster()
-    if isinstance(cluster, HeterogeneousCluster):
+    if len(cluster.sub_clusters) > 1:
         fallback = cluster.fallback_homogeneous()
         warnings.warn(
             f"solver {solver_name!r} does not support heterogeneous "
@@ -218,8 +211,7 @@ class _BaselineSolver:
             "candidates_tried": outcome.candidates_tried,
             "candidates_oom": outcome.candidates_oom,
         }
-        if job.cluster is not None and isinstance(
-                job.resolved_cluster(), HeterogeneousCluster):
+        if len(job.resolved_cluster().sub_clusters) > 1:
             extra["heterogeneous_fallback"] = tuner.cluster.name
         return SolveReport(
             solver=self.solver_name,

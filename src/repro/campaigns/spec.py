@@ -33,7 +33,7 @@ from repro.evaluation.workloads import (
     default_seq_len,
     gpu_count_for_size,
 )
-from repro.hardware import HeterogeneousCluster, cluster_from_dict
+from repro.hardware import cluster_from_dict
 
 __all__ = ["CampaignCell", "CampaignSpec", "CampaignValidationError"]
 
@@ -120,10 +120,8 @@ def _resolve_cluster_entry(entry) -> _ResolvedCluster:
     except (KeyError, TypeError, ValueError) as exc:
         raise CampaignValidationError(
             f"invalid cluster entry: {exc}") from exc
-    gpu_name = (parsed.groups[0].gpu.name
-                if isinstance(parsed, HeterogeneousCluster)
-                else parsed.gpu.name)
-    return _ResolvedCluster(label=parsed.name, gpu_name=gpu_name,
+    return _ResolvedCluster(label=parsed.name,
+                            gpu_name=parsed.sub_clusters[0][1].gpu.name,
                             num_gpus=parsed.total_gpus,
                             cluster_dict=dict(entry))
 

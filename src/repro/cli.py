@@ -89,7 +89,6 @@ from repro.execution import ExecutionEngine, OOMError, render_timeline
 from repro.hardware import (
     ClusterDelta,
     DeltaError,
-    HeterogeneousCluster,
     cluster_to_dict,
     load_cluster,
 )
@@ -206,7 +205,7 @@ def _cmd_tune(args) -> int:
         return 2
     cache = _cache(args)
     cluster = job.resolved_cluster()
-    where = (cluster.name if isinstance(cluster, HeterogeneousCluster)
+    where = (cluster.name if len(cluster.sub_clusters) > 1
              else f"{job.gpu} x {job.num_gpus}")
     print(f"tuning {job.model} on {where}, "
           f"B={job.global_batch}, seq={job.seq_len}, scale={args.scale}, "
@@ -544,7 +543,7 @@ def _cmd_cluster(args) -> int:
     def budget(gpu) -> float:
         return memory_budget_bytes(gpu) / 2**30
 
-    if isinstance(cluster, HeterogeneousCluster):
+    if len(cluster.sub_clusters) > 1:
         print(cluster.describe())
         for group in cluster.groups:
             print(f"  {group.name}: tuner memory budget "

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.hardware import ClusterSpec, HeterogeneousCluster
+from repro.hardware import ClusterSpec, HeterogeneousCluster, reduce_fleet
 from repro.models.config import ModelConfig
 
 __all__ = ["StageConfig", "TrainingPlan", "PlanValidationError", "zero_flags",
@@ -179,50 +179,47 @@ class TrainingPlan:
                 raise PlanValidationError(
                     f"stage {idx}: TP={stage.tp} does not divide hidden size"
                 )
-        if isinstance(cluster, HeterogeneousCluster):
-            self._validate_groups(cluster)
-        else:
-            for idx, stage in enumerate(self.stages):
-                if stage.tp > cluster.gpus_per_node:
-                    raise PlanValidationError(
-                        f"stage {idx}: TP={stage.tp} exceeds node size "
-                        f"{cluster.gpus_per_node}"
-                    )
+        self._validate_groups(reduce_fleet(cluster))
         if self.global_batch % self.gacc != 0:
             raise PlanValidationError(
                 f"global batch {self.global_batch} not divisible by "
                 f"G={self.gacc}"
             )
 
-    def _validate_groups(self, cluster: HeterogeneousCluster) -> None:
-        """Heterogeneous checks: group tags, contiguity, per-group GPUs."""
+    def _validate_groups(
+            self, cluster: "ClusterSpec | HeterogeneousCluster") -> None:
+        """Group checks: tags resolve, TP fits the hosting group's
+        nodes, each group's stages are contiguous and use its GPUs. A
+        plain cluster is the one group ``""`` that every tag resolves
+        to, so only the TP check can fail there."""
         used: dict[str, int] = {}
         order: list[str] = []
         for idx, stage in enumerate(self.stages):
             try:
-                group = cluster.group_for_stage(stage.device_group)
+                name, group = cluster.stage_group(stage.device_group)
             except KeyError as exc:
                 raise PlanValidationError(
                     f"stage {idx}: {exc.args[0]}"
                 ) from None
             if stage.tp > group.gpus_per_node:
+                where = f" of group {name!r}" if name else ""
                 raise PlanValidationError(
                     f"stage {idx}: TP={stage.tp} exceeds node size "
-                    f"{group.gpus_per_node} of group {group.name!r}"
+                    f"{group.gpus_per_node}{where}"
                 )
-            used[group.name] = used.get(group.name, 0) + stage.gpus
-            if not order or order[-1] != group.name:
-                order.append(group.name)
+            used[name] = used.get(name, 0) + stage.gpus
+            if not order or order[-1] != name:
+                order.append(name)
         if len(order) != len(set(order)):
             raise PlanValidationError(
                 f"stages of one device group must be contiguous, got "
                 f"group order {order}"
             )
-        for group in cluster.groups:
-            if used.get(group.name, 0) != group.total_gpus:
+        for name, group in cluster.sub_clusters:
+            if used.get(name, 0) != group.total_gpus:
                 raise PlanValidationError(
-                    f"group {group.name!r}: stages use "
-                    f"{used.get(group.name, 0)} GPUs, group has "
+                    f"group {name!r}: stages use "
+                    f"{used.get(name, 0)} GPUs, group has "
                     f"{group.total_gpus}"
                 )
 

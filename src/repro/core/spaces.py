@@ -19,7 +19,7 @@ partitions, computed in log-space (the counts reach ~10^150).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 __all__ = [
@@ -67,13 +67,6 @@ class SearchSpace:
     imbalance_aware: bool = True
     #: per-stage layer counts explored around the balanced split
     layer_slack: int = 2
-    extra: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def tunes_offloading(self) -> bool:
-        return any(len(grid) > 1
-                   for grid in (self.oo_grid, self.ao_grid, self.go_grid,
-                                self.wo_grid))
 
     def with_(self, **changes: Any) -> "SearchSpace":
         return replace(self, **changes)

@@ -44,17 +44,19 @@ the service ``/metrics``). ``prune=False`` runs the same driver and the
 same per-cell routine with every cut switched off — the exhaustive
 reference the property tests and `repro bench` compare against.
 
-On a :class:`~repro.hardware.HeterogeneousCluster` the outer loop
-additionally enumerates stage -> device-group assignments
-(:func:`repro.core.inter_stage.group_stage_assignments`): each group
-gets its own traced cost model and
+The tuner reads a cluster through its group interface
+(``cluster.sub_clusters``, ``cluster.p2p_links``) and never asks which
+kind it holds: each device group gets its own traced cost model and
 :class:`~repro.core.analyzer.SymbolicPerformanceAnalyzer` bounded by
 that group's GPU memory, so a stage menu offered to the inter-stage
-solve always respects the device that would host it. A homogeneous
-cluster is one device group named ``""`` whose cells hold ``S`` equal
-stages; a single-group heterogeneous cluster is reduced to its plain
-:class:`~repro.hardware.ClusterSpec` and gives the same plans bit for
-bit.
+solve always respects the device that would host it. A plain
+:class:`~repro.hardware.ClusterSpec` is the one group ``""``, whose
+cells hold ``S`` equal stages of power-of-two depth; a mixed fleet
+(more than one group) enumerates stage -> device-group assignments
+instead (:func:`repro.core.inter_stage.group_stage_assignments`) and
+logs each cell's groups. A one-group fleet is first reduced to its
+plain cluster (:func:`~repro.hardware.reduce_fleet`) and gives the
+same plans bit for bit.
 
 Elastic re-tuning: :meth:`MistTuner.replan` warm-starts the same
 pruned search from an incumbent plan after a cluster change
@@ -79,7 +81,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.costmodel.interference import InterferenceModel
-from repro.hardware import ClusterSpec, GPUSpec, HeterogeneousCluster
+from repro.hardware import (
+    ClusterSpec,
+    GPUSpec,
+    HeterogeneousCluster,
+    reduce_fleet,
+)
 from repro.models.config import ModelConfig
 from repro.tracing import TracedModel, trace
 
@@ -292,8 +299,8 @@ class MistTuner:
     ``cluster`` may be a homogeneous :class:`ClusterSpec` or a
     :class:`~repro.hardware.HeterogeneousCluster`. ``interference``
     accepts a single :class:`InterferenceModel` (applied everywhere), a
-    mapping from device-group name to model (heterogeneous clusters),
-    or ``None`` for each device's default.
+    mapping from device-group name to model (``""`` names a plain
+    cluster's one group), or ``None`` for each device's default.
     """
 
     def __init__(self, model: ModelConfig,
@@ -303,19 +310,11 @@ class MistTuner:
                  interference: "InterferenceModel | Mapping | None" = None,
                  max_gacc_candidates: int | None = None):
         self.model = model
-        if isinstance(cluster, HeterogeneousCluster) and cluster.is_homogeneous:
-            # one group == a plain cluster, planned bit for bit the same
-            cluster = cluster.groups[0].cluster
-        self.cluster = cluster
-        self.hetero = (cluster if isinstance(cluster, HeterogeneousCluster)
-                       else None)
+        self.cluster = reduce_fleet(cluster)
         self.seq_len = seq_len
         self.flash = flash
         self.space = space
         self.max_gacc_candidates = max_gacc_candidates
-        # a homogeneous cluster is one device group named ""
-        groups = ([(g.name, g.cluster) for g in self.hetero.groups]
-                  if self.hetero is not None else [("", cluster)])
         # Besides its StageShape/layer counts/global batch, a memoized
         # stage-cost subproblem depends on everything in its group's
         # memo scope. The scope is *per device group*: a stage menu is
@@ -329,7 +328,7 @@ class MistTuner:
         # parameter-identical; false *misses* merely lose sharing.
         self.analyzers: dict[str, SymbolicPerformanceAnalyzer] = {}
         self._memo_scopes: dict[str, tuple] = {}
-        for name, group_cluster in groups:
+        for name, group_cluster in self.cluster.sub_clusters:
             analyzer = self.analyzers[name] = SymbolicPerformanceAnalyzer(
                 traced_model(model, group_cluster.gpu, flash=flash),
                 group_cluster,
@@ -376,16 +375,16 @@ class MistTuner:
 
         ``slots`` holds one :class:`~repro.core.inter_stage.StageSlot`
         per pipeline stage, so ``len(slots)`` is the depth ``S``.
-        Homogeneous clusters enumerate power-of-two depths of equal
-        stages on the one ``""`` group; heterogeneous clusters enumerate
-        stage -> device-group assignments.
+        A plain cluster enumerates power-of-two depths of equal stages
+        on its one ``""`` group; a mixed fleet enumerates stage ->
+        device-group assignments.
         """
-        if self.hetero is not None:
+        if len(self.cluster.sub_clusters) > 1:
             # mixed memory capacities want more skew than the balanced
             # split allows, so widen the per-stage layer slack by one
             slack = self.space.layer_slack + 1
             assignments = group_stage_assignments(
-                self.hetero, self.model.num_layers)
+                self.cluster, self.model.num_layers)
         else:
             slack = self.space.layer_slack
             total_gpus = self.cluster.total_gpus
@@ -629,7 +628,7 @@ class MistTuner:
             }
             if math.isfinite(bounds[idx]):
                 entry["bound"] = float(bounds[idx])
-            if self.hetero is not None:
+            if len(self.cluster.sub_clusters) > 1:
                 entry["groups"] = [slot.group for slot in slots]
             search_log.append(entry)
             if verbose:  # pragma: no cover - console aid

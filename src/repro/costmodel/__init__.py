@@ -8,7 +8,6 @@ from .calibration import (
 from .comm import (
     all_gather_time,
     all_reduce_time,
-    broadcast_time,
     host_copy_time,
     p2p_time,
     reduce_scatter_time,
@@ -25,7 +24,6 @@ __all__ = [
     "OperatorDatabase",
     "all_gather_time",
     "all_reduce_time",
-    "broadcast_time",
     "fit_interference_model",
     "host_copy_time",
     "p2p_time",

@@ -13,13 +13,12 @@ the *full* (gathered/unreduced) tensor size.
 
 from __future__ import annotations
 
-from repro.symbolic import Expr, ExprLike, as_expr, smax
+from repro.symbolic import Expr, ExprLike, as_expr
 
 __all__ = [
     "all_reduce_time",
     "all_gather_time",
     "reduce_scatter_time",
-    "broadcast_time",
     "p2p_time",
     "host_copy_time",
 ]
@@ -45,13 +44,6 @@ def reduce_scatter_time(bytes_: ExprLike, n: ExprLike, bus_bw: ExprLike,
                         latency: ExprLike = 0.0) -> Expr:
     """Ring reduce-scatter of a tensor of full size ``bytes_``."""
     return all_gather_time(bytes_, n, bus_bw, latency)
-
-
-def broadcast_time(bytes_: ExprLike, n: ExprLike, bus_bw: ExprLike,
-                   latency: ExprLike = 0.0) -> Expr:
-    bytes_, n, bus_bw = as_expr(bytes_), as_expr(n), as_expr(bus_bw)
-    # tree broadcast: bandwidth-bound term independent of n (pipelined)
-    return smax(bytes_ / bus_bw, 0) + (n - 1) * as_expr(latency)
 
 
 def p2p_time(bytes_: ExprLike, bw: ExprLike, latency: ExprLike = 0.0) -> Expr:

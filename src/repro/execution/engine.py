@@ -15,6 +15,13 @@ closed-form prediction (and give Section 6.6 its nonzero error):
 * 1F1B dependencies simulated exactly, including ramp-up/drain and the
   propagation of first/last-microbatch delays across stages;
 * allocator slack in the memory tracker.
+
+The engine reads a cluster through its group interface: each stage
+runs on the sub-cluster its ``device_group`` tag resolves to
+(``cluster.stage_group``; a plain cluster answers itself for any tag),
+and ``cluster.p2p_links`` says which stages send activations over the
+inter-group link. A one-group fleet is reduced to its plain cluster
+(:func:`~repro.hardware.reduce_fleet`), so it runs like one.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.core.memo import GLOBAL_KERNEL_CACHE
 from repro.core.plan import StageConfig, TrainingPlan
-from repro.hardware import ClusterSpec, HeterogeneousCluster
+from repro.hardware import ClusterSpec, HeterogeneousCluster, reduce_fleet
 from repro.models.config import ModelConfig
 from repro.symbolic import compile_expr
 from repro.tracing import ALL_SYMBOLS, TracedModel
@@ -99,18 +106,12 @@ class ExecutionEngine:
             raise ValueError(
                 f"unknown system {system!r}; known: {sorted(SCHEDULES)}"
             )
-        if isinstance(cluster, HeterogeneousCluster) and cluster.is_homogeneous:
-            cluster = cluster.groups[0].cluster
-        self.cluster = cluster
-        self.hetero = (cluster if isinstance(cluster, HeterogeneousCluster)
-                       else None)
+        self.cluster = reduce_fleet(cluster)
         self.system = system
         self.capability: OverlapCapability = SCHEDULES[system]
-        if self.hetero is None:
-            pcie_only = not cluster.gpu.has_nvlink
-        else:
-            # conservative: contention factors of the weakest fabric
-            pcie_only = any(not g.gpu.has_nvlink for g in self.hetero.groups)
+        # conservative: contention factors of the weakest fabric
+        pcie_only = any(not sub.gpu.has_nvlink
+                        for _, sub in self.cluster.sub_clusters)
         self.contention = contention or ContentionSpec.default(
             pcie_only=pcie_only
         )
@@ -119,9 +120,7 @@ class ExecutionEngine:
 
     def _stage_cluster(self, stage: StageConfig) -> ClusterSpec:
         """The homogeneous (sub-)cluster executing ``stage``."""
-        if self.hetero is None:
-            return self.cluster
-        return self.hetero.group_for_stage(stage.device_group).cluster
+        return self.cluster.stage_group(stage.device_group)[1]
 
     @staticmethod
     def _traced(model: ModelConfig, flash: bool,

@@ -2,8 +2,11 @@
 
 Homogeneous clusters are :class:`ClusterSpec`; mixed fleets (e.g.
 A100 + L4) are :class:`HeterogeneousCluster` — ordered, named
-:class:`DeviceGroup`\\ s joined by an inter-group link. Both serialize
-through :func:`cluster_to_dict` / :func:`cluster_from_dict`.
+:class:`DeviceGroup`\\ s joined by an inter-group link. Both answer
+one group interface (``sub_clusters``, ``stage_group``, ``p2p_links``),
+:func:`reduce_fleet` turns a one-group fleet into its plain cluster,
+and both serialize through :func:`cluster_to_dict` /
+:func:`cluster_from_dict`.
 """
 
 from .delta import ClusterDelta, DeltaError
@@ -17,6 +20,7 @@ from .topology import (
     cluster_to_dict,
     load_cluster,
     make_cluster,
+    reduce_fleet,
 )
 
 __all__ = [
@@ -34,4 +38,5 @@ __all__ = [
     "get_gpu",
     "load_cluster",
     "make_cluster",
+    "reduce_fleet",
 ]

@@ -29,6 +29,10 @@ Operations (each a plain dict with an ``"op"`` key):
     joining groups). Factors > 1 are allowed and model a repaired /
     upgraded link.
 
+``count``, ``num_nodes`` and ``gpus_per_node`` must be plain integers
+(not a bool, float or string); anything else raises :class:`DeltaError`
+when the delta is built, before it touches a cluster.
+
 Deltas are pure: :meth:`ClusterDelta.apply` returns a new cluster and
 never mutates its input. Applying a delta to a homogeneous cluster
 treats it as its own single group addressed by ``group=""``.
@@ -56,6 +60,9 @@ __all__ = ["ClusterDelta", "DeltaError"]
 _OPS = ("add_nodes", "remove_nodes", "resize_group", "retype_group",
         "remove_group", "degrade_link")
 
+#: op fields that count nodes or GPUs
+_INT_FIELDS = ("count", "num_nodes", "gpus_per_node")
+
 
 class DeltaError(ValueError):
     """A delta is malformed or cannot apply to the given cluster."""
@@ -66,6 +73,12 @@ def _as_op(data: Mapping[str, Any]) -> dict[str, Any]:
     kind = op.get("op")
     if kind not in _OPS:
         raise DeltaError(f"unknown delta op {kind!r}; known: {list(_OPS)}")
+    for key in _INT_FIELDS:
+        value = op.get(key, 0)
+        # a plain int: int() would turn 1.5, "1" and True into counts
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DeltaError(
+                f"{kind} {key!r} must be an integer, got {value!r}")
     return op
 
 
@@ -91,12 +104,12 @@ class ClusterDelta:
 
     @classmethod
     def add_nodes(cls, count: int, *, group: str = "") -> "ClusterDelta":
-        return cls(ops=({"op": "add_nodes", "count": int(count),
+        return cls(ops=({"op": "add_nodes", "count": count,
                          "group": group},))
 
     @classmethod
     def remove_nodes(cls, count: int, *, group: str = "") -> "ClusterDelta":
-        return cls(ops=({"op": "remove_nodes", "count": int(count),
+        return cls(ops=({"op": "remove_nodes", "count": count,
                          "group": group},))
 
     @classmethod
@@ -104,9 +117,9 @@ class ClusterDelta:
                      gpus_per_node: int | None = None) -> "ClusterDelta":
         op: dict[str, Any] = {"op": "resize_group", "group": group}
         if num_nodes is not None:
-            op["num_nodes"] = int(num_nodes)
+            op["num_nodes"] = num_nodes
         if gpus_per_node is not None:
-            op["gpus_per_node"] = int(gpus_per_node)
+            op["gpus_per_node"] = gpus_per_node
         return cls(ops=(op,))
 
     @classmethod
@@ -242,9 +255,9 @@ class ClusterDelta:
             group["num_nodes"] = remaining
         elif kind == "resize_group":
             if "num_nodes" in op:
-                group["num_nodes"] = int(op["num_nodes"])
+                group["num_nodes"] = op["num_nodes"]
             if "gpus_per_node" in op:
-                group["gpus_per_node"] = int(op["gpus_per_node"])
+                group["gpus_per_node"] = op["gpus_per_node"]
         elif kind == "retype_group":
             group["gpu"] = get_gpu(str(op["gpu"])).name
         elif kind == "remove_group":
@@ -287,7 +300,7 @@ class ClusterDelta:
 
     @staticmethod
     def _count(op: dict) -> int:
-        count = int(op.get("count", 0))
+        count = op.get("count", 0)
         if count < 1:
             raise DeltaError(f"{op['op']} needs a positive 'count'")
         return count

@@ -14,8 +14,16 @@ Mixed fleets are modelled by :class:`HeterogeneousCluster`: an ordered
 sequence of named :class:`DeviceGroup`\\ s, each a homogeneous
 sub-cluster with its own :class:`~repro.hardware.gpu.GPUSpec` and
 network, linked by an inter-group bandwidth the pipeline crosses when
-adjacent stages live on different groups. A one-group heterogeneous
-cluster is equivalent to its plain :class:`ClusterSpec`.
+adjacent stages live on different groups.
+
+Both cluster kinds answer one group interface, so callers never ask
+which kind they hold: ``sub_clusters`` lists the ``(name,
+sub-cluster)`` device groups (a :class:`ClusterSpec` is the single
+group ``("", self)``), ``stage_group(tag)`` resolves a stage's group
+tag (a :class:`ClusterSpec` answers itself for any tag), and
+``p2p_links(stage_groups)`` says which stages cross the inter-group
+link. A one-group fleet is equivalent to its plain :class:`ClusterSpec`;
+:func:`reduce_fleet` is the one place that reduces it.
 
 Both cluster kinds serialize to plain dicts (:func:`cluster_to_dict` /
 :func:`cluster_from_dict`) — the schema behind ``TuningJob.cluster``
@@ -40,6 +48,7 @@ __all__ = [
     "cluster_to_dict",
     "load_cluster",
     "make_cluster",
+    "reduce_fleet",
 ]
 
 
@@ -69,10 +78,6 @@ class CommGroup:
     bus_bandwidth: float
     #: per-hop latency (seconds)
     latency: float
-
-    @property
-    def intra_node(self) -> bool:
-        return self.nodes_spanned <= 1
 
 
 @dataclass(frozen=True)
@@ -106,20 +111,15 @@ class ClusterSpec:
 
     # -- group construction ----------------------------------------------
 
-    def group(self, size: int, *, colocated_fraction: float | None = None) -> CommGroup:
-        """Build a :class:`CommGroup` for ``size`` ranks placed contiguously.
-
-        ``colocated_fraction`` overrides the inferred intra-node share —
-        used by tensor-parallel groups that are deliberately packed into
-        a node.
-        """
+    def group(self, size: int) -> CommGroup:
+        """Build a :class:`CommGroup` for ``size`` ranks placed contiguously."""
         if size < 1:
             raise ValueError("group size must be >= 1")
         if size > self.total_gpus:
             raise ValueError(
                 f"group of {size} exceeds cluster of {self.total_gpus} GPUs"
             )
-        if size <= self.gpus_per_node and (colocated_fraction is None or colocated_fraction >= 1.0):
+        if size <= self.gpus_per_node:
             nodes = 1
         else:
             nodes = -(-size // self.gpus_per_node)  # ceil
@@ -176,10 +176,20 @@ class ClusterSpec:
             return self.intra_node_latency
         return self.inter_node_latency
 
+    # -- the group interface (see HeterogeneousCluster) ---------------------
+
+    @property
+    def sub_clusters(self) -> tuple[tuple[str, ClusterSpec], ...]:
+        """A plain cluster is the one device group ``("", self)``."""
+        return (("", self),)
+
+    def stage_group(self, device_group: str) -> tuple[str, ClusterSpec]:
+        """Every stage runs on the one group, whatever its tag."""
+        return ("", self)
+
     def p2p_links(self, stage_groups: Sequence[str],
                   ) -> list[tuple[float, float] | None]:
-        """No inter-group links (see
-        :meth:`HeterogeneousCluster.p2p_links`)."""
+        """No inter-group links."""
         return [None] * len(stage_groups)
 
     # -- mesh enumeration ---------------------------------------------------
@@ -330,16 +340,25 @@ class HeterogeneousCluster:
             f"unknown device group {name!r}; known: {list(self.group_names)}"
         )
 
-    def group_for_stage(self, device_group: str) -> DeviceGroup:
-        """Resolve a stage's group tag; '' is allowed only when unambiguous."""
+    # -- the group interface (shared with ClusterSpec) ---------------------
+
+    @property
+    def sub_clusters(self) -> tuple[tuple[str, ClusterSpec], ...]:
+        """The ``(name, sub-cluster)`` device groups, in pipeline order."""
+        return tuple((g.name, g.cluster) for g in self.groups)
+
+    def stage_group(self, device_group: str) -> tuple[str, ClusterSpec]:
+        """``(name, sub-cluster)`` of the group hosting a stage tagged
+        ``device_group``; '' is allowed only when unambiguous."""
         if not device_group:
             if self.is_homogeneous:
-                return self.groups[0]
+                return self.sub_clusters[0]
             raise KeyError(
                 "stage has no device_group tag but the cluster has "
                 f"{len(self.groups)} groups {list(self.group_names)}"
             )
-        return self.group_named(device_group)
+        group = self.group_named(device_group)
+        return group.name, group.cluster
 
     def p2p_links(self, stage_groups: Sequence[str],
                   ) -> list[tuple[float, float] | None]:
@@ -404,23 +423,18 @@ class HeterogeneousCluster:
             )
         return "\n".join(lines)
 
-    # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return cluster_to_dict(self)
+def reduce_fleet(cluster: ClusterSpec | HeterogeneousCluster,
+                 ) -> ClusterSpec | HeterogeneousCluster:
+    """A one-group fleet's plain sub-cluster; any other cluster as is.
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "HeterogeneousCluster":
-        cluster = cluster_from_dict(data)
-        if isinstance(cluster, ClusterSpec):
-            cluster = HeterogeneousCluster(
-                groups=(DeviceGroup(name=cluster.gpu.name.lower(),
-                                    cluster=cluster),)
-            )
-        return cluster
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    The one place that reduces a single-group fleet: the parser, the
+    tuner, the execution engine and plan validation all go through it,
+    so such a fleet plans, runs and validates bit for bit like its
+    :class:`ClusterSpec`.
+    """
+    groups = cluster.sub_clusters
+    return groups[0][1] if len(groups) == 1 else cluster
 
 
 # -- cluster (de)serialization ---------------------------------------------
@@ -500,7 +514,7 @@ def cluster_from_dict(data: dict) -> "ClusterSpec | HeterogeneousCluster":
         name = entry.get("name") or entry["gpu"].lower()
         groups.append(DeviceGroup(
             name=str(name), cluster=_homogeneous_from_dict(entry)))
-    hetero = HeterogeneousCluster(
+    return reduce_fleet(HeterogeneousCluster(
         groups=tuple(groups),
         inter_group_bandwidth=_read_bandwidth(
             data, "inter_group_bandwidth",
@@ -508,10 +522,7 @@ def cluster_from_dict(data: dict) -> "ClusterSpec | HeterogeneousCluster":
         inter_group_latency=_read_latency(
             data, "inter_group_latency",
             HeterogeneousCluster.inter_group_latency),
-    )
-    if hetero.is_homogeneous:
-        return hetero.groups[0].cluster
-    return hetero
+    ))
 
 
 def _homogeneous_to_dict(spec: ClusterSpec) -> dict:

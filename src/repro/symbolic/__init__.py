@@ -16,7 +16,6 @@ from .expr import (
     Cmp,
     Const,
     Div,
-    EqCmp,
     Expr,
     ExprLike,
     Floor,
@@ -56,7 +55,6 @@ __all__ = [
     "CompiledExpr",
     "Const",
     "Div",
-    "EqCmp",
     "EvaluationError",
     "Expr",
     "ExprLike",

@@ -20,7 +20,7 @@ existing expressions with Python operators::
     per_rank = ceil_div(act_bytes, 8)  # ceil(act_bytes / 8)
 
 ``==`` on expressions is *structural* equality (returns ``bool``); use
-:func:`Le`, :func:`Lt`, :func:`Ge`, :func:`Gt`, :func:`EqCmp` to build
+:func:`Le`, :func:`Lt`, :func:`Ge`, :func:`Gt` to build
 symbolic comparisons for :class:`Piecewise` conditions.
 """
 
@@ -57,7 +57,6 @@ __all__ = [
     "Lt",
     "Ge",
     "Gt",
-    "EqCmp",
     "free_symbols",
     "substitute",
 ]
@@ -599,10 +598,6 @@ def Gt(a: ExprLike, b: ExprLike) -> Expr:
 
 def Ge(a: ExprLike, b: ExprLike) -> Expr:
     return Cmp.make(">=", as_expr(a), as_expr(b))
-
-
-def EqCmp(a: ExprLike, b: ExprLike) -> Expr:
-    return Cmp.make("==", as_expr(a), as_expr(b))
 
 
 class Piecewise(Expr):

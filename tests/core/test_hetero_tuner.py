@@ -145,6 +145,66 @@ class TestHomogeneousParity:
         assert result.found
         assert all(s.device_group == "" for s in result.best_plan.stages)
 
+    @staticmethod
+    def _pair(num_nodes=1):
+        plain = make_cluster("L4", num_nodes, 4)
+        return plain, HeterogeneousCluster(groups=(DeviceGroup("l4", plain),))
+
+    def test_single_group_cluster_runs_like_plain(self):
+        plain, wrapped = self._pair()
+        plan = make_tuner(plain).search(BATCH).best_plan
+        runs = [ExecutionEngine(cluster, system="mist").run(
+                    plan, MODEL, seq_len=SEQ_LEN)
+                for cluster in (plain, wrapped)]
+        assert repr(runs[0].iteration_time) == repr(runs[1].iteration_time)
+        assert runs[0].stage_memory == runs[1].stage_memory
+        assert runs[0].pipeline == runs[1].pipeline
+
+    def test_single_group_cluster_validates_like_plain(self):
+        from repro.core.plan import PlanValidationError, StageConfig, \
+            TrainingPlan
+
+        plain, wrapped = self._pair()
+        plan = make_tuner(plain).search(BATCH).best_plan
+        for cluster in (plain, wrapped):
+            plan.validate(MODEL, cluster)
+        too_wide = TrainingPlan(global_batch=4, gacc=1, stages=(
+            StageConfig(layers=24, microbatch=4, dp=1, tp=8),))
+        messages = []
+        for cluster in self._pair(num_nodes=2):
+            with pytest.raises(PlanValidationError) as err:
+                too_wide.validate(MODEL, cluster)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == \
+            "stage 0: TP=8 exceeds node size 4"
+
+    def test_tagged_plan_on_plain_cluster_validates_and_runs(self):
+        import dataclasses
+
+        plain, wrapped = self._pair()
+        plan = make_tuner(plain).search(BATCH).best_plan
+        tagged = dataclasses.replace(plan, stages=tuple(
+            dataclasses.replace(stage, device_group=f"g{idx % 2}")
+            for idx, stage in enumerate(plan.stages)))
+        base = ExecutionEngine(plain, system="mist").run(
+            plan, MODEL, seq_len=SEQ_LEN)
+        for cluster in (plain, wrapped):
+            tagged.validate(MODEL, cluster)
+            run = ExecutionEngine(cluster, system="mist").run(
+                tagged, MODEL, seq_len=SEQ_LEN)
+            assert repr(run.iteration_time) == repr(base.iteration_time)
+            assert run.stage_memory == base.stage_memory
+
+    def test_single_group_cluster_gets_plain_interference(self):
+        from repro.api import TuningJob
+        from repro.api.solvers import _job_interference
+
+        models = [_job_interference(TuningJob.for_cluster(
+                      cluster, model="gpt3-1.3b", global_batch=BATCH))
+                  for cluster in self._pair()]
+        assert list(models[0]) == list(models[1]) == [""]
+        assert models[0][""].fingerprint() == models[1][""].fingerprint()
+
 
 class TestHeterogeneousExecution:
     def test_plan_with_unknown_group_rejected(self):

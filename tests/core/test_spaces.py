@@ -33,13 +33,11 @@ class TestSpaceDefinitions:
     def test_3d_space_is_megatron_like(self):
         assert SPACE_3D.zero_levels == (0, 1)
         assert not SPACE_3D.tune_ckpt
-        assert not SPACE_3D.tunes_offloading
         assert SPACE_3D.layer_slack == 0
 
     def test_mist_space_has_everything(self):
         assert 3 in SPACE_MIST.zero_levels
         assert SPACE_MIST.tune_ckpt
-        assert SPACE_MIST.tunes_offloading
         assert SPACE_MIST.imbalance_aware
 
     def test_with_returns_new_instance(self):

@@ -150,6 +150,21 @@ class TestApplyErrors:
         with pytest.raises(DeltaError, match="positive 'count'"):
             ClusterDelta(ops=({"op": "add_nodes", "count": 0},)).apply(
                 make_cluster("L4", 1, 4))
+        # counts are plain ints: int() would apply 1.5, "1" and True as 1
+        for op in ({"op": "remove_nodes", "count": 1.5},
+                   {"op": "remove_nodes", "count": "1"},
+                   {"op": "remove_nodes", "count": True},
+                   {"op": "remove_nodes", "count": "abc"},
+                   {"op": "resize_group", "num_nodes": 2.7},
+                   {"op": "resize_group", "gpus_per_node": "4"}):
+            with pytest.raises(DeltaError, match="must be an integer"):
+                ClusterDelta.from_dict({"ops": [op]}).apply(
+                    make_cluster("L4", 2, 4))
+        for build in (lambda: ClusterDelta.remove_nodes(1.5),
+                      lambda: ClusterDelta.add_nodes(True),
+                      lambda: ClusterDelta.resize_group("", num_nodes=2.7)):
+            with pytest.raises(DeltaError, match="must be an integer"):
+                build()
 
     @pytest.mark.parametrize("cluster", [make_cluster("L4", 1, 2), mixed()])
     def test_invalid_outcome_raises_delta_error(self, cluster):

@@ -9,7 +9,20 @@ from repro.hardware import (
     cluster_to_dict,
     load_cluster,
     make_cluster,
+    reduce_fleet,
 )
+
+
+#: a mixed fleet in the schema's human units (``*_gbps``, ``*_us``)
+GBPS_CLUSTER = {
+    "groups": [
+        {"name": "a100", "gpu": "A100-40GB", "num_nodes": 1,
+         "gpus_per_node": 2, "inter_node_bandwidth_gbps": 400},
+        {"name": "l4", "gpu": "L4", "num_nodes": 2, "gpus_per_node": 2},
+    ],
+    "inter_group_bandwidth_gbps": 100,
+    "inter_group_latency_us": 25.0,
+}
 
 
 def mixed(a100=2, l4=2) -> HeterogeneousCluster:
@@ -51,10 +64,10 @@ class TestConstruction:
     def test_group_for_stage_empty_tag(self):
         h = mixed()
         with pytest.raises(KeyError, match="no device_group"):
-            h.group_for_stage("")
+            h.stage_group("")
         single = HeterogeneousCluster(
             groups=(DeviceGroup("only", make_cluster("L4", 1, 4)),))
-        assert single.group_for_stage("").name == "only"
+        assert single.stage_group("")[0] == "only"
 
     @pytest.mark.parametrize("field, value", [
         ("inter_group_bandwidth", 0.0), ("inter_group_bandwidth", -1.0),
@@ -88,6 +101,31 @@ class TestP2PLinks:
         assert make_cluster("L4", 1, 4).p2p_links(["", ""]) == [None] * 2
 
 
+class TestGroupInterface:
+    def test_sub_clusters(self):
+        plain = make_cluster("L4", 1, 4)
+        assert plain.sub_clusters == (("", plain),)
+        h = mixed()
+        assert h.sub_clusters == tuple((g.name, g.cluster) for g in h.groups)
+
+    def test_stage_group(self):
+        plain = make_cluster("L4", 1, 4)
+        for tag in ("", "l4", "a100"):
+            assert plain.stage_group(tag) == ("", plain)
+        h = mixed()
+        assert h.stage_group("l4") == ("l4", h.group_named("l4").cluster)
+        with pytest.raises(KeyError, match="unknown device group"):
+            h.stage_group("h100")
+
+    def test_reduce_fleet(self):
+        plain = make_cluster("L4", 1, 4)
+        assert reduce_fleet(plain) is plain
+        assert reduce_fleet(HeterogeneousCluster(
+            groups=(DeviceGroup("l4", plain),))) is plain
+        h = mixed()
+        assert reduce_fleet(h) is h
+
+
 class TestWorstCaseFallback:
     def test_worst_gpu_is_min_memory(self):
         assert mixed().worst_gpu().name == "L4"
@@ -113,8 +151,8 @@ class TestWorstCaseFallback:
 
 class TestSerialization:
     def test_round_trip(self):
-        h = mixed()
-        assert cluster_from_dict(cluster_to_dict(h)) == h
+        for h in (mixed(), cluster_from_dict(GBPS_CLUSTER)):
+            assert cluster_from_dict(cluster_to_dict(h)) == h
 
     def test_homogeneous_round_trip(self):
         spec = make_cluster("A100-80GB", 2, 8)

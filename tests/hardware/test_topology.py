@@ -50,7 +50,6 @@ class TestClusterSpec:
     def test_intra_node_group(self):
         cluster = make_cluster("A100-40GB", 2, 8)
         group = cluster.group(8)
-        assert group.intra_node
         assert group.bus_bandwidth == cluster.gpu.gpu_gpu_bandwidth
 
     def test_cross_node_group_bottlenecked_by_network(self):

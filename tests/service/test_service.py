@@ -196,6 +196,16 @@ class TestErrorHandling:
                                 {"job": bad, "solver": "svc-stub"})
             assert err.value.status == 400
             assert field in str(err.value)
+        # replan deltas whose counts int() once coerced or failed on
+        for op in ({"op": "remove_nodes", "count": 1.5},
+                   {"op": "remove_nodes", "count": "abc"},
+                   {"op": "resize_group", "num_nodes": 2.7}):
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/replan", {
+                    "job": job.to_dict(), "solver": "svc-stub",
+                    "delta": {"ops": [op]}})
+            assert err.value.status == 400
+            assert "must be an integer" in str(err.value)
         assert stub.invocations == 0
 
     def test_partial_node_gpu_count_400(self, client, job):

@@ -321,6 +321,21 @@ class TestReplan:
         out = capsys.readouterr().out
         assert "invalid cluster" in out and "at least one" in out
 
+    @pytest.mark.parametrize("op", [
+        {"op": "remove_nodes", "count": 1.5},
+        {"op": "remove_nodes", "count": "abc"},
+        {"op": "resize_group", "num_nodes": True},
+    ])
+    def test_non_integer_count_clean_error(self, capsys, tmp_path, op):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"ops": [op]}))
+        code = main(["replan", "--model", "gpt3-1.3b", "--gpus", "2",
+                     "--global-batch", "8", "--scale", "smoke",
+                     "--delta", str(path)])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "invalid delta file" in out and "must be an integer" in out
+
 
 class TestSweep:
     def test_sweep_through_registry(self, capsys, tmp_path):

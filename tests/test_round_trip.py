@@ -18,7 +18,7 @@ from repro.api import SolveReport, TuningJob
 from repro.campaigns import CampaignReport, CampaignSpec
 from repro.core.plan import StageConfig, TrainingPlan
 from repro.core.tuner import SearchStats
-from repro.hardware import ClusterDelta, HeterogeneousCluster
+from repro.hardware import ClusterDelta
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -108,7 +108,6 @@ CASES = {
     ClusterDelta: lambda: (ClusterDelta.remove_nodes(1, group="l4")
                            + ClusterDelta.degrade_link(
                                0.5, link="inter_group")),
-    HeterogeneousCluster: lambda: HeterogeneousCluster.from_dict(CLUSTER),
     CampaignSpec: spec,
     CampaignReport: campaign_report,
     Finding: finding,
