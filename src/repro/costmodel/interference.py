@@ -12,6 +12,18 @@ types, applied by a batched estimation procedure (Algorithm 1):
    fully-overlapped window, and return the residue to ``X``;
 3. finally add whatever runs alone.
 
+:meth:`InterferenceModel.predict` runs each ``Update`` step on the
+active rows only. It keeps a ``pos = X > 0`` mask, takes the indices of
+the rows where every channel of the combo is busy (the nonzeros of the
+mask's conjunction), scales, peels and writes back just those, and
+refreshes ``pos`` for the rows it wrote. A row that is not active is
+left alone, exactly as the dense formulation leaves it; an active row
+goes through the same IEEE-754 operations in the same order (multiply
+by the factor, a minimum across the combo's channels, subtract, divide,
+accumulate), so the result is bit-identical to running Algorithm 1 over
+the whole batch (``tests/costmodel/test_interference_oracle.py`` keeps
+the dense form as its reference).
+
 The model is deliberately *not* an ML regressor — "fewer parameters and
 clearer intuition" — and its factors are fitted from co-run
 measurements by :mod:`repro.costmodel.calibration`.
@@ -134,33 +146,35 @@ class InterferenceModel:
             np.asarray(c2g, dtype=float), np.asarray(g2c, dtype=float),
         )
         shape = arrays[0].shape
-        x = np.stack([a.reshape(-1).copy() for a in arrays])  # (4, batch)
+        x = np.stack([a.reshape(-1) for a in arrays])  # (4, batch), a copy
         total = np.zeros(x.shape[1], dtype=float)
+        pos = x > 0
+        rows, masks = list(x), list(pos)  # per-channel views
 
+        # One Update step of Algorithm 1 per combo, on its active rows only.
         for combo_idx in _COMBOS:
-            names = frozenset(CHANNELS[i] for i in combo_idx)
-            entry = self.factors.get(names)
+            entry = self.factors.get(frozenset(CHANNELS[i] for i in combo_idx))
             if entry is None:
                 continue
-            fac = np.array([entry.get(CHANNELS[i], 1.0) for i in combo_idx])
-            self._update(x, total, combo_idx, fac)
+            active = masks[combo_idx[0]] & masks[combo_idx[1]]
+            for i in combo_idx[2:]:
+                active &= masks[i]
+            idx = active.nonzero()[0]
+            if not idx.size:
+                continue
+            facs = [entry.get(CHANNELS[i], 1.0) for i in combo_idx]
+            scaled = [rows[i][idx] * f for i, f in zip(combo_idx, facs)]
+            overlap = scaled[0]
+            for s in scaled[1:]:
+                overlap = np.minimum(overlap, s)
+            for i, f, s in zip(combo_idx, facs, scaled):
+                rest = (s - overlap) / f
+                rows[i][idx] = rest
+                masks[i][idx] = rest > 0
+            total[idx] += overlap
 
         total += x.sum(axis=0)
         return total.reshape(shape) if shape else total[0]
-
-    @staticmethod
-    def _update(x: np.ndarray, total: np.ndarray, combo_idx: tuple[int, ...],
-                fac: np.ndarray) -> None:
-        """One ``Update`` step of Algorithm 1 (vectorized over the batch)."""
-        rows = x[list(combo_idx)]
-        ids = (rows > 0).all(axis=0)
-        if not ids.any():
-            return
-        scaled = rows[:, ids] * fac[:, None]
-        overlap = scaled.min(axis=0)
-        rows[:, ids] = (scaled - overlap[None, :]) / fac[:, None]
-        x[list(combo_idx)] = rows
-        total[ids] += overlap
 
     def predict_scalar(self, comp: float = 0.0, g2g: float = 0.0,
                        c2g: float = 0.0, g2c: float = 0.0) -> float:

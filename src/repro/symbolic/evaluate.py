@@ -11,7 +11,7 @@ Two evaluation paths are provided:
 * :func:`evaluate` — a direct recursive interpreter, convenient for
   one-off queries and tests.
 * :func:`compile_expr` — code generation: the expression DAG is
-  flattened into a sequence of numpy statements (with common
+  flattened into a sequence of numpy statements (structurally equal
   sub-expressions computed once) and compiled to a Python function.
   This is what the tuners use for batched evaluation.
 """
@@ -80,6 +80,8 @@ def evaluate(expr: Expr, env: Mapping[str, ArrayLike]) -> ArrayLike:
     Values may be scalars or numpy arrays; arrays broadcast together,
     enabling batched evaluation of many configurations in one call.
     """
+    # Keyed on identity, not structure: the interpret() oracle must not
+    # share the structural CSE of compile_expr that it checks.
     cache: dict[int, ArrayLike] = {}
 
     def rec(node: Expr) -> ArrayLike:
@@ -229,24 +231,32 @@ class CompiledExpr:
         )
 
 
-def _emit(node: Expr, lines: list[str], names: dict[int, str],
+def _emit(node: Expr, lines: list[str], names: dict[Expr, str],
           sym_names: dict[str, str]) -> str:
-    """Emit numpy statements for ``node``; return its local variable name."""
-    node_id = id(node)
-    if node_id in names:
-        return names[node_id]
+    """Emit numpy statements for ``node``; return its local variable name.
+
+    ``names`` is keyed on the node itself, so structurally equal
+    subtrees share one statement even when they were built separately
+    (``Expr`` hashes and compares by structure). Equal subtrees emit the
+    same code, so sharing their value cannot move a bit.
+    """
+    name = names.get(node)
+    if name is not None:
+        return name
     if isinstance(node, Const):
         value = node.value
-        if value == math.inf:
+        if math.isnan(value):
+            code = "_np.nan"
+        elif value == math.inf:
             code = "_np.inf"
         elif value == -math.inf:
             code = "(-_np.inf)"
         else:
             code = repr(float(value))
-        names[node_id] = code
+        names[node] = code
         return code
     if isinstance(node, Sym):
-        names[node_id] = sym_names[node.name]
+        names[node] = sym_names[node.name]
         return sym_names[node.name]
 
     children = [_emit(c, lines, names, sym_names) for c in node.children]
@@ -286,7 +296,7 @@ def _emit(node: Expr, lines: list[str], names: dict[int, str],
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown node type {type(node).__name__}")
     lines.append(f"    {var} = {rhs}")
-    names[node_id] = var
+    names[node] = var
     return var
 
 
@@ -314,7 +324,7 @@ def compile_expr(exprs: Union[Expr, Sequence[Expr]],
 
     sym_names = {name: f"_a{i}" for i, name in enumerate(arg_names)}
     lines: list[str] = []
-    names: dict[int, str] = {}
+    names: dict[Expr, str] = {}
     out_vars = [_emit(expr, lines, names, sym_names) for expr in expr_list]
 
     params = ", ".join(sym_names[name] for name in arg_names)

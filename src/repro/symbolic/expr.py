@@ -27,7 +27,7 @@ symbolic comparisons for :class:`Piecewise` conditions.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 Number = Union[int, float]
 ExprLike = Union["Expr", int, float]
@@ -451,6 +451,14 @@ def _is_integer_valued(expr: Expr) -> bool:
     return False
 
 
+def _round_const(rounder: Callable[[Number], int], value: Number) -> Number:
+    """Fold ``rounder`` over a constant; NaN and +-inf round to themselves,
+    as under ``np.ceil``/``np.floor``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return value
+    return rounder(value)
+
+
 class Ceil(_Unary):
     """Ceiling to the nearest integer."""
 
@@ -459,7 +467,7 @@ class Ceil(_Unary):
     @classmethod
     def make(cls, operand: Expr) -> Expr:
         if isinstance(operand, Const):
-            return Const(math.ceil(operand.value))
+            return Const(_round_const(math.ceil, operand.value))
         if _is_integer_valued(operand):
             return operand
         return cls(operand)
@@ -476,7 +484,7 @@ class Floor(_Unary):
     @classmethod
     def make(cls, operand: Expr) -> Expr:
         if isinstance(operand, Const):
-            return Const(math.floor(operand.value))
+            return Const(_round_const(math.floor, operand.value))
         if _is_integer_valued(operand):
             return operand
         return cls(operand)

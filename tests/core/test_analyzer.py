@@ -109,3 +109,14 @@ class TestPlanPrediction:
         )
         pred = analyzer.predict_plan(plan, seq_len=2048)
         assert pred.stage_peak_mem[0] > 0
+
+
+class TestKernelSize:
+    def test_gpt3_2_7b_kernel_statement_ratchet(self, cluster):
+        # a ratchet on compile_expr's structural sharing: without it
+        # this kernel needs over 500 statements
+        traced = trace(get_model("gpt3-2.7b"), cluster.gpu, flash=True)
+        source = SymbolicPerformanceAnalyzer(traced, cluster)._fn.source
+        statements = [line for line in source.splitlines()
+                      if line.startswith("    _v")]
+        assert len(statements) <= 350

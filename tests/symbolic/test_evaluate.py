@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.symbolic import (
+    Const,
     EvaluationError,
     Le,
     Piecewise,
@@ -110,6 +111,30 @@ class TestCompiled:
         compiled = compile_expr([shared + 2, shared * 3])
         # The shared sub-expression should appear exactly once in the source.
         assert compiled.source.count("+ 1.0") == 1
+
+    def test_structurally_equal_subtrees_emitted_once(self):
+        def build():
+            x, y = Sym("x"), Sym("y")
+            return ceil_div(x * y + 1, 4)
+
+        first, second = build(), build()
+        assert first is not second and first == second
+        compiled = compile_expr([first + 2, second * 3])
+        shared = compile_expr([first + 2, first * 3])
+        assert compiled.source == shared.source
+        assert compiled.source.count("_a0 * _a1") == 1
+        assert compiled.source.count("_np.ceil(") == 1
+        assert compiled(x=3, y=5) == (6, 12)
+
+    def test_nan_constant(self, xy):
+        x, _ = xy
+        expr = Piecewise.make(Le(x, 1), Const(float("nan")), x)
+        compiled = compile_expr(expr)
+        assert np.isnan(compiled(x=0.5))
+        assert np.isnan(evaluate(expr, {"x": 0.5}))
+        assert compiled(x=2.0) == 2.0
+        out = compiled(x=np.array([0.5, 2.0]))
+        assert np.isnan(out[0]) and out[1] == 2.0
 
     def test_explicit_arg_order(self, xy):
         x, y = xy

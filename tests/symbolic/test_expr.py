@@ -140,6 +140,14 @@ class TestCeilFloorDiv:
         assert ceil_div(7, 2) == Const(4)
         assert ceil_div(8, 2) == Const(4)
 
+    def test_rounding_folds_non_finite_constants_to_themselves(self):
+        from repro.symbolic import Ceil, Floor
+
+        assert math.isnan(Ceil.make(Const(math.nan)).value)
+        assert math.isnan(Floor.make(Const(math.nan)).value)
+        assert Ceil.make(Const(math.inf)) == Const(math.inf)
+        assert Floor.make(Const(-math.inf)) == Const(-math.inf)
+
     def test_align_up(self):
         assert align_up(10, 8) == Const(16)
         assert align_up(16, 8) == Const(16)

@@ -54,13 +54,16 @@ SYMS = tuple(Sym(name) for name in SYMBOL_NAMES)
 # ---------------------------------------------------------------------------
 
 def _random_expr(rng: random.Random, depth: int):
-    """A random expression tree over x, y, z covering every node kind."""
+    """A random expression tree over x, y, z covering every node kind,
+    with NaN among its constants."""
     if depth <= 0 or rng.random() < 0.25:
         roll = rng.random()
         if roll < 0.5:
             return rng.choice(SYMS)
-        if roll < 0.8:
+        if roll < 0.75:
             return as_expr(rng.choice([-7, -2, 0, 1, 2, 3, 8, 64]))
+        if roll < 0.8:
+            return as_expr(float("nan"))
         return as_expr(rng.uniform(-50.0, 50.0))
     a = _random_expr(rng, depth - 1)
     b = _random_expr(rng, depth - 1)
