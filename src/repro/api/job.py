@@ -82,8 +82,8 @@ class TuningJob:
     flash: bool = True
     space: str | dict = "mist"
     scale: str | dict = "quick"
-    #: "auto" fits the interference model to the cluster fabric;
-    #: "none" disables interference-aware prediction
+    #: "auto" uses the cluster fabric's checked-in calibrated
+    #: interference model; "none" disables interference-aware prediction
     interference: str = "auto"
     #: worker threads for the outer (S, G) search; 1 = serial,
     #: 0 = one per CPU core

@@ -257,7 +257,7 @@ class UniformSolver(_BaselineSolver):
         cluster = _baseline_cluster(job, self.solver_name)
         interference = None
         if job.interference != "none":
-            # single-model tuner: calibrate for the fallback fabric
+            # single-model tuner: the fallback fabric's model
             interference = calibrated_interference(not cluster.gpu.has_nvlink)
         return self.tuner_cls(
             job.resolved_model(), cluster, seq_len=job.seq_len,

@@ -14,9 +14,11 @@ The paper hands this to an off-the-shelf MILP solver. Here
 deterministic label-setting dynamic program over (stage, layers used):
 no wall-clock limit, and ties resolve to the first optimum in
 lexicographic menu order, the same pick as :func:`solve_exact`. Two
-test oracles stay beside it: :func:`solve_exact` enumerates every
-assignment, and :func:`solve_milp` is the paper's binary MILP solved by
-scipy's HiGHS backend.
+test oracles stay beside it, outside :mod:`repro.core`'s public names:
+:func:`solve_exact` enumerates every assignment, and :func:`solve_milp`
+is the paper's binary MILP solved by scipy's HiGHS backend. Only
+:func:`solve_milp` imports scipy, when it is called, so the tuner runs
+without it.
 
 Heterogeneous clusters extend the stage partition with a *device-group
 assignment*: every pipeline stage is pinned to one
@@ -37,8 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
 
 from repro.hardware import DeviceGroup, HeterogeneousCluster
 
@@ -200,6 +200,9 @@ def solve_milp(menus: Menus, total_layers: int, gacc: int,
     optima the pick is HiGHS's, and a run that hits ``time_limit``
     returns ``None`` — which is why the tuner uses :func:`solve`.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import lil_matrix
+
     options = _flatten(menus)
     if any(not opts for opts in options):
         return None

@@ -15,12 +15,11 @@ Algorithm 1's predictions match the oracle on sampled co-run workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
-from .interference import CHANNELS, InterferenceModel
+from .interference import InterferenceModel
 
 __all__ = ["CalibrationResult", "sample_corun_workloads", "fit_interference_model"]
 
@@ -58,6 +57,9 @@ def fit_interference_model(oracle: Oracle, *, pcie_only: bool,
                            n_samples: int = 256, seed: int = 0,
                            scale: float = 10e-3) -> CalibrationResult:
     """Fit pairwise slowdown factors against ``oracle`` measurements."""
+    # only a refit needs scipy, so importing the cost model does not
+    from scipy import optimize
+
     workloads = sample_corun_workloads(n_samples, seed=seed, scale=scale)
     measured = np.asarray(oracle(workloads), dtype=float)
     if measured.shape != (n_samples,):

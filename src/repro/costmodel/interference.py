@@ -25,8 +25,9 @@ the whole batch (``tests/costmodel/test_interference_oracle.py`` keeps
 the dense form as its reference).
 
 The model is deliberately *not* an ML regressor — "fewer parameters and
-clearer intuition" — and its factors are fitted from co-run
-measurements by :mod:`repro.costmodel.calibration`.
+clearer intuition" — and its factors are fitted once, offline, from
+co-run measurements by :mod:`repro.costmodel.calibration`; the fitted
+pair vectors are checked in as :mod:`repro.costmodel.calibration_table`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-__all__ = ["Channel", "InterferenceModel", "CHANNELS"]
+__all__ = ["Channel", "InterferenceModel", "CHANNELS", "PAIR_KEYS"]
 
 
 class Channel:
@@ -57,6 +58,15 @@ _COMBOS: list[tuple[int, ...]] = [
     for n in (4, 3, 2)
     for combo in combinations(range(4), n)
 ]
+
+#: the ``(pair, channel)`` key of each entry of
+#: :meth:`InterferenceModel.pair_vector`, in ``CHANNELS`` order (so the
+#: order does not depend on the string hash seed)
+PAIR_KEYS: tuple[tuple[frozenset[str], str], ...] = tuple(
+    (frozenset(CHANNELS[i] for i in pair), CHANNELS[i])
+    for pair in combinations(range(4), 2)
+    for i in pair
+)
 
 
 def _default_pairs(pcie_only: bool) -> dict[frozenset[str], dict[str, float]]:
@@ -214,16 +224,9 @@ class InterferenceModel:
 
     def pair_vector(self) -> tuple[list[tuple[frozenset[str], str]], np.ndarray]:
         """Flatten pairwise factors into a parameter vector for fitting."""
-        keys = []
-        values = []
-        for combo_idx in combinations(range(4), 2):
-            names = frozenset(CHANNELS[i] for i in combo_idx)
-            entry = self.factors.get(names, {})
-            for i in combo_idx:
-                ch = CHANNELS[i]
-                keys.append((names, ch))
-                values.append(entry.get(ch, 1.0))
-        return keys, np.array(values)
+        values = [self.factors.get(names, {}).get(ch, 1.0)
+                  for names, ch in PAIR_KEYS]
+        return list(PAIR_KEYS), np.array(values)
 
     @classmethod
     def from_pair_vector(cls, keys, values,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SPACE_MIST, MenuMemo, MistTuner, StageConfig
-from repro.core import inter_stage
 from repro.core.inter_stage import solve, solve_exact, solve_milp
 from repro.core.intra_stage import ParetoPoint
 from repro.evaluation.workloads import get_scale
@@ -217,7 +216,8 @@ class TestLabelSettingDP:
         def forbidden(*args, **kwargs):
             raise AssertionError("scipy.optimize.milp called")
 
-        monkeypatch.setattr(inter_stage, "milp", forbidden)
+        # solve_milp imports milp when called, so patch it at the source
+        monkeypatch.setattr("scipy.optimize.milp", forbidden)
         stage_menu = {l: [(0.1 * l + 0.01 * k, 0.02 * k) for k in range(8)]
                       for l in range(2, 12)}
         sol = solve(menus_from_table([stage_menu] * 4), 24, 8)

@@ -88,7 +88,8 @@ class TestRunner:
     def test_runner_keeps_only_calibration(self):
         from repro.evaluation import runner
 
-        assert runner.__all__ == ["calibrated_interference"]
+        assert runner.__all__ == ["calibrated_interference",
+                                  "refit_interference"]
 
     def test_evaluation_imports_no_upper_layer(self):
         # repro.api imports repro.evaluation; the reverse edge would be
@@ -111,8 +112,8 @@ class TestRunner:
                 for name in names:
                     assert not name.startswith(upper), (path.name, name)
 
-    def test_calibration_calls_the_module_global_fit(self, monkeypatch):
-        # the bench's ``costmodel.calibrate`` span wraps this name
+    @staticmethod
+    def _spy_on_fit(monkeypatch) -> list:
         from repro.evaluation import runner
 
         calls = []
@@ -123,12 +124,28 @@ class TestRunner:
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(runner, "fit_interference_model", spy)
+        return calls
+
+    def test_calibration_reads_the_table_without_fitting(self, monkeypatch):
+        from repro.evaluation import runner
+
+        calls = self._spy_on_fit(monkeypatch)
         runner.calibrated_interference.cache_clear()
         try:
-            model = runner.calibrated_interference(True)
+            models = [runner.calibrated_interference(pcie_only)
+                      for pcie_only in (True, False)]
         finally:
             runner.calibrated_interference.cache_clear()
-        assert calls == [True]
+        assert calls == []
+        assert models[0].factors != models[1].factors
+
+    def test_refit_calls_the_module_global_fit(self, monkeypatch):
+        # the bench's ``costmodel.calibrate`` span wraps this name
+        from repro.evaluation import runner
+
+        calls = self._spy_on_fit(monkeypatch)
+        model = runner.refit_interference(False)
+        assert calls == [False]
         assert model is not None
 
     def test_names_removed_in_2_0_are_gone(self):
