@@ -231,9 +231,12 @@ class CompiledExpr:
         )
 
 
-def _emit(node: Expr, lines: list[str], names: dict[Expr, str],
-          sym_names: dict[str, str]) -> str:
+def _emit(node: Expr, lines: list[tuple[str, str, list[str]]],
+          names: dict[Expr, str], sym_names: dict[str, str]) -> str:
     """Emit numpy statements for ``node``; return its local variable name.
+
+    Each statement is appended to ``lines`` as ``(var, rhs, reads)``,
+    ``reads`` being the names its right-hand side uses.
 
     ``names`` is keyed on the node itself, so structurally equal
     subtrees share one statement even when they were built separately
@@ -295,9 +298,36 @@ def _emit(node: Expr, lines: list[str], names: dict[Expr, str],
         rhs = f"_np.where({children[0]}, {children[1]}, {children[2]})"
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown node type {type(node).__name__}")
-    lines.append(f"    {var} = {rhs}")
+    lines.append((var, rhs, children))
     names[node] = var
     return var
+
+
+def _body(lines: list[tuple[str, str, list[str]]],
+          keep: set[str]) -> list[str]:
+    """Source lines for ``lines``, each temporary deleted after the
+    statement that reads it last (unless it is in ``keep``).
+
+    Without the deletes every temporary stays alive until the function
+    returns, so one call over a wide menu holds a column per statement
+    at once, and the allocator returns that memory to the operating
+    system and page-faults it in again on every call.
+    """
+    last_read: dict[str, int] = {}
+    for i, (_, _, reads) in enumerate(lines):
+        for name in reads:
+            if name.startswith("_v"):
+                last_read[name] = i
+    dead: dict[int, list[str]] = {}
+    for name, i in last_read.items():
+        if name not in keep:
+            dead.setdefault(i, []).append(name)
+    body = []
+    for i, (var, rhs, _) in enumerate(lines):
+        body.append(f"    {var} = {rhs}")
+        if i in dead:
+            body.append(f"    del {', '.join(dead[i])}")
+    return body
 
 
 def compile_expr(exprs: Union[Expr, Sequence[Expr]],
@@ -323,14 +353,15 @@ def compile_expr(exprs: Union[Expr, Sequence[Expr]],
         arg_names = tuple(arg_names)
 
     sym_names = {name: f"_a{i}" for i, name in enumerate(arg_names)}
-    lines: list[str] = []
+    lines: list[tuple[str, str, list[str]]] = []
     names: dict[Expr, str] = {}
     out_vars = [_emit(expr, lines, names, sym_names) for expr in expr_list]
+    body = _body(lines, set(out_vars))
 
     params = ", ".join(sym_names[name] for name in arg_names)
     ret = out_vars[0] if single else "(" + ", ".join(out_vars) + ("," if len(out_vars) == 1 else "") + ")"
     source = f"def _compiled({params}):\n"
-    source += "\n".join(lines) + ("\n" if lines else "")
+    source += "\n".join(body) + ("\n" if body else "")
     source += f"    return {ret}\n"
 
     namespace: dict = {"_np": np}

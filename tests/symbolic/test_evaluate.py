@@ -1,5 +1,7 @@
 """Tests for interpreter and compiled evaluation, including batched numpy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,30 @@ class TestCompiled:
         assert compiled.source.count("_a0 * _a1") == 1
         assert compiled.source.count("_np.ceil(") == 1
         assert compiled(x=3, y=5) == (6, 12)
+
+    def test_temporaries_die_after_their_last_read(self, xy):
+        # 80 statements over 100k rows: a column per statement kept
+        # alive until the return would peak near 80 columns
+        x, y = xy
+        expr = x * y
+        for k in range(1, 41):
+            expr = smax(expr + k, y)
+            if k == 20:
+                mid = expr
+        compiled = compile_expr([expr, mid])
+        assert "del " in compiled.source
+        xs = np.linspace(0.0, 1.0, 100_000)
+        ys = xs[::-1].copy()
+        tracemalloc.start()
+        try:
+            out, out_mid = compiled(x=xs, y=ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * xs.nbytes
+        env = {"x": xs, "y": ys}
+        np.testing.assert_array_equal(out, evaluate(expr, env))
+        np.testing.assert_array_equal(out_mid, evaluate(mid, env))
 
     def test_nan_constant(self, xy):
         x, _ = xy
