@@ -50,6 +50,18 @@ def memory_budget_bytes(gpu: GPUSpec) -> float:
             - FRAMEWORK_OVERHEAD_BYTES - MEMORY_SAFETY_MARGIN_BYTES)
 
 
+def _row_shape(env: dict[str, np.ndarray]) -> tuple[int, ...]:
+    """The broadcast shape of ``env``'s values, at least 1-d: the shape
+    of every prediction made from it."""
+    return np.broadcast_shapes(*(np.shape(v) for v in env.values())) or (1,)
+
+
+def _column(value: Any, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``; a scalar is spread."""
+    value = np.asarray(value, dtype=float)
+    return value if value.shape == shape else np.full(shape, value)
+
+
 @dataclass
 class StagePrediction:
     """Batched per-configuration predictions for one stage shape."""
@@ -164,13 +176,46 @@ class SymbolicPerformanceAnalyzer:
     # -- prediction -------------------------------------------------------------
 
     def predict(self, env: dict[str, np.ndarray]) -> StagePrediction:
-        """Evaluate all expressions and apply the interference model."""
+        """Evaluate all expressions and apply the interference model.
+
+        Every field has the broadcast shape of ``env``'s values, at
+        least 1-d.
+        """
+        shape = _row_shape(env)
+        return self._interfere([_column(value, shape)
+                                for value in self._channels(env)])
+
+    def predict_blocks(self, envs: list[dict[str, np.ndarray]],
+                       ) -> StagePrediction:
+        """:meth:`predict` over several 1-d environments, their rows
+        laid end to end in list order.
+
+        The runtime kernel runs once per environment, so the scalars
+        of each (an option block's constants) are priced once per
+        block; Algorithm 1 runs once over all rows.
+        """
+        offsets = np.cumsum([0] + [_row_shape(env)[0] for env in envs])
+        columns = np.empty((self._fn.n_outputs, offsets[-1]))
+        for env, lo, hi in zip(envs, offsets, offsets[1:]):
+            for column, value in zip(columns[:, lo:hi], self._channels(env)):
+                column[...] = value
+        return self._interfere(list(columns))
+
+    def _channels(self, env: dict[str, np.ndarray]) -> tuple:
+        """The runtime kernel's outputs, in :meth:`_interfere`'s order.
+
+        Each has ``env``'s broadcast shape, or is a scalar where it
+        depends on scalar symbols only.
+        """
+        return self._fn(**{name: env[name] for name in _ARG_NAMES})
+
+    def _interfere(self, channels: list[np.ndarray]) -> StagePrediction:
+        """Algorithm 1 over :meth:`_channels`' outputs, given as arrays
+        of one shape."""
         (comp_f, nccl_f, d2h_f, h2d_f,
          comp_b, nccl_b, d2h_b, h2d_b,
          comp_fx, nccl_fx, d2h_fx, h2d_fx,
-         nccl_lx, peak_fwd, peak_bwd) = self._fn(
-            **{name: env[name] for name in _ARG_NAMES}
-        )
+         nccl_lx, peak_fwd, peak_bwd) = channels
         predict = self.interference.predict
         fwd = predict(comp_f, nccl_f, d2h_f, h2d_f)
         bwd = predict(comp_b, nccl_b, d2h_b, h2d_b)
@@ -196,14 +241,14 @@ class SymbolicPerformanceAnalyzer:
 
         Bit-identical to ``predict(env).peak_mem`` (same expression
         trees, compiled separately) at a fraction of the cost — the
-        pruned tuner's memory-feasibility pre-filter runs this over the
-        full candidate grid and hands only the surviving rows to
-        :meth:`predict`.
+        pruned tuner's memory-feasibility pre-filter runs this over
+        each option block and hands only the surviving rows to the
+        runtime kernel.
         """
         peak_fwd, peak_bwd = self._mem_fn(
             **{name: env[name] for name in self._mem_fn.used_symbols}
         )
-        return np.asarray(np.maximum(peak_fwd, peak_bwd), dtype=float)
+        return _column(np.maximum(peak_fwd, peak_bwd), _row_shape(env))
 
     def compute_channel(self, env: dict[str, np.ndarray]) -> np.ndarray:
         """Compute-channel busy time (fwd + bwd), interference-free.
@@ -217,7 +262,7 @@ class SymbolicPerformanceAnalyzer:
         comp_fwd, comp_bwd = self._comp_fn(
             **{name: env[name] for name in self._comp_fn.used_symbols}
         )
-        return np.asarray(comp_fwd + comp_bwd, dtype=float)
+        return _column(comp_fwd + comp_bwd, _row_shape(env))
 
     def stage_env(self, plan: TrainingPlan, stage_idx: int,
                   seq_len: int) -> dict[str, np.ndarray]:

@@ -9,14 +9,17 @@ every combination of
   :class:`~repro.core.spaces.SearchSpace` grids,
 * candidate per-stage layer counts,
 
-materializes the whole menu as **columnar arrays** (one array per
-symbol, from :func:`~repro.tracing.symbols.symbol_env`) and evaluates
-memory feasibility and the runtime objective in a handful of
-vectorized analyzer calls (Section 5.2's "batched value
-substitutions"), filters by the memory budget (Eq. 4's constraint),
-and extracts the Pareto frontier over ``(t_stable, d_delta)`` per
-layer count. Because querying single points is nearly free, the
-enumeration is brute force — "which would not miss any optimization
+materializes each ``(dp, tp, b)`` option block of the menu as one
+symbol environment (from :func:`~repro.tracing.symbols.symbol_env`):
+the block's constants as scalars, the nine symbols that vary by row as
+**columnar arrays**. It evaluates memory feasibility and the runtime
+kernel in a few vectorized analyzer calls per block (Section 5.2's
+"batched value substitutions"), so every block-constant subexpression
+is computed once per block, runs Algorithm 1 once over all blocks'
+rows, filters by the memory budget (Eq. 4's constraint), and extracts
+the Pareto frontier over ``(t_stable, d_delta)`` per layer count.
+Because querying single points is nearly free, the enumeration is
+brute force — "which would not miss any optimization
 possibilities" (Section 5.3).
 
 Python loops here run over option blocks, layer-count segments and
@@ -45,6 +48,9 @@ from .spaces import SearchSpace
 
 __all__ = ["ParetoPoint", "StageShape", "IntraStageTuner",
            "stage_parallelism_options"]
+
+#: one ``(dp, tp, b)`` option and its symbol environment
+_Block = tuple[tuple[int, int, int], dict[str, np.ndarray]]
 
 
 def stage_parallelism_options(analyzer: SymbolicPerformanceAnalyzer,
@@ -174,21 +180,24 @@ class IntraStageTuner:
 
     # -- menu materialization -----------------------------------------------
 
-    def _menu_env(self, shape: StageShape,
-                  layer_counts: list[int]) -> dict[str, np.ndarray] | None:
-        """The stage's full config menu as one symbol environment.
+    def _menu_blocks(self, shape: StageShape,
+                     layer_counts: list[int]) -> list[_Block]:
+        """The stage's config menu as one symbol environment per option.
 
-        One column per symbol, rows ordered by (dp, tp, b) option first
-        and meshgrid enumeration within each option second — the order
-        the stable frontier extraction's tie-breaking depends on. Each
-        option block goes through
-        :func:`~repro.tracing.symbols.symbol_env` with scalar ``dp`` and
-        ``tp``, so the topology is looked up once per option.
+        Each ``(dp, tp, b)`` option block goes through
+        :func:`~repro.tracing.symbols.symbol_env` with its constants as
+        scalars, so the topology is looked up once per option and the
+        compiled kernels compute everything that depends only on them
+        once per block. Only ``l``, ``ckpt``, ``z1..z3`` and the four
+        offload ratios are columns, in meshgrid enumeration order.
+        Blocks come in option order: block order, then row order, is
+        the order the stable frontier extraction's tie-breaking depends
+        on.
         """
         zero_levels = np.asarray(self.space.zero_levels, dtype=int)
         ckpt_vals = self._ckpt_grid(layer_counts)
         l_vals = np.asarray(sorted(layer_counts), dtype=int)
-        blocks: list[dict[str, np.ndarray]] = []
+        blocks: list[_Block] = []
 
         for dp, tp, b in stage_parallelism_options(
                 self.analyzer, shape.stage_gpus, shape.gacc,
@@ -210,19 +219,15 @@ class IntraStageTuner:
                 valid = ckpt_g <= l_g
             if not valid.any():
                 continue
-            blocks.append(self.analyzer.build_env(
+            blocks.append(((dp, tp, b), self.analyzer.build_env(
                 b=b, s=self.seq_len, dp=dp, tp=tp,
                 l=l_g[valid], ckpt=ckpt_g[valid], zero=zero_g[valid],
                 wo=wo_g[valid], go=go_g[valid], oo=oo_g[valid],
                 ao=ao_g[valid], gacc=shape.gacc, inflight=shape.inflight,
                 has_pre=int(shape.has_pre), has_post=int(shape.has_post),
                 p2p_link=shape.p2p_link,
-            ))
-
-        if not blocks:
-            return None
-        return {name: np.concatenate([blk[name] for blk in blocks])
-                for name in blocks[0]}
+            )))
+        return blocks
 
     # -- tuning -----------------------------------------------------------------
 
@@ -241,44 +246,58 @@ class IntraStageTuner:
         The surviving menus are bit-identical either way — the filter
         applies the exact constraint the post-evaluation check applies,
         just earlier.
-        """
-        env = self._menu_env(shape, layer_counts)
-        if env is None:
-            return {l: [] for l in layer_counts}
-        n = env["l"].size
-        self.evaluated += n
 
+        The runtime kernel runs once per option block and Algorithm 1
+        once over all blocks' rows
+        (:meth:`SymbolicPerformanceAnalyzer.predict_blocks`).
+        """
+        menus: dict[int, list[ParetoPoint]] = {l: [] for l in layer_counts}
         analyzer = self.analyzer
-        if prefilter:
-            fits_mem = (analyzer.predict_memory(env)
-                        <= analyzer.memory_budget)
-            self.prefiltered += int(n - fits_mem.sum())
-            if not fits_mem.any():
-                return {l: [] for l in layer_counts}
-            if not fits_mem.all():
-                env = {name: value[fits_mem] for name, value in env.items()}
-        pred = analyzer.predict(env)
+        blocks: list[_Block] = []
+        for option, env in self._menu_blocks(shape, layer_counts):
+            n = env["l"].size
+            self.evaluated += n
+            if prefilter:
+                fits_mem = (analyzer.predict_memory(env)
+                            <= analyzer.memory_budget)
+                self.prefiltered += int(n - fits_mem.sum())
+                if not fits_mem.any():
+                    continue
+                if not fits_mem.all():
+                    env = {name: value[fits_mem] if np.ndim(value) else value
+                           for name, value in env.items()}
+            blocks.append((option, env))
+        if not blocks:
+            return menus
+
+        pred = analyzer.predict_blocks([env for _, env in blocks])
+        offsets = np.cumsum([0] + [env["l"].size for _, env in blocks])
 
         fits = np.flatnonzero(pred.peak_mem <= analyzer.memory_budget)
-        menus: dict[int, list[ParetoPoint]] = {l: [] for l in layer_counts}
-        frontiers = _pareto_rows(env["l"][fits], pred.t_stable[fits],
+        layers_col = np.concatenate([env["l"] for _, env in blocks])
+        frontiers = _pareto_rows(layers_col[fits], pred.t_stable[fits],
                                  pred.delta[fits])
         for layers, rows in frontiers.items():
-            menus[layers] = [self._point(env, pred, int(i), shape.group)
-                             for i in fits[rows]]
+            points = []
+            for i in fits[rows]:
+                k = int(np.searchsorted(offsets, i, side="right")) - 1
+                points.append(self._point(blocks[k], int(i - offsets[k]),
+                                          pred, int(i), shape.group))
+            menus[layers] = points
         return menus
 
     @staticmethod
-    def _point(env: dict[str, np.ndarray], pred: StagePrediction, i: int,
+    def _point(block: _Block, j: int, pred: StagePrediction, i: int,
                group: str) -> ParetoPoint:
-        """The frontier point for menu row ``i``."""
+        """The frontier point for row ``j`` of ``block``, which is row
+        ``i`` of ``pred``."""
+        (dp, tp, b), env = block
         cfg = StageConfig(
-            layers=int(env["l"][i]), microbatch=int(env["b"][i]),
-            dp=int(env["dp"][i]), tp=int(env["tp"][i]),
-            zero=int(env["z1"][i] + env["z2"][i] + env["z3"][i]),
-            ckpt=int(env["ckpt"][i]),
-            wo=float(env["wo"][i]), go=float(env["go"][i]),
-            oo=float(env["oo"][i]), ao=float(env["ao"][i]),
+            layers=int(env["l"][j]), microbatch=b, dp=dp, tp=tp,
+            zero=int(env["z1"][j] + env["z2"][j] + env["z3"][j]),
+            ckpt=int(env["ckpt"][j]),
+            wo=float(env["wo"][j]), go=float(env["go"][j]),
+            oo=float(env["oo"][j]), ao=float(env["ao"][j]),
             device_group=group,
         )
         return ParetoPoint(t=float(pred.t_stable[i]), d=float(pred.delta[i]),

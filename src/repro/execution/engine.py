@@ -200,7 +200,7 @@ class ExecutionEngine:
                 bwd_row = [wall(bwd)] * (gacc - 1) + bwd_row
             fwd_times.append(fwd_row)
             bwd_times.append(bwd_row)
-            max_p2p_lat = max(max_p2p_lat, env["p2p_lat"])
+            max_p2p_lat = max(max_p2p_lat, float(env["p2p_lat"]))
 
         pipeline = simulate_pipeline(fwd_times, bwd_times,
                                      p2p_delay=max_p2p_lat)
@@ -222,11 +222,9 @@ class ExecutionEngine:
     def _stage_env(plan: TrainingPlan, idx: int, seq_len: int,
                    cluster: ClusterSpec,
                    p2p_link: tuple[float, float] | None) -> dict[str, float]:
-        """Symbol values of one stage as Python floats: the compiled
-        kernel runs several times faster on scalars than on 1-element
-        arrays."""
+        """Symbol values of one stage, all scalars."""
         stage = plan.stages[idx]
-        env = symbol_env(
+        return symbol_env(
             cluster, b=stage.microbatch, s=seq_len, dp=stage.dp,
             tp=stage.tp, l=stage.layers, ckpt=stage.ckpt, zero=stage.zero,
             # execution quantizes offload ratios to whole layers
@@ -239,4 +237,3 @@ class ExecutionEngine:
             has_post=int(idx == plan.num_stages - 1),
             p2p_link=p2p_link,
         )
-        return {name: float(value[0]) for name, value in env.items()}

@@ -97,18 +97,18 @@ def _hardware_row(cluster: ClusterSpec, dp: int,
 
 
 def hardware_env(cluster: ClusterSpec, dp, tp) -> dict[str, np.ndarray]:
-    """Hardware symbol values for (possibly batched) ``dp``/``tp`` arrays.
+    """Hardware symbol values for (possibly batched) ``dp``/``tp``.
 
     Each distinct (dp, tp) pair is looked up in the cluster topology
-    once; the result has the broadcast shape of ``dp`` and ``tp`` (at
-    least 1-d).
+    once; the values have the broadcast shape of ``dp`` and ``tp``
+    (``np.float64`` scalars when both are scalars).
     """
-    dp, tp = np.broadcast_arrays(np.atleast_1d(np.asarray(dp, dtype=int)),
-                                 np.atleast_1d(np.asarray(tp, dtype=int)))
+    dp, tp = np.broadcast_arrays(np.asarray(dp, dtype=int),
+                                 np.asarray(tp, dtype=int))
     pairs = list(zip(dp.ravel().tolist(), tp.ravel().tolist()))
     table = {pair: _hardware_row(cluster, *pair) for pair in set(pairs)}
-    rows = np.array([table[pair] for pair in pairs])
-    return {sym.name: rows[:, j].reshape(dp.shape)
+    rows = np.array([table[pair] for pair in pairs], dtype=float)
+    return {sym.name: rows[:, j].reshape(dp.shape)[()]
             for j, sym in enumerate(HARDWARE_SYMBOLS)}
 
 
@@ -118,10 +118,15 @@ def symbol_env(cluster: ClusterSpec, *, b, s, dp, tp, l, ckpt, zero,
                ) -> dict[str, np.ndarray]:
     """Every symbol's value for a (batched) stage configuration.
 
-    Scalars and arrays broadcast to one float array shape (at least
-    1-d); ``zero`` (the ZeRO level) expands to the ``z1..z3`` flags.
-    Hardware is looked up on ``dp``/``tp`` *before* broadcasting, so
-    scalar ``dp``/``tp`` cost one lookup however long the columns are.
+    A scalar input stays an ``np.float64`` scalar; array inputs become
+    float arrays broadcast to their common shape. ``zero`` (the ZeRO
+    level) expands to the ``z1..z3`` flags, and the hardware symbols
+    follow ``dp``/``tp``: scalars for a scalar ``dp`` and ``tp``, one
+    lookup however long the other columns are. The compiled kernels
+    broadcast scalars against columns themselves, so everything that
+    depends only on scalars is computed once per call, not once per
+    row; every kernel operation is a correctly rounded IEEE-754 one, so
+    the values are the same bits either way.
     ``p2p_link``, an inter-group ``(bandwidth, latency)`` from
     :meth:`~repro.hardware.HeterogeneousCluster.p2p_links`, caps
     ``p2p_bw`` and floors ``p2p_lat``.
@@ -140,6 +145,7 @@ def symbol_env(cluster: ClusterSpec, *, b, s, dp, tp, l, ckpt, zero,
         values["p2p_bw"] = np.minimum(values["p2p_bw"], bandwidth)
         values["p2p_lat"] = np.maximum(values["p2p_lat"], latency)
     arrays = [np.asarray(v, dtype=float) for v in values.values()]
-    shape = np.broadcast(*arrays).shape  # >= 1-d: the hardware columns are
-    return {name: a if a.shape == shape else np.full(shape, a)
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    return {name: a[()] if a.ndim == 0
+            else a if a.shape == shape else np.full(shape, a)
             for name, a in zip(values, arrays)}

@@ -8,7 +8,8 @@ from repro.core.intra_stage import IntraStageTuner, StageShape, _pareto_rows
 from repro.evaluation import SCALES
 from repro.hardware import make_cluster
 from repro.models import get_model
-from repro.tracing import trace
+from repro.symbolic import CompiledExpr
+from repro.tracing import HARDWARE_SYMBOLS, trace
 
 
 @pytest.fixture(scope="module")
@@ -121,14 +122,14 @@ BRUTE_FORCE_CASES = [
 def _full_menu(analyzer, tuner, shape, layer_counts, monkeypatch):
     """Every row of the menu as ``(l, t, d, peak_mem)`` arrays."""
     seen = []
-    predict = analyzer.predict
+    predict_blocks = analyzer.predict_blocks
 
-    def spy(env):
-        pred = predict(env)
-        seen.append((env["l"], pred))
+    def spy(envs):
+        pred = predict_blocks(envs)
+        seen.append((np.concatenate([env["l"] for env in envs]), pred))
         return pred
 
-    monkeypatch.setattr(analyzer, "predict", spy)
+    monkeypatch.setattr(analyzer, "predict_blocks", spy)
     tuner.tune(shape, layer_counts, prefilter=False)
     monkeypatch.undo()
     [(l_col, pred)] = seen
@@ -204,3 +205,45 @@ class TestFrontierIsExact:
     def test_empty_menu(self):
         empty = np.array([], dtype=float)
         assert _pareto_rows(empty.astype(int), empty, empty) == {}
+
+
+#: symbols constant within a (dp, tp, b) option block
+BLOCK_SYMBOLS = frozenset(
+    ("b", "s", "dp", "tp", "gacc", "inflight", "has_pre", "has_post")
+    + tuple(sym.name for sym in HARDWARE_SYMBOLS))
+#: symbols that vary by menu row
+ROW_SYMBOLS = frozenset(
+    ("l", "ckpt", "z1", "z2", "z3", "wo", "go", "oo", "ao"))
+
+
+class TestBlockScalars:
+    """``tune`` hands each option block's constants to the compiled
+    kernels as scalars, so block-constant work runs once per block."""
+
+    @pytest.mark.parametrize("prefilter", [False, True])
+    def test_kernels_receive_block_constants_as_scalars(
+            self, analyzer, monkeypatch, prefilter):
+        assert len(BLOCK_SYMBOLS) == 16 and len(ROW_SYMBOLS) == 9
+        calls = []
+        call = CompiledExpr.__call__
+
+        def spy(fn, **env):
+            calls.append((fn, env))
+            return call(fn, **env)
+
+        monkeypatch.setattr(CompiledExpr, "__call__", spy)
+        make_tuner(analyzer).tune(SHAPE, [10, 12, 14], prefilter=prefilter)
+        monkeypatch.undo()
+
+        runtime = [env for fn, env in calls if fn is analyzer._fn]
+        assert len(runtime) > 1, "expected one runtime call per block"
+        assert runtime[0].keys() == BLOCK_SYMBOLS | ROW_SYMBOLS
+        if prefilter:
+            assert any(fn is analyzer._mem_fn for fn, _ in calls)
+        for fn, env in calls:
+            for name, value in env.items():
+                if name in BLOCK_SYMBOLS:
+                    assert np.ndim(value) == 0, name
+                    assert isinstance(value, np.float64), name
+                else:
+                    assert np.ndim(value) == 1, name

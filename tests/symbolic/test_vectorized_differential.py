@@ -11,6 +11,10 @@ directions:
   ways (batched interpreter, per-row scalar interpreter, scalar
   compiled calls, whole-array compiled call) must agree bit for bit,
   including NaN/inf propagation, empty menus and length-1 menus;
+* **block level** — an option block's environment with its constants
+  as scalars (what the intra-stage tuner feeds the kernels) must give
+  the analyzer's predictions the exact bits the same environment with
+  every symbol spread to a full column gives;
 * **search level** — ``MistTuner.search`` with
   :meth:`~repro.symbolic.CompiledExpr.interpret` swapped in for the
   compiled closures must return byte-identical plans and identical work
@@ -26,7 +30,16 @@ import numpy as np
 import pytest
 
 from repro.benchmarking import plan_hash
-from repro.core import NAMED_SPACES, MenuMemo, MistTuner
+from repro.core import (
+    NAMED_SPACES,
+    SPACE_MIST,
+    MenuMemo,
+    MistTuner,
+    StagePrediction,
+    SymbolicPerformanceAnalyzer,
+)
+from repro.core.intra_stage import IntraStageTuner, StageShape
+from repro.core.tuner import traced_model
 from repro.evaluation import calibrated_interference
 from repro.evaluation.workloads import get_scale
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
@@ -196,6 +209,68 @@ class TestEvaluationErrors:
         bare = CompiledExpr(lambda a: a, ("x",), 1, "def _compiled(a): ...")
         with pytest.raises(EvaluationError, match="raw expression trees"):
             bare.interpret(x=1.0)
+
+
+# ---------------------------------------------------------------------------
+# block-level differential: block constants as scalars vs as columns
+# ---------------------------------------------------------------------------
+
+#: (GPU, model, stage GPUs, global batch, inter-group p2p link)
+BLOCK_CASES = [
+    ("L4", "gpt3-1.3b", 4, 32, None),
+    ("L4", "gpt3-6.7b", 4, 64, (2.5e9, 4e-5)),
+    ("A100-40GB", "gpt3-1.3b", 8, 64, None),
+    ("A100-40GB", "gpt3-22b", 8, 64, (1.25e10, 2.5e-5)),
+]
+
+
+def _as_columns(env: dict) -> dict:
+    """``env`` with every value spread to the block's row shape."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+    return {name: np.full(shape, value) for name, value in env.items()}
+
+
+class TestBlockScalarDifferential:
+    @pytest.mark.parametrize("case", BLOCK_CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in BLOCK_CASES])
+    def test_scalar_blocks_match_broadcast_columns(self, case):
+        gpu, model, stage_gpus, global_batch, link = case
+        cluster = make_cluster(gpu, 1, 8)
+        analyzer = SymbolicPerformanceAnalyzer(
+            traced_model(get_model(model), cluster.gpu, flash=True),
+            cluster)
+        tuner = IntraStageTuner(
+            analyzer, get_scale("quick").apply(SPACE_MIST),
+            global_batch=global_batch, seq_len=2048)
+        shape = StageShape(stage_gpus=stage_gpus, gacc=2, inflight=2,
+                           has_pre=False, has_post=True, p2p_link=link)
+        # scalar and column evaluation agree only because every kernel
+        # op is correctly rounded; np.power need not be
+        for fn in (analyzer._fn, analyzer._mem_fn, analyzer._comp_fn):
+            assert "_np.power" not in fn.source
+        blocks = tuner._menu_blocks(shape, [2, 4])
+        assert len(blocks) >= 2
+        refs = []
+        for _, env in blocks:
+            # the 16 block constants are scalars, the 9 row symbols not
+            assert sum(np.ndim(v) == 0 for v in env.values()) == 16
+            columns = _as_columns(env)
+            block, ref = analyzer.predict(env), analyzer.predict(columns)
+            refs.append(ref)
+            for name in StagePrediction.__dataclass_fields__:
+                got, want = getattr(block, name), getattr(ref, name)
+                assert got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+            for method in (analyzer.predict_memory,
+                           analyzer.compute_channel):
+                got, want = method(env), method(columns)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), method.__name__
+        # what the tuner runs: every block at once, Algorithm 1 once
+        joint = analyzer.predict_blocks([env for _, env in blocks])
+        for name in StagePrediction.__dataclass_fields__:
+            want = np.concatenate([getattr(ref, name) for ref in refs])
+            assert getattr(joint, name).tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

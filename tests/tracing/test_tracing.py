@@ -173,8 +173,8 @@ class TestSymbolEnv:
             assert values.shape == dp.shape
             for i in np.ndindex(dp.shape):
                 scalar = hardware_env(multinode, int(dp[i]), int(tp[i]))
-                assert scalar[name].shape == (1,)
-                assert values[i] == scalar[name][0]
+                assert isinstance(scalar[name], np.float64)
+                assert values[i] == scalar[name]
 
     def config(self, **overrides):
         values = dict(b=2, s=2048, dp=2, tp=1, l=8, ckpt=0, zero=0,
@@ -184,16 +184,34 @@ class TestSymbolEnv:
         return values
 
     def test_broadcasts_scalars_against_columns(self, multinode):
+        """Scalars stay ``np.float64`` scalars (the compiled kernels
+        broadcast them), arrays broadcast to their common shape, and the
+        hardware values follow ``dp``/``tp``."""
         ckpt = np.array([0, 2, 4, 8])
-        env = symbol_env(multinode, **self.config(ckpt=ckpt, wo=0.5))
+        env = symbol_env(multinode, **self.config(
+            ckpt=ckpt, wo=np.array([[0.0], [0.5]])))
         assert set(env) == {sym.name for sym in ALL_SYMBOLS}
-        for values in env.values():
-            assert values.shape == (4,) and values.dtype == float
-        assert env["ckpt"].tolist() == ckpt.tolist()
-        assert env["wo"].tolist() == [0.5] * 4
+        rows = {"ckpt", "wo"}
+        for name, values in env.items():
+            if name in rows:
+                assert values.shape == (2, 4) and values.dtype == float
+            else:
+                assert isinstance(values, np.float64), name
+        assert env["ckpt"].tolist() == [ckpt.tolist()] * 2
+        assert env["wo"].tolist() == [[0.0] * 4, [0.5] * 4]
+        assert env["b"] == 2.0 and env["b"].size == 1
+        # hardware values follow dp/tp: scalars for scalars ...
         hw = hardware_env(multinode, 2, 1)
-        assert env["dp_bw"].tolist() == [hw["dp_bw"][0]] * 4
-        assert symbol_env(multinode, **self.config())["b"].shape == (1,)
+        assert env["dp_bw"] == hw["dp_bw"]
+        # ... and columns, broadcast with the rest, for columns
+        dp = np.array([1, 2, 8])
+        env = symbol_env(multinode, **self.config(dp=dp, l=np.array([8])))
+        assert env["b"].shape == ()
+        for name in hw:
+            assert env[name].shape == (3,), name
+            assert env[name].tolist() == [
+                hardware_env(multinode, int(d), 1)[name] for d in dp]
+        assert env["l"].tolist() == [8.0] * 3
 
     def test_zero_level_expands_to_flags(self, multinode):
         env = symbol_env(multinode, **self.config(zero=np.array([0, 1, 2, 3])))
@@ -202,23 +220,23 @@ class TestSymbolEnv:
         assert env["z3"].tolist() == [0, 0, 0, 1]
         for level in range(4):
             flags = symbol_env(multinode, **self.config(zero=level))
-            assert tuple(flags[z][0] for z in ("z1", "z2", "z3")) \
+            assert tuple(flags[z] for z in ("z1", "z2", "z3")) \
                 == zero_flags(level)
 
     def test_p2p_link_applies_only_when_given(self, multinode):
         # dp * tp = 4 fills a node, so p2p rides the network
         plain = symbol_env(multinode, **self.config(dp=4))
         hw = hardware_env(multinode, 4, 1)
-        assert plain["p2p_bw"][0] == hw["p2p_bw"][0]
-        assert plain["p2p_lat"][0] == hw["p2p_lat"][0]
+        assert plain["p2p_bw"] == hw["p2p_bw"]
+        assert plain["p2p_lat"] == hw["p2p_lat"]
         slow = symbol_env(multinode, **self.config(dp=4),
                           p2p_link=(1e9, 1e-3))
-        assert slow["p2p_bw"][0] == 1e9 < hw["p2p_bw"][0]
-        assert slow["p2p_lat"][0] == 1e-3 > hw["p2p_lat"][0]
+        assert slow["p2p_bw"] == 1e9 < hw["p2p_bw"]
+        assert slow["p2p_lat"] == 1e-3 > hw["p2p_lat"]
         fast = symbol_env(multinode, **self.config(dp=4),
                           p2p_link=(1e15, 0.0))
-        assert fast["p2p_bw"][0] == hw["p2p_bw"][0]
-        assert fast["p2p_lat"][0] == hw["p2p_lat"][0]
+        assert fast["p2p_bw"] == hw["p2p_bw"]
+        assert fast["p2p_lat"] == hw["p2p_lat"]
         for name in plain:
             if name not in ("p2p_bw", "p2p_lat"):
-                assert slow[name][0] == plain[name][0]
+                assert slow[name] == plain[name]
