@@ -8,6 +8,10 @@ queries by value substitution:
   may be a numpy array; returns stable microbatch times, first/last
   microbatch deltas (through the interference model, Eq. 5/6) and peak
   memory per configuration.
+* :meth:`SymbolicPerformanceAnalyzer.predict_feasible` — the same over
+  an axis-factored menu grid, at its memory-feasible rows: each
+  Algorithm 1 call runs over only the grid axes it reads, or over the
+  gathered rows when those are fewer.
 * :meth:`SymbolicPerformanceAnalyzer.predict_plan` — convenience for a
   concrete :class:`~repro.core.plan.TrainingPlan`: per-stage
   predictions plus the Eq. 1 iteration time and throughput.
@@ -53,13 +57,26 @@ def memory_budget_bytes(gpu: GPUSpec) -> float:
 def _row_shape(env: dict[str, np.ndarray]) -> tuple[int, ...]:
     """The broadcast shape of ``env``'s values, at least 1-d: the shape
     of every prediction made from it."""
-    return np.broadcast_shapes(*(np.shape(v) for v in env.values())) or (1,)
+    return np.broadcast(*env.values()).shape or (1,)
 
 
 def _column(value: Any, shape: tuple[int, ...]) -> np.ndarray:
     """``value`` as a float array of ``shape``; a scalar is spread."""
     value = np.asarray(value, dtype=float)
     return value if value.shape == shape else np.full(shape, value)
+
+
+def gather_rows(value: Any, rows: np.ndarray,
+                shape: tuple[int, ...]) -> Any:
+    """``value``, broadcast to ``shape``, at the flat indices ``rows``:
+    a float array of ``rows``' shape."""
+    if not np.ndim(value):
+        return np.full(rows.shape, value, dtype=float)
+    if value.shape != shape:
+        full = np.empty(shape)
+        full[...] = value
+        value = full
+    return value.take(rows)
 
 
 @dataclass
@@ -182,49 +199,72 @@ class SymbolicPerformanceAnalyzer:
         least 1-d.
         """
         shape = _row_shape(env)
-        return self._interfere([_column(value, shape)
-                                for value in self._channels(env)])
+        pred = self._interfere(self._channels(env))
+        return StagePrediction(**{name: _column(value, shape)
+                                  for name, value in vars(pred).items()})
 
-    def predict_blocks(self, envs: list[dict[str, np.ndarray]],
-                       ) -> StagePrediction:
-        """:meth:`predict` over several 1-d environments, their rows
-        laid end to end in list order.
+    def predict_feasible(self, env: dict[str, np.ndarray],
+                         ) -> tuple[np.ndarray, StagePrediction]:
+        """:meth:`predict` over a grid, at the rows that fit in memory.
 
-        The runtime kernel runs once per environment, so the scalars
-        of each (an option block's constants) are priced once per
-        block; Algorithm 1 runs once over all rows.
+        Returns ``(rows, pred)``. ``rows`` holds the flat indices, in
+        ascending order, of the rows of the grid (``env``'s broadcast
+        shape) whose peak memory is within :attr:`memory_budget`.
+        ``pred.t_first``, ``pred.t_last`` and ``pred.delta`` are columns
+        over ``rows``; every other field keeps the shape of the grid
+        axes it reads and broadcasts to the grid. The values are the
+        bits :meth:`predict` gives for the same rows.
         """
-        offsets = np.cumsum([0] + [_row_shape(env)[0] for env in envs])
-        columns = np.empty((self._fn.n_outputs, offsets[-1]))
-        for env, lo, hi in zip(envs, offsets, offsets[1:]):
-            for column, value in zip(columns[:, lo:hi], self._channels(env)):
-                column[...] = value
-        return self._interfere(list(columns))
+        grid = _row_shape(env)
+        channels = self._channels(env)
+        fits = np.maximum(channels[-2], channels[-1]) <= self.memory_budget
+        if fits.shape != grid:
+            fits = np.broadcast_to(fits, grid)
+        rows = np.flatnonzero(fits)
+        return rows, self._interfere(channels, rows, grid)
 
     def _channels(self, env: dict[str, np.ndarray]) -> tuple:
         """The runtime kernel's outputs, in :meth:`_interfere`'s order.
 
-        Each has ``env``'s broadcast shape, or is a scalar where it
-        depends on scalar symbols only.
+        Each has the broadcast shape of the symbols it reads, or is a
+        scalar where it reads scalars only.
         """
         return self._fn(**{name: env[name] for name in _ARG_NAMES})
 
-    def _interfere(self, channels: list[np.ndarray]) -> StagePrediction:
-        """Algorithm 1 over :meth:`_channels`' outputs, given as arrays
-        of one shape."""
+    def _interfere(self, channels: tuple, rows: np.ndarray | None = None,
+                   grid: tuple[int, ...] = ()) -> StagePrediction:
+        """Algorithm 1 over :meth:`_channels`' outputs.
+
+        Each of the four Algorithm 1 calls runs at the broadcast shape
+        of its own inputs, so every field keeps the shape of the axes
+        it reads. Given ``rows``, flat indices into ``grid``,
+        ``t_first``, ``t_last`` and ``delta`` are columns over those
+        rows instead, and the first- and last-microbatch calls run on
+        the gathered rows when those are fewer than the calls' cells.
+        """
         (comp_f, nccl_f, d2h_f, h2d_f,
          comp_b, nccl_b, d2h_b, h2d_b,
          comp_fx, nccl_fx, d2h_fx, h2d_fx,
          nccl_lx, peak_fwd, peak_bwd) = channels
         predict = self.interference.predict
+
+        def at(value):
+            return value if rows is None else gather_rows(value, rows, grid)
+
+        def on_rows(*inputs):
+            if rows is not None and rows.size < np.broadcast(*inputs).size:
+                return predict(*(at(a) for a in inputs))
+            return at(predict(*inputs))
+
         fwd = predict(comp_f, nccl_f, d2h_f, h2d_f)
         bwd = predict(comp_b, nccl_b, d2h_b, h2d_b)
         t_stable = fwd + bwd
-        t_first = predict(comp_f + comp_fx, nccl_f + nccl_fx,
-                          d2h_f + d2h_fx, h2d_f + h2d_fx) + bwd
-        t_last = fwd + predict(comp_b, nccl_b + nccl_lx, d2h_b, h2d_b)
-        delta = np.maximum(t_first - t_stable, 0.0) + np.maximum(
-            t_last - t_stable, 0.0
+        t_first = on_rows(comp_f + comp_fx, nccl_f + nccl_fx,
+                          d2h_f + d2h_fx, h2d_f + h2d_fx) + at(bwd)
+        t_last = at(fwd) + on_rows(comp_b, nccl_b + nccl_lx, d2h_b, h2d_b)
+        stable = at(t_stable)
+        delta = np.maximum(t_first - stable, 0.0) + np.maximum(
+            t_last - stable, 0.0
         )
         return StagePrediction(
             t_stable=np.asarray(t_stable, dtype=float),
@@ -242,8 +282,8 @@ class SymbolicPerformanceAnalyzer:
         Bit-identical to ``predict(env).peak_mem`` (same expression
         trees, compiled separately) at a fraction of the cost — the
         pruned tuner's memory-feasibility pre-filter runs this over
-        each option block and hands only the surviving rows to the
-        runtime kernel.
+        its menu grid and hands only the option blocks with a row
+        within budget to the runtime kernel.
         """
         peak_fwd, peak_bwd = self._mem_fn(
             **{name: env[name] for name in self._mem_fn.used_symbols}

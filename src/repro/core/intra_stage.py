@@ -9,22 +9,24 @@ every combination of
   :class:`~repro.core.spaces.SearchSpace` grids,
 * candidate per-stage layer counts,
 
-materializes each ``(dp, tp, b)`` option block of the menu as one
-symbol environment (from :func:`~repro.tracing.symbols.symbol_env`):
-the block's constants as scalars, the nine symbols that vary by row as
-**columnar arrays**. It evaluates memory feasibility and the runtime
-kernel in a few vectorized analyzer calls per block (Section 5.2's
-"batched value substitutions"), so every block-constant subexpression
-is computed once per block, runs Algorithm 1 once over all blocks'
-rows, filters by the memory budget (Eq. 4's constraint), and extracts
-the Pareto frontier over ``(t_stable, d_delta)`` per layer count.
-Because querying single points is nearly free, the enumeration is
-brute force — "which would not miss any optimization
+materializes the whole menu as one **axis-factored** symbol environment
+(from :func:`~repro.tracing.symbols.symbol_env`): every symbol that
+varies over the menu is an array along its own grid axis, extent 1 on
+the others, and the stage's constants are scalars. One runtime kernel
+call then computes each subexpression at the size of the axes it reads
+(Section 5.2's "batched value substitutions"), and each Algorithm 1
+call runs over only the axes its channels read, or over the gathered
+memory-feasible rows (Eq. 4's constraint) when those are fewer. The
+stable time does not read every axis; along those it does not read,
+one row per fiber is all the frontier extraction needs, which then
+finds the Pareto frontier over ``(t_stable, d_delta)`` per layer
+count. Because querying single points is nearly free, the enumeration
+is brute force — "which would not miss any optimization
 possibilities" (Section 5.3).
 
-Python loops here run over option blocks, layer-count segments and
-already-reduced frontiers, never over menu rows. The row-at-a-time
-reference the differential tests compare against is
+Python loops here run over layer-count segments and already-reduced
+frontiers, never over menu rows. The row-at-a-time reference the
+differential tests compare against is
 :meth:`repro.symbolic.CompiledExpr.interpret`, swapped in by the tests.
 
 The frontier — rather than a single winner — is the hand-off to the
@@ -38,19 +40,24 @@ frontier is handed over and no sampling can lose a plan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import StagePrediction, SymbolicPerformanceAnalyzer
+from .analyzer import SymbolicPerformanceAnalyzer, gather_rows
 from .plan import StageConfig
 from .spaces import SearchSpace
 
 __all__ = ["ParetoPoint", "StageShape", "IntraStageTuner",
            "stage_parallelism_options"]
 
-#: one ``(dp, tp, b)`` option and its symbol environment
-_Block = tuple[tuple[int, int, int], dict[str, np.ndarray]]
+#: the configuration values along each axis of a menu grid, in axis
+#: order (see :meth:`IntraStageTuner._menu_axes`)
+_GRID_AXES = (("dp", "tp", "b"), ("l", "ckpt"), ("zero",), ("wo",), ("go",),
+              ("oo",), ("ao",))
+#: the grid axis of the ``(l, ckpt)`` pairs
+_LAYER_AXIS = 1
 
 
 def stage_parallelism_options(analyzer: SymbolicPerformanceAnalyzer,
@@ -87,7 +94,9 @@ def _pareto_rows(l_g: np.ndarray, t_v: np.ndarray,
     frontier lists its rows in that order — ascending ``t``, descending
     ``d``. A row joins the frontier only if its ``d`` undercuts the
     previous frontier point's by more than ``1e-12``, so of several
-    rows with equal ``(t, d)`` the first in row order is kept.
+    rows with equal ``(t, d)`` the first in row order is kept. A row
+    whose ``d`` is NaN neither joins the frontier nor removes another
+    row.
 
     A vectorized mask first drops every row whose ``d`` is not
     *strictly* below all earlier rows' ``d``; such a row can never
@@ -100,13 +109,16 @@ def _pareto_rows(l_g: np.ndarray, t_v: np.ndarray,
         return {}
     order = np.lexsort((d_v, t_v, l_g))  # stable: by l, then t, then d
     l_s = l_g[order]
-    starts = np.flatnonzero(np.r_[True, l_s[1:] != l_s[:-1]])
-    ends = np.r_[starts[1:], l_s.size]
+    cuts = (np.flatnonzero(l_s[1:] != l_s[:-1]) + 1).tolist()
     frontiers: dict[int, np.ndarray] = {}
-    for s, e in zip(starts, ends):
+    for s, e in zip([0] + cuts, cuts + [l_s.size]):
         rows = order[s:e]
         seg = d_v[rows]
-        prev_min = np.r_[np.inf, np.minimum.accumulate(seg)[:-1]]
+        # the least d before each row; fmin skips NaN, so a NaN row does
+        # not hide the rows after it
+        prev_min = np.empty_like(seg)
+        prev_min[0] = np.inf
+        np.fmin.accumulate(seg[:-1], out=prev_min[1:])
         kept: list[int] = []
         best_d = np.inf
         for i in rows[seg < prev_min]:
@@ -115,6 +127,38 @@ def _pareto_rows(l_g: np.ndarray, t_v: np.ndarray,
                 best_d = d_v[i]
         frontiers[int(l_s[s])] = np.asarray(kept, dtype=np.intp)
     return frontiers
+
+
+def _fiber_winners(rows: np.ndarray, d_v: np.ndarray,
+                   grid: tuple[int, ...], axes: list[int]) -> np.ndarray:
+    """Positions in ``rows`` of the rows :func:`_pareto_rows` could keep.
+
+    ``rows`` are ascending flat indices into ``grid`` and ``d_v`` their
+    deltas; ``t`` and the layer count must be constant along every grid
+    axis in ``axes``. A *fiber* is a set of rows that differ only in
+    their indices along ``axes``. Of each fiber, only the first row of
+    least ``d`` can join a frontier: every other row has an earlier
+    row with equal ``(l, t)`` and a ``d`` no larger, so
+    :func:`_pareto_rows` would neither keep it nor let it remove
+    another row. A NaN or infinite ``d`` can never join a frontier, so
+    such rows count as ``+inf`` and a fiber whose least ``d`` is
+    ``+inf`` keeps no row. The positions are ascending, so the kept
+    rows stay in row order.
+    """
+    if not axes:
+        return np.arange(rows.size)
+    key = np.full(math.prod(grid), np.inf)
+    key[rows] = np.fmin(d_v, np.inf)  # NaN -> inf
+    order = [k for k in range(len(grid)) if k not in axes] + axes
+    fiber = math.prod(grid[k] for k in axes)
+    key = key.reshape(grid).transpose(order).reshape(-1, fiber)
+    flat = np.arange(key.size).reshape(grid).transpose(order).reshape(
+        -1, fiber)
+    fibers = np.arange(key.shape[0])
+    first = key.argmin(axis=1)
+    winners = flat[fibers, first][key[fibers, first] < np.inf]
+    winners.sort()
+    return np.searchsorted(rows, winners)
 
 
 @dataclass(frozen=True)
@@ -180,54 +224,56 @@ class IntraStageTuner:
 
     # -- menu materialization -----------------------------------------------
 
-    def _menu_blocks(self, shape: StageShape,
-                     layer_counts: list[int]) -> list[_Block]:
-        """The stage's config menu as one symbol environment per option.
+    def _menu_axes(self, options: list[tuple[int, int, int]],
+                   layer_counts: list[int]) -> dict[str, np.ndarray]:
+        """The values along each axis of the stage's menu grid.
 
-        Each ``(dp, tp, b)`` option block goes through
-        :func:`~repro.tracing.symbols.symbol_env` with its constants as
-        scalars, so the topology is looked up once per option and the
-        compiled kernels compute everything that depends only on them
-        once per block. Only ``l``, ``ckpt``, ``z1..z3`` and the four
-        offload ratios are columns, in meshgrid enumeration order.
-        Blocks come in option order: block order, then row order, is
-        the order the stable frontier extraction's tie-breaking depends
-        on.
+        The axes (:data:`_GRID_AXES`) are the ``(dp, tp, b)`` option,
+        the valid ``(l, ckpt)`` pairs, the ZeRO level, ``wo``, ``go``,
+        ``oo`` and ``ao``. The grid's C-order flat index is the meshgrid
+        enumeration order, option blocks in option order: the order the
+        stable frontier extraction's tie-breaking depends on.
         """
-        zero_levels = np.asarray(self.space.zero_levels, dtype=int)
-        ckpt_vals = self._ckpt_grid(layer_counts)
-        l_vals = np.asarray(sorted(layer_counts), dtype=int)
-        blocks: list[_Block] = []
+        l_g, ckpt_g = np.meshgrid(np.asarray(sorted(layer_counts), dtype=int),
+                                  self._ckpt_grid(layer_counts),
+                                  indexing="ij")
+        if self.space.ckpt_policy == "full":
+            valid = ckpt_g == l_g
+        elif not self.space.tune_ckpt:
+            valid = (ckpt_g == 0) | (ckpt_g == l_g)
+        else:
+            valid = ckpt_g <= l_g
+        dp, tp, b = np.asarray(options, dtype=int).reshape(-1, 3).T
+        space = self.space
+        return {"dp": dp, "tp": tp, "b": b, "l": l_g[valid],
+                "ckpt": ckpt_g[valid],
+                "zero": np.asarray(space.zero_levels, dtype=int),
+                "wo": np.asarray(space.wo_grid, dtype=float),
+                "go": np.asarray(space.go_grid, dtype=float),
+                "oo": np.asarray(space.oo_grid, dtype=float),
+                "ao": np.asarray(space.ao_grid, dtype=float)}
 
-        for dp, tp, b in stage_parallelism_options(
-                self.analyzer, shape.stage_gpus, shape.gacc,
-                self.global_batch):
-            grid = np.meshgrid(
-                l_vals, ckpt_vals, zero_levels,
-                np.asarray(self.space.wo_grid), np.asarray(self.space.go_grid),
-                np.asarray(self.space.oo_grid), np.asarray(self.space.ao_grid),
-                indexing="ij",
-            )
-            l_g, ckpt_g, zero_g, wo_g, go_g, oo_g, ao_g = [
-                g.reshape(-1) for g in grid
-            ]
-            if self.space.ckpt_policy == "full":
-                valid = ckpt_g == l_g
-            elif not self.space.tune_ckpt:
-                valid = (ckpt_g == 0) | (ckpt_g == l_g)
-            else:
-                valid = ckpt_g <= l_g
-            if not valid.any():
-                continue
-            blocks.append(((dp, tp, b), self.analyzer.build_env(
-                b=b, s=self.seq_len, dp=dp, tp=tp,
-                l=l_g[valid], ckpt=ckpt_g[valid], zero=zero_g[valid],
-                wo=wo_g[valid], go=go_g[valid], oo=oo_g[valid],
-                ao=ao_g[valid], gacc=shape.gacc, inflight=shape.inflight,
-                has_pre=int(shape.has_pre), has_post=int(shape.has_post),
-                p2p_link=shape.p2p_link,
-            )))
-        return blocks
+    def _menu_env(self, shape: StageShape,
+                  axes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """The menu grid of ``axes`` as one symbol environment.
+
+        Each configuration value lies along its own grid axis, extent 1
+        on the others, and one that takes a single value is a scalar,
+        like the stage's constants, so the compiled kernels compute
+        each subexpression at the size of the axes it reads.
+        """
+        values = {}
+        for k, names in enumerate(_GRID_AXES):
+            for name in names:
+                column = axes[name]
+                values[name] = column[0] if column.size == 1 else (
+                    column.reshape([-1 if j == k else 1
+                                    for j in range(len(_GRID_AXES))]))
+        return self.analyzer.build_env(
+            **values, s=self.seq_len, gacc=shape.gacc,
+            inflight=shape.inflight, has_pre=int(shape.has_pre),
+            has_post=int(shape.has_post), p2p_link=shape.p2p_link,
+        )
 
     # -- tuning -----------------------------------------------------------------
 
@@ -241,64 +287,81 @@ class IntraStageTuner:
 
         ``prefilter=True`` enables the symbolic memory-feasibility
         pre-filter: peak memory is evaluated first through the
-        analyzer's memory-only projection and candidates over budget
-        are dropped *before* the (more expensive) runtime evaluation.
-        The surviving menus are bit-identical either way — the filter
-        applies the exact constraint the post-evaluation check applies,
-        just earlier.
+        analyzer's memory-only projection, and option blocks with no
+        row within budget are dropped *before* the (more expensive)
+        runtime evaluation. The surviving menus are bit-identical
+        either way — the filter applies the exact constraint the
+        post-evaluation check applies, just earlier.
 
-        The runtime kernel runs once per option block and Algorithm 1
-        once over all blocks' rows
-        (:meth:`SymbolicPerformanceAnalyzer.predict_blocks`).
+        The whole menu is one grid environment (:meth:`_menu_env`),
+        priced in one
+        :meth:`~SymbolicPerformanceAnalyzer.predict_feasible` call.
+        Along the grid axes the stable time does not read, only the
+        first row of least delta per fiber can join a frontier
+        (:func:`_fiber_winners`), so only those reach
+        :func:`_pareto_rows`.
         """
         menus: dict[int, list[ParetoPoint]] = {l: [] for l in layer_counts}
         analyzer = self.analyzer
-        blocks: list[_Block] = []
-        for option, env in self._menu_blocks(shape, layer_counts):
-            n = env["l"].size
-            self.evaluated += n
-            if prefilter:
-                fits_mem = (analyzer.predict_memory(env)
-                            <= analyzer.memory_budget)
-                self.prefiltered += int(n - fits_mem.sum())
-                if not fits_mem.any():
-                    continue
-                if not fits_mem.all():
-                    env = {name: value[fits_mem] if np.ndim(value) else value
-                           for name, value in env.items()}
-            blocks.append((option, env))
-        if not blocks:
+        options = stage_parallelism_options(
+            analyzer, shape.stage_gpus, shape.gacc, self.global_batch)
+        if not options:
+            return menus
+        axes = self._menu_axes(options, layer_counts)
+        grid = tuple(axes[names[0]].size for names in _GRID_AXES)
+        n = math.prod(grid)
+        if not n:
+            return menus
+        self.evaluated += n
+        env = self._menu_env(shape, axes)
+        if prefilter:
+            fits = analyzer.predict_memory(env) <= analyzer.memory_budget
+            self.prefiltered += n - int(np.count_nonzero(fits))
+            blocks = np.flatnonzero(fits.reshape(grid[0], -1).any(axis=1))
+            if not blocks.size:
+                return menus
+            if blocks.size < grid[0]:
+                for name in _GRID_AXES[0]:
+                    axes[name] = axes[name][blocks]
+                grid = (blocks.size,) + grid[1:]
+                env = self._menu_env(shape, axes)
+
+        rows, pred = analyzer.predict_feasible(env)
+        if not rows.size:
+            return menus
+        t_shape = (1,) * (len(grid) - pred.t_stable.ndim) + pred.t_stable.shape
+        # axes t_stable does not read, but never the (l, ckpt) axis: a
+        # fiber keeps to one layer count
+        reduced = [k for k, extent in enumerate(grid)
+                   if extent > 1 and t_shape[k] == 1 and k != _LAYER_AXIS]
+        keep = _fiber_winners(rows, pred.delta, grid, reduced)
+        rows, delta = rows[keep], pred.delta[keep]
+        # each row's index along the (l, ckpt) axis picks its layer count
+        l_col = axes["l"][rows // math.prod(grid[_LAYER_AXIS + 1:])
+                          % grid[_LAYER_AXIS]]
+        frontiers = _pareto_rows(l_col, gather_rows(pred.t_stable, rows, grid),
+                                 delta)
+        if not frontiers:
             return menus
 
-        pred = analyzer.predict_blocks([env for _, env in blocks])
-        offsets = np.cumsum([0] + [env["l"].size for _, env in blocks])
-
-        fits = np.flatnonzero(pred.peak_mem <= analyzer.memory_budget)
-        layers_col = np.concatenate([env["l"] for _, env in blocks])
-        frontiers = _pareto_rows(layers_col[fits], pred.t_stable[fits],
-                                 pred.delta[fits])
-        for layers, rows in frontiers.items():
-            points = []
-            for i in fits[rows]:
-                k = int(np.searchsorted(offsets, i, side="right")) - 1
-                points.append(self._point(blocks[k], int(i - offsets[k]),
-                                          pred, int(i), shape.group))
-            menus[layers] = points
+        # frontier rows back to their configurations
+        picked = np.concatenate(list(frontiers.values()))
+        flat = rows[picked]
+        index = np.unravel_index(flat, grid)
+        config = {name: axes[name][index[k]].tolist()
+                  for k, names in enumerate(_GRID_AXES) for name in names}
+        points = [
+            ParetoPoint(t=t, d=d, peak_mem=peak, config=StageConfig(
+                layers=l, microbatch=b, dp=dp, tp=tp, zero=zero, ckpt=ckpt,
+                wo=wo, go=go, oo=oo, ao=ao, device_group=shape.group))
+            for t, d, peak, dp, tp, b, l, ckpt, zero, wo, go, oo, ao in zip(
+                gather_rows(pred.t_stable, flat, grid).tolist(),
+                delta[picked].tolist(),
+                gather_rows(pred.peak_mem, flat, grid).tolist(),
+                *config.values())
+        ]
+        start = 0
+        for layers, kept in frontiers.items():
+            menus[layers] = points[start:start + kept.size]
+            start += kept.size
         return menus
-
-    @staticmethod
-    def _point(block: _Block, j: int, pred: StagePrediction, i: int,
-               group: str) -> ParetoPoint:
-        """The frontier point for row ``j`` of ``block``, which is row
-        ``i`` of ``pred``."""
-        (dp, tp, b), env = block
-        cfg = StageConfig(
-            layers=int(env["l"][j]), microbatch=b, dp=dp, tp=tp,
-            zero=int(env["z1"][j] + env["z2"][j] + env["z3"][j]),
-            ckpt=int(env["ckpt"][j]),
-            wo=float(env["wo"][j]), go=float(env["go"][j]),
-            oo=float(env["oo"][j]), ao=float(env["ao"][j]),
-            device_group=group,
-        )
-        return ParetoPoint(t=float(pred.t_stable[i]), d=float(pred.delta[i]),
-                           peak_mem=float(pred.peak_mem[i]), config=cfg)

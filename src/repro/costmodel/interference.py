@@ -59,6 +59,13 @@ _COMBOS: list[tuple[int, ...]] = [
     for combo in combinations(range(4), n)
 ]
 
+#: each combo's channel names, and its key into
+#: :attr:`InterferenceModel.factors`
+_COMBO_NAMES: list[tuple[str, ...]] = [
+    tuple(CHANNELS[i] for i in combo) for combo in _COMBOS
+]
+_COMBO_KEYS: list[frozenset[str]] = [frozenset(n) for n in _COMBO_NAMES]
+
 #: the ``(pair, channel)`` key of each entry of
 #: :meth:`InterferenceModel.pair_vector`, in ``CHANNELS`` order (so the
 #: order does not depend on the string hash seed)
@@ -151,19 +158,24 @@ class InterferenceModel:
         Inputs broadcast to a common shape; the return value has that
         shape. This is the ``I(c, nccl, d2h, h2d)`` of Eq. (5)/(6).
         """
-        arrays = np.broadcast_arrays(
-            np.asarray(comp, dtype=float), np.asarray(g2g, dtype=float),
-            np.asarray(c2g, dtype=float), np.asarray(g2c, dtype=float),
-        )
-        shape = arrays[0].shape
-        x = np.stack([a.reshape(-1) for a in arrays])  # (4, batch), a copy
+        inputs = (comp, g2g, c2g, g2c)
+        shapes = [np.shape(a) for a in inputs]
+        shape = shapes[0]
+        if shapes.count(shape) == 4:
+            x = np.array(inputs, dtype=float)  # a copy
+        else:
+            shape = np.broadcast(*inputs).shape
+            x = np.empty((4,) + shape)
+            for row, a in zip(x, inputs):
+                row[...] = a
+        x = x.reshape(4, -1)  # (4, batch)
         total = np.zeros(x.shape[1], dtype=float)
         pos = x > 0
         rows, masks = list(x), list(pos)  # per-channel views
 
         # One Update step of Algorithm 1 per combo, on its active rows only.
-        for combo_idx in _COMBOS:
-            entry = self.factors.get(frozenset(CHANNELS[i] for i in combo_idx))
+        for combo_idx, names, key in zip(_COMBOS, _COMBO_NAMES, _COMBO_KEYS):
+            entry = self.factors.get(key)
             if entry is None:
                 continue
             active = masks[combo_idx[0]] & masks[combo_idx[1]]
@@ -172,7 +184,7 @@ class InterferenceModel:
             idx = active.nonzero()[0]
             if not idx.size:
                 continue
-            facs = [entry.get(CHANNELS[i], 1.0) for i in combo_idx]
+            facs = [entry.get(name, 1.0) for name in names]
             scaled = [rows[i][idx] * f for i, f in zip(combo_idx, facs)]
             overlap = scaled[0]
             for s in scaled[1:]:

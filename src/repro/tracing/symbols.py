@@ -118,34 +118,39 @@ def symbol_env(cluster: ClusterSpec, *, b, s, dp, tp, l, ckpt, zero,
                ) -> dict[str, np.ndarray]:
     """Every symbol's value for a (batched) stage configuration.
 
-    A scalar input stays an ``np.float64`` scalar; array inputs become
-    float arrays broadcast to their common shape. ``zero`` (the ZeRO
+    A scalar input stays an ``np.float64`` scalar and an array input
+    becomes a float array of its own shape; array inputs must broadcast
+    together (``ValueError`` naming them otherwise), but none is spread
+    to their common shape. So a grid can put each symbol on its own
+    axis, extent 1 elsewhere, and the compiled kernels compute every
+    subexpression at the size of the axes it reads. ``zero`` (the ZeRO
     level) expands to the ``z1..z3`` flags, and the hardware symbols
     follow ``dp``/``tp``: scalars for a scalar ``dp`` and ``tp``, one
-    lookup however long the other columns are. The compiled kernels
-    broadcast scalars against columns themselves, so everything that
-    depends only on scalars is computed once per call, not once per
-    row; every kernel operation is a correctly rounded IEEE-754 one, so
-    the values are the same bits either way.
+    lookup per distinct pair however large the other inputs are. Every
+    kernel operation is a correctly rounded IEEE-754 one, so a value
+    has the same bits whatever shapes it was broadcast from.
     ``p2p_link``, an inter-group ``(bandwidth, latency)`` from
     :meth:`~repro.hardware.HeterogeneousCluster.p2p_links`, caps
     ``p2p_bw`` and floors ``p2p_lat``.
     """
-    zero = np.asarray(zero)
-    values = {
-        "b": b, "s": s, "dp": dp, "tp": tp, "l": l, "ckpt": ckpt,
-        "z1": zero >= 1, "z2": zero >= 2, "z3": zero >= 3,
-        "wo": wo, "go": go, "oo": oo, "ao": ao,
-        "gacc": gacc, "inflight": inflight,
-        "has_pre": has_pre, "has_post": has_post,
-        **hardware_env(cluster, dp, tp),
-    }
+    values = {"b": b, "s": s, "dp": dp, "tp": tp, "l": l, "ckpt": ckpt,
+              "zero": zero, "wo": wo, "go": go, "oo": oo, "ao": ao,
+              "gacc": gacc, "inflight": inflight, "has_pre": has_pre,
+              "has_post": has_post}
+    try:
+        np.broadcast(*values.values())
+    except ValueError:
+        arrays = ", ".join(f"{name} {np.shape(v)}"
+                           for name, v in values.items() if np.ndim(v))
+        raise ValueError(
+            f"symbol_env: array inputs do not broadcast together: {arrays}"
+        ) from None
+    zero = np.asarray(values.pop("zero"))
+    values.update(z1=zero >= 1, z2=zero >= 2, z3=zero >= 3,
+                  **hardware_env(cluster, dp, tp))
     if p2p_link is not None:
         bandwidth, latency = p2p_link
         values["p2p_bw"] = np.minimum(values["p2p_bw"], bandwidth)
         values["p2p_lat"] = np.maximum(values["p2p_lat"], latency)
-    arrays = [np.asarray(v, dtype=float) for v in values.values()]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    return {name: a[()] if a.ndim == 0
-            else a if a.shape == shape else np.full(shape, a)
-            for name, a in zip(values, arrays)}
+    arrays = {name: np.asarray(v, dtype=float) for name, v in values.items()}
+    return {name: a[()] if a.ndim == 0 else a for name, a in arrays.items()}

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.api import TuningJob, solve
 from repro.core import SPACE_3D, SPACE_MIST, SymbolicPerformanceAnalyzer
-from repro.core.intra_stage import IntraStageTuner, StageShape, _pareto_rows
+from repro.core import intra_stage
+from repro.core.intra_stage import (IntraStageTuner, StageShape,
+                                    _fiber_winners, _pareto_rows,
+                                    stage_parallelism_options)
+from repro.core.memo import GLOBAL_MENU_MEMO
+from repro.costmodel.interference import InterferenceModel
 from repro.evaluation import SCALES
 from repro.hardware import make_cluster
 from repro.models import get_model
@@ -55,6 +61,23 @@ class TestEnumeration:
         for point in menus[24]:
             cfg = point.config
             assert cfg.dp * cfg.microbatch * 4 == 16
+
+    def test_single_row_menu(self, analyzer):
+        # every grid axis has one value, so every symbol is a scalar
+        space = SPACE_3D.with_(zero_levels=(0,), ckpt_policy="full")
+        tuner = make_tuner(analyzer, space=space)
+        shape = StageShape(stage_gpus=1, gacc=4, inflight=1, has_pre=True,
+                           has_post=True)
+        [point] = tuner.tune(shape, [12])[12]
+        assert tuner.evaluated == 1
+        cfg = point.config
+        assert (cfg.layers, cfg.ckpt, cfg.microbatch, cfg.dp, cfg.tp) \
+            == (12, 12, 4, 1, 1)
+        pred = analyzer.predict(analyzer.build_env(
+            b=4, s=2048, dp=1, tp=1, l=12, ckpt=12, zero=0, wo=0.0, go=0.0,
+            oo=0.0, ao=0.0, gacc=4, inflight=1, has_pre=1, has_post=1))
+        assert (point.t, point.d, point.peak_mem) == (
+            pred.t_stable[0], pred.delta[0], pred.peak_mem[0])
 
     def test_infeasible_batch_yields_empty(self, analyzer):
         # global batch 3 cannot split over gacc=2
@@ -120,21 +143,23 @@ BRUTE_FORCE_CASES = [
 
 
 def _full_menu(analyzer, tuner, shape, layer_counts, monkeypatch):
-    """Every row of the menu as ``(l, t, d, peak_mem)`` arrays."""
+    """Every row of the menu the tuner priced as flat ``(l, t, d,
+    peak_mem)`` arrays, in the grid's row order."""
     seen = []
-    predict_blocks = analyzer.predict_blocks
+    predict_feasible = analyzer.predict_feasible
 
-    def spy(envs):
-        pred = predict_blocks(envs)
-        seen.append((np.concatenate([env["l"] for env in envs]), pred))
-        return pred
+    def spy(env):
+        seen.append(env)
+        return predict_feasible(env)
 
-    monkeypatch.setattr(analyzer, "predict_blocks", spy)
+    monkeypatch.setattr(analyzer, "predict_feasible", spy)
     tuner.tune(shape, layer_counts, prefilter=False)
     monkeypatch.undo()
-    [(l_col, pred)] = seen
-    return (l_col.astype(int), np.asarray(pred.t_stable),
-            np.asarray(pred.delta), np.asarray(pred.peak_mem))
+    [env] = seen
+    pred = analyzer.predict(env)  # every field at the grid's shape
+    l_col = np.broadcast_to(env["l"], pred.t_stable.shape)
+    return (l_col.ravel().astype(int), pred.t_stable.ravel(),
+            pred.delta.ravel(), pred.peak_mem.ravel())
 
 
 def _brute_force_frontier(l_col, t, d, mem, budget):
@@ -206,44 +231,182 @@ class TestFrontierIsExact:
         empty = np.array([], dtype=float)
         assert _pareto_rows(empty.astype(int), empty, empty) == {}
 
+    def test_nan_delta_neither_joins_nor_hides_later_rows(self):
+        frontiers = _pareto_rows(np.array([4, 4, 4, 4]),
+                                 np.array([1.0, 2.0, 3.0, 4.0]),
+                                 np.array([5.0, np.nan, 1.0, 0.5]))
+        assert {layers: rows.tolist() for layers, rows in frontiers.items()} \
+            == {4: [0, 2, 3]}
+
+    def test_all_nan_group_has_empty_frontier(self):
+        frontiers = _pareto_rows(np.array([2, 4, 4, 2]),
+                                 np.array([1.0, 1.0, 2.0, 3.0]),
+                                 np.array([np.nan, 3.0, 1.0, np.nan]))
+        assert {layers: rows.tolist() for layers, rows in frontiers.items()} \
+            == {2: [], 4: [1, 2]}
+
+
+#: deltas the fiber property test draws from: exact ties, both zeros,
+#: an infinity and a NaN
+FIBER_DELTAS = np.array([0.0, -0.0, 0.5, 1.0, 1.0 + 5e-13, 2.0, np.inf,
+                         np.nan])
+
+
+class TestFiberWinners:
+    """Reducing every fiber to its first least-delta row changes no
+    frontier row, nor its order."""
+
+    @staticmethod
+    def _frontiers(l_col, t, d, rows):
+        """Frontier rows per layer count; an empty frontier counts as
+        absent, as ``tune`` lists every layer count either way."""
+        frontiers = _pareto_rows(l_col[rows], t[rows], d[rows])
+        return {layers: rows[kept].tolist()
+                for layers, kept in frontiers.items() if kept.size}
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_unreduced_frontier(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = tuple(int(e) for e in rng.integers(1, 5, rng.integers(2, 5)))
+        # axis 0 carries the layer count; t is constant along the others
+        # it does not read, and takes few values, so fibers tie exactly
+        axes = [k for k in range(1, len(grid))
+                if grid[k] > 1 and rng.random() < 0.6]
+        l_col = np.broadcast_to(
+            rng.integers(1, 3, grid[0]).reshape((-1,) + (1,) * (len(grid) - 1)),
+            grid).ravel()
+        t_shape = tuple(1 if k in axes else e for k, e in enumerate(grid))
+        t = np.broadcast_to(rng.choice([0.5, 1.0, 1.5], t_shape),
+                            grid).ravel()
+        d = rng.choice(FIBER_DELTAS, grid).ravel()
+        feasible = rng.random(grid) < 0.7
+        if axes:
+            # a wholly infeasible fiber
+            corner = tuple(slice(None) if k in axes else int(rng.integers(e))
+                           for k, e in enumerate(grid))
+            feasible[corner] = False
+        rows = np.flatnonzero(feasible)
+
+        keep = _fiber_winners(rows, d[rows], grid, axes)
+        assert np.all(np.diff(keep) > 0)
+        assert self._frontiers(l_col, t, d, rows[keep]) == \
+            self._frontiers(l_col, t, d, rows)
+
+    def test_no_axes_keeps_every_row(self):
+        rows = np.array([0, 3, 4])
+        assert _fiber_winners(rows, np.array([1.0, np.nan, 2.0]), (2, 3),
+                              []).tolist() == [0, 1, 2]
+
 
 #: symbols constant within a (dp, tp, b) option block
 BLOCK_SYMBOLS = frozenset(
-    ("b", "s", "dp", "tp", "gacc", "inflight", "has_pre", "has_post")
-    + tuple(sym.name for sym in HARDWARE_SYMBOLS))
-#: symbols that vary by menu row
-ROW_SYMBOLS = frozenset(
-    ("l", "ckpt", "z1", "z2", "z3", "wo", "go", "oo", "ao"))
+    ("b", "dp", "tp") + tuple(sym.name for sym in HARDWARE_SYMBOLS))
+#: symbols constant within a stage shape
+STAGE_SYMBOLS = frozenset(("s", "gacc", "inflight", "has_pre", "has_post"))
+#: symbols that vary by menu row, and the menu grid axis each lies on
+ROW_AXES = {"l": 1, "ckpt": 1, "z1": 2, "z2": 2, "z3": 2,
+            "wo": 3, "go": 4, "oo": 5, "ao": 6}
 
 
-class TestBlockScalars:
-    """``tune`` hands each option block's constants to the compiled
-    kernels as scalars, so block-constant work runs once per block."""
+def _kernel_calls(analyzer, monkeypatch, tuner, *args, **kwargs):
+    """``(kernel, env)`` of every compiled-kernel call ``tuner.tune``
+    makes."""
+    calls = []
+    call = CompiledExpr.__call__
+
+    def spy(fn, **env):
+        calls.append((fn, env))
+        return call(fn, **env)
+
+    monkeypatch.setattr(CompiledExpr, "__call__", spy)
+    tuner.tune(*args, **kwargs)
+    monkeypatch.undo()
+    return calls
+
+
+class TestAxisFactoredMenus:
+    """``tune`` prices the whole menu as one grid: each row symbol on
+    its own axis, the option block's constants along the block axis,
+    so each kernel subexpression runs at the size of the axes it
+    reads."""
 
     @pytest.mark.parametrize("prefilter", [False, True])
-    def test_kernels_receive_block_constants_as_scalars(
-            self, analyzer, monkeypatch, prefilter):
-        assert len(BLOCK_SYMBOLS) == 16 and len(ROW_SYMBOLS) == 9
-        calls = []
-        call = CompiledExpr.__call__
-
-        def spy(fn, **env):
-            calls.append((fn, env))
-            return call(fn, **env)
-
-        monkeypatch.setattr(CompiledExpr, "__call__", spy)
-        make_tuner(analyzer).tune(SHAPE, [10, 12, 14], prefilter=prefilter)
-        monkeypatch.undo()
+    def test_each_row_symbol_lies_on_one_axis(self, analyzer, monkeypatch,
+                                              prefilter):
+        assert len(BLOCK_SYMBOLS) == 11 and len(ROW_AXES) == 9
+        blocks = len(stage_parallelism_options(
+            analyzer, SHAPE.stage_gpus, SHAPE.gacc, 16))
+        assert blocks > 1
+        calls = _kernel_calls(analyzer, monkeypatch, make_tuner(analyzer),
+                              SHAPE, [10, 12, 14], prefilter=prefilter)
 
         runtime = [env for fn, env in calls if fn is analyzer._fn]
-        assert len(runtime) > 1, "expected one runtime call per block"
-        assert runtime[0].keys() == BLOCK_SYMBOLS | ROW_SYMBOLS
+        assert len(runtime) == 1, "expected one runtime call per tune"
+        assert runtime[0].keys() == BLOCK_SYMBOLS | STAGE_SYMBOLS \
+            | ROW_AXES.keys()
         if prefilter:
             assert any(fn is analyzer._mem_fn for fn, _ in calls)
+        else:
+            assert runtime[0]["b"].shape == (blocks,) + (1,) * 6
         for fn, env in calls:
             for name, value in env.items():
-                if name in BLOCK_SYMBOLS:
-                    assert np.ndim(value) == 0, name
+                if name in STAGE_SYMBOLS:
                     assert isinstance(value, np.float64), name
+                elif name in BLOCK_SYMBOLS:
+                    # along the block axis, or a scalar for one block
+                    assert np.shape(value) in {
+                        (), (np.shape(env["b"])[:1] or (1,)) + (1,) * 6}, name
+                    assert np.ndim(value) == np.ndim(env["b"]), name
                 else:
-                    assert np.ndim(value) == 1, name
+                    long = [k for k, extent in enumerate(np.shape(value))
+                            if extent > 1]
+                    assert long == [ROW_AXES[name]], name
+
+    def test_single_valued_axes_are_scalars(self, analyzer, monkeypatch):
+        space = SPACE_MIST.with_(wo_grid=(0.0,), go_grid=(0.5,))
+        shape = StageShape(stage_gpus=1, gacc=4, inflight=2, has_pre=True,
+                           has_post=False)
+        calls = _kernel_calls(analyzer, monkeypatch,
+                              make_tuner(analyzer, space=space), shape, [12])
+        [env] = [env for fn, env in calls if fn is analyzer._fn]
+        for name in BLOCK_SYMBOLS | {"wo", "go"}:
+            assert isinstance(env[name], np.float64), name
+        assert env["go"] == 0.5
+        assert np.shape(env["oo"]) == (1, 1, 1, 1, 1, 5, 1)
+
+
+class TestSavedWork:
+    """Counts, not times: the work axis factoring and the fiber
+    reduction save on the gpt3-2.7b/L4 full-scale menus."""
+
+    def test_gpt3_2_7b_full_scale_row_ratchet(self, monkeypatch):
+        counts = dict(algorithm1=0, feasible=0, frontier_input=0)
+        predict = InterferenceModel.predict
+        predict_feasible = SymbolicPerformanceAnalyzer.predict_feasible
+        pareto_rows = intra_stage._pareto_rows
+
+        def algorithm1(model, *channels):
+            counts["algorithm1"] += np.broadcast(*channels).size
+            return predict(model, *channels)
+
+        def feasible(analyzer, env):
+            rows, pred = predict_feasible(analyzer, env)
+            counts["feasible"] += rows.size
+            return rows, pred
+
+        def frontier(l_col, t, d):
+            counts["frontier_input"] += l_col.size
+            return pareto_rows(l_col, t, d)
+
+        monkeypatch.setattr(InterferenceModel, "predict", algorithm1)
+        monkeypatch.setattr(SymbolicPerformanceAnalyzer, "predict_feasible",
+                            feasible)
+        monkeypatch.setattr(intra_stage, "_pareto_rows", frontier)
+        GLOBAL_MENU_MEMO.clear()
+        solve(TuningJob(model="gpt3-2.7b", num_gpus=4, global_batch=64,
+                        scale="full"))
+        assert counts["feasible"] > 500_000
+        # 4.0 when every Algorithm 1 call ran over every feasible row
+        assert counts["algorithm1"] <= 1.6 * counts["feasible"]
+        # 1.0 without the fiber reduction
+        assert counts["frontier_input"] <= 0.25 * counts["feasible"]

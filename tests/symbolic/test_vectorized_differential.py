@@ -11,10 +11,11 @@ directions:
   ways (batched interpreter, per-row scalar interpreter, scalar
   compiled calls, whole-array compiled call) must agree bit for bit,
   including NaN/inf propagation, empty menus and length-1 menus;
-* **block level** — an option block's environment with its constants
-  as scalars (what the intra-stage tuner feeds the kernels) must give
-  the analyzer's predictions the exact bits the same environment with
-  every symbol spread to a full column gives;
+* **grid level** — the intra-stage tuner's menu environment, each
+  symbol on its own grid axis (what it feeds the kernels), must give
+  the analyzer's predictions the exact bits the same menu with every
+  symbol spread to a flat column gives, on the tuner's memory-feasible
+  rows too;
 * **search level** — ``MistTuner.search`` with
   :meth:`~repro.symbolic.CompiledExpr.interpret` swapped in for the
   compiled closures must return byte-identical plans and identical work
@@ -212,28 +213,29 @@ class TestEvaluationErrors:
 
 
 # ---------------------------------------------------------------------------
-# block-level differential: block constants as scalars vs as columns
+# grid-level differential: axis-factored menu grid vs flat columns
 # ---------------------------------------------------------------------------
 
 #: (GPU, model, stage GPUs, global batch, inter-group p2p link)
-BLOCK_CASES = [
+GRID_CASES = [
     ("L4", "gpt3-1.3b", 4, 32, None),
     ("L4", "gpt3-6.7b", 4, 64, (2.5e9, 4e-5)),
     ("A100-40GB", "gpt3-1.3b", 8, 64, None),
     ("A100-40GB", "gpt3-22b", 8, 64, (1.25e10, 2.5e-5)),
 ]
 
-
-def _as_columns(env: dict) -> dict:
-    """``env`` with every value spread to the block's row shape."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
-    return {name: np.full(shape, value) for name, value in env.items()}
+#: fields :meth:`SymbolicPerformanceAnalyzer.predict_feasible` gives as
+#: columns over the feasible rows; the others keep their grid axes
+ROW_FIELDS = ("t_first", "t_last", "delta")
 
 
-class TestBlockScalarDifferential:
-    @pytest.mark.parametrize("case", BLOCK_CASES,
-                             ids=[f"{c[0]}-{c[1]}" for c in BLOCK_CASES])
-    def test_scalar_blocks_match_broadcast_columns(self, case):
+class TestFactoredGridDifferential:
+    @pytest.mark.parametrize("prefilter", [False, True],
+                             ids=["no-prefilter", "prefilter"])
+    @pytest.mark.parametrize("case", GRID_CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in GRID_CASES])
+    def test_factored_grid_matches_flat_columns(self, case, prefilter,
+                                                monkeypatch):
         gpu, model, stage_gpus, global_batch, link = case
         cluster = make_cluster(gpu, 1, 8)
         analyzer = SymbolicPerformanceAnalyzer(
@@ -244,33 +246,49 @@ class TestBlockScalarDifferential:
             global_batch=global_batch, seq_len=2048)
         shape = StageShape(stage_gpus=stage_gpus, gacc=2, inflight=2,
                            has_pre=False, has_post=True, p2p_link=link)
-        # scalar and column evaluation agree only because every kernel
+        # factored and flat evaluation agree only because every kernel
         # op is correctly rounded; np.power need not be
         for fn in (analyzer._fn, analyzer._mem_fn, analyzer._comp_fn):
             assert "_np.power" not in fn.source
-        blocks = tuner._menu_blocks(shape, [2, 4])
-        assert len(blocks) >= 2
-        refs = []
-        for _, env in blocks:
-            # the 16 block constants are scalars, the 9 row symbols not
-            assert sum(np.ndim(v) == 0 for v in env.values()) == 16
-            columns = _as_columns(env)
-            block, ref = analyzer.predict(env), analyzer.predict(columns)
-            refs.append(ref)
-            for name in StagePrediction.__dataclass_fields__:
-                got, want = getattr(block, name), getattr(ref, name)
-                assert got.shape == want.shape, name
-                assert got.tobytes() == want.tobytes(), name
-            for method in (analyzer.predict_memory,
-                           analyzer.compute_channel):
-                got, want = method(env), method(columns)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), method.__name__
-        # what the tuner runs: every block at once, Algorithm 1 once
-        joint = analyzer.predict_blocks([env for _, env in blocks])
+
+        seen = []
+        predict_feasible = analyzer.predict_feasible
+
+        def spy(env):
+            rows, pred = predict_feasible(env)
+            seen.append((env, rows, pred))
+            return rows, pred
+
+        monkeypatch.setattr(analyzer, "predict_feasible", spy)
+        tuner.tune(shape, [2, 4], prefilter=prefilter)
+        monkeypatch.undo()
+        [(env, rows, tuned)] = seen
+        grid = np.broadcast(*env.values()).shape
+        assert len(grid) == 7 and sum(extent > 1 for extent in grid) >= 5
+        flat = {name: np.broadcast_to(value, grid).ravel()
+                for name, value in env.items()}
+
+        ref = analyzer.predict(flat)
+        factored = analyzer.predict(env)
         for name in StagePrediction.__dataclass_fields__:
-            want = np.concatenate([getattr(ref, name) for ref in refs])
-            assert getattr(joint, name).tobytes() == want.tobytes(), name
+            got, want = getattr(factored, name), getattr(ref, name)
+            assert got.shape == grid, name
+            assert got.ravel().tobytes() == want.tobytes(), name
+        for method in (analyzer.predict_memory, analyzer.compute_channel):
+            got, want = method(env), method(flat)
+            assert got.shape == grid
+            assert got.ravel().tobytes() == want.tobytes(), method.__name__
+
+        # what the tuner ran: the memory-feasible rows, some Algorithm 1
+        # calls on the gathered rows
+        assert rows.tolist() == np.flatnonzero(
+            ref.peak_mem <= analyzer.memory_budget).tolist()
+        assert rows.size
+        for name in StagePrediction.__dataclass_fields__:
+            got = getattr(tuned, name)
+            if name not in ROW_FIELDS:
+                got = np.broadcast_to(got, grid).ravel()[rows]
+            assert got.tobytes() == getattr(ref, name)[rows].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -184,26 +184,33 @@ class TestSymbolEnv:
         return values
 
     def test_broadcasts_scalars_against_columns(self, multinode):
-        """Scalars stay ``np.float64`` scalars (the compiled kernels
-        broadcast them), arrays broadcast to their common shape, and the
-        hardware values follow ``dp``/``tp``."""
+        """Scalars stay ``np.float64`` scalars and arrays keep their own
+        shapes (the compiled kernels broadcast them); arrays that do not
+        broadcast together are an error naming them, and the hardware
+        values follow ``dp``/``tp``."""
         ckpt = np.array([0, 2, 4, 8])
-        env = symbol_env(multinode, **self.config(
-            ckpt=ckpt, wo=np.array([[0.0], [0.5]])))
+        wo = np.array([[0.0], [0.5]])
+        env = symbol_env(multinode, **self.config(ckpt=ckpt, wo=wo))
         assert set(env) == {sym.name for sym in ALL_SYMBOLS}
-        rows = {"ckpt", "wo"}
         for name, values in env.items():
-            if name in rows:
-                assert values.shape == (2, 4) and values.dtype == float
+            if name == "ckpt":
+                assert values.shape == (4,) and values.dtype == float
+            elif name == "wo":
+                assert values.shape == (2, 1) and values.dtype == float
             else:
                 assert isinstance(values, np.float64), name
-        assert env["ckpt"].tolist() == [ckpt.tolist()] * 2
-        assert env["wo"].tolist() == [[0.0] * 4, [0.5] * 4]
+        assert env["ckpt"].tolist() == [0.0, 2.0, 4.0, 8.0]
+        assert env["wo"].tolist() == [[0.0], [0.5]]
         assert env["b"] == 2.0 and env["b"].size == 1
+        with pytest.raises(ValueError) as exc:
+            symbol_env(multinode, **self.config(ckpt=ckpt,
+                                                wo=np.array([0.0, 0.5])))
+        assert "ckpt (4,)" in str(exc.value) and "wo (2,)" in str(exc.value)
+        assert "dp" not in str(exc.value)
         # hardware values follow dp/tp: scalars for scalars ...
         hw = hardware_env(multinode, 2, 1)
         assert env["dp_bw"] == hw["dp_bw"]
-        # ... and columns, broadcast with the rest, for columns
+        # ... and arrays of dp's shape for an array dp
         dp = np.array([1, 2, 8])
         env = symbol_env(multinode, **self.config(dp=dp, l=np.array([8])))
         assert env["b"].shape == ()
@@ -211,7 +218,11 @@ class TestSymbolEnv:
             assert env[name].shape == (3,), name
             assert env[name].tolist() == [
                 hardware_env(multinode, int(d), 1)[name] for d in dp]
-        assert env["l"].tolist() == [8.0] * 3
+        assert env["l"].tolist() == [8.0]
+        # and along the axis dp lies on, for a grid
+        env = symbol_env(multinode, **self.config(
+            dp=dp.reshape(3, 1), ckpt=ckpt.reshape(1, 4)))
+        assert env["dp_bw"].shape == (3, 1) and env["ckpt"].shape == (1, 4)
 
     def test_zero_level_expands_to_flags(self, multinode):
         env = symbol_env(multinode, **self.config(zero=np.array([0, 1, 2, 3])))
