@@ -13,7 +13,13 @@ The paper hands this to an off-the-shelf MILP solver. Here
 :func:`solve` — the only solver the tuner calls — is an exact,
 deterministic label-setting dynamic program over (stage, layers used):
 no wall-clock limit, and ties resolve to the first optimum in
-lexicographic menu order, the same pick as :func:`solve_exact`. Two
+lexicographic menu order, the same pick as :func:`solve_exact`. Its
+cost follows the labels that can survive, not the square of the
+candidates: a vectorized pass drops every candidate label that an
+earlier label of its own *run* (one parent, one layer count, menu
+order) dominates, and only the survivors are compared pair by pair —
+the same mask as comparing all pairs, because dominance is transitive.
+The surviving final labels are re-priced in one row-wise Eq. (1). Two
 test oracles stay beside it, outside :mod:`repro.core`'s public names:
 :func:`solve_exact` enumerates every assignment, and :func:`solve_milp`
 is the paper's binary MILP solved by scipy's HiGHS backend. Only
@@ -161,7 +167,9 @@ def _flatten(menus: Menus) -> list[list[tuple[int, ParetoPoint]]]:
 
 def _price(choices: list[ParetoPoint], gacc: int,
            imbalance_aware: bool) -> float:
-    """Eq. (1) for one pick per stage — every solver's final objective."""
+    """Eq. (1) for one pick per stage — the oracles' final objective
+    (:func:`solve` prices its final labels with the bit-equal
+    :func:`_price_rows`)."""
     t = np.array([p.t for p in choices])
     d = np.array([p.d for p in choices])
     if not imbalance_aware:
@@ -296,7 +304,65 @@ def solve_milp(menus: Menus, total_layers: int, gacc: int,
         objective=_price(choices, gacc, imbalance_aware), choices=choices)
 
 
-def _undominated(state: np.ndarray, bottleneck: np.ndarray,
+def _run_prefilter(state: np.ndarray, run: np.ndarray,
+                   bottleneck: np.ndarray, exposed: np.ndarray) -> np.ndarray:
+    """Sound first pass of :func:`_undominated`: drops only labels that
+    an earlier label of their own *run* dominates.
+
+    A run is a stretch of consecutive labels with one ``run`` key, one
+    state and a bottleneck that never decreases; in :func:`solve` it is
+    one parent label extended by the options of one layer count, in menu
+    order (every menu frontier lists its points by ascending ``t``, and
+    ``max(M, t)`` keeps that order). A decrease (an unsorted menu, or a
+    NaN) starts a new run. Each earlier label of a run is no worse on
+    ``M``, so label ``b`` has an earlier dominator in its run exactly
+    when the least ``E`` before it in the run is ``<= E_b``: one
+    segmented running minimum.
+    """
+    n = len(state)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    head[1:] = ((run[1:] != run[:-1]) | (state[1:] != state[:-1])
+                | ~(bottleneck[1:] >= bottleneck[:-1]))
+    run_of = np.cumsum(head) - 1
+    pos = np.arange(n) - np.flatnonzero(head)[run_of]
+    # one row per run: the least E up to each position (fmin skips NaN)
+    least = np.full((run_of[-1] + 1, pos.max() + 1), np.nan)
+    least[run_of, pos] = exposed
+    np.fmin.accumulate(least, axis=1, out=least)
+    inner = np.flatnonzero(~head)  # labels with an earlier label in their run
+    keep = np.ones(n, dtype=bool)
+    keep[inner] = ~(least[run_of[inner], pos[inner] - 1] <= exposed[inner])
+    return keep
+
+
+def _pairwise_undominated(state: np.ndarray, bottleneck: np.ndarray,
+                          exposed: np.ndarray) -> np.ndarray:
+    """Mask of labels no earlier label at the same state dominates,
+    checked pair by pair.
+
+    Every (earlier, later) pair within a state group is formed at once,
+    so the work is the sum of ``n_g (n_g - 1) / 2`` over the groups with
+    no loop over them.
+    """
+    order = np.argsort(state, kind="stable")
+    grouped = state[order]
+    head = np.empty(len(order), dtype=bool)
+    head[0] = True
+    head[1:] = grouped[1:] != grouped[:-1]
+    start = np.flatnonzero(head)[np.cumsum(head) - 1]
+    earlier = np.arange(len(order)) - start  # earlier labels in the group
+    later = np.repeat(np.arange(len(order)), earlier)
+    first = np.cumsum(earlier) - earlier  # where each label's pairs begin
+    former = np.arange(later.size) - np.repeat(first - start, earlier)
+    m, e = bottleneck[order], exposed[order]
+    hit = (m[former] <= m[later]) & (e[former] <= e[later])
+    keep = np.ones(len(order), dtype=bool)
+    keep[order[later[hit]]] = False
+    return keep
+
+
+def _undominated(state: np.ndarray, run: np.ndarray, bottleneck: np.ndarray,
                  exposed: np.ndarray) -> np.ndarray:
     """Mask of labels no *earlier* label at the same state dominates.
 
@@ -305,21 +371,46 @@ def _undominated(state: np.ndarray, bottleneck: np.ndarray,
     ``bottleneck_a <= bottleneck_b`` and ``exposed_a <= exposed_b``:
     every completion of ``b`` then costs at least as much as the same
     completion of ``a``, whose path is lexicographically smaller.
-    Dominance is transitive, so comparing against every earlier label
-    (kept or not) gives the same mask as comparing against kept ones.
+
+    :func:`_run_prefilter` first drops labels dominated within their
+    run; the pair check then runs on the survivors only. That gives the
+    same mask as checking every pair, because dominance is transitive:
+    a dropped label has an earlier dominator in its run, which is itself
+    a survivor or has an earlier dominator, and so on, so every label
+    with an earlier dominator has an earlier *surviving* one.
     """
-    keep = np.ones(len(state), dtype=bool)
-    order = np.argsort(state, kind="stable")
-    cuts = np.flatnonzero(np.diff(state[order])) + 1
-    for group in np.split(order, cuts):
-        if len(group) < 2:
-            continue
-        m, e = bottleneck[group], exposed[group]
-        # dominated[a, b]: a is no worse than b on both label components
-        dominated = (m[:, None] <= m[None, :]) & (e[:, None] <= e[None, :])
-        earlier = np.tri(len(group), k=-1, dtype=bool).T
-        keep[group] = ~(dominated & earlier).any(axis=0)
+    keep = _run_prefilter(state, run, bottleneck, exposed)
+    rest = np.flatnonzero(keep)
+    keep[rest] = _pairwise_undominated(state[rest], bottleneck[rest],
+                                       exposed[rest])
     return keep
+
+
+def _price_rows(t: np.ndarray, d: np.ndarray, gacc: int) -> np.ndarray:
+    """Eq. (1) for each row of ``(paths, stages)`` arrays.
+
+    The same IEEE-754 operations in the same order as
+    :func:`~repro.core.objectives.pipeline_iteration_time` applies to
+    one row (row-wise ``sum`` reduces each contiguous row as a 1-D
+    ``sum`` does), so each entry is bit-equal to :func:`_price`.
+    """
+    prefix = np.zeros_like(t)
+    np.cumsum(t[:, :-1], axis=1, out=prefix[:, 1:])
+    exposed = (d - prefix).max(axis=1)
+    # Python's max(exposed, 0.0): 0.0 only when it is strictly larger
+    clamped = np.where(0.0 > exposed, 0.0, exposed)
+    return (gacc - 1) * t.max(axis=1) + t.sum(axis=1) + clamped
+
+
+def _cheapest(t: np.ndarray, d: np.ndarray, gacc: int) -> tuple[int, float]:
+    """Row and Eq. (1) of the first cheapest row of :func:`_price_rows`.
+
+    The first strict minimum, as a scan with ``<`` keeps it: a NaN first
+    row is never replaced, and a later NaN never wins.
+    """
+    objective = _price_rows(t, d, gacc)
+    best = 0 if np.isnan(objective[0]) else int(np.nanargmin(objective))
+    return best, float(objective[best])
 
 
 def solve(menus: Menus, total_layers: int, gacc: int, *,
@@ -337,11 +428,14 @@ def solve(menus: Menus, total_layers: int, gacc: int, *,
     (:func:`_undominated`).
 
     Candidates are generated in lexicographic order over the per-stage
-    option indices of :func:`_flatten` and only *earlier* labels may
-    prune, so the surviving labels at ``(S, total_layers)`` include the
-    first optimum in that order; re-pricing them exactly as
-    :func:`solve_exact` does and keeping the first strict minimum
-    reproduces its choice.
+    option indices of :func:`_flatten`, so one parent's options of one
+    layer count form a contiguous run at one state, in menu order; the
+    dominance check first prunes within those runs, then compares only
+    the survivors pairwise. Only *earlier* labels may prune, so the
+    surviving labels at ``(S, total_layers)`` include the first optimum
+    in that order; re-pricing them all at once exactly as
+    :func:`solve_exact` prices one assignment and keeping the first
+    strict minimum reproduces its choice.
     """
     options = _flatten(menus)
     if any(not opts for opts in options):
@@ -371,23 +465,25 @@ def solve(menus: Menus, total_layers: int, gacc: int, *,
         t = t_of[i][option]
         cand_m = np.maximum(bottleneck[parent], t)
         cand_e = t + np.maximum(exposed[parent], d_of[i][option])
-        keep = _undominated(reached[flat], cand_m, cand_e)
+        state = reached[flat]
+        keep = _undominated(state, parent, cand_m, cand_e)
         back.append((parent[keep], option[keep]))
-        used = reached[flat][keep]
+        used = state[keep]
         bottleneck, exposed = cand_m[keep], cand_e[keep]
 
     # walk the back pointers of every final label at once
     picks = np.empty((len(used), num_stages), dtype=np.int64)
+    path_t = np.empty((len(used), num_stages))
+    path_d = np.empty((len(used), num_stages))
     label = np.arange(len(used))
     for i in reversed(range(num_stages)):
         parent, option = back[i]
         picks[:, i] = option[label]
+        path_t[:, i] = t_of[i][picks[:, i]]
+        path_d[:, i] = d_of[i][picks[:, i]]
         label = parent[label]
 
-    best: InterStageSolution | None = None
-    for row in picks:
-        choices = [options[i][o][1] for i, o in enumerate(row)]
-        objective = _price(choices, gacc, imbalance_aware)
-        if best is None or objective < best.objective:
-            best = InterStageSolution(objective=objective, choices=choices)
-    return best
+    best, objective = _cheapest(path_t, path_d, gacc)
+    return InterStageSolution(
+        objective=objective,
+        choices=[options[i][o][1] for i, o in enumerate(picks[best])])

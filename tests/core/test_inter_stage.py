@@ -127,13 +127,28 @@ class TestMILPSolver:
 
 @st.composite
 def instances(draw, values):
-    """(menus, total_layers): every stage offers the same layer counts."""
+    """(menus, total_layers): every stage offers the same layer counts.
+
+    Each (stage, layer count) offers up to 4 points, so one parent's
+    options of one layer count — a run of the DP's prefilter — hold up
+    to 4 labels. The points are either as drawn or frontier-shaped:
+    ``t`` ascending and ``d`` descending, as intra-stage tuning emits
+    them, which is where the prefilter drops labels.
+    """
     num_stages = draw(st.integers(1, 3))
     layer_counts = sorted(draw(st.sets(st.sampled_from((1, 2, 3, 4)),
                                        min_size=1, max_size=3)))
-    pair = st.tuples(values, values)
-    table = [{l: draw(st.lists(pair, min_size=1, max_size=2))
-              for l in layer_counts}
+    frontier = draw(st.booleans())
+
+    def points():
+        pts = draw(st.lists(st.tuples(values, values), min_size=1,
+                            max_size=4))
+        if frontier:
+            pts = list(zip(sorted(t for t, _ in pts),
+                           sorted((d for _, d in pts), reverse=True)))
+        return pts
+
+    table = [{l: points() for l in layer_counts}
              for _ in range(num_stages)]
     total = draw(st.integers(num_stages * layer_counts[0],
                              num_stages * layer_counts[-1]))
