@@ -18,7 +18,9 @@ scale) matrix once, run it anywhere, resume it after a crash::
 
 See :mod:`repro.campaigns.spec` (the matrix + exclude rules),
 :mod:`repro.campaigns.executors` (``inline`` / ``process-pool`` /
-``service``, picked by name),
+``service``, picked by name; ``process-pool`` runs cells on the
+daemon's spawn-started, crash-isolated worker slots with one retry, so
+a script using it needs an ``if __name__ == "__main__":`` guard),
 :mod:`repro.campaigns.manifest` (resumable on-disk state + event
 stream), and :mod:`repro.campaigns.report` (speedup aggregation).
 """

@@ -6,9 +6,11 @@ decides *where* cells solve, never *what* they mean. Three backends
 ship, selected by name through :func:`get_executor`:
 
 * ``inline``       — solve every cell serially in this process;
-* ``process-pool`` — fan cells out to a bounded pool of worker
-  processes (each worker re-solves through :func:`repro.api.solve`
-  against the shared on-disk plan cache);
+* ``process-pool`` — fan cells out to the daemon's process worker
+  tier (:class:`repro.service.workers.ProcessWorkerTier`): spawn-started,
+  crash-isolated worker slots, each re-solving through
+  :func:`repro.api.solve` against the shared on-disk plan cache; a
+  worker that dies is respawned and its cell retried once;
 * ``service``      — delegate the whole batch to a live ``repro
   serve`` daemon via ``POST /campaigns``, so cells ride the daemon's
   worker pool, request coalescing, and shared plan cache.
@@ -22,12 +24,12 @@ next ``--resume`` run).
 
 from __future__ import annotations
 
+import queue
 import time
 from concurrent import futures as _futures
 from typing import Callable, Optional
 
 from repro.api import SolveReport, solve
-from repro.api.solvers import solve_in_worker
 
 from .spec import CampaignCell
 
@@ -89,7 +91,14 @@ class InlineExecutor:
 
 
 class ProcessPoolExecutor:
-    """Fan cells out to a bounded pool of worker processes.
+    """Fan cells out to ``workers`` crash-isolated worker processes.
+
+    Cells run on the daemon's
+    :class:`~repro.service.workers.ProcessWorkerTier`, each on whichever
+    slot is free. A worker that dies is respawned and its cell retried
+    once; only that cell can fail (``WorkerDiedError: ...``). Spawned
+    workers re-import the caller's ``__main__``, so a script using this
+    executor needs an ``if __name__ == "__main__":`` guard.
 
     Workers re-enter :func:`repro.api.solve` against the shared
     on-disk plan cache, so concurrent identical cells race safely (the
@@ -107,31 +116,42 @@ class ProcessPoolExecutor:
             label=None):
         if not cells:
             return
-        cache_dir = str(cache.root) if cache is not None else None
-        pool = _futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(cells)))
+        # imported here so that ``import repro.campaigns`` does not
+        # load the service package
+        from repro.service.workers import ProcessWorkerTier
+
+        tier = ProcessWorkerTier(min(self.workers, len(cells)))
+        free: queue.SimpleQueue[int] = queue.SimpleQueue()
+        for index in range(tier.workers):
+            free.put(index)
+
+        def solve_on_free_slot(cell: CampaignCell) -> SolveReport:
+            index = free.get()
+            try:
+                return tier.run_on(index, cell.job, cell.solver,
+                                   cache=cache)
+            finally:
+                free.put(index)
+
+        dispatch = _futures.ThreadPoolExecutor(max_workers=tier.workers)
         try:
-            pending = {
-                pool.submit(solve_in_worker, cell.solver,
-                            cell.job.to_dict(), cache_dir): cell
-                for cell in cells
-            }
+            pending = {dispatch.submit(solve_on_free_slot, cell): cell
+                       for cell in cells}
             for future in _futures.as_completed(pending):
                 if should_stop is not None and should_stop():
                     break
                 cell = pending[future]
                 try:
-                    _, data, from_cache = future.result()
+                    report = future.result()
                 except Exception as exc:  # noqa: BLE001 — per-cell
                     on_result(cell, None, f"{type(exc).__name__}: {exc}")
                 else:
-                    report = SolveReport.from_dict(data)
-                    report.from_cache = from_cache
                     on_result(cell, report, None)
         finally:
             # cancel queued cells; wait for in-flight solves so their
             # cache writes land before the campaign returns
-            pool.shutdown(wait=True, cancel_futures=True)
+            dispatch.shutdown(wait=True, cancel_futures=True)
+            tier.shutdown(wait=True)
 
 
 class ServiceExecutor:

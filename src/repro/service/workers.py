@@ -4,20 +4,24 @@ The daemon front (submit / coalesce / plan cache, see ``server.py``) is
 tier-agnostic: once a ``(solver, fingerprint)`` key misses the cache
 and is not already in flight, the search is handed to a *worker tier*:
 
-* :class:`ThreadWorkerTier` — today's behavior: the search runs on the
-  calling pool thread via :func:`repro.api.solve`. Cheap, shares the
-  process-wide menu memo, but the GIL serializes the search hot path.
+* :class:`ThreadWorkerTier` — the search runs on the calling pool
+  thread via :func:`repro.api.solve`. Cheap, shares the process-wide
+  menu memo, but the GIL serializes the search hot path.
 * :class:`ProcessWorkerTier` — ``N`` single-process pools
   (``spawn`` start method: forking a threaded asyncio daemon is
   deadlock-prone). Searches run on real cores; results come back as
   serialized :class:`~repro.api.SolveReport` dicts.
 
-Routing is **fingerprint-consistent**: worker index =
+The daemon's routing is **fingerprint-consistent**
+(:meth:`ProcessWorkerTier.run`): worker index =
 ``sha256(solver:fingerprint) % N``. Coalescing already collapses
 identical in-flight submissions *before* the tier sees them, so the
 tier never runs the same key twice concurrently; pinning repeats of a
 fingerprint to the same process additionally keeps that worker's
 process-local menu memo warm for re-searches of the same workload.
+:meth:`ProcessWorkerTier.run_on` is the slot-addressed body underneath:
+the campaign ``process-pool`` executor hands each cell to whichever
+slot is free instead, since a grid's cells are all distinct.
 
 Chaos semantics: a worker process dying mid-search surfaces as
 :class:`concurrent.futures.process.BrokenProcessPool`. The tier
@@ -46,18 +50,12 @@ from collections.abc import Callable
 from concurrent.futures import Future
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.api import PlanCache, SolveReport, TuningJob, solve
 from repro.api.solvers import solve_in_worker
 from repro.core.tuner import SearchCancelled
-
-try:  # BrokenProcessPool moved around across 3.x; be explicit
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - py3.10+ always has it
-    from concurrent.futures import (  # type: ignore[assignment]
-        BrokenExecutor as BrokenProcessPool,
-    )
 
 __all__ = ["ProcessWorkerTier", "ThreadWorkerTier", "WorkerDiedError",
            "make_tier"]
@@ -68,6 +66,9 @@ SolveFn = Callable[..., SolveReport]
 ProgressFn = Callable[[int, int], None]
 #: cooperative cancellation poll: True means stop searching
 StopFn = Callable[[], bool]
+
+#: how often an awaiting dispatch thread polls ``should_stop`` (seconds)
+_POLL_INTERVAL_S = 0.05
 
 
 class WorkerDiedError(RuntimeError):
@@ -82,8 +83,7 @@ def _process_ping() -> int:
 class ThreadWorkerTier:
     """Run searches inline on the caller's (pool) thread.
 
-    This is the pre-existing single-process mode: the service's
-    ``ThreadPoolExecutor`` thread calls straight into
+    The service's ``ThreadPoolExecutor`` thread calls straight into
     :func:`repro.api.solve` (or the injected ``solve_fn``), with full
     ``progress`` / ``should_stop`` hook fidelity.
     """
@@ -119,26 +119,23 @@ class ThreadWorkerTier:
 class ProcessWorkerTier:
     """Route searches onto ``N`` single-process worker pools.
 
-    Each slot is its own one-worker :class:`ProcessPoolExecutor` so
-    that (a) routing is strict — a fingerprint always lands on its
-    assigned process, keeping per-process memo locality — and (b) a
-    crash is contained: only the broken slot respawns, the other
-    workers keep their warm state.
+    Each slot is its own one-worker :class:`ProcessPoolExecutor`
+    (``spawn`` start) so that (a) routing is strict — a fingerprint
+    always lands on its assigned process, keeping per-process memo
+    locality — and (b) a crash is contained: only the broken slot
+    respawns, the other workers keep their warm state.
     """
 
     mode = "process"
 
-    def __init__(self, workers: int, *, retries: int = 1,
-                 start_method: str = "spawn",
-                 poll_interval: float = 0.05):
+    def __init__(self, workers: int, *, retries: int = 1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.workers = int(workers)
         self.retries = int(retries)
-        self.poll_interval = float(poll_interval)
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._pools: list[ProcessPoolExecutor | None] = [None] * workers
         self._pids: list[int | None] = [None] * workers
@@ -178,18 +175,26 @@ class ProcessWorkerTier:
             cache: PlanCache | None = None,
             progress: ProgressFn | None = None,
             should_stop: StopFn | None = None) -> SolveReport:
+        """Search on the slot the ``(solver, fingerprint)`` key routes to."""
         del progress  # no cross-process progress channel (see module doc)
+        return self.run_on(self.route(solver, job.fingerprint()), job,
+                           solver, cache=cache, should_stop=should_stop)
+
+    def run_on(self, index: int, job: TuningJob, solver: str, *,
+               cache: PlanCache | None = None,
+               should_stop: StopFn | None = None) -> SolveReport:
+        """Search on slot ``index``; a dead worker is respawned and the
+        search retried up to ``retries`` times."""
         if should_stop is not None and should_stop():
             raise SearchCancelled("cancelled before dispatch to a worker")
         cache_dir = str(cache.root) if cache is not None else None
-        index = self.route(solver, job.fingerprint())
         attempts = 0
         while True:
             attempts += 1
             pool = self._pool_for(index)
             try:
-                # RuntimeError here: the pool broke (or was shut down)
-                # between route and submit
+                # RuntimeError here: the slot's pool broke (or was shut
+                # down) before this submit
                 future = pool.submit(solve_in_worker, solver,
                                      job.to_dict(), cache_dir)
             except RuntimeError as exc:
@@ -218,7 +223,7 @@ class ProcessWorkerTier:
         """Poll the worker future, honoring dispatch-side cancellation."""
         while True:
             try:
-                return future.result(timeout=self.poll_interval)
+                return future.result(timeout=_POLL_INTERVAL_S)
             except _FutureTimeoutError:
                 if should_stop is not None and should_stop():
                     # the worker keeps searching and will still store

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.api import PlanCache, TuningJob, register_solver, solve
+from repro.api import PlanCache, TuningJob, solve
 from repro.benchmarking import plan_hash
 from repro.service import running_service
 from repro.service.workers import (
@@ -172,19 +172,33 @@ class TestCoalescingUnderProcesses:
         assert joined + hits == 3, (joined, hits, metrics)
 
 
+class TestRunOn:
+    def test_run_on_uses_only_the_named_slot(self):
+        job = dataclasses.replace(
+            SMOKE_JOB, options={"synthetic": {"seconds": 0.01}})
+        for index in (0, 1):
+            tier = ProcessWorkerTier(2)
+            try:
+                report = tier.run_on(index, job, "synthetic")
+                assert report.measured["throughput"] == 100.0
+                pids = tier.worker_pids()
+                assert pids[index] is not None
+                assert pids[1 - index] is None
+            finally:
+                tier.shutdown()
+
+
 class TestSolverErrorsInWorkers:
     def test_solver_error_propagates_without_restart(self):
-        @register_solver("worker-bug", overwrite=True)
-        class _Bug:  # noqa: F841 — registered for its side effect
-            def solve(self, job):
-                raise RuntimeError("solver bug")
-
-        # fork: the worker inherits the registration above
-        tier = ProcessWorkerTier(1, retries=1, start_method="fork")
+        # the synthetic solver raises ValueError on a non-numeric spin
+        # time: an error of the solver's own, inside a healthy worker
+        bad = dataclasses.replace(
+            SMOKE_JOB, options={"synthetic": {"seconds": "solver bug"}})
+        tier = ProcessWorkerTier(1, retries=1)
         try:
             [pid] = tier.warm(timeout=60)
-            with pytest.raises(RuntimeError, match="solver bug") as err:
-                tier.run(SMOKE_JOB, "worker-bug")
+            with pytest.raises(ValueError, match="solver bug") as err:
+                tier.run(bad, "synthetic")
             # the solver's own error, not a misreported worker death
             assert not isinstance(err.value, WorkerDiedError)
             assert tier.stats()["restarts"] == 0
