@@ -28,8 +28,10 @@ the work every solve would otherwise redo before its search starts:
 each :class:`~repro.tracing.TracedModel`, keyed by the frozen
 ``(ModelConfig, GPUSpec, flash)``, and each compiled kernel, keyed by
 that trace key plus a purpose tag (the analyzer's three projections,
-the engine's component function). Tuner, analyzer and execution engine
-all read from it, so a model is traced and compiled once per process.
+the engine's component function; the engine's memory kernel needs no
+GPU and is keyed ``(ModelConfig, flash, "engine.memory")``). Tuner,
+analyzer and execution engine all read from it, so a model is traced
+and compiled once per process.
 ``GLOBAL_MENU_MEMO.clear()`` empties it too, which keeps a "cold" solve
 cold. Like the menu memo, it never enters a fingerprint.
 """
@@ -49,7 +51,8 @@ __all__ = ["GLOBAL_KERNEL_CACHE", "GLOBAL_MENU_MEMO", "KernelCache",
 _DEFAULT_MAXSIZE = 4096
 
 #: entries of the process-wide trace/kernel cache: one trace plus four
-#: kernels per (model, GPU, flash), so room for a dozen of those
+#: kernels per (model, GPU, flash) and a memory kernel per (model,
+#: flash), so room for about a dozen models
 _KERNEL_CACHE_SIZE = 64
 
 _T = TypeVar("_T")

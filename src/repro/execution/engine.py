@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.memo import GLOBAL_KERNEL_CACHE
 from repro.core.plan import StageConfig, TrainingPlan
 from repro.hardware import ClusterSpec, HeterogeneousCluster, reduce_fleet
@@ -44,8 +46,8 @@ from .memory_tracker import (
     track_stage_memory,
 )
 from .pipeline import PipelineResult, simulate_pipeline
-from .schedule import SCHEDULES, OverlapCapability, PhaseComponents, \
-    phase_wall_time
+from .schedule import PHASE_RESOURCES, SCHEDULES, OverlapCapability, \
+    phase_wall_times
 
 __all__ = ["ExecutionEngine", "IterationResult", "OOMError"]
 
@@ -56,6 +58,23 @@ _COMPONENT_FIELDS = (
     "p2p_fwd", "p2p_bwd", "d2h_fwd", "d2h_bwd", "h2d_fwd", "h2d_bwd",
     "comp_first", "dp_first", "d2h_first", "h2d_first", "dp_last",
 )
+#: a stage's component row: the kernel's outputs, then a 0.0
+_ZERO = len(_COMPONENT_FIELDS)
+
+
+def _phase_columns(suffix: str) -> list[int]:
+    """Component-row columns of one phase's resources, in
+    PHASE_RESOURCES order; a resource without a ``<resource>_<suffix>``
+    component reads the row's trailing 0.0."""
+    names = (f"{resource}_{suffix}" for resource in PHASE_RESOURCES)
+    return [_COMPONENT_FIELDS.index(name) if name in _COMPONENT_FIELDS
+            else _ZERO for name in names]
+
+
+#: stable phases, and the extras of microbatch 0's forward and
+#: microbatch gacc-1's backward
+_FWD, _BWD, _FIRST, _LAST = map(_phase_columns,
+                                ("fwd", "bwd", "first", "last"))
 
 
 @dataclass
@@ -151,19 +170,14 @@ class ExecutionEngine:
         num_stages = plan.num_stages
         gacc = plan.gacc
         stage_memory: list[StageMemoryReport] = []
-        fwd_times: list[list[float]] = []
-        bwd_times: list[list[float]] = []
+        components = np.zeros((num_stages, _ZERO + 1))
         max_p2p_lat = 0.0
         links = self.cluster.p2p_links(
             [stage.device_group for stage in plan.stages])
 
-        def wall(phase: PhaseComponents) -> float:
-            return phase_wall_time(phase, self.capability, self.contention)
-
         for idx, stage in enumerate(plan.stages):
             gcluster = self._stage_cluster(stage)
             traced = self._traced(model, flash, gcluster)
-            fn = self._components_fn(traced)
             report = track_stage_memory(
                 traced.graph, gcluster.gpu, stage,
                 stage_idx=idx, num_stages=num_stages,
@@ -175,32 +189,24 @@ class ExecutionEngine:
                 raise OOMError(idx, report.peak, report.capacity)
 
             env = self._stage_env(plan, idx, seq_len, gcluster, links[idx])
-            comp = dict(zip(_COMPONENT_FIELDS, map(float, fn(**env))))
-
-            fwd = PhaseComponents(
-                comp=comp["comp_fwd"], tp=comp["tp_fwd"], dp=comp["dp_fwd"],
-                p2p=comp["p2p_fwd"], d2h=comp["d2h_fwd"], h2d=comp["h2d_fwd"],
-            )
-            bwd = PhaseComponents(
-                comp=comp["comp_bwd"], tp=comp["tp_bwd"], dp=comp["dp_bwd"],
-                p2p=comp["p2p_bwd"], d2h=comp["d2h_bwd"], h2d=comp["h2d_bwd"],
-            )
-            first_extra = PhaseComponents(
-                comp=comp["comp_first"], dp=comp["dp_first"],
-                d2h=comp["d2h_first"], h2d=comp["h2d_first"],
-            )
-            last_extra = PhaseComponents(dp=comp["dp_last"])
-
-            # Only microbatch 0's forward and microbatch gacc-1's
-            # backward carry extras: price each distinct phase once.
-            fwd_row = [wall(fwd + first_extra)]
-            bwd_row = [wall(bwd + last_extra)]
-            if gacc > 1:
-                fwd_row += [wall(fwd)] * (gacc - 1)
-                bwd_row = [wall(bwd)] * (gacc - 1) + bwd_row
-            fwd_times.append(fwd_row)
-            bwd_times.append(bwd_row)
+            components[idx, :_ZERO] = self._components_fn(traced)(**env)
             max_p2p_lat = max(max_p2p_lat, float(env["p2p_lat"]))
+
+        # Only microbatch 0's forward and microbatch gacc-1's backward
+        # carry extras, so a stage has four distinct phases; the whole
+        # plan's are priced in one call.
+        fwd = components[:, _FWD]
+        bwd = components[:, _BWD]
+        phases = np.stack([fwd + components[:, _FIRST],
+                           bwd + components[:, _LAST], fwd, bwd], axis=1)
+        walls = phase_wall_times(phases.reshape(-1, len(PHASE_RESOURCES)),
+                                 self.capability, self.contention)
+        fwd_times: list[list[float]] = []
+        bwd_times: list[list[float]] = []
+        for fwd_first, bwd_last, fwd_wall, bwd_wall in \
+                walls.reshape(num_stages, 4).tolist():
+            fwd_times.append([fwd_first] + [fwd_wall] * (gacc - 1))
+            bwd_times.append([bwd_wall] * (gacc - 1) + [bwd_last])
 
         pipeline = simulate_pipeline(fwd_times, bwd_times,
                                      p2p_delay=max_p2p_lat)

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.memo import GLOBAL_KERNEL_CACHE
 from repro.hardware import GPUSpec
 from repro.models.graph import ModelGraph
-from repro.symbolic import evaluate
+from repro.symbolic import CompiledExpr, compile_expr
 from repro.tracing.liveness import backward_transient, forward_transient
 from repro.tracing.memory import ALLOCATOR_SLACK, FRAMEWORK_OVERHEAD_BYTES
 
@@ -75,6 +76,31 @@ def quantize_ratio(ratio: float, layers: int) -> float:
     return round(ratio * layers) / layers
 
 
+def _memory_fn(graph: ModelGraph) -> CompiledExpr:
+    """The tracker's 14 graph quantities over ``(b, s, tp)``, compiled
+    into one kernel per traced graph (outputs in the order
+    :func:`track_stage_memory` unpacks them).
+
+    Built from the layer graphs alone, never from the analyzer's
+    :class:`~repro.tracing.StageMemoryExprs`: the tracker stays an
+    independent check on the analyzer's memory model (Section 6.6).
+    """
+    def build() -> CompiledExpr:
+        block, pre, post = graph.block, graph.pre, graph.post
+        return compile_expr([
+            block.param_count, pre.param_count, post.param_count,
+            block.saved_activation_bytes(), pre.saved_activation_bytes(),
+            post.saved_activation_bytes(), block.ckpt_saved_bytes(),
+            graph.boundary_activation_bytes,
+            forward_transient(block), backward_transient(block),
+            forward_transient(pre), backward_transient(pre),
+            forward_transient(post), backward_transient(post),
+        ], arg_names=("b", "s", "tp"))
+
+    return GLOBAL_KERNEL_CACHE.get(
+        (graph.config, graph.flash, "engine.memory"), build)
+
+
 def track_stage_memory(graph: ModelGraph, gpu: GPUSpec, stage: StageConfig,
                        *, stage_idx: int, num_stages: int, inflight: int,
                        seq_len: int,
@@ -84,18 +110,19 @@ def track_stage_memory(graph: ModelGraph, gpu: GPUSpec, stage: StageConfig,
     ``runtime_overhead_bytes`` is extra memory pinned by the executing
     system's runtime (beyond the common framework overhead).
     """
-    env = {"b": stage.microbatch, "s": seq_len, "tp": stage.tp}
-    block, pre, post = graph.block, graph.pre, graph.post
+    (block_params, pre_params, post_params, saved_full, pre_saved,
+     post_saved, saved_ckpt, boundary, block_fwd, block_bwd, pre_fwd,
+     pre_bwd, post_fwd, post_bwd) = map(float, _memory_fn(graph)(
+         b=stage.microbatch, s=seq_len, tp=stage.tp))
     has_pre = stage_idx == 0
     has_post = stage_idx == num_stages - 1
 
     # -- parameter/grad/optimizer state bytes on this rank -------------------
-    block_params = float(evaluate(block.param_count, env))
     param_elems = stage.layers * block_params
     if has_pre:
-        param_elems += float(evaluate(pre.param_count, env))
+        param_elems += pre_params
     if has_post:
-        param_elems += float(evaluate(post.param_count, env))
+        param_elems += post_params
 
     z1, z2, z3 = stage.zero_flags
     dp = stage.dp
@@ -121,30 +148,27 @@ def track_stage_memory(graph: ModelGraph, gpu: GPUSpec, stage: StageConfig,
     opt_states = o32 * z1_frac * (1 - oo) + opt_buf
 
     # -- activations -----------------------------------------------------------
-    saved_full = float(evaluate(block.saved_activation_bytes(), env))
-    saved_ckpt = float(evaluate(block.ckpt_saved_bytes(), env))
     saved_block = (stage.layers - stage.ckpt) * saved_full \
         + stage.ckpt * saved_ckpt
     saved_edges = 0.0
     if has_pre:
-        saved_edges += float(evaluate(pre.saved_activation_bytes(), env))
+        saved_edges += pre_saved
     if has_post:
-        saved_edges += float(evaluate(post.saved_activation_bytes(), env))
-    boundary = float(evaluate(graph.boundary_activation_bytes, env))
+        saved_edges += post_saved
     activations = inflight * ((1 - ao) * saved_block + saved_edges) \
         + 2 * boundary
 
     # -- transients --------------------------------------------------------------
-    t_fwd = float(evaluate(forward_transient(block), env))
-    t_bwd = float(evaluate(backward_transient(block), env))
+    t_fwd = block_fwd
+    t_bwd = block_bwd
     if stage.ckpt > 0:
         t_bwd += saved_full - saved_ckpt
     if has_pre:
-        t_fwd = max(t_fwd, float(evaluate(forward_transient(pre), env)))
-        t_bwd = max(t_bwd, float(evaluate(backward_transient(pre), env)))
+        t_fwd = max(t_fwd, pre_fwd)
+        t_bwd = max(t_bwd, pre_bwd)
     if has_post:
-        t_fwd = max(t_fwd, float(evaluate(forward_transient(post), env)))
-        t_bwd = max(t_bwd, float(evaluate(backward_transient(post), env)))
+        t_fwd = max(t_fwd, post_fwd)
+        t_bwd = max(t_bwd, post_bwd)
     transient = max(t_fwd, t_bwd)
 
     # Fragmentation slack applies to the churning allocations

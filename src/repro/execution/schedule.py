@@ -26,11 +26,16 @@ import numpy as np
 
 from .events import ContentionSpec, corun_total_time
 
-__all__ = ["PhaseComponents", "OverlapCapability", "SCHEDULES", "phase_wall_time",
+__all__ = ["PhaseComponents", "OverlapCapability", "SCHEDULES",
+           "PHASE_RESOURCES", "phase_wall_time", "phase_wall_times",
            "MIST_IMPL_OVERHEAD"]
 
 #: relative compute overhead of Mist's orchestrated execution engine
 MIST_IMPL_OVERHEAD = 0.015
+
+
+#: resource order of a phase row (:func:`phase_wall_times` columns)
+PHASE_RESOURCES = ("comp", "tp", "dp", "p2p", "d2h", "h2d")
 
 
 @dataclass(frozen=True)
@@ -44,13 +49,16 @@ class PhaseComponents:
     d2h: float = 0.0
     h2d: float = 0.0
 
+    def row(self) -> tuple[float, ...]:
+        """The components in :data:`PHASE_RESOURCES` order."""
+        return tuple(getattr(self, f) for f in PHASE_RESOURCES)
+
     def scaled(self, factor: float) -> "PhaseComponents":
-        return PhaseComponents(*(getattr(self, f) * factor for f in
-                                 ("comp", "tp", "dp", "p2p", "d2h", "h2d")))
+        return PhaseComponents(*(value * factor for value in self.row()))
 
     def __add__(self, other: "PhaseComponents") -> "PhaseComponents":
-        return PhaseComponents(*(getattr(self, f) + getattr(other, f) for f in
-                                 ("comp", "tp", "dp", "p2p", "d2h", "h2d")))
+        return PhaseComponents(*(a + b for a, b in
+                                 zip(self.row(), other.row())))
 
 
 @dataclass(frozen=True)
@@ -93,29 +101,42 @@ SCHEDULES: dict[str, OverlapCapability] = {
 }
 
 
+def phase_wall_times(rows, capability: OverlapCapability,
+                     contention: ContentionSpec) -> np.ndarray:
+    """Wall-clock durations of phases under ``capability``.
+
+    ``rows`` is ``(n, 6)`` of busy seconds per resource, columns in
+    :data:`PHASE_RESOURCES` order; all ``n`` phases are integrated in
+    one :func:`corun_total_time` call. TP all-reduces always serialize
+    with compute (dependent kernels); overlappable components co-run
+    through the contention integrator; non-overlappable ones are added
+    serially.
+    """
+    comp, tp, dp, p2p, d2h, h2d = np.asarray(rows, dtype=float).T
+    compute = comp * (1.0 + capability.impl_overhead) + tp
+    g2g = np.zeros_like(comp)
+    serial = np.zeros_like(comp)
+    if capability.overlap_dp:
+        g2g += dp
+    else:
+        serial += dp
+    if capability.overlap_p2p:
+        g2g += p2p
+    else:
+        serial += p2p
+    if capability.overlap_offload:
+        c2g, g2c = h2d, d2h
+    else:
+        serial += h2d + d2h
+        c2g = g2c = np.zeros_like(comp)
+    overlapped = corun_total_time(np.stack([compute, g2g, c2g, g2c], axis=-1),
+                                  contention)
+    return overlapped + serial
+
+
 def phase_wall_time(components: PhaseComponents, capability: OverlapCapability,
                     contention: ContentionSpec) -> float:
-    """Wall-clock duration of one phase under ``capability``.
-
-    TP all-reduces always serialize with compute (dependent kernels);
-    overlappable components co-run through the contention integrator;
-    non-overlappable ones are added serially.
-    """
-    comp = components.comp * (1.0 + capability.impl_overhead) + components.tp
-    g2g = 0.0
-    serial = 0.0
-    if capability.overlap_dp:
-        g2g += components.dp
-    else:
-        serial += components.dp
-    if capability.overlap_p2p:
-        g2g += components.p2p
-    else:
-        serial += components.p2p
-    if capability.overlap_offload:
-        c2g, g2c = components.h2d, components.d2h
-    else:
-        serial += components.h2d + components.d2h
-        c2g = g2c = 0.0
-    overlapped = corun_total_time(np.array([comp, g2g, c2g, g2c]), contention)
-    return float(overlapped) + serial
+    """Wall-clock duration of one phase: a one-row
+    :func:`phase_wall_times`."""
+    return float(phase_wall_times([components.row()], capability,
+                                  contention)[0])

@@ -56,5 +56,5 @@ def timeline_summary(result: PipelineResult) -> dict:
         "max_bubble_fraction": max(
             result.bubble_fraction(i) for i in range(result.num_stages)
         ),
-        "num_phases": len(result.timeline),
+        "num_phases": result.num_phases,
     }

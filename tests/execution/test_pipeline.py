@@ -111,6 +111,14 @@ class TestSimulatePipeline:
         with pytest.raises(ValueError):
             simulate_pipeline([[1.0, 1.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]])
 
+    def test_no_stages_rejected(self):
+        with pytest.raises(ValueError, match="no stages"):
+            simulate_pipeline([], [])
+
+    def test_missing_backward_rows_rejected(self):
+        with pytest.raises(ValueError, match="ragged"):
+            simulate_pipeline([[1.0], [1.0]], [[1.0]])
+
     @settings(max_examples=40, deadline=None)
     @given(
         s_num=st.integers(min_value=1, max_value=5),

@@ -9,6 +9,8 @@ from repro.cli import build_parser, main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 MIXED_FILE = str(EXAMPLES / "mixed_a100_l4.json")
+TIMELINE_GOLDEN = Path(__file__).resolve().parent / "fixtures" \
+    / "analyze_timeline.txt"
 
 
 class TestParser:
@@ -80,6 +82,18 @@ class TestAnalyze:
         ])
         assert code == 0
         assert "stage  0 |" in capsys.readouterr().out
+
+    def test_analyze_timeline_golden(self, capsys):
+        """The rendered plan, memory and 1F1B timeline, byte for byte:
+        pins the timeline's record order and its rendering."""
+        code = main([
+            "analyze", "--model", "gpt3-1.3b", "--gpu", "L4",
+            "--gpus", "8", "--global-batch", "64", "--stages", "4",
+            "--dp", "2", "--gacc", "16", "--zero", "1", "--ckpt", "full",
+            "--timeline",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.encode() == TIMELINE_GOLDEN.read_bytes()
 
 
 class TestSolvers:
