@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation import current_scale
+from repro.benchmarking.suite import current_scale
 
 
 @pytest.fixture(scope="session")

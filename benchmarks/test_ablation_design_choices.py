@@ -14,12 +14,12 @@ import time
 
 import numpy as np
 
+from repro.campaigns.report import format_table
 from repro.core import SymbolicPerformanceAnalyzer
 from repro.core.inter_stage import solve, solve_exact, solve_milp
 from repro.core.intra_stage import ParetoPoint
 from repro.core.plan import StageConfig, uniform_plan
-from repro.costmodel import InterferenceModel
-from repro.evaluation import calibrated_interference, format_table
+from repro.costmodel import InterferenceModel, calibrated_interference
 from repro.execution import ExecutionEngine
 from repro.hardware import make_cluster
 from repro.models import get_model

@@ -15,8 +15,10 @@ Scale note: the ``quick`` preset sweeps sizes 1.3B-6.7B (up to 8 GPUs);
 
 import pytest
 
+from repro.benchmarking.suite import current_scale
 from repro.campaigns import CampaignSpec, run_campaign
-from repro.evaluation import current_scale, format_throughput_rows, scale_ref
+from repro.campaigns.report import format_throughput_rows
+from repro.core.spaces import scale_ref
 
 SYSTEMS = ("megatron", "deepspeed", "mist")
 

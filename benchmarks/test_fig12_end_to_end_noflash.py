@@ -12,8 +12,10 @@ sharded DP).
 
 import pytest
 
+from repro.benchmarking.suite import current_scale
 from repro.campaigns import CampaignSpec, run_campaign
-from repro.evaluation import current_scale, format_throughput_rows, scale_ref
+from repro.campaigns.report import format_throughput_rows
+from repro.core.spaces import scale_ref
 
 SYSTEMS = ("megatron", "deepspeed", "aceso", "mist")
 

@@ -16,9 +16,9 @@ and offloading contributing the bulk.
 """
 
 from repro.api import TuningJob, solve
+from repro.benchmarking.suite import current_scale, format_series
 from repro.core import INCREMENTAL_SPACES, SPACE_MIST
-from repro.core.spaces import space_ref
-from repro.evaluation import current_scale, format_series, scale_ref
+from repro.core.spaces import scale_ref, space_ref
 
 
 def _jobs():

@@ -10,9 +10,9 @@ at 80 layers), with the CKPT-only advantage shrinking as the model
 grows and the full space holding its lead.
 """
 
-from repro.core import SPACE_3D, SPACE_MIST
 from repro.api import TuningJob
-from repro.evaluation import current_scale, format_series
+from repro.benchmarking.suite import current_scale, format_series
+from repro.core import SPACE_3D, SPACE_MIST
 from repro.models import get_model
 
 
@@ -52,7 +52,7 @@ def _sweep():
 
 def _run_with_model(job, model, space):
     from repro.core import MistTuner
-    from repro.evaluation import calibrated_interference
+    from repro.costmodel import calibrated_interference
     from repro.execution import ExecutionEngine, OOMError
 
     scale = current_scale()

@@ -11,9 +11,9 @@ mispredicted bottlenecks are multiplied by more microbatches.
 """
 
 from repro.api import TuningJob, solve
+from repro.benchmarking.suite import current_scale, format_series
 from repro.core import SPACE_3D, SPACE_MIST
-from repro.core.spaces import space_ref
-from repro.evaluation import current_scale, format_series, scale_ref
+from repro.core.spaces import scale_ref, space_ref
 
 SPACES = {
     "3D Parallelism": SPACE_3D.with_(name="3d", ckpt_policy="full"),

@@ -21,8 +21,8 @@ memo-hit counters while the parallel fan-out returns the serial plan.
 
 from repro.baselines import AcesoTuner
 from repro.benchmarking import fig16_job, measure_fig16
+from repro.benchmarking.suite import current_scale, format_series
 from repro.core import INCREMENTAL_SPACES, log10_configurations
-from repro.evaluation import current_scale, format_series
 
 #: per-configuration simulation cost cited by the paper (Proteus, §3.2)
 SIMULATION_SECONDS_PER_CONFIG = 6.0

@@ -10,7 +10,7 @@ optimization.
 """
 
 from repro.core import MistTuner, SPACE_3D, SPACE_3D_ZERO
-from repro.evaluation import calibrated_interference, current_scale
+from repro.costmodel import calibrated_interference
 from repro.execution import ExecutionEngine, OOMError
 from repro.hardware import make_cluster
 from repro.models import get_model

@@ -8,8 +8,9 @@ and cut recomputation — a 1.22x speedup over parallelism-only tuning
 and 1.11x over parallelism+CKPT tuning.
 """
 
+from repro.benchmarking.suite import current_scale
 from repro.core import MistTuner, SPACE_3D, SPACE_MIST
-from repro.evaluation import calibrated_interference, current_scale
+from repro.costmodel import calibrated_interference
 from repro.execution import ExecutionEngine, OOMError
 from repro.hardware import make_cluster
 from repro.models import get_model

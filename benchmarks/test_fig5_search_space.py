@@ -7,7 +7,7 @@ hierarchical tuning.
 """
 
 from repro.core import log10_configurations
-from repro.evaluation import format_series
+from repro.benchmarking.suite import format_series
 
 LAYERS = (16, 32, 48, 64, 80)
 NUM_GPUS = 32

@@ -12,7 +12,9 @@ memory-tight configuration.
 """
 
 from repro.api import TuningJob, solve
-from repro.evaluation import current_scale, format_table, scale_ref
+from repro.benchmarking.suite import current_scale
+from repro.campaigns.report import format_table
+from repro.core.spaces import scale_ref
 
 
 def _jobs():

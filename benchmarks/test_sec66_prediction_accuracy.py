@@ -14,9 +14,10 @@ contention differently — exactly the effects the paper's errors cover).
 import numpy as np
 
 from repro.baselines.common import pipeline_grids
+from repro.benchmarking.suite import current_scale
 from repro.core import SymbolicPerformanceAnalyzer
 from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
-from repro.evaluation import calibrated_interference, current_scale
+from repro.costmodel import calibrated_interference
 from repro.execution import ExecutionEngine, OOMError
 from repro.hardware import make_cluster
 from repro.models import get_model

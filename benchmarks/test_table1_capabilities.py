@@ -7,7 +7,7 @@ it supports.
 """
 
 from repro.baselines import CAPABILITY_TABLE
-from repro.evaluation import format_table
+from repro.campaigns.report import format_table
 
 
 def _rows():

@@ -15,7 +15,7 @@ Run:  python examples/motivational_example.py
 
 from repro import get_model, make_cluster
 from repro.core import MistTuner, SPACE_3D, SPACE_3D_ZERO, SearchSpace
-from repro.evaluation import calibrated_interference
+from repro.costmodel import calibrated_interference
 from repro.execution import ExecutionEngine, OOMError
 
 MODEL = get_model("gpt3-2.7b")

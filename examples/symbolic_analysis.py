@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import get_model
 from repro.hardware import get_gpu, make_cluster
-from repro.symbolic import SymbolManager, count_nodes, free_symbols
+from repro.symbolic import SymbolManager, free_symbols
 from repro.tracing import trace
 from repro.tracing.symbols import symbol_env
 
@@ -31,8 +31,8 @@ def main() -> None:
     model = get_model("gpt3-2.7b")
     traced = trace(model, get_gpu("L4"), flash=True)
     peak = traced.memory.peak_bwd
-    print(f"peak-memory expression: {count_nodes(peak)} DAG nodes over "
-          f"symbols {sorted(free_symbols(peak))}\n")
+    print(f"peak-memory expression over symbols "
+          f"{sorted(free_symbols(peak))}\n")
 
     # -- 3. batched evaluation: sweep checkpointing x activation offload --
     cluster = make_cluster("L4", 1, 4)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Refit Algorithm 1's slowdown factors and rewrite the checked-in table.
 
-:func:`repro.evaluation.calibrated_interference` reads its factors from
+:func:`repro.costmodel.calibrated_interference` reads its factors from
 ``src/repro/costmodel/calibration_table.py`` instead of fitting them at
 run time. That table is the output of
 :func:`repro.evaluation.runner.refit_interference` (a Nelder-Mead fit
@@ -25,9 +25,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.costmodel import InterferenceModel, calibration_table
+from repro.costmodel import (
+    InterferenceModel,
+    calibrated_interference,
+    calibration_table,
+)
 from repro.costmodel.interference import PAIR_KEYS
-from repro.evaluation.runner import calibrated_interference, refit_interference
+from repro.evaluation.runner import refit_interference
 
 TABLE = Path(calibration_table.__file__)
 #: table key of each fabric, by ``pcie_only``
@@ -36,9 +40,9 @@ FABRICS = {"pcie": True, "nvlink": False}
 HEADER = '''"""Algorithm 1's fitted pairwise slowdown factors, one vector per fabric.
 
 The paper fits the slowdown factors once, offline, from co-run
-measurements (§5.2.2). Here that fit is
-:func:`repro.evaluation.runner.refit_interference`, and its result is
-checked in, so no process fits at run time. Each vector follows
+measurements (§5.2.2). Here ``scripts/refresh_calibration.py`` runs
+that fit against the execution engine's contention oracle, and its
+result is checked in, so no process fits at run time. Each vector follows
 :data:`repro.costmodel.interference.PAIR_KEYS`; a comment names the
 slowed channel and the channel it co-runs with.
 

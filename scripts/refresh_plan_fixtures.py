@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 
 from repro.benchmarking import measure_fig16
-from repro.evaluation.workloads import get_scale
+from repro.core.spaces import get_scale
 
 FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "baselines" \
     / "PLANS_fig16.json"

@@ -35,7 +35,8 @@ resumable manifests, speedup aggregation),
 :mod:`repro.hardware`, :mod:`repro.models`, :mod:`repro.costmodel`,
 :mod:`repro.tracing`, :mod:`repro.execution` (the simulated cluster),
 :mod:`repro.core` (analyzer + hierarchical tuner),
-:mod:`repro.baselines`, :mod:`repro.evaluation`.
+:mod:`repro.baselines`, :mod:`repro.benchmarking` (the ``repro bench``
+harness).
 """
 
 from .core import (

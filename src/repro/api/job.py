@@ -31,11 +31,13 @@ from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Any
 
-from repro.core.spaces import SearchSpace, get_space, space_from_dict
-from repro.evaluation.workloads import (
+from repro.core.spaces import (
+    SearchSpace,
     TuningScale,
     get_scale,
+    get_space,
     scale_from_dict,
+    space_from_dict,
 )
 from repro.hardware import (
     ClusterSpec,
@@ -69,9 +71,8 @@ class TuningJob:
     """One declarative auto-tuning request.
 
     ``space`` / ``scale`` accept either a registry slug (see
-    ``repro.core.spaces.NAMED_SPACES`` and
-    ``repro.evaluation.workloads.SCALES``) or an inlined dict produced
-    by ``space_to_dict`` / ``scale_to_dict``.
+    ``repro.core.spaces.NAMED_SPACES`` and ``repro.core.spaces.SCALES``)
+    or an inlined dict produced by ``space_to_dict`` / ``scale_to_dict``.
     """
 
     model: str

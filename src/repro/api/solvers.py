@@ -40,7 +40,7 @@ from repro.baselines import (
 from repro.core import MistTuner
 from repro.core.plan import TrainingPlan
 from repro.core.tuner import SearchCancelled
-from repro.evaluation.runner import calibrated_interference
+from repro.costmodel import calibrated_interference
 from repro.execution import ExecutionEngine, IterationResult, OOMError
 from repro.hardware import ClusterSpec, HeterogeneousCluster
 

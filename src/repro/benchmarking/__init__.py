@@ -15,7 +15,10 @@ perf trajectory:
   exhaustive reference (plan hashes must match bit for bit) and warm
   replans against cold searches, and compares wall time against a
   committed baseline — the artifact and the gates the CI ``perf`` job
-  is built on.
+  is built on;
+* :mod:`repro.benchmarking.suite` holds what the ``benchmarks/`` pytest
+  suite shares: the ``REPRO_BENCH_SCALE`` preset and the series table
+  (not imported here, so the CLI does not load :mod:`repro.campaigns`).
 
 The artifact filenames (re-exported from
 :mod:`repro.benchmarking.artifacts`, a dependency-free leaf module) are

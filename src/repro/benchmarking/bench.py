@@ -42,7 +42,7 @@ import platform
 import sys
 
 from repro import __version__
-from repro.evaluation.workloads import get_scale
+from repro.core.spaces import get_scale
 
 from .fig16 import measure_fig16, plan_hash
 from .fig_replan import measure_replan

@@ -20,7 +20,7 @@ import time
 from repro.api import MistSolver, TuningJob
 from repro.core import INCREMENTAL_SPACES, MenuMemo, space_ref
 from repro.core.plan import TrainingPlan
-from repro.evaluation.workloads import TuningScale, scale_ref
+from repro.core.spaces import TuningScale, scale_ref
 
 __all__ = ["fig16_job", "measure_fig16", "plan_hash"]
 

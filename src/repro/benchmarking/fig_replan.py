@@ -22,8 +22,7 @@ import math
 import time
 
 from repro.core import MenuMemo, MistTuner
-from repro.core.spaces import SPACE_MIST
-from repro.evaluation.workloads import TuningScale
+from repro.core.spaces import SPACE_MIST, TuningScale
 from repro.hardware import (
     ClusterDelta,
     ClusterSpec,

@@ -12,12 +12,12 @@ throughput tables. It is the grid-level counterpart of the per-job
 from __future__ import annotations
 
 import json
-
-from repro.evaluation.reporting import format_throughput_rows
+from typing import Iterable, Mapping, Sequence
 
 from .spec import CampaignSpec
 
-__all__ = ["CampaignReport", "aggregate"]
+__all__ = ["CampaignReport", "aggregate", "format_table",
+           "format_throughput_rows"]
 
 #: per-cell ``source`` values -> report counter names
 _SOURCE_COUNTERS = {
@@ -167,3 +167,54 @@ def aggregate(spec: CampaignSpec | None, cells: list[dict], *,
         executor=executor,
         elapsed_seconds=elapsed_seconds,
     )
+
+
+# -- plain-text tables ----------------------------------------------------
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Minimal fixed-width table renderer (no external deps)."""
+    rows = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    line = "+".join("-" * (w + 2) for w in widths)
+    line = f"+{line}+"
+
+    def fmt(cells):
+        inner = " | ".join(c.ljust(w) for c, w in zip(cells, widths))
+        return f"| {inner} |"
+
+    out = [line, fmt(headers), line]
+    out.extend(fmt(row) for row in rows)
+    out.append(line)
+    return "\n".join(out)
+
+
+def format_throughput_rows(title: str,
+                           results: Mapping[str, Mapping[str, float]],
+                           reference: str) -> str:
+    """Figure 11/12-style rows: absolute + normalized throughput.
+
+    ``results[workload][system] = samples/sec``.
+    """
+    systems = sorted({s for row in results.values() for s in row})
+    systems.sort(key=lambda s: (s != reference, s))
+    headers = ["Workload"] + [
+        f"{s} (samp/s | x)" for s in systems
+    ]
+    rows = []
+    for workload, row in results.items():
+        ref = row.get(reference, 0.0)
+        cells = [workload]
+        for system in systems:
+            value = row.get(system, 0.0)
+            if value <= 0:
+                cells.append("OOM/none")
+            elif ref > 0:
+                cells.append(f"{value:7.2f} | {value / ref:4.2f}x")
+            else:
+                cells.append(f"{value:7.2f} |   - ")
+        rows.append(cells)
+    return f"{title}\n" + format_table(headers, rows)

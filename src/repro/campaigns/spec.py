@@ -28,14 +28,37 @@ from pathlib import Path
 
 from repro.api.job import JobValidationError, TuningJob
 from repro.api.registry import solver_names
-from repro.evaluation.workloads import (
-    batch_for_size,
-    default_seq_len,
-    gpu_count_for_size,
-)
 from repro.hardware import cluster_from_dict
 
 __all__ = ["CampaignCell", "CampaignSpec", "CampaignValidationError"]
+
+# -- the paper's Table 4 scaling rule ------------------------------------
+# GPUs and global batch grow with model size: 1.3B on 2 GPUs with batch
+# 32 up to 22B on 32 GPUs with batch 512; sequence length 2048 on L4
+# machines and 4096 on A100 machines.
+
+#: model size tag -> number of GPUs
+_SIZE_TO_GPUS = {"1.3b": 2, "2.7b": 4, "6.7b": 8, "7b": 8, "13b": 16,
+                 "22b": 32}
+#: model size tag -> global batch size
+_SIZE_TO_BATCH = {"1.3b": 32, "2.7b": 64, "6.7b": 128, "7b": 128,
+                  "13b": 256, "22b": 512}
+
+
+def gpu_count_for_size(size: str) -> int:
+    """GPU count the Table 4 scaling rule pairs with a model size."""
+    return _SIZE_TO_GPUS[size.lower()]
+
+
+def batch_for_size(size: str) -> int:
+    """Global batch the Table 4 scaling rule pairs with a model size."""
+    return _SIZE_TO_BATCH[size.lower()]
+
+
+def default_seq_len(gpu_name: str) -> int:
+    """Paper default: 2048 on L4 machines, 4096 otherwise."""
+    return 2048 if gpu_name == "L4" else 4096
+
 
 #: cell-axis keys an ``exclude`` rule may match on
 EXCLUDE_KEYS = ("solver", "model", "cluster", "scale", "seq_len",

@@ -82,9 +82,7 @@ from repro.benchmarking.artifacts import (
     LOAD_ARTIFACT,
 )
 from repro.core.plan import uniform_plan
-from repro.core.spaces import NAMED_SPACES
-from repro.evaluation.reporting import format_throughput_rows
-from repro.evaluation.workloads import SCALES
+from repro.core.spaces import NAMED_SPACES, SCALES
 from repro.execution import ExecutionEngine, OOMError, render_timeline
 from repro.hardware import (
     ClusterDelta,
@@ -402,10 +400,8 @@ def _cmd_sweep(args) -> int:
     print()
     # table + JSON follow the deterministic expansion order of the
     # aggregated report, not executor completion order
-    print(format_throughput_rows(
-        f"sweep on {args.gpu} ({args.family}, scale={args.scale})",
-        outcome.results(), reference,
-    ))
+    print(outcome.table(
+        f"sweep on {args.gpu} ({args.family}, scale={args.scale})"))
     if args.json:
         reports = [reports_by_cell[rec["cell_id"]] for rec in outcome.cells
                    if rec["cell_id"] in reports_by_cell]

@@ -19,7 +19,7 @@ fresh computation produced, so a memo hit replays the counters and
 how warm the memo is — only the hit/miss telemetry differs.
 
 The module-level :data:`GLOBAL_MENU_MEMO` is the default shared
-instance (bounded; tune with ``REPRO_MENU_MEMO_SIZE``). Menus are pure
+instance (bounded at :data:`_MENU_MEMO_SIZE` entries). Menus are pure
 functions of their key, so sharing it process-wide is safe: a hit
 returns bit-identical menus to a fresh computation.
 
@@ -38,7 +38,6 @@ cold. Like the menu memo, it never enters a fingerprint.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
@@ -48,7 +47,8 @@ from typing import Any, TypeVar
 __all__ = ["GLOBAL_KERNEL_CACHE", "GLOBAL_MENU_MEMO", "KernelCache",
            "MemoEntry", "MenuMemo"]
 
-_DEFAULT_MAXSIZE = 4096
+#: entries of the process-wide menu memo
+_MENU_MEMO_SIZE = 4096
 
 #: entries of the process-wide trace/kernel cache: one trace plus four
 #: kernels per (model, GPU, flash) and a memory kernel per (model,
@@ -79,11 +79,8 @@ class MenuMemo:
     produce identical values, so the last store wins harmlessly.
     """
 
-    def __init__(self, maxsize: int | None = None, *,
+    def __init__(self, maxsize: int = _MENU_MEMO_SIZE, *,
                  kernels: "KernelCache | None" = None):
-        if maxsize is None:
-            maxsize = int(os.environ.get("REPRO_MENU_MEMO_SIZE",
-                                         _DEFAULT_MAXSIZE))
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize

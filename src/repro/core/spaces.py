@@ -14,6 +14,10 @@ The predefined spaces mirror the paper's incremental ablation:
 :func:`log10_configurations` reproduces the configuration-count growth
 of Figure 5: the unpruned cross-product of all options over all layer
 partitions, computed in log-space (the counts reach ~10^150).
+
+A :class:`TuningScale` preset ("smoke" / "quick" / "full") coarsens a
+space's grids; presets only change search-grid resolution, never the
+model or the objective.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ __all__ = [
     "log10_configurations",
     "space_from_dict",
     "space_to_dict",
+    "TuningScale",
+    "SCALES",
+    "get_scale",
+    "scale_from_dict",
+    "scale_ref",
+    "scale_to_dict",
 ]
 
 #: default quantization grid for offloading ratios during tuning
@@ -168,6 +178,99 @@ def space_ref(space: SearchSpace) -> "str | dict":
 
 
 __all__.append("space_ref")
+
+
+@dataclass(frozen=True)
+class TuningScale:
+    """Search-grid resolution preset."""
+
+    name: str
+    offload_grid: tuple[float, ...]
+    binary_grid: tuple[float, ...]
+    ckpt_grid_points: int
+    layer_slack: int
+    #: cap on gradient-accumulation candidates per pipeline depth
+    max_gacc_candidates: int
+
+    def apply(self, space: SearchSpace) -> SearchSpace:
+        """Coarsen ``space``'s grids to this preset (never widen)."""
+        changes = {
+            "ckpt_grid_points": min(space.ckpt_grid_points,
+                                    self.ckpt_grid_points),
+            "layer_slack": min(space.layer_slack, self.layer_slack),
+        }
+        for grid_name, preset in (
+            ("oo_grid", self.offload_grid), ("ao_grid", self.offload_grid),
+            ("go_grid", self.binary_grid), ("wo_grid", self.binary_grid),
+        ):
+            grid = getattr(space, grid_name)
+            if len(grid) > 1:
+                changes[grid_name] = preset
+        return space.with_(**changes)
+
+
+#: name -> preset; the identifiers jobs use to reference a scale
+SCALES: dict[str, TuningScale] = {
+    "smoke": TuningScale(
+        name="smoke", offload_grid=(0.0, 0.5), binary_grid=(0.0,),
+        ckpt_grid_points=3, layer_slack=1, max_gacc_candidates=2,
+    ),
+    "quick": TuningScale(
+        name="quick", offload_grid=(0.0, 0.5, 1.0), binary_grid=(0.0, 1.0),
+        ckpt_grid_points=5, layer_slack=1, max_gacc_candidates=4,
+    ),
+    "full": TuningScale(
+        name="full", offload_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
+        binary_grid=(0.0, 0.5, 1.0),
+        ckpt_grid_points=9, layer_slack=2, max_gacc_candidates=8,
+    ),
+}
+
+
+def get_scale(name: str) -> TuningScale:
+    """Look up a preset by name (case-insensitive)."""
+    key = name.lower()
+    if key not in SCALES:
+        raise KeyError(f"unknown scale {name!r}; options: {sorted(SCALES)}")
+    return SCALES[key]
+
+
+def scale_to_dict(scale: TuningScale) -> dict:
+    """JSON-ready dict for an arbitrary (possibly customized) preset."""
+    return {
+        "name": scale.name,
+        "offload_grid": [float(v) for v in scale.offload_grid],
+        "binary_grid": [float(v) for v in scale.binary_grid],
+        "ckpt_grid_points": scale.ckpt_grid_points,
+        "layer_slack": scale.layer_slack,
+        "max_gacc_candidates": scale.max_gacc_candidates,
+    }
+
+
+def scale_from_dict(data: dict) -> TuningScale:
+    """Inverse of :func:`scale_to_dict`.
+
+    A 2.x dict may still carry ``max_pareto_points``, the removed
+    frontier-sampling cap; it is ignored, because the whole Pareto
+    frontier now reaches the inter-stage solve.
+    """
+    return TuningScale(
+        name=data["name"],
+        offload_grid=tuple(float(v) for v in data["offload_grid"]),
+        binary_grid=tuple(float(v) for v in data["binary_grid"]),
+        ckpt_grid_points=int(data["ckpt_grid_points"]),
+        layer_slack=int(data["layer_slack"]),
+        max_gacc_candidates=int(data["max_gacc_candidates"]),
+    )
+
+
+def scale_ref(scale: TuningScale) -> "str | dict":
+    """Serializable reference: a preset name when known, else a dict."""
+    for name, preset in SCALES.items():
+        if preset == scale:
+            return name
+    return scale_to_dict(scale)
+
 
 #: "continuous" ratio resolution assumed when counting configurations
 _CONTINUOUS_POINTS = 100

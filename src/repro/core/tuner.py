@@ -400,7 +400,7 @@ class MistTuner:
         return grid
 
     def search(self, global_batch: int, *, parallelism: int = 1,
-               verbose: bool = False, keep_top: int = 3,
+               keep_top: int = 3,
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
                prune: bool = True,
@@ -440,14 +440,13 @@ class MistTuner:
         elif memo is None:
             memo = GLOBAL_MENU_MEMO
         return self._search(
-            global_batch, parallelism=parallelism, verbose=verbose,
-            keep_top=keep_top, progress=progress, should_stop=should_stop,
-            prune=prune, memo=memo,
+            global_batch, parallelism=parallelism, keep_top=keep_top,
+            progress=progress, should_stop=should_stop, prune=prune,
+            memo=memo,
         )
 
     def replan(self, global_batch: int, *, incumbent: TrainingPlan,
-               parallelism: int = 1, verbose: bool = False,
-               keep_top: int = 1,
+               parallelism: int = 1, keep_top: int = 1,
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
                memo: MenuMemo | None = None) -> TuningResult:
@@ -479,9 +478,8 @@ class MistTuner:
           search used; counters stay deterministic either way).
         """
         return self._search(
-            global_batch, parallelism=parallelism, verbose=verbose,
-            keep_top=keep_top, progress=progress, should_stop=should_stop,
-            prune=True,
+            global_batch, parallelism=parallelism, keep_top=keep_top,
+            progress=progress, should_stop=should_stop, prune=True,
             memo=memo if memo is not None else GLOBAL_MENU_MEMO,
             incumbent=incumbent,
         )
@@ -524,7 +522,7 @@ class MistTuner:
     # -- the search driver ---------------------------------------------------
 
     def _search(self, global_batch: int, *, parallelism: int,
-                verbose: bool, keep_top: int,
+                keep_top: int,
                 progress: "Callable[[int, int], None] | None",
                 should_stop: "Callable[[], bool] | None",
                 prune: bool, memo: MenuMemo,
@@ -631,11 +629,6 @@ class MistTuner:
             if len(self.cluster.sub_clusters) > 1:
                 entry["groups"] = [slot.group for slot in slots]
             search_log.append(entry)
-            if verbose:  # pragma: no cover - console aid
-                obj = entry["objective"]
-                detail = (f"{obj * 1e3:.1f} ms" if obj is not None
-                          else status)
-                print(f"  S={len(slots)} G={gacc}: {detail}")
             if solution:
                 candidates.append((
                     solution.objective, idx,

@@ -1,9 +1,9 @@
 """Algorithm 1's fitted pairwise slowdown factors, one vector per fabric.
 
 The paper fits the slowdown factors once, offline, from co-run
-measurements (§5.2.2). Here that fit is
-:func:`repro.evaluation.runner.refit_interference`, and its result is
-checked in, so no process fits at run time. Each vector follows
+measurements (§5.2.2). Here ``scripts/refresh_calibration.py`` runs
+that fit against the execution engine's contention oracle, and its
+result is checked in, so no process fits at run time. Each vector follows
 :data:`repro.costmodel.interference.PAIR_KEYS`; a comment names the
 slowed channel and the channel it co-runs with.
 

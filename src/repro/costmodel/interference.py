@@ -26,18 +26,23 @@ the dense form as its reference).
 
 The model is deliberately *not* an ML regressor — "fewer parameters and
 clearer intuition" — and its factors are fitted once, offline, from
-co-run measurements by :mod:`repro.costmodel.calibration`; the fitted
-pair vectors are checked in as :mod:`repro.costmodel.calibration_table`.
+co-run measurements (``scripts/refresh_calibration.py``); the fitted
+pair vectors are checked in as :mod:`repro.costmodel.calibration_table`,
+and :func:`calibrated_interference` reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-__all__ = ["Channel", "InterferenceModel", "CHANNELS", "PAIR_KEYS"]
+from .calibration_table import PAIR_VECTORS
+
+__all__ = ["Channel", "InterferenceModel", "CHANNELS", "PAIR_KEYS",
+           "calibrated_interference"]
 
 
 class Channel:
@@ -247,3 +252,10 @@ class InterferenceModel:
         for (names, ch), value in zip(keys, values):
             pairs.setdefault(names, {})[ch] = float(max(1.0, value))
         return cls.from_pairs(pairs, max_factor=max_factor)
+
+
+@lru_cache(maxsize=4)
+def calibrated_interference(pcie_only: bool) -> InterferenceModel:
+    """Algorithm 1's fitted factors for one fabric, from the table."""
+    return InterferenceModel.from_pair_vector(
+        PAIR_KEYS, PAIR_VECTORS["pcie" if pcie_only else "nvlink"])

@@ -1,34 +1,7 @@
-"""Evaluation harness: workloads, interference calibration, reporting (§6)."""
+"""The offline refit of the interference factors (§5.2.2).
 
-from .reporting import format_series, format_table, format_throughput_rows
-from .runner import calibrated_interference
-from .workloads import (
-    SCALES,
-    TuningScale,
-    batch_for_size,
-    current_scale,
-    default_seq_len,
-    get_scale,
-    gpu_count_for_size,
-    scale_from_dict,
-    scale_ref,
-    scale_to_dict,
-)
-
-
-__all__ = [
-    "SCALES",
-    "TuningScale",
-    "batch_for_size",
-    "calibrated_interference",
-    "current_scale",
-    "default_seq_len",
-    "format_series",
-    "format_table",
-    "format_throughput_rows",
-    "get_scale",
-    "gpu_count_for_size",
-    "scale_from_dict",
-    "scale_ref",
-    "scale_to_dict",
-]
+Nothing is re-exported here: :mod:`repro.evaluation.runner` holds the
+fit, and only ``scripts/refresh_calibration.py`` and the tests import
+it. The tuner reads the checked-in result through
+:func:`repro.costmodel.calibrated_interference`.
+"""

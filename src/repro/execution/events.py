@@ -11,8 +11,8 @@ the next channel-completion boundary and repeats.
 This plays the role the real hardware plays in the paper: the
 analyzer's Algorithm-1 interference model (a different, cheaper
 computation with per-combination fitted factors) is *calibrated
-against* this integrator via :mod:`repro.costmodel.calibration`, just
-as the paper fits its factors to benchmarked co-runs.
+against* this integrator offline (``scripts/refresh_calibration.py``),
+just as the paper fits its factors to benchmarked co-runs.
 """
 
 from __future__ import annotations

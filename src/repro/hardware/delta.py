@@ -40,7 +40,6 @@ treats it as its own single group addressed by ``group=""``.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -199,33 +198,24 @@ class ClusterDelta:
         """Apply every operation in order; returns the changed cluster.
 
         Accepts a cluster object or its dict form and returns the same
-        kind. The result is validated by a
+        kind. A dict is parsed first, so both forms apply to the same
+        canonical dict (every default filled in, bandwidths in bytes/s).
+        The result is validated by a
         :func:`~repro.hardware.topology.cluster_from_dict` round-trip,
         so an impossible outcome (zero nodes, no groups left) raises
         :class:`DeltaError` rather than producing a broken cluster.
         """
         as_dict = isinstance(cluster, dict)
-        data = copy.deepcopy(cluster) if as_dict else cluster_to_dict(cluster)
+        data = cluster_to_dict(
+            _parse(cluster, "is applied to") if as_dict else cluster)
         grouped = "groups" in data
-        groups: list[dict]
-        if grouped:
-            groups = [dict(g) for g in data["groups"]]
-        else:
-            groups = [dict(data)]
+        # a fresh dict, so the ops may edit it in place
+        groups: list[dict] = data["groups"] if grouped else [data]
         for op in self.ops:
             self._apply_op(op, data, groups, grouped)
-        if grouped:
-            if not groups:
-                raise DeltaError("delta removed every device group")
-            data["groups"] = groups
-        else:
-            data = dict(groups[0])
-        try:
-            result = cluster_from_dict(data)  # validates the outcome
-        except (KeyError, TypeError, ValueError) as exc:
-            detail = exc.args[0] if exc.args else exc
-            raise DeltaError(
-                f"delta leaves an invalid cluster: {detail}") from exc
+        if grouped and not groups:
+            raise DeltaError("delta removed every device group")
+        result = _parse(data, "leaves")
         return cluster_to_dict(result) if as_dict else result
 
     def _apply_op(self, op: dict, data: dict, groups: list[dict],
@@ -235,18 +225,13 @@ class ClusterDelta:
             if not grouped:
                 raise DeltaError(
                     "inter_group link delta on a homogeneous cluster")
-            factor = self._factor(op)
-            data["inter_group_bandwidth"] = (
-                self._bandwidth(data, "inter_group_bandwidth",
-                                HeterogeneousCluster.inter_group_bandwidth)
-                * factor)
-            data.pop("inter_group_bandwidth_gbps", None)
+            data["inter_group_bandwidth"] *= self._factor(op)
             return
         group = self._group(op, groups, grouped)
         if kind == "add_nodes":
-            group["num_nodes"] = self._nodes(group) + self._count(op)
+            group["num_nodes"] += self._count(op)
         elif kind == "remove_nodes":
-            remaining = self._nodes(group) - self._count(op)
+            remaining = group["num_nodes"] - self._count(op)
             if remaining < 1:
                 raise DeltaError(
                     f"removing {op['count']} node(s) leaves group "
@@ -267,15 +252,7 @@ class ClusterDelta:
                     "nothing; shrink it with remove_nodes instead")
             groups.remove(group)
         else:  # degrade_link, inter_node scope
-            factor = self._factor(op)
-            default = group.get("inter_node_bandwidth")
-            if default is None and "inter_node_bandwidth_gbps" not in group:
-                raise DeltaError(
-                    "degrade_link needs an explicit inter_node_bandwidth "
-                    "on the target group")
-            group["inter_node_bandwidth"] = (
-                self._bandwidth(group, "inter_node_bandwidth", 0.0) * factor)
-            group.pop("inter_node_bandwidth_gbps", None)
+            group["inter_node_bandwidth"] *= self._factor(op)
 
     @staticmethod
     def _group(op: dict, groups: list[dict], grouped: bool) -> dict:
@@ -292,10 +269,9 @@ class ClusterDelta:
                 f"op {op['op']!r} needs a 'group' on a cluster with "
                 f"{len(groups)} groups")
         for group in groups:
-            if str(group.get("name", "") or group.get("gpu", "").lower()) == name:
+            if group["name"] == name:
                 return group
-        known = [str(g.get("name", "") or g.get("gpu", "").lower())
-                 for g in groups]
+        known = [g["name"] for g in groups]
         raise DeltaError(f"unknown device group {name!r}; known: {known}")
 
     @staticmethod
@@ -314,12 +290,12 @@ class ClusterDelta:
                 f"{factor!r}")
         return factor
 
-    @staticmethod
-    def _nodes(group: dict) -> int:
-        return int(group.get("num_nodes", 1))
 
-    @staticmethod
-    def _bandwidth(data: dict, key: str, default: float) -> float:
-        if f"{key}_gbps" in data:
-            return float(data[f"{key}_gbps"]) * 1e9 / 8
-        return float(data.get(key, default))
+def _parse(data: dict, verb: str) -> "ClusterSpec | HeterogeneousCluster":
+    """``cluster_from_dict``, failing as a :class:`DeltaError`."""
+    try:
+        return cluster_from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = exc.args[0] if exc.args else exc
+        raise DeltaError(
+            f"delta {verb} an invalid cluster: {detail}") from exc

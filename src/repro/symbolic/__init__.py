@@ -45,7 +45,6 @@ from .evaluate import (
     compile_expr,
     evaluate,
 )
-from .simplify import collect_terms, count_nodes, simplify
 from .symbols import SymbolManager, global_symbol_manager
 
 __all__ = [
@@ -75,13 +74,10 @@ __all__ = [
     "align_up",
     "as_expr",
     "ceil_div",
-    "collect_terms",
     "compile_expr",
-    "count_nodes",
     "evaluate",
     "free_symbols",
     "global_symbol_manager",
-    "simplify",
     "smax",
     "smin",
     "substitute",

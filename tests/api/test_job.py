@@ -7,8 +7,8 @@ import pytest
 
 from repro.api import JobValidationError, TuningJob
 from repro.core import SPACE_MIST, SPACE_3D, space_ref, space_to_dict
-from repro.evaluation import (SCALES, scale_from_dict, scale_ref,
-                              scale_to_dict)
+from repro.core.spaces import (SCALES, scale_from_dict, scale_ref,
+                               scale_to_dict)
 from repro.hardware import HeterogeneousCluster
 
 MIXED_A100_L4 = json.loads(

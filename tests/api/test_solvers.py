@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import SolveReport, TuningJob, get_solver, solve
 from repro.core import MistTuner, SPACE_MIST
-from repro.evaluation import calibrated_interference
+from repro.costmodel import calibrated_interference
 from repro.hardware import make_cluster
 from repro.models import get_model
 
@@ -170,3 +170,48 @@ class TestSolveInWorker:
         assert from_cache is True
         assert again == data
         assert calls == [job.fingerprint()]
+
+
+class TestSolveFromJob:
+    """§6 measures one system on one workload through ``repro.api.solve``."""
+
+    def _job(self):
+        return TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=16,
+                         scale="smoke")
+
+    def test_mist_report(self):
+        report = solve(self._job(), "mist")
+        assert report.found
+        assert report.throughput > 0
+        assert report.plan is not None
+        assert report.configurations_evaluated > 0
+
+    def test_baseline_report(self):
+        report = solve(self._job(), "megatron")
+        assert report.found
+        assert report.extra["candidates_tried"] > 0
+
+    def test_unknown_solver_rejected(self):
+        from repro.api import SolverNotFoundError
+
+        with pytest.raises(SolverNotFoundError, match="alpa"):
+            solve(self._job(), "alpa")
+
+    def test_space_name_is_part_of_the_fingerprint(self):
+        # Fig. 15 rebuilds its ablation space with ``with_`` rather than
+        # using the named preset: same knobs, different name, different
+        # cache identity
+        from repro.core import SPACE_MIST_NO_IMBALANCE
+        from repro.core.spaces import SCALES, scale_ref, space_ref
+
+        def fingerprint(space):
+            return self._job().with_(
+                space=space_ref(space),
+                scale=scale_ref(SCALES["smoke"])).fingerprint()
+
+        rebuilt = SPACE_MIST.with_(imbalance_aware=False)
+        assert rebuilt.imbalance_aware \
+            == SPACE_MIST_NO_IMBALANCE.imbalance_aware
+        assert fingerprint(rebuilt) != fingerprint(SPACE_MIST_NO_IMBALANCE)
+        assert fingerprint(rebuilt) \
+            == fingerprint(SPACE_MIST.with_(imbalance_aware=False))

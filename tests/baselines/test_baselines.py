@@ -11,7 +11,7 @@ from repro.baselines import (
     UniformHeuristicTuner,
     pipeline_grids,
 )
-from repro.evaluation import calibrated_interference
+from repro.costmodel import calibrated_interference
 from repro.hardware import make_cluster
 from repro.models import get_model
 
@@ -118,8 +118,7 @@ class TestUniformHeuristic:
         # every uniform (S, G) pair in Mist's grid, at every preset cap;
         # pure enumeration, nothing is searched or executed
         from repro.api import MistSolver, TuningJob, UniformSolver
-        from repro.evaluation.workloads import (batch_for_size,
-                                                gpu_count_for_size)
+        from repro.campaigns.spec import batch_for_size, gpu_count_for_size
 
         for size in ("1.3b", "2.7b", "6.7b", "13b", "22b"):
             job = TuningJob(model=f"gpt3-{size}",

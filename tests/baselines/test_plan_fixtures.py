@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarking import measure_fig16
-from repro.evaluation.workloads import get_scale
+from repro.core.spaces import get_scale
 from repro.symbolic import CompiledExpr
 
 FIXTURE = Path(__file__).parent / "PLANS_fig16.json"

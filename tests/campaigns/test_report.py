@@ -3,6 +3,7 @@
 import pytest
 
 from repro.campaigns import CampaignReport, aggregate, run_campaign
+from repro.campaigns.report import format_table, format_throughput_rows
 
 
 class TestAggregation:
@@ -77,3 +78,23 @@ class TestAggregation:
         assert report.counters["cells"] == 0
         assert report.reference() == ""
         assert "0/0" in report.describe()
+
+
+class TestFormatting:
+    def test_format_table_alignment(self):
+        table = format_table(["a", "long header"], [[1, 2], [333, 4]])
+        lines = table.splitlines()
+        assert len({len(line) for line in lines}) == 1  # rectangular
+
+    def test_throughput_rows_normalization(self):
+        text = format_throughput_rows(
+            "T", {"w1": {"megatron": 2.0, "mist": 3.0}}, "megatron"
+        )
+        assert "1.50x" in text
+        assert "1.00x" in text
+
+    def test_throughput_rows_oom_marker(self):
+        text = format_throughput_rows(
+            "T", {"w1": {"megatron": 2.0, "mist": 0.0}}, "megatron"
+        )
+        assert "OOM" in text

@@ -6,6 +6,31 @@ import pytest
 
 from repro.api import TuningJob
 from repro.campaigns import CampaignCell, CampaignSpec, CampaignValidationError
+from repro.campaigns.spec import (
+    batch_for_size,
+    default_seq_len,
+    gpu_count_for_size,
+)
+
+
+class TestTable4ScalingRule:
+    def test_paper_grid_scaling_rule(self):
+        sizes = ("1.3b", "2.7b", "6.7b", "13b", "22b")
+        assert [gpu_count_for_size(s) for s in sizes] == [2, 4, 8, 16, 32]
+        assert [batch_for_size(s) for s in sizes] \
+            == [32, 64, 128, 256, 512]
+        assert gpu_count_for_size("22B") == 32   # case-insensitive
+
+    def test_seq_len_per_gpu_type(self):
+        assert default_seq_len("L4") == 2048
+        assert default_seq_len("A100-40GB") == 4096
+
+    def test_gpu_count_lookup(self):
+        assert gpu_count_for_size("6.7b") == 8
+        with pytest.raises(KeyError):
+            gpu_count_for_size("100b")
+        with pytest.raises(KeyError):
+            batch_for_size("100b")
 
 
 class TestValidation:

@@ -8,7 +8,7 @@ from repro.core import MistTuner, SPACE_MIST
 from repro.core.inter_stage import StageSlot, group_stage_assignments
 from repro.core.memo import GLOBAL_MENU_MEMO
 from repro.core.tuner import traced_model
-from repro.evaluation.workloads import get_scale
+from repro.core.spaces import get_scale
 from repro.execution import ExecutionEngine
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model

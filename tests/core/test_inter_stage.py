@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import SPACE_MIST, MenuMemo, MistTuner, StageConfig
 from repro.core.inter_stage import solve, solve_exact, solve_milp
 from repro.core.intra_stage import ParetoPoint
-from repro.evaluation.workloads import get_scale
+from repro.core.spaces import get_scale
 from repro.hardware import make_cluster
 from repro.models import get_model
 

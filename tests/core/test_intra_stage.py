@@ -11,7 +11,7 @@ from repro.core.intra_stage import (IntraStageTuner, StageShape,
                                     stage_parallelism_options)
 from repro.core.memo import GLOBAL_MENU_MEMO
 from repro.costmodel.interference import InterferenceModel
-from repro.evaluation import SCALES
+from repro.core.spaces import SCALES
 from repro.hardware import make_cluster
 from repro.models import get_model
 from repro.symbolic import CompiledExpr

@@ -25,8 +25,8 @@ from repro.core import (
     SearchCancelled,
 )
 from repro.core.memo import GLOBAL_MENU_MEMO
-from repro.evaluation import calibrated_interference
-from repro.evaluation.workloads import get_scale
+from repro.costmodel import calibrated_interference
+from repro.core.spaces import get_scale
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model
 

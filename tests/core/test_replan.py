@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MenuMemo, MistTuner, NAMED_SPACES, uniform_plan
-from repro.evaluation.workloads import get_scale
+from repro.core.spaces import get_scale
 from repro.hardware import (
     ClusterDelta,
     DeviceGroup,

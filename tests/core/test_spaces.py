@@ -12,7 +12,7 @@ from repro.core import (
     SPACE_MIST,
     log10_configurations,
 )
-from repro.evaluation.workloads import SCALES
+from repro.core.spaces import SCALES
 
 
 class TestSpaceDefinitions:

@@ -9,7 +9,7 @@ from repro.core import (
     SPACE_MIST,
 )
 from repro.core.tuner import gacc_candidates
-from repro.evaluation import calibrated_interference
+from repro.costmodel import calibrated_interference
 from repro.execution import ExecutionEngine
 from repro.hardware import make_cluster
 from repro.models import get_model

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.costmodel import fit_interference_model, sample_corun_workloads
+from repro.evaluation.runner import fit_interference_model, sample_corun_workloads
 from repro.execution import ContentionSpec, make_oracle
 
 

@@ -17,8 +17,9 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.costmodel import InterferenceModel, fit_interference_model
+from repro.costmodel import InterferenceModel
 from repro.costmodel.interference import _COMBOS, CHANNELS
+from repro.evaluation.runner import fit_interference_model
 from repro.execution import ContentionSpec, make_oracle
 
 

@@ -7,6 +7,7 @@ from repro.hardware import (
     DeltaError,
     DeviceGroup,
     HeterogeneousCluster,
+    cluster_from_dict,
     cluster_to_dict,
     make_cluster,
 )
@@ -87,6 +88,29 @@ class TestApply:
         assert isinstance(out, dict)
         # the input dict is never mutated
         assert data != out
+
+    @pytest.mark.parametrize("delta", [
+        ClusterDelta.degrade_link(0.5),
+        ClusterDelta.add_nodes(1),
+        ClusterDelta.remove_nodes(1),
+        ClusterDelta.resize_group("", gpus_per_node=2),
+    ], ids=lambda d: d.describe())
+    def test_dict_and_object_inputs_agree(self, delta):
+        # a sparse dict takes its defaults from the parser, exactly as
+        # the same cluster given as an object does
+        data = {"gpu": "L4", "num_nodes": 2, "gpus_per_node": 4}
+        out = delta.apply(data)
+        assert out == cluster_to_dict(delta.apply(cluster_from_dict(data)))
+
+    @pytest.mark.parametrize("delta", [ClusterDelta.degrade_link(0.5),
+                                       ClusterDelta.add_nodes(1)],
+                             ids=lambda d: d.describe())
+    def test_conflicting_bandwidth_keys_rejected_by_every_op(self, delta):
+        data = {"gpu": "L4", "num_nodes": 2, "gpus_per_node": 4,
+                "inter_node_bandwidth": 1e10,
+                "inter_node_bandwidth_gbps": 100}
+        with pytest.raises(DeltaError, match="not both"):
+            delta.apply(data)
 
     def test_retype_group(self):
         out = ClusterDelta.retype_group("a100", "L4").apply(mixed())

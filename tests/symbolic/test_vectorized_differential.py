@@ -41,8 +41,8 @@ from repro.core import (
 )
 from repro.core.intra_stage import IntraStageTuner, StageShape
 from repro.core.tuner import traced_model
-from repro.evaluation import calibrated_interference
-from repro.evaluation.workloads import get_scale
+from repro.costmodel import calibrated_interference
+from repro.core.spaces import get_scale
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model
 from repro.symbolic import (

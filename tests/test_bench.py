@@ -17,6 +17,7 @@ from repro.benchmarking import (
     validate_bench,
 )
 from repro.benchmarking.bench import main_check
+from repro.benchmarking.suite import current_scale, format_series
 from repro.cli import main
 
 
@@ -221,3 +222,18 @@ class TestCli:
         code = main(["bench", "--scale", "smoke", "--out", str(out),
                      "--baseline", str(bad)])
         assert code == 2
+
+
+class TestSuiteHelpers:
+    def test_format_series(self):
+        text = format_series("S", "x", {"m": [1, 2, 3]}, [10, 20, 30])
+        assert "10" in text and "m" in text
+
+    def test_current_scale_follows_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "Smoke")
+        assert current_scale().name == "smoke"
+        monkeypatch.delenv("REPRO_BENCH_SCALE")
+        assert current_scale().name == "quick"
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "huge")
+        with pytest.raises(KeyError, match="REPRO_BENCH_SCALE='huge'"):
+            current_scale()

@@ -15,7 +15,7 @@ from repro.core import (
     SymbolicPerformanceAnalyzer,
 )
 from repro.core.plan import StageConfig, TrainingPlan, uniform_plan
-from repro.evaluation import calibrated_interference
+from repro.costmodel import calibrated_interference
 from repro.execution import ExecutionEngine, OOMError
 from repro.hardware import make_cluster
 from repro.models import get_model
