@@ -9,9 +9,9 @@ queries by value substitution:
   microbatch deltas (through the interference model, Eq. 5/6) and peak
   memory per configuration.
 * :meth:`SymbolicPerformanceAnalyzer.predict_feasible` — the same over
-  an axis-factored menu grid, at its memory-feasible rows: each
-  Algorithm 1 call runs over only the grid axes it reads, or over the
-  gathered rows when those are fewer.
+  an axis-factored menu grid, at its memory-feasible rows: one stacked
+  Algorithm 1 sweep per menu, each segment at the size of the axes it
+  reads, or over the gathered rows when those are fewer.
 * :meth:`SymbolicPerformanceAnalyzer.predict_plan` — convenience for a
   concrete :class:`~repro.core.plan.TrainingPlan`: per-stage
   predictions plus the Eq. 1 iteration time and throughput.
@@ -235,33 +235,61 @@ class SymbolicPerformanceAnalyzer:
                    grid: tuple[int, ...] = ()) -> StagePrediction:
         """Algorithm 1 over :meth:`_channels`' outputs.
 
-        Each of the four Algorithm 1 calls runs at the broadcast shape
-        of its own inputs, so every field keeps the shape of the axes
-        it reads. Given ``rows``, flat indices into ``grid``,
-        ``t_first``, ``t_last`` and ``delta`` are columns over those
-        rows instead, and the first- and last-microbatch calls run on
-        the gathered rows when those are fewer than the calls' cells.
+        One stacked sweep per menu, each segment at the size of the axes
+        it reads: the forward, backward, first- and last-microbatch
+        inputs are written side by side into one ``(4, n)`` matrix, each
+        at the broadcast shape of its own inputs, so every field keeps
+        the shape of the axes it reads. Given ``rows``, flat indices into
+        ``grid``, ``t_first``, ``t_last`` and ``delta`` are columns over
+        those rows instead, and the first- and last-microbatch segments
+        hold the gathered rows when those are fewer than the segments'
+        cells.
         """
         (comp_f, nccl_f, d2h_f, h2d_f,
          comp_b, nccl_b, d2h_b, h2d_b,
          comp_fx, nccl_fx, d2h_fx, h2d_fx,
          nccl_lx, peak_fwd, peak_bwd) = channels
-        predict = self.interference.predict
 
         def at(value):
             return value if rows is None else gather_rows(value, rows, grid)
 
-        def on_rows(*inputs):
-            if rows is not None and rows.size < np.broadcast(*inputs).size:
-                return predict(*(at(a) for a in inputs))
-            return at(predict(*inputs))
+        # Each segment's four sweep slots, each the sum of its terms.
+        # Known slot mismatch: D2H time fills c2g (H2D), H2D time g2c (D2H).
+        segments = (
+            ((comp_f,), (nccl_f,), (d2h_f,), (h2d_f,)),
+            ((comp_b,), (nccl_b,), (d2h_b,), (h2d_b,)),
+            ((comp_f, comp_fx), (nccl_f, nccl_fx), (d2h_f, d2h_fx),
+             (h2d_f, h2d_fx)),
+            ((comp_b,), (nccl_b, nccl_lx), (d2h_b,), (h2d_b,)),
+        )
+        layout = []  # (shape, gathered, start, stop) per segment
+        stop = 0
+        for k, slots in enumerate(segments):
+            cast = np.broadcast(*(term for terms in slots for term in terms))
+            gathered = k >= 2 and rows is not None and rows.size < cast.size
+            start, stop = stop, stop + (rows.size if gathered else cast.size)
+            layout.append((cast.shape, gathered, start, stop))
 
-        fwd = predict(comp_f, nccl_f, d2h_f, h2d_f)
-        bwd = predict(comp_b, nccl_b, d2h_b, h2d_b)
+        x = np.empty((4, stop))
+        for slots, (shape, gathered, start, stop) in zip(segments, layout):
+            for row, terms in zip(x, slots):
+                out = row[start:stop]
+                if gathered:
+                    value = terms[0] if len(terms) == 1 else np.add(*terms)
+                    np.copyto(out, gather_rows(value, rows, grid))
+                elif len(terms) == 1:
+                    np.copyto(out.reshape(shape), terms[0])
+                else:
+                    np.add(*terms, out=out.reshape(shape))
+        total = self.interference.sweep(x)
+        fwd, bwd, first, last = (
+            total[start:stop] if gathered
+            else total[start:stop].reshape(shape)
+            for shape, gathered, start, stop in layout)
+
         t_stable = fwd + bwd
-        t_first = on_rows(comp_f + comp_fx, nccl_f + nccl_fx,
-                          d2h_f + d2h_fx, h2d_f + h2d_fx) + at(bwd)
-        t_last = at(fwd) + on_rows(comp_b, nccl_b + nccl_lx, d2h_b, h2d_b)
+        t_first = (first if layout[2][1] else at(first)) + at(bwd)
+        t_last = at(fwd) + (last if layout[3][1] else at(last))
         stable = at(t_stable)
         delta = np.maximum(t_first - stable, 0.0) + np.maximum(
             t_last - stable, 0.0

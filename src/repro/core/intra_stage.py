@@ -14,9 +14,10 @@ materializes the whole menu as one **axis-factored** symbol environment
 varies over the menu is an array along its own grid axis, extent 1 on
 the others, and the stage's constants are scalars. One runtime kernel
 call then computes each subexpression at the size of the axes it reads
-(Section 5.2's "batched value substitutions"), and each Algorithm 1
-call runs over only the axes its channels read, or over the gathered
-memory-feasible rows (Eq. 4's constraint) when those are fewer. The
+(Section 5.2's "batched value substitutions"), and Algorithm 1 runs
+as one stacked sweep per menu, each segment at the size of the axes
+it reads, or over the gathered memory-feasible rows (Eq. 4's
+constraint) when those are fewer. The
 stable time does not read every axis; along those it does not read,
 one row per fiber is all the frontier extraction needs, which then
 finds the Pareto frontier over ``(t_stable, d_delta)`` per layer

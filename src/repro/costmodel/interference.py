@@ -12,17 +12,24 @@ types, applied by a batched estimation procedure (Algorithm 1):
    fully-overlapped window, and return the residue to ``X``;
 3. finally add whatever runs alone.
 
-:meth:`InterferenceModel.predict` runs each ``Update`` step on the
-active rows only. It keeps a ``pos = X > 0`` mask, takes the indices of
-the rows where every channel of the combo is busy (the nonzeros of the
-mask's conjunction), scales, peels and writes back just those, and
-refreshes ``pos`` for the rows it wrote. A row that is not active is
-left alone, exactly as the dense formulation leaves it; an active row
-goes through the same IEEE-754 operations in the same order (multiply
-by the factor, a minimum across the combo's channels, subtract, divide,
-accumulate), so the result is bit-identical to running Algorithm 1 over
-the whole batch (``tests/costmodel/test_interference_oracle.py`` keeps
-the dense form as its reference).
+Algorithm 1 is row-independent, so :meth:`InterferenceModel.sweep`
+runs it over a caller-filled ``(4, n)`` matrix whose columns may come
+from several independent batches: the analyzer stacks all four of a
+menu's segments (forward, backward, first and last microbatch) into
+one sweep, each segment at the size of the axes it reads, and
+:meth:`InterferenceModel.predict` is the one-segment case.
+
+The sweep runs each ``Update`` step on the active rows only. It keeps
+a ``pos = X > 0`` mask, takes the indices of the rows where every
+channel of the combo is busy (the nonzeros of the mask's conjunction),
+scales, peels and writes back just those, and refreshes ``pos`` for
+the rows it wrote. A row that is not active is left alone, exactly as
+the dense formulation leaves it; an active row goes through the same
+IEEE-754 operations in the same order (multiply by the factor, a
+minimum across the combo's channels, subtract, divide, accumulate), so
+the result is bit-identical to running Algorithm 1 over each batch on
+its own (``tests/costmodel/test_interference_oracle.py`` keeps the
+dense form as its reference).
 
 The model is deliberately *not* an ML regressor — "fewer parameters and
 clearer intuition" — and its factors are fitted once, offline, from
@@ -157,39 +164,33 @@ class InterferenceModel:
 
     # -- Algorithm 1: batched interference estimation -------------------------
 
-    def predict(self, comp, g2g, c2g, g2c) -> np.ndarray:
-        """Total latency for co-running channel busy-times (batched).
+    def sweep(self, x: np.ndarray) -> np.ndarray:
+        """Algorithm 1 over a caller-filled ``(4, n)`` matrix.
 
-        Inputs broadcast to a common shape; the return value has that
-        shape. This is the ``I(c, nccl, d2h, h2d)`` of Eq. (5)/(6).
+        Row ``k`` of ``x`` holds the busy times of slot ``CHANNELS[k]``
+        (``comp``, ``g2g``, ``c2g`` = H2D, ``g2c`` = D2H) for ``n``
+        independent columns; the result is each column's total latency,
+        shape ``(n,)``. ``x`` is consumed: each ``Update`` step writes its
+        residues back into it. A column's bits do not depend on the other
+        columns (except a NaN's sign, which numpy picks by SIMD lane), so
+        callers may stack independent batches side by side and split the
+        result.
         """
-        inputs = (comp, g2g, c2g, g2c)
-        shapes = [np.shape(a) for a in inputs]
-        shape = shapes[0]
-        if shapes.count(shape) == 4:
-            x = np.array(inputs, dtype=float)  # a copy
-        else:
-            shape = np.broadcast(*inputs).shape
-            x = np.empty((4,) + shape)
-            for row, a in zip(x, inputs):
-                row[...] = a
-        x = x.reshape(4, -1)  # (4, batch)
+        steps = [(combo_idx, [entry.get(name, 1.0) for name in names])
+                 for combo_idx, names, key
+                 in zip(_COMBOS, _COMBO_NAMES, _COMBO_KEYS)
+                 if (entry := self.factors.get(key)) is not None]
         total = np.zeros(x.shape[1], dtype=float)
-        pos = x > 0
-        rows, masks = list(x), list(pos)  # per-channel views
+        rows, masks = list(x), list(x > 0)  # per-channel views
 
         # One Update step of Algorithm 1 per combo, on its active rows only.
-        for combo_idx, names, key in zip(_COMBOS, _COMBO_NAMES, _COMBO_KEYS):
-            entry = self.factors.get(key)
-            if entry is None:
-                continue
+        for combo_idx, facs in steps:
             active = masks[combo_idx[0]] & masks[combo_idx[1]]
             for i in combo_idx[2:]:
                 active &= masks[i]
             idx = active.nonzero()[0]
             if not idx.size:
                 continue
-            facs = [entry.get(name, 1.0) for name in names]
             scaled = [rows[i][idx] * f for i, f in zip(combo_idx, facs)]
             overlap = scaled[0]
             for s in scaled[1:]:
@@ -201,6 +202,23 @@ class InterferenceModel:
             total[idx] += overlap
 
         total += x.sum(axis=0)
+        return total
+
+    def predict(self, comp, g2g, c2g, g2c) -> np.ndarray:
+        """Total latency for co-running channel busy-times (batched).
+
+        The arguments are Algorithm 1's four slots in ``CHANNELS``
+        order: compute, NCCL (GPU<->GPU), H2D (``c2g``) and D2H
+        (``g2c``); this is the ``I(...)`` of Eq. (5)/(6). Inputs
+        broadcast to a common shape; the return value has that shape (a
+        numpy scalar for scalar inputs).
+        """
+        inputs = (comp, g2g, c2g, g2c)
+        shape = np.broadcast(*inputs).shape
+        x = np.empty((4,) + shape)
+        for k, a in enumerate(inputs):
+            x[k] = a
+        total = self.sweep(x.reshape(4, -1))
         return total.reshape(shape) if shape else total[0]
 
     def predict_scalar(self, comp: float = 0.0, g2g: float = 0.0,

@@ -381,13 +381,13 @@ class TestSavedWork:
 
     def test_gpt3_2_7b_full_scale_row_ratchet(self, monkeypatch):
         counts = dict(algorithm1=0, feasible=0, frontier_input=0)
-        predict = InterferenceModel.predict
+        sweep = InterferenceModel.sweep
         predict_feasible = SymbolicPerformanceAnalyzer.predict_feasible
         pareto_rows = intra_stage._pareto_rows
 
-        def algorithm1(model, *channels):
-            counts["algorithm1"] += np.broadcast(*channels).size
-            return predict(model, *channels)
+        def algorithm1(model, x):
+            counts["algorithm1"] += x.shape[1]
+            return sweep(model, x)
 
         def feasible(analyzer, env):
             rows, pred = predict_feasible(analyzer, env)
@@ -398,7 +398,7 @@ class TestSavedWork:
             counts["frontier_input"] += l_col.size
             return pareto_rows(l_col, t, d)
 
-        monkeypatch.setattr(InterferenceModel, "predict", algorithm1)
+        monkeypatch.setattr(InterferenceModel, "sweep", algorithm1)
         monkeypatch.setattr(SymbolicPerformanceAnalyzer, "predict_feasible",
                             feasible)
         monkeypatch.setattr(intra_stage, "_pareto_rows", frontier)
@@ -406,7 +406,8 @@ class TestSavedWork:
         solve(TuningJob(model="gpt3-2.7b", num_gpus=4, global_batch=64,
                         scale="full"))
         assert counts["feasible"] > 500_000
-        # 4.0 when every Algorithm 1 call ran over every feasible row
+        assert counts["algorithm1"] > 0
+        # 4.0 when every sweep segment ran over every feasible row
         assert counts["algorithm1"] <= 1.6 * counts["feasible"]
         # 1.0 without the fiber reduction
         assert counts["frontier_input"] <= 0.25 * counts["feasible"]
