@@ -15,14 +15,16 @@ is neither possible nor meaningful here.
 
 Expected shape: tuning time grows with the space but stays within the
 same order of magnitude; the simulation-per-config estimate is many
-orders of magnitude larger; the engine records nonzero pruned and
-memo-hit counters while the parallel fan-out returns the serial plan.
+orders of magnitude larger; the engine records nonzero pruned
+counters, and a repeated search is served from the menu memo.
 """
 
+from repro.api import MistSolver
 from repro.baselines import AcesoTuner
-from repro.benchmarking import fig16_job, measure_fig16
+from repro.benchmarking import fig16_job, measure_fig16, plan_hash
 from repro.benchmarking.suite import current_scale, format_series
-from repro.core import INCREMENTAL_SPACES, log10_configurations
+from repro.core import (INCREMENTAL_SPACES, MenuMemo, log10_configurations,
+                        space_ref)
 
 #: per-configuration simulation cost cited by the paper (Proteus, §3.2)
 SIMULATION_SECONDS_PER_CONFIG = 6.0
@@ -31,13 +33,12 @@ SIMULATION_SECONDS_PER_CONFIG = 6.0
 def _measure():
     scale = current_scale()
     job = fig16_job(scale)
-    mist = measure_fig16(scale, prune=True, parallel_rerun=True)
+    mist = measure_fig16(scale, prune=True)
 
     times = {name: entry["seconds"]
              for name, entry in mist["per_space"].items()}
     configs = {name: entry["configurations_evaluated"]
                for name, entry in mist["per_space"].items()}
-    times["Mist (parallel S,G)"] = mist["parallel"]["seconds"]
 
     model = job.resolved_model()
     aceso = AcesoTuner(model, job.resolved_cluster(), seq_len=job.seq_len)
@@ -87,11 +88,15 @@ def test_fig16_tuning_time(report, benchmark):
         assert widest["cells_pruned"] > 0, widest
         assert widest["configs_prefiltered"] > 0, widest
 
-    # §5.3: the (S, G) grid is embarrassingly parallel across cores —
-    # the fan-out re-run returns the identical plan, served by the
-    # shared menu memo
-    assert mist["parallel"]["matches_serial"]
-    assert mist["parallel"]["memo_hits"] > 0
+    # the menu memo serves a repeated search of the widest space, which
+    # returns the plan the measured pass returned
+    tuner = MistSolver().make_tuner(
+        job.with_(space=space_ref(INCREMENTAL_SPACES[-1])))
+    memo = MenuMemo()
+    tuner.search(job.global_batch, memo=memo)
+    again = tuner.search(job.global_batch, memo=memo)
+    assert again.stats.memo_hits > 0
+    assert plan_hash(again.best_plan) == mist["plan_hashes"][mist_names[-1]]
 
     # simulation-per-configuration search is astronomically slower
     assert times["simulation-based (est.)"] > 1000 * times[mist_names[-1]]

@@ -40,7 +40,6 @@ SPEC = CampaignSpec(
     scales=("smoke",) if SMOKE else ("quick",),
     global_batches=(16,) if SMOKE else (128,),
     interference="none" if SMOKE else "auto",
-    parallelism=0,
 )
 
 

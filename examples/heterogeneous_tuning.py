@@ -35,7 +35,6 @@ JOB = TuningJob.for_cluster(
     global_batch=16,
     seq_len=2048,
     scale="smoke",       # keep the example fast; use "quick"/"full" for real runs
-    parallelism=0,
 )
 
 

@@ -19,7 +19,6 @@ JOB = TuningJob(
     global_batch=64,
     seq_len=2048,
     scale="quick",
-    parallelism=0,  # one worker per CPU core for the (S, G) search
 )
 
 

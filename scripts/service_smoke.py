@@ -57,11 +57,10 @@ from repro.service import Client, spawn_daemon  # noqa: E402
 
 JOB = TuningJob(model="gpt3-1.3b", gpu="L4", num_gpus=4, global_batch=16,
                 scale="smoke", interference="none")
-#: same workload, different free-form options -> different fingerprint
-#: (parallelism alone would not change it): misses the plan cache but
-#: replays every memoized stage subproblem from the first solve
-VARIANT_JOB = dataclasses.replace(JOB, parallelism=2,
-                                  options={"note": "memo-proof"})
+#: same workload, different free-form options -> different fingerprint:
+#: misses the plan cache but replays every memoized stage subproblem
+#: from the first solve
+VARIANT_JOB = dataclasses.replace(JOB, options={"note": "memo-proof"})
 #: a third fingerprint, submitted twice in one campaign batch: the
 #: duplicate must coalesce, and a repeat campaign must be pure cache
 CAMPAIGN_JOB = dataclasses.replace(JOB, global_batch=8)

@@ -10,7 +10,7 @@ Quickstart — declare a job, solve it through the registry::
     from repro.api import TuningJob, solve
 
     job = TuningJob(model="gpt3-2.7b", gpu="L4", num_gpus=4,
-                    global_batch=64, seq_len=2048, parallelism=0)
+                    global_batch=64, seq_len=2048)
     report = solve(job, solver="mist")        # or "megatron", "aceso", ...
     print(report.plan.describe())
     print(f"{report.throughput:.2f} samples/s")
@@ -24,7 +24,7 @@ Lower-level access (the tuner directly)::
     model = get_model("gpt3-2.7b")
     cluster = make_cluster("L4", 1, 4)
     tuner = MistTuner(model, cluster, seq_len=2048)
-    plan = tuner.search(64, parallelism=0).best_plan
+    plan = tuner.search(64).best_plan
     result = ExecutionEngine(cluster).run(plan, model, seq_len=2048)
     print(result.describe())
 

@@ -5,7 +5,7 @@ The stable surface every tuning backend plugs into::
     from repro.api import TuningJob, solve
 
     job = TuningJob(model="gpt3-1.3b", gpu="L4", num_gpus=2,
-                    global_batch=32, scale="quick", parallelism=4)
+                    global_batch=32, scale="quick")
     report = solve(job, solver="mist")
     print(report.plan.describe())
     report_json = report.to_json()          # round-trippable

@@ -2,8 +2,7 @@
 
 Tuning is deterministic for a given :class:`~repro.api.job.TuningJob`,
 so a solved report can be reused by any later process that submits an
-equivalent job (``parallelism`` differences excluded — they change
-speed, not the answer). Entries are one JSON file per
+equivalent job. Entries are one JSON file per
 ``(solver, job.fingerprint())`` pair, tagged with
 :data:`SOLVER_SEMANTICS`, under a root directory taken from, in order:
 the constructor argument, ``$REPRO_PLAN_CACHE``, or

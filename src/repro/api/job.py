@@ -4,8 +4,7 @@ A :class:`TuningJob` pins down everything a solver needs to produce a
 :class:`~repro.api.report.SolveReport`: the workload (model, cluster
 shape, batch, sequence length), the search space and tuning-scale
 preset, the interference-model policy, and the search budget
-(``parallelism`` worker count for the outer (S, G) fan-out, ``keep_top``
-candidate plans to execute).
+(``keep_top`` candidate plans to execute).
 
 Jobs are plain data: JSON round-trippable via :meth:`TuningJob.to_json`
 / :meth:`TuningJob.from_json`, and content-addressed via
@@ -55,8 +54,7 @@ __all__ = ["TuningJob", "JobValidationError"]
 #: interference-model policies a job may request
 _INTERFERENCE_POLICIES = ("auto", "none")
 #: fields that must be plain ``int`` (not ``bool``, not ``float``)
-_INT_FIELDS = ("num_gpus", "global_batch", "seq_len", "parallelism",
-               "keep_top")
+_INT_FIELDS = ("num_gpus", "global_batch", "seq_len", "keep_top")
 
 #: node size of the homogeneous cluster implied by ``gpu`` / ``num_gpus``
 GPUS_PER_NODE = 8
@@ -86,9 +84,6 @@ class TuningJob:
     #: "auto" uses the cluster fabric's checked-in calibrated
     #: interference model; "none" disables interference-aware prediction
     interference: str = "auto"
-    #: worker threads for the outer (S, G) search; 1 = serial,
-    #: 0 = one per CPU core
-    parallelism: int = 1
     #: number of top predicted plans the solver may execute/verify
     keep_top: int = 3
     #: explicit cluster topology (repro.hardware.cluster_from_dict
@@ -155,8 +150,6 @@ class TuningJob:
             raise JobValidationError("global_batch must be >= 1")
         if self.seq_len < 1:
             raise JobValidationError("seq_len must be >= 1")
-        if self.parallelism < 0:
-            raise JobValidationError("parallelism must be >= 0")
         if self.keep_top < 1:
             raise JobValidationError("keep_top must be >= 1")
         if self.interference not in _INTERFERENCE_POLICIES:
@@ -251,7 +244,6 @@ class TuningJob:
             "space": self.space,
             "scale": self.scale,
             "interference": self.interference,
-            "parallelism": self.parallelism,
             "keep_top": self.keep_top,
             "options": self.options,
         }
@@ -263,9 +255,9 @@ class TuningJob:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuningJob":
-        # unknown keys are ignored: 1.x documents may still carry the
-        # removed "engine" field, and must load (and fingerprint) as if
-        # it were absent
+        # unknown keys are ignored: older documents may still carry the
+        # removed "engine" (1.x) or "parallelism" (2.x) fields, and must
+        # load (and fingerprint) as if they were absent
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
         return cls(**known)
 
@@ -277,13 +269,7 @@ class TuningJob:
         return cls.from_dict(json.loads(text))
 
     def fingerprint(self) -> str:
-        """Stable content hash — the on-disk plan-cache key.
-
-        ``parallelism`` is excluded: it changes how fast the search
-        runs, never which plan it returns.
-        """
-        payload = self.to_dict()
-        payload.pop("parallelism")
-        canonical = json.dumps(payload, sort_keys=True,
+        """Stable content hash — the on-disk plan-cache key."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:20]

@@ -65,8 +65,7 @@ def delta_job(job: TuningJob, delta: "ClusterDelta | dict") -> TuningJob:
         new_cluster, model=job.model, global_batch=job.global_batch,
         seq_len=job.seq_len, flash=job.flash,
         space=job.space, scale=job.scale,
-        interference=job.interference, parallelism=job.parallelism,
-        keep_top=job.keep_top,
+        interference=job.interference, keep_top=job.keep_top,
         options=dict(job.options),
     )
 

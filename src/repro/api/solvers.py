@@ -124,9 +124,7 @@ class MistSolver:
               should_stop: "Callable[[], bool] | None" = None
               ) -> SolveReport:
         tuner = self.make_tuner(job)
-        tuning = tuner.search(job.global_batch,
-                              parallelism=job.parallelism,
-                              keep_top=job.keep_top,
+        tuning = tuner.search(job.global_batch, keep_top=job.keep_top,
                               progress=progress, should_stop=should_stop)
         return self._report(job, tuning)
 
@@ -146,7 +144,7 @@ class MistSolver:
         """
         tuner = self.make_tuner(job)
         tuning = tuner.replan(job.global_batch, incumbent=incumbent,
-                              parallelism=job.parallelism, keep_top=1,
+                              keep_top=1,
                               progress=progress, should_stop=should_stop)
         return self._report(job, tuning)
 

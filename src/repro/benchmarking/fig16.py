@@ -44,22 +44,16 @@ def fig16_job(scale: TuningScale) -> TuningJob:
                      global_batch=global_batch, scale=scale_ref(scale))
 
 
-def measure_fig16(scale: TuningScale, *, prune: bool = True,
-                  parallel_rerun: bool = False) -> dict:
+def measure_fig16(scale: TuningScale, *, prune: bool = True) -> dict:
     """Tune the Fig. 16 workload over every incremental space.
 
     Returns a JSON-ready dict::
 
         {"wall_time_seconds": ..., "per_space": {name: {...}},
          "stats": {aggregated search counters},
-         "plan_hashes": {name: hash-or-None},
-         "parallel": {...} }            # only with parallel_rerun
+         "plan_hashes": {name: hash-or-None}}
 
-    ``prune`` selects the search path; with ``parallel_rerun``
-    the widest space is searched once more with one worker per core
-    against the same menu memo — proving both that the fan-out returns
-    the identical plan and that the memo serves the repeated
-    subproblems (its ``memo_hits`` land in the ``parallel`` section).
+    ``prune`` selects the search path.
     """
     job = fig16_job(scale)
     memo = MenuMemo()
@@ -70,7 +64,6 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
               "cells_infeasible": 0, "configs_evaluated": 0,
               "configs_prefiltered": 0, "memo_hits": 0, "memo_misses": 0}
     wall = 0.0
-    last = None
     for space in INCREMENTAL_SPACES:
         tuner = MistSolver().make_tuner(job.with_(space=space_ref(space)))
         start = time.perf_counter()
@@ -89,9 +82,8 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
                 totals[key] += getattr(result.stats, key)
         per_space[space.name] = entry
         hashes[space.name] = plan_hash(result.best_plan)
-        last = (tuner, result)
 
-    out = {
+    return {
         "workload": job.name,
         "prune": prune,
         "wall_time_seconds": wall,
@@ -99,18 +91,3 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
         "stats": totals,
         "plan_hashes": hashes,
     }
-
-    if parallel_rerun and last is not None:
-        tuner, serial = last
-        start = time.perf_counter()
-        parallel = tuner.search(job.global_batch, parallelism=0,
-                                prune=prune, memo=memo)
-        seconds = time.perf_counter() - start
-        stats = parallel.stats.to_dict() if parallel.stats else {}
-        out["parallel"] = {
-            "seconds": seconds,
-            "matches_serial": parallel.best_plan == serial.best_plan,
-            "plan_hash": plan_hash(parallel.best_plan),
-            "memo_hits": stats.get("memo_hits", 0),
-        }
-    return out

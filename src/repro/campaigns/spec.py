@@ -190,7 +190,6 @@ class CampaignSpec:
     flash: bool = True
     space: str | dict = "mist"
     interference: str = "auto"
-    parallelism: int = 1
     keep_top: int = 3
     #: speedup-normalization solver (default: the first one)
     reference: str | None = None
@@ -294,7 +293,6 @@ class CampaignSpec:
                                     seq_len=seq_len, flash=self.flash,
                                     space=self.space, scale=scale,
                                     interference=self.interference,
-                                    parallelism=self.parallelism,
                                     keep_top=self.keep_top,
                                     cluster=resolved.cluster_dict,
                                 )
@@ -352,7 +350,6 @@ class CampaignSpec:
             "flash": self.flash,
             "space": self.space,
             "interference": self.interference,
-            "parallelism": self.parallelism,
             "keep_top": self.keep_top,
             "reference": self.reference,
             "exclude": [dict(rule) for rule in self.exclude],
@@ -362,8 +359,10 @@ class CampaignSpec:
     def from_dict(cls, data: dict) -> "CampaignSpec":
         # strict: campaign specs are hand-written files, so a typo'd
         # axis ("seq_len" for "seq_lens") must fail loudly, not
-        # silently run a different grid
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        # silently run a different grid. "parallelism" is the one
+        # removed field: manifests written before the search lost its
+        # thread fan-out still carry it, and it is ignored
+        unknown = set(data) - set(cls.__dataclass_fields__) - {"parallelism"}
         if unknown:
             raise CampaignValidationError(
                 f"unknown campaign spec field(s) {sorted(unknown)}; "
@@ -383,15 +382,8 @@ class CampaignSpec:
         return cls.from_dict(data)
 
     def fingerprint(self) -> str:
-        """Stable content hash; the manifest's resume-compatibility key.
-
-        ``parallelism`` is excluded for the same reason it is excluded
-        from :meth:`TuningJob.fingerprint`: it changes how fast cells
-        solve, never which plans come back.
-        """
-        payload = self.to_dict()
-        payload.pop("parallelism")
-        canonical = json.dumps(payload, sort_keys=True,
+        """Stable content hash; the manifest's resume-compatibility key."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:20]
 

@@ -115,9 +115,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
                         help="search-grid resolution preset")
     parser.add_argument("--space", choices=sorted(NAMED_SPACES),
                         default="mist", help="search space for auto-tuners")
-    parser.add_argument("--parallelism", type=int, default=1,
-                        help="worker threads for the (S, G) search "
-                             "(0 = one per core)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="reuse/store solved plans in this directory")
     parser.add_argument("--json", metavar="FILE", default=None,
@@ -144,7 +141,6 @@ def _job(args) -> TuningJob:
         model=args.model, global_batch=args.global_batch,
         seq_len=args.seq_len, flash=not args.no_flash,
         space=args.space, scale=args.scale,
-        parallelism=args.parallelism,
     )
     cluster_file = getattr(args, "cluster", None)
     if cluster_file:
@@ -374,7 +370,6 @@ def _cmd_sweep(args) -> int:
             global_batches=(args.global_batch,) if args.global_batch else (),
             flash=not args.no_flash,
             space=args.space,
-            parallelism=args.parallelism,
             reference=reference,
         )
     except CampaignValidationError as exc:

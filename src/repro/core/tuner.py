@@ -12,11 +12,12 @@ discrete choices — pipeline depth ``S`` and gradient-accumulation steps
    (:func:`repro.core.inter_stage.solve`, a label-setting DP).
 
 The winner across all ``(S, G)`` becomes the output
-:class:`~repro.core.plan.TrainingPlan`. Searching the ``(S, G)`` grid is
-embarrassingly parallel (the paper parallelizes it across cores, §5.3 /
-Fig. 16): :meth:`MistTuner.search` fans the per-``(S, G)`` solves over a
-thread pool when ``parallelism > 1``, and merges results in enumeration
-order so the chosen plan is identical to the serial path.
+:class:`~repro.core.plan.TrainingPlan`. The paper spreads the
+``(S, G)`` loop over CPU cores (§5.3 / Fig. 16); here it runs on the
+searching thread, because the per-cell work is GIL-bound Python and
+numpy and an early incumbent tightens the bound cut for every later
+cell. Independent jobs run in parallel on the service's worker tiers
+and the campaign ``process-pool`` executor instead.
 
 Pruning (Fig. 16's tractability claim): by default the search runs the
 **prune-and-memoize search** instead of exhaustively solving every
@@ -35,8 +36,8 @@ cell, while still returning bit-identical plans:
   cells, which is what makes the bit-identity guarantee unconditional;
 * a *keyed memoization layer* (:class:`repro.core.memo.MenuMemo`)
   shares identical stage-cost subproblems — same layer slice, device
-  group, parallelism, budget — across cells, across the parallel
-  fan-out workers, and across repeated searches.
+  group, (dp, tp) options, budget — across cells and across repeated
+  searches.
 
 Explored/pruned/memo-hit counters are reported per search in
 :class:`SearchStats` (surfaced as ``SolveReport.search_stats`` and in
@@ -71,11 +72,8 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
-import threading
 import time
 from collections.abc import Callable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,10 +164,7 @@ class SearchStats:
     ``configs_evaluated`` / ``configs_prefiltered`` are *deterministic*
     regardless of memo warmth: a memo hit replays the counters the
     original computation recorded. ``memo_hits`` / ``memo_misses`` are
-    the telemetry that distinguishes replay from fresh work. Under a
-    parallel pruned search the explored/pruned split may vary slightly
-    run-to-run (incumbents arrive in timing-dependent order); the
-    returned plans never do.
+    the telemetry that distinguishes replay from fresh work.
 
     An exhaustive search (``prune=False``) explores every cell, so
     ``cells_explored == cells_total`` and ``cells_pruned == 0``. It
@@ -265,32 +260,27 @@ class TuningResult:
 
 
 class _Incumbents:
-    """Thread-safe k-best objective tracker for the bound cut.
+    """k-best objective tracker for the bound cut.
 
     The cut may skip a cell only when its optimistic bound exceeds the
     *k-th best solved* objective (k = ``keep_top``): anything pruned is
     then provably outside the final top-k, so ``top_plans`` — not just
-    the winner — matches the exhaustive search bit for bit. A stale
-    (worse) threshold read under contention only makes the cut more
-    conservative, never wrong.
+    the winner — matches the exhaustive search bit for bit.
     """
 
     def __init__(self, k: int):
         self._k = k
-        self._lock = threading.Lock()
         self._best: list[float] = []
 
     def offer(self, objective: float) -> None:
-        with self._lock:
-            bisect.insort(self._best, objective)
-            del self._best[self._k:]
+        bisect.insort(self._best, objective)
+        del self._best[self._k:]
 
     def threshold(self) -> float:
         """The k-th best objective so far, or +inf before k solutions."""
-        with self._lock:
-            if len(self._best) < self._k:
-                return math.inf
-            return self._best[-1]
+        if len(self._best) < self._k:
+            return math.inf
+        return self._best[-1]
 
 
 class MistTuner:
@@ -399,8 +389,7 @@ class MistTuner:
                 grid.append((gacc, layer_counts, slots))
         return grid
 
-    def search(self, global_batch: int, *, parallelism: int = 1,
-               keep_top: int = 3,
+    def search(self, global_batch: int, *, keep_top: int = 3,
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
                prune: bool = True,
@@ -422,31 +411,25 @@ class MistTuner:
         inter-stage solve either way, so its ``search_log`` objective
         does not depend on ``prune``.
 
-        ``parallelism > 1`` fans the independent per-(S, G) solves over
-        that many worker threads (``0`` means one per CPU core); results
-        are merged in enumeration order, so the returned plans are
-        identical regardless of worker count.
-
-        ``progress(done, total)`` is invoked after every handled (S, G)
-        cell — solved or pruned — (from worker threads when parallel —
-        keep it cheap and thread-safe). ``should_stop()`` is polled
-        before each cell; the first ``True`` raises
-        :class:`SearchCancelled`, discarding partial results. Both hooks
-        exist for long-running callers (the ``repro serve`` daemon) that
-        need liveness and cancellation.
+        ``progress(done, total)`` is invoked on the searching thread
+        after every handled (S, G) cell — solved or pruned — so keep it
+        cheap. ``should_stop()`` is polled before each cell; the first
+        ``True`` raises :class:`SearchCancelled`, discarding partial
+        results. Both hooks exist for long-running callers (the
+        ``repro serve`` daemon) that need liveness and cancellation.
         """
         if not prune:
             memo = MenuMemo()
         elif memo is None:
             memo = GLOBAL_MENU_MEMO
         return self._search(
-            global_batch, parallelism=parallelism, keep_top=keep_top,
+            global_batch, keep_top=keep_top,
             progress=progress, should_stop=should_stop, prune=prune,
             memo=memo,
         )
 
     def replan(self, global_batch: int, *, incumbent: TrainingPlan,
-               parallelism: int = 1, keep_top: int = 1,
+               keep_top: int = 1,
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
                memo: MenuMemo | None = None) -> TuningResult:
@@ -478,7 +461,7 @@ class MistTuner:
           search used; counters stay deterministic either way).
         """
         return self._search(
-            global_batch, parallelism=parallelism, keep_top=keep_top,
+            global_batch, keep_top=keep_top,
             progress=progress, should_stop=should_stop, prune=True,
             memo=memo if memo is not None else GLOBAL_MENU_MEMO,
             incumbent=incumbent,
@@ -521,8 +504,7 @@ class MistTuner:
 
     # -- the search driver ---------------------------------------------------
 
-    def _search(self, global_batch: int, *, parallelism: int,
-                keep_top: int,
+    def _search(self, global_batch: int, *, keep_top: int,
                 progress: "Callable[[int, int], None] | None",
                 should_stop: "Callable[[], bool] | None",
                 prune: bool, memo: MenuMemo,
@@ -571,13 +553,10 @@ class MistTuner:
         # configurations).
         incumbents = _Incumbents(1 if incumbent is not None else keep_top)
         outcomes: list = [None] * total
-        done_lock = threading.Lock()
-        done = [0]
-
-        def _process(idx: int) -> None:
+        for done, idx in enumerate(order):
             if should_stop is not None and should_stop():
                 raise SearchCancelled(
-                    f"search cancelled after {done[0]}/{total} cells")
+                    f"search cancelled after {done}/{total} cells")
             if not feasible[idx]:
                 outcomes[idx] = ("infeasible", None, _CellCounts())
             elif bound_ok and bounds[idx] > incumbents.threshold():
@@ -588,19 +567,8 @@ class MistTuner:
                 if solution:
                     incumbents.offer(solution.objective)
                 outcomes[idx] = ("explored", solution, counts)
-            with done_lock:
-                done[0] += 1
-                if progress is not None:
-                    progress(done[0], total)
-
-        workers = parallelism if parallelism > 0 else (os.cpu_count() or 1)
-        if workers > 1 and total > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(workers, total)) as pool:
-                list(pool.map(_process, order))
-        else:
-            for idx in order:
-                _process(idx)
+            if progress is not None:
+                progress(done + 1, total)
 
         candidates: list[tuple[float, int, TrainingPlan]] = []
         search_log: list[dict] = []

@@ -31,6 +31,7 @@ import asyncio
 import functools
 import json
 import math
+import re
 import signal
 import sys
 import threading
@@ -95,6 +96,8 @@ class UnknownCampaignError(KeyError):
         self.campaign_id = campaign_id
 
 _MAX_BODY_BYTES = 8 * 2**20  # a TuningJob is KBs; reject absurd bodies
+#: what TuningJob.fingerprint() returns: 20 lowercase hex digits
+_FINGERPRINT = re.compile(r"[0-9a-f]{20}")
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
@@ -692,11 +695,13 @@ class TuningService:
             record, plan = await loop.run_in_executor(
                 None, functools.partial(self.submit_replan, job, delta,
                                         solver, client=client))
-            if not record.finished and budget > 0:
-                # latency budget: block off the loop until the search
-                # lands or the budget runs out, whichever comes first
-                await loop.run_in_executor(
-                    None, self._await_record, record, budget)
+            # latency budget: wait on the loop (``record.finished`` is
+            # a lock-free read) until the search lands or the budget
+            # runs out, whichever comes first, so no executor thread
+            # that the state routes need is held for the budget
+            deadline = loop.time() + budget
+            while not record.finished and loop.time() < deadline:
+                await asyncio.sleep(0.02)
             out = record.to_dict()
             if record.finished:
                 self.metrics.inc("replan_within_budget")
@@ -712,6 +717,13 @@ class TuningService:
             return 202, out
         if len(segments) == 2 and segments[0] == "plans" and method == "GET":
             solver = query.get("solver", "mist")
+            # both become part of a cache file name: check them before
+            # any path is built
+            if solver not in solver_names():
+                raise SolverNotFoundError(solver)
+            if not _FINGERPRINT.fullmatch(segments[1]):
+                raise _HttpError(
+                    404, f"not a job fingerprint: {segments[1]!r}")
             report = await loop.run_in_executor(
                 None, self.cache.load_fingerprint, segments[1], solver)
             if report is None:
@@ -720,14 +732,6 @@ class TuningService:
             return 200, {"solver": solver, "fingerprint": segments[1],
                          "report": report.to_dict()}
         raise _HttpError(404, f"no route for {method} {split.path}")
-
-    @staticmethod
-    def _await_record(record: JobRecord, budget: float) -> None:
-        """Block (off the event loop) until the record reaches a
-        terminal state or the latency budget expires."""
-        deadline = time.monotonic() + budget
-        while not record.finished and time.monotonic() < deadline:
-            time.sleep(0.02)
 
     @staticmethod
     def _parse_json(body: bytes) -> dict[str, Any]:

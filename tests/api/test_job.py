@@ -16,7 +16,7 @@ MIXED_A100_L4 = json.loads(
     .read_text())
 
 JOB = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=32,
-                scale="smoke", parallelism=2)
+                scale="smoke")
 
 
 class TestRoundTrip:
@@ -55,9 +55,31 @@ class TestFingerprint:
         assert JOB.with_(global_batch=64).fingerprint() != JOB.fingerprint()
         assert JOB.with_(space="3d").fingerprint() != JOB.fingerprint()
 
-    def test_parallelism_excluded(self):
-        # worker count changes speed, never the answer -> same cache key
-        assert JOB.with_(parallelism=8).fingerprint() == JOB.fingerprint()
+
+class TestParallelismCompatibility:
+    """Documents written before the search lost its thread fan-out may
+    carry the removed ``parallelism`` field; it never entered the
+    fingerprint, so plan caches and manifests keep their keys."""
+
+    #: a 2.x job document and its fingerprint as 2.x computed it
+    V2_JOB = {"model": "gpt3-1.3b", "num_gpus": 2, "global_batch": 16,
+              "scale": "smoke", "parallelism": 4, "keep_top": 2}
+    V2_FINGERPRINT = "53661e2aa69d235a43d4"
+
+    def test_job_with_parallelism_field_loads(self):
+        job = TuningJob.from_dict(self.V2_JOB)
+        assert "parallelism" not in job.to_dict()
+        assert job.fingerprint() == self.V2_FINGERPRINT
+        for workers in (0, 1, 8):
+            again = TuningJob.from_dict(dict(self.V2_JOB,
+                                             parallelism=workers))
+            assert again == job
+            assert again.fingerprint() == self.V2_FINGERPRINT
+
+    def test_constructor_rejects_parallelism(self):
+        with pytest.raises(TypeError):
+            TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=16,
+                      parallelism=2)
 
 
 class TestV1Compatibility:
@@ -218,15 +240,13 @@ class TestValidation:
         with pytest.raises(JobValidationError):
             JOB.with_(global_batch=0)
         with pytest.raises(JobValidationError):
-            JOB.with_(parallelism=-1)
-        with pytest.raises(JobValidationError):
             JOB.with_(interference="sometimes")
         # wrong types and names that do not resolve fail at construction,
         # from the constructor and from a JSON document alike
         for field, value in (
                 ("num_gpus", True), ("num_gpus", 2.0),
                 ("global_batch", 32.0), ("global_batch", "32"),
-                ("seq_len", 2048.0), ("parallelism", False),
+                ("seq_len", 2048.0), ("keep_top", False),
                 ("keep_top", None), ("flash", "no"), ("flash", 1),
                 ("model", "gpt3-99b"), ("model", None), ("gpu", "H900"),
                 ("space", "galaxy"), ("space", {"zero_levels": [1]}),

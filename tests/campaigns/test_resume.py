@@ -164,7 +164,10 @@ class TestManifestWrittenByV2:
         shutil.copytree(self.FIXTURE, directory)
         manifest = CampaignManifest(directory)
         assert manifest.load()
+        # 2.x specs carry the removed "parallelism" field
+        assert "parallelism" in manifest.spec_dict
         spec = CampaignSpec.from_dict(manifest.spec_dict)
+        assert spec.fingerprint() == manifest.fingerprint
         stored = {rec["cell_id"]: rec["workload"]
                   for rec in manifest.cells()}
         assert {cell.cell_id: cell.workload

@@ -228,12 +228,24 @@ class TestSerialization:
     def test_json_round_trip(self):
         assert CampaignSpec.from_json(self.SPEC.to_json()) == self.SPEC
 
-    def test_fingerprint_stable_and_parallelism_free(self):
+    def test_fingerprint_stable(self):
         assert self.SPEC.fingerprint() == self.SPEC.fingerprint()
-        assert (self.SPEC.with_(parallelism=8).fingerprint()
-                == self.SPEC.fingerprint())
         assert (self.SPEC.with_(scales=("smoke",)).fingerprint()
                 != self.SPEC.fingerprint())
+
+    def test_from_dict_ignores_removed_parallelism(self):
+        # specs written before the search lost its thread fan-out carry
+        # "parallelism"; it never entered the fingerprint, so manifests
+        # keep their resume key (value pinned from the 2.x code)
+        data = {"name": "verify-grid", "solvers": ["mist", "uniform"],
+                "family": "gpt3", "sizes": ["1.3b"],
+                "clusters": [{"gpu": "L4"}], "scales": ["smoke"],
+                "global_batches": [8, 16], "interference": "none"}
+        for workers in (0, 1, 4):
+            spec = CampaignSpec.from_dict(dict(data, parallelism=workers))
+            assert spec == CampaignSpec.from_dict(data)
+            assert "parallelism" not in spec.to_dict()
+            assert spec.fingerprint() == "685cc6c75ae81db6d32c"
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(CampaignValidationError):

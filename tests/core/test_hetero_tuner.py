@@ -103,10 +103,6 @@ class TestHeterogeneousSearch:
         for entry in result.search_log:
             assert len(entry["groups"]) == entry["num_stages"]
 
-    def test_parallel_search_identical(self, result):
-        parallel = make_tuner(mixed()).search(BATCH, parallelism=4)
-        assert parallel.best_plan == result.best_plan
-
     def test_slow_inter_group_link_priced_into_prediction(self, result):
         # choke the inter-group link: boundary stages' p2p is clamped
         # during tuning (not only at execution), so the predicted

@@ -230,17 +230,6 @@ class TestHooksUnderPruning:
 
 
 class TestMemoSharing:
-    def test_memo_shared_across_parallel_workers(self):
-        case = _case("gpt3-1.3b", make_cluster("L4", 1, 4), 16, "mist", 3)
-        tuner = _make_tuner(case)
-        memo = MenuMemo()
-        serial = tuner.search(16, memo=memo)
-        fanout = tuner.search(16, parallelism=4, memo=memo)
-        assert fanout.stats.memo_hits > 0
-        assert _plan_bytes(fanout.best_plan) == _plan_bytes(serial.best_plan)
-        assert [_plan_bytes(p) for p in fanout.top_plans] \
-            == [_plan_bytes(p) for p in serial.top_plans]
-
     def test_memo_eviction_bounds_size(self):
         memo = MenuMemo(maxsize=2)
         from repro.core.memo import MemoEntry

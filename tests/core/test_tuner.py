@@ -1,5 +1,7 @@
 """Integration tests for the hierarchical MistTuner."""
 
+import threading
+
 import pytest
 
 from repro.core import (
@@ -103,6 +105,14 @@ class TestOneSearchPath:
             getattr(make_tuner(), method)(BATCH, engine="interpreted",
                                           **kwargs)
 
+    @pytest.mark.parametrize("method", ["search", "replan"])
+    def test_parallelism_keyword_rejected(self, method, mist_result):
+        # the (S, G) loop runs on the calling thread: no worker count
+        kwargs = ({"incumbent": mist_result.best_plan}
+                  if method == "replan" else {})
+        with pytest.raises(TypeError, match="parallelism"):
+            getattr(make_tuner(), method)(BATCH, parallelism=4, **kwargs)
+
 
 class TestSearchHooks:
     """The service-facing hooks: progress relay + cooperative cancel."""
@@ -112,24 +122,13 @@ class TestSearchHooks:
         calls = []
         result = tuner.search(BATCH,
                               progress=lambda done, total: calls.append(
-                                  (done, total)))
+                                  (done, total, threading.get_ident())))
         assert result.found
         total = calls[0][1]
         assert total == len(tuner._sg_grid(BATCH))
-        assert calls == [(i + 1, total) for i in range(total)]
-
-    def test_progress_called_from_parallel_search(self):
-        tuner = make_tuner()
-        calls = []
-        parallel = tuner.search(BATCH, parallelism=4,
-                                progress=lambda done, total: calls.append(
-                                    (done, total)))
-        serial = make_tuner().search(BATCH)
-        # every cell reported exactly once, monotonically
-        assert sorted(done for done, _ in calls) == list(
-            range(1, len(calls) + 1))
-        # hooks must not perturb the search outcome
-        assert parallel.best_plan == serial.best_plan
+        # in order, on the searching thread
+        assert calls == [(i + 1, total, threading.get_ident())
+                         for i in range(total)]
 
     def test_should_stop_raises_search_cancelled(self):
         from repro.core import SearchCancelled

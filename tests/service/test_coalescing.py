@@ -84,11 +84,15 @@ class TestCoalescing:
         assert stub.invocations == 1
 
     def test_parallelism_differences_still_coalesce(self, client, job, slow):
-        # parallelism is excluded from the fingerprint: a sweep worker
-        # asking with 4 threads coalesces onto a 1-thread search
+        # a body from an older client still carries the removed
+        # "parallelism" field: it is ignored, so the job keeps its
+        # fingerprint and rides the search already in flight
         first = client.submit(job, solver="svc-slow")
-        second = client.submit(job.with_(parallelism=4), solver="svc-slow")
+        second = client._request(
+            "POST", "/jobs",
+            {"job": dict(job.to_dict(), parallelism=4), "solver": "svc-slow"})
         assert second["coalesced"] is True
+        assert second["fingerprint"] == first["fingerprint"]
         slow.release.set()
         assert client.wait(first["id"], timeout=10)["status"] == "done"
         assert client.wait(second["id"], timeout=10)["status"] == "done"

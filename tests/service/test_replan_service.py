@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -158,6 +159,35 @@ class TestReplanEndpoint:
         assert record["status"] == "done"
         assert "budget_expired" not in record
         assert elapsed < 10
+
+    def test_budgeted_replans_leave_state_routes_responsive(
+            self, service, client, job, slow):
+        # more waiting replans than asyncio's default executor has
+        # threads: /metrics must not queue behind their budgets
+        executor_threads = min(32, (os.cpu_count() or 1) + 4)
+        count = executor_threads + 2
+        records = []
+        threads = [threading.Thread(target=lambda: records.append(
+            client.replan(job, DELTA, solver="svc-slow", budget_seconds=3)))
+            for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while (service.metrics.snapshot()["replan"]["requests"] < count
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        time.sleep(0.2)
+        try:
+            start = time.perf_counter()
+            client.metrics()
+            elapsed = time.perf_counter() - start
+        finally:
+            slow.release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert elapsed < 1.0
+        assert len(records) == count
+        assert all(r["status"] == "done" for r in records)
 
 
 def _post(url, path, payload):

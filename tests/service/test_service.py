@@ -132,6 +132,25 @@ class TestPlansEndpoint:
         assert report.from_cache is True
         assert report.throughput == 7.5
 
+    def test_solver_and_fingerprint_never_leave_the_cache_dir(
+            self, client, service, job):
+        # valid reports planted where a raw ``solver`` or fingerprint
+        # would lead the cache: one beside the cache dir, one inside it
+        # under a name that is no fingerprint. Both lookups are 404s.
+        text = SolveReport(solver="svc-stub", job=job).to_json()
+        service.cache.root.mkdir(parents=True, exist_ok=True)
+        for fingerprint, solver in ((job.fingerprint(), "../secret"),
+                                    ("notafingerprint", "svc-stub")):
+            service.cache.path_for_fingerprint(
+                fingerprint, solver).write_text(text)
+        for path in (f"/plans/{job.fingerprint()}?solver=../secret",
+                     f"/plans/{job.fingerprint()}?solver=..%2Fsecret",
+                     "/plans/notafingerprint?solver=svc-stub",
+                     f"/plans/{job.fingerprint().upper()}?solver=svc-stub"):
+            with pytest.raises(ServiceError) as err:
+                client._request("GET", path)
+            assert err.value.status == 404, path
+
 
 class TestErrorHandling:
     def test_unknown_job_404(self, client):

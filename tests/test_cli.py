@@ -116,12 +116,12 @@ class TestTune:
         assert "plan[mist" in out
         assert "samples/s" in out
 
-    def test_tune_parallel_compare_and_json(self, capsys, tmp_path):
+    def test_tune_compare_and_json(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code = main([
             "tune", "--model", "gpt3-1.3b", "--gpu", "L4",
             "--gpus", "2", "--global-batch", "8", "--seq-len", "2048",
-            "--scale", "smoke", "--parallelism", "2",
+            "--scale", "smoke",
             "--compare", "megatron",
             "--json", str(out_file),
         ])

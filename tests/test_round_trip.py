@@ -60,7 +60,7 @@ def stats():
 def job():
     return TuningJob.for_cluster(CLUSTER, model="gpt3-1.3b",
                                  global_batch=16, scale="smoke",
-                                 interference="none", parallelism=2,
+                                 interference="none",
                                  keep_top=2, options={"k": 1})
 
 
@@ -79,7 +79,7 @@ def spec():
     return CampaignSpec(
         name="round-trip", solvers=("mist", "uniform"), family="gpt3",
         sizes=("1.3b",), clusters=({"gpu": "L4"},), scales=("smoke",),
-        global_batches=(8, 16), interference="none", parallelism=2,
+        global_batches=(8, 16), interference="none",
         keep_top=2, reference="uniform",
         exclude=({"solver": "uniform", "global_batch": 8},))
 
