@@ -324,8 +324,13 @@ class SymbolicPerformanceAnalyzer:
         With all interference factors >= 1 (see
         :meth:`repro.costmodel.interference.InterferenceModel.min_factor`)
         this never exceeds the stable microbatch time :meth:`predict`
-        returns for the same configuration — the property the
-        branch-and-bound lower bound rests on.
+        returns for the same configuration. The kernel reads only
+        ``b, tp, l, ckpt, has_pre, has_post, s`` (and the TP link that
+        follows ``tp``), and recomputation only adds to it, so its value
+        at ckpt 0, ZeRO 0 and no offload floors every configuration of
+        the same (dp, tp, b), layer count and stage position — the
+        per-position floor the (S, G) cell bounds are built from
+        (:meth:`repro.core.tuner.MistTuner._cell_bounds`).
         """
         comp_fwd, comp_bwd = self._comp_fn(
             **{name: env[name] for name in self._comp_fn.used_symbols}

@@ -24,7 +24,9 @@ test oracles stay beside it, outside :mod:`repro.core`'s public names:
 :func:`solve_exact` enumerates every assignment, and :func:`solve_milp`
 is the paper's binary MILP solved by scipy's HiGHS backend. Only
 :func:`solve_milp` imports scipy, when it is called, so the tuner runs
-without it.
+without it. :func:`objective_floor` is the tuner's (S, G) cell bound:
+the same objective with every delta at zero over per-stage time floors,
+minimised exactly over the layer assignments.
 
 Heterogeneous clusters extend the stage partition with a *device-group
 assignment*: every pipeline stage is pinned to one
@@ -40,7 +42,6 @@ the outer tuner loops over.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,42 +56,41 @@ __all__ = [
     "InterStageSolution",
     "StageSlot",
     "group_stage_assignments",
-    "objective_lower_bound",
+    "objective_floor",
     "solve",
     "solve_milp",
     "solve_exact",
 ]
 
-#: relative safety margin subtracted from lower bounds before they are
-#: compared against incumbents — absorbs float noise in the marginal
-#: per-layer cost estimate so a bound can never spuriously exceed the
-#: true objective it underestimates
-_BOUND_SAFETY = 1e-9
+def objective_floor(floors: list[dict[int, float]], total_layers: int,
+                    gacc: int) -> float:
+    """Least Eq. (1) with every delta at zero over the layer assignments
+    ``floors`` offers: ``(G-1) * max_i f_i + sum_i f_i``.
 
-
-def objective_lower_bound(per_layer_floor: float, total_layers: int,
-                          num_stages: int, gacc: int) -> float:
-    """Optimistic lower bound on Eq. (1) for one (S, G) cell.
-
-    ``per_layer_floor`` is a lower bound on the *compute-only,
-    interference-free* cost of one transformer layer under the cell's
-    cheapest feasible (dp, tp, b) option. Every valid partition
-    satisfies ``sum_i t_i >= L * floor`` and
-    ``max_i t_i >= ceil(L / S) * floor`` (some stage hosts at least
-    ``ceil(L / S)`` layers), and the exposed-delta term of Eq. (1) is
-    clamped at zero — so
-
-        (G - 1) * ceil(L / S) * floor  +  L * floor
-
-    never exceeds the true objective of any plan in the cell. The
-    branch-and-bound cut compares this against the current k-th-best
-    incumbent and skips the whole cell when even the bound is worse.
+    ``floors[i][l]`` is stage ``i``'s time with ``l`` layers; the
+    minimum runs over one layer count per stage, summing to
+    ``total_layers`` (``inf`` when none does). A min-plus DP per
+    bottleneck candidate ``M`` (every floor value): ``least[m, u]`` is
+    the least ``sum f_i`` placing ``u`` layers with every ``f_i <=
+    M_m``. The optimum's bottleneck is one of the candidates, and any
+    row's ``(G-1) * M_m + sum`` is no less than its path's Eq. (1), so
+    the least row is the exact minimum. Sums accumulate in stage order,
+    as a path's own ``sum`` does.
     """
-    if per_layer_floor < 0:
-        per_layer_floor = 0.0
-    bound = ((gacc - 1) * math.ceil(total_layers / num_stages)
-             + total_layers) * per_layer_floor
-    return bound * (1.0 - _BOUND_SAFETY)
+    values = np.unique([f for stage in floors for f in stage.values()])
+    least = np.full((values.size, total_layers + 1), np.inf)
+    least[:, 0] = 0.0
+    for stage in floors:
+        step = np.full_like(least, np.inf)
+        for layers, f in stage.items():
+            if layers > total_layers:
+                continue
+            reach = least[:, :total_layers + 1 - layers] + f
+            reach[values < f] = np.inf
+            np.minimum(step[:, layers:], reach, out=step[:, layers:])
+        least = step
+    objective = (gacc - 1) * values + least[:, total_layers]
+    return float(objective.min(initial=np.inf))
 
 
 class StageSlot(NamedTuple):

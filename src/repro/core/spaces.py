@@ -68,7 +68,7 @@ class SearchSpace:
     ckpt_policy: str = "auto"
     #: number of checkpoint grid points when flexible (incl. endpoints)
     ckpt_grid_points: int = 9
-    #: offloading grids — empty tuple disables that ratio
+    #: offloading ratio grids in [0, 1] — ``(0.0,)`` disables that ratio
     oo_grid: tuple[float, ...] = (0.0,)
     ao_grid: tuple[float, ...] = (0.0,)
     go_grid: tuple[float, ...] = (0.0,)
@@ -154,18 +154,66 @@ def space_to_dict(space: SearchSpace) -> dict:
     }
 
 
+def _name(data: dict) -> str:
+    name = data["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    return name
+
+
+def _flag(data: dict, key: str, default: bool) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _count(value: Any, key: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < least:
+        raise ValueError(f"{key} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return value
+
+
+def _ratios(values: Any, key: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"{key} must be a non-empty list, got {values!r}")
+    grid = tuple(float(v) for v in values)
+    if not all(0.0 <= v <= 1.0 for v in grid):  # NaN fails too
+        raise ValueError(f"{key} ratios must lie in [0, 1], got {values!r}")
+    return grid
+
+
 def space_from_dict(data: dict) -> SearchSpace:
-    """Inverse of :func:`space_to_dict` (lists become tuples again)."""
+    """Inverse of :func:`space_to_dict` (lists become tuples again).
+
+    Raises ``ValueError`` for a document no tuner can search: a ZeRO
+    level outside 0–3, an empty grid, a ratio outside [0, 1], an
+    unknown ``ckpt_policy``, a negative ``layer_slack``, fewer than one
+    checkpoint grid point, a boolean that is not ``true``/``false`` or
+    a name that is not a string.
+    """
+    zero_levels = data.get("zero_levels", (0,))
+    if not isinstance(zero_levels, (list, tuple)) or not zero_levels \
+            or any(_count(z, "zero_levels", 0) > 3 for z in zero_levels):
+        raise ValueError(
+            f"zero_levels must be a non-empty list of 0-3, "
+            f"got {zero_levels!r}")
+    ckpt_policy = data.get("ckpt_policy", "auto")
+    if ckpt_policy not in ("auto", "full"):
+        raise ValueError(
+            f"ckpt_policy must be 'auto' or 'full', got {ckpt_policy!r}")
     return SearchSpace(
-        name=data["name"],
-        zero_levels=tuple(int(z) for z in data.get("zero_levels", (0,))),
-        tune_ckpt=bool(data.get("tune_ckpt", False)),
-        ckpt_policy=data.get("ckpt_policy", "auto"),
-        ckpt_grid_points=int(data.get("ckpt_grid_points", 9)),
-        **{f: tuple(float(v) for v in data.get(f, (0.0,)))
-           for f in _GRID_FIELDS},
-        imbalance_aware=bool(data.get("imbalance_aware", True)),
-        layer_slack=int(data.get("layer_slack", 2)),
+        name=_name(data),
+        zero_levels=tuple(zero_levels),
+        tune_ckpt=_flag(data, "tune_ckpt", False),
+        ckpt_policy=ckpt_policy,
+        ckpt_grid_points=_count(data.get("ckpt_grid_points", 9),
+                                "ckpt_grid_points", 1),
+        **{f: _ratios(data.get(f, (0.0,)), f) for f in _GRID_FIELDS},
+        imbalance_aware=_flag(data, "imbalance_aware", True),
+        layer_slack=_count(data.get("layer_slack", 2), "layer_slack", 0),
     )
 
 
@@ -252,15 +300,18 @@ def scale_from_dict(data: dict) -> TuningScale:
 
     A 2.x dict may still carry ``max_pareto_points``, the removed
     frontier-sampling cap; it is ignored, because the whole Pareto
-    frontier now reaches the inter-stage solve.
+    frontier now reaches the inter-stage solve. Invalid values raise
+    ``ValueError`` as in :func:`space_from_dict`.
     """
     return TuningScale(
-        name=data["name"],
-        offload_grid=tuple(float(v) for v in data["offload_grid"]),
-        binary_grid=tuple(float(v) for v in data["binary_grid"]),
-        ckpt_grid_points=int(data["ckpt_grid_points"]),
-        layer_slack=int(data["layer_slack"]),
-        max_gacc_candidates=int(data["max_gacc_candidates"]),
+        name=_name(data),
+        offload_grid=_ratios(data["offload_grid"], "offload_grid"),
+        binary_grid=_ratios(data["binary_grid"], "binary_grid"),
+        ckpt_grid_points=_count(data["ckpt_grid_points"],
+                                "ckpt_grid_points", 1),
+        layer_slack=_count(data["layer_slack"], "layer_slack", 0),
+        max_gacc_candidates=_count(data["max_gacc_candidates"],
+                                   "max_gacc_candidates", 1),
     )
 
 

@@ -28,12 +28,16 @@ cell, while still returning bit-identical plans:
   runtime cost evaluation (:meth:`IntraStageTuner.tune` with
   ``prefilter=True`` — the exact constraint, applied earlier);
 * a *branch-and-bound cut* solves cells in order of an optimistic
-  compute-only, interference-free lower bound
-  (:func:`repro.core.inter_stage.objective_lower_bound`), ties broken
-  by enumeration order, and skips any cell whose bound already exceeds
-  the current ``keep_top``-th best incumbent — so ``top_plans`` stays
-  identical, not just the winner. Incumbents come only from solved
-  cells, which is what makes the bit-identity guarantee unconditional;
+  lower bound, ties broken by enumeration order: each stage position's
+  least compute-channel time at every layer count the cell offers,
+  composed through Eq. (1) with every delta at zero and minimised
+  exactly over the cell's layer assignments
+  (:meth:`MistTuner._cell_bounds`,
+  :func:`repro.core.inter_stage.objective_floor`). It skips any cell
+  whose bound already exceeds the current ``keep_top``-th best
+  incumbent — so ``top_plans`` stays identical, not just the winner.
+  Incumbents come only from solved cells, which is what makes the
+  bit-identity guarantee unconditional;
 * a *keyed memoization layer* (:class:`repro.core.memo.MenuMemo`)
   shares identical stage-cost subproblems — same layer slice, device
   group, (dp, tp) options, budget — across cells and across repeated
@@ -90,11 +94,7 @@ from repro.tracing import TracedModel, trace
 
 from . import inter_stage
 from .analyzer import SymbolicPerformanceAnalyzer
-from .inter_stage import (
-    StageSlot,
-    group_stage_assignments,
-    objective_lower_bound,
-)
+from .inter_stage import StageSlot, group_stage_assignments
 from .intra_stage import (
     IntraStageTuner,
     ParetoPoint,
@@ -108,6 +108,12 @@ from .spaces import SPACE_MIST, SearchSpace
 
 __all__ = ["MistTuner", "SearchCancelled", "SearchStats", "TuningResult",
            "gacc_candidates", "traced_model"]
+
+#: relative safety margin subtracted from cell bounds before they are
+#: compared against incumbents — absorbs float noise between the floor
+#: sums and the solved objective, so a bound never spuriously exceeds
+#: the objective it underestimates
+_BOUND_SAFETY = 1e-9
 
 
 def traced_model(model: ModelConfig, gpu: GPUSpec, *,
@@ -624,65 +630,87 @@ class MistTuner:
                      ) -> tuple[list[float], list[bool]]:
         """Optimistic lower bound + feasibility flag per (S, G) cell.
 
-        The bound is compute-only and interference-free: for every
-        unique (device group, stage GPUs, gacc) slot the marginal
-        per-layer compute-channel time of its cheapest (dp, tp, b)
-        option is measured with two batched evaluations (l=1 vs l=2),
-        then composed through
-        :func:`~repro.core.inter_stage.objective_lower_bound`. A cell
-        with a slot that has no (dp, tp, b) option at all is flagged
-        infeasible (the exhaustive path would explore it and find
-        nothing).
-        """
-        slot_keys = {(slot.group, slot.stage_gpus, gacc)
-                     for gacc, _, slots in grid for slot in slots}
+        For every stage position ``(device group, stage GPUs, gacc,
+        has_pre, has_post)`` the floor ``F(l)`` is the least
+        compute-channel time over the slot's (dp, tp, b) options at ckpt
+        0, ZeRO 0 and no offload, at each layer count the cell's menus
+        offer — one batched evaluation per device group. A cell's bound
+        is :func:`~repro.core.inter_stage.objective_floor` of its
+        positions' floors: Eq. (1) with every delta at zero, minimised
+        exactly over the layer assignments the inter-stage solve could
+        pick.
 
-        floors: dict[tuple[str, int, int], float | None] = {}
+        Soundness, when every interference factor is >= 1 (the
+        condition :meth:`_search` checks before it cuts): a menu point's
+        stable time is at least its compute-channel time; that time
+        reads only ``b, tp, l, ckpt, has_pre, has_post, s``, and
+        recomputation only adds to it, so it is at least ``F(l)`` for
+        the point's position and layer count. Eq. (1) grows with every
+        ``t_i`` and its exposed-delta term is at least zero, so each
+        plan in the cell costs at least the bound. The relative
+        ``_BOUND_SAFETY`` margin absorbs float noise.
+
+        A cell with a slot that has no (dp, tp, b) option at all is
+        flagged infeasible (the exhaustive path would explore it and
+        find nothing).
+        """
+        total_layers = self.model.num_layers
+        cells: list[tuple[int, list[int], list[tuple]]] = []
+        wanted: dict[tuple, set[int]] = {}
+        for gacc, layer_counts, slots in grid:
+            counts = layer_counts if len(slots) > 1 else [total_layers]
+            keys = [(slot.group, slot.stage_gpus, gacc, idx == 0,
+                     idx == len(slots) - 1)
+                    for idx, slot in enumerate(slots)]
+            cells.append((gacc, counts, keys))
+            for key in keys:
+                wanted.setdefault(key, set()).update(counts)
+
+        # positions with no (dp, tp, b) option get no floors
+        floors: dict[tuple, dict[int, float]] = {}
         by_group: dict[str, list[tuple]] = {}
-        for group, stage_gpus, gacc in slot_keys:
-            analyzer = self.analyzers[group]
+        for key, counts in wanted.items():
+            group, stage_gpus, gacc = key[:3]
             options = stage_parallelism_options(
-                analyzer, stage_gpus, gacc, global_batch)
-            if not options:
-                floors[(group, stage_gpus, gacc)] = None
-                continue
-            by_group.setdefault(group, []).append(
-                ((group, stage_gpus, gacc), options))
+                self.analyzers[group], stage_gpus, gacc, global_batch)
+            if options:
+                by_group.setdefault(group, []).append(
+                    (key, options, sorted(counts)))
 
         for group, entries in by_group.items():
             analyzer = self.analyzers[group]
-            rows = [(dp, tp, b, gacc, layers)
-                    for (_, _, gacc), options in entries
+            rows = [(dp, tp, b, layers, key[3], key[4])
+                    for key, options, counts in entries
                     for dp, tp, b in options
-                    for layers in (1, 2)]
-            dp_a, tp_a, b_a, gacc_a, l_a = np.array(rows).T
+                    for layers in counts]
+            dp_a, tp_a, b_a, l_a, pre_a, post_a = np.array(rows).T
             comp = analyzer.compute_channel(analyzer.build_env(
                 b=b_a, s=self.seq_len, dp=dp_a, tp=tp_a, l=l_a, ckpt=0,
-                zero=0, wo=0, go=0, oo=0, ao=0, gacc=gacc_a, inflight=1,
-                has_pre=0, has_post=0,
+                zero=0, wo=0, go=0, oo=0, ao=0, gacc=1, inflight=1,
+                has_pre=pre_a, has_post=post_a,
             ))
             pos = 0
-            for key, options in entries:
-                floor = math.inf
-                for _ in options:
-                    marginal = float(comp[pos + 1] - comp[pos])
-                    floor = min(floor, max(0.0, marginal))
-                    pos += 2
-                floors[key] = floor
+            for key, options, counts in entries:
+                size = len(options) * len(counts)
+                least = comp[pos:pos + size].reshape(
+                    len(options), len(counts)).min(axis=0)
+                floors[key] = dict(zip(counts, least.tolist()))
+                pos += size
 
         bounds: list[float] = []
         feasible: list[bool] = []
-        total_layers = self.model.num_layers
-        for gacc, _, slots in grid:
-            slot_floors = [floors[(s.group, s.stage_gpus, gacc)]
-                           for s in slots]
-            finite = [f for f in slot_floors if f is not None]
-            if len(finite) != len(slot_floors):
+        for gacc, counts, keys in cells:
+            if not all(key in floors for key in keys):
                 bounds.append(math.inf)
                 feasible.append(False)
                 continue
-            bounds.append(objective_lower_bound(
-                min(finite), total_layers, len(slots), gacc))
+            # a slot shared with deeper or shallower cells has floors at
+            # their layer counts too; this cell offers only its own
+            cell_floors = [{n: floors[key][n] for n in counts}
+                           for key in keys]
+            bound = inter_stage.objective_floor(
+                cell_floors, total_layers, gacc)
+            bounds.append(bound * (1.0 - _BOUND_SAFETY))
             feasible.append(True)
         return bounds, feasible
 

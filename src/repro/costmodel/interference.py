@@ -233,8 +233,9 @@ class InterferenceModel:
         clamps its fits accordingly). The pruned tuner checks this
         before enabling its branch-and-bound cut: when all factors are
         >= 1, ``predict(...) >= max(channel busy times) >= compute
-        channel``, which makes a compute-only, interference-free time a
-        valid optimistic lower bound on any stage's microbatch latency.
+        channel``, so a stage position's least interference-free
+        compute time at each layer count floors its microbatch latency,
+        and the cell bounds compose those floors through Eq. (1).
         """
         values = [factor
                   for entry in self.factors.values()

@@ -20,6 +20,7 @@ caller reads :attr:`PipelineResult.timeline`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -103,7 +104,8 @@ def _sweep(num_stages: int, num_microbatches: int) -> _Sweep:
 class PipelineResult:
     """Outcome of simulating one iteration.
 
-    Holds each phase's start and end time in execution order; the
+    Holds each phase's start and end time in execution order, as
+    packed doubles (a retained result stays small); the
     :attr:`timeline` records are built from them on access.
     """
 
@@ -111,8 +113,8 @@ class PipelineResult:
     #: per-stage busy time (for bubble/idle analysis)
     stage_busy: list[float]
     num_microbatches: int
-    starts: list[float] = field(repr=False)
-    ends: list[float] = field(repr=False)
+    starts: array = field(repr=False)
+    ends: array = field(repr=False)
 
     @property
     def num_stages(self) -> int:
@@ -192,8 +194,8 @@ def simulate_pipeline(fwd_times, bwd_times, p2p_delay: float = 0.0,
     sweep = _sweep(num_stages, num_microbatches)
     flat = [t for row in fwd_times for t in row]
     flat += [t for row in bwd_times for t in row]
-    starts: list[float] = []
-    ends: list[float] = []
+    starts = array("d")
+    ends = array("d")
     stage_clock = [0.0] * num_stages
     stage_busy = [0.0] * num_stages
     for i, duration, dep in zip(sweep.stage,

@@ -116,13 +116,13 @@ class TestSolveAndCache:
         # "<solver>-<fingerprint>.json" name may hold a plan the current
         # solver semantics no longer return: it must be a miss, also on
         # the raw-fingerprint lookup behind GET /plans/<fp>. So must a
-        # mist v1 entry, whose search log and counters predate the
-        # removal of the heuristic seed cell.
+        # mist v2 entry, whose search-log bounds and statuses predate
+        # the per-position cell bounds.
         cache = PlanCache(tmp_path)
         fp = JOB.fingerprint()
         for solver, legacy_name, version in (
                 ("test-dummy", f"test-dummy-{fp}.json", SOLVER_SEMANTICS),
-                ("mist", f"mist-{fp}-v1.json", 2)):
+                ("mist", f"mist-{fp}-v2.json", 3)):
             legacy = tmp_path / legacy_name
             legacy.write_text(_dummy_report(JOB, solver).to_json())
             assert cache.load(JOB, solver) is None

@@ -405,7 +405,8 @@ class TestSavedWork:
         GLOBAL_MENU_MEMO.clear()
         solve(TuningJob(model="gpt3-2.7b", num_gpus=4, global_batch=64,
                         scale="full"))
-        assert counts["feasible"] > 500_000
+        # the solve explores 5 of its 20 cells and prices ~193k rows
+        assert counts["feasible"] > 150_000
         assert counts["algorithm1"] > 0
         # 4.0 when every sweep segment ran over every feasible row
         assert counts["algorithm1"] <= 1.6 * counts["feasible"]

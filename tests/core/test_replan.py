@@ -113,11 +113,14 @@ class TestWarmStartMechanics:
     def test_unchanged_group_menus_replay_from_memo(self):
         # per-device-group memo scoping: a delta that only touches the
         # l4 group keeps the a100 group's memo entries valid, so the
-        # warm replan replays them instead of recomputing
+        # warm replan replays them instead of recomputing. The base
+        # search keeps every cell (no bound cut), so the memo holds
+        # every a100 menu of the old fleet whichever cell the replan
+        # explores.
         cluster = _mixed_cluster()
         memo = MenuMemo()
         incumbent = _tuner("gpt3-1.3b", cluster).search(
-            32, keep_top=1, memo=memo).best_plan
+            32, keep_top=100, memo=memo).best_plan
         new_cluster = ClusterDelta.resize_group(
             "l4", gpus_per_node=2).apply(cluster)
         warm = _tuner("gpt3-1.3b", new_cluster).replan(

@@ -12,7 +12,15 @@ from repro.core import (
     SPACE_MIST,
     log10_configurations,
 )
-from repro.core.spaces import SCALES
+from repro.api import JobValidationError, TuningJob
+from repro.core.spaces import (
+    NAMED_SPACES,
+    SCALES,
+    scale_from_dict,
+    scale_to_dict,
+    space_from_dict,
+    space_to_dict,
+)
 
 
 class TestSpaceDefinitions:
@@ -98,3 +106,55 @@ class TestConfigurationCounting:
             log10_configurations(0, 8)
         with pytest.raises(ValueError):
             log10_configurations(8, 0)
+
+
+class TestDocumentValidation:
+    """Custom space and scale documents are checked when they load."""
+
+    SPACE = space_to_dict(SPACE_MIST)
+    SCALE = scale_to_dict(SCALES["quick"])
+
+    def test_named_spaces_and_presets_round_trip(self):
+        for space in NAMED_SPACES.values():
+            assert space_from_dict(space_to_dict(space)) == space
+        for scale in SCALES.values():
+            assert scale_from_dict(scale_to_dict(scale)) == scale
+
+    @pytest.mark.parametrize("field, value", [
+        ("zero_levels", [0, 4]),
+        ("zero_levels", [-1]),
+        ("zero_levels", []),
+        ("wo_grid", [2.0]),
+        ("ao_grid", [0.0, float("nan")]),
+        ("oo_grid", []),
+        ("ckpt_policy", "sometimes"),
+        ("layer_slack", -5),
+        ("ckpt_grid_points", 0),
+        ("tune_ckpt", "false"),
+        ("imbalance_aware", 1),
+        ("name", 5),
+    ])
+    def test_bad_space_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            space_from_dict(dict(self.SPACE, **{field: value}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("offload_grid", [1.5]),
+        ("binary_grid", []),
+        ("layer_slack", -1),
+        ("ckpt_grid_points", 0),
+        ("max_gacc_candidates", 0),
+        ("name", None),
+    ])
+    def test_bad_scale_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            scale_from_dict(dict(self.SCALE, **{field: value}))
+
+    def test_job_reports_the_bad_field(self):
+        # "false" used to parse as True and solve a different space
+        with pytest.raises(JobValidationError, match="tune_ckpt"):
+            TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=8,
+                      space=dict(self.SPACE, tune_ckpt="false"))
+        with pytest.raises(JobValidationError, match="layer_slack"):
+            TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=8,
+                      scale=dict(self.SCALE, layer_slack=-5))
