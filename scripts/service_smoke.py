@@ -24,8 +24,10 @@ an ephemeral port with a throwaway plan-cache directory, then:
    latency budget (per the ``/metrics`` ``replan`` section);
 7. POSTs a job whose cluster has a negative ``inter_node_latency``:
    the daemon must answer HTTP 400 without invoking the solver;
-8. POSTs ``/replan`` with a ``remove_nodes`` delta whose ``count`` is
-   1.5: the daemon must answer HTTP 400 without invoking the solver;
+8. POSTs ``/replan`` with three malformed deltas: a ``remove_nodes``
+   whose ``count`` is 1.5, a ``retype_group`` to an unknown GPU and a
+   ``degrade_link`` whose ``link`` is misspelled. The daemon must answer
+   each with HTTP 400 without invoking the solver;
 9. shuts the daemon down.
 
 Exit code 0 on success. Runs in ~10s.
@@ -195,17 +197,30 @@ def main(argv: list[str] | None = None) -> int:
             assert metrics["solver"]["invocations"] == invocations, metrics
             print("malformed cluster: HTTP 400, no solver invocation")
 
-            # so is a delta count that is not a plain integer (on two
-            # nodes, where int() would once have applied it as 1)
+            # so is a malformed delta: a count that is not a plain
+            # integer (on two nodes, where int() would once have applied
+            # it as 1), an unknown GPU (once a 500) and a misspelled link
+            # (once applied to the inter-node link)
             two_nodes = dict(JOB.to_dict(), cluster={
                 "gpu": "L4", "num_nodes": 2, "gpus_per_node": 2})
-            status = post_status(daemon.url + "/replan", {
-                "job": two_nodes, "solver": "mist",
-                "delta": {"ops": [{"op": "remove_nodes", "count": 1.5}]}})
-            assert status == 400, status
-            metrics = client.metrics()
-            assert metrics["solver"]["invocations"] == invocations, metrics
-            print("non-integer delta count: HTTP 400, no solver invocation")
+            replans = metrics["replan"]["requests"]
+            for label, op in (
+                    ("non-integer delta count",
+                     {"op": "remove_nodes", "count": 1.5}),
+                    ("unknown delta gpu",
+                     {"op": "retype_group", "gpu": "H900"}),
+                    ("misspelled delta link",
+                     {"op": "degrade_link", "factor": 0.5,
+                      "link": "inter-group"})):
+                status = post_status(daemon.url + "/replan", {
+                    "job": two_nodes, "solver": "mist",
+                    "delta": {"ops": [op]}})
+                assert status == 400, (label, status)
+                metrics = client.metrics()
+                assert metrics["solver"]["invocations"] == invocations, \
+                    metrics
+                assert metrics["replan"]["requests"] == replans, metrics
+                print(f"{label}: HTTP 400, no solver invocation")
     print(f"service smoke ({args.worker_mode} workers): OK")
     return 0
 

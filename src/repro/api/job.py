@@ -106,6 +106,12 @@ class TuningJob:
         if not isinstance(self.options, dict):
             raise JobValidationError(
                 f"options must be an object, got {self.options!r}")
+        # json.loads takes NaN/Infinity; they must not echo back as JSON
+        try:
+            json.dumps(self.options, allow_nan=False, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise JobValidationError(
+                f"options must be plain JSON: {exc}") from None
         for name, kinds, resolve in (
                 ("model", str, self.resolved_model),
                 ("gpu", str, lambda: get_gpu(self.gpu)),

@@ -125,7 +125,7 @@ def validate_bench(result: dict) -> list[str]:
         problems.append("branch-and-bound pruned no (S, G) cell — the "
                         "search silently fell back to exhaustive")
     if stats.get("configs_prefiltered", 0) <= 0:
-        problems.append("memory pre-filter rejected no configuration")
+        problems.append("the memory pass rejected no configuration")
     # a pruned search may share no subproblem between its cells (quick
     # scale does not), so the fig16 passes count together
     memo_hits = sum(

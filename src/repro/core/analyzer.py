@@ -8,10 +8,13 @@ queries by value substitution:
   may be a numpy array; returns stable microbatch times, first/last
   microbatch deltas (through the interference model, Eq. 5/6) and peak
   memory per configuration.
-* :meth:`SymbolicPerformanceAnalyzer.predict_feasible` — the same over
-  an axis-factored menu grid, at its memory-feasible rows: one stacked
-  Algorithm 1 sweep per menu, each segment at the size of the axes it
-  reads, or over the gathered rows when those are fewer.
+* :meth:`SymbolicPerformanceAnalyzer.predict_memory` — peak memory
+  alone, from its own kernel.
+* :meth:`SymbolicPerformanceAnalyzer.predict_feasible` — the rest of
+  :meth:`~SymbolicPerformanceAnalyzer.predict` over an axis-factored
+  menu grid whose peak memory is known, at its memory-feasible rows: one
+  stacked Algorithm 1 sweep per menu, each segment at the size of the
+  axes it reads, or over the gathered rows when those are fewer.
 * :meth:`SymbolicPerformanceAnalyzer.predict_plan` — convenience for a
   concrete :class:`~repro.core.plan.TrainingPlan`: per-stage
   predictions plus the Eq. 1 iteration time and throughput.
@@ -88,8 +91,6 @@ class StagePrediction:
     peak_mem: np.ndarray
     t_first: np.ndarray
     t_last: np.ndarray
-    peak_fwd: np.ndarray
-    peak_bwd: np.ndarray
 
 
 @dataclass
@@ -132,7 +133,9 @@ class SymbolicPerformanceAnalyzer:
         )
         # Compiled once per process: each kernel is a pure function of
         # the trace, shared through GLOBAL_KERNEL_CACHE under the trace
-        # key plus a purpose tag.
+        # key plus a purpose tag. The runtime and memory kernels share
+        # no output: the tuner prices memory first, then runtime only
+        # where a row fits.
         rt, mem = traced.runtime, traced.memory
         key = (traced.config, traced.gpu, traced.flash)
         # Channel mapping mirrors the execution schedule: TP all-reduces
@@ -159,23 +162,12 @@ class SymbolicPerformanceAnalyzer:
                 rt.d2h_first, rt.h2d_first,
                 # last-microbatch extra (applied to the backward phase)
                 rt.dp_last,
-                mem.peak_fwd, mem.peak_bwd,
             ], arg_names=_ARG_NAMES)))
-        # Narrow projections for the pruned search:
-        # * the memory-feasibility pre-filter evaluates peak memory alone
-        #   (cheap) to reject candidates before any runtime evaluation;
-        # * the branch-and-bound cut evaluates the compute channels alone
-        #   (fwd/bwd compute + the TP collectives serialized with it)
-        #   for its optimistic, interference-free stage-time floor.
-        # Compiled over their own free symbols (CompiledExpr.used_symbols)
-        # so calls feed only the columns the projection actually reads.
+        # Compiled over its own free symbols (CompiledExpr.used_symbols),
+        # so calls feed only the columns it reads.
         self._mem_fn = GLOBAL_KERNEL_CACHE.get(
             key + ("analyzer.mem_fn",),
             lambda: compile_expr([mem.peak_fwd, mem.peak_bwd]))
-        self._comp_fn = GLOBAL_KERNEL_CACHE.get(
-            key + ("analyzer.comp_fn",),
-            lambda: compile_expr([rt.comp_fwd * comp_scale + rt.tp_fwd,
-                                  rt.comp_bwd * comp_scale + rt.tp_bwd]))
 
     # -- environment construction ---------------------------------------------
 
@@ -199,29 +191,29 @@ class SymbolicPerformanceAnalyzer:
         least 1-d.
         """
         shape = _row_shape(env)
-        pred = self._interfere(self._channels(env))
+        pred = self._interfere(self._channels(env), self.predict_memory(env))
         return StagePrediction(**{name: _column(value, shape)
                                   for name, value in vars(pred).items()})
 
     def predict_feasible(self, env: dict[str, np.ndarray],
+                         peak_mem: np.ndarray,
                          ) -> tuple[np.ndarray, StagePrediction]:
         """:meth:`predict` over a grid, at the rows that fit in memory.
 
-        Returns ``(rows, pred)``. ``rows`` holds the flat indices, in
-        ascending order, of the rows of the grid (``env``'s broadcast
-        shape) whose peak memory is within :attr:`memory_budget`.
-        ``pred.t_first``, ``pred.t_last`` and ``pred.delta`` are columns
-        over ``rows``; every other field keeps the shape of the grid
+        ``peak_mem`` is :meth:`predict_memory` of ``env`` (the grid),
+        in any shape with the grid's cells in C order. Returns
+        ``(rows, pred)``. ``rows`` holds the flat indices, in ascending
+        order, of the grid rows whose peak memory is within
+        :attr:`memory_budget`. ``pred.t_first``, ``pred.t_last`` and
+        ``pred.delta`` are columns over ``rows``; ``pred.peak_mem`` is
+        ``peak_mem``, and every other field keeps the shape of the grid
         axes it reads and broadcasts to the grid. The values are the
         bits :meth:`predict` gives for the same rows.
         """
         grid = _row_shape(env)
-        channels = self._channels(env)
-        fits = np.maximum(channels[-2], channels[-1]) <= self.memory_budget
-        if fits.shape != grid:
-            fits = np.broadcast_to(fits, grid)
-        rows = np.flatnonzero(fits)
-        return rows, self._interfere(channels, rows, grid)
+        rows = np.flatnonzero(peak_mem <= self.memory_budget)
+        return rows, self._interfere(self._channels(env), peak_mem, rows,
+                                     grid)
 
     def _channels(self, env: dict[str, np.ndarray]) -> tuple:
         """The runtime kernel's outputs, in :meth:`_interfere`'s order.
@@ -231,7 +223,8 @@ class SymbolicPerformanceAnalyzer:
         """
         return self._fn(**{name: env[name] for name in _ARG_NAMES})
 
-    def _interfere(self, channels: tuple, rows: np.ndarray | None = None,
+    def _interfere(self, channels: tuple, peak_mem: np.ndarray,
+                   rows: np.ndarray | None = None,
                    grid: tuple[int, ...] = ()) -> StagePrediction:
         """Algorithm 1 over :meth:`_channels`' outputs.
 
@@ -243,12 +236,13 @@ class SymbolicPerformanceAnalyzer:
         ``grid``, ``t_first``, ``t_last`` and ``delta`` are columns over
         those rows instead, and the first- and last-microbatch segments
         hold the gathered rows when those are fewer than the segments'
-        cells.
+        cells. ``peak_mem`` passes through as the prediction's
+        ``peak_mem``.
         """
         (comp_f, nccl_f, d2h_f, h2d_f,
          comp_b, nccl_b, d2h_b, h2d_b,
          comp_fx, nccl_fx, d2h_fx, h2d_fx,
-         nccl_lx, peak_fwd, peak_bwd) = channels
+         nccl_lx) = channels
 
         def at(value):
             return value if rows is None else gather_rows(value, rows, grid)
@@ -297,45 +291,36 @@ class SymbolicPerformanceAnalyzer:
         return StagePrediction(
             t_stable=np.asarray(t_stable, dtype=float),
             delta=np.asarray(delta, dtype=float),
-            peak_mem=np.maximum(peak_fwd, peak_bwd),
+            peak_mem=peak_mem,
             t_first=np.asarray(t_first, dtype=float),
             t_last=np.asarray(t_last, dtype=float),
-            peak_fwd=np.asarray(peak_fwd, dtype=float),
-            peak_bwd=np.asarray(peak_bwd, dtype=float),
         )
 
     def predict_memory(self, env: dict[str, np.ndarray]) -> np.ndarray:
-        """Peak memory alone, via the memory-only compiled projection.
-
-        Bit-identical to ``predict(env).peak_mem`` (same expression
-        trees, compiled separately) at a fraction of the cost — the
-        pruned tuner's memory-feasibility pre-filter runs this over
-        its menu grid and hands only the option blocks with a row
-        within budget to the runtime kernel.
-        """
+        """Peak memory per configuration, from the memory kernel, at
+        ``env``'s broadcast shape (at least 1-d)."""
         peak_fwd, peak_bwd = self._mem_fn(
             **{name: env[name] for name in self._mem_fn.used_symbols}
         )
         return _column(np.maximum(peak_fwd, peak_bwd), _row_shape(env))
 
     def compute_channel(self, env: dict[str, np.ndarray]) -> np.ndarray:
-        """Compute-channel busy time (fwd + bwd), interference-free.
+        """Compute-channel busy time (fwd + bwd), interference-free:
+        the runtime kernel's outputs 0 and 4.
 
         With all interference factors >= 1 (see
         :meth:`repro.costmodel.interference.InterferenceModel.min_factor`)
         this never exceeds the stable microbatch time :meth:`predict`
-        returns for the same configuration. The kernel reads only
+        returns for the same configuration. The two channels read only
         ``b, tp, l, ckpt, has_pre, has_post, s`` (and the TP link that
-        follows ``tp``), and recomputation only adds to it, so its value
-        at ckpt 0, ZeRO 0 and no offload floors every configuration of
-        the same (dp, tp, b), layer count and stage position — the
-        per-position floor the (S, G) cell bounds are built from
-        (:meth:`repro.core.tuner.MistTuner._cell_bounds`).
+        follows ``tp``), and recomputation only adds to them, so their
+        value at ckpt 0, ZeRO 0 and no offload floors every
+        configuration of the same (dp, tp, b), layer count and stage
+        position — the per-position floor the (S, G) cell bounds are
+        built from (:meth:`repro.core.tuner.MistTuner._cell_bounds`).
         """
-        comp_fwd, comp_bwd = self._comp_fn(
-            **{name: env[name] for name in self._comp_fn.used_symbols}
-        )
-        return _column(comp_fwd + comp_bwd, _row_shape(env))
+        channels = self._channels(env)
+        return _column(channels[0] + channels[4], _row_shape(env))
 
     def stage_env(self, plan: TrainingPlan, stage_idx: int,
                   seq_len: int) -> dict[str, np.ndarray]:

@@ -12,18 +12,19 @@ every combination of
 materializes the whole menu as one **axis-factored** symbol environment
 (from :func:`~repro.tracing.symbols.symbol_env`): every symbol that
 varies over the menu is an array along its own grid axis, extent 1 on
-the others, and the stage's constants are scalars. One runtime kernel
-call then computes each subexpression at the size of the axes it reads
-(Section 5.2's "batched value substitutions"), and Algorithm 1 runs
-as one stacked sweep per menu, each segment at the size of the axes
-it reads, or over the gathered memory-feasible rows (Eq. 4's
-constraint) when those are fewer. The
-stable time does not read every axis; along those it does not read,
-one row per fiber is all the frontier extraction needs, which then
-finds the Pareto frontier over ``(t_stable, d_delta)`` per layer
-count. Because querying single points is nearly free, the enumeration
-is brute force — "which would not miss any optimization
-possibilities" (Section 5.3).
+the others, and the stage's constants are scalars. One memory kernel
+call prices the whole grid, and the ``(dp, tp, b)`` option blocks with
+no row within budget (Eq. 4's constraint) are dropped. One runtime
+kernel call then computes each subexpression of the rest at the size of
+the axes it reads (Section 5.2's "batched value substitutions"), and
+Algorithm 1 runs as one stacked sweep per menu, each segment at the
+size of the axes it reads, or over the gathered memory-feasible rows
+when those are fewer. The stable time does not read every axis; along
+those it does not read, one row per fiber is all the frontier
+extraction needs, which then finds the Pareto frontier over
+``(t_stable, d_delta)`` per layer count. Because querying single
+points is nearly free, the enumeration is brute force — "which would
+not miss any optimization possibilities" (Section 5.3).
 
 Python loops here run over layer-count segments and already-reduced
 frontiers, never over menu rows. The row-at-a-time reference the
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import SymbolicPerformanceAnalyzer, gather_rows
+from .memo import MemoEntry
 from .plan import StageConfig
 from .spaces import SearchSpace
 
@@ -201,13 +203,6 @@ class IntraStageTuner:
         self.space = space
         self.global_batch = global_batch
         self.seq_len = seq_len
-        #: configurations enumerated so far (tuning-time accounting);
-        #: includes rows the memory pre-filter later rejected, so the
-        #: count is identical with and without pre-filtering
-        self.evaluated = 0
-        #: configurations the symbolic memory pre-filter rejected before
-        #: any runtime evaluation (always 0 when tuning without it)
-        self.prefiltered = 0
 
     # -- grids ---------------------------------------------------------------
 
@@ -278,25 +273,22 @@ class IntraStageTuner:
 
     # -- tuning -----------------------------------------------------------------
 
-    def tune(self, shape: StageShape, layer_counts: list[int], *,
-             prefilter: bool = False) -> dict[int, list[ParetoPoint]]:
-        """Pareto frontiers per layer count: ``{l: [ParetoPoint, ...]}``.
+    def tune(self, shape: StageShape, layer_counts: list[int]) -> MemoEntry:
+        """Pareto frontiers per layer count, with the work that built them.
 
-        Each list is the whole frontier of the memory-feasible rows, in
-        ascending ``t`` order (see :func:`_pareto_rows`); it is empty
-        for layer counts with no feasible configuration.
-
-        ``prefilter=True`` enables the symbolic memory-feasibility
-        pre-filter: peak memory is evaluated first through the
-        analyzer's memory-only projection, and option blocks with no
-        row within budget are dropped *before* the (more expensive)
-        runtime evaluation. The surviving menus are bit-identical
-        either way — the filter applies the exact constraint the
-        post-evaluation check applies, just earlier.
+        Returns a :class:`~repro.core.memo.MemoEntry`: ``menus`` is
+        ``{l: [ParetoPoint, ...]}``, each list the whole frontier of the
+        memory-feasible rows in ascending ``t`` order (see
+        :func:`_pareto_rows`), empty for layer counts with no feasible
+        configuration; ``evaluated`` counts the menu's configurations
+        and ``prefiltered`` those over the memory budget.
 
         The whole menu is one grid environment (:meth:`_menu_env`),
-        priced in one
-        :meth:`~SymbolicPerformanceAnalyzer.predict_feasible` call.
+        priced in one pass: peak memory first
+        (:meth:`~SymbolicPerformanceAnalyzer.predict_memory`), then the
+        option blocks with no row within budget are dropped, then one
+        :meth:`~SymbolicPerformanceAnalyzer.predict_feasible` call runs
+        the runtime kernel and Algorithm 1 on the blocks that are left.
         Along the grid axes the stable time does not read, only the
         first row of least delta per fiber can join a frontier
         (:func:`_fiber_winners`), so only those reach
@@ -306,30 +298,29 @@ class IntraStageTuner:
         analyzer = self.analyzer
         options = stage_parallelism_options(
             analyzer, shape.stage_gpus, shape.gacc, self.global_batch)
-        if not options:
-            return menus
         axes = self._menu_axes(options, layer_counts)
         grid = tuple(axes[names[0]].size for names in _GRID_AXES)
-        n = math.prod(grid)
+        n = math.prod(grid)  # 0 without a (dp, tp, b) option
         if not n:
-            return menus
-        self.evaluated += n
+            return MemoEntry(menus, evaluated=0, prefiltered=0)
         env = self._menu_env(shape, axes)
-        if prefilter:
-            fits = analyzer.predict_memory(env) <= analyzer.memory_budget
-            self.prefiltered += n - int(np.count_nonzero(fits))
-            blocks = np.flatnonzero(fits.reshape(grid[0], -1).any(axis=1))
-            if not blocks.size:
-                return menus
-            if blocks.size < grid[0]:
-                for name in _GRID_AXES[0]:
-                    axes[name] = axes[name][blocks]
-                grid = (blocks.size,) + grid[1:]
-                env = self._menu_env(shape, axes)
+        peak = analyzer.predict_memory(env)
+        fits = peak <= analyzer.memory_budget
+        entry = MemoEntry(menus, evaluated=n,
+                          prefiltered=n - int(np.count_nonzero(fits)))
+        blocks = np.flatnonzero(fits.reshape(grid[0], -1).any(axis=1))
+        if not blocks.size:
+            return entry
+        if blocks.size < grid[0]:
+            for name in _GRID_AXES[0]:
+                axes[name] = axes[name][blocks]
+            grid = (blocks.size,) + grid[1:]
+            env = self._menu_env(shape, axes)
+            peak = peak[blocks]
 
-        rows, pred = analyzer.predict_feasible(env)
+        rows, pred = analyzer.predict_feasible(env, peak)
         if not rows.size:
-            return menus
+            return entry
         t_shape = (1,) * (len(grid) - pred.t_stable.ndim) + pred.t_stable.shape
         # axes t_stable does not read, but never the (l, ckpt) axis: a
         # fiber keeps to one layer count
@@ -343,7 +334,7 @@ class IntraStageTuner:
         frontiers = _pareto_rows(l_col, gather_rows(pred.t_stable, rows, grid),
                                  delta)
         if not frontiers:
-            return menus
+            return entry
 
         # frontier rows back to their configurations
         picked = np.concatenate(list(frontiers.values()))
@@ -365,4 +356,4 @@ class IntraStageTuner:
         for layers, kept in frontiers.items():
             menus[layers] = points[start:start + kept.size]
             start += kept.size
-        return menus
+        return entry

@@ -6,11 +6,10 @@ menu of one stage shape (device group, GPU count, gradient-accumulation
 steps, in-flight microbatches, pre/post flags, p2p clamps) over a given
 layer-count range". Identical subproblems recur
 
-* across heterogeneous stage -> device-group assignments (different
-  assignments share slots),
-* across repeated searches of the same tuner (the serial-then-parallel
-  fig. 16 re-run, ``repro serve`` solving job variants),
-* across the parallel (S, G) fan-out workers, which all share one memo.
+* across the (S, G) cells of one search, and across heterogeneous
+  stage -> device-group assignments (different assignments share slots),
+* across repeated searches of the same tuner (a warm replan after a
+  cluster delta, ``repro serve`` solving job variants).
 
 :class:`MenuMemo` is a thread-safe LRU keyed by the full subproblem
 fingerprint. Entries store the menus *plus* the evaluation counters the
@@ -27,9 +26,9 @@ Beside it, :data:`GLOBAL_KERNEL_CACHE` (a :class:`KernelCache`) holds
 the work every solve would otherwise redo before its search starts:
 each :class:`~repro.tracing.TracedModel`, keyed by the frozen
 ``(ModelConfig, GPUSpec, flash)``, and each compiled kernel, keyed by
-that trace key plus a purpose tag (the analyzer's three projections,
-the engine's component function; the engine's memory kernel needs no
-GPU and is keyed ``(ModelConfig, flash, "engine.memory")``). Tuner,
+that trace key plus a purpose tag (the analyzer's runtime and memory
+kernels, the engine's component function; the engine's memory kernel
+needs no GPU and is keyed ``(ModelConfig, flash, "engine.memory")``). Tuner,
 analyzer and execution engine all read from it, so a model is traced
 and compiled once per process.
 ``GLOBAL_MENU_MEMO.clear()`` empties it too, which keeps a "cold" solve
@@ -50,7 +49,7 @@ __all__ = ["GLOBAL_KERNEL_CACHE", "GLOBAL_MENU_MEMO", "KernelCache",
 #: entries of the process-wide menu memo
 _MENU_MEMO_SIZE = 4096
 
-#: entries of the process-wide trace/kernel cache: one trace plus four
+#: entries of the process-wide trace/kernel cache: one trace plus three
 #: kernels per (model, GPU, flash) and a memory kernel per (model,
 #: flash), so room for about a dozen models
 _KERNEL_CACHE_SIZE = 64
@@ -62,12 +61,11 @@ _T = TypeVar("_T")
 class MemoEntry:
     """One memoized subproblem: menus + the counters that built them."""
 
-    #: ``{layer_count: [ParetoPoint, ...]}`` as returned by
-    #: :meth:`repro.core.intra_stage.IntraStageTuner.tune`
+    #: ``{layer_count: [ParetoPoint, ...]}``
     menus: dict
-    #: configurations enumerated for these menus (pre-prefilter)
+    #: configurations enumerated for these menus, over budget or not
     evaluated: int
-    #: configurations the symbolic memory prefilter rejected
+    #: configurations over the memory budget (no runtime evaluation)
     prefiltered: int
 
 

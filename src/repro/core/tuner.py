@@ -19,14 +19,14 @@ numpy and an early incumbent tightens the bound cut for every later
 cell. Independent jobs run in parallel on the service's worker tiers
 and the campaign ``process-pool`` executor instead.
 
-Pruning (Fig. 16's tractability claim): by default the search runs the
-**prune-and-memoize search** instead of exhaustively solving every
-cell, while still returning bit-identical plans:
+Every stage menu is priced on one path, pruned or not: peak memory
+first, then the option blocks with no configuration within budget are
+dropped before any runtime cost evaluation
+(:meth:`IntraStageTuner.tune`). Pruning (Fig. 16's tractability
+claim): by default the search runs the **prune-and-memoize search**
+instead of exhaustively solving every cell, while still returning
+bit-identical plans:
 
-* a *memory-feasibility pre-filter* evaluates the symbolic peak-memory
-  expressions alone and rejects over-budget configurations before any
-  runtime cost evaluation (:meth:`IntraStageTuner.tune` with
-  ``prefilter=True`` — the exact constraint, applied earlier);
 * a *branch-and-bound cut* solves cells in order of an optimistic
   lower bound, ties broken by enumeration order: each stage position's
   least compute-channel time at every layer count the cell offers,
@@ -46,8 +46,9 @@ cell, while still returning bit-identical plans:
 Explored/pruned/memo-hit counters are reported per search in
 :class:`SearchStats` (surfaced as ``SolveReport.search_stats`` and in
 the service ``/metrics``). ``prune=False`` runs the same driver and the
-same per-cell routine with every cut switched off — the exhaustive
-reference the property tests and `repro bench` compare against.
+same per-cell routine with the bounds off and a private memo — the
+exhaustive reference the property tests and `repro bench` compare
+against.
 
 The tuner reads a cluster through its group interface
 (``cluster.sub_clusters``, ``cluster.p2p_links``) and never asks which
@@ -101,7 +102,7 @@ from .intra_stage import (
     StageShape,
     stage_parallelism_options,
 )
-from .memo import GLOBAL_KERNEL_CACHE, GLOBAL_MENU_MEMO, MemoEntry, MenuMemo
+from .memo import GLOBAL_KERNEL_CACHE, GLOBAL_MENU_MEMO, MenuMemo
 from .objectives import throughput
 from .plan import TrainingPlan
 from .spaces import SPACE_MIST, SearchSpace
@@ -403,19 +404,18 @@ class MistTuner:
         """Solve the (S, G) grid and return the ranked outcome.
 
         ``prune=True`` (the default) runs the prune-and-memoize search:
-        memory-infeasible configurations are rejected symbolically
-        before cost evaluation, cells whose optimistic lower bound
-        exceeds the ``keep_top``-th best solved objective are skipped,
-        and identical stage-cost subproblems are served from ``memo``
-        (default: the process-wide
+        cells whose optimistic lower bound exceeds the ``keep_top``-th
+        best solved objective are skipped, and identical stage-cost
+        subproblems are served from ``memo`` (default: the process-wide
         :data:`~repro.core.memo.GLOBAL_MENU_MEMO`). The returned
         ``best_plan`` / ``top_plans`` / objectives are bit-identical to
         ``prune=False``, the exhaustive reference: the same driver with
-        the prefilter and the bounds off, solving every cell in
-        enumeration order against a private per-search memo (``memo``
-        is ignored). Every explored cell gets the same single exact
-        inter-stage solve either way, so its ``search_log`` objective
-        does not depend on ``prune``.
+        the bounds off, solving every cell in enumeration order against
+        a private per-search memo (``memo`` is ignored). Both price
+        every menu the same way (:meth:`IntraStageTuner.tune`), and
+        every explored cell gets the same single exact inter-stage
+        solve, so its ``search_log`` objective does not depend on
+        ``prune``.
 
         ``progress(done, total)`` is invoked on the searching thread
         after every handled (S, G) cell — solved or pruned — so keep it
@@ -522,8 +522,8 @@ class MistTuner:
         if prune:
             # The bound argument needs every interference factor >= 1
             # (see InterferenceModel.min_factor); a physically
-            # meaningless model silently falls back to prefilter +
-            # memoization only.
+            # meaningless model silently falls back to memoization
+            # only.
             bound_ok = all(a.interference.min_factor() >= 1.0
                            for a in self.analyzers.values())
             bounds, feasible = self._cell_bounds(global_batch, grid)
@@ -569,7 +569,7 @@ class MistTuner:
                 outcomes[idx] = ("pruned", None, _CellCounts())
             else:
                 solution, counts = self._solve_cell(
-                    global_batch, grid[idx], memo, prefilter=prune)
+                    global_batch, grid[idx], memo)
                 if solution:
                     incumbents.offer(solution.objective)
                 outcomes[idx] = ("explored", solution, counts)
@@ -715,8 +715,7 @@ class MistTuner:
         return bounds, feasible
 
     def _solve_cell(
-            self, global_batch: int, task: tuple, memo: MenuMemo, *,
-            prefilter: bool,
+            self, global_batch: int, task: tuple, memo: MenuMemo,
     ) -> "tuple[inter_stage.InterStageSolution | None, _CellCounts]":
         """Solve one (S, G) cell: stage menus, then the inter-stage solve.
 
@@ -724,10 +723,7 @@ class MistTuner:
         ``memo``, which stores pure menus keyed by the full subproblem
         fingerprint; a hit replays the evaluated/prefiltered counters
         its original computation recorded, keeping work accounting
-        deterministic. ``prefilter`` is forwarded to
-        :meth:`IntraStageTuner.tune` (menus are identical either way,
-        only the ``prefiltered`` counter differs, so a memo must only
-        ever see one setting). The menus then go through one exact
+        deterministic. The menus then go through one exact
         :func:`~repro.core.inter_stage.solve`, so a cell's solution is
         the same whether the search prunes or not.
 
@@ -758,14 +754,7 @@ class MistTuner:
                         self.analyzers[group], self.space,
                         global_batch=global_batch, seq_len=self.seq_len,
                     )
-                before_eval = tuner.evaluated
-                before_pre = tuner.prefiltered
-                menus = tuner.tune(shape, lcounts, prefilter=prefilter)
-                entry = MemoEntry(
-                    menus=menus,
-                    evaluated=tuner.evaluated - before_eval,
-                    prefiltered=tuner.prefiltered - before_pre,
-                )
+                entry = tuner.tune(shape, lcounts)
                 memo.store(key, entry)
             else:
                 counts.memo_hits += 1

@@ -29,9 +29,13 @@ Operations (each a plain dict with an ``"op"`` key):
     joining groups). Factors > 1 are allowed and model a repaired /
     upgraded link.
 
-``count``, ``num_nodes`` and ``gpus_per_node`` must be plain integers
-(not a bool, float or string); anything else raises :class:`DeltaError`
-when the delta is built, before it touches a cluster.
+Each op is checked when the delta is built, before it touches a
+cluster, and a malformed one raises :class:`DeltaError`: ``count``,
+``num_nodes`` and ``gpus_per_node`` must be plain integers (not a bool,
+float or string), ``count`` at least 1 on ``add_nodes`` and
+``remove_nodes``; ``gpu`` a known GPU name; ``factor`` a finite real
+number > 0 (not a bool or string); ``link`` ``"inter_node"`` or
+``"inter_group"``; ``group`` a string.
 
 Deltas are pure: :meth:`ClusterDelta.apply` returns a new cluster and
 never mutates its input. Applying a delta to a homogeneous cluster
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -62,12 +66,19 @@ _OPS = ("add_nodes", "remove_nodes", "resize_group", "retype_group",
 #: op fields that count nodes or GPUs
 _INT_FIELDS = ("count", "num_nodes", "gpus_per_node")
 
+#: the bandwidths ``degrade_link`` can scale
+_LINKS = ("inter_node", "inter_group")
+
 
 class DeltaError(ValueError):
     """A delta is malformed or cannot apply to the given cluster."""
 
 
-def _as_op(data: Mapping[str, Any]) -> dict[str, Any]:
+def _as_op(data: Any) -> dict[str, Any]:
+    """``data`` as an op dict, checked but never converted (so valid
+    ops keep their fingerprints), or :class:`DeltaError`."""
+    if not isinstance(data, Mapping):
+        raise DeltaError(f"a delta op must be an object, got {data!r}")
     op = dict(data)
     kind = op.get("op")
     if kind not in _OPS:
@@ -78,6 +89,30 @@ def _as_op(data: Mapping[str, Any]) -> dict[str, Any]:
         if isinstance(value, bool) or not isinstance(value, int):
             raise DeltaError(
                 f"{kind} {key!r} must be an integer, got {value!r}")
+    if kind in ("add_nodes", "remove_nodes") and op.get("count", 0) < 1:
+        raise DeltaError(f"{kind} needs a positive 'count'")
+    if not isinstance(op.get("group", ""), str):
+        raise DeltaError(
+            f"{kind} 'group' must be a string, got {op['group']!r}")
+    if kind == "retype_group":
+        gpu = op.get("gpu")
+        try:
+            get_gpu(gpu)
+        except (AttributeError, KeyError):
+            raise DeltaError(
+                f"retype_group needs a known 'gpu', got {gpu!r}") from None
+    elif kind == "degrade_link":
+        factor = op.get("factor")
+        # compared, not converted: float() of a huge int overflows
+        if (isinstance(factor, bool) or not isinstance(factor, (int, float))
+                or not 0.0 < factor <= sys.float_info.max):
+            raise DeltaError(
+                f"degrade_link 'factor' must be a finite number > 0, got "
+                f"{factor!r}")
+        if op.get("link", "inter_node") not in _LINKS:
+            raise DeltaError(
+                f"degrade_link 'link' must be one of {list(_LINKS)}, got "
+                f"{op['link']!r}")
     return op
 
 
@@ -225,13 +260,13 @@ class ClusterDelta:
             if not grouped:
                 raise DeltaError(
                     "inter_group link delta on a homogeneous cluster")
-            data["inter_group_bandwidth"] *= self._factor(op)
+            data["inter_group_bandwidth"] *= op["factor"]
             return
         group = self._group(op, groups, grouped)
         if kind == "add_nodes":
-            group["num_nodes"] += self._count(op)
+            group["num_nodes"] += op["count"]
         elif kind == "remove_nodes":
-            remaining = group["num_nodes"] - self._count(op)
+            remaining = group["num_nodes"] - op["count"]
             if remaining < 1:
                 raise DeltaError(
                     f"removing {op['count']} node(s) leaves group "
@@ -244,7 +279,7 @@ class ClusterDelta:
             if "gpus_per_node" in op:
                 group["gpus_per_node"] = op["gpus_per_node"]
         elif kind == "retype_group":
-            group["gpu"] = get_gpu(str(op["gpu"])).name
+            group["gpu"] = get_gpu(op["gpu"]).name
         elif kind == "remove_group":
             if not grouped:
                 raise DeltaError(
@@ -252,11 +287,11 @@ class ClusterDelta:
                     "nothing; shrink it with remove_nodes instead")
             groups.remove(group)
         else:  # degrade_link, inter_node scope
-            group["inter_node_bandwidth"] *= self._factor(op)
+            group["inter_node_bandwidth"] *= op["factor"]
 
     @staticmethod
     def _group(op: dict, groups: list[dict], grouped: bool) -> dict:
-        name = str(op.get("group", "") or "")
+        name = op.get("group", "")
         if not grouped:
             if name:
                 raise DeltaError(
@@ -273,22 +308,6 @@ class ClusterDelta:
                 return group
         known = [g["name"] for g in groups]
         raise DeltaError(f"unknown device group {name!r}; known: {known}")
-
-    @staticmethod
-    def _count(op: dict) -> int:
-        count = op.get("count", 0)
-        if count < 1:
-            raise DeltaError(f"{op['op']} needs a positive 'count'")
-        return count
-
-    @staticmethod
-    def _factor(op: dict) -> float:
-        factor = float(op.get("factor", 0.0))
-        if not (math.isfinite(factor) and factor > 0.0):
-            raise DeltaError(
-                f"degrade_link 'factor' must be finite and > 0, got "
-                f"{factor!r}")
-        return factor
 
 
 def _parse(data: dict, verb: str) -> "ClusterSpec | HeterogeneousCluster":

@@ -149,8 +149,8 @@ class CompiledExpr:
 
     ``used_symbols`` is the subset of ``arg_names`` the expressions
     actually reference. Callers compiling a narrow projection of a wide
-    vocabulary (e.g. the memory-only pre-filter over the full analyzer
-    symbol set) can consult it to build only the needed columns; the
+    vocabulary (e.g. the analyzer's memory kernel over the full symbol
+    set) can consult it to build only the needed columns; the
     unused arguments may be passed as anything cheap (``0.0``).
 
     Two evaluation entry points share the argument contract:

@@ -251,7 +251,11 @@ class TestValidation:
                 ("model", "gpt3-99b"), ("model", None), ("gpu", "H900"),
                 ("space", "galaxy"), ("space", {"zero_levels": [1]}),
                 ("space", 3), ("scale", "huge"), ("scale", {"name": "x"}),
-                ("options", [])):
+                ("options", []),
+                # json.loads takes NaN/Infinity; the job must not echo
+                # them back as invalid JSON
+                ("options", {"a": float("nan")}),
+                ("options", {"a": {"b": [float("-inf")]}})):
             with pytest.raises(JobValidationError, match=field):
                 JOB.with_(**{field: value})
             with pytest.raises(JobValidationError, match=field):

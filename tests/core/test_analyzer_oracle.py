@@ -34,7 +34,8 @@ from repro.tracing import trace
 # the reference (four Algorithm 1 calls per menu)
 # ---------------------------------------------------------------------------
 
-def reference_interfere(self, channels: tuple, rows: np.ndarray | None = None,
+def reference_interfere(self, channels: tuple, peak_mem: np.ndarray,
+                        rows: np.ndarray | None = None,
                         grid: tuple[int, ...] = ()) -> StagePrediction:
     """Algorithm 1 over :meth:`_channels`' outputs.
 
@@ -44,11 +45,12 @@ def reference_interfere(self, channels: tuple, rows: np.ndarray | None = None,
     ``t_first``, ``t_last`` and ``delta`` are columns over those
     rows instead, and the first- and last-microbatch calls run on
     the gathered rows when those are fewer than the calls' cells.
+    ``peak_mem`` passes through as the prediction's ``peak_mem``.
     """
     (comp_f, nccl_f, d2h_f, h2d_f,
      comp_b, nccl_b, d2h_b, h2d_b,
      comp_fx, nccl_fx, d2h_fx, h2d_fx,
-     nccl_lx, peak_fwd, peak_bwd) = channels
+     nccl_lx) = channels
     predict = self.interference.predict
 
     def at(value):
@@ -72,11 +74,9 @@ def reference_interfere(self, channels: tuple, rows: np.ndarray | None = None,
     return StagePrediction(
         t_stable=np.asarray(t_stable, dtype=float),
         delta=np.asarray(delta, dtype=float),
-        peak_mem=np.maximum(peak_fwd, peak_bwd),
+        peak_mem=peak_mem,
         t_first=np.asarray(t_first, dtype=float),
         t_last=np.asarray(t_last, dtype=float),
-        peak_fwd=np.asarray(peak_fwd, dtype=float),
-        peak_bwd=np.asarray(peak_bwd, dtype=float),
     )
 
 
@@ -127,13 +127,15 @@ class _Recorder:
             recorder.sweeps += 1
             return sweep(model, x)
 
-        def checked_interfere(analyzer, channels, rows=None, grid=()):
-            pred = interfere(analyzer, channels, rows, grid)
+        def checked_interfere(analyzer, channels, peak_mem, rows=None,
+                              grid=()):
+            pred = interfere(analyzer, channels, peak_mem, rows, grid)
             sweeps = recorder.sweeps  # the oracles' sweeps do not count
-            recorder.check(analyzer, pred, channels, rows, grid)
+            recorder.check(analyzer, pred, channels, peak_mem, rows, grid)
             if rows is not None:
-                recorder.check(analyzer, interfere(analyzer, channels),
-                               channels)
+                recorder.check(analyzer,
+                               interfere(analyzer, channels, peak_mem),
+                               channels, peak_mem)
             recorder.sweeps = sweeps
             return pred
 
@@ -147,17 +149,17 @@ class _Recorder:
     def counted(self, name):
         method = getattr(SymbolicPerformanceAnalyzer, name)
 
-        def wrapper(analyzer, env):
+        def wrapper(analyzer, env, *args):
             before = self.sweeps
-            out = method(analyzer, env)
+            out = method(analyzer, env, *args)
             self.per_call.append((name, self.sweeps - before))
             return out
         return wrapper
 
-    def check(self, analyzer, pred, channels, rows=None, grid=()):
+    def check(self, analyzer, pred, channels, peak_mem, rows=None, grid=()):
         self.fabrics.add(analyzer.gpu.has_nvlink)
         self.checked["none" if rows is None else "rows"] += 1
-        ref = reference_interfere(analyzer, channels, rows, grid)
+        ref = reference_interfere(analyzer, channels, peak_mem, rows, grid)
         bad = field_mismatches(pred, ref)
         if bad:
             self.mismatches.append((analyzer.gpu.name, bad))

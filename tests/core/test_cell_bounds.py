@@ -25,6 +25,7 @@ from repro.api import TuningJob
 from repro.api.solvers import MistSolver
 from repro.core import NAMED_SPACES
 from repro.core.inter_stage import objective_floor
+from repro.symbolic import free_symbols
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -69,11 +70,15 @@ def test_bound_never_exceeds_the_solved_objective(job):
 
 def test_floor_reads_no_pinned_symbol():
     # the floor evaluates at ZeRO 0, no offload, gacc 1, one in flight:
-    # the compute channel must not read any of them
+    # the two compute channels (compute plus the TP collectives
+    # serialized with it, forward and backward) must not read any of them
     job = TuningJob(model="gpt3-2.7b", num_gpus=4, global_batch=64)
-    analyzer = MistSolver().make_tuner(job).analyzers[""]
+    runtime = MistSolver().make_tuner(job).analyzers[""].traced.runtime
+    read = set().union(*(free_symbols(expr) for expr in (
+        runtime.comp_fwd, runtime.tp_fwd, runtime.comp_bwd, runtime.tp_bwd)))
+    assert {"b", "tp", "l", "ckpt"} <= read
     pinned = {"z1", "z2", "z3", "wo", "go", "oo", "ao", "gacc", "inflight"}
-    assert not pinned & set(analyzer._comp_fn.used_symbols)
+    assert not pinned & read
 
 
 def test_recomputation_never_lowers_the_compute_channel():

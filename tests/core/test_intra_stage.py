@@ -38,26 +38,25 @@ SHAPE = StageShape(stage_gpus=2, gacc=4, inflight=2, has_pre=True,
 class TestEnumeration:
     def test_returns_menu_per_layer_count(self, analyzer):
         tuner = make_tuner(analyzer)
-        menus = tuner.tune(SHAPE, [10, 12, 14])
+        menus = tuner.tune(SHAPE, [10, 12, 14]).menus
         assert set(menus) == {10, 12, 14}
         assert any(menus.values())
 
     def test_counts_evaluated_configs(self, analyzer):
-        tuner = make_tuner(analyzer)
-        tuner.tune(SHAPE, [12])
-        assert tuner.evaluated > 100
+        entry = make_tuner(analyzer).tune(SHAPE, [12])
+        assert entry.evaluated > 100
+        assert 0 <= entry.prefiltered <= entry.evaluated
 
     def test_bigger_space_evaluates_more(self, analyzer):
         small = make_tuner(analyzer, space=SPACE_3D)
         big = make_tuner(analyzer, space=SPACE_MIST)
-        small.tune(SHAPE, [12])
-        big.tune(SHAPE, [12])
-        assert big.evaluated > small.evaluated
+        assert big.tune(SHAPE, [12]).evaluated \
+            > small.tune(SHAPE, [12]).evaluated
 
     def test_microbatch_follows_dp(self, analyzer):
         tuner = make_tuner(analyzer, global_batch=16)
         menus = tuner.tune(StageShape(stage_gpus=4, gacc=4, inflight=1,
-                                      has_pre=True, has_post=True), [24])
+                                      has_pre=True, has_post=True), [24]).menus
         for point in menus[24]:
             cfg = point.config
             assert cfg.dp * cfg.microbatch * 4 == 16
@@ -68,8 +67,9 @@ class TestEnumeration:
         tuner = make_tuner(analyzer, space=space)
         shape = StageShape(stage_gpus=1, gacc=4, inflight=1, has_pre=True,
                            has_post=True)
-        [point] = tuner.tune(shape, [12])[12]
-        assert tuner.evaluated == 1
+        entry = tuner.tune(shape, [12])
+        [point] = entry.menus[12]
+        assert (entry.evaluated, entry.prefiltered) == (1, 0)
         cfg = point.config
         assert (cfg.layers, cfg.ckpt, cfg.microbatch, cfg.dp, cfg.tp) \
             == (12, 12, 4, 1, 1)
@@ -79,19 +79,36 @@ class TestEnumeration:
         assert (point.t, point.d, point.peak_mem) == (
             pred.t_stable[0], pred.delta[0], pred.peak_mem[0])
 
+    def test_one_block_left_of_one_row_blocks(self, analyzer):
+        # two one-row option blocks, one over budget: after the drop
+        # every symbol is a scalar again
+        space = SPACE_3D.with_(zero_levels=(0,), ckpt_policy="full")
+        shape = StageShape(stage_gpus=2, gacc=1, inflight=1, has_pre=True,
+                           has_post=True)
+        entry = make_tuner(analyzer, space=space).tune(shape, [24])
+        assert (entry.evaluated, entry.prefiltered) == (2, 1)
+        [point] = entry.menus[24]
+        cfg = point.config
+        pred = analyzer.predict(analyzer.build_env(
+            b=cfg.microbatch, s=2048, dp=cfg.dp, tp=cfg.tp, l=24, ckpt=24,
+            zero=0, wo=0.0, go=0.0, oo=0.0, ao=0.0, gacc=1, inflight=1,
+            has_pre=1, has_post=1))
+        assert (point.t, point.d, point.peak_mem) == (
+            pred.t_stable[0], pred.delta[0], pred.peak_mem[0])
+
     def test_infeasible_batch_yields_empty(self, analyzer):
         # global batch 3 cannot split over gacc=2
         tuner = make_tuner(analyzer, global_batch=3)
-        menus = tuner.tune(StageShape(stage_gpus=2, gacc=2, inflight=1,
+        entry = tuner.tune(StageShape(stage_gpus=2, gacc=2, inflight=1,
                                       has_pre=True, has_post=True), [24])
-        assert menus[24] == []
+        assert entry.menus[24] == []
+        assert (entry.evaluated, entry.prefiltered) == (0, 0)
 
 
 class TestParetoFrontier:
     def test_frontier_is_nondominated(self, analyzer):
         tuner = make_tuner(analyzer)
-        menus = tuner.tune(SHAPE, [12])
-        points = menus[12]
+        points = tuner.tune(SHAPE, [12]).menus[12]
         assert points
         for i, a in enumerate(points):
             for j, b in enumerate(points):
@@ -104,58 +121,73 @@ class TestParetoFrontier:
 
     def test_frontier_sorted_by_t(self, analyzer):
         tuner = make_tuner(analyzer)
-        points = tuner.tune(SHAPE, [12])[12]
+        points = tuner.tune(SHAPE, [12]).menus[12]
         ts = [p.t for p in points]
         assert ts == sorted(ts)
 
     def test_memory_respected(self, analyzer):
         tuner = make_tuner(analyzer)
-        for points in tuner.tune(SHAPE, [10, 12]).values():
+        for points in tuner.tune(SHAPE, [10, 12]).menus.values():
             for point in points:
                 assert point.peak_mem <= analyzer.memory_budget
 
     def test_full_ckpt_policy_forces_recompute(self, analyzer):
         space = SPACE_3D.with_(name="full", ckpt_policy="full")
         tuner = make_tuner(analyzer, space=space)
-        points = tuner.tune(SHAPE, [12])[12]
+        points = tuner.tune(SHAPE, [12]).menus[12]
         assert points
         for point in points:
             assert point.config.ckpt == point.config.layers
 
     def test_auto_policy_is_full_or_none(self, analyzer):
         tuner = make_tuner(analyzer, space=SPACE_3D)
-        points = tuner.tune(SHAPE, [12])[12]
+        points = tuner.tune(SHAPE, [12]).menus[12]
         for point in points:
             assert point.config.ckpt in (0, point.config.layers)
 
 
-#: (shape, layer counts) whose quick-scale menus mix memory-feasible and
-#: over-budget rows
+#: (shape, layer counts, global batch) whose quick-scale menus mix
+#: memory-feasible and over-budget rows; in the last, the (dp 1, tp 4,
+#: b 128) option block has no row within budget
 BRUTE_FORCE_CASES = [
-    (SHAPE, [10, 12, 14]),
+    (SHAPE, [10, 12, 14], 16),
     (StageShape(stage_gpus=1, gacc=1, inflight=1, has_pre=True,
-                has_post=True), [24]),
+                has_post=True), [24], 16),
     (StageShape(stage_gpus=1, gacc=2, inflight=4, has_pre=True,
-                has_post=False), [16, 20]),
+                has_post=False), [16, 20], 16),
     (StageShape(stage_gpus=4, gacc=2, inflight=1, has_pre=True,
-                has_post=True), [24]),
+                has_post=True), [24], 16),
+    (StageShape(stage_gpus=4, gacc=1, inflight=1, has_pre=True,
+                has_post=True), [24], 128),
 ]
 
 
-def _full_menu(analyzer, tuner, shape, layer_counts, monkeypatch):
-    """Every row of the menu the tuner priced as flat ``(l, t, d,
-    peak_mem)`` arrays, in the grid's row order."""
+def _case_tuner(analyzer, global_batch):
+    return make_tuner(analyzer, space=SCALES["quick"].apply(SPACE_MIST),
+                      global_batch=global_batch)
+
+
+def _priced_envs(analyzer, tuner, shape, layer_counts, monkeypatch):
+    """The environments ``tune`` hands to ``predict_memory`` (the whole
+    menu) and to ``predict_feasible`` (the option blocks left after the
+    memory pass), in call order."""
     seen = []
-    predict_feasible = analyzer.predict_feasible
-
-    def spy(env):
-        seen.append(env)
-        return predict_feasible(env)
-
-    monkeypatch.setattr(analyzer, "predict_feasible", spy)
-    tuner.tune(shape, layer_counts, prefilter=False)
+    for name in ("predict_memory", "predict_feasible"):
+        def spy(env, *args, name=name, method=getattr(analyzer, name)):
+            seen.append((name, env))
+            return method(env, *args)
+        monkeypatch.setattr(analyzer, name, spy)
+    tuner.tune(shape, layer_counts)
     monkeypatch.undo()
-    [env] = seen
+    return seen
+
+
+def _full_menu(analyzer, tuner, shape, layer_counts, monkeypatch):
+    """Every row of the menu, over budget or not, as flat ``(l, t, d,
+    peak_mem)`` arrays in the grid's row order."""
+    [(name, env), *_] = _priced_envs(analyzer, tuner, shape, layer_counts,
+                                     monkeypatch)
+    assert name == "predict_memory"
     pred = analyzer.predict(env)  # every field at the grid's shape
     l_col = np.broadcast_to(env["l"], pred.t_stable.shape)
     return (l_col.ravel().astype(int), pred.t_stable.ravel(),
@@ -185,19 +217,19 @@ def _brute_force_frontier(l_col, t, d, mem, budget):
 
 
 class TestFrontierIsExact:
-    """The whole non-dominated set reaches the inter-stage solve."""
+    """The whole non-dominated set reaches the inter-stage solve: the
+    frontier of every row of the menu, so dropping the option blocks
+    with no row within budget before the runtime kernel runs never
+    changes a menu."""
 
-    @pytest.mark.parametrize("prefilter", [False, True])
     @pytest.mark.parametrize("case", range(len(BRUTE_FORCE_CASES)))
-    def test_matches_brute_force(self, analyzer, monkeypatch, case,
-                                 prefilter):
-        shape, layer_counts = BRUTE_FORCE_CASES[case]
-        space = SCALES["quick"].apply(SPACE_MIST)
-        menu = _full_menu(analyzer, make_tuner(analyzer, space=space),
+    def test_matches_brute_force(self, analyzer, monkeypatch, case):
+        shape, layer_counts, global_batch = BRUTE_FORCE_CASES[case]
+        menu = _full_menu(analyzer, _case_tuner(analyzer, global_batch),
                           shape, layer_counts, monkeypatch)
         expected = _brute_force_frontier(*menu, analyzer.memory_budget)
-        menus = make_tuner(analyzer, space=space).tune(
-            shape, layer_counts, prefilter=prefilter)
+        menus = _case_tuner(analyzer, global_batch).tune(
+            shape, layer_counts).menus
         assert set(menus) == set(layer_counts)
         for layers in layer_counts:
             got = [(p.t, p.d) for p in menus[layers]]
@@ -205,13 +237,26 @@ class TestFrontierIsExact:
             assert got == expected.get(layers, []), (case, layers)
 
     def test_cases_carry_over_budget_rows(self, analyzer, monkeypatch):
-        space = SCALES["quick"].apply(SPACE_MIST)
         over = 0
-        for shape, layer_counts in BRUTE_FORCE_CASES:
-            *_, mem = _full_menu(analyzer, make_tuner(analyzer, space=space),
+        for shape, layer_counts, global_batch in BRUTE_FORCE_CASES:
+            *_, mem = _full_menu(analyzer, _case_tuner(analyzer, global_batch),
                                  shape, layer_counts, monkeypatch)
             over += int((mem > analyzer.memory_budget).sum())
         assert over > 0
+
+    def test_cases_drop_whole_blocks(self, analyzer, monkeypatch):
+        # the oracle above covers the block drop only if some case has
+        # an option block with no row within budget
+        def blocks(env):
+            return (np.shape(env["b"]) or (1,))[0]
+
+        dropped = 0
+        for shape, layer_counts, global_batch in BRUTE_FORCE_CASES:
+            (_, menu), *priced = _priced_envs(
+                analyzer, _case_tuner(analyzer, global_batch), shape,
+                layer_counts, monkeypatch)
+            dropped += blocks(menu) - sum(blocks(env) for _, env in priced)
+        assert dropped > 0
 
     def test_ties_keep_first_row(self):
         l_col = np.array([4, 4, 4, 4, 2])
@@ -330,24 +375,20 @@ class TestAxisFactoredMenus:
     so each kernel subexpression runs at the size of the axes it
     reads."""
 
-    @pytest.mark.parametrize("prefilter", [False, True])
-    def test_each_row_symbol_lies_on_one_axis(self, analyzer, monkeypatch,
-                                              prefilter):
+    def test_each_row_symbol_lies_on_one_axis(self, analyzer, monkeypatch):
         assert len(BLOCK_SYMBOLS) == 11 and len(ROW_AXES) == 9
         blocks = len(stage_parallelism_options(
             analyzer, SHAPE.stage_gpus, SHAPE.gacc, 16))
         assert blocks > 1
         calls = _kernel_calls(analyzer, monkeypatch, make_tuner(analyzer),
-                              SHAPE, [10, 12, 14], prefilter=prefilter)
+                              SHAPE, [10, 12, 14])
 
-        runtime = [env for fn, env in calls if fn is analyzer._fn]
-        assert len(runtime) == 1, "expected one runtime call per tune"
-        assert runtime[0].keys() == BLOCK_SYMBOLS | STAGE_SYMBOLS \
+        # one memory pass over the whole menu, then one runtime call
+        assert [fn for fn, _ in calls] == [analyzer._mem_fn, analyzer._fn]
+        (_, memory), (_, runtime) = calls
+        assert memory["b"].shape == (blocks,) + (1,) * 6
+        assert runtime.keys() == BLOCK_SYMBOLS | STAGE_SYMBOLS \
             | ROW_AXES.keys()
-        if prefilter:
-            assert any(fn is analyzer._mem_fn for fn, _ in calls)
-        else:
-            assert runtime[0]["b"].shape == (blocks,) + (1,) * 6
         for fn, env in calls:
             for name, value in env.items():
                 if name in STAGE_SYMBOLS:
@@ -389,8 +430,8 @@ class TestSavedWork:
             counts["algorithm1"] += x.shape[1]
             return sweep(model, x)
 
-        def feasible(analyzer, env):
-            rows, pred = predict_feasible(analyzer, env)
+        def feasible(analyzer, env, peak_mem):
+            rows, pred = predict_feasible(analyzer, env, peak_mem)
             counts["feasible"] += rows.size
             return rows, pred
 

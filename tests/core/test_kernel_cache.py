@@ -101,6 +101,20 @@ class TestSharedTraces:
         GLOBAL_MENU_MEMO.clear()
         assert len(GLOBAL_KERNEL_CACHE) == 0
 
+    def test_cold_solve_compiles_four_kernels(self):
+        # the analyzer's runtime and memory kernels and the engine's two:
+        # nothing else is compiled, however the search prices its menus
+        GLOBAL_MENU_MEMO.clear()
+        solve(JOB)
+        with GLOBAL_KERNEL_CACHE._lock:
+            keys = list(GLOBAL_KERNEL_CACHE._entries)
+        GLOBAL_MENU_MEMO.clear()
+        tags = sorted(key[-1] for key in keys if isinstance(key[-1], str))
+        assert tags == ["analyzer.fn", "analyzer.mem_fn",
+                        "engine.components", "engine.memory"]
+        # and the one trace they are compiled from
+        assert len(keys) == len(tags) + 1
+
     def test_same_name_different_shape_gets_its_own_trace(self):
         narrow = get_model("gpt3-1.3b",
                            ffn_hidden_size=2 * MODEL.hidden_size)

@@ -169,8 +169,11 @@ class TestExhaustiveMode:
         assert not stats.prune and not stats.bound_pruning
         assert stats.cells_explored == stats.cells_total == len(grid)
         assert stats.cells_pruned == stats.cells_infeasible == 0
-        # no memory prefilter, no bounds
-        assert stats.configs_prefiltered == 0
+        # no bounds, but the same memory pass over every menu: it drops
+        # at least what the pruned search's (a subset of cells) drops
+        assert stats.configs_prefiltered > 0
+        pruned = tuner.search(16, memo=MenuMemo())
+        assert stats.configs_prefiltered >= pruned.stats.configs_prefiltered
         assert all(entry["status"] == "explored" and "bound" not in entry
                    for entry in result.search_log)
         assert [(e["num_stages"], e["gacc"]) for e in result.search_log] \

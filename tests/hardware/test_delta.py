@@ -190,6 +190,53 @@ class TestApplyErrors:
             with pytest.raises(DeltaError, match="must be an integer"):
                 build()
 
+    def test_malformed_ops_rejected_when_built(self):
+        # each once reached apply() as a raw KeyError or TypeError, or
+        # applied as something else (a misspelled link scaled the
+        # inter-node bandwidth, "0.5" and True were float()ed)
+        for op, match in (
+                (1, "must be an object"),
+                ("add_nodes", "must be an object"),
+                ({"op": "add_nodes"}, "positive 'count'"),
+                ({"op": "remove_nodes", "count": 0}, "positive 'count'"),
+                ({"op": "retype_group", "group": "l4", "gpu": "H900"},
+                 "known 'gpu'"),
+                ({"op": "retype_group", "group": "l4"}, "known 'gpu'"),
+                ({"op": "retype_group", "group": "l4", "gpu": 4},
+                 "known 'gpu'"),
+                ({"op": "degrade_link"}, "factor"),
+                ({"op": "degrade_link", "factor": [1]}, "factor"),
+                ({"op": "degrade_link", "factor": "0.5"}, "factor"),
+                ({"op": "degrade_link", "factor": True}, "factor"),
+                ({"op": "degrade_link", "factor": -0.5}, "factor"),
+                ({"op": "degrade_link", "factor": float("nan")}, "factor"),
+                ({"op": "degrade_link", "factor": 10**400}, "factor"),
+                ({"op": "degrade_link", "factor": 0.5,
+                  "link": "inter-group"}, "'link'"),
+                ({"op": "degrade_link", "factor": 0.5, "link": None},
+                 "'link'"),
+                ({"op": "remove_group", "group": 3}, "'group'"),
+                ({"op": "add_nodes", "count": 1, "group": None}, "'group'")):
+            with pytest.raises(DeltaError, match=match):
+                ClusterDelta.from_dict({"ops": [op]})
+
+    def test_validation_keeps_valid_ops_as_written(self):
+        # nothing is converted, so fingerprints of valid deltas hold
+        for op in ({"op": "degrade_link", "factor": 1, "link": "inter_group"},
+                   {"op": "retype_group", "group": "l4", "gpu": "l4"},
+                   {"op": "add_nodes", "count": 2}):
+            delta = ClusterDelta.from_dict({"ops": [op]})
+            assert delta.ops == (op,)
+            assert delta.ops[0] is not op
+        # fingerprints recorded before the ops were validated
+        assert ClusterDelta.degrade_link(0.5).fingerprint() \
+            == "fcf3ccfb155c1711"
+        assert ClusterDelta.retype_group("l4", "L4").fingerprint() \
+            == "abb631ac10b5e3e2"
+        assert (ClusterDelta.remove_nodes(1, group="l4")
+                + ClusterDelta.degrade_link(0.5, link="inter_group")
+                ).fingerprint() == "71614d94f5ae47aa"
+
     @pytest.mark.parametrize("cluster", [make_cluster("L4", 1, 2), mixed()])
     def test_invalid_outcome_raises_delta_error(self, cluster):
         group = "l4" if isinstance(cluster, HeterogeneousCluster) else ""

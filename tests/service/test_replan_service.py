@@ -114,6 +114,23 @@ class TestReplanEndpoint:
                               budget_seconds=budget)
             assert exc.value.status == 400, budget
             assert "budget_seconds" in str(exc.value)
+        # malformed ops: once a 500 (unknown or missing gpu, a list
+        # factor), silently applied (a misspelled link degraded the
+        # inter-node link; a string or bool factor was float()ed), or a
+        # raw TypeError (an op that is not an object)
+        for op, reason in (
+                ({"op": "retype_group", "gpu": "H900"}, "gpu"),
+                ({"op": "retype_group"}, "gpu"),
+                ({"op": "degrade_link", "factor": [1]}, "factor"),
+                ({"op": "degrade_link", "factor": "0.5"}, "factor"),
+                ({"op": "degrade_link", "factor": True}, "factor"),
+                ({"op": "degrade_link", "factor": 0.5,
+                  "link": "inter-group"}, "link"),
+                (1, "object")):
+            with pytest.raises(ServiceError) as exc:
+                client.replan(job, {"ops": [op]}, solver="svc-stub")
+            assert exc.value.status == 400, op
+            assert reason in str(exc.value), op
         assert client.metrics()["replan"]["requests"] == 0
 
     def test_unknown_solver_404(self, client, job):

@@ -193,7 +193,8 @@ class TestErrorHandling:
         # worker (model), or cached under a second fingerprint (32.0)
         for field, value in (("num_gpus", 0), ("flash", "no"),
                              ("num_gpus", True), ("model", "gpt3-99b"),
-                             ("global_batch", 32.0), ("options", [])):
+                             ("global_batch", 32.0), ("options", []),
+                             ("options", {"a": float("nan")})):
             bad = dict(job.to_dict(), **{field: value})
             with pytest.raises(ServiceError) as err:
                 client._request("POST", "/jobs",

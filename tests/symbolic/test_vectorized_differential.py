@@ -230,12 +230,9 @@ ROW_FIELDS = ("t_first", "t_last", "delta")
 
 
 class TestFactoredGridDifferential:
-    @pytest.mark.parametrize("prefilter", [False, True],
-                             ids=["no-prefilter", "prefilter"])
     @pytest.mark.parametrize("case", GRID_CASES,
                              ids=[f"{c[0]}-{c[1]}" for c in GRID_CASES])
-    def test_factored_grid_matches_flat_columns(self, case, prefilter,
-                                                monkeypatch):
+    def test_factored_grid_matches_flat_columns(self, case, monkeypatch):
         gpu, model, stage_gpus, global_batch, link = case
         cluster = make_cluster(gpu, 1, 8)
         analyzer = SymbolicPerformanceAnalyzer(
@@ -248,19 +245,19 @@ class TestFactoredGridDifferential:
                            has_pre=False, has_post=True, p2p_link=link)
         # factored and flat evaluation agree only because every kernel
         # op is correctly rounded; np.power need not be
-        for fn in (analyzer._fn, analyzer._mem_fn, analyzer._comp_fn):
+        for fn in (analyzer._fn, analyzer._mem_fn):
             assert "_np.power" not in fn.source
 
         seen = []
         predict_feasible = analyzer.predict_feasible
 
-        def spy(env):
-            rows, pred = predict_feasible(env)
+        def spy(env, peak_mem):
+            rows, pred = predict_feasible(env, peak_mem)
             seen.append((env, rows, pred))
             return rows, pred
 
         monkeypatch.setattr(analyzer, "predict_feasible", spy)
-        tuner.tune(shape, [2, 4], prefilter=prefilter)
+        tuner.tune(shape, [2, 4])
         monkeypatch.undo()
         [(env, rows, tuned)] = seen
         grid = np.broadcast(*env.values()).shape
