@@ -63,6 +63,40 @@ class TestPrediction:
         assert np.all(np.diff(pred.t_stable) > 0)
         assert np.all(np.diff(pred.peak_mem) < 0)
 
+    def test_peak_mem_is_the_memory_kernel(self, analyzer):
+        # predict reads peak memory from the memory kernel alone: the
+        # runtime kernel has no memory output
+        env = base_env(analyzer, ckpt=np.array([0, 6, 12]),
+                       zero=np.array([[0], [1], [3]]))
+        pred = analyzer.predict(env)
+        assert pred.peak_mem.shape == (3, 3)
+        assert np.array_equal(pred.peak_mem, analyzer.predict_memory(env))
+        assert analyzer._fn.n_outputs == 13
+
+    def test_compute_channel_floors_stable_time(self, analyzer):
+        env = base_env(analyzer, ckpt=np.array([0, 6, 12]),
+                       oo=np.array([[0.0], [1.0]]), zero=1)
+        floor = analyzer.compute_channel(env)
+        t_stable = analyzer.predict(env).t_stable
+        assert floor.shape == t_stable.shape == (2, 3)
+        assert np.all(floor > 0) and np.all(floor <= t_stable)
+
+    def test_feasible_rows_follow_the_given_memory(self, analyzer):
+        # predict_feasible prices the rows the caller's peak memory
+        # admits and passes that memory through; it prices none itself
+        env = base_env(analyzer, ckpt=np.array([0, 4, 8, 12]))
+        pred = analyzer.predict(env)
+        budget = analyzer.memory_budget
+        fits = np.array([budget, budget * 2, 0.0, np.inf])
+        rows, got = analyzer.predict_feasible(env, fits)
+        assert rows.tolist() == [0, 2]
+        assert got.peak_mem is fits
+        assert np.array_equal(got.t_first, pred.t_first[rows])
+        assert np.array_equal(got.t_last, pred.t_last[rows])
+        assert np.array_equal(got.delta, pred.delta[rows])
+        rows, _ = analyzer.predict_feasible(env, np.full(4, np.inf))
+        assert rows.size == 0
+
     def test_missing_symbol_rejected(self, analyzer):
         with pytest.raises(TypeError, match="missing"):
             analyzer.build_env(b=2, s=2048)

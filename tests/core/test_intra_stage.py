@@ -1,11 +1,14 @@
 """Tests for the intra-stage tuner and Pareto frontier extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api import TuningJob, solve
 from repro.core import SPACE_3D, SPACE_MIST, SymbolicPerformanceAnalyzer
 from repro.core import intra_stage
+from repro.core.analyzer import StagePrediction
 from repro.core.intra_stage import (IntraStageTuner, StageShape,
                                     _fiber_winners, _pareto_rows,
                                     stage_parallelism_options)
@@ -95,6 +98,28 @@ class TestEnumeration:
             has_pre=1, has_post=1))
         assert (point.t, point.d, point.peak_mem) == (
             pred.t_stable[0], pred.delta[0], pred.peak_mem[0])
+
+    def test_prefiltered_counts_rows_over_budget(self, analyzer,
+                                                 monkeypatch):
+        # the memory pass prices the whole menu; the counters are its
+        # rows and the rows it finds over budget
+        tuner = _case_tuner(analyzer, 128)
+        shape, layer_counts = BRUTE_FORCE_CASES[-1][:2]
+        [(name, env), *_] = _priced_envs(analyzer, tuner, shape,
+                                         layer_counts, monkeypatch)
+        assert name == "predict_memory"
+        peak = analyzer.predict_memory(env)
+        entry = tuner.tune(shape, layer_counts)
+        assert entry.evaluated == peak.size
+        assert entry.prefiltered \
+            == int((peak > analyzer.memory_budget).sum()) > 0
+
+    def test_prefilter_knob_is_gone(self, analyzer):
+        with pytest.raises(TypeError, match="prefilter"):
+            make_tuner(analyzer).tune(SHAPE, [12], prefilter=True)
+        assert not hasattr(analyzer, "_comp_fn")
+        assert [f.name for f in dataclasses.fields(StagePrediction)] \
+            == ["t_stable", "delta", "peak_mem", "t_first", "t_last"]
 
     def test_infeasible_batch_yields_empty(self, analyzer):
         # global batch 3 cannot split over gacc=2
