@@ -30,10 +30,12 @@ __all__ = ["PlanCache", "SOLVER_SEMANTICS", "default_cache_dir"]
 SOLVER_SEMANTICS = 1
 #: Solvers whose reports moved again since, each with its own version.
 #: ``uniform`` 2: the heuristic draws its gacc steps from Mist's capped
-#: candidate set. ``mist`` 2: no heuristic seed cell, so cells run in
-#: bound order and search counters and ``search_stats`` moved. ``mist``
-#: 3: per-position cell bounds, so search-log bounds and statuses moved.
-_SOLVER_VERSIONS = {"uniform": 2, "mist": 3}
+#: candidate set. ``uniform`` 3: it takes checkpoint counts from Mist's
+#: own grid, which honours ``ckpt_policy="full"``, so such jobs' plans
+#: moved. ``mist`` 2: no heuristic seed cell, so cells run in bound
+#: order and search counters and ``search_stats`` moved. ``mist`` 3:
+#: per-position cell bounds, so search-log bounds and statuses moved.
+_SOLVER_VERSIONS = {"uniform": 3, "mist": 3}
 
 
 def default_cache_dir() -> Path:

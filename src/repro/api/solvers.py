@@ -144,7 +144,6 @@ class MistSolver:
         """
         tuner = self.make_tuner(job)
         tuning = tuner.replan(job.global_batch, incumbent=incumbent,
-                              keep_top=1,
                               progress=progress, should_stop=should_stop)
         return self._report(job, tuning)
 

@@ -1,6 +1,6 @@
 """Baseline distributed-training systems (paper Table 1 and Section 6.1)."""
 
-from .aceso import AcesoTuner, SerialInterferenceModel
+from .aceso import AcesoTuner
 from .common import BaselineResult, Capabilities, GridSearchTuner, pipeline_grids
 from .deepspeed import DeepSpeedTuner
 from .heuristics import UniformHeuristicTuner
@@ -30,7 +30,6 @@ __all__ = [
     "DeepSpeedTuner",
     "GridSearchTuner",
     "MegatronTuner",
-    "SerialInterferenceModel",
     "UniformHeuristicTuner",
     "pipeline_grids",
 ]

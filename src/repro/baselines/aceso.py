@@ -35,18 +35,7 @@ from repro.models.config import ModelConfig
 
 from .common import BaselineResult, Capabilities, pipeline_grids
 
-__all__ = ["AcesoTuner", "SerialInterferenceModel"]
-
-
-class SerialInterferenceModel(InterferenceModel):
-    """Overlap-unaware cost combination: channels simply serialize."""
-
-    def __init__(self):
-        super().__init__(factors={})
-
-    def predict(self, comp, g2g, c2g, g2c):
-        return (np.asarray(comp, dtype=float) + np.asarray(g2g, dtype=float)
-                + np.asarray(c2g, dtype=float) + np.asarray(g2c, dtype=float))
+__all__ = ["AcesoTuner"]
 
 
 class AcesoTuner:
@@ -71,8 +60,10 @@ class AcesoTuner:
         self.seq_len = seq_len
         self.flash = flash
         traced = traced_model(model, cluster.gpu, flash=flash)
+        # overlap-unaware: with no slowdown factors, Algorithm 1's sweep
+        # sums the four channels, so they serialize
         self.analyzer = SymbolicPerformanceAnalyzer(
-            traced, cluster, interference=SerialInterferenceModel()
+            traced, cluster, interference=InterferenceModel()
         )
         self.engine = ExecutionEngine(cluster, system=self.system)
 

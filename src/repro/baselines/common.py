@@ -128,11 +128,6 @@ class GridSearchTuner:
     def candidate_plans(self, global_batch: int):
         raise NotImplementedError
 
-    # -- shared enumeration helpers ---------------------------------------------
-
-    def _pipeline_grids(self, global_batch: int):
-        return pipeline_grids(self.model, self.cluster, global_batch)
-
     # -- search ------------------------------------------------------------------
 
     def tune(self, global_batch: int) -> BaselineResult:

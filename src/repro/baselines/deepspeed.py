@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
 
-from .common import Capabilities, GridSearchTuner
+from .common import Capabilities, GridSearchTuner, pipeline_grids
 
 __all__ = ["DeepSpeedTuner"]
 
@@ -38,8 +38,8 @@ class DeepSpeedTuner(GridSearchTuner):
 
     def candidate_plans(self, global_batch: int):
         layers_total = self.model.num_layers
-        for num_stages, dp, tp, gacc, microbatch in \
-                self._pipeline_grids(global_batch):
+        for num_stages, dp, tp, gacc, microbatch in pipeline_grids(
+                self.model, self.cluster, global_batch):
             layers = layers_total // num_stages
             for zero in self.ZERO_LEVELS:
                 for ckpt_mode in self.CKPT_MODES:

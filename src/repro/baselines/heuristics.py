@@ -6,21 +6,24 @@ reduction the paper argues is sub-optimal because pipeline stages have
 inherently imbalanced memory and compute (26%/20% degradation in the
 motivational examples).
 
-Implemented on top of Mist's analyzer: enumerate shared configurations
-batched, evaluate every stage position, and keep the best Eq. 1
-objective. Gradient-accumulation steps come from Mist's own
-:func:`~repro.core.tuner.gacc_candidates` under the same cap, so Mist's
-(S, G) grid covers this tuner's at every scale.
+It is Mist's search restricted to one stage configuration, built from
+Mist's own parts: gacc steps from :func:`~repro.core.tuner.gacc_candidates`
+under the same cap (so Mist's (S, G) grid covers this tuner's at every
+scale), checkpoint counts from :func:`~repro.core.intra_stage.ckpt_pairs`,
+and Eq. 1 priced row-wise over the configurations that fit at every
+stage, keeping the first strict minimum.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 
 from repro.core.analyzer import SymbolicPerformanceAnalyzer
-from repro.core.objectives import pipeline_iteration_time
+from repro.core.intra_stage import ckpt_pairs
+from repro.core.objectives import pipeline_iteration_time_rows
 from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
 from repro.core.spaces import SPACE_MIST, SearchSpace
 from repro.core.tuner import gacc_candidates, traced_model
@@ -62,23 +65,19 @@ class UniformHeuristicTuner:
         )
         self.engine = ExecutionEngine(cluster, system=self.system)
 
-    def _shared_config_grid(self, layers: int):
-        """(zero, ckpt, wo, go, oo, ao) arrays of shared configurations."""
+    def _shared_config_grid(self, layers: int) -> dict[str, np.ndarray]:
+        """Columns ``zero``, ``ckpt``, ``wo``, ``go``, ``oo``, ``ao`` of
+        the shared configurations, with the checkpoint counts Mist's own
+        :func:`~repro.core.intra_stage.ckpt_pairs` allows."""
         space = self.space
-        if space.tune_ckpt:
-            points = min(space.ckpt_grid_points, layers + 1)
-            ckpt_vals = np.unique(
-                np.round(np.linspace(0, layers, points)).astype(int)
-            )
-        else:
-            ckpt_vals = np.array([0, layers])
         grids = np.meshgrid(
-            np.asarray(space.zero_levels), ckpt_vals,
+            np.asarray(space.zero_levels), ckpt_pairs(space, [layers])[1],
             np.asarray(space.wo_grid), np.asarray(space.go_grid),
             np.asarray(space.oo_grid), np.asarray(space.ao_grid),
             indexing="ij",
         )
-        return [g.reshape(-1) for g in grids]
+        return {name: g.reshape(-1) for name, g in
+                zip(("zero", "ckpt", "wo", "go", "oo", "ao"), grids)}
 
     def pipeline_grid(self, global_batch: int):
         """The (num_stages, dp, tp, gacc, microbatch) tuples searched:
@@ -94,53 +93,56 @@ class UniformHeuristicTuner:
         best_obj = np.inf
         best_plan: TrainingPlan | None = None
         tried = 0
+        analyzer = self.analyzer
 
         for num_stages, dp, tp, gacc, microbatch in self.pipeline_grid(
                 global_batch):
             tried += 1
             layers = self.model.num_layers // num_stages
-            zero_g, ckpt_g, wo_g, go_g, oo_g, ao_g = \
-                self._shared_config_grid(layers)
-            n = zero_g.size
-
-            stage_t = np.zeros((num_stages, n))
-            stage_d = np.zeros((num_stages, n))
-            fits = np.ones(n, dtype=bool)
-            for i in range(num_stages):
-                pred = self.analyzer.predict(self.analyzer.build_env(
-                    b=microbatch, s=self.seq_len, dp=dp, tp=tp, l=layers,
-                    ckpt=ckpt_g, zero=zero_g,
-                    wo=wo_g, go=go_g, oo=oo_g, ao=ao_g, gacc=gacc,
-                    inflight=min(gacc, num_stages - i),
-                    has_pre=int(i == 0), has_post=int(i == num_stages - 1),
-                ))
-                stage_t[i] = pred.t_stable
-                stage_d[i] = pred.delta
-                fits &= pred.peak_mem <= self.analyzer.memory_budget
-
-            if not fits.any():
+            # validation reads only the point, never a row's memory config
+            point = TrainingPlan(
+                global_batch=global_batch, gacc=gacc,
+                stages=(StageConfig(layers=layers, microbatch=microbatch,
+                                    dp=dp, tp=tp),) * num_stages,
+                source="uniform-heuristic",
+            )
+            try:
+                point.validate(self.model, self.cluster)
+            except PlanValidationError:
                 continue
-            for j in np.nonzero(fits)[0]:
-                obj = pipeline_iteration_time(stage_t[:, j], stage_d[:, j],
-                                              gacc)
-                if obj < best_obj:
-                    try:
-                        stage = StageConfig(
-                            layers=layers, microbatch=microbatch, dp=dp,
-                            tp=tp, zero=int(zero_g[j]), ckpt=int(ckpt_g[j]),
-                            wo=float(wo_g[j]), go=float(go_g[j]),
-                            oo=float(oo_g[j]), ao=float(ao_g[j]),
-                        )
-                        plan = TrainingPlan(
-                            global_batch=global_batch, gacc=gacc,
-                            stages=tuple(stage for _ in range(num_stages)),
-                            source="uniform-heuristic",
-                        )
-                        plan.validate(self.model, self.cluster)
-                    except PlanValidationError:
-                        continue
-                    best_obj = obj
-                    best_plan = plan
+
+            def stage_env(i: int, config: dict[str, np.ndarray]):
+                return analyzer.build_env(
+                    b=microbatch, s=self.seq_len, dp=dp, tp=tp, l=layers,
+                    gacc=gacc, inflight=min(gacc, num_stages - i),
+                    has_pre=int(i == 0), has_post=int(i == num_stages - 1),
+                    **config)
+
+            # as Mist prices a menu: memory first, then runtime on the
+            # rows that fit at every stage
+            grid = self._shared_config_grid(layers)
+            fits = np.logical_and.reduce([
+                analyzer.predict_memory(stage_env(i, grid))
+                <= analyzer.memory_budget for i in range(num_stages)])
+            rows = {name: column[fits] for name, column in grid.items()}
+            if not rows["ckpt"].size:
+                continue
+            preds = [analyzer.predict(stage_env(i, rows))
+                     for i in range(num_stages)]
+            # (rows, stages), C-contiguous: Eq. 1 reduces each row
+            objective = pipeline_iteration_time_rows(
+                np.stack([p.t_stable for p in preds], axis=1),
+                np.stack([p.delta for p in preds], axis=1), gacc)
+            # the first strict minimum; a NaN never wins
+            j = int(np.argmin(np.fmin(objective, np.inf)))  # NaN -> inf
+            if objective[j] < best_obj:
+                best_obj = objective[j]
+                best_plan = dataclasses.replace(point, stages=(
+                    dataclasses.replace(
+                        point.stages[0],
+                        **{name: column[j].item()
+                           for name, column in rows.items()}),
+                ) * num_stages)
 
         best_result = None
         oom = 0

@@ -50,7 +50,7 @@ import numpy as np
 from repro.hardware import DeviceGroup, HeterogeneousCluster
 
 from .intra_stage import ParetoPoint
-from .objectives import pipeline_iteration_time
+from .objectives import pipeline_iteration_time, pipeline_iteration_time_rows
 
 __all__ = [
     "InterStageSolution",
@@ -169,7 +169,7 @@ def _price(choices: list[ParetoPoint], gacc: int,
            imbalance_aware: bool) -> float:
     """Eq. (1) for one pick per stage — the oracles' final objective
     (:func:`solve` prices its final labels with the bit-equal
-    :func:`_price_rows`)."""
+    :func:`~repro.core.objectives.pipeline_iteration_time_rows`)."""
     t = np.array([p.t for p in choices])
     d = np.array([p.d for p in choices])
     if not imbalance_aware:
@@ -386,29 +386,14 @@ def _undominated(state: np.ndarray, run: np.ndarray, bottleneck: np.ndarray,
     return keep
 
 
-def _price_rows(t: np.ndarray, d: np.ndarray, gacc: int) -> np.ndarray:
-    """Eq. (1) for each row of ``(paths, stages)`` arrays.
-
-    The same IEEE-754 operations in the same order as
-    :func:`~repro.core.objectives.pipeline_iteration_time` applies to
-    one row (row-wise ``sum`` reduces each contiguous row as a 1-D
-    ``sum`` does), so each entry is bit-equal to :func:`_price`.
-    """
-    prefix = np.zeros_like(t)
-    np.cumsum(t[:, :-1], axis=1, out=prefix[:, 1:])
-    exposed = (d - prefix).max(axis=1)
-    # Python's max(exposed, 0.0): 0.0 only when it is strictly larger
-    clamped = np.where(0.0 > exposed, 0.0, exposed)
-    return (gacc - 1) * t.max(axis=1) + t.sum(axis=1) + clamped
-
-
 def _cheapest(t: np.ndarray, d: np.ndarray, gacc: int) -> tuple[int, float]:
-    """Row and Eq. (1) of the first cheapest row of :func:`_price_rows`.
+    """Row and Eq. (1) of the first cheapest row of
+    :func:`~repro.core.objectives.pipeline_iteration_time_rows`.
 
     The first strict minimum, as a scan with ``<`` keeps it: a NaN first
     row is never replaced, and a later NaN never wins.
     """
-    objective = _price_rows(t, d, gacc)
+    objective = pipeline_iteration_time_rows(t, d, gacc)
     best = 0 if np.isnan(objective[0]) else int(np.nanargmin(objective))
     return best, float(objective[best])
 

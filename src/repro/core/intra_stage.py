@@ -52,7 +52,7 @@ from .memo import MemoEntry
 from .plan import StageConfig
 from .spaces import SearchSpace
 
-__all__ = ["ParetoPoint", "StageShape", "IntraStageTuner",
+__all__ = ["ParetoPoint", "StageShape", "IntraStageTuner", "ckpt_pairs",
            "stage_parallelism_options"]
 
 #: the configuration values along each axis of a menu grid, in axis
@@ -86,6 +86,37 @@ def stage_parallelism_options(analyzer: SymbolicPerformanceAnalyzer,
         if b >= 1:
             options.append((dp, tp, b))
     return options
+
+
+def ckpt_pairs(space: SearchSpace,
+               layer_counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(layers, ckpt)`` pairs ``space`` lets a stage take, ordered
+    by layer count, then checkpoint count.
+
+    ``ckpt_policy="full"`` pins ``ckpt`` to the layer count. Otherwise
+    it is 0 or the layer count or, with ``tune_ckpt``, each count up to
+    the layer count among ``ckpt_grid_points`` evenly spaced, rounded
+    counts from 0 to ``max(layer_counts)``.
+    """
+    layers = np.asarray(sorted(layer_counts), dtype=int)
+    full = space.ckpt_policy == "full"
+    if full:
+        grid = layers
+    elif space.tune_ckpt:
+        most = int(layers.max())
+        grid = np.round(np.linspace(0, most,
+                                    min(space.ckpt_grid_points, most + 1)))
+    else:
+        grid = np.concatenate(([0], layers))
+    l_g, ckpt_g = np.meshgrid(layers, np.unique(grid).astype(int),
+                              indexing="ij")
+    if full:
+        keep = ckpt_g == l_g
+    elif space.tune_ckpt:
+        keep = ckpt_g <= l_g
+    else:
+        keep = (ckpt_g == 0) | (ckpt_g == l_g)
+    return l_g[keep], ckpt_g[keep]
 
 
 def _pareto_rows(l_g: np.ndarray, t_v: np.ndarray,
@@ -204,20 +235,6 @@ class IntraStageTuner:
         self.global_batch = global_batch
         self.seq_len = seq_len
 
-    # -- grids ---------------------------------------------------------------
-
-    def _ckpt_grid(self, layer_counts: list[int]) -> np.ndarray:
-        max_layers = max(layer_counts)
-        if self.space.ckpt_policy == "full":
-            # ckpt must equal the stage's layer count; candidates are the
-            # layer counts themselves (filtered to ckpt == l later).
-            return np.unique(np.asarray(layer_counts, dtype=int))
-        if not self.space.tune_ckpt:
-            return np.unique(np.asarray([0] + list(layer_counts), dtype=int))
-        points = min(self.space.ckpt_grid_points, max_layers + 1)
-        return np.unique(np.round(np.linspace(0, max_layers, points))
-                         .astype(int))
-
     # -- menu materialization -----------------------------------------------
 
     def _menu_axes(self, options: list[tuple[int, int, int]],
@@ -230,19 +247,10 @@ class IntraStageTuner:
         enumeration order, option blocks in option order: the order the
         stable frontier extraction's tie-breaking depends on.
         """
-        l_g, ckpt_g = np.meshgrid(np.asarray(sorted(layer_counts), dtype=int),
-                                  self._ckpt_grid(layer_counts),
-                                  indexing="ij")
-        if self.space.ckpt_policy == "full":
-            valid = ckpt_g == l_g
-        elif not self.space.tune_ckpt:
-            valid = (ckpt_g == 0) | (ckpt_g == l_g)
-        else:
-            valid = ckpt_g <= l_g
+        l, ckpt = ckpt_pairs(self.space, layer_counts)
         dp, tp, b = np.asarray(options, dtype=int).reshape(-1, 3).T
         space = self.space
-        return {"dp": dp, "tp": tp, "b": b, "l": l_g[valid],
-                "ckpt": ckpt_g[valid],
+        return {"dp": dp, "tp": tp, "b": b, "l": l, "ckpt": ckpt,
                 "zero": np.asarray(space.zero_levels, dtype=int),
                 "wo": np.asarray(space.wo_grid, dtype=float),
                 "go": np.asarray(space.go_grid, dtype=float),

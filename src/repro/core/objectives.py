@@ -22,6 +22,7 @@ import numpy.typing as npt
 
 __all__ = [
     "pipeline_iteration_time",
+    "pipeline_iteration_time_rows",
     "pipeline_time_uniform",
     "pipeline_time_average",
     "throughput",
@@ -40,6 +41,23 @@ def pipeline_iteration_time(t: npt.ArrayLike, d: npt.ArrayLike,
     prefix = np.concatenate(([0.0], np.cumsum(t)[:-1]))
     exposed = np.max(d - prefix)
     return float((gacc - 1) * t.max() + t.sum() + max(exposed, 0.0))
+
+
+def pipeline_iteration_time_rows(t: np.ndarray, d: np.ndarray,
+                                 gacc: int) -> np.ndarray:
+    """Eq. (1) for each row of C-contiguous ``(rows, stages)`` arrays.
+
+    The same IEEE-754 operations in the same order as
+    :func:`pipeline_iteration_time` applies to one row (row-wise ``sum``
+    reduces each contiguous row as a 1-D ``sum`` does), so each entry is
+    bit-equal to that function on the row.
+    """
+    prefix = np.zeros_like(t)
+    np.cumsum(t[:, :-1], axis=1, out=prefix[:, 1:])
+    exposed = (d - prefix).max(axis=1)
+    # Python's max(exposed, 0.0): 0.0 only when it is strictly larger
+    clamped = np.where(0.0 > exposed, 0.0, exposed)
+    return (gacc - 1) * t.max(axis=1) + t.sum(axis=1) + clamped
 
 
 def pipeline_time_uniform(t: npt.ArrayLike, gacc: int) -> float:

@@ -435,7 +435,6 @@ class MistTuner:
         )
 
     def replan(self, global_batch: int, *, incumbent: TrainingPlan,
-               keep_top: int = 1,
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
                memo: MenuMemo | None = None) -> TuningResult:
@@ -457,9 +456,8 @@ class MistTuner:
         Two things make a warm replan cheaper than a cold search:
 
         * it prunes against the *best* solved objective rather than the
-          ``keep_top``-th best, so ``top_plans`` beyond the winner is
-          advisory (hence the ``keep_top=1`` default — replanning wants
-          *the* plan, fast);
+          ``keep_top``-th best, so ``top_plans`` is ``[best_plan]`` —
+          replanning wants *the* plan, fast;
         * the per-device-group memo scope keeps
           :class:`~repro.core.memo.MenuMemo` entries of unchanged
           groups valid across the delta, so shared stage subproblems
@@ -467,7 +465,7 @@ class MistTuner:
           search used; counters stay deterministic either way).
         """
         return self._search(
-            global_batch, keep_top=keep_top,
+            global_batch, keep_top=1,
             progress=progress, should_stop=should_stop, prune=True,
             memo=memo if memo is not None else GLOBAL_MENU_MEMO,
             incumbent=incumbent,
@@ -552,12 +550,12 @@ class MistTuner:
             key=lambda i: (i != seed_idx, bounds[i], i),
         )
 
-        # A warm replan guarantees only the *winner* bit-identical, so
-        # it prunes against the best solved objective (k = 1) — far
-        # tighter than the top-k-protecting cut of a cold search, and
-        # the source of the warm speedup (pruned cells evaluate zero
+        # A warm replan (keep_top = 1) guarantees only the *winner*
+        # bit-identical, so it prunes against the best solved objective
+        # — far tighter than the top-k-protecting cut of a cold search,
+        # and the source of the warm speedup (pruned cells evaluate zero
         # configurations).
-        incumbents = _Incumbents(1 if incumbent is not None else keep_top)
+        incumbents = _Incumbents(keep_top)
         outcomes: list = [None] * total
         for done, idx in enumerate(order):
             if should_stop is not None and should_stop():

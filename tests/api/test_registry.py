@@ -117,12 +117,14 @@ class TestSolveAndCache:
         # solver semantics no longer return: it must be a miss, also on
         # the raw-fingerprint lookup behind GET /plans/<fp>. So must a
         # mist v2 entry, whose search-log bounds and statuses predate
-        # the per-position cell bounds.
+        # the per-position cell bounds, and a uniform v2 entry, whose
+        # checkpoint grid ignored ckpt_policy="full".
         cache = PlanCache(tmp_path)
         fp = JOB.fingerprint()
         for solver, legacy_name, version in (
                 ("test-dummy", f"test-dummy-{fp}.json", SOLVER_SEMANTICS),
-                ("mist", f"mist-{fp}-v2.json", 3)):
+                ("mist", f"mist-{fp}-v2.json", 3),
+                ("uniform", f"uniform-{fp}-v2.json", 3)):
             legacy = tmp_path / legacy_name
             legacy.write_text(_dummy_report(JOB, solver).to_json())
             assert cache.load(JOB, solver) is None
@@ -131,9 +133,8 @@ class TestSolveAndCache:
             assert path != legacy
             assert path.name.endswith(f"-v{version}.json")
             assert cache.load(JOB, solver) is not None
-        # every other solver keeps its version: uniform its own 2, the
-        # stub solvers of the campaign directory 2.0 wrote the shared one
-        assert cache.path_for(JOB, "uniform").name.endswith("-v2.json")
+        # every other solver keeps its version: the stub solvers of the
+        # campaign directory 2.0 wrote the shared one
         entries = sorted(V2_CAMPAIGN_PLANS.glob("*.json"))
         assert entries
         for entry in entries:

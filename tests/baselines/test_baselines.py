@@ -1,5 +1,6 @@
 """Tests for the baseline system reproductions."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -7,11 +8,11 @@ from repro.baselines import (
     CAPABILITY_TABLE,
     DeepSpeedTuner,
     MegatronTuner,
-    SerialInterferenceModel,
     UniformHeuristicTuner,
     pipeline_grids,
 )
-from repro.costmodel import calibrated_interference
+from repro.core import SPACE_3D
+from repro.costmodel import InterferenceModel, calibrated_interference
 from repro.hardware import make_cluster
 from repro.models import get_model
 
@@ -82,10 +83,17 @@ class TestDeepSpeed:
 
 
 class TestAceso:
-    def test_serial_interference_sums_channels(self):
-        model = SerialInterferenceModel()
-        assert model.predict_scalar(comp=1.0, g2g=2.0, c2g=0.5,
-                                    g2c=0.5) == pytest.approx(4.0)
+    def test_predictor_has_no_interference_factors(self):
+        tuner = AcesoTuner(MODEL, CLUSTER, seq_len=SEQ_LEN)
+        assert tuner.analyzer.interference.factors == {}
+
+    def test_factorless_sweep_sums_channels(self):
+        # overlap-unaware: without factors the four channels serialize
+        x = np.random.default_rng(0).random((4, 257))
+        x[x < 0.2] = 0.0  # idle channels too
+        expected = x.sum(axis=0)
+        total = InterferenceModel().sweep(x)
+        assert total.tobytes() == expected.tobytes()
 
     def test_finds_plan_without_sharding_or_offload(self):
         result = AcesoTuner(MODEL, CLUSTER, seq_len=SEQ_LEN).tune(BATCH)
@@ -111,6 +119,17 @@ class TestUniformHeuristic:
         assert result.found
         stages = result.best_plan.stages
         assert len({(s.ckpt, s.zero, s.oo, s.ao) for s in stages}) == 1
+
+    def test_full_ckpt_policy_recomputes_every_layer(self):
+        # the shared checkpoint grid honours ckpt_policy="full", as
+        # Mist's menus do
+        tuner = UniformHeuristicTuner(
+            MODEL, CLUSTER, seq_len=SEQ_LEN,
+            space=SPACE_3D.with_(ckpt_policy="full"),
+        )
+        result = tuner.tune(32)
+        assert result.found
+        assert all(s.ckpt == s.layers for s in result.best_plan.stages)
 
     @pytest.mark.parametrize("scale", ["smoke", "quick", "full"])
     def test_mist_grid_covers_uniform_grid(self, scale):

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from repro.api import TuningJob, solve
 from repro.core import StageConfig, inter_stage
-from repro.core.inter_stage import (_cheapest, _price, _price_rows,
-                                    _run_prefilter, _undominated)
+from repro.core.inter_stage import (_cheapest, _price, _run_prefilter,
+                                    _undominated)
 from repro.core.intra_stage import ParetoPoint
 from repro.core.memo import GLOBAL_MENU_MEMO
+from repro.core.objectives import pipeline_iteration_time_rows
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,7 @@ class TestFinalPick:
             d = np.zeros_like(d)
 
         with np.errstate(invalid="ignore"):  # inf - inf
-            priced = _price_rows(t, d, gacc)
+            priced = pipeline_iteration_time_rows(t, d, gacc)
             expected = [_price(row, gacc, imbalance_aware).hex()
                         for row in rows]
             best, objective = _cheapest(t, d, gacc)

@@ -11,7 +11,7 @@ from repro.core import intra_stage
 from repro.core.analyzer import StagePrediction
 from repro.core.intra_stage import (IntraStageTuner, StageShape,
                                     _fiber_winners, _pareto_rows,
-                                    stage_parallelism_options)
+                                    ckpt_pairs, stage_parallelism_options)
 from repro.core.memo import GLOBAL_MENU_MEMO
 from repro.costmodel.interference import InterferenceModel
 from repro.core.spaces import SCALES
@@ -128,6 +128,21 @@ class TestEnumeration:
                                       has_pre=True, has_post=True), [24])
         assert entry.menus[24] == []
         assert (entry.evaluated, entry.prefiltered) == (0, 0)
+
+
+class TestCkptPairs:
+    @pytest.mark.parametrize("changes, layers, ckpt", [
+        ({}, [10, 10, 12, 12], [0, 10, 0, 12]),
+        ({"ckpt_policy": "full"}, [10, 12], [10, 12]),
+        ({"tune_ckpt": True, "ckpt_grid_points": 5},
+         [10] * 4 + [12] * 5, [0, 3, 6, 9, 0, 3, 6, 9, 12]),
+        # the policy wins over the flexible grid
+        ({"tune_ckpt": True, "ckpt_policy": "full"}, [10, 12], [10, 12]),
+    ])
+    def test_pairs_per_policy(self, changes, layers, ckpt):
+        l_col, ckpt_col = ckpt_pairs(SPACE_3D.with_(**changes), [12, 10])
+        assert l_col.tolist() == layers
+        assert ckpt_col.tolist() == ckpt
 
 
 class TestParetoFrontier:
