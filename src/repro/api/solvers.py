@@ -7,10 +7,17 @@ here, all speaking the same ``solve(job) -> SolveReport`` protocol:
   tuner (predict, then execute the top plans to de-bias the winner's
   curse);
 * ``megatron`` / ``deepspeed`` — execute-and-measure grid searches over
-  each manual system's configuration space (Section 6.1);
+  each manual system's configuration space (Section 6.1), two rows of
+  one grid (:class:`~repro.baselines.GridSearchTuner`);
 * ``aceso``     — iterative bottleneck alleviation with an
   overlap-unaware predictor;
 * ``uniform``   — the uniform-strategy heuristic (Yuan et al., §3.3).
+
+All of them measure through one execute step,
+:meth:`~repro.execution.ExecutionEngine.execute` (an OOM is reported,
+not raised), and all but Aceso keep the first best measured plan with
+:func:`~repro.execution.fastest`; Aceso keeps the first of its ranked
+plans that fits.
 
 Heterogeneous clusters (``job.cluster``): ``mist`` tunes them natively
 — per-device-group analyzers, group-aware stage partitioning, and
@@ -41,7 +48,7 @@ from repro.core import MistTuner
 from repro.core.plan import TrainingPlan
 from repro.core.tuner import SearchCancelled
 from repro.costmodel import calibrated_interference
-from repro.execution import ExecutionEngine, IterationResult, OOMError
+from repro.execution import ExecutionEngine, IterationResult, fastest
 from repro.hardware import ClusterSpec, HeterogeneousCluster
 
 from .cache import PlanCache
@@ -155,18 +162,10 @@ class MistSolver:
         space = scale.apply(job.resolved_space())
         model = job.resolved_model()
         engine = ExecutionEngine(job.resolved_cluster(), system="mist")
-        result = None
-        best_plan = None
-        for plan in tuning.top_plans or (
-                [tuning.best_plan] if tuning.best_plan else []):
-            try:
-                candidate = engine.run(plan, model, seq_len=job.seq_len,
-                                       flash=job.flash)
-            except OOMError:
-                continue
-            if result is None or candidate.throughput > result.throughput:
-                result = candidate
-                best_plan = plan
+        best = fastest(engine.execute(
+            tuning.top_plans or (
+                [tuning.best_plan] if tuning.best_plan else []),
+            model, seq_len=job.seq_len, flash=job.flash))
         predicted = {}
         if tuning.found:
             predicted = {
@@ -176,16 +175,16 @@ class MistSolver:
         return SolveReport(
             solver=self.solver_name,
             job=job,
-            plan=best_plan if best_plan is not None else tuning.best_plan,
+            plan=best.plan if best.plan is not None else tuning.best_plan,
             predicted=predicted,
-            measured=_measured(result),
+            measured=_measured(best.result),
             tuning_time_seconds=tuning.tuning_time_seconds,
             configurations_evaluated=tuning.configurations_evaluated,
             search_log=tuning.search_log,
             search_stats=(tuning.stats.to_dict() if tuning.stats else {}),
             top_plans=list(tuning.top_plans),
             extra={"space": space.name, "scale": scale.name},
-            result=result,
+            result=best.result,
         )
 
 

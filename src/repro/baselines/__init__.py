@@ -1,10 +1,21 @@
-"""Baseline distributed-training systems (paper Table 1 and Section 6.1)."""
+"""Baseline distributed-training systems (paper Table 1 and Section 6.1).
+
+Megatron-LM and DeepSpeed are two rows of one execute-and-measure grid
+(:class:`GridSearchTuner`); Aceso and the uniform heuristic predict,
+then execute. All four run their candidates through
+:meth:`~repro.execution.ExecutionEngine.execute`.
+"""
 
 from .aceso import AcesoTuner
-from .common import BaselineResult, Capabilities, GridSearchTuner, pipeline_grids
-from .deepspeed import DeepSpeedTuner
+from .common import (
+    BaselineResult,
+    Capabilities,
+    DeepSpeedTuner,
+    GridSearchTuner,
+    MegatronTuner,
+    pipeline_grids,
+)
 from .heuristics import UniformHeuristicTuner
-from .megatron import MegatronTuner
 
 #: Table 1 rows for the systems this reproduction implements; Mist's row
 #: is appended by the Table 1 benchmark from the tuner's search space.

@@ -29,7 +29,7 @@ from repro.core.objectives import pipeline_time_uniform
 from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
 from repro.core.tuner import traced_model
 from repro.costmodel.interference import InterferenceModel
-from repro.execution import ExecutionEngine, OOMError
+from repro.execution import ExecutionEngine
 from repro.hardware import ClusterSpec
 from repro.models.config import ModelConfig
 
@@ -214,18 +214,16 @@ class AcesoTuner:
         # Commit to the predicted best; fall back through the ranking on
         # OOM (Aceso's iterative loop would retry with more recompute).
         ranked.sort(key=lambda item: item[0])
-        best_plan = None
+        best_plan: TrainingPlan | None = None
         best_result = None
         oom = 0
-        for _, plan in ranked[:self.EXECUTE_TOP_K]:
-            try:
-                best_result = self.engine.run(plan, self.model,
-                                              seq_len=self.seq_len,
-                                              flash=self.flash)
-                best_plan = plan
+        for plan, result in self.engine.execute(
+                (plan for _, plan in ranked[:self.EXECUTE_TOP_K]),
+                self.model, seq_len=self.seq_len, flash=self.flash):
+            if result is not None:
+                best_plan, best_result = plan, result
                 break
-            except OOMError:
-                oom += 1
+            oom += 1
         return BaselineResult(
             system=self.system,
             best_plan=best_plan,

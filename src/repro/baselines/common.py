@@ -13,21 +13,23 @@ Manual systems (Megatron-LM, DeepSpeed) are represented the way the
 paper evaluates them: a grid search over their configuration space with
 every candidate *executed* on the engine and the best measured
 throughput kept ("we perform a grid search over all possible
-optimization combinations", Section 6.1).
+optimization combinations", Section 6.1). Both are rows of one grid,
+:class:`GridSearchTuner`, that differ only in their axis values.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
-from repro.core.plan import PlanValidationError, TrainingPlan
-from repro.execution import ExecutionEngine, IterationResult, OOMError
+from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
+from repro.execution import ExecutionEngine, IterationResult, fastest
 from repro.hardware import ClusterSpec
 from repro.models.config import ModelConfig
 
-__all__ = ["Capabilities", "BaselineResult", "GridSearchTuner",
-           "pipeline_grids"]
+__all__ = ["Capabilities", "BaselineResult", "DeepSpeedTuner",
+           "GridSearchTuner", "MegatronTuner", "pipeline_grids"]
 
 
 def pipeline_grids(model: ModelConfig, cluster: ClusterSpec,
@@ -105,15 +107,21 @@ class BaselineResult:
 class GridSearchTuner:
     """Execute-and-measure grid search (how the paper runs manual systems).
 
-    Subclasses define :meth:`candidate_plans`; every structurally valid
-    candidate is executed on this system's engine and ranked by measured
-    throughput. OOMs are recorded, exactly like failed launches on a
-    real cluster.
+    The grid is :func:`pipeline_grids` x :attr:`ZERO_LEVELS` x {no
+    recomputation, full} x :attr:`OFFLOAD_MODES`, under DeepSpeed's
+    rules: offloading needs ZeRO, and gradient offload needs ZeRO-2.
+    Every candidate is executed on this system's engine and the first
+    best measured throughput is kept. OOMs are recorded, exactly like
+    failed launches on a real cluster.
     """
 
-    #: engine system key (overlap capability) — subclasses override
+    #: engine system key (overlap capability)
     system = "megatron"
     capabilities = Capabilities(name="grid-search")
+    #: ZeRO stages searched
+    ZERO_LEVELS: tuple[int, ...] = (0,)
+    #: (oo, go) offload ratio pairs searched
+    OFFLOAD_MODES: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
 
     def __init__(self, model: ModelConfig, cluster: ClusterSpec, *,
                  seq_len: int, flash: bool = True):
@@ -123,37 +131,67 @@ class GridSearchTuner:
         self.flash = flash
         self.engine = ExecutionEngine(cluster, system=self.system)
 
-    # -- to be provided by subclasses ----------------------------------------
-
     def candidate_plans(self, global_batch: int):
-        raise NotImplementedError
-
-    # -- search ------------------------------------------------------------------
+        """The grid's uniform-stage plans, each valid on the cluster."""
+        for num_stages, dp, tp, gacc, microbatch in pipeline_grids(
+                self.model, self.cluster, global_batch):
+            layers = self.model.num_layers // num_stages
+            for zero, ckpt, (oo, go) in itertools.product(
+                    self.ZERO_LEVELS, (0, layers), self.OFFLOAD_MODES):
+                if (oo or go) and zero == 0:
+                    continue  # ZeRO-Offload requires ZeRO
+                if go and zero < 2:
+                    continue  # gradient offload rides ZeRO-2
+                try:
+                    stage = StageConfig(
+                        layers=layers, microbatch=microbatch, dp=dp, tp=tp,
+                        zero=zero, ckpt=ckpt, oo=oo, go=go,
+                    )
+                    plan = TrainingPlan(
+                        global_batch=global_batch, gacc=gacc,
+                        stages=(stage,) * num_stages,
+                        source=f"{self.system}-grid",
+                    )
+                    plan.validate(self.model, self.cluster)
+                except PlanValidationError:
+                    continue
+                yield plan
 
     def tune(self, global_batch: int) -> BaselineResult:
         start = time.perf_counter()
-        best_plan: TrainingPlan | None = None
-        best_result: IterationResult | None = None
-        tried = 0
-        oom = 0
-        for plan in self.candidate_plans(global_batch):
-            tried += 1
-            try:
-                result = self.engine.run(plan, self.model,
-                                         seq_len=self.seq_len,
-                                         flash=self.flash)
-            except OOMError:
-                oom += 1
-                continue
-            except PlanValidationError:
-                continue
-            if best_result is None or result.throughput > best_result.throughput:
-                best_plan, best_result = plan, result
+        best = fastest(self.engine.execute(
+            self.candidate_plans(global_batch), self.model,
+            seq_len=self.seq_len, flash=self.flash))
         return BaselineResult(
             system=self.system,
-            best_plan=best_plan,
-            best_result=best_result,
+            best_plan=best.plan,
+            best_result=best.result,
             tuning_time_seconds=time.perf_counter() - start,
-            candidates_tried=tried,
-            candidates_oom=oom,
+            candidates_tried=best.runs,
+            candidates_oom=best.ooms,
         )
+
+
+class MegatronTuner(GridSearchTuner):
+    """Megatron-LM (Table 1 row 1): DP/TP/PP, microbatch, full-or-none
+    recomputation and the distributed optimizer (ZeRO-1 equivalent); no
+    ZeRO-2/3, no offloading. Its runtime overlaps the gradient
+    synchronization with backward compute."""
+
+    system = "megatron"
+    capabilities = Capabilities(name="Megatron-LM")
+    ZERO_LEVELS = (0, 1)
+
+
+class DeepSpeedTuner(GridSearchTuner):
+    """DeepSpeed (Table 1 row 2): ZeRO stages 0-3 and coarse (on/off)
+    ZeRO-Offload of optimizer states and gradients; ratios are not
+    tunable. Its runtime serializes the offload traffic, which is why it
+    loses to Megatron-LM whenever its parallelization plans hit memory
+    limits (Section 6.2 observation 1)."""
+
+    system = "deepspeed"
+    capabilities = Capabilities(name="DeepSpeed", offload_g="coarse",
+                                offload_o="coarse", zero23=True)
+    ZERO_LEVELS = (0, 1, 2, 3)
+    OFFLOAD_MODES = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))

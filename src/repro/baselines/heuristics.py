@@ -28,7 +28,7 @@ from repro.core.plan import PlanValidationError, StageConfig, TrainingPlan
 from repro.core.spaces import SPACE_MIST, SearchSpace
 from repro.core.tuner import gacc_candidates, traced_model
 from repro.costmodel.interference import InterferenceModel
-from repro.execution import ExecutionEngine, OOMError
+from repro.execution import ExecutionEngine, fastest
 from repro.hardware import ClusterSpec
 from repro.models.config import ModelConfig
 
@@ -144,21 +144,14 @@ class UniformHeuristicTuner:
                            for name, column in rows.items()}),
                 ) * num_stages)
 
-        best_result = None
-        oom = 0
-        if best_plan is not None:
-            try:
-                best_result = self.engine.run(best_plan, self.model,
-                                              seq_len=self.seq_len,
-                                              flash=self.flash)
-            except OOMError:
-                oom = 1
-                best_plan = None
+        best = fastest(self.engine.execute(
+            [best_plan] if best_plan is not None else [], self.model,
+            seq_len=self.seq_len, flash=self.flash))
         return BaselineResult(
             system="uniform-heuristic",
-            best_plan=best_plan,
-            best_result=best_result,
+            best_plan=best.plan,
+            best_result=best.result,
             tuning_time_seconds=time.perf_counter() - start,
             candidates_tried=tried,
-            candidates_oom=oom,
+            candidates_oom=best.ooms,
         )

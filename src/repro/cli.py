@@ -81,7 +81,7 @@ from repro.benchmarking.artifacts import (
     BENCH_BASELINE,
     LOAD_ARTIFACT,
 )
-from repro.core.plan import uniform_plan
+from repro.core.plan import PlanValidationError, uniform_plan
 from repro.core.spaces import NAMED_SPACES, SCALES
 from repro.execution import ExecutionEngine, OOMError, render_timeline
 from repro.hardware import (
@@ -366,8 +366,9 @@ def _cmd_sweep(args) -> int:
             sizes=tuple(args.sizes),
             clusters=({"gpu": args.gpu},),
             scales=(args.scale,),
-            seq_lens=(args.seq_len,) if args.seq_len else (),
-            global_batches=(args.global_batch,) if args.global_batch else (),
+            seq_lens=(args.seq_len,) if args.seq_len is not None else (),
+            global_batches=((args.global_batch,)
+                            if args.global_batch is not None else ()),
             flash=not args.no_flash,
             space=args.space,
             reference=reference,
@@ -593,13 +594,17 @@ def _cmd_serve(args) -> int:
     from repro.service import TuningService
 
     # PlanCache(None) resolves to $REPRO_PLAN_CACHE / ~/.cache/repro/plans
-    service = TuningService(host=args.host, port=args.port,
-                            workers=args.workers,
-                            worker_mode=args.worker_mode,
-                            max_pending=args.max_pending,
-                            quota=args.quota,
-                            worker_retries=args.worker_retries,
-                            cache=PlanCache(args.cache_dir))
+    try:
+        service = TuningService(host=args.host, port=args.port,
+                                workers=args.workers,
+                                worker_mode=args.worker_mode,
+                                max_pending=args.max_pending,
+                                quota=args.quota,
+                                worker_retries=args.worker_retries,
+                                cache=PlanCache(args.cache_dir))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     service.serve_forever()
     return 0
 
@@ -622,7 +627,11 @@ def _cmd_load(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
-        spec = _dc.replace(spec, **overrides)
+        try:
+            spec = _dc.replace(spec, **overrides)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     trace = synthesize_trace(spec)
     if args.url:
         result = run_load(args.url, spec, trace, mode=args.mode,
@@ -695,6 +704,10 @@ def _cmd_analyze(args) -> int:
     try:
         result = engine.run(plan, model, seq_len=args.seq_len,
                             flash=not args.no_flash)
+    except PlanValidationError as exc:
+        # the plan is well-formed but does not fit the cluster's shape
+        print(f"invalid configuration: {exc}")
+        return 1
     except OOMError as exc:
         print(f"OOM: {exc}")
         return 1

@@ -2,10 +2,12 @@
 
 Simulates training iterations for concrete plans: 4-channel contention,
 overlap-centric scheduling (per executing system), exact 1F1B
-dependencies, and memory tracking with OOM.
+dependencies, and memory tracking with OOM. Every solver executes its
+candidates the same way: :meth:`ExecutionEngine.execute` runs them in
+order, and :func:`fastest` keeps the first best measured one.
 """
 
-from .engine import ExecutionEngine, IterationResult
+from .engine import ExecutionEngine, Fastest, IterationResult, fastest
 from .events import ContentionSpec, corun_total_time, make_oracle
 from .memory_tracker import (
     ALLOCATOR_SLACK,
@@ -32,6 +34,7 @@ __all__ = [
     "ALLOCATOR_SLACK",
     "ContentionSpec",
     "ExecutionEngine",
+    "Fastest",
     "IterationResult",
     "MIST_IMPL_OVERHEAD",
     "OOMError",
@@ -42,6 +45,7 @@ __all__ = [
     "SCHEDULES",
     "StageMemoryReport",
     "corun_total_time",
+    "fastest",
     "make_oracle",
     "one_f_one_b_order",
     "phase_wall_time",

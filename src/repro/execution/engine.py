@@ -26,7 +26,9 @@ inter-group link. A one-group fleet is reduced to its plain cluster
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +51,8 @@ from .pipeline import PipelineResult, simulate_pipeline
 from .schedule import PHASE_RESOURCES, SCHEDULES, OverlapCapability, \
     phase_wall_times
 
-__all__ = ["ExecutionEngine", "IterationResult", "OOMError"]
+__all__ = ["ExecutionEngine", "Fastest", "IterationResult", "OOMError",
+           "fastest"]
 
 _ARG_NAMES = tuple(sym.name for sym in ALL_SYMBOLS)
 
@@ -222,6 +225,20 @@ class ExecutionEngine:
                       "model": model.name},
         )
 
+    def execute(self, plans: Iterable[TrainingPlan], model: ModelConfig, *,
+                seq_len: int, flash: bool = True
+                ) -> Iterator[tuple[TrainingPlan, IterationResult | None]]:
+        """Run ``plans`` in order, one :meth:`run` each, lazily: yields
+        each plan with its result, or with ``None`` when a stage ran out
+        of memory. A plan that does not fit the cluster's shape raises
+        :class:`~repro.core.plan.PlanValidationError`."""
+        for plan in plans:
+            try:
+                yield plan, self.run(plan, model, seq_len=seq_len,
+                                     flash=flash)
+            except OOMError:
+                yield plan, None
+
     # -- helpers ----------------------------------------------------------------
 
     @staticmethod
@@ -243,3 +260,29 @@ class ExecutionEngine:
             has_post=int(idx == plan.num_stages - 1),
             p2p_link=p2p_link,
         )
+
+
+class Fastest(NamedTuple):
+    """The plan :func:`fastest` keeps, and what it saw."""
+
+    plan: TrainingPlan | None
+    result: IterationResult | None
+    runs: int
+    ooms: int
+
+
+def fastest(runs: Iterable[tuple[TrainingPlan, IterationResult | None]]
+            ) -> Fastest:
+    """The first run with the highest measured throughput among
+    :meth:`ExecutionEngine.execute`'s ``runs``, counting the runs and the
+    out-of-memory ones; no plan when every run ran out of memory."""
+    plan: TrainingPlan | None = None
+    best: IterationResult | None = None
+    count = ooms = 0
+    for candidate, result in runs:
+        count += 1
+        if result is None:
+            ooms += 1
+        elif best is None or result.throughput > best.throughput:
+            plan, best = candidate, result
+    return Fastest(plan, best, count, ooms)

@@ -22,16 +22,18 @@ from repro.hardware import GPUSpec
 from repro.models.graph import ModelGraph
 from repro.symbolic import CompiledExpr, compile_expr
 from repro.tracing.liveness import backward_transient, forward_transient
-from repro.tracing.memory import ALLOCATOR_SLACK, FRAMEWORK_OVERHEAD_BYTES
+from repro.tracing.memory import (
+    ALLOCATOR_SLACK,
+    FP16_BYTES,
+    FRAMEWORK_OVERHEAD_BYTES,
+    GRAD_BYTES,
+    OPT_BYTES,
+)
 
 from ..core.plan import StageConfig
 
 __all__ = ["OOMError", "StageMemoryReport", "track_stage_memory",
            "quantize_ratio", "ALLOCATOR_SLACK"]
-
-FP16_BYTES = 2
-GRAD_BYTES = 2
-OPT_BYTES = 12
 
 
 class OOMError(RuntimeError):

@@ -181,6 +181,8 @@ class TuningService:
             raise ValueError("max_pending must be >= 0 (0 = unbounded)")
         if quota < 0:
             raise ValueError("quota must be >= 0 (0 = unlimited)")
+        if worker_retries < 0:
+            raise ValueError("worker_retries must be >= 0")
         self.host = host
         self.port = port
         self.workers = workers

@@ -42,8 +42,12 @@ from .symbols import (
 )
 
 __all__ = ["StageMemoryExprs", "build_stage_memory", "ALLOCATOR_SLACK",
-           "FRAMEWORK_OVERHEAD_BYTES"]
+           "FP16_BYTES", "FRAMEWORK_OVERHEAD_BYTES", "GRAD_BYTES",
+           "OPT_BYTES"]
 
+#: mixed-precision Adam bytes per parameter, the one definition the
+#: analyzer's runtime and memory expressions and the engine's tracker
+#: read
 FP16_BYTES = 2
 GRAD_BYTES = 2
 OPT_BYTES = 12  # fp32 master + momentum + variance

@@ -43,6 +43,7 @@ from repro.models.graph import ModelGraph
 from repro.models.ops import LayerGraph
 from repro.symbolic import Const, Expr
 
+from .memory import FP16_BYTES, GRAD_BYTES
 from .symbols import (
     AO,
     CKPT,
@@ -69,9 +70,6 @@ from .symbols import (
 
 __all__ = ["StageRuntimeExprs", "build_stage_runtime"]
 
-FP16_BYTES = 2
-GRAD_BYTES = 2
-OPT_BYTES = 12
 #: Adam update arithmetic per parameter (fp32 ops)
 ADAM_FLOPS_PER_PARAM = 20.0
 

@@ -1,11 +1,23 @@
 """Integration tests for the execution engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.memo import GLOBAL_MENU_MEMO
-from repro.core.plan import StageConfig, TrainingPlan, uniform_plan
+from repro.core.plan import (
+    PlanValidationError,
+    StageConfig,
+    TrainingPlan,
+    uniform_plan,
+)
 from repro.core.tuner import traced_model
-from repro.execution import ExecutionEngine, OOMError, render_timeline
+from repro.execution import (
+    ExecutionEngine,
+    OOMError,
+    fastest,
+    render_timeline,
+)
 from repro.hardware import make_cluster
 from repro.models import get_model
 
@@ -76,6 +88,76 @@ class TestEngineBasics:
     def test_unknown_system_rejected(self, cluster):
         with pytest.raises(ValueError):
             ExecutionEngine(cluster, system="pytorch")
+
+
+class TestExecuteStep:
+    """``ExecutionEngine.execute`` runs plans in order and reports an OOM
+    as ``None``; ``fastest`` keeps the first best measured plan."""
+
+    @pytest.fixture(scope="class")
+    def plans(self, model, cluster):
+        fits = fig2b_plan(model, cluster)
+        oom = uniform_plan(model, cluster, global_batch=8, gacc=4,
+                           num_stages=2, dp=2, tp=1, ckpt_all=False)
+        faster = uniform_plan(model, cluster, global_batch=8, gacc=1,
+                              num_stages=1, dp=4, tp=1, zero=2,
+                              ckpt_all=True)
+        return fits, oom, faster
+
+    def run(self, engine, model, plans):
+        return fastest(engine.execute(plans, model, seq_len=4096))
+
+    def test_oom_plan_reported_and_skipped(self, engine, model, plans):
+        fits, oom, faster = plans
+        runs = list(engine.execute([fits, oom, faster], model,
+                                   seq_len=4096))
+        assert [plan for plan, _ in runs] == [fits, oom, faster]
+        assert runs[1][1] is None
+        assert runs[0][1].iteration_time == engine.run(
+            fits, model, seq_len=4096).iteration_time
+        best = self.run(engine, model, [fits, oom, faster])
+        assert best.plan is faster
+        assert best.result.throughput > runs[0][1].throughput
+        assert (best.runs, best.ooms) == (3, 1)
+
+    def test_tie_keeps_the_first_plan(self, engine, model, plans):
+        fits = plans[0]
+        # equal stages, so equal measured bits; only the label differs
+        twin = dataclasses.replace(fits, source="twin")
+        best = self.run(engine, model, [fits, twin])
+        assert best.plan is fits
+        best = self.run(engine, model, [twin, fits])
+        assert best.plan is twin
+
+    def test_all_oom_returns_no_plan(self, engine, model, plans):
+        oom = plans[1]
+        assert tuple(self.run(engine, model, [oom, oom])) == \
+            (None, None, 2, 2)
+        assert tuple(self.run(engine, model, [])) == (None, None, 0, 0)
+
+    def test_runs_lazily_in_order(self, engine, model, plans,
+                                  monkeypatch):
+        fits, oom, faster = plans
+        ran = []
+
+        def run(plan, *args, **kwargs):
+            ran.append(plan)
+            return ExecutionEngine.run(engine, plan, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", run)
+        runs = engine.execute([oom, fits, faster], model, seq_len=4096)
+        assert not ran
+        assert next(runs)[1] is None
+        plan, result = next(runs)
+        assert plan is fits and result is not None
+        runs.close()
+        assert ran == [oom, fits]  # the third plan never ran
+
+    def test_invalid_plan_raises(self, engine, model, cluster, plans):
+        stage = dataclasses.replace(plans[0].stages[0], tp=8)
+        wide = dataclasses.replace(plans[0], stages=(stage, stage))
+        with pytest.raises(PlanValidationError):
+            list(engine.execute([wide], model, seq_len=4096))
 
 
 class TestSystemDifferences:

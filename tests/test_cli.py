@@ -73,6 +73,17 @@ class TestAnalyze:
         assert code == 1
         assert "invalid" in capsys.readouterr().out
 
+    def test_analyze_plan_not_fitting_cluster(self, capsys):
+        # a well-formed plan on 3 GPUs of a 2-GPU cluster: the engine's
+        # validation error is reported, not raised
+        code = main([
+            "analyze", "--model", "gpt3-1.3b", "--gpu", "L4",
+            "--gpus", "2", "--global-batch", "8", "--tp", "3",
+        ])
+        assert code == 1
+        assert "invalid configuration: plan uses 3 GPUs" in \
+            capsys.readouterr().out
+
     def test_analyze_timeline(self, capsys):
         code = main([
             "analyze", "--model", "gpt3-1.3b", "--gpu", "L4",
@@ -388,6 +399,29 @@ class TestSweep:
         assert code == 2
         assert "--reference" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--global-batch", "global_batch"), ("--seq-len", "seq_len"),
+    ])
+    def test_sweep_zero_rejected_not_defaulted(self, flag, field, capsys,
+                                               tmp_path):
+        code = main(["sweep", "--sizes", "1.3b", "--solvers", "mist",
+                     "--scale", "smoke", flag, "0",
+                     "--cache-dir", str(tmp_path)])
+        assert code == 2
+        assert f"{field} must be >= 1" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())  # nothing was solved
+
+
+class TestLoadCommand:
+    @pytest.mark.parametrize("argv, message", [
+        (["--requests", "0"], "requests must be >= 1"),
+        (["--requests", "3", "--unique-jobs", "5"],
+         "need 1 <= unique_jobs <= requests"),
+    ], ids=["zero-requests", "more-jobs-than-requests"])
+    def test_bad_trace_override_rejected(self, argv, message, capsys):
+        assert main(["load", *argv]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCampaignCommand:
     SPEC = {
@@ -488,6 +522,24 @@ class TestCampaignCommand:
 
 
 class TestServeCommand:
+    @pytest.mark.parametrize("argv, message", [
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--max-pending", "-1"], "max_pending must be >= 0"),
+        (["--quota", "-1"], "quota must be >= 0"),
+        (["--worker-retries", "-1"], "worker_retries must be >= 0"),
+    ], ids=["workers", "max-pending", "quota", "worker-retries"])
+    def test_bad_bounds_rejected(self, argv, message, capsys, tmp_path,
+                                 monkeypatch):
+        from repro.service import TuningService
+
+        def started(self):
+            pytest.fail("the daemon started with a bad bound")
+
+        monkeypatch.setattr(TuningService, "serve_forever", started)
+        code = main(["serve", "--port", "0", "--cache-dir", str(tmp_path),
+                     *argv])
+        assert code == 2
+        assert message in capsys.readouterr().err
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
