@@ -24,7 +24,7 @@ from repro.service import Client, TuningService
 JOB = TuningJob(
     model="gpt3-1.3b", gpu="L4", num_gpus=2, global_batch=16,
     scale="smoke",          # tiny grid: the demo finishes in seconds
-    interference="none",    # interference-free prediction
+    interference="none",    # uncalibrated default factors
 )
 
 

@@ -82,7 +82,8 @@ class TuningJob:
     space: str | dict = "mist"
     scale: str | dict = "quick"
     #: "auto" uses the cluster fabric's checked-in calibrated
-    #: interference model; "none" disables interference-aware prediction
+    #: interference model; "none" uses the built-in uncalibrated
+    #: pairwise factors (InterferenceModel.default for the fabric)
     interference: str = "auto"
     #: number of top predicted plans the solver may execute/verify
     keep_top: int = 3

@@ -280,11 +280,15 @@ class SyntheticSolver:
     * ``throughput`` (float, default ``100.0``) — the reported
       "measured" throughput;
     * ``die_file`` (path) — chaos hook: if the named file exists when
-      the solve starts, the process hard-exits (``os._exit``), which
-      looks exactly like a ``kill -9`` to a process worker tier. The
-      flag lives *outside* the job (the fingerprint is unchanged), so
-      deleting the file and resubmitting — or resuming a campaign —
-      the very same job succeeds.
+      the solve starts in a process started by :mod:`multiprocessing`
+      (a process worker tier, the ``process-pool`` campaign executor),
+      that process hard-exits (``os._exit``), which looks exactly like
+      a ``kill -9`` to its tier. Anywhere else — a daemon's thread
+      workers, an inline solve — the hook is ignored, so one request
+      cannot kill the process serving it. The flag lives *outside*
+      the job (the fingerprint is unchanged), so deleting the file and
+      resubmitting — or resuming a campaign — the very same job
+      succeeds.
 
     Knob *defaults* may also be injected through the
     ``REPRO_SYNTHETIC_DEFAULTS`` environment variable (a JSON object,
@@ -322,8 +326,12 @@ class SyntheticSolver:
         seconds = float(knobs.get("seconds", 0.05))
         throughput = float(knobs.get("throughput", 100.0))
         die_file = knobs.get("die_file")
-        if die_file is not None and os.path.exists(str(die_file)):
-            os._exit(3)
+        if die_file is not None:
+            from multiprocessing import parent_process
+
+            if parent_process() is not None \
+                    and os.path.exists(str(die_file)):
+                os._exit(3)
         if progress is not None:
             progress(0, 1)
         deadline = time.perf_counter() + seconds

@@ -32,8 +32,9 @@ __all__ = ["CampaignError", "CampaignManifest", "finished_cell_record",
            "pending_cell_record"]
 
 
-class CampaignError(RuntimeError):
-    """Campaign orchestration failed (bad directory, spec mismatch...)."""
+class CampaignError(ValueError):
+    """A campaign cannot start from this input: resume without a
+    directory or manifest, or a spec that changed since the manifest."""
 
 
 def pending_cell_record(cell: CampaignCell) -> dict:

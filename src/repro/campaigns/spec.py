@@ -357,6 +357,9 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
+        if not isinstance(data, dict):
+            raise CampaignValidationError(
+                "campaign spec must be a JSON object")
         # strict: campaign specs are hand-written files, so a typo'd
         # axis ("seq_len" for "seq_lens") must fail loudly, not
         # silently run a different grid. "parallelism" is the one
@@ -375,11 +378,7 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise CampaignValidationError(
-                "campaign spec must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(json.loads(text))
 
     def fingerprint(self) -> str:
         """Stable content hash; the manifest's resume-compatibility key."""

@@ -56,6 +56,10 @@ Examples::
     python -m repro analyze --model gpt3-2.7b --gpu L4 --gpus 4 \
         --global-batch 8 --seq-len 4096 --stages 2 --dp 2 --ckpt full
 
+Exit codes: 0 ok; 1 a result failure (no feasible plan, OOM, a failed
+gate, check findings); 2 bad input, reported by :func:`main` as one
+``repro <command>: error: ...`` line on stderr.
+
 Full documentation lives in ``docs/`` (ARCHITECTURE.md, API.md,
 PAPER_MAPPING.md).
 """
@@ -70,8 +74,10 @@ from pathlib import Path
 from repro.api import (
     JobValidationError,
     PlanCache,
+    SolveReport,
     SolverNotFoundError,
     TuningJob,
+    get_solver,
     solve,
     solver_registry,
 )
@@ -84,16 +90,10 @@ from repro.benchmarking.artifacts import (
 from repro.core.plan import PlanValidationError, uniform_plan
 from repro.core.spaces import NAMED_SPACES, SCALES
 from repro.execution import ExecutionEngine, OOMError, render_timeline
-from repro.hardware import (
-    ClusterDelta,
-    DeltaError,
-    cluster_to_dict,
-    load_cluster,
-)
+from repro.hardware import ClusterDelta, cluster_to_dict, load_cluster
 from repro.models import get_model, list_models
 
 __all__ = ["main"]
-
 
 def _add_workload_args(parser: argparse.ArgumentParser, *,
                        gpus_required: bool = True) -> None:
@@ -136,29 +136,43 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
                              "no cell completing (--executor service)")
 
 
+def _parse(what: str, source, build):
+    """Build one user-named input document with ``build()``; a read or
+    parse failure becomes a ``ValueError`` naming ``source``."""
+    try:
+        return build()
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = str(exc)
+    raise ValueError(f"invalid {what} {source}: {reason}")
+
+
 def _job(args) -> TuningJob:
-    common = dict(
-        model=args.model, global_batch=args.global_batch,
-        seq_len=args.seq_len, flash=not args.no_flash,
-        space=args.space, scale=args.scale,
-    )
+    """The job the workload flags describe; any flaw in them, or in
+    the ``--cluster`` file, is one ``invalid job`` error."""
+    common = dict(model=args.model, global_batch=args.global_batch,
+                  seq_len=args.seq_len, flash=not args.no_flash)
+    if "scale" in args:  # analyze runs one explicit plan: no search flags
+        common.update(space=args.space, scale=args.scale)
     cluster_file = getattr(args, "cluster", None)
-    if cluster_file:
-        if args.gpu is not None:
-            raise JobValidationError(
-                "--gpu conflicts with --cluster "
-                "(GPU types come from the cluster file)"
-            )
-        cluster = load_cluster(cluster_file)
-        if args.gpus is not None and args.gpus != cluster.total_gpus:
-            raise JobValidationError(
-                f"--gpus {args.gpus} contradicts --cluster "
-                f"({cluster.total_gpus} GPUs in {cluster_file})"
-            )
-        return TuningJob.for_cluster(cluster, **common)
-    if args.gpus is None:
-        raise JobValidationError("--gpus is required without --cluster")
-    return TuningJob(gpu=args.gpu or "L4", num_gpus=args.gpus, **common)
+    try:
+        if cluster_file:
+            if args.gpu is not None:
+                raise ValueError("--gpu conflicts with --cluster "
+                                 "(GPU types come from the cluster file)")
+            cluster = _parse("cluster file", cluster_file,
+                             lambda: load_cluster(cluster_file))
+            if args.gpus is not None and args.gpus != cluster.total_gpus:
+                raise ValueError(
+                    f"--gpus {args.gpus} contradicts --cluster "
+                    f"({cluster.total_gpus} GPUs in {cluster_file})")
+            return TuningJob.for_cluster(cluster, **common)
+        if args.gpus is None:
+            raise ValueError("--gpus is required without --cluster")
+        return TuningJob(gpu=args.gpu or "L4", num_gpus=args.gpus, **common)
+    except ValueError as exc:
+        raise JobValidationError(f"invalid job: {exc}") from None
 
 
 def _cache(args) -> PlanCache | None:
@@ -171,6 +185,15 @@ def _write_json(path: str, reports: list) -> None:
         json.dump(payload[0] if len(payload) == 1 else payload, fh,
                   sort_keys=True, indent=2)
     print(f"wrote {path}")
+
+
+def _read_baseline(path: str | None) -> dict | None:
+    if path is None:
+        return None
+    data = _parse("baseline", path, lambda: json.loads(Path(path).read_text()))
+    if not isinstance(data, dict):
+        raise ValueError(f"invalid baseline {path}: not a JSON object")
+    return data
 
 
 def _cmd_models(_args) -> int:
@@ -190,13 +213,9 @@ def _cmd_solvers(_args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    try:
-        job = _job(args)
-    except (JobValidationError, OSError, TypeError, ValueError,
-            KeyError) as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"invalid job: {detail}")
-        return 2
+    job = _job(args)
+    for name in (args.solver, *(args.compare or ())):
+        get_solver(name)  # an unknown name fails before any solve
     cache = _cache(args)
     cluster = job.resolved_cluster()
     where = (cluster.name if len(cluster.sub_clusters) > 1
@@ -204,11 +223,7 @@ def _cmd_tune(args) -> int:
     print(f"tuning {job.model} on {where}, "
           f"B={job.global_batch}, seq={job.seq_len}, scale={args.scale}, "
           f"solver={args.solver}")
-    try:
-        report = solve(job, args.solver, cache=cache)
-    except SolverNotFoundError as exc:
-        print(exc.args[0])
-        return 2
+    report = solve(job, args.solver, cache=cache)
     # infeasible/OOM reports serialize fine — always honor --json once
     # the primary solve has produced a report
     reports = [report]
@@ -238,11 +253,7 @@ def _cmd_tune(args) -> int:
             print("(timeline unavailable for cached reports)")
 
     for system in args.compare or ():
-        try:
-            outcome = solve(job, system, cache=cache)
-        except SolverNotFoundError as exc:
-            print(f"\n{exc.args[0]}")
-            return _finish(2)
+        outcome = solve(job, system, cache=cache)
         reports.append(outcome)
         if outcome.found and outcome.throughput > 0:
             ratio = report.throughput / outcome.throughput
@@ -254,44 +265,22 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_replan(args) -> int:
-    try:
-        job = _job(args)
-    except (JobValidationError, OSError, TypeError, ValueError,
-            KeyError) as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"invalid job: {detail}")
-        return 2
-    try:
-        delta = ClusterDelta.from_json(Path(args.delta).read_text())
-    except (OSError, TypeError, ValueError, KeyError) as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"invalid delta file: {detail}")
-        return 2
+    job = _job(args)
+    get_solver(args.solver)  # an unknown name fails before any solve
+    delta = _parse("delta file", args.delta, lambda: ClusterDelta.from_json(
+        Path(args.delta).read_text()))
     incumbent = None
     if args.incumbent:
-        from repro.api import SolveReport
-
-        try:
-            incumbent = SolveReport.from_json(
-                Path(args.incumbent).read_text())
-        except (OSError, TypeError, ValueError, KeyError) as exc:
-            detail = exc.args[0] if exc.args else exc
-            print(f"invalid incumbent report: {detail}")
-            return 2
+        incumbent = _parse(
+            "incumbent report", args.incumbent,
+            lambda: SolveReport.from_json(Path(args.incumbent).read_text()))
     cache = _cache(args)
     print(f"replanning {job.model} after {delta.describe()}, "
           f"scale={args.scale}, solver={args.solver}")
-    try:
-        report = api_replan(job, delta, args.solver, cache=cache,
-                            incumbent=incumbent)
-    except SolverNotFoundError as exc:
-        print(exc.args[0])
-        return 2
-    except (DeltaError, JobValidationError) as exc:
-        # the delta doesn't fit this cluster, or the post-delta job
-        # fails validation
-        print(exc.args[0] if exc.args else exc)
-        return 2
+    # a delta that does not fit this cluster, or a post-delta job that
+    # fails validation, raises DeltaError / JobValidationError
+    report = api_replan(job, delta, args.solver, cache=cache,
+                        incumbent=incumbent)
     reports = [report]
 
     def _finish(code: int) -> int:
@@ -336,6 +325,8 @@ def _executor_options(args) -> dict:
     if args.executor == "process-pool":
         return {"workers": args.workers}
     if args.executor == "service":
+        if not args.service_url:
+            raise ValueError("--executor service requires --service-url")
         return {"url": args.service_url, "timeout": args.service_timeout}
     return {}
 
@@ -343,39 +334,27 @@ def _executor_options(args) -> dict:
 def _cmd_sweep(args) -> int:
     # the sweep is one paper-grid campaign; everything below is
     # presentation (see repro.campaigns for the machinery)
-    from repro.campaigns import (
-        CampaignSpec,
-        CampaignValidationError,
-        ExecutorNotFoundError,
-        run_campaign,
-    )
+    from repro.campaigns import CampaignSpec, run_campaign
 
     reference = args.reference or args.solvers[0]
     if reference not in args.solvers:
-        print(f"--reference {reference!r} is not among the requested "
-              f"solvers {args.solvers}")
-        return 2
-    if args.executor == "service" and not args.service_url:
-        print("--executor service requires --service-url")
-        return 2
-    try:
-        spec = CampaignSpec(
-            name=f"sweep-{args.gpu}-{args.family}",
-            solvers=tuple(args.solvers),
-            family=args.family,
-            sizes=tuple(args.sizes),
-            clusters=({"gpu": args.gpu},),
-            scales=(args.scale,),
-            seq_lens=(args.seq_len,) if args.seq_len is not None else (),
-            global_batches=((args.global_batch,)
-                            if args.global_batch is not None else ()),
-            flash=not args.no_flash,
-            space=args.space,
-            reference=reference,
-        )
-    except CampaignValidationError as exc:
-        print(exc.args[0])
-        return 2
+        raise ValueError(f"--reference {reference!r} is not among the "
+                         f"requested solvers {args.solvers}")
+    executor_options = _executor_options(args)
+    spec = CampaignSpec(
+        name=f"sweep-{args.gpu}-{args.family}",
+        solvers=tuple(args.solvers),
+        family=args.family,
+        sizes=tuple(args.sizes),
+        clusters=({"gpu": args.gpu},),
+        scales=(args.scale,),
+        seq_lens=(args.seq_len,) if args.seq_len is not None else (),
+        global_batches=((args.global_batch,)
+                        if args.global_batch is not None else ()),
+        flash=not args.no_flash,
+        space=args.space,
+        reference=reference,
+    )
     reports_by_cell: dict[str, object] = {}
 
     def on_event(record, report):
@@ -383,16 +362,10 @@ def _cmd_sweep(args) -> int:
         if report is not None:
             reports_by_cell[record["cell_id"]] = report
 
-    try:
-        outcome = run_campaign(
-            spec, executor=args.executor,
-            executor_options=_executor_options(args),
-            cache=_cache(args), on_event=on_event,
-        )
-    except (CampaignValidationError, ExecutorNotFoundError,
-            SolverNotFoundError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc)
-        return 2
+    outcome = run_campaign(
+        spec, executor=args.executor, executor_options=executor_options,
+        cache=_cache(args), on_event=on_event,
+    )
     print()
     # table + JSON follow the deterministic expansion order of the
     # aggregated report, not executor completion order
@@ -406,40 +379,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_campaign_run(args) -> int:
-    from repro.campaigns import (
-        CampaignError,
-        CampaignSpec,
-        CampaignValidationError,
-        ExecutorNotFoundError,
-        run_campaign,
-    )
+    from repro.campaigns import CampaignSpec, run_campaign
 
-    try:
-        spec = CampaignSpec.from_json(Path(args.spec).read_text())
-    except (OSError, TypeError, ValueError, KeyError) as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"invalid campaign spec: {detail}")
-        return 2
+    spec = _parse("campaign spec", args.spec,
+                  lambda: CampaignSpec.from_json(Path(args.spec).read_text()))
     if args.resume and not args.dir:
-        print("--resume requires --dir (the campaign directory)")
-        return 2
-    if args.executor == "service" and not args.service_url:
-        print("--executor service requires --service-url")
-        return 2
+        raise ValueError("--resume requires --dir (the campaign directory)")
+    executor_options = _executor_options(args)
     print(f"campaign {spec.name}: executor={args.executor}"
           + (f", dir={args.dir}" if args.dir else "")
           + (" (resume)" if args.resume else ""))
-    try:
-        report = run_campaign(
-            spec, executor=args.executor,
-            executor_options=_executor_options(args),
-            directory=args.dir, cache=_cache(args), resume=args.resume,
-            on_event=lambda record, _report: _print_cell_event(record),
-        )
-    except (CampaignError, CampaignValidationError, ExecutorNotFoundError,
-            SolverNotFoundError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc)
-        return 2
+    report = run_campaign(
+        spec, executor=args.executor, executor_options=executor_options,
+        directory=args.dir, cache=_cache(args), resume=args.resume,
+        on_event=lambda record, _report: _print_cell_event(record),
+    )
     print()
     print(report.describe())
     if args.json:
@@ -449,21 +403,20 @@ def _cmd_campaign_run(args) -> int:
     return 0 if report.complete else 1
 
 
-def _load_manifest(directory: str):
-    from repro.campaigns import CampaignManifest
+def _manifest_report(directory: str):
+    """The on-disk manifest in ``directory`` and its aggregated report."""
+    from repro.campaigns import (
+        CampaignManifest,
+        CampaignSpec,
+        aggregate,
+        pending_cell_record,
+    )
 
     manifest = CampaignManifest(directory)
     if not manifest.load():
-        print(f"no readable campaign manifest in {directory}")
-        return None
-    return manifest
-
-
-def _manifest_report(manifest):
-    """Rebuild the aggregated report from an on-disk manifest."""
-    from repro.campaigns import CampaignSpec, aggregate, pending_cell_record
-
-    spec = (CampaignSpec.from_dict(manifest.spec_dict)
+        raise ValueError(f"no readable campaign manifest in {directory}")
+    spec = (_parse("campaign manifest spec", manifest.path,
+                   lambda: CampaignSpec.from_dict(manifest.spec_dict))
             if manifest.spec_dict else None)
     recorded = {rec["cell_id"]: rec for rec in manifest.cells()}
     cells = list(recorded.values())
@@ -476,16 +429,14 @@ def _manifest_report(manifest):
                      or pending_cell_record(cell)
                      for cell in expanded]
         except (KeyError, TypeError, ValueError):
-            # malformed/foreign spec dict — fall back to recorded cells
+            # a spec this process cannot expand — fall back to
+            # recorded cells
             pass
-    return aggregate(spec, cells, executor="manifest")
+    return manifest, aggregate(spec, cells, executor="manifest")
 
 
 def _cmd_campaign_status(args) -> int:
-    manifest = _load_manifest(args.dir)
-    if manifest is None:
-        return 2
-    report = _manifest_report(manifest)
+    manifest, report = _manifest_report(args.dir)
     if args.json:
         print(json.dumps({"name": manifest.name,
                           "fingerprint": manifest.fingerprint,
@@ -507,10 +458,7 @@ def _cmd_campaign_status(args) -> int:
 
 
 def _cmd_campaign_report(args) -> int:
-    manifest = _load_manifest(args.dir)
-    if manifest is None:
-        return 2
-    report = _manifest_report(manifest)
+    _manifest, report = _manifest_report(args.dir)
     print(report.describe())
     if args.json:
         with open(args.json, "w") as fh:
@@ -520,12 +468,8 @@ def _cmd_campaign_report(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    try:
-        cluster = load_cluster(args.file)
-    except (OSError, TypeError, ValueError, KeyError) as exc:
-        detail = exc.args[0] if exc.args else exc
-        print(f"invalid cluster file: {detail}")
-        return 2
+    cluster = _parse("cluster file", args.file,
+                     lambda: load_cluster(args.file))
     if args.json:
         print(json.dumps(cluster_to_dict(cluster), sort_keys=True, indent=2))
         return 0
@@ -559,6 +503,7 @@ def _cmd_bench(args) -> int:
     from repro.benchmarking import format_bench, run_bench
     from repro.benchmarking.bench import main_check
 
+    baseline = _read_baseline(args.baseline)
     print(f"running bench suite at scale {args.scale!r} "
           f"(exhaustive reference: "
           f"{'off' if args.no_exhaustive else 'on'}, "
@@ -572,14 +517,6 @@ def _cmd_bench(args) -> int:
         json.dump(result, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"wrote {args.out}")
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read baseline {args.baseline}: {exc}")
-            return 2
     if args.no_exhaustive and args.no_replan and baseline is None:
         return 0  # timing-only run: no gates to apply
     return main_check(result, baseline,
@@ -594,17 +531,13 @@ def _cmd_serve(args) -> int:
     from repro.service import TuningService
 
     # PlanCache(None) resolves to $REPRO_PLAN_CACHE / ~/.cache/repro/plans
-    try:
-        service = TuningService(host=args.host, port=args.port,
-                                workers=args.workers,
-                                worker_mode=args.worker_mode,
-                                max_pending=args.max_pending,
-                                quota=args.quota,
-                                worker_retries=args.worker_retries,
-                                cache=PlanCache(args.cache_dir))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    service = TuningService(host=args.host, port=args.port,
+                            workers=args.workers,
+                            worker_mode=args.worker_mode,
+                            max_pending=args.max_pending,
+                            quota=args.quota,
+                            worker_retries=args.worker_retries,
+                            cache=PlanCache(args.cache_dir))
     service.serve_forever()
     return 0
 
@@ -627,17 +560,16 @@ def _cmd_load(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
-        try:
-            spec = _dc.replace(spec, **overrides)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        spec = _dc.replace(spec, **overrides)
+    if not (args.url or args.spawn):
+        raise ValueError("need --url URL or --spawn")
+    baseline = _read_baseline(args.baseline)
     trace = synthesize_trace(spec)
     if args.url:
         result = run_load(args.url, spec, trace, mode=args.mode,
                           concurrency=args.concurrency,
                           timeout=args.timeout)
-    elif args.spawn:
+    else:
         from repro.service.launch import spawn_daemon
 
         extra = []
@@ -656,37 +588,21 @@ def _cmd_load(args) -> int:
                 result = run_load(daemon.url, spec, trace, mode=args.mode,
                                   concurrency=args.concurrency,
                                   timeout=args.timeout)
-    else:
-        print("error: need --url URL or --spawn", file=sys.stderr)
-        return 2
     print(format_load(result))
     with open(args.out, "w") as fh:
         json.dump(result, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"wrote {args.out}")
-    baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read baseline {args.baseline}: {exc}")
-            return 2
     return load_check(result, baseline,
                       max_regression=args.max_regression)
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        job = TuningJob(model=args.model, gpu=args.gpu or "L4",
-                        num_gpus=args.gpus, global_batch=args.global_batch,
-                        seq_len=args.seq_len, flash=not args.no_flash)
-    except JobValidationError as exc:
-        print(f"invalid job: {exc}")
-        return 2
+    job = _job(args)
     model = job.resolved_model()
     cluster = job.resolved_cluster()
-    gacc = args.gacc or max(1, args.global_batch // (args.dp or 1))
+    gacc = (args.gacc if args.gacc is not None
+            else max(1, args.global_batch // (args.dp or 1)))
     ckpt_all = args.ckpt == "full"
     try:
         plan = uniform_plan(
@@ -720,7 +636,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from repro.analysis import RuleNotFoundError, rule_registry, run_check
+    from repro.analysis import rule_registry, run_check
 
     registry = rule_registry()
     if args.list_rules:
@@ -728,16 +644,15 @@ def _cmd_check(args) -> int:
             doc = (registry[name].__doc__ or "").strip().splitlines()
             print(f"{name:22s} {doc[0] if doc else ''}")
         return 0
+    unknown = [name for name in args.rule or () if name not in registry]
+    if unknown:
+        raise ValueError(f"unknown rule(s) {unknown}; "
+                         f"registered: {sorted(registry)}")
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
-        print(f"error: no such path(s): {', '.join(missing)} — "
-              "refusing to silently check nothing", file=sys.stderr)
-        return 2
-    try:
-        result = run_check(args.paths, rules=args.rule or None)
-    except RuleNotFoundError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no such path(s): {', '.join(missing)} — "
+                         "refusing to silently check nothing")
+    result = run_check(args.paths, rules=args.rule or None)
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     elif args.format == "sarif":
@@ -1018,9 +933,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command. Bad input — a flag, file or document the
+    command rejects — exits 2 with one ``repro <command>: error:``
+    line on stderr, as argparse does for usage errors; every other
+    exception propagates."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except SolverNotFoundError as exc:
+        reason = exc.args[0]  # a KeyError: str() would quote it
+    except (OSError, ValueError) as exc:
+        reason = str(exc)
+    command = " ".join(filter(None, (args.command,
+                                     getattr(args, "campaign_command", None))))
+    print(f"repro {command}: error: {reason}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

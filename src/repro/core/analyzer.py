@@ -109,17 +109,14 @@ class PlanPrediction:
 class SymbolicPerformanceAnalyzer:
     """One-time compilation, many cheap configuration queries.
 
-    ``gpu`` pins the device whose memory bounds the stages this
-    analyzer prices — by default the cluster's GPU, but heterogeneous
-    tuning builds one analyzer per
-    :class:`~repro.hardware.topology.DeviceGroup` and passes that
-    group's :class:`~repro.hardware.gpu.GPUSpec` explicitly.
+    The cluster's GPU bounds the stages this analyzer prices;
+    heterogeneous tuning builds one analyzer per device group, each on
+    that group's homogeneous sub-cluster.
     """
 
     def __init__(self, traced: TracedModel, cluster: ClusterSpec,
-                 interference: InterferenceModel | None = None, *,
-                 gpu: GPUSpec | None = None):
-        gpu = gpu if gpu is not None else cluster.gpu
+                 interference: InterferenceModel | None = None):
+        gpu = cluster.gpu
         if traced.gpu.name != gpu.name:
             raise ValueError(
                 f"traced model priced for {traced.gpu.name}, analyzer "

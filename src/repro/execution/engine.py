@@ -122,8 +122,7 @@ class ExecutionEngine:
     """
 
     def __init__(self, cluster: "ClusterSpec | HeterogeneousCluster", *,
-                 system: str = "mist",
-                 contention: ContentionSpec | None = None):
+                 system: str = "mist"):
         if system not in SCHEDULES:
             raise ValueError(
                 f"unknown system {system!r}; known: {sorted(SCHEDULES)}"
@@ -134,9 +133,7 @@ class ExecutionEngine:
         # conservative: contention factors of the weakest fabric
         pcie_only = any(not sub.gpu.has_nvlink
                         for _, sub in self.cluster.sub_clusters)
-        self.contention = contention or ContentionSpec.default(
-            pcie_only=pcie_only
-        )
+        self.contention = ContentionSpec.default(pcie_only=pcie_only)
 
     # -- traces and kernels -------------------------------------------------
 

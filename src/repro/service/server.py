@@ -175,6 +175,8 @@ class TuningService:
                  worker_mode: str = "thread",
                  max_pending: int = 0, quota: int = 0,
                  worker_retries: int = 1):
+        if not 0 <= port <= 65535:
+            raise ValueError("port must be in 0..65535 (0 = ephemeral)")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_pending < 0:

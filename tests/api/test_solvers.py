@@ -75,6 +75,25 @@ class TestMistSolver:
         assert parsed["solver"] == "mist"
 
 
+class TestInterferenceNone:
+    @pytest.mark.parametrize("gpu", ["L4", "A100-40GB"])
+    def test_none_prices_the_uncalibrated_default(self, gpu):
+        # "none" does not switch Algorithm 1 off: the analyzer prices it
+        # with the fabric's built-in pairwise factors, not the
+        # calibrated table
+        from repro.costmodel import InterferenceModel
+
+        job = TuningJob(model="gpt3-1.3b", gpu=gpu, num_gpus=2,
+                        global_batch=16, scale="smoke", interference="none")
+        tuner = get_solver("mist").make_tuner(job)
+        pcie_only = not job.resolved_cluster().gpu.has_nvlink
+        assert (tuner.analyzers[""].interference.fingerprint()
+                == InterferenceModel.default(pcie_only=pcie_only)
+                .fingerprint())
+        assert (tuner.analyzers[""].interference.fingerprint()
+                != calibrated_interference(pcie_only).fingerprint())
+
+
 class TestBaselineSolvers:
     JOB = TuningJob(model="gpt3-1.3b", num_gpus=2, global_batch=16,
                     scale="smoke")

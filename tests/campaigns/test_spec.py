@@ -251,6 +251,15 @@ class TestSerialization:
         with pytest.raises(CampaignValidationError):
             CampaignSpec.from_json("[1, 2]")
 
+    @pytest.mark.parametrize("data", ["ops", ["name"], 7],
+                             ids=["string", "list", "int"])
+    def test_from_dict_rejects_non_object(self, data):
+        # a string must not list its characters as unknown fields, and
+        # an int must not raise a bare TypeError
+        with pytest.raises(CampaignValidationError,
+                           match="campaign spec must be a JSON object"):
+            CampaignSpec.from_dict(data)
+
     def test_from_dict_rejects_typoed_axis(self):
         # "seq_len" (singular) must not silently vanish into defaults
         data = self.SPEC.to_dict()

@@ -112,6 +112,24 @@ class TestServiceChaos:
             assert client.wait(retry["id"],
                                timeout=120)["status"] == "done"
 
+    def test_die_file_ignored_on_thread_workers(self, tmp_path):
+        # the chaos hook hard-exits only a multiprocessing child: on a
+        # daemon whose workers are threads it would kill the daemon
+        from repro.service import Client
+        from repro.service.launch import spawn_daemon
+
+        armed = dataclasses.replace(
+            LONG_JOB, options={"synthetic": {"seconds": 0.1,
+                                             "die_file": "/"}})
+        with spawn_daemon(worker_mode="thread",
+                          cache_dir=str(tmp_path / "plans")) as daemon:
+            client = Client(daemon.url, timeout=30.0)
+            record = client.submit(armed, solver="synthetic")
+            final = client.wait(record["id"], timeout=120)
+            assert final["status"] == "done"
+            assert client.health()["status"] == "ok"
+            assert daemon.process.poll() is None
+
     def test_campaign_worker_death_leaves_manifest_resumable(
             self, tmp_path, monkeypatch):
         flag = tmp_path / "chaos-flag"

@@ -84,6 +84,17 @@ class TestAnalyze:
         assert "invalid configuration: plan uses 3 GPUs" in \
             capsys.readouterr().out
 
+    def test_explicit_zero_gacc_reaches_validation(self, capsys):
+        # an explicit --gacc 0 is not "unset": it must not be replaced
+        # by global_batch // dp and analyze a different plan
+        code = main([
+            "analyze", "--model", "gpt3-1.3b", "--gpu", "L4",
+            "--gpus", "2", "--global-batch", "8", "--dp", "2",
+            "--gacc", "0",
+        ])
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().out
+
     def test_analyze_timeline(self, capsys):
         code = main([
             "analyze", "--model", "gpt3-1.3b", "--gpu", "L4",
@@ -163,14 +174,14 @@ class TestTune:
             "--gpus", "-1", "--global-batch", "8", "--scale", "smoke",
         ])
         assert code == 2
-        assert "invalid job" in capsys.readouterr().out
+        assert "invalid job" in capsys.readouterr().err
         # an unknown model is a clean error too, not a traceback
         code = main([
             "tune", "--model", "gpt3-99b", "--gpu", "L4",
             "--gpus", "2", "--global-batch", "8", "--scale", "smoke",
         ])
         assert code == 2
-        assert "invalid model" in capsys.readouterr().out
+        assert "invalid model" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["tune", "analyze"])
     def test_partial_node_gpu_count_rejected(self, capsys, command):
@@ -179,8 +190,8 @@ class TestTune:
         code = main([command, "--model", "gpt3-1.3b", "--gpu", "L4",
                      "--gpus", "12", "--global-batch", "8"])
         assert code == 2
-        out = capsys.readouterr().out
-        assert "invalid job" in out and "cluster=" in out
+        err = capsys.readouterr().err
+        assert "invalid job" in err and "cluster=" in err
 
     def test_tune_json_written_when_infeasible(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
@@ -202,7 +213,7 @@ class TestTune:
             "--solver", "alpa",
         ])
         assert code == 2
-        assert "unknown solver" in capsys.readouterr().out
+        assert "unknown solver" in capsys.readouterr().err
 
     def test_tune_unknown_compare_solver(self, capsys):
         code = main([
@@ -211,7 +222,7 @@ class TestTune:
             "--compare", "alpa",
         ])
         assert code == 2
-        assert "unknown solver" in capsys.readouterr().out
+        assert "unknown solver" in capsys.readouterr().err
 
 
 class TestClusterCommand:
@@ -239,31 +250,31 @@ class TestClusterCommand:
 
     def test_missing_file_clean_error(self, capsys):
         assert main(["cluster", "/no/such/file.json"]) == 2
-        assert "invalid cluster file" in capsys.readouterr().out
+        assert "invalid cluster file" in capsys.readouterr().err
 
     def test_bad_schema_clean_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"gpu": "no-such-gpu",
                                     "gpus_per_node": 4}))
         assert main(["cluster", str(path)]) == 2
-        assert "invalid cluster file" in capsys.readouterr().out
+        assert "invalid cluster file" in capsys.readouterr().err
         path.write_text(json.dumps({"gpu": "L4", "num_nodes": 2,
                                     "gpus_per_node": 1,
                                     "inter_node_latency": -1.0}))
         assert main(["cluster", str(path)]) == 2
-        assert "inter_node_latency" in capsys.readouterr().out
+        assert "inter_node_latency" in capsys.readouterr().err
         assert main(["tune", "--model", "gpt3-1.3b", "--global-batch",
                      "8", "--cluster", str(path), "--scale", "smoke"]) == 2
-        assert "inter_node_latency" in capsys.readouterr().out
+        assert "inter_node_latency" in capsys.readouterr().err
 
     def test_non_object_json_clean_error(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         assert main(["cluster", str(path)]) == 2
-        assert "invalid cluster file" in capsys.readouterr().out
+        assert "invalid cluster file" in capsys.readouterr().err
         assert main(["tune", "--model", "gpt3-1.3b", "--global-batch",
                      "8", "--cluster", str(path), "--scale", "smoke"]) == 2
-        assert "invalid job" in capsys.readouterr().out
+        assert "invalid job" in capsys.readouterr().err
 
 
 class TestTuneCluster:
@@ -315,7 +326,7 @@ class TestTuneCluster:
             "--scale", "smoke",
         ])
         assert code == 2
-        assert "contradicts" in capsys.readouterr().out
+        assert "contradicts" in capsys.readouterr().err
 
     def test_explicit_gpu_with_cluster_rejected(self, capsys, tmp_path):
         code = main([
@@ -324,13 +335,13 @@ class TestTuneCluster:
             "--scale", "smoke",
         ])
         assert code == 2
-        assert "--gpu conflicts" in capsys.readouterr().out
+        assert "--gpu conflicts" in capsys.readouterr().err
 
     def test_missing_gpus_without_cluster_rejected(self, capsys):
         code = main(["tune", "--model", "gpt3-1.3b",
                      "--global-batch", "16", "--scale", "smoke"])
         assert code == 2
-        assert "--gpus is required" in capsys.readouterr().out
+        assert "--gpus is required" in capsys.readouterr().err
 
 
 class TestReplan:
@@ -343,8 +354,8 @@ class TestReplan:
                      "--global-batch", "8", "--scale", "smoke",
                      "--delta", str(path)])
         assert code == 2
-        out = capsys.readouterr().out
-        assert "invalid cluster" in out and "at least one" in out
+        err = capsys.readouterr().err
+        assert "invalid cluster" in err and "at least one" in err
 
     @pytest.mark.parametrize("op", [
         {"op": "remove_nodes", "count": 1.5},
@@ -358,8 +369,8 @@ class TestReplan:
                      "--global-batch", "8", "--scale", "smoke",
                      "--delta", str(path)])
         assert code == 2
-        out = capsys.readouterr().out
-        assert "invalid delta file" in out and "must be an integer" in out
+        err = capsys.readouterr().err
+        assert "invalid delta file" in err and "must be an integer" in err
 
 
 class TestSweep:
@@ -397,7 +408,7 @@ class TestSweep:
         code = main(["sweep", "--sizes", "1.3b", "--solvers", "mist",
                      "--reference", "mists", "--scale", "smoke"])
         assert code == 2
-        assert "--reference" in capsys.readouterr().out
+        assert "--reference" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, field", [
         ("--global-batch", "global_batch"), ("--seq-len", "seq_len"),
@@ -408,7 +419,7 @@ class TestSweep:
                      "--scale", "smoke", flag, "0",
                      "--cache-dir", str(tmp_path)])
         assert code == 2
-        assert f"{field} must be >= 1" in capsys.readouterr().out
+        assert f"{field} must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # nothing was solved
 
 
@@ -490,35 +501,35 @@ class TestCampaignCommand:
 
     def test_missing_spec_file_clean_error(self, capsys):
         assert main(["campaign", "run", "/no/such/spec.json"]) == 2
-        assert "invalid campaign spec" in capsys.readouterr().out
+        assert "invalid campaign spec" in capsys.readouterr().err
 
     def test_invalid_spec_clean_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "solvers": []}))
         assert main(["campaign", "run", str(path)]) == 2
-        assert ">= 1 solver" in capsys.readouterr().out
+        assert ">= 1 solver" in capsys.readouterr().err
 
     def test_resume_requires_dir(self, capsys, tmp_path):
         assert main(["campaign", "run", self._spec_file(tmp_path),
                      "--resume"]) == 2
-        assert "--resume requires --dir" in capsys.readouterr().out
+        assert "--resume requires --dir" in capsys.readouterr().err
 
     def test_service_executor_requires_url(self, capsys, tmp_path):
         assert main(["campaign", "run", self._spec_file(tmp_path),
                      "--executor", "service"]) == 2
-        assert "--service-url" in capsys.readouterr().out
+        assert "--service-url" in capsys.readouterr().err
 
     def test_status_without_manifest(self, capsys, tmp_path):
         assert main(["campaign", "status", "--dir",
                      str(tmp_path / "nope")]) == 2
-        assert "no readable campaign manifest" in capsys.readouterr().out
+        assert "no readable campaign manifest" in capsys.readouterr().err
 
     def test_unknown_solver_in_spec(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(
             {**self.SPEC, "solvers": ["alpa"]}))
         assert main(["campaign", "run", str(path)]) == 2
-        assert "unknown solver" in capsys.readouterr().out
+        assert "unknown solver" in capsys.readouterr().err
 
 
 class TestServeCommand:
@@ -567,3 +578,174 @@ class TestServeCommand:
             assert Client(handle.url).health()["status"] == "ok"
         finally:
             handle.stop()
+
+
+def _spec_file(tmp_path) -> Path:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "name": "boundary", "solvers": ["synthetic"],
+        "models": ["gpt3-1.3b"], "clusters": [{"gpu": "L4", "num_gpus": 2}],
+        "scales": ["smoke"], "global_batches": [8],
+        "interference": "none"}))
+    return path
+
+
+def _bad_manifest_dir(tmp_path) -> Path:
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(json.dumps(
+        {"name": "boundary", "spec": "ops", "fingerprint": "f",
+         "cells": []}))
+    return run_dir
+
+
+_TUNE = ["--model", "gpt3-1.3b", "--global-batch", "8", "--scale", "smoke"]
+_MISSING = "/no/such/dir/x.json"
+_NO_SUCH = "No such file or directory"
+
+
+def _tune_json(tmp_path, monkeypatch):
+    return (["tune", *_TUNE, "--gpus", "2", "--solver", "synthetic",
+             "--json", _MISSING], [_MISSING, _NO_SUCH])
+
+
+def _replan_json(tmp_path, monkeypatch):
+    delta = tmp_path / "d.json"
+    delta.write_text(json.dumps({"ops": [{"op": "add_nodes", "count": 1}]}))
+    return (["replan", *_TUNE, "--gpus", "2", "--solver", "synthetic",
+             "--delta", str(delta), "--json", _MISSING], [_MISSING, _NO_SUCH])
+
+
+def _sweep_json(tmp_path, monkeypatch):
+    return (["sweep", "--sizes", "1.3b", "--solvers", "synthetic",
+             "--scale", "smoke", "--global-batch", "8", "--json", _MISSING],
+            [_MISSING, _NO_SUCH])
+
+
+def _campaign_run_json(tmp_path, monkeypatch):
+    return (["campaign", "run", str(_spec_file(tmp_path)),
+             "--json", _MISSING], [_MISSING, _NO_SUCH])
+
+
+def _campaign_report_json(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    assert main(["campaign", "run", str(_spec_file(tmp_path)),
+                 "--dir", str(run_dir)]) == 0
+    return (["campaign", "report", "--dir", str(run_dir),
+             "--json", _MISSING], [_MISSING, _NO_SUCH])
+
+
+def _bench_out(tmp_path, monkeypatch):
+    import repro.benchmarking
+
+    monkeypatch.setattr(repro.benchmarking, "run_bench",
+                        lambda scale, **_: {"scale": scale})
+    monkeypatch.setattr(repro.benchmarking, "format_bench", lambda _: "")
+    return ["bench", "--out", _MISSING], [_MISSING, _NO_SUCH]
+
+
+def _load_out(tmp_path, monkeypatch):
+    import repro.loadgen
+
+    monkeypatch.setattr(repro.loadgen, "run_load",
+                        lambda *_, **__: {"schema": "stub"})
+    monkeypatch.setattr(repro.loadgen, "format_load", lambda _: "")
+    return (["load", "--url", "http://127.0.0.1:9", "--out", _MISSING],
+            [_MISSING, _NO_SUCH])
+
+
+def _campaign_dir_unwritable(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "run")
+    return (["campaign", "run", str(_spec_file(tmp_path)), "--dir", target],
+            [target, "Not a directory"])
+
+
+def _campaign_status_bad_spec(tmp_path, monkeypatch):
+    run_dir = _bad_manifest_dir(tmp_path)
+    return (["campaign", "status", "--dir", str(run_dir)],
+            [str(run_dir / "manifest.json"), "must be a JSON object"])
+
+
+def _campaign_report_bad_spec(tmp_path, monkeypatch):
+    run_dir = _bad_manifest_dir(tmp_path)
+    return (["campaign", "report", "--dir", str(run_dir)],
+            [str(run_dir / "manifest.json"), "must be a JSON object"])
+
+
+def _cluster_dir(tmp_path, monkeypatch):
+    return ["cluster", str(tmp_path)], [str(tmp_path), "Is a directory"]
+
+
+def _tune_cluster_dir(tmp_path, monkeypatch):
+    return (["tune", *_TUNE, "--cluster", str(tmp_path)],
+            [str(tmp_path), "Is a directory"])
+
+
+def _replan_delta_dir(tmp_path, monkeypatch):
+    return (["replan", *_TUNE, "--gpus", "2", "--delta", str(tmp_path)],
+            [str(tmp_path), "Is a directory"])
+
+
+def _campaign_spec_dir(tmp_path, monkeypatch):
+    return (["campaign", "run", str(tmp_path)],
+            [str(tmp_path), "Is a directory"])
+
+
+def _serve_port(tmp_path, monkeypatch):
+    from repro.service import TuningService
+
+    def started(self):
+        pytest.fail("the daemon started on an invalid port")
+
+    monkeypatch.setattr(TuningService, "serve_forever", started)
+    return (["serve", "--port", "99999", "--cache-dir", str(tmp_path)],
+            ["port must be in 0..65535"])
+
+
+def _unknown_compare(tmp_path, monkeypatch):
+    import repro.cli
+
+    def solved(*_, **__):
+        pytest.fail("a solve ran before --compare was checked")
+
+    monkeypatch.setattr(repro.cli, "solve", solved)
+    return (["tune", *_TUNE, "--gpus", "2", "--compare", "alpa"],
+            ["unknown solver 'alpa'"])
+
+
+class TestErrorBoundary:
+    """Bad input exits 2 from ``main()`` with one ``repro <command>:
+    error:`` line on stderr naming the input, never a traceback."""
+
+    @pytest.mark.parametrize("case", [
+        _tune_json, _replan_json, _sweep_json, _campaign_run_json,
+        _campaign_report_json, _bench_out, _load_out,
+        _campaign_dir_unwritable, _campaign_status_bad_spec,
+        _campaign_report_bad_spec, _cluster_dir, _tune_cluster_dir,
+        _replan_delta_dir, _campaign_spec_dir, _serve_port,
+        _unknown_compare,
+    ], ids=lambda case: case.__name__.lstrip("_"))
+    def test_bad_input_exits_two(self, case, tmp_path, monkeypatch, capsys):
+        argv, expected = case(tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1, err
+        command = " ".join(argv[:2] if argv[0] == "campaign" else argv[:1])
+        assert lines[0].startswith(f"repro {command}: error: "), lines[0]
+        for text in expected:
+            assert text in lines[0], lines[0]
+
+    def test_unhandled_errors_still_propagate(self, monkeypatch):
+        import repro.cli
+
+        def broken(*_, **__):
+            raise RuntimeError("a bug, not bad input")
+
+        monkeypatch.setattr(repro.cli, "solve", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["tune", *_TUNE, "--gpus", "2"])

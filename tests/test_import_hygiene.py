@@ -86,3 +86,20 @@ def test_import_solve_and_tune_without_scipy():
 
 def test_every_module_imports_without_scipy():
     assert _run(_EVERY_MODULE).endswith("modules, no scipy")
+
+
+def test_cli_import_stays_lazy():
+    # `repro.cli` imports the campaign, analysis, load-generator and
+    # service packages inside the commands that use them; importing
+    # them up front slows every CLI start, the daemon's included
+    script = textwrap.dedent("""
+        import sys
+
+        import repro.cli
+
+        print(" ".join(sorted({name.split(".")[1] for name in sys.modules
+                               if name.startswith("repro.")})))
+    """)
+    assert _run(script).split() == [
+        "api", "baselines", "benchmarking", "cli", "core", "costmodel",
+        "execution", "hardware", "models", "symbolic", "tracing"]
