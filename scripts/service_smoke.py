@@ -22,8 +22,11 @@ an ephemeral port with a throwaway plan-cache directory, then:
 6. POSTs ``/replan`` with a degraded-link delta: the daemon must
    warm-start from the cached incumbent plan and answer within the
    latency budget (per the ``/metrics`` ``replan`` section);
-7. POSTs a job whose cluster has a negative ``inter_node_latency``:
-   the daemon must answer HTTP 400 without invoking the solver;
+7. POSTs a job whose cluster has a negative ``inter_node_latency``,
+   then a cluster whose ``gpu`` is not a string (``{"gpu": 5, ...}``,
+   once an HTTP 500) to ``/jobs``, as a ``/campaigns`` cell and to
+   ``/replan``: the daemon must answer each with HTTP 400 without
+   invoking the solver;
 8. POSTs ``/replan`` with three malformed deltas: a ``remove_nodes``
    whose ``count`` is 1.5, a ``retype_group`` to an unknown GPU and a
    ``degrade_link`` whose ``link`` is misspelled. The daemon must answer
@@ -187,15 +190,25 @@ def main(argv: list[str] | None = None) -> int:
 
             # a malformed cluster is a 400 at submission, never a solve
             invocations = metrics["solver"]["invocations"]
-            status = post_status(daemon.url + "/jobs", {
-                "job": dict(JOB.to_dict(), cluster={
-                    "gpu": "L4", "num_nodes": 4, "gpus_per_node": 1,
-                    "inter_node_latency": -1.0}),
-                "solver": "mist"})
-            assert status == 400, status
-            metrics = client.metrics()
-            assert metrics["solver"]["invocations"] == invocations, metrics
-            print("malformed cluster: HTTP 400, no solver invocation")
+            bad_latency = {"job": dict(JOB.to_dict(), cluster={
+                "gpu": "L4", "num_nodes": 4, "gpus_per_node": 1,
+                "inter_node_latency": -1.0}), "solver": "mist"}
+            bad_gpu = {"job": dict(JOB.to_dict(), cluster={
+                "gpu": 5, "gpus_per_node": 2}), "solver": "mist"}
+            for label, route, body in (
+                    ("negative cluster latency", "/jobs", bad_latency),
+                    ("non-string cluster gpu", "/jobs", bad_gpu),
+                    ("non-string cluster gpu in a campaign cell",
+                     "/campaigns", {"cells": [bad_gpu]}),
+                    ("non-string cluster gpu on replan", "/replan",
+                     dict(bad_gpu, delta={"ops": [
+                         {"op": "degrade_link", "factor": 0.5}]}))):
+                status = post_status(daemon.url + route, body)
+                assert status == 400, (label, status)
+                metrics = client.metrics()
+                assert metrics["solver"]["invocations"] == invocations, \
+                    metrics
+                print(f"{label}: HTTP 400, no solver invocation")
 
             # so is a malformed delta: a count that is not a plain
             # integer (on two nodes, where int() would once have applied

@@ -15,6 +15,8 @@ import os
 import threading
 from pathlib import Path
 
+from repro.core.schema import DecodeError
+
 from .job import TuningJob
 from .report import SolveReport
 
@@ -78,7 +80,7 @@ class PlanCache:
             return None
         try:
             report = SolveReport.from_json(text)
-        except (ValueError, KeyError, TypeError):
+        except DecodeError:
             return None
         report.from_cache = True
         return report

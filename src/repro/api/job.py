@@ -30,6 +30,8 @@ from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Any
 
+from repro.core.schema import (BOOL, NULL, OBJECT, DecodeError, Field, Int,
+                               OneOf, Str, Table, decode, loads)
 from repro.core.spaces import (
     SearchSpace,
     TuningScale,
@@ -51,16 +53,11 @@ from repro.models.registry import get_model
 
 __all__ = ["TuningJob", "JobValidationError"]
 
-#: interference-model policies a job may request
-_INTERFERENCE_POLICIES = ("auto", "none")
-#: fields that must be plain ``int`` (not ``bool``, not ``float``)
-_INT_FIELDS = ("num_gpus", "global_batch", "seq_len", "keep_top")
-
 #: node size of the homogeneous cluster implied by ``gpu`` / ``num_gpus``
 GPUS_PER_NODE = 8
 
 
-class JobValidationError(ValueError):
+class JobValidationError(DecodeError):
     """A job's fields are inconsistent or out of range."""
 
 
@@ -94,75 +91,40 @@ class TuningJob:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            # bool is an int subclass, and 32.0 would fingerprint apart
-            # from 32
-            if isinstance(value, bool) or not isinstance(value, int):
+        decode(JOB, self.to_dict(), "job", JobValidationError)
+        for name in ("num_gpus", "global_batch", "seq_len", "keep_top"):
+            if getattr(self, name) < 1:
                 raise JobValidationError(
-                    f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.flash, bool):
-            raise JobValidationError(
-                f"flash must be true or false, got {self.flash!r}")
-        if not isinstance(self.options, dict):
-            raise JobValidationError(
-                f"options must be an object, got {self.options!r}")
+                    f"job: {name} must be >= 1, got {getattr(self, name)}")
         # json.loads takes NaN/Infinity; they must not echo back as JSON
         try:
             json.dumps(self.options, allow_nan=False, sort_keys=True)
         except (TypeError, ValueError) as exc:
             raise JobValidationError(
-                f"options must be plain JSON: {exc}") from None
-        for name, kinds, resolve in (
-                ("model", str, self.resolved_model),
-                ("gpu", str, lambda: get_gpu(self.gpu)),
-                ("space", (str, dict), self.resolved_space),
-                ("scale", (str, dict), self.resolved_scale)):
-            value = getattr(self, name)
-            if not isinstance(value, kinds):
-                raise JobValidationError(
-                    f"{name} must be a name"
-                    f"{'' if kinds is str else ' or an object'}, "
-                    f"got {value!r}")
-            try:
-                resolve()
-            except (KeyError, TypeError, ValueError) as exc:
-                detail = exc.args[0] if exc.args else exc
-                if isinstance(exc, KeyError) and isinstance(value, dict):
-                    detail = f"missing field {detail!r}"
-                raise JobValidationError(
-                    f"invalid {name}: {detail}") from exc
-        if self.num_gpus < 1:
-            raise JobValidationError("num_gpus must be >= 1")
+                f"job: 'options' must be plain JSON: {exc}") from None
+        resolvers = {"model": self.resolved_model,
+                     "gpu": lambda: get_gpu(self.gpu),
+                     "space": self.resolved_space,
+                     "scale": self.resolved_scale}
         if self.cluster is not None:
+            resolvers["cluster"] = self.resolved_cluster
+        resolved = {}
+        for name, resolve in resolvers.items():
             try:
-                parsed = cluster_from_dict(self.cluster)
-            except (KeyError, TypeError, ValueError) as exc:
+                resolved[name] = resolve()
+            except DecodeError as exc:
+                raise JobValidationError(f"invalid {name}: {exc}") from None
+        if self.cluster is not None:
+            total = resolved["cluster"].total_gpus
+            if total != self.num_gpus:
                 raise JobValidationError(
-                    f"invalid cluster description: {exc}"
-                ) from exc
-            if parsed.total_gpus != self.num_gpus:
-                raise JobValidationError(
-                    f"cluster has {parsed.total_gpus} GPUs but "
-                    f"num_gpus={self.num_gpus}"
-                )
+                    f"cluster has {total} GPUs but num_gpus={self.num_gpus}")
         elif (self.num_gpus > GPUS_PER_NODE
               and self.num_gpus % GPUS_PER_NODE):
             raise JobValidationError(
                 f"num_gpus={self.num_gpus} does not fill whole "
                 f"{GPUS_PER_NODE}-GPU nodes; describe an irregular shape "
                 f"with cluster={{...}}"
-            )
-        if self.global_batch < 1:
-            raise JobValidationError("global_batch must be >= 1")
-        if self.seq_len < 1:
-            raise JobValidationError("seq_len must be >= 1")
-        if self.keep_top < 1:
-            raise JobValidationError("keep_top must be >= 1")
-        if self.interference not in _INTERFERENCE_POLICIES:
-            raise JobValidationError(
-                f"interference must be one of {_INTERFERENCE_POLICIES}, "
-                f"got {self.interference!r}"
             )
 
     # -- resolution --------------------------------------------------------
@@ -186,7 +148,7 @@ class TuningJob:
     def resolved_cluster(self) -> "ClusterSpec | HeterogeneousCluster":
         """The cluster this job tunes for (explicit dict or implied)."""
         if self.cluster is not None:
-            return cluster_from_dict(self.cluster)
+            return cluster_from_dict(self.cluster, "job.cluster")
         if self.num_gpus <= GPUS_PER_NODE:
             return make_cluster(self.gpu, 1, self.num_gpus)
         return make_cluster(self.gpu, self.num_gpus // GPUS_PER_NODE,
@@ -212,14 +174,16 @@ class TuningJob:
         mixed fleet) are derived from the cluster; all other
         :class:`TuningJob` fields pass through ``kwargs``.
         """
+        if isinstance(cluster, Mapping):
+            data = dict(cluster)
+        elif hasattr(cluster, "sub_clusters"):
+            data = cluster_to_dict(cluster)
+        else:
+            data = cluster  # not a cluster: the parser names it
         try:
-            data = (dict(cluster) if isinstance(cluster, Mapping)
-                    else cluster_to_dict(cluster))
-            parsed = cluster_from_dict(data)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise JobValidationError(
-                f"invalid cluster description: {exc}"
-            ) from exc
+            parsed = cluster_from_dict(data, "job.cluster")
+        except DecodeError as exc:
+            raise JobValidationError(f"invalid cluster: {exc}") from None
         gpu = parsed.sub_clusters[0][1].gpu
         return cls(model=model, gpu=gpu.name, num_gpus=parsed.total_gpus,
                    global_batch=global_batch, seq_len=seq_len, flash=flash,
@@ -228,12 +192,12 @@ class TuningJob:
     def resolved_space(self) -> SearchSpace:
         if isinstance(self.space, str):
             return get_space(self.space)
-        return space_from_dict(self.space)
+        return space_from_dict(self.space, "job.space")
 
     def resolved_scale(self) -> TuningScale:
         if isinstance(self.scale, str):
             return get_scale(self.scale)
-        return scale_from_dict(self.scale)
+        return scale_from_dict(self.scale, "job.scale")
 
     def with_(self, **changes: Any) -> "TuningJob":
         return replace(self, **changes)
@@ -241,42 +205,50 @@ class TuningJob:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "gpu": self.gpu,
-            "num_gpus": self.num_gpus,
-            "global_batch": self.global_batch,
-            "seq_len": self.seq_len,
-            "flash": self.flash,
-            "space": self.space,
-            "scale": self.scale,
-            "interference": self.interference,
-            "keep_top": self.keep_top,
-            "options": self.options,
-        }
-        # serialized only when explicit, so pre-existing jobs keep their
-        # dict shape — and, below, their cache fingerprints
-        if self.cluster is not None:
-            out["cluster"] = self.cluster
-        return out
+        # the cluster is serialized only when explicit, so pre-existing
+        # jobs keep their dict shape — and their cache fingerprints
+        return {f.name: getattr(self, f.name) for f in JOB.fields
+                if f.name != "cluster" or self.cluster is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuningJob":
-        # unknown keys are ignored: older documents may still carry the
+        # unknown keys are dropped: older documents still carry the
         # removed "engine" (1.x) or "parallelism" (2.x) fields, and must
         # load (and fingerprint) as if they were absent
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        return cls(**known)
+        fields = decode(JOB, data, "job", JobValidationError)
+        return cls(**{key: fields[key] for key in data if key in fields})
 
     def to_json(self, *, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "TuningJob":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads(text, "job"))
 
     def fingerprint(self) -> str:
         """Stable content hash — the on-disk plan-cache key."""
         canonical = json.dumps(self.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:20]
+
+
+#: a job document (``TuningJob.to_dict``); ``model``, ``gpu``, named
+#: spaces and scales, and the cluster are resolved after it, and the
+#: four counts are checked to be >= 1. Open:
+#: unknown keys, like the removed ``engine`` (1.x) and ``parallelism``
+#: (2.x) fields, are dropped
+JOB = Table("job", (
+    Field("model", Str()),
+    Field("gpu", Str(), TuningJob.gpu),
+    Field("num_gpus", Int()),
+    Field("global_batch", Int()),
+    Field("seq_len", Int(), TuningJob.seq_len),
+    Field("flash", BOOL, TuningJob.flash),
+    Field("space", OneOf(Str(), OBJECT), TuningJob.space),
+    Field("scale", OneOf(Str(), OBJECT), TuningJob.scale),
+    Field("interference", Str(choices=("auto", "none")),
+          TuningJob.interference),
+    Field("keep_top", Int(), TuningJob.keep_top),
+    Field("options", OBJECT, {}),
+    Field("cluster", OneOf(NULL, OBJECT), None),
+), open=True)

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.plan import TrainingPlan
+from repro.core.schema import (NULL, OBJECT, Field, Int, List, Num, OneOf, Str,
+                               Table, decode, loads)
 
 from .job import TuningJob
 
@@ -94,38 +96,22 @@ class SolveReport:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "solver": self.solver,
-            "job": self.job.to_dict(),
-            "plan": self.plan.to_dict() if self.plan else None,
-            "predicted": self.predicted,
-            "measured": self.measured,
-            "tuning_time_seconds": self.tuning_time_seconds,
-            "configurations_evaluated": self.configurations_evaluated,
-            "search_log": self.search_log,
-            "search_stats": self.search_stats,
-            "top_plans": [plan.to_dict() for plan in self.top_plans],
-            "extra": self.extra,
-        }
+        out = {f.name: getattr(self, f.name) for f in REPORT.fields}
+        return dict(out, job=self.job.to_dict(),
+                    plan=self.plan.to_dict() if self.plan else None,
+                    top_plans=[plan.to_dict() for plan in self.top_plans])
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveReport":
-        return cls(
-            solver=data["solver"],
-            job=TuningJob.from_dict(data["job"]),
-            plan=(TrainingPlan.from_dict(data["plan"])
-                  if data.get("plan") else None),
-            predicted=dict(data.get("predicted", {})),
-            measured=dict(data.get("measured", {})),
-            tuning_time_seconds=float(data.get("tuning_time_seconds", 0.0)),
-            configurations_evaluated=int(
-                data.get("configurations_evaluated", 0)),
-            search_log=list(data.get("search_log", [])),
-            search_stats=dict(data.get("search_stats", {})),
-            top_plans=[TrainingPlan.from_dict(p)
-                       for p in data.get("top_plans", [])],
-            extra=dict(data.get("extra", {})),
-        )
+        fields = decode(REPORT, data, "report")
+        plan = fields["plan"]
+        return cls(**dict(
+            fields, job=TuningJob.from_dict(fields["job"]),
+            plan=(None if plan is None
+                  else TrainingPlan.from_dict(plan, "report.plan")),
+            top_plans=[TrainingPlan.from_dict(p, f"report.top_plans[{i}]")
+                       for i, p in enumerate(fields["top_plans"])],
+            tuning_time_seconds=float(fields["tuning_time_seconds"])))
 
     def to_json(self, *, indent: int | None = 2) -> str:
         # allow_nan=False: reports must parse under *strict* JSON (jq,
@@ -135,4 +121,21 @@ class SolveReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads(text, "report"))
+
+
+#: a solve report (``SolveReport.to_dict``); the job and the plans are
+#: decoded by their own tables
+REPORT = Table("solve report", (
+    Field("solver", Str()),
+    Field("job", OBJECT),
+    Field("plan", OneOf(NULL, OBJECT), None),
+    Field("predicted", OBJECT, {}),
+    Field("measured", OBJECT, {}),
+    Field("tuning_time_seconds", Num(ge=0), 0.0),
+    Field("configurations_evaluated", Int(ge=0), 0),
+    Field("search_log", List(OBJECT), []),
+    Field("search_stats", OBJECT, {}),
+    Field("top_plans", List(OBJECT), []),
+    Field("extra", OBJECT, {}),
+))

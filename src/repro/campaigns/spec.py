@@ -28,6 +28,8 @@ from pathlib import Path
 
 from repro.api.job import JobValidationError, TuningJob
 from repro.api.registry import solver_names
+from repro.core.schema import (BOOL, NULL, OBJECT, DecodeError, Field, Int,
+                               List, OneOf, Str, Table, decode, loads)
 from repro.hardware import cluster_from_dict
 
 __all__ = ["CampaignCell", "CampaignSpec", "CampaignValidationError"]
@@ -70,7 +72,7 @@ EXCLUDE_KEYS = ("solver", "model", "cluster", "scale", "seq_len",
 _SHORTHAND_KEYS = {"gpu", "num_gpus"}
 
 
-class CampaignValidationError(ValueError):
+class CampaignValidationError(DecodeError):
     """A campaign spec is inconsistent, or its matrix cannot expand."""
 
 
@@ -116,21 +118,15 @@ class _ResolvedCluster:
     cluster_dict: dict | None
 
 
-def _resolve_cluster_entry(entry) -> _ResolvedCluster:
+def _resolve_cluster_entry(entry, what: str) -> _ResolvedCluster:
     if isinstance(entry, str):
         try:
-            data = json.loads(Path(entry).read_text())
-        except (OSError, ValueError) as exc:
+            data = loads(Path(entry).read_text(), f"cluster file {entry!r}")
+        except (OSError, DecodeError) as exc:
             raise CampaignValidationError(
                 f"cannot read cluster file {entry!r}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CampaignValidationError(
-                f"cluster file {entry!r} must hold a JSON object")
-        return _resolve_cluster_entry(data)
-    if not isinstance(entry, dict):
-        raise CampaignValidationError(
-            f"cluster entry must be a dict or a file path, got {entry!r}")
-    if set(entry) <= _SHORTHAND_KEYS:
+        return _resolve_cluster_entry(data, f"cluster file {entry!r}")
+    if isinstance(entry, dict) and set(entry) <= _SHORTHAND_KEYS:
         gpu = entry.get("gpu", "L4")
         num_gpus = entry.get("num_gpus")
         label = f"{gpu}x{num_gpus}" if num_gpus else str(gpu)
@@ -139,8 +135,8 @@ def _resolve_cluster_entry(entry) -> _ResolvedCluster:
     # explicit cluster description: keep the *raw* dict on the job so
     # fingerprints match single-job runs built from the same dict
     try:
-        parsed = cluster_from_dict(entry)
-    except (KeyError, TypeError, ValueError) as exc:
+        parsed = cluster_from_dict(entry, what)
+    except DecodeError as exc:
         raise CampaignValidationError(
             f"invalid cluster entry: {exc}") from exc
     return _ResolvedCluster(label=parsed.name,
@@ -256,8 +252,9 @@ class CampaignSpec:
                     f"registered: {list(solver_names())}")
         cells: list[CampaignCell] = []
         seen: set[str] = set()
-        for entry in self.clusters:
-            resolved = _resolve_cluster_entry(entry)
+        for index, entry in enumerate(self.clusters):
+            resolved = _resolve_cluster_entry(
+                entry, f"campaign.clusters[{index}]")
             for model, size in self._model_entries():
                 num_gpus = resolved.num_gpus
                 if num_gpus is None:
@@ -335,50 +332,23 @@ class CampaignSpec:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "solvers": list(self.solvers),
-            "models": list(self.models),
-            "family": self.family,
-            "sizes": list(self.sizes),
-            "clusters": [dict(c) if isinstance(c, dict) else c
-                         for c in self.clusters],
-            "scales": [dict(s) if isinstance(s, dict) else s
-                       for s in self.scales],
-            "seq_lens": list(self.seq_lens),
-            "global_batches": list(self.global_batches),
-            "flash": self.flash,
-            "space": self.space,
-            "interference": self.interference,
-            "keep_top": self.keep_top,
-            "reference": self.reference,
-            "exclude": [dict(rule) for rule in self.exclude],
-        }
+        out = {f.name: getattr(self, f.name) for f in CAMPAIGN.fields}
+        # tuple axes become lists of copied entries
+        return {name: [dict(v) if isinstance(v, dict) else v for v in value]
+                if isinstance(value, tuple) else value
+                for name, value in out.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
-        if not isinstance(data, dict):
-            raise CampaignValidationError(
-                "campaign spec must be a JSON object")
-        # strict: campaign specs are hand-written files, so a typo'd
-        # axis ("seq_len" for "seq_lens") must fail loudly, not
-        # silently run a different grid. "parallelism" is the one
-        # removed field: manifests written before the search lost its
-        # thread fan-out still carry it, and it is ignored
-        unknown = set(data) - set(cls.__dataclass_fields__) - {"parallelism"}
-        if unknown:
-            raise CampaignValidationError(
-                f"unknown campaign spec field(s) {sorted(unknown)}; "
-                f"valid: {sorted(cls.__dataclass_fields__)}")
-        return cls(**{f: data[f] for f in cls.__dataclass_fields__
-                      if f in data})
+        fields = decode(CAMPAIGN, data, "campaign", CampaignValidationError)
+        return cls(**{key: fields[key] for key in data if key in fields})
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads(text, "campaign"))
 
     def fingerprint(self) -> str:
         """Stable content hash; the manifest's resume-compatibility key."""
@@ -386,3 +356,32 @@ class CampaignSpec:
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:20]
 
+
+#: a cluster, scale or space entry: a file path, preset name or slug,
+#: or an inlined dict
+_SLUG_OR_DICT = OneOf(Str(), OBJECT)
+
+#: a campaign spec (``CampaignSpec.to_dict``). Strict: specs are
+#: hand-written files, so a typo'd axis ("seq_len" for "seq_lens") must
+#: fail loudly, not silently run a different grid. "parallelism" is the
+#: one removed field: manifests written before the search lost its
+#: thread fan-out still carry it, and it is ignored. Emptiness and the
+#: other cross-field rules are checked when the spec is built
+CAMPAIGN = Table("campaign spec", (
+    Field("name", Str()),
+    Field("solvers", List(Str())),
+    Field("models", List(Str()), CampaignSpec.models),
+    Field("family", OneOf(NULL, Str()), CampaignSpec.family),
+    Field("sizes", List(Str()), CampaignSpec.sizes),
+    Field("clusters", List(_SLUG_OR_DICT), CampaignSpec.clusters),
+    Field("scales", List(_SLUG_OR_DICT), CampaignSpec.scales),
+    Field("seq_lens", List(Int(ge=1)), CampaignSpec.seq_lens),
+    Field("global_batches", List(Int(ge=1)), CampaignSpec.global_batches),
+    Field("flash", BOOL, CampaignSpec.flash),
+    Field("space", _SLUG_OR_DICT, CampaignSpec.space),
+    Field("interference", Str(choices=("auto", "none")),
+          CampaignSpec.interference),
+    Field("keep_top", Int(ge=1), CampaignSpec.keep_top),
+    Field("reference", OneOf(NULL, Str()), CampaignSpec.reference),
+    Field("exclude", List(OBJECT), CampaignSpec.exclude),
+), ignore=frozenset({"parallelism"}))

@@ -92,6 +92,7 @@ from repro.core.spaces import NAMED_SPACES, SCALES
 from repro.execution import ExecutionEngine, OOMError, render_timeline
 from repro.hardware import ClusterDelta, cluster_to_dict, load_cluster
 from repro.models import get_model, list_models
+from repro.core.schema import DecodeError, loads
 
 __all__ = ["main"]
 
@@ -143,7 +144,7 @@ def _parse(what: str, source, build):
         return build()
     except OSError as exc:
         reason = exc.strerror or str(exc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except DecodeError as exc:
         reason = str(exc)
     raise ValueError(f"invalid {what} {source}: {reason}")
 
@@ -190,7 +191,8 @@ def _write_json(path: str, reports: list) -> None:
 def _read_baseline(path: str | None) -> dict | None:
     if path is None:
         return None
-    data = _parse("baseline", path, lambda: json.loads(Path(path).read_text()))
+    data = _parse("baseline", path,
+                  lambda: loads(Path(path).read_text(), "baseline"))
     if not isinstance(data, dict):
         raise ValueError(f"invalid baseline {path}: not a JSON object")
     return data
@@ -428,7 +430,7 @@ def _manifest_report(directory: str):
             cells = [recorded.get(cell.cell_id)
                      or pending_cell_record(cell)
                      for cell in expanded]
-        except (KeyError, TypeError, ValueError):
+        except DecodeError:
             # a spec this process cannot expand — fall back to
             # recorded cells
             pass

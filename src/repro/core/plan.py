@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.core.schema import (OBJECT, DecodeError, Field, Int, List, Num, Str,
+                               Table, decode, loads)
 from repro.hardware import ClusterSpec, HeterogeneousCluster, reduce_fleet
 from repro.models.config import ModelConfig
 
@@ -23,7 +25,7 @@ __all__ = ["StageConfig", "TrainingPlan", "PlanValidationError", "zero_flags",
            "uniform_plan"]
 
 
-class PlanValidationError(ValueError):
+class PlanValidationError(DecodeError):
     """A plan is structurally inconsistent with its model/cluster."""
 
 
@@ -86,26 +88,16 @@ class StageConfig:
     def to_dict(self) -> dict:
         # device_group is serialized only when set, so homogeneous plans
         # keep their pre-heterogeneity byte-identical JSON form
-        out = {
-            "layers": self.layers, "microbatch": self.microbatch,
-            "dp": self.dp, "tp": self.tp, "zero": self.zero,
-            "ckpt": self.ckpt, "wo": self.wo, "go": self.go,
-            "oo": self.oo, "ao": self.ao,
-        }
-        if self.device_group:
-            out["device_group"] = self.device_group
-        return out
+        return {f.name: getattr(self, f.name) for f in STAGE.fields
+                if f.name != "device_group" or self.device_group}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "StageConfig":
-        return cls(
-            layers=int(data["layers"]), microbatch=int(data["microbatch"]),
-            dp=int(data["dp"]), tp=int(data["tp"]),
-            zero=int(data.get("zero", 0)), ckpt=int(data.get("ckpt", 0)),
-            wo=float(data.get("wo", 0.0)), go=float(data.get("go", 0.0)),
-            oo=float(data.get("oo", 0.0)), ao=float(data.get("ao", 0.0)),
-            device_group=str(data.get("device_group", "")),
-        )
+    def from_dict(cls, data: dict, what: str = "stage") -> "StageConfig":
+        fields = decode(STAGE, data, what, PlanValidationError)
+        # real-valued fields are floats, as the tuner writes them, so
+        # plan hashes hold
+        return cls(**dict(fields, **{name: float(fields[name])
+                                     for name in _RATIO_FIELDS}))
 
     def describe(self) -> str:
         parts = [
@@ -226,30 +218,23 @@ class TrainingPlan:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "global_batch": self.global_batch,
-            "gacc": self.gacc,
-            "stages": [stage.to_dict() for stage in self.stages],
-            "source": self.source,
-            "metadata": self.metadata,
-        }
+        out = {f.name: getattr(self, f.name) for f in PLAN.fields}
+        return dict(out, stages=[stage.to_dict() for stage in self.stages])
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TrainingPlan":
-        return cls(
-            global_batch=int(data["global_batch"]),
-            gacc=int(data["gacc"]),
-            stages=tuple(StageConfig.from_dict(s) for s in data["stages"]),
-            source=data.get("source", "manual"),
-            metadata=dict(data.get("metadata", {})),
-        )
+    def from_dict(cls, data: dict, what: str = "plan") -> "TrainingPlan":
+        fields = decode(PLAN, data, what, PlanValidationError)
+        return cls(**dict(
+            fields, metadata=dict(fields["metadata"]), stages=tuple(
+                StageConfig.from_dict(stage, f"{what}.stages[{index}]")
+                for index, stage in enumerate(fields["stages"]))))
 
     def to_json(self, *, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "TrainingPlan":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads(text, "plan"))
 
     def describe(self) -> str:
         lines = [
@@ -259,6 +244,32 @@ class TrainingPlan:
         for idx, stage in enumerate(self.stages):
             lines.append(f"  stage {idx}: {stage.describe()}")
         return "\n".join(lines)
+
+
+#: the offloading ratios of a stage
+_RATIO_FIELDS = ("wo", "go", "oo", "ao")
+
+#: one pipeline stage (``StageConfig.to_dict``); ``ckpt <= layers`` is
+#: checked when the stage is built
+STAGE = Table("stage", (
+    Field("layers", Int(ge=0)),
+    Field("microbatch", Int(ge=1)),
+    Field("dp", Int(ge=1)),
+    Field("tp", Int(ge=1)),
+    Field("zero", Int(ge=0, le=3), StageConfig.zero),
+    Field("ckpt", Int(ge=0), StageConfig.ckpt),
+    *(Field(name, Num(ge=0, le=1), 0.0) for name in _RATIO_FIELDS),
+    Field("device_group", Str(), StageConfig.device_group),
+))
+#: a training plan (``TrainingPlan.to_dict``); each stage is a
+#: :data:`STAGE`
+PLAN = Table("plan", (
+    Field("global_batch", Int(ge=1)),
+    Field("gacc", Int(ge=1)),
+    Field("stages", List(OBJECT, nonempty=True)),
+    Field("source", Str(), TrainingPlan.source),
+    Field("metadata", OBJECT, {}),
+))
 
 
 def uniform_plan(model: ModelConfig, cluster: ClusterSpec, *, global_batch: int,

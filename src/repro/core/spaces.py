@@ -26,6 +26,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.core.schema import (BOOL, Field, Int, List, Num, Str, Table,
+                               UnknownNameError, decode)
+
 __all__ = [
     "SearchSpace",
     "SPACE_3D",
@@ -135,86 +138,45 @@ def get_space(name: str) -> SearchSpace:
     for space in NAMED_SPACES.values():
         if space.name.lower() == key:
             return space
-    raise KeyError(
+    raise UnknownNameError(
         f"unknown search space {name!r}; options: {sorted(NAMED_SPACES)}"
     )
 
 
 def space_to_dict(space: SearchSpace) -> dict:
     """JSON-ready dict for an arbitrary (possibly customized) space."""
-    return {
-        "name": space.name,
-        "zero_levels": [int(z) for z in space.zero_levels],
-        "tune_ckpt": space.tune_ckpt,
-        "ckpt_policy": space.ckpt_policy,
-        "ckpt_grid_points": space.ckpt_grid_points,
-        **{f: [float(v) for v in getattr(space, f)] for f in _GRID_FIELDS},
-        "imbalance_aware": space.imbalance_aware,
-        "layer_slack": space.layer_slack,
-    }
+    out = {f.name: getattr(space, f.name) for f in SPACE.fields}
+    return dict(out, zero_levels=[int(z) for z in space.zero_levels],
+                **{f: [float(v) for v in out[f]] for f in _GRID_FIELDS})
 
 
-def _name(data: dict) -> str:
-    name = data["name"]
-    if not isinstance(name, str):
-        raise ValueError(f"name must be a string, got {name!r}")
-    return name
+#: an offloading-ratio grid: a non-empty list of reals in [0, 1]
+_RATIOS = List(Num(ge=0, le=1), nonempty=True)
+
+#: an inlined search space (the inverse of :func:`space_to_dict`)
+SPACE = Table("search space", (
+    Field("name", Str()),
+    Field("zero_levels", List(Int(ge=0, le=3), nonempty=True),
+          SearchSpace.zero_levels),
+    Field("tune_ckpt", BOOL, SearchSpace.tune_ckpt),
+    Field("ckpt_policy", Str(choices=("auto", "full")),
+          SearchSpace.ckpt_policy),
+    Field("ckpt_grid_points", Int(ge=1), SearchSpace.ckpt_grid_points),
+    *(Field(name, _RATIOS, getattr(SearchSpace, name))
+      for name in _GRID_FIELDS),
+    Field("imbalance_aware", BOOL, SearchSpace.imbalance_aware),
+    Field("layer_slack", Int(ge=0), SearchSpace.layer_slack),
+))
 
 
-def _flag(data: dict, key: str, default: bool) -> bool:
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _count(value: Any, key: str, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or value < least:
-        raise ValueError(f"{key} must be an integer >= {least}, "
-                         f"got {value!r}")
-    return value
-
-
-def _ratios(values: Any, key: str) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ValueError(f"{key} must be a non-empty list, got {values!r}")
-    grid = tuple(float(v) for v in values)
-    if not all(0.0 <= v <= 1.0 for v in grid):  # NaN fails too
-        raise ValueError(f"{key} ratios must lie in [0, 1], got {values!r}")
-    return grid
-
-
-def space_from_dict(data: dict) -> SearchSpace:
-    """Inverse of :func:`space_to_dict` (lists become tuples again).
-
-    Raises ``ValueError`` for a document no tuner can search: a ZeRO
-    level outside 0–3, an empty grid, a ratio outside [0, 1], an
-    unknown ``ckpt_policy``, a negative ``layer_slack``, fewer than one
-    checkpoint grid point, a boolean that is not ``true``/``false`` or
-    a name that is not a string.
-    """
-    zero_levels = data.get("zero_levels", (0,))
-    if not isinstance(zero_levels, (list, tuple)) or not zero_levels \
-            or any(_count(z, "zero_levels", 0) > 3 for z in zero_levels):
-        raise ValueError(
-            f"zero_levels must be a non-empty list of 0-3, "
-            f"got {zero_levels!r}")
-    ckpt_policy = data.get("ckpt_policy", "auto")
-    if ckpt_policy not in ("auto", "full"):
-        raise ValueError(
-            f"ckpt_policy must be 'auto' or 'full', got {ckpt_policy!r}")
-    return SearchSpace(
-        name=_name(data),
-        zero_levels=tuple(zero_levels),
-        tune_ckpt=_flag(data, "tune_ckpt", False),
-        ckpt_policy=ckpt_policy,
-        ckpt_grid_points=_count(data.get("ckpt_grid_points", 9),
-                                "ckpt_grid_points", 1),
-        **{f: _ratios(data.get(f, (0.0,)), f) for f in _GRID_FIELDS},
-        imbalance_aware=_flag(data, "imbalance_aware", True),
-        layer_slack=_count(data.get("layer_slack", 2), "layer_slack", 0),
-    )
+def space_from_dict(data: dict, what: str = "space") -> SearchSpace:
+    """Inverse of :func:`space_to_dict` (lists become tuples again);
+    a malformed document raises :class:`~repro.core.schema.DecodeError`
+    naming the field path under ``what`` (table :data:`SPACE`)."""
+    fields = decode(SPACE, data, what)
+    return SearchSpace(**dict(
+        fields, zero_levels=tuple(fields["zero_levels"]),
+        **{f: tuple(float(v) for v in fields[f]) for f in _GRID_FIELDS}))
 
 
 def space_ref(space: SearchSpace) -> "str | dict":
@@ -279,40 +241,38 @@ def get_scale(name: str) -> TuningScale:
     """Look up a preset by name (case-insensitive)."""
     key = name.lower()
     if key not in SCALES:
-        raise KeyError(f"unknown scale {name!r}; options: {sorted(SCALES)}")
+        raise UnknownNameError(
+            f"unknown scale {name!r}; options: {sorted(SCALES)}")
     return SCALES[key]
 
 
 def scale_to_dict(scale: TuningScale) -> dict:
     """JSON-ready dict for an arbitrary (possibly customized) preset."""
-    return {
-        "name": scale.name,
-        "offload_grid": [float(v) for v in scale.offload_grid],
-        "binary_grid": [float(v) for v in scale.binary_grid],
-        "ckpt_grid_points": scale.ckpt_grid_points,
-        "layer_slack": scale.layer_slack,
-        "max_gacc_candidates": scale.max_gacc_candidates,
-    }
+    out = {f.name: getattr(scale, f.name) for f in SCALE.fields}
+    return dict(out, **{f: [float(v) for v in out[f]]
+                        for f in ("offload_grid", "binary_grid")})
 
 
-def scale_from_dict(data: dict) -> TuningScale:
-    """Inverse of :func:`scale_to_dict`.
+#: an inlined tuning scale (the inverse of :func:`scale_to_dict`); a
+#: 2.x dict may still carry ``max_pareto_points``, the removed
+#: frontier-sampling cap, which is ignored: the whole Pareto frontier
+#: now reaches the inter-stage solve
+SCALE = Table("tuning scale", (
+    Field("name", Str()),
+    Field("offload_grid", _RATIOS),
+    Field("binary_grid", _RATIOS),
+    Field("ckpt_grid_points", Int(ge=1)),
+    Field("layer_slack", Int(ge=0)),
+    Field("max_gacc_candidates", Int(ge=1)),
+), ignore=frozenset({"max_pareto_points"}))
 
-    A 2.x dict may still carry ``max_pareto_points``, the removed
-    frontier-sampling cap; it is ignored, because the whole Pareto
-    frontier now reaches the inter-stage solve. Invalid values raise
-    ``ValueError`` as in :func:`space_from_dict`.
-    """
-    return TuningScale(
-        name=_name(data),
-        offload_grid=_ratios(data["offload_grid"], "offload_grid"),
-        binary_grid=_ratios(data["binary_grid"], "binary_grid"),
-        ckpt_grid_points=_count(data["ckpt_grid_points"],
-                                "ckpt_grid_points", 1),
-        layer_slack=_count(data["layer_slack"], "layer_slack", 0),
-        max_gacc_candidates=_count(data["max_gacc_candidates"],
-                                   "max_gacc_candidates", 1),
-    )
+
+def scale_from_dict(data: dict, what: str = "scale") -> TuningScale:
+    """Inverse of :func:`scale_to_dict`, checked as :data:`SPACE` is."""
+    fields = decode(SCALE, data, what)
+    return TuningScale(**dict(
+        fields, **{f: tuple(float(v) for v in fields[f])
+                   for f in ("offload_grid", "binary_grid")}))
 
 
 def scale_ref(scale: TuningScale) -> "str | dict":

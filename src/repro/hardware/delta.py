@@ -29,13 +29,14 @@ Operations (each a plain dict with an ``"op"`` key):
     joining groups). Factors > 1 are allowed and model a repaired /
     upgraded link.
 
-Each op is checked when the delta is built, before it touches a
-cluster, and a malformed one raises :class:`DeltaError`: ``count``,
-``num_nodes`` and ``gpus_per_node`` must be plain integers (not a bool,
-float or string), ``count`` at least 1 on ``add_nodes`` and
-``remove_nodes``; ``gpu`` a known GPU name; ``factor`` a finite real
-number > 0 (not a bool or string); ``link`` ``"inter_node"`` or
-``"inter_group"``; ``group`` a string.
+Each op is checked against its field table (:data:`OP_TABLES`) when
+the delta is built, before it touches a cluster, and a malformed one
+raises :class:`DeltaError` naming the field path: ``count``,
+``num_nodes`` and ``gpus_per_node`` must be plain integers, ``count``
+at least 1 on ``add_nodes`` and ``remove_nodes``; ``gpu`` a known GPU
+name; ``factor`` a finite real number > 0; ``link`` ``"inter_node"``
+or ``"inter_group"``; ``group`` a string. Values are never converted,
+so valid deltas keep their fingerprints.
 
 Deltas are pure: :meth:`ClusterDelta.apply` returns a new cluster and
 never mutates its input. Applying a delta to a homogeneous cluster
@@ -46,9 +47,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
+
+from repro.core.schema import (OBJECT, DecodeError, Field, Int, List, Name,
+                               Num, Str, Table, decode, loads)
 
 from .gpu import get_gpu
 from .topology import (
@@ -60,59 +63,56 @@ from .topology import (
 
 __all__ = ["ClusterDelta", "DeltaError"]
 
-_OPS = ("add_nodes", "remove_nodes", "resize_group", "retype_group",
-        "remove_group", "degrade_link")
 
-#: op fields that count nodes or GPUs
-_INT_FIELDS = ("count", "num_nodes", "gpus_per_node")
-
-#: the bandwidths ``degrade_link`` can scale
-_LINKS = ("inter_node", "inter_group")
-
-
-class DeltaError(ValueError):
+class DeltaError(DecodeError):
     """A delta is malformed or cannot apply to the given cluster."""
 
 
-def _as_op(data: Any) -> dict[str, Any]:
+def _op_table(kind: str, *fields: Field) -> Table:
+    return Table(f"{kind} op", (Field("op", Str(choices=(kind,))),
+                                Field("group", Str(), ""), *fields))
+
+
+_COUNT = Field("count", Int(), 0)
+_GPU = Name(get_gpu)
+#: op kind -> the op's field table
+OP_TABLES = {
+    "add_nodes": _op_table("add_nodes", _COUNT),
+    "remove_nodes": _op_table("remove_nodes", _COUNT),
+    "resize_group": _op_table("resize_group",
+                              Field("num_nodes", Int(), None),
+                              Field("gpus_per_node", Int(), None)),
+    "retype_group": _op_table("retype_group", Field("gpu", _GPU)),
+    "remove_group": _op_table("remove_group"),
+    "degrade_link": _op_table("degrade_link", Field("factor", Num(gt=0)),
+                              Field("link", Str(choices=("inter_node",
+                                                         "inter_group")),
+                                    "inter_node")),
+}
+#: a delta document; each op is checked by its kind's table
+DELTA = Table("delta document", (Field("ops", List(OBJECT)),))
+
+
+def _as_op(data: Any, path: str) -> dict[str, Any]:
     """``data`` as an op dict, checked but never converted (so valid
     ops keep their fingerprints), or :class:`DeltaError`."""
     if not isinstance(data, Mapping):
-        raise DeltaError(f"a delta op must be an object, got {data!r}")
+        raise DeltaError(f"{path}: a delta op must be an object, got "
+                         f"{data!r}")
     op = dict(data)
     kind = op.get("op")
-    if kind not in _OPS:
-        raise DeltaError(f"unknown delta op {kind!r}; known: {list(_OPS)}")
-    for key in _INT_FIELDS:
-        value = op.get(key, 0)
-        # a plain int: int() would turn 1.5, "1" and True into counts
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DeltaError(
-                f"{kind} {key!r} must be an integer, got {value!r}")
-    if kind in ("add_nodes", "remove_nodes") and op.get("count", 0) < 1:
-        raise DeltaError(f"{kind} needs a positive 'count'")
-    if not isinstance(op.get("group", ""), str):
-        raise DeltaError(
-            f"{kind} 'group' must be a string, got {op['group']!r}")
+    if not isinstance(kind, str) or kind not in OP_TABLES:
+        raise DeltaError(f"{path}: unknown delta op {kind!r}; known: "
+                         f"{list(OP_TABLES)}")
     if kind == "retype_group":
-        gpu = op.get("gpu")
         try:
-            get_gpu(gpu)
-        except (AttributeError, KeyError):
-            raise DeltaError(
-                f"retype_group needs a known 'gpu', got {gpu!r}") from None
-    elif kind == "degrade_link":
-        factor = op.get("factor")
-        # compared, not converted: float() of a huge int overflows
-        if (isinstance(factor, bool) or not isinstance(factor, (int, float))
-                or not 0.0 < factor <= sys.float_info.max):
-            raise DeltaError(
-                f"degrade_link 'factor' must be a finite number > 0, got "
-                f"{factor!r}")
-        if op.get("link", "inter_node") not in _LINKS:
-            raise DeltaError(
-                f"degrade_link 'link' must be one of {list(_LINKS)}, got "
-                f"{op['link']!r}")
+            _GPU.check(op.get("gpu"), path)
+        except DecodeError:
+            raise DeltaError(f"{path}: retype_group needs a known 'gpu', "
+                             f"got {op.get('gpu')!r}") from None
+    fields = decode(OP_TABLES[kind], op, path, DeltaError)
+    if kind in ("add_nodes", "remove_nodes") and fields["count"] < 1:
+        raise DeltaError(f"{path}: {kind} needs a positive 'count'")
     return op
 
 
@@ -130,7 +130,9 @@ class ClusterDelta:
     ops: tuple[dict, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(_as_op(op) for op in self.ops))
+        object.__setattr__(self, "ops", tuple(
+            _as_op(op, f"delta.ops[{index}]")
+            for index, op in enumerate(self.ops)))
         if not self.ops:
             raise DeltaError("a ClusterDelta needs at least one operation")
 
@@ -185,19 +187,14 @@ class ClusterDelta:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClusterDelta":
-        if not isinstance(data, Mapping) or "ops" not in data:
-            raise DeltaError('a delta document is {"ops": [...]}')
-        ops = data["ops"]
-        if not isinstance(ops, list):
-            raise DeltaError("'ops' must be a list of operation objects")
-        return cls(ops=tuple(ops))
+        return cls(ops=tuple(decode(DELTA, data, "delta", DeltaError)["ops"]))
 
     def to_json(self, *, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterDelta":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads(text, "delta"))
 
     def fingerprint(self) -> str:
         """Stable short hash of the canonical JSON form."""
@@ -314,7 +311,6 @@ def _parse(data: dict, verb: str) -> "ClusterSpec | HeterogeneousCluster":
     """``cluster_from_dict``, failing as a :class:`DeltaError`."""
     try:
         return cluster_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = exc.args[0] if exc.args else exc
+    except DecodeError as exc:
         raise DeltaError(
-            f"delta {verb} an invalid cluster: {detail}") from exc
+            f"delta {verb} an invalid cluster: {exc}") from exc

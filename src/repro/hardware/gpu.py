@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.schema import UnknownNameError
+
 __all__ = ["GPUSpec", "GPU_REGISTRY", "get_gpu", "GiB"]
 
 GiB = 1024**3
@@ -130,6 +132,6 @@ def get_gpu(name: str) -> GPUSpec:
     for candidate, spec in GPU_REGISTRY.items():
         if candidate.lower() == key.lower():
             return spec
-    raise KeyError(
+    raise UnknownNameError(
         f"unknown GPU {name!r}; known: {sorted(GPU_REGISTRY)}"
     )

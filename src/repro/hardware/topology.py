@@ -32,10 +32,11 @@ and the CLI's ``--cluster file.json`` (see ``docs/API.md``).
 
 from __future__ import annotations
 
-import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+from repro.core.schema import (DecodeError, Field, Int, List, Name, Num, Str,
+                               Table, decode, loads)
 
 from .gpu import GPUSpec, get_gpu
 
@@ -56,15 +57,9 @@ def _check_links(spec, bandwidths: tuple[str, ...],
                  latencies: tuple[str, ...]) -> None:
     """Reject non-finite or non-positive bandwidths and non-finite or
     negative latencies among ``spec``'s named fields."""
-    for name in bandwidths:
-        value = getattr(spec, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    for name in latencies:
-        value = getattr(spec, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(
-                f"{name} must be finite and >= 0, got {value!r}")
+    for names, kind in ((bandwidths, _BANDWIDTH), (latencies, _LATENCY)):
+        for name in names:
+            kind.check(getattr(spec, name), name)
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,8 @@ class ClusterSpec:
 
     def __post_init__(self):
         if self.num_nodes < 1 or self.gpus_per_node < 1:
-            raise ValueError("cluster must have at least one node and one GPU")
+            raise DecodeError(
+                "cluster must have at least one node and one GPU")
         _check_links(self, ("inter_node_bandwidth",),
                      ("inter_node_latency", "intra_node_latency"))
 
@@ -259,7 +255,7 @@ class DeviceGroup:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("device group needs a non-empty name")
+            raise DecodeError("device group needs a non-empty name")
 
     @property
     def gpu(self) -> GPUSpec:
@@ -308,10 +304,10 @@ class HeterogeneousCluster:
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
-            raise ValueError("heterogeneous cluster needs at least one group")
+            raise DecodeError("heterogeneous cluster needs at least one group")
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate device-group names: {names}")
+            raise DecodeError(f"duplicate device-group names: {names}")
         _check_links(self, ("inter_group_bandwidth",),
                      ("inter_group_latency",))
 
@@ -439,88 +435,110 @@ def reduce_fleet(cluster: ClusterSpec | HeterogeneousCluster,
 
 # -- cluster (de)serialization ---------------------------------------------
 
-_GBPS = 1e9 / 8  # Gbit/s -> bytes/s
+#: a link bandwidth (bytes/s, or Gbit/s under ``*_gbps``) and latency
+#: (seconds, or microseconds under ``*_us``): plain real numbers
+_BANDWIDTH = Num(gt=0)
+_LATENCY = Num(ge=0)
+
+#: a link key's friendly unit, and its factor to the base unit
+_GBPS = ("_gbps", 1e9 / 8)  # Gbit/s -> bytes/s
+_US = ("_us", 1e-6)  # microseconds -> seconds
 
 
-def _read_bandwidth(data: dict, key: str, default: float) -> float:
-    """Accept ``<key>`` in bytes/s or ``<key>_gbps`` in Gbit/s."""
-    if key in data and f"{key}_gbps" in data:
-        raise ValueError(f"give either {key!r} or '{key}_gbps', not both")
-    if f"{key}_gbps" in data:
-        return float(data[f"{key}_gbps"]) * _GBPS
-    return float(data.get(key, default))
+def _unit(key: str) -> tuple[str, float]:
+    return _GBPS if key.endswith("bandwidth") else _US
 
 
-def _read_latency(data: dict, key: str, default: float) -> float:
-    """Accept ``<key>`` in seconds or ``<key>_us`` in microseconds."""
-    if key in data and f"{key}_us" in data:
-        raise ValueError(f"give either {key!r} or '{key}_us', not both")
-    if f"{key}_us" in data:
-        return float(data[f"{key}_us"]) * 1e-6
-    return float(data.get(key, default))
+def _link_fields(*keys: str) -> tuple[Field, ...]:
+    """Each link key, in its base unit and in its friendly unit."""
+    return tuple(Field(key + unit, _BANDWIDTH if key.endswith("bandwidth")
+                       else _LATENCY, None)
+                 for key in keys for unit in ("", _unit(key)[0]))
 
 
-def _read_count(data: dict, key: str, default: int | None = None) -> int:
-    """A node or GPU count: a plain integer (not a bool, float or
-    string, which ``int()`` would silently coerce)."""
-    value = data[key] if default is None else data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
+#: a homogeneous cluster: ``{"gpu", "num_nodes", "gpus_per_node", ...}``
+NODES = Table("cluster description", (
+    Field("gpu", Name(get_gpu)),
+    Field("num_nodes", Int(), 1),
+    Field("gpus_per_node", Int()),
+    *_link_fields("inter_node_bandwidth", "inter_node_latency",
+                  "intra_node_latency"),
+))
+#: one device group of a mixed fleet: a named homogeneous cluster
+GROUP = Table("group", (Field("name", Str(nonempty=True), None),
+                        *NODES.fields))
+#: a mixed fleet: ``{"groups": [...], "inter_group_bandwidth", ...}``
+FLEET = Table("cluster description", (
+    Field("groups", List(GROUP, nonempty=True)),
+    *_link_fields("inter_group_bandwidth", "inter_group_latency"),
+))
 
 
-def _homogeneous_from_dict(data: dict) -> ClusterSpec:
+def _read_link(data: dict, path: str, key: str, default: float) -> float:
+    """``<key>`` in the base unit, or in its friendly unit, scaled."""
+    unit, scale = _unit(key)
+    if data[key] is not None and data[key + unit] is not None:
+        raise DecodeError(
+            f"{path}: give either {key!r} or '{key}{unit}', not both")
+    if data[key + unit] is not None:
+        return float(data[key + unit]) * scale
+    return float(default if data[key] is None else data[key])
+
+
+def _homogeneous(data: dict, path: str) -> ClusterSpec:
+    """A cluster from a decoded :data:`NODES` (or :data:`GROUP`) dict."""
     gpu = get_gpu(data["gpu"])
-    spec = ClusterSpec(
-        gpu=gpu,
-        num_nodes=_read_count(data, "num_nodes", 1),
-        gpus_per_node=_read_count(data, "gpus_per_node"),
-        inter_node_bandwidth=_read_bandwidth(
-            data, "inter_node_bandwidth", _default_network_bandwidth(gpu)),
-        inter_node_latency=_read_latency(
-            data, "inter_node_latency", ClusterSpec.inter_node_latency),
-        intra_node_latency=_read_latency(
-            data, "intra_node_latency", ClusterSpec.intra_node_latency),
+    return ClusterSpec(
+        gpu=gpu, num_nodes=data["num_nodes"],
+        gpus_per_node=data["gpus_per_node"],
+        inter_node_bandwidth=_read_link(
+            data, path, "inter_node_bandwidth",
+            _default_network_bandwidth(gpu)),
+        inter_node_latency=_read_link(
+            data, path, "inter_node_latency",
+            ClusterSpec.inter_node_latency),
+        intra_node_latency=_read_link(
+            data, path, "intra_node_latency",
+            ClusterSpec.intra_node_latency),
     )
-    return spec
 
 
-def cluster_from_dict(data: dict) -> "ClusterSpec | HeterogeneousCluster":
+def cluster_from_dict(data: dict, what: str = "cluster",
+                      ) -> "ClusterSpec | HeterogeneousCluster":
     """Parse the cluster schema (see ``docs/API.md``).
 
     A dict with a ``groups`` list parses to a
-    :class:`HeterogeneousCluster`; a flat
+    :class:`HeterogeneousCluster` (table :data:`FLEET`); a flat
     ``{"gpu", "num_nodes", "gpus_per_node"}`` dict parses to a plain
-    :class:`ClusterSpec`. GPUs are referenced by registry name
-    (:data:`repro.hardware.gpu.GPU_REGISTRY`); bandwidths accept either
-    bytes/s or human-friendly ``*_gbps`` keys.
+    :class:`ClusterSpec` (table :data:`NODES`). GPUs are referenced by
+    registry name (:data:`repro.hardware.gpu.GPU_REGISTRY`; an unknown
+    one raises :class:`~repro.core.schema.UnknownNameError`, also a
+    ``KeyError``); bandwidths accept either bytes/s or human-friendly
+    ``*_gbps`` keys. A malformed document raises
+    :class:`~repro.core.schema.DecodeError` naming the field path under
+    ``what``.
     """
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"cluster description must be a JSON object, got "
-            f"{type(data).__name__}"
-        )
-    if "groups" not in data:
-        return _homogeneous_from_dict(data)
-    if not isinstance(data["groups"], list):
-        raise ValueError("'groups' must be a list of group objects")
+    grouped = isinstance(data, dict) and "groups" in data
+    if isinstance(data, dict) and not grouped and "gpu" not in data:
+        raise DecodeError(f"{what}: a cluster needs a 'gpu' (one kind of "
+                          f"node) or 'groups' (a mixed fleet)")
+    fields = decode(FLEET if grouped else NODES, data, what)
+    if not grouped:
+        return _homogeneous(fields, what)
     groups = []
-    for entry in data["groups"]:
-        if not isinstance(entry, dict):
-            raise ValueError(
-                f"each cluster group must be a JSON object, got "
-                f"{type(entry).__name__}"
-            )
-        name = entry.get("name") or entry["gpu"].lower()
+    for index, entry in enumerate(fields["groups"]):
+        path = f"{what}.groups[{index}]"
+        entry = GROUP.walk(entry, path)
         groups.append(DeviceGroup(
-            name=str(name), cluster=_homogeneous_from_dict(entry)))
+            name=entry["name"] or entry["gpu"].lower(),
+            cluster=_homogeneous(entry, path)))
     return reduce_fleet(HeterogeneousCluster(
         groups=tuple(groups),
-        inter_group_bandwidth=_read_bandwidth(
-            data, "inter_group_bandwidth",
+        inter_group_bandwidth=_read_link(
+            fields, what, "inter_group_bandwidth",
             HeterogeneousCluster.inter_group_bandwidth),
-        inter_group_latency=_read_latency(
-            data, "inter_group_latency",
+        inter_group_latency=_read_link(
+            fields, what, "inter_group_latency",
             HeterogeneousCluster.inter_group_latency),
     ))
 
@@ -553,4 +571,4 @@ def cluster_to_dict(cluster: "ClusterSpec | HeterogeneousCluster") -> dict:
 def load_cluster(path) -> "ClusterSpec | HeterogeneousCluster":
     """Read a cluster description from a JSON file."""
     with open(path) as fh:
-        return cluster_from_dict(json.load(fh))
+        return cluster_from_dict(loads(fh.read(), "cluster"))

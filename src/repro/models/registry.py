@@ -7,6 +7,8 @@ points extrapolate with the same width/depth ratios the paper uses.
 
 from __future__ import annotations
 
+from repro.core.schema import UnknownNameError
+
 from .config import ModelConfig
 
 __all__ = ["get_model", "list_models", "MODEL_SIZES"]
@@ -97,11 +99,15 @@ def get_model(spec: str, **overrides) -> ModelConfig:
     try:
         family, size = spec.lower().rsplit("-", 1)
     except ValueError:
-        raise KeyError(f"model spec {spec!r} is not of the form 'family-size'")
+        raise UnknownNameError(
+            f"model spec {spec!r} is not of the form 'family-size'"
+        ) from None
     if family not in _FAMILIES:
-        raise KeyError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
+        raise UnknownNameError(
+            f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
     if size not in MODEL_SIZES:
-        raise KeyError(f"unknown size {size!r}; known: {sorted(MODEL_SIZES)}")
+        raise UnknownNameError(
+            f"unknown size {size!r}; known: {sorted(MODEL_SIZES)}")
     return _FAMILIES[family](size, **overrides)
 
 

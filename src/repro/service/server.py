@@ -49,6 +49,8 @@ from repro.api.registry import solver_names
 from repro.api.replan import delta_job
 from repro.api.replan import replan as api_replan
 from repro.core.plan import TrainingPlan
+from repro.core.schema import (OBJECT, DecodeError, Field, List, Num, Str,
+                               Table, decode)
 from repro.core.tuner import SearchCancelled
 from repro.hardware import ClusterDelta
 
@@ -118,29 +120,34 @@ class _HttpError(Exception):
         self.extra: dict[str, Any] = extra or {}
 
 
-def _parse_job_body(payload: Any, *, cell: int | None = None,
-                   ) -> tuple[TuningJob, str]:
-    """``(job, solver)`` from a ``{"job": {...}, "solver": ...}`` object.
+_SOLVER = Field("solver", Str(), "mist")
+#: a ``POST /jobs`` body
+JOB_BODY = Table("request body", (Field("job", OBJECT), _SOLVER))
+#: one ``POST /campaigns`` cell
+CELL = Table("campaign cell", JOB_BODY.fields)
+#: a ``POST /campaigns`` body
+CAMPAIGN_BODY = Table("request body", (
+    Field("name", Str(), "campaign"),
+    Field("cells", List(OBJECT, nonempty=True)),
+))
+#: a ``POST /replan`` body; the budget is a latency bound in seconds
+REPLAN_BODY = Table("request body", (
+    *JOB_BODY.fields, Field("delta", OBJECT),
+    Field("budget_seconds", Num(ge=0), 0.0),
+))
 
-    The one parser for the ``POST /jobs`` and ``POST /replan`` bodies
-    and for every ``POST /campaigns`` cell (``cell`` is its index, for
-    the error message). ``solver`` defaults to ``"mist"``; a malformed
-    body raises ``ValueError``.
-    """
-    where = "body" if cell is None else f"cell {cell}"
-    if not isinstance(payload, dict):
-        raise ValueError(f"{where} must be an object")
-    job_dict = payload.get("job")
-    if not isinstance(job_dict, dict):
-        raise ValueError(f'{where} must carry {{"job": {{...}}}}')
+
+def _parse_job_body(payload: Any, table: Table = JOB_BODY,
+                    what: str = "body") -> tuple[TuningJob, dict[str, Any]]:
+    """``(job, fields)`` from a body (or campaign cell) decoded by
+    ``table``; a malformed one raises :class:`~repro.core.schema.DecodeError`
+    naming ``what``."""
+    fields = decode(table, payload, what)
     try:
-        job = TuningJob.from_dict(job_dict)
-    except (KeyError, TypeError, ValueError) as exc:
-        # everything a malformed job dict can raise out of from_dict
-        # (JobValidationError is a ValueError)
-        prefix = "" if cell is None else f"{where}: "
-        raise ValueError(f"{prefix}invalid job: {exc}") from None
-    return job, payload.get("solver", "mist")
+        job = TuningJob.from_dict(fields["job"])
+    except DecodeError as exc:
+        raise DecodeError(f"{what}: {exc}") from None
+    return job, fields
 
 
 @dataclass
@@ -282,9 +289,11 @@ class TuningService:
         concurrent submission can slip in between admission and entry.
         """
         if not isinstance(cells, list) or not cells:
-            raise ValueError("campaign needs a non-empty cell list")
-        records = [self._record(*_parse_job_body(cell, cell=index), client)
-                   for index, cell in enumerate(cells)]
+            raise DecodeError("campaign needs a non-empty cell list")
+        records = []
+        for index, cell in enumerate(cells):
+            job, fields = _parse_job_body(cell, CELL, f"body.cells[{index}]")
+            records.append(self._record(job, fields["solver"], client))
         campaign = CampaignRecord(name=str(name), records=records)
         with self._lock:
             self._admit_locked(client, jobs=len(records),
@@ -608,7 +617,7 @@ class TuningService:
                 429, str(exc), headers={"Retry-After": str(exc.retry_after)},
                 extra={"retry_after": exc.retry_after,
                        "reason": exc.reason}) from None
-        except ValueError as exc:
+        except DecodeError as exc:
             # malformed input: a bad body or cell, a job that fails
             # validation (JobValidationError), a delta that does not
             # fit the cluster (DeltaError)
@@ -639,11 +648,11 @@ class TuningService:
             return 200, await loop.run_in_executor(None, self._metrics_body)
         if segments == ["jobs"]:
             if method == "POST":
-                job, solver = _parse_job_body(self._parse_json(body))
+                job, fields = _parse_job_body(self._parse_json(body))
                 # submit touches the cache (disk): keep it off the loop
                 record = await loop.run_in_executor(
-                    None, functools.partial(self.submit, job, solver,
-                                            client=client))
+                    None, functools.partial(self.submit, job,
+                                            fields["solver"], client=client))
                 return 202, record.to_dict()
             if method == "GET":
                 return 200, await loop.run_in_executor(
@@ -660,11 +669,12 @@ class TuningService:
             return 200, record.to_dict()
         if segments == ["campaigns"]:
             if method == "POST":
-                payload = self._parse_json(body)
+                fields = decode(CAMPAIGN_BODY, self._parse_json(body),
+                                "body")
                 campaign = await loop.run_in_executor(
                     None, functools.partial(
-                        self.submit_campaign, payload.get("cells"),
-                        payload.get("name", "campaign"), client=client))
+                        self.submit_campaign, fields["cells"],
+                        fields["name"], client=client))
                 return 202, campaign.to_dict()
             if method == "GET":
                 return 200, await loop.run_in_executor(
@@ -676,29 +686,16 @@ class TuningService:
                 None, self.get_campaign, segments[1])
             return 200, campaign.to_dict()
         if segments == ["replan"] and method == "POST":
-            payload = self._parse_json(body)
-            job, solver = _parse_job_body(payload)
-            delta_dict = payload.get("delta")
-            if not isinstance(delta_dict, dict):
-                raise _HttpError(400, 'body must carry {"delta": {...}}')
-            try:
-                delta = ClusterDelta.from_dict(delta_dict)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _HttpError(400, f"invalid delta: {exc}") from None
-            try:
-                budget = float(payload.get("budget_seconds", 0.0))
-            except (TypeError, ValueError, OverflowError):
-                raise _HttpError(400, "budget_seconds must be a number") \
-                    from None
-            # json.loads takes NaN and Infinity: a NaN budget would skip
-            # the wait and echo back as invalid JSON, an infinite one
-            # would hold an executor thread until the search ends
-            if not 0.0 <= budget < math.inf:
-                raise _HttpError(400,
-                                 "budget_seconds must be finite and >= 0")
+            job, fields = _parse_job_body(self._parse_json(body),
+                                          REPLAN_BODY)
+            delta = ClusterDelta.from_dict(fields["delta"])
+            # finite: json.loads takes NaN and Infinity, and a NaN budget
+            # would skip the wait, an infinite one hold an executor
+            # thread until the search ends
+            budget = float(fields["budget_seconds"])
             record, plan = await loop.run_in_executor(
                 None, functools.partial(self.submit_replan, job, delta,
-                                        solver, client=client))
+                                        fields["solver"], client=client))
             # latency budget: wait on the loop (``record.finished`` is
             # a lock-free read) until the search lands or the budget
             # runs out, whichever comes first, so no executor thread
