@@ -212,9 +212,9 @@ class TuningJob:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuningJob":
-        # unknown keys are dropped: older documents still carry the
-        # removed "engine" (1.x) or "parallelism" (2.x) fields, and must
-        # load (and fingerprint) as if they were absent
+        # older documents still carry the removed "engine" (1.x) or
+        # "parallelism" (2.x) fields; JOB drops them, so they load (and
+        # fingerprint) as if they were absent
         fields = decode(JOB, data, "job", JobValidationError)
         return cls(**{key: fields[key] for key in data if key in fields})
 
@@ -234,9 +234,9 @@ class TuningJob:
 
 #: a job document (``TuningJob.to_dict``); ``model``, ``gpu``, named
 #: spaces and scales, and the cluster are resolved after it, and the
-#: four counts are checked to be >= 1. Open:
-#: unknown keys, like the removed ``engine`` (1.x) and ``parallelism``
-#: (2.x) fields, are dropped
+#: four counts are checked to be >= 1. The removed ``engine`` (1.x)
+#: and ``parallelism`` (2.x) fields are dropped; any other unknown key
+#: is rejected
 JOB = Table("job", (
     Field("model", Str()),
     Field("gpu", Str(), TuningJob.gpu),
@@ -251,4 +251,4 @@ JOB = Table("job", (
     Field("keep_top", Int(), TuningJob.keep_top),
     Field("options", OBJECT, {}),
     Field("cluster", OneOf(NULL, OBJECT), None),
-), open=True)
+), ignore=frozenset({"engine", "parallelism"}))

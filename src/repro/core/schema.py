@@ -12,8 +12,8 @@ holding the field, then the field's name in quotes)::
 Decoding checks and never converts: the returned dict holds the given
 values as they were (so fingerprints of valid documents hold), with
 the defaults of absent fields filled in. Keys a table does not know are
-rejected, except the removed fields it lists in ``ignore`` (or any
-key, in an ``open`` table), which are dropped. This module imports
+rejected, except the removed fields it lists in ``ignore``, which are
+dropped. This module imports
 nothing else from ``repro``; the tables live beside the types they
 build.
 """
@@ -181,15 +181,13 @@ class Table(Type):
     """A JSON object with known keys: one document's field table.
 
     ``title`` names the document in messages ("group"); ``ignore``
-    lists removed fields that still load, and are dropped; an ``open``
-    table drops every unknown key instead of rejecting it.
+    lists removed fields that still load, and are dropped.
     """
 
     def __init__(self, title: str, fields: tuple[Field, ...], *,
-                 ignore: frozenset[str] = frozenset(), open: bool = False):
+                 ignore: frozenset[str] = frozenset()):
         super().__init__(("object",), "an object", noun=f"{title} objects")
-        self.title, self.fields = title, fields
-        self.ignore, self.open = ignore, open
+        self.title, self.fields, self.ignore = title, fields, ignore
 
     def check(self, value: Any, path: str) -> None:
         self.walk(value, path)
@@ -201,7 +199,7 @@ class Table(Type):
                 f"{at(path)} {self.title} must be an object, got {value!r}")
         names = [f.name for f in self.fields]
         unknown = sorted(set(value) - set(names) - self.ignore, key=str)
-        if unknown and not self.open:
+        if unknown:
             raise DecodeError(f"{path}: unknown field(s) {unknown}; valid: "
                               f"{sorted(names)}")
         out = {}

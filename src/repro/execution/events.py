@@ -88,7 +88,7 @@ class ContentionSpec:
 
 
 def corun_total_time(times, spec: ContentionSpec) -> np.ndarray:
-    """Piecewise-integrated completion time of co-running channels.
+    """Completion time of co-running channels, integrated piece by piece.
 
     ``times`` is ``(..., 4)`` of busy seconds per channel, in the order
     of :data:`repro.costmodel.interference.CHANNELS`. Returns the total

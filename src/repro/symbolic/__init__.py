@@ -2,8 +2,9 @@
 
 Public surface:
 
-* expression nodes and constructors (:class:`Sym`, :func:`smax`,
-  :func:`ceil_div`, ...),
+* expression nodes (:class:`Const`, :class:`Sym`, :class:`Add`,
+  :class:`Mul`, :class:`Div`, :class:`Ceil`, :class:`Max`,
+  :class:`Min`) and the constructors :func:`smax` / :func:`smin`,
 * :func:`evaluate` / :func:`compile_expr` for (batched) numeric
   evaluation,
 * :class:`SymbolManager` / :data:`global_symbol_manager` for declaring
@@ -13,27 +14,15 @@ Public surface:
 from .expr import (
     Add,
     Ceil,
-    Cmp,
     Const,
     Div,
     Expr,
     ExprLike,
-    Floor,
-    FloorDiv,
-    Ge,
-    Gt,
-    Le,
-    Lt,
     Max,
     Min,
-    Mod,
     Mul,
-    Piecewise,
-    Pow,
     Sym,
-    align_up,
     as_expr,
-    ceil_div,
     free_symbols,
     smax,
     smin,
@@ -50,30 +39,18 @@ from .symbols import SymbolManager, global_symbol_manager
 __all__ = [
     "Add",
     "Ceil",
-    "Cmp",
     "CompiledExpr",
     "Const",
     "Div",
     "EvaluationError",
     "Expr",
     "ExprLike",
-    "Floor",
-    "FloorDiv",
-    "Ge",
-    "Gt",
-    "Le",
-    "Lt",
     "Max",
     "Min",
-    "Mod",
     "Mul",
-    "Piecewise",
-    "Pow",
     "Sym",
     "SymbolManager",
-    "align_up",
     "as_expr",
-    "ceil_div",
     "compile_expr",
     "evaluate",
     "free_symbols",

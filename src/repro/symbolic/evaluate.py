@@ -14,6 +14,10 @@ Two evaluation paths are provided:
   flattened into a sequence of numpy statements (structurally equal
   sub-expressions computed once) and compiled to a Python function.
   This is what the tuners use for batched evaluation.
+
+Both paths map each node type of :mod:`repro.symbolic.expr` to one
+numpy operation: ``+``, ``*``, ``/``, ``np.ceil``, ``np.maximum`` and
+``np.minimum``.
 """
 
 from __future__ import annotations
@@ -23,24 +27,7 @@ from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .expr import (
-    Add,
-    Ceil,
-    Cmp,
-    Const,
-    Div,
-    Expr,
-    Floor,
-    FloorDiv,
-    Max,
-    Min,
-    Mod,
-    Mul,
-    Piecewise,
-    Pow,
-    Sym,
-    free_symbols,
-)
+from .expr import Add, Ceil, Const, Div, Expr, Max, Min, Mul, Sym, free_symbols
 
 ArrayLike = Union[int, float, np.ndarray]
 
@@ -62,16 +49,6 @@ def _describe_root(expr: Expr, limit: int = 80) -> str:
     if len(text) > limit:
         text = text[: limit - 3] + "..."
     return text
-
-
-_CMP_FUNCS = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-}
 
 
 def evaluate(expr: Expr, env: Mapping[str, ArrayLike]) -> ArrayLike:
@@ -110,16 +87,8 @@ def evaluate(expr: Expr, env: Mapping[str, ArrayLike]) -> ArrayLike:
                 result = result * rec(child)
         elif isinstance(node, Div):
             result = np.true_divide(rec(node.left), rec(node.right))
-        elif isinstance(node, FloorDiv):
-            result = np.floor_divide(rec(node.left), rec(node.right))
-        elif isinstance(node, Mod):
-            result = np.mod(rec(node.left), rec(node.right))
-        elif isinstance(node, Pow):
-            result = np.power(rec(node.left), rec(node.right))
         elif isinstance(node, Ceil):
             result = np.ceil(rec(node.operand))
-        elif isinstance(node, Floor):
-            result = np.floor(rec(node.operand))
         elif isinstance(node, Max):
             result = rec(node.children[0])
             for child in node.children[1:]:
@@ -128,10 +97,6 @@ def evaluate(expr: Expr, env: Mapping[str, ArrayLike]) -> ArrayLike:
             result = rec(node.children[0])
             for child in node.children[1:]:
                 result = np.minimum(result, rec(child))
-        elif isinstance(node, Cmp):
-            result = _CMP_FUNCS[node.op](rec(node.left), rec(node.right))
-        elif isinstance(node, Piecewise):
-            result = np.where(rec(node.cond), rec(node.then), rec(node.otherwise))
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown node type {type(node).__name__}")
         cache[node_id] = result
@@ -270,16 +235,8 @@ def _emit(node: Expr, lines: list[tuple[str, str, list[str]]],
         rhs = " * ".join(children)
     elif isinstance(node, Div):
         rhs = f"{children[0]} / {children[1]}"
-    elif isinstance(node, FloorDiv):
-        rhs = f"_np.floor_divide({children[0]}, {children[1]})"
-    elif isinstance(node, Mod):
-        rhs = f"_np.mod({children[0]}, {children[1]})"
-    elif isinstance(node, Pow):
-        rhs = f"_np.power({children[0]}, {children[1]})"
     elif isinstance(node, Ceil):
         rhs = f"_np.ceil({children[0]})"
-    elif isinstance(node, Floor):
-        rhs = f"_np.floor({children[0]})"
     elif isinstance(node, Max):
         rhs = children[0]
         for child in children[1:]:
@@ -288,14 +245,6 @@ def _emit(node: Expr, lines: list[tuple[str, str, list[str]]],
         rhs = children[0]
         for child in children[1:]:
             rhs = f"_np.minimum({rhs}, {child})"
-    elif isinstance(node, Cmp):
-        func = {
-            "<": "_np.less", "<=": "_np.less_equal", ">": "_np.greater",
-            ">=": "_np.greater_equal", "==": "_np.equal", "!=": "_np.not_equal",
-        }[node.op]
-        rhs = f"{func}({children[0]}, {children[1]})"
-    elif isinstance(node, Piecewise):
-        rhs = f"_np.where({children[0]}, {children[1]}, {children[2]})"
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown node type {type(node).__name__}")
     lines.append((var, rhs, children))

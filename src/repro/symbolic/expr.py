@@ -6,28 +6,25 @@ symbols, with constant folding at construction time, structural
 equality, substitution, and (in :mod:`repro.symbolic.evaluate`) batched
 numpy evaluation.
 
-The engine intentionally supports only the operations the performance
-and memory analyzers need — arithmetic, integer division/modulo,
-ceil/floor, min/max, and piecewise selection — which keeps evaluation
-fast and the implementation auditable.
+The engine supports only the operations the traced runtime and memory
+models build — sums, products, true division, ceiling, min and max —
+which keeps evaluation fast and the implementation auditable.
 
 Expressions are built either from :class:`Sym` leaves (usually created
 through :class:`repro.symbolic.symbols.SymbolManager`) or by combining
 existing expressions with Python operators::
 
     b, s, h = Sym("b"), Sym("s"), Sym("h")
-    act_bytes = 2 * b * s * h          # Mul(2, b, s, h)
-    per_rank = ceil_div(act_bytes, 8)  # ceil(act_bytes / 8)
+    act_bytes = 2 * b * s * h               # Mul(2, b, s, h)
+    per_rank = Ceil.make(act_bytes / 8)     # ceil(act_bytes / 8)
 
-``==`` on expressions is *structural* equality (returns ``bool``); use
-:func:`Le`, :func:`Lt`, :func:`Ge`, :func:`Gt` to build
-symbolic comparisons for :class:`Piecewise` conditions.
+``==`` on expressions is *structural* equality (returns ``bool``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, Union
 
 Number = Union[int, float]
 ExprLike = Union["Expr", int, float]
@@ -39,24 +36,12 @@ __all__ = [
     "Add",
     "Mul",
     "Div",
-    "FloorDiv",
-    "Mod",
-    "Pow",
     "Ceil",
-    "Floor",
     "Max",
     "Min",
-    "Cmp",
-    "Piecewise",
     "as_expr",
-    "ceil_div",
-    "align_up",
     "smax",
     "smin",
-    "Le",
-    "Lt",
-    "Ge",
-    "Gt",
     "free_symbols",
     "substitute",
 ]
@@ -86,6 +71,9 @@ class Expr:
 
     def _key(self) -> tuple:
         return (type(self).__name__, self.children)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
@@ -134,21 +122,6 @@ class Expr:
     def __rtruediv__(self, other: ExprLike) -> "Expr":
         return Div.make(as_expr(other), self)
 
-    def __floordiv__(self, other: ExprLike) -> "Expr":
-        return FloorDiv.make(self, as_expr(other))
-
-    def __rfloordiv__(self, other: ExprLike) -> "Expr":
-        return FloorDiv.make(as_expr(other), self)
-
-    def __mod__(self, other: ExprLike) -> "Expr":
-        return Mod.make(self, as_expr(other))
-
-    def __rmod__(self, other: ExprLike) -> "Expr":
-        return Mod.make(as_expr(other), self)
-
-    def __pow__(self, other: ExprLike) -> "Expr":
-        return Pow.make(self, as_expr(other))
-
     def __neg__(self) -> "Expr":
         return Mul.make(Const(-1), self)
 
@@ -156,10 +129,6 @@ class Expr:
         return self
 
     # -- introspection --------------------------------------------------------
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self, Const)
-
     def constant_value(self) -> Number:
         """Return the numeric value if this expression is a constant."""
         if isinstance(self, Const):
@@ -184,9 +153,6 @@ class Const(Expr):
             value = int(value)
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, name: str, value: Any) -> None:  # immutability guard
-        raise AttributeError("Const is immutable")
-
     def _key(self) -> tuple:
         return ("Const", self.value)
 
@@ -197,22 +163,18 @@ class Const(Expr):
 class Sym(Expr):
     """A named free symbol.
 
-    ``integer``/``positive`` are advisory assumptions used by
-    simplification (e.g. ``ceil(x) == x`` for integer ``x``).
+    ``integer`` is an advisory assumption used by simplification
+    (``ceil(x) == x`` for integer ``x``).
     """
 
-    __slots__ = ("name", "integer", "positive")
+    __slots__ = ("name", "integer")
     children = ()
 
-    def __init__(self, name: str, integer: bool = False, positive: bool = True) -> None:
+    def __init__(self, name: str, integer: bool = False) -> None:
         if not name or not isinstance(name, str):
             raise ValueError("symbol name must be a non-empty string")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "integer", bool(integer))
-        object.__setattr__(self, "positive", bool(positive))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("Sym is immutable")
 
     def _key(self) -> tuple:
         return ("Sym", self.name)
@@ -230,9 +192,6 @@ class _NAry(Expr):
 
     def __init__(self, children: Iterable[Expr]) -> None:
         object.__setattr__(self, "children", tuple(children))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _fold(cls, values: Iterable[Number]) -> Number:
@@ -311,14 +270,13 @@ class Mul(_NAry):
         return "(" + " * ".join(c.to_str() for c in self.children) + ")"
 
 
-class _Binary(Expr):
+class Div(Expr):
+    """True division."""
+
     __slots__ = ("children",)
 
     def __init__(self, left: Expr, right: Expr) -> None:
         object.__setattr__(self, "children", (left, right))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def left(self) -> Expr:
@@ -327,12 +285,6 @@ class _Binary(Expr):
     @property
     def right(self) -> Expr:
         return self.children[1]
-
-
-class Div(_Binary):
-    """True division."""
-
-    __slots__ = ()
 
     @classmethod
     def make(cls, left: Expr, right: Expr) -> Expr:
@@ -354,120 +306,39 @@ class Div(_Binary):
         return f"({self.left.to_str()} / {self.right.to_str()})"
 
 
-class FloorDiv(_Binary):
-    """Integer floor division."""
-
-    __slots__ = ()
-
-    @classmethod
-    def make(cls, left: Expr, right: Expr) -> Expr:
-        if isinstance(right, Const):
-            if right.value == 0:
-                raise ZeroDivisionError("symbolic floordiv by constant zero")
-            if isinstance(left, Const):
-                return Const(left.value // right.value)
-            if right.value == 1:
-                return Floor.make(left)
-        if isinstance(left, Const) and left.value == 0:
-            return Const(0)
-        return cls(left, right)
-
-    def to_str(self) -> str:
-        return f"({self.left.to_str()} // {self.right.to_str()})"
-
-
-class Mod(_Binary):
-    """Modulo."""
-
-    __slots__ = ()
-
-    @classmethod
-    def make(cls, left: Expr, right: Expr) -> Expr:
-        if isinstance(right, Const):
-            if right.value == 0:
-                raise ZeroDivisionError("symbolic mod by constant zero")
-            if right.value == 1:
-                return Const(0)
-            if isinstance(left, Const):
-                return Const(left.value % right.value)
-        if isinstance(left, Const) and left.value == 0:
-            return Const(0)
-        return cls(left, right)
-
-    def to_str(self) -> str:
-        return f"({self.left.to_str()} % {self.right.to_str()})"
-
-
-class Pow(_Binary):
-    """Exponentiation; only used with small constant exponents in practice."""
-
-    __slots__ = ()
-
-    @classmethod
-    def make(cls, base: Expr, exp: Expr) -> Expr:
-        if isinstance(exp, Const):
-            if exp.value == 0:
-                return Const(1)
-            if exp.value == 1:
-                return base
-            if isinstance(base, Const):
-                return Const(base.value**exp.value)
-        if isinstance(base, Const) and base.value in (0, 1):
-            return base
-        return cls(base, exp)
-
-    def to_str(self) -> str:
-        return f"({self.left.to_str()} ** {self.right.to_str()})"
-
-
-class _Unary(Expr):
-    __slots__ = ("children",)
-
-    def __init__(self, operand: Expr) -> None:
-        object.__setattr__(self, "children", (operand,))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def operand(self) -> Expr:
-        return self.children[0]
-
-
 def _is_integer_valued(expr: Expr) -> bool:
     """Best-effort static check that ``expr`` always takes integer values."""
     if isinstance(expr, Const):
         return isinstance(expr.value, int)
     if isinstance(expr, Sym):
         return expr.integer
-    if isinstance(expr, (Add, Mul)):
-        return all(_is_integer_valued(c) for c in expr.children)
-    if isinstance(expr, (FloorDiv, Ceil, Floor)):
+    if isinstance(expr, Ceil):
         return True
-    if isinstance(expr, Mod):
-        return all(_is_integer_valued(c) for c in expr.children)
-    if isinstance(expr, (Max, Min)):
+    if isinstance(expr, (Add, Mul, Max, Min)):
         return all(_is_integer_valued(c) for c in expr.children)
     return False
 
 
-def _round_const(rounder: Callable[[Number], int], value: Number) -> Number:
-    """Fold ``rounder`` over a constant; NaN and +-inf round to themselves,
-    as under ``np.ceil``/``np.floor``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return value
-    return rounder(value)
-
-
-class Ceil(_Unary):
+class Ceil(Expr):
     """Ceiling to the nearest integer."""
 
-    __slots__ = ()
+    __slots__ = ("children",)
+
+    def __init__(self, operand: Expr) -> None:
+        object.__setattr__(self, "children", (operand,))
+
+    @property
+    def operand(self) -> Expr:
+        return self.children[0]
 
     @classmethod
     def make(cls, operand: Expr) -> Expr:
         if isinstance(operand, Const):
-            return Const(_round_const(math.ceil, operand.value))
+            value = operand.value
+            # NaN and +-inf round to themselves, as under np.ceil
+            if isinstance(value, float) and not math.isfinite(value):
+                return operand
+            return Const(math.ceil(value))
         if _is_integer_valued(operand):
             return operand
         return cls(operand)
@@ -476,24 +347,29 @@ class Ceil(_Unary):
         return f"ceil({self.operand.to_str()})"
 
 
-class Floor(_Unary):
-    """Floor to the nearest integer."""
+class _Extremum(_NAry):
+    """Shared folding of :class:`Max` and :class:`Min`: structurally
+    identical branches are kept once."""
 
     __slots__ = ()
 
     @classmethod
-    def make(cls, operand: Expr) -> Expr:
-        if isinstance(operand, Const):
-            return Const(_round_const(math.floor, operand.value))
-        if _is_integer_valued(operand):
-            return operand
-        return cls(operand)
+    def _finish(cls, flat: list[Expr], folded: Number) -> Expr:
+        if not flat:
+            return Const(folded)
+        unique = list(dict.fromkeys(flat))
+        if folded != cls.IDENTITY:
+            unique.append(Const(folded))
+        if len(unique) == 1:
+            return unique[0]
+        return cls(unique)
 
     def to_str(self) -> str:
-        return f"floor({self.operand.to_str()})"
+        return (type(self).__name__.lower() + "("
+                + ", ".join(c.to_str() for c in self.children) + ")")
 
 
-class Max(_NAry):
+class Max(_Extremum):
     """n-ary maximum."""
 
     __slots__ = ()
@@ -503,29 +379,8 @@ class Max(_NAry):
     def _fold(cls, values: Iterable[Number]) -> Number:
         return max(values)
 
-    @classmethod
-    def _finish(cls, flat: list[Expr], folded: Number) -> Expr:
-        if not flat:
-            return Const(folded)
-        # Deduplicate structurally identical branches.
-        unique: list[Expr] = []
-        seen = set()
-        for item in flat:
-            key = item._key()
-            if key not in seen:
-                seen.add(key)
-                unique.append(item)
-        if folded != -math.inf:
-            unique.append(Const(folded))
-        if len(unique) == 1:
-            return unique[0]
-        return cls(unique)
 
-    def to_str(self) -> str:
-        return "max(" + ", ".join(c.to_str() for c in self.children) + ")"
-
-
-class Min(_NAry):
+class Min(_Extremum):
     """n-ary minimum."""
 
     __slots__ = ()
@@ -534,119 +389,6 @@ class Min(_NAry):
     @classmethod
     def _fold(cls, values: Iterable[Number]) -> Number:
         return min(values)
-
-    @classmethod
-    def _finish(cls, flat: list[Expr], folded: Number) -> Expr:
-        if not flat:
-            return Const(folded)
-        unique: list[Expr] = []
-        seen = set()
-        for item in flat:
-            key = item._key()
-            if key not in seen:
-                seen.add(key)
-                unique.append(item)
-        if folded != math.inf:
-            unique.append(Const(folded))
-        if len(unique) == 1:
-            return unique[0]
-        return cls(unique)
-
-    def to_str(self) -> str:
-        return "min(" + ", ".join(c.to_str() for c in self.children) + ")"
-
-
-_CMP_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "==", "!=": "!="}
-
-_CMP_EVAL = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-
-class Cmp(_Binary):
-    """A comparison producing a boolean value (used by :class:`Piecewise`)."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op: str, left: Expr, right: Expr) -> None:
-        if op not in _CMP_OPS:
-            raise ValueError(f"unknown comparison operator {op!r}")
-        super().__init__(left, right)
-        object.__setattr__(self, "op", op)
-
-    def _key(self) -> tuple:
-        return ("Cmp", self.op, self.children)
-
-    @classmethod
-    def make(cls, op: str, left: Expr, right: Expr) -> Expr:
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(int(_CMP_EVAL[op](left.value, right.value)))
-        return cls(op, left, right)
-
-    def to_str(self) -> str:
-        return f"({self.left.to_str()} {self.op} {self.right.to_str()})"
-
-
-def Lt(a: ExprLike, b: ExprLike) -> Expr:
-    return Cmp.make("<", as_expr(a), as_expr(b))
-
-
-def Le(a: ExprLike, b: ExprLike) -> Expr:
-    return Cmp.make("<=", as_expr(a), as_expr(b))
-
-
-def Gt(a: ExprLike, b: ExprLike) -> Expr:
-    return Cmp.make(">", as_expr(a), as_expr(b))
-
-
-def Ge(a: ExprLike, b: ExprLike) -> Expr:
-    return Cmp.make(">=", as_expr(a), as_expr(b))
-
-
-class Piecewise(Expr):
-    """``then`` if ``cond`` else ``otherwise`` (numpy ``where`` semantics)."""
-
-    __slots__ = ("children",)
-
-    def __init__(self, cond: Expr, then: Expr, otherwise: Expr) -> None:
-        object.__setattr__(self, "children", (cond, then, otherwise))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("Piecewise is immutable")
-
-    @classmethod
-    def make(cls, cond: ExprLike, then: ExprLike, otherwise: ExprLike) -> Expr:
-        cond = as_expr(cond)
-        then = as_expr(then)
-        otherwise = as_expr(otherwise)
-        if isinstance(cond, Const):
-            return then if cond.value else otherwise
-        if then == otherwise:
-            return then
-        return cls(cond, then, otherwise)
-
-    @property
-    def cond(self) -> Expr:
-        return self.children[0]
-
-    @property
-    def then(self) -> Expr:
-        return self.children[1]
-
-    @property
-    def otherwise(self) -> Expr:
-        return self.children[2]
-
-    def to_str(self) -> str:
-        return (
-            f"where({self.cond.to_str()}, {self.then.to_str()}, "
-            f"{self.otherwise.to_str()})"
-        )
 
 
 # -- convenience constructors -------------------------------------------------
@@ -660,16 +402,6 @@ def smax(*args: ExprLike) -> Expr:
 def smin(*args: ExprLike) -> Expr:
     """Symbolic minimum of any number of expressions/numbers."""
     return Min.make(*[as_expr(a) for a in args])
-
-
-def ceil_div(a: ExprLike, b: ExprLike) -> Expr:
-    """``ceil(a / b)`` as a symbolic expression."""
-    return Ceil.make(Div.make(as_expr(a), as_expr(b)))
-
-
-def align_up(x: ExprLike, alignment: ExprLike) -> Expr:
-    """Round ``x`` up to the next multiple of ``alignment``."""
-    return ceil_div(x, alignment) * as_expr(alignment)
 
 
 # -- traversal utilities ------------------------------------------------------
@@ -710,16 +442,8 @@ def substitute(expr: Expr, mapping: Mapping[str, ExprLike]) -> Expr:
             new_children = [rec(c) for c in node.children]
             if all(nc is oc for nc, oc in zip(new_children, node.children)):
                 result = node
-            elif isinstance(node, (Add, Mul, Max, Min)):
+            elif isinstance(node, (Add, Mul, Div, Ceil, Max, Min)):
                 result = type(node).make(*new_children)
-            elif isinstance(node, Cmp):
-                result = Cmp.make(node.op, *new_children)
-            elif isinstance(node, Piecewise):
-                result = Piecewise.make(*new_children)
-            elif isinstance(node, (Div, FloorDiv, Mod, Pow)):
-                result = type(node).make(*new_children)
-            elif isinstance(node, (Ceil, Floor)):
-                result = type(node).make(new_children[0])
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown node type {type(node).__name__}")
         cache[node_id] = result

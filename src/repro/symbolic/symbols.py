@@ -17,9 +17,9 @@ Example::
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .expr import Expr, Number, Sym, as_expr, free_symbols, substitute
+from .expr import Expr, Number, Sym, free_symbols, substitute
 
 __all__ = ["SymbolManager", "global_symbol_manager"]
 
@@ -32,7 +32,7 @@ class SymbolManager:
         self._defaults: dict[str, Number] = {}
 
     def symbol(self, name: str, default: Number | None = None, *,
-               integer: bool = False, positive: bool = True) -> Sym:
+               integer: bool = False) -> Sym:
         """Create (or retrieve) a symbol, optionally with a default value."""
         if name in self._symbols:
             sym = self._symbols[name]
@@ -41,7 +41,7 @@ class SymbolManager:
                     f"symbol {name!r} already exists with integer={sym.integer}"
                 )
         else:
-            sym = Sym(name, integer=integer, positive=positive)
+            sym = Sym(name, integer=integer)
             self._symbols[name] = sym
         if default is not None:
             self._defaults[name] = default
@@ -49,7 +49,7 @@ class SymbolManager:
 
     def symbols(self, names: Union[str, Sequence[str]],
                 defaults: Sequence[Number] | None = None, *,
-                integer: bool = False, positive: bool = True) -> tuple[Sym, ...]:
+                integer: bool = False) -> tuple[Sym, ...]:
         """Create several symbols at once, e.g. ``symbols("b s h", (4, 128, 12))``."""
         if isinstance(names, str):
             names = names.split()
@@ -60,18 +60,8 @@ class SymbolManager:
         out = []
         for i, name in enumerate(names):
             default = defaults[i] if defaults is not None else None
-            out.append(self.symbol(name, default, integer=integer, positive=positive))
+            out.append(self.symbol(name, default, integer=integer))
         return tuple(out)
-
-    def __getitem__(self, name: str) -> Sym:
-        return self._symbols[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._symbols
-
-    @property
-    def defaults(self) -> dict[str, Number]:
-        return dict(self._defaults)
 
     def concretize(self, expr: Expr,
                    overrides: Mapping[str, Number] | None = None) -> Number:
@@ -85,15 +75,6 @@ class SymbolManager:
             raise ValueError(f"no concrete value for symbols: {missing}")
         result = substitute(expr, {name: env[name] for name in needed})
         return result.constant_value()
-
-    def partial(self, expr: Expr, names: Iterable[str]) -> Expr:
-        """Substitute defaults for only the given symbols, keep the rest free."""
-        mapping = {}
-        for name in names:
-            if name not in self._defaults:
-                raise ValueError(f"no default value for symbol {name!r}")
-            mapping[name] = as_expr(self._defaults[name])
-        return substitute(expr, mapping)
 
 
 #: Process-wide manager used by examples and the high-level API, mirroring

@@ -40,10 +40,13 @@ class TestRoundTrip:
         assert TuningJob.from_json(job.to_json()).resolved_scale().name \
             == "custom"
 
-    def test_from_dict_ignores_unknown_fields(self):
-        data = JOB.to_dict()
-        data["someday_a_new_field"] = 1
+    def test_from_dict_rejects_unknown_fields(self):
+        # a misspelled key must not be solved silently at its default;
+        # only the removed "engine" and "parallelism" are dropped
+        data = dict(JOB.to_dict(), engine="compiled", parallelism=4)
         assert TuningJob.from_dict(data) == JOB
+        with pytest.raises(JobValidationError, match="'seq_lne'"):
+            TuningJob.from_dict(dict(data, seq_lne=4096))
 
 
 class TestFingerprint:

@@ -1,10 +1,14 @@
 """Tests for the symbolic performance analyzer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import SymbolicPerformanceAnalyzer
 from repro.core.plan import StageConfig, TrainingPlan, uniform_plan
+from repro.execution.engine import ExecutionEngine
+from repro.execution.memory_tracker import _memory_fn
 from repro.hardware import make_cluster
 from repro.models import get_model
 from repro.tracing import trace
@@ -154,3 +158,42 @@ class TestKernelSize:
         statements = [line for line in source.splitlines()
                       if line.startswith("    _v")]
         assert len(statements) <= 350
+
+
+#: sha256 of ``CompiledExpr.source`` of each kernel of gpt3-2.7b on L4
+#: with flash attention
+KERNEL_DIGESTS = {
+    "analyzer.fn":
+        "9b75d40c233ca43a3c922a268fcbe74e78136b4a81e753241e33ab00383469e4",
+    "analyzer.mem_fn":
+        "863fd4f460bdd5886b46673089b8c5e1ee6e1d05d84732563f8cb03d3cba624e",
+    "engine.components":
+        "a60f33416fe522f9c415dfa7438254ade8e943dbeadbbb7ae3c57224bc63c6c5",
+    "engine.memory":
+        "3aef95e660000d766130be801ab26b21cd90e9107762cf85c5d93e3f1a59af8e",
+}
+
+
+class TestKernelDigests:
+    """The emitted kernels are pinned byte for byte: a refactor of the
+    expression engine or the tracer must not move a statement."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, cluster):
+        traced = trace(get_model("gpt3-2.7b"), cluster.gpu, flash=True)
+        analyzer = SymbolicPerformanceAnalyzer(traced, cluster)
+        return {
+            "analyzer.fn": analyzer._fn.source,
+            "analyzer.mem_fn": analyzer._mem_fn.source,
+            "engine.components": ExecutionEngine._components_fn(traced).source,
+            "engine.memory": _memory_fn(traced.graph).source,
+        }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_DIGESTS))
+    def test_source_matches_pinned_digest(self, sources, kernel):
+        digest = hashlib.sha256(sources[kernel].encode()).hexdigest()
+        assert digest == KERNEL_DIGESTS[kernel], (
+            f"the {kernel} kernel's emitted source changed. If the "
+            f"change is meant to move its statements (and plans, "
+            f"counters and measured bits with them), set "
+            f"KERNEL_DIGESTS[{kernel!r}] in {__file__} to {digest!r}")

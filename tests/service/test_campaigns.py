@@ -63,7 +63,9 @@ class TestCampaignEndpoint:
     def test_bad_bodies_rejected(self, client, job):
         for payload in ({}, {"cells": []}, {"cells": "nope"},
                         {"cells": [{"solver": "mist"}]},
-                        {"cells": [{"job": {"model": "gpt3-1.3b"}}]}):
+                        {"cells": [{"job": {"model": "gpt3-1.3b"}}]},
+                        {"cells": [{"job": dict(job.to_dict(),
+                                                seq_lne=4096)}]}):
             with pytest.raises(ServiceError) as err:
                 client._request("POST", "/campaigns", payload)
             assert err.value.status == 400, payload

@@ -190,11 +190,13 @@ class TestErrorHandling:
     def test_invalid_job_400(self, client, job, stub):
         # besides out-of-range values: fields once accepted and then
         # solved with the wrong setting (flash, num_gpus), failed in the
-        # worker (model), or cached under a second fingerprint (32.0)
+        # worker (model), or cached under a second fingerprint (32.0);
+        # a misspelled key was once dropped, solving at the default
         for field, value in (("num_gpus", 0), ("flash", "no"),
                              ("num_gpus", True), ("model", "gpt3-99b"),
                              ("global_batch", 32.0), ("options", []),
-                             ("options", {"a": float("nan")})):
+                             ("options", {"a": float("nan")}),
+                             ("seq_lne", 4096)):
             bad = dict(job.to_dict(), **{field: value})
             with pytest.raises(ServiceError) as err:
                 client._request("POST", "/jobs",

@@ -6,17 +6,13 @@ import pytest
 
 from repro.symbolic import (
     Add,
+    Ceil,
     Const,
-    Ge,
-    Le,
     Max,
     Min,
     Mul,
-    Piecewise,
     Sym,
-    align_up,
     as_expr,
-    ceil_div,
     free_symbols,
     smax,
     smin,
@@ -58,14 +54,6 @@ class TestConstFolding:
     def test_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             as_expr(1) / 0
-
-    def test_pow_zero_exponent(self):
-        x = Sym("x")
-        assert (x**0) == Const(1)
-
-    def test_pow_one_exponent(self):
-        x = Sym("x")
-        assert (x**1) is x
 
     def test_sub(self):
         assert (as_expr(7) - 3) == Const(4)
@@ -126,57 +114,45 @@ class TestMaxMin:
         expr = smin(x, 5)
         assert isinstance(expr, Min)
 
+    def test_min_dedupes_identical_branches(self):
+        x, y = Sym("x"), Sym("y")
+        expr = smin(x * y, y, x * y, 4, 9)
+        assert expr == Min((x * y, y, Const(4)))
 
-class TestCeilFloorDiv:
-    def test_ceil_of_integer_symbol_is_identity(self):
+    def test_to_str_names_the_extremum(self):
+        x = Sym("x")
+        assert smax(x, 3).to_str() == "max(x, 3)"
+        assert smin(x, 3).to_str() == "min(x, 3)"
+
+
+class TestCeil:
+    def test_ceil_of_integer_valued_operand_is_identity(self):
         n = Sym("n", integer=True)
-        assert ceil_div(n * 4, 2) == (n * 4) / 2 or True  # folded by make
-        # ceil(n) == n for integer-valued n
-        from repro.symbolic import Ceil
-
         assert Ceil.make(n) is n
+        assert Ceil.make(n * 4 + 1) == n * 4 + 1
+        assert isinstance(Ceil.make(n / 2), Ceil)
 
-    def test_ceil_div_constants(self):
-        assert ceil_div(7, 2) == Const(4)
-        assert ceil_div(8, 2) == Const(4)
+    def test_ceil_of_integer_valued_extremum_is_identity(self):
+        n = Sym("n", integer=True)
+        assert Ceil.make(smax(n, 3)) == smax(n, 3)
+        assert isinstance(Ceil.make(smin(n, 0.5)), Ceil)
+
+    def test_ceil_of_division_constants(self):
+        assert Ceil.make(as_expr(7) / 2) == Const(4)
+        assert Ceil.make(as_expr(8) / 2) == Const(4)
 
     def test_rounding_folds_non_finite_constants_to_themselves(self):
-        from repro.symbolic import Ceil, Floor
-
         assert math.isnan(Ceil.make(Const(math.nan)).value)
-        assert math.isnan(Floor.make(Const(math.nan)).value)
         assert Ceil.make(Const(math.inf)) == Const(math.inf)
-        assert Floor.make(Const(-math.inf)) == Const(-math.inf)
+        assert Ceil.make(Const(-math.inf)) == Const(-math.inf)
 
-    def test_align_up(self):
-        assert align_up(10, 8) == Const(16)
-        assert align_up(16, 8) == Const(16)
-
-    def test_floordiv_constants(self):
-        assert (as_expr(7) // 2) == Const(3)
-
-    def test_mod_constants(self):
-        assert (as_expr(7) % 4) == Const(3)
-
-    def test_mod_by_one_is_zero(self):
-        x = Sym("x")
-        assert (x % 1) == Const(0)
-
-
-class TestComparisonsAndPiecewise:
-    def test_constant_comparison_folds(self):
-        assert Le(2, 3) == Const(1)
-        assert Ge(2, 3) == Const(0)
-
-    def test_piecewise_constant_condition(self):
-        x, y = Sym("x"), Sym("y")
-        assert Piecewise.make(Le(1, 2), x, y) is x
-        assert Piecewise.make(Le(2, 1), x, y) is y
-
-    def test_piecewise_equal_branches_collapse(self):
-        x = Sym("x")
-        cond = Le(x, 5)
-        assert Piecewise.make(cond, x + 1, x + 1) == (x + 1)
+    @pytest.mark.parametrize("op", [
+        lambda x: x // 2, lambda x: 2 // x, lambda x: x % 2,
+        lambda x: 2 % x, lambda x: x ** 2,
+    ], ids=["floordiv", "rfloordiv", "mod", "rmod", "pow"])
+    def test_operators_the_cost_model_never_builds_raise(self, op):
+        with pytest.raises(TypeError):
+            op(Sym("x"))
 
 
 class TestStructuralEquality:
@@ -228,11 +204,11 @@ class TestFreeSymbolsAndSubstitute:
         assert substitute(expr, {"x": 20}) == Const(20)
         assert substitute(expr, {"x": 3}) == Const(10)
 
-    def test_substitute_through_piecewise(self):
+    def test_substitute_through_ceil(self):
         x = Sym("x")
-        expr = Piecewise.make(Le(x, 5), x * 2, x * 3)
-        assert substitute(expr, {"x": 4}) == Const(8)
-        assert substitute(expr, {"x": 6}) == Const(18)
+        expr = Ceil.make(x / 4) * 2
+        assert substitute(expr, {"x": 5}) == Const(4)
+        assert substitute(expr, {"x": 8}) == Const(4)
 
 
 class TestImmutability:

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.symbolic import (
+    Ceil,
+    Const,
     Sym,
     as_expr,
-    ceil_div,
     compile_expr,
     evaluate,
     free_symbols,
@@ -46,7 +47,7 @@ def expr_strategy(max_depth: int = 4):
             binary.map(lambda ab: ab[0] * ab[1]),
             binary.map(lambda ab: smax(ab[0], ab[1])),
             binary.map(lambda ab: smin(ab[0], ab[1])),
-            children.map(lambda a: ceil_div(a, 3)),
+            children.map(lambda a: Ceil.make(a / 3)),
             children.map(lambda a: a / 7),
         )
 
@@ -73,7 +74,7 @@ def test_compiled_matches_interpreter(expr, env):
 @given(expr=expr_strategy(), env=env_strategy)
 def test_substitution_matches_evaluation(expr, env):
     substituted = substitute(expr, env)
-    assert substituted.is_constant
+    assert isinstance(substituted, Const)
     assert math.isclose(
         float(substituted.constant_value()),
         float(evaluate(expr, env)),

@@ -45,14 +45,14 @@ from repro.costmodel import calibrated_interference
 from repro.core.spaces import get_scale
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model
+import repro.symbolic
 from repro.symbolic import (
+    Ceil,
     CompiledExpr,
     EvaluationError,
-    Lt,
-    Piecewise,
+    Expr,
     Sym,
     as_expr,
-    ceil_div,
     compile_expr,
     evaluate,
     smax,
@@ -86,12 +86,9 @@ def _random_expr(rng: random.Random, depth: int):
         lambda: a - b,
         lambda: a * b,
         lambda: a / (b + 13),          # shift, not avoid: zero still possible
-        lambda: a // 3,
-        lambda: a % 5,
         lambda: smax(a, b),
         lambda: smin(a, b),
-        lambda: ceil_div(a, 4),
-        lambda: Piecewise.make(Lt(a, b), a + 1, b * 2),
+        lambda: Ceil.make(a / 4),
     ]
     return rng.choice(ops)()
 
@@ -122,14 +119,35 @@ def _describe(expr, env, lhs, rhs, what: str) -> str:
             f" lhs={np.asarray(lhs)!r}\n rhs={np.asarray(rhs)!r}")
 
 
+def _seeded_expr(seed: int):
+    """The tree ``test_paths_agree_elementwise`` draws for ``seed``,
+    with the generator that goes on to draw its env."""
+    rng = random.Random(0xD1FF + seed)
+    return _random_expr(rng, depth=4), rng
+
+
 class TestExpressionDifferential:
     """Four evaluation paths agree bitwise on seeded random trees."""
+
+    def test_seeded_trees_cover_every_node_class(self):
+        # a node type added to repro.symbolic without a branch in
+        # _random_expr would go unchecked by the oracle below
+        exported = {obj for obj in vars(repro.symbolic).values()
+                    if isinstance(obj, type) and issubclass(obj, Expr)
+                    and obj is not Expr}
+        seen = set()
+        for seed in range(40):
+            stack = [_seeded_expr(seed)[0]]
+            while stack:
+                node = stack.pop()
+                seen.add(type(node))
+                stack.extend(node.children)
+        assert exported <= seen, sorted(c.__name__ for c in exported - seen)
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_paths_agree_elementwise(self, seed, n):
-        rng = random.Random(0xD1FF + seed)
-        expr = _random_expr(rng, depth=4)
+        expr, rng = _seeded_expr(seed)
         env = _random_env(rng, n, special=seed % 2 == 0)
         fn = compile_expr(expr, arg_names=SYMBOL_NAMES)
 
@@ -170,7 +188,7 @@ class TestExpressionDifferential:
 
     def test_multi_output_interpret_matches_call(self):
         x, y, z = SYMS
-        exprs = [x + y * z, smax(x, y) / (z + 13), ceil_div(x * y, 4)]
+        exprs = [x + y * z, smax(x, y) / (z + 13), Ceil.make(x * y / 4)]
         fn = compile_expr(exprs, arg_names=SYMBOL_NAMES)
         env = {
             "x": np.array([1.0, -3.5, np.inf]),

@@ -616,6 +616,19 @@ def _replan_json(tmp_path, monkeypatch):
              "--delta", str(delta), "--json", _MISSING], [_MISSING, _NO_SUCH])
 
 
+def _replan_incumbent_typo(tmp_path, monkeypatch):
+    # a misspelled job key once loaded the job at that field's default
+    delta = tmp_path / "d.json"
+    delta.write_text(json.dumps({"ops": [{"op": "add_nodes", "count": 1}]}))
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"solver": "synthetic", "job": {
+        "model": "gpt3-1.3b", "num_gpus": 2, "global_batch": 8,
+        "seq_lne": 4096}}))
+    return (["replan", *_TUNE, "--gpus", "2", "--solver", "synthetic",
+             "--delta", str(delta), "--incumbent", str(report)],
+            [str(report), "'seq_lne'"])
+
+
 def _sweep_json(tmp_path, monkeypatch):
     return (["sweep", "--sizes", "1.3b", "--solvers", "synthetic",
              "--scale", "smoke", "--global-batch", "8", "--json", _MISSING],
@@ -720,7 +733,8 @@ class TestErrorBoundary:
     error:`` line on stderr naming the input, never a traceback."""
 
     @pytest.mark.parametrize("case", [
-        _tune_json, _replan_json, _sweep_json, _campaign_run_json,
+        _tune_json, _replan_json, _replan_incumbent_typo, _sweep_json,
+        _campaign_run_json,
         _campaign_report_json, _bench_out, _load_out,
         _campaign_dir_unwritable, _campaign_status_bad_spec,
         _campaign_report_bad_spec, _cluster_dir, _tune_cluster_dir,
