@@ -23,7 +23,6 @@ groups with different GPU types — enter the API. Build such jobs with
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,8 @@ from types import SimpleNamespace
 from typing import Any
 
 from repro.core.schema import (BOOL, NULL, OBJECT, DecodeError, Field, Int,
-                               OneOf, Str, Table, decode, loads)
+                               OneOf, Str, Table, content_hash, decode,
+                               loads)
 from repro.core.spaces import (
     SearchSpace,
     TuningScale,
@@ -227,9 +227,7 @@ class TuningJob:
 
     def fingerprint(self) -> str:
         """Stable content hash — the on-disk plan-cache key."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:20]
+        return content_hash(self.to_dict())
 
 
 #: a job document (``TuningJob.to_dict``); ``model``, ``gpu``, named

@@ -41,6 +41,7 @@ import platform
 import sys
 
 from repro import __version__
+from repro.core.schema import OBJECT, Field, Num, Str, Table
 from repro.core.spaces import get_scale
 
 from .fig16 import measure_fig16, plan_hash
@@ -56,6 +57,21 @@ PRIMARY_BENCH = "fig16_tuning_time"
 REFERENCE_BENCH = "fig16_exhaustive_reference"
 #: the warm-vs-cold elastic replan pass
 REPLAN_BENCH = "fig_replan"
+
+#: a ``--baseline`` snapshot, as :func:`check_against_baseline` reads
+#: it; each ``ignore`` holds parts it does not read
+_PASS = Table("bench pass", (
+    Field("wall_time_seconds", Num(ge=0), 0.0),
+    *(Field(name, OBJECT, {})
+      for name in ("plan_hashes", "stats", "per_space", "scenarios")),
+), ignore=frozenset({"config_speedup_geomean", "plans_match", "prune",
+                     "warm_memo_hits", "workload"}))
+BASELINE = Table("bench baseline", (
+    Field("schema", Str()), Field("scale", Str()),
+    Field("benchmarks", Table("benchmarks", tuple(
+        Field(name, _PASS, {})
+        for name in (PRIMARY_BENCH, REFERENCE_BENCH, REPLAN_BENCH)))),
+), ignore=frozenset({"derived", "environment"}))
 
 
 def run_bench(scale_name: str = "smoke", *,

@@ -7,10 +7,8 @@ ship, selected by name through :func:`get_executor`:
 
 * ``inline``       — solve every cell serially in this process;
 * ``process-pool`` — fan cells out to the daemon's process worker
-  tier (:class:`repro.service.workers.ProcessWorkerTier`): spawn-started,
-  crash-isolated worker slots, each re-solving through
-  :func:`repro.api.solve` against the shared on-disk plan cache; a
-  worker that dies is respawned and its cell retried once;
+  tier: crash-isolated worker processes sharing the on-disk plan
+  cache (:class:`ProcessPoolExecutor`);
 * ``service``      — delegate the whole batch to a live ``repro
   serve`` daemon via ``POST /campaigns``, so cells ride the daemon's
   worker pool, request coalescing, and shared plan cache.
@@ -24,7 +22,6 @@ next ``--resume`` run).
 
 from __future__ import annotations
 
-import queue
 import time
 from concurrent import futures as _futures
 from typing import Callable, Optional
@@ -121,21 +118,10 @@ class ProcessPoolExecutor:
         from repro.service.workers import ProcessWorkerTier
 
         tier = ProcessWorkerTier(min(self.workers, len(cells)))
-        free: queue.SimpleQueue[int] = queue.SimpleQueue()
-        for index in range(tier.workers):
-            free.put(index)
-
-        def solve_on_free_slot(cell: CampaignCell) -> SolveReport:
-            index = free.get()
-            try:
-                return tier.run_on(index, cell.job, cell.solver,
-                                   cache=cache)
-            finally:
-                free.put(index)
-
         dispatch = _futures.ThreadPoolExecutor(max_workers=tier.workers)
         try:
-            pending = {dispatch.submit(solve_on_free_slot, cell): cell
+            pending = {dispatch.submit(tier.run, cell.job, cell.solver,
+                                       cache=cache): cell
                        for cell in cells}
             for future in _futures.as_completed(pending):
                 if should_stop is not None and should_stop():

@@ -26,10 +26,13 @@ import threading
 import time
 from pathlib import Path
 
-from .spec import CampaignCell, CampaignSpec
+from repro.core.schema import (NULL, Field, Int, List, Num, OneOf, Str,
+                               Table, decode, loads)
 
-__all__ = ["CampaignError", "CampaignManifest", "finished_cell_record",
-           "pending_cell_record"]
+from .spec import CAMPAIGN, CampaignCell, CampaignSpec
+
+__all__ = ["CELL_RECORD", "CampaignError", "CampaignManifest",
+           "finished_cell_record", "pending_cell_record"]
 
 
 class CampaignError(ValueError):
@@ -65,6 +68,26 @@ def pending_cell_record(cell: CampaignCell) -> dict:
         "plan": None,
         "finished_at": None,
     }
+
+
+_TEXT = OneOf(NULL, Str())
+
+#: one cell's record (:func:`pending_cell_record`), as the manifest
+#: and the report read it; ``ignore`` holds the parts they do not read
+CELL_RECORD = Table("cell record", (
+    Field("cell_id", Str()), Field("solver", Str()), Field("workload", Str()),
+    Field("status", Str(choices=("pending", "done", "failed")), "pending"),
+    Field("source", _TEXT, None), Field("throughput", Num(ge=0), 0.0),
+), ignore=frozenset({"cluster", "error", "finished_at", "fingerprint",
+                     "global_batch", "job", "measured", "model", "plan",
+                     "scale", "seq_len", "tuning_time_seconds"}))
+
+#: ``manifest.json`` (:meth:`CampaignManifest.to_dict`)
+MANIFEST = Table("campaign manifest", (
+    Field("version", Int(), 1), Field("name", _TEXT),
+    Field("fingerprint", _TEXT), Field("spec", OneOf(NULL, CAMPAIGN)),
+    Field("cells", List(CELL_RECORD)),
+))
 
 
 def finished_cell_record(cell: CampaignCell, *, status: str, source: str,
@@ -108,27 +131,19 @@ class CampaignManifest:
     def events_path(self) -> Path:
         return self.root / self.EVENTS
 
-    def exists(self) -> bool:
-        return self.path.is_file()
-
     # -- lifecycle ---------------------------------------------------------
 
     def load(self) -> bool:
-        """Read ``manifest.json``; ``False`` on missing/corrupt."""
+        """Read ``manifest.json``; ``False`` when there is none to read,
+        :class:`~repro.core.schema.DecodeError` when it does not decode."""
         try:
-            data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
+            text = self.path.read_text()
+        except OSError:
             return False
-        if not isinstance(data, dict):
-            return False
-        self.name = data.get("name")
-        self.spec_dict = data.get("spec")
-        self.fingerprint = data.get("fingerprint")
-        self._cells = {
-            rec["cell_id"]: rec
-            for rec in data.get("cells", [])
-            if isinstance(rec, dict) and "cell_id" in rec
-        }
+        fields = decode(MANIFEST, loads(text, "manifest"), "manifest")
+        self.name, self.spec_dict = fields["name"], fields["spec"]
+        self.fingerprint = fields["fingerprint"]
+        self._cells = {rec["cell_id"]: rec for rec in fields["cells"]}
         return True
 
     def begin(self, spec: CampaignSpec, *, resume: bool = False) -> None:

@@ -12,9 +12,14 @@ throughput tables. It is the grid-level counterpart of the per-job
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .spec import CampaignSpec
+from repro.core.schema import (NULL, OBJECT, Field, List, Num, OneOf, Str,
+                               Table, decode, loads)
+
+from .manifest import CELL_RECORD
+from .spec import CAMPAIGN, CampaignSpec
 
 __all__ = ["CampaignReport", "aggregate", "format_table",
            "format_throughput_rows"]
@@ -27,18 +32,16 @@ _SOURCE_COUNTERS = {
 }
 
 
+@dataclass(kw_only=True)
 class CampaignReport:
     """One campaign's aggregated, JSON-round-trippable outcome."""
 
-    def __init__(self, *, name: str, spec: CampaignSpec | None,
-                 cells: list[dict], counters: dict,
-                 executor: str = "inline", elapsed_seconds: float = 0.0):
-        self.name = name
-        self.spec = spec
-        self.cells = cells
-        self.counters = counters
-        self.executor = executor
-        self.elapsed_seconds = elapsed_seconds
+    name: str
+    spec: CampaignSpec | None
+    cells: list[dict]
+    counters: dict
+    executor: str = "inline"
+    elapsed_seconds: float = 0.0
 
     # -- aggregation views -------------------------------------------------
 
@@ -104,27 +107,20 @@ class CampaignReport:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "spec": self.spec.to_dict() if self.spec is not None else None,
-            "executor": self.executor,
-            "elapsed_seconds": self.elapsed_seconds,
-            "counters": dict(self.counters),
-            "cells": [dict(rec) for rec in self.cells],
-        }
+        out = {f.name: getattr(self, f.name) for f in CAMPAIGN_REPORT.fields}
+        return dict(out, spec=self.spec.to_dict() if self.spec else None,
+                    counters=dict(self.counters),
+                    cells=[dict(rec) for rec in self.cells])
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignReport":
-        spec = (CampaignSpec.from_dict(data["spec"])
-                if data.get("spec") else None)
-        return cls(
-            name=data["name"],
-            spec=spec,
-            cells=[dict(rec) for rec in data.get("cells", [])],
-            counters=dict(data.get("counters", {})),
-            executor=data.get("executor", "inline"),
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-        )
+        fields = decode(CAMPAIGN_REPORT, data, "campaign report")
+        spec = fields["spec"]
+        return cls(**dict(
+            fields, spec=CampaignSpec.from_dict(spec) if spec else None,
+            cells=[dict(rec) for rec in fields["cells"]],
+            counters=dict(fields["counters"]),
+            elapsed_seconds=float(fields["elapsed_seconds"])))
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent,
@@ -132,7 +128,16 @@ class CampaignReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignReport":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads(text, "campaign report"))
+
+
+#: a campaign report (``CampaignReport.to_dict``)
+CAMPAIGN_REPORT = Table("campaign report", (
+    Field("name", Str()), Field("spec", OneOf(NULL, CAMPAIGN), None),
+    Field("executor", Str(), "inline"),
+    Field("elapsed_seconds", Num(ge=0), 0.0),
+    Field("counters", OBJECT, {}), Field("cells", List(CELL_RECORD), []),
+))
 
 
 def aggregate(spec: CampaignSpec | None, cells: list[dict], *,

@@ -21,7 +21,6 @@ to the one an individual :func:`repro.api.solve` call would produce.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +28,8 @@ from pathlib import Path
 from repro.api.job import JobValidationError, TuningJob
 from repro.api.registry import solver_names
 from repro.core.schema import (BOOL, NULL, OBJECT, DecodeError, Field, Int,
-                               List, OneOf, Str, Table, decode, loads)
+                               List, OneOf, Str, Table, content_hash,
+                               decode, loads)
 from repro.hardware import cluster_from_dict
 
 __all__ = ["CampaignCell", "CampaignSpec", "CampaignValidationError"]
@@ -352,9 +352,7 @@ class CampaignSpec:
 
     def fingerprint(self) -> str:
         """Stable content hash; the manifest's resume-compatibility key."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:20]
+        return content_hash(self.to_dict())
 
 
 #: a cluster, scale or space entry: a file path, preset name or slug,

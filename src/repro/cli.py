@@ -92,7 +92,7 @@ from repro.core.spaces import NAMED_SPACES, SCALES
 from repro.execution import ExecutionEngine, OOMError, render_timeline
 from repro.hardware import ClusterDelta, cluster_to_dict, load_cluster
 from repro.models import get_model, list_models
-from repro.core.schema import DecodeError, loads
+from repro.core.schema import DecodeError, Table, decode, loads
 
 __all__ = ["main"]
 
@@ -188,14 +188,14 @@ def _write_json(path: str, reports: list) -> None:
     print(f"wrote {path}")
 
 
-def _read_baseline(path: str | None) -> dict | None:
-    if path is None:
-        return None
-    data = _parse("baseline", path,
-                  lambda: loads(Path(path).read_text(), "baseline"))
-    if not isinstance(data, dict):
-        raise ValueError(f"invalid baseline {path}: not a JSON object")
-    return data
+def _read_baseline(path: str | None, table: Table) -> dict | None:
+    """The ``--baseline`` at ``path``, checked by its gate's ``table``."""
+    def read() -> dict:
+        data = loads(Path(path).read_text(), "baseline")
+        decode(table, data, "baseline")  # the gates read the raw data
+        return data
+
+    return None if path is None else _parse("baseline", path, read)
 
 
 def _cmd_models(_args) -> int:
@@ -415,25 +415,20 @@ def _manifest_report(directory: str):
     )
 
     manifest = CampaignManifest(directory)
-    if not manifest.load():
+    if not _parse("campaign manifest", manifest.path, manifest.load):
         raise ValueError(f"no readable campaign manifest in {directory}")
     spec = (_parse("campaign manifest spec", manifest.path,
                    lambda: CampaignSpec.from_dict(manifest.spec_dict))
             if manifest.spec_dict else None)
-    recorded = {rec["cell_id"]: rec for rec in manifest.cells()}
-    cells = list(recorded.values())
+    cells = manifest.cells()
     if spec is not None:
         # expansion gives the full matrix, so unfinished cells show as
         # pending; solvers may be unregistered in this process
         try:
-            expanded = spec.expand(check_solvers=False)
-            cells = [recorded.get(cell.cell_id)
-                     or pending_cell_record(cell)
-                     for cell in expanded]
+            cells = [manifest.cell(cell.cell_id) or pending_cell_record(cell)
+                     for cell in spec.expand(check_solvers=False)]
         except DecodeError:
-            # a spec this process cannot expand — fall back to
-            # recorded cells
-            pass
+            pass  # a spec this process cannot expand: recorded cells
     return manifest, aggregate(spec, cells, executor="manifest")
 
 
@@ -503,9 +498,9 @@ def _cmd_cluster(args) -> int:
 def _cmd_bench(args) -> int:
     # imported here: the bench harness is only needed by this command
     from repro.benchmarking import format_bench, run_bench
-    from repro.benchmarking.bench import main_check
+    from repro.benchmarking.bench import BASELINE, main_check
 
-    baseline = _read_baseline(args.baseline)
+    baseline = _read_baseline(args.baseline, BASELINE)
     print(f"running bench suite at scale {args.scale!r} "
           f"(exhaustive reference: "
           f"{'off' if args.no_exhaustive else 'on'}, "
@@ -551,6 +546,7 @@ def _cmd_load(args) -> int:
 
     from repro.loadgen import (TRACE_SCALES, format_load, run_load,
                                synthesize_trace)
+    from repro.loadgen.report import BASELINE
     from repro.loadgen.report import main_check as load_check
 
     spec = TRACE_SCALES[args.scale]
@@ -565,7 +561,7 @@ def _cmd_load(args) -> int:
         spec = _dc.replace(spec, **overrides)
     if not (args.url or args.spawn):
         raise ValueError("need --url URL or --spawn")
-    baseline = _read_baseline(args.baseline)
+    baseline = _read_baseline(args.baseline, BASELINE)
     trace = synthesize_trace(spec)
     if args.url:
         result = run_load(args.url, spec, trace, mode=args.mode,
@@ -833,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--worker-mode", choices=("thread", "process"),
                          default="thread",
                          help="run searches on pool threads (GIL-bound) "
-                              "or fingerprint-routed worker processes "
+                              "or on whichever worker process is idle "
                               "(default: thread)")
     p_serve.add_argument("--max-pending", type=int, default=0,
                          help="admission control: max concurrently "

@@ -12,14 +12,15 @@ holding the field, then the field's name in quotes)::
 Decoding checks and never converts: the returned dict holds the given
 values as they were (so fingerprints of valid documents hold), with
 the defaults of absent fields filled in. Keys a table does not know are
-rejected, except the removed fields it lists in ``ignore``, which are
-dropped. This module imports
+rejected, except those it lists in ``ignore`` (removed fields, or parts
+its reader does not use), which are dropped. This module imports
 nothing else from ``repro``; the tables live beside the types they
 build.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from collections.abc import Callable
@@ -181,7 +182,8 @@ class Table(Type):
     """A JSON object with known keys: one document's field table.
 
     ``title`` names the document in messages ("group"); ``ignore``
-    lists removed fields that still load, and are dropped.
+    lists keys that load unchecked, and are dropped: removed fields, or
+    parts the document's reader does not use.
     """
 
     def __init__(self, title: str, fields: tuple[Field, ...], *,
@@ -228,6 +230,12 @@ def decode(table: Table, data: Any, what: str,
         if isinstance(exc, error):
             raise
         raise error(str(exc)) from None
+
+
+def content_hash(data: Any) -> str:
+    """20 hex digits of the sha256 of ``data``'s canonical JSON."""
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:20]
 
 
 def loads(text: str | bytes, what: str) -> Any:

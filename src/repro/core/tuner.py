@@ -79,7 +79,7 @@ import bisect
 import math
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -204,32 +204,7 @@ class SearchStats:
     warm_seed: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "prune": self.prune,
-            "cells_total": self.cells_total,
-            "cells_explored": self.cells_explored,
-            "cells_pruned": self.cells_pruned,
-            "cells_infeasible": self.cells_infeasible,
-            "configs_evaluated": self.configs_evaluated,
-            "configs_prefiltered": self.configs_prefiltered,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "bound_pruning": self.bound_pruning,
-            "warm": self.warm,
-            "warm_seed": dict(self.warm_seed) if self.warm_seed else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchStats":
-        """Rebuild from :meth:`to_dict` output (manifest resume path).
-
-        Unknown keys are ignored, so older payloads that still carry an
-        ``engine`` (1.x) or ``seed`` (2.x) field load unchanged.
-        """
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        if known.get("warm_seed") is not None:
-            known["warm_seed"] = dict(known["warm_seed"])
-        return cls(**known)
+        return asdict(self)  # copies ``warm_seed``
 
 
 @dataclass

@@ -6,7 +6,7 @@ job reads exactly like the perf job:
 * :func:`validate_load` — one run's internal consistency: zero 5xx /
   transport errors, zero solver failures or timeouts, at least one
   completed request, and no plan-hash divergence across repeats of a
-  cell (a cache or routing bug would show up as exactly that);
+  cell (a cache bug would show up as exactly that);
 * :func:`check_against_baseline` — p99 end-to-end latency against the
   committed baseline. A regression must exceed *both* the relative
   threshold and ``min_abs_seconds`` — sub-second smoke latencies are
@@ -17,10 +17,23 @@ from __future__ import annotations
 
 import sys
 
+from repro.core.schema import Field, Num, Str, Table
+
 __all__ = ["LOAD_SCHEMA", "check_against_baseline", "format_load",
            "main_check", "validate_load"]
 
 LOAD_SCHEMA = "repro-load/1"
+
+#: a ``--baseline`` run, as :func:`check_against_baseline` reads it;
+#: each ``ignore`` holds parts it does not read
+_LATENCY = Table("latency", (Field("p99", Num(ge=0), 0.0),),
+                 ignore=frozenset({"max", "mean", "p50", "p95"}))
+BASELINE = Table("load baseline", (
+    Field("schema", Str()), Field("scale", Str()), Field("mode", Str()),
+    Field("latency_seconds", _LATENCY),
+), ignore=frozenset({"config", "environment", "outcomes",
+                     "plan_hash_conflicts", "plan_hashes", "requests",
+                     "server", "throughput_rps", "wall_seconds"}))
 
 
 def validate_load(result: dict) -> list:

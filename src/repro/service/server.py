@@ -16,9 +16,9 @@ supervisors*, and a pluggable worker tier (``repro.service.workers``):
   hands it to the worker tier;
 * ``worker_mode="thread"`` runs the search on the supervisor thread
   itself via :func:`repro.api.solve` (full ``progress`` /
-  ``should_stop`` hook fidelity); ``worker_mode="process"`` routes it
-  to a fingerprint-pinned worker *process* so searches use real cores
-  — both share the same on-disk :class:`~repro.api.cache.PlanCache`.
+  ``should_stop`` hook fidelity); ``worker_mode="process"`` hands it
+  to whichever worker *process* is idle so searches use real cores —
+  both share the same on-disk :class:`~repro.api.cache.PlanCache`.
 
 Only the stdlib is used: the HTTP layer is a minimal HTTP/1.1
 request/response exchange over :func:`asyncio.start_server`
@@ -211,9 +211,9 @@ class TuningService:
         #: unresolved-job count per client id (quota bookkeeping)
         self._clients: dict[str, int] = {}
         self._lock = threading.Lock()
-        # in process mode the supervisor threads merely await worker
-        # futures, so more of them than routed processes keeps slots
-        # busy while others block on IPC
+        # in process mode a supervisor thread only waits for an idle
+        # worker slot and its result; keep more of them than worker
+        # processes, since replans run on these threads, not on workers
         supervisors = workers if worker_mode == "thread" else workers * 4
         self._pool = ThreadPoolExecutor(max_workers=supervisors,
                                         thread_name_prefix="repro-solve")
@@ -442,7 +442,7 @@ class TuningService:
         return record
 
     def worker_pids(self) -> list[int | None]:
-        """Routed worker-process pids (empty list in thread mode)."""
+        """Worker-process pids per slot (empty list in thread mode)."""
         return self._tier.worker_pids()
 
     def _run_search(self, flight: InFlight, runner: _Runner) -> None:
@@ -608,7 +608,7 @@ class TuningService:
         """Route one request; the service's typed errors map to HTTP
         statuses here, once for every route."""
         try:
-            return await self._route(method, path, headers, body)
+            return await self._handle(method, path, headers, body)
         except (SolverNotFoundError, UnknownJobError,
                 UnknownCampaignError) as exc:
             raise _HttpError(404, exc.args[0]) from None
@@ -623,8 +623,8 @@ class TuningService:
             # fit the cluster (DeltaError)
             raise _HttpError(400, str(exc)) from None
 
-    async def _route(self, method: str, path: str, headers: dict[str, str],
-                     body: bytes) -> tuple[int, dict[str, Any]]:
+    async def _handle(self, method: str, path: str, headers: dict[str, str],
+                      body: bytes) -> tuple[int, dict[str, Any]]:
         split = urlsplit(path)
         segments = [s for s in split.path.split("/") if s]
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}

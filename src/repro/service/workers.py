@@ -1,4 +1,4 @@
-"""Solver worker tiers: in-process threads or routed worker processes.
+"""Solver worker tiers: in-process threads or worker processes.
 
 The daemon front (submit / coalesce / plan cache, see ``server.py``) is
 tier-agnostic: once a ``(solver, fingerprint)`` key misses the cache
@@ -12,38 +12,34 @@ and is not already in flight, the search is handed to a *worker tier*:
   deadlock-prone). Searches run on real cores; results come back as
   serialized :class:`~repro.api.SolveReport` dicts.
 
-The daemon's routing is **fingerprint-consistent**
-(:meth:`ProcessWorkerTier.run`): worker index =
-``sha256(solver:fingerprint) % N``. Coalescing already collapses
-identical in-flight submissions *before* the tier sees them, so the
-tier never runs the same key twice concurrently; pinning repeats of a
-fingerprint to the same process additionally keeps that worker's
-process-local menu memo warm for re-searches of the same workload.
-:meth:`ProcessWorkerTier.run_on` is the slot-addressed body underneath:
-the campaign ``process-pool`` executor hands each cell to whichever
-slot is free instead, since a grid's cells are all distinct.
+The process tier's one dispatch rule (:meth:`ProcessWorkerTier.run`,
+called by the daemon and the campaign ``process-pool`` executor): a
+search takes whichever slot is idle, waiting in the tier's queue while
+none is. The daemon's coalescing and plan cache answer a repeated key
+before the tier sees it.
 
 Chaos semantics: a worker process dying mid-search surfaces as
 :class:`concurrent.futures.process.BrokenProcessPool`. The tier
 retires the broken pool, respawns the slot lazily, and retries the
 search up to ``retries`` times before raising :class:`WorkerDiedError`
-— so one ``kill -9`` fails (or transparently retries) exactly the jobs
-routed to that worker and never wedges the queue. An exception the
+— so one ``kill -9`` fails (or transparently retries) only the search
+running on that worker and never wedges the queue. An exception the
 solver itself raises inside a healthy worker (``OOMError``, a bad job,
 ...) propagates unchanged: the worker is kept and nothing is retried.
 
 Cancellation in the process tier is dispatch-side: ``should_stop`` is
-polled while awaiting the worker future. A search already running in a
-worker process finishes in the background (its report still lands in
-the shared plan cache); there is no cross-process mid-search signal.
-For the same reason ``progress`` callbacks are not relayed.
+polled while waiting for a slot (a search cancelled there never
+reaches a worker) and while awaiting the worker. A search already
+running finishes in the background, its report still landing in the
+shared plan cache, and keeps its slot until then. There is no
+cross-process mid-search signal, nor a ``progress`` relay.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
+import queue
 import threading
 import time
 from collections.abc import Callable
@@ -67,12 +63,12 @@ ProgressFn = Callable[[int, int], None]
 #: cooperative cancellation poll: True means stop searching
 StopFn = Callable[[], bool]
 
-#: how often an awaiting dispatch thread polls ``should_stop`` (seconds)
+#: how often a waiting dispatch thread polls ``should_stop`` (seconds)
 _POLL_INTERVAL_S = 0.05
 
 
 class WorkerDiedError(RuntimeError):
-    """A routed worker process died mid-search (retries exhausted)."""
+    """A worker process died mid-search (retries exhausted)."""
 
 
 def _process_ping() -> int:
@@ -81,12 +77,9 @@ def _process_ping() -> int:
 
 
 class ThreadWorkerTier:
-    """Run searches inline on the caller's (pool) thread.
-
-    The service's ``ThreadPoolExecutor`` thread calls straight into
-    :func:`repro.api.solve` (or the injected ``solve_fn``), with full
-    ``progress`` / ``should_stop`` hook fidelity.
-    """
+    """Run searches inline on the caller's (pool) thread, through
+    :func:`repro.api.solve` or the injected ``solve_fn``, with full
+    ``progress`` / ``should_stop`` hook fidelity."""
 
     mode = "thread"
 
@@ -117,12 +110,10 @@ class ThreadWorkerTier:
 
 
 class ProcessWorkerTier:
-    """Route searches onto ``N`` single-process worker pools.
+    """Run each search on whichever single-process worker pool is idle.
 
     Each slot is its own one-worker :class:`ProcessPoolExecutor`
-    (``spawn`` start) so that (a) routing is strict — a fingerprint
-    always lands on its assigned process, keeping per-process memo
-    locality — and (b) a crash is contained: only the broken slot
+    (``spawn`` start), so a crash is contained: only the broken slot
     respawns, the other workers keep their warm state.
     """
 
@@ -139,15 +130,10 @@ class ProcessWorkerTier:
         self._lock = threading.Lock()
         self._pools: list[ProcessPoolExecutor | None] = [None] * workers
         self._pids: list[int | None] = [None] * workers
+        self._idle: queue.SimpleQueue[int] = queue.SimpleQueue()
+        for index in range(workers):
+            self._idle.put(index)
         self._restarts = 0
-
-    # -- routing -----------------------------------------------------------
-
-    def route(self, solver: str, fingerprint: str) -> int:
-        """Consistent worker index for a ``(solver, fingerprint)`` key."""
-        digest = hashlib.sha256(
-            f"{solver}:{fingerprint}".encode()).digest()
-        return int.from_bytes(digest[:8], "big") % self.workers
 
     # -- slot management ---------------------------------------------------
 
@@ -175,73 +161,75 @@ class ProcessWorkerTier:
             cache: PlanCache | None = None,
             progress: ProgressFn | None = None,
             should_stop: StopFn | None = None) -> SolveReport:
-        """Search on the slot the ``(solver, fingerprint)`` key routes to."""
-        del progress  # no cross-process progress channel (see module doc)
-        return self.run_on(self.route(solver, job.fingerprint()), job,
-                           solver, cache=cache, should_stop=should_stop)
-
-    def run_on(self, index: int, job: TuningJob, solver: str, *,
-               cache: PlanCache | None = None,
-               should_stop: StopFn | None = None) -> SolveReport:
-        """Search on slot ``index``; a dead worker is respawned and the
+        """Search on an idle slot; a dead worker is respawned and the
         search retried up to ``retries`` times."""
+        del progress  # no cross-process progress channel (see module doc)
         if should_stop is not None and should_stop():
             raise SearchCancelled("cancelled before dispatch to a worker")
+        index: int = self._await(lambda t: self._idle.get(timeout=t),
+                                 should_stop, "waiting for a worker slot")
         cache_dir = str(cache.root) if cache is not None else None
+        future: Future[tuple[int, dict[str, Any], bool]] | None = None
         attempts = 0
-        while True:
-            attempts += 1
-            pool = self._pool_for(index)
-            try:
-                # RuntimeError here: the slot's pool broke (or was shut
-                # down) before this submit
-                future = pool.submit(solve_in_worker, solver,
-                                     job.to_dict(), cache_dir)
-            except RuntimeError as exc:
-                died: Exception = exc
-            else:
+        try:
+            while True:
+                attempts += 1
+                pool = self._pool_for(index)
                 try:
-                    pid, data, from_cache = self._await(future, should_stop)
-                except BrokenProcessPool as exc:
-                    # the worker died mid-search; anything else raised
-                    # here is the solver's own error and propagates
-                    died = exc
+                    # RuntimeError here: the slot's pool broke (or was
+                    # shut down) before this submit
+                    future = pool.submit(solve_in_worker, solver,
+                                         job.to_dict(), cache_dir)
+                except RuntimeError as exc:
+                    died: Exception = exc
                 else:
-                    with self._lock:
-                        self._pids[index] = pid
-                    report = SolveReport.from_dict(data)
-                    report.from_cache = from_cache
-                    return report
-            self._retire(index, pool)
-            if attempts > self.retries:
-                raise WorkerDiedError(
-                    f"solver worker {index} died mid-search "
-                    f"({attempts} attempt(s)): {died}") from died
+                    try:
+                        # a cancelled wait leaves the worker searching;
+                        # its report still lands in the plan cache
+                        pid, data, from_cache = self._await(
+                            future.result, should_stop,
+                            "awaiting a worker process")
+                    except BrokenProcessPool as exc:
+                        # the worker died mid-search; anything else
+                        # raised here is the solver's own error
+                        died = exc
+                    else:
+                        with self._lock:
+                            self._pids[index] = pid
+                        report = SolveReport.from_dict(data)
+                        report.from_cache = from_cache
+                        return report
+                self._retire(index, pool)
+                if attempts > self.retries:
+                    raise WorkerDiedError(
+                        f"solver worker {index} died mid-search "
+                        f"({attempts} attempt(s)): {died}") from died
+        finally:
+            # the slot is idle once its worker is: a search abandoned
+            # by cancellation holds it until it finishes
+            if future is None:
+                self._idle.put(index)
+            else:
+                future.add_done_callback(lambda _: self._idle.put(index))
 
-    def _await(self, future: Future[tuple[int, dict[str, Any], bool]],
-               should_stop: StopFn | None) -> tuple[int, dict[str, Any], bool]:
-        """Poll the worker future, honoring dispatch-side cancellation."""
+    @staticmethod
+    def _await(wait: Callable[[float], Any], should_stop: StopFn | None,
+               doing: str) -> Any:
+        """``wait(timeout)``'s result, polling ``should_stop`` each time
+        it times out."""
         while True:
             try:
-                return future.result(timeout=_POLL_INTERVAL_S)
-            except _FutureTimeoutError:
+                return wait(_POLL_INTERVAL_S)
+            except (queue.Empty, _FutureTimeoutError):
                 if should_stop is not None and should_stop():
-                    # the worker keeps searching and will still store
-                    # its report in the shared plan cache; only this
-                    # dispatch abandons the wait
-                    raise SearchCancelled(
-                        "cancelled while awaiting a worker process"
-                    ) from None
+                    raise SearchCancelled(f"cancelled while {doing}") \
+                        from None
 
     # -- introspection / lifecycle ----------------------------------------
 
     def warm(self, timeout: float = 60.0) -> list[int]:
-        """Spawn every worker up front; returns their pids.
-
-        Called before the daemon reports ready so that the first real
-        request never pays process-spawn latency (which would pollute
-        the load harness's latency percentiles).
-        """
+        """Spawn every worker up front, so that no request pays
+        process-spawn latency; returns their pids."""
         futures = [(index, self._pool_for(index).submit(_process_ping))
                    for index in range(self.workers)]
         deadline = time.monotonic() + timeout

@@ -107,20 +107,6 @@ class TestV1Compatibility:
         assert TuningJob.from_json(self.V1_JOB).fingerprint() \
             == JOB.fingerprint() == self.V1_FINGERPRINT
 
-    def test_search_stats_with_engine_field_load(self):
-        from repro.core import SearchStats
-
-        data = SearchStats(cells_total=4, cells_explored=3,
-                           cells_pruned=1).to_dict()
-        # 1.x payloads carry "engine"; 2.x payloads carry the retired
-        # heuristic "seed" cell
-        for legacy in ({"engine": "interpreted"},
-                       {"seed": {"num_stages": 2, "gacc": 4,
-                                 "objective": 1.5}}):
-            stats = SearchStats.from_dict({**data, **legacy})
-            assert stats.to_dict() == data
-            assert not legacy.keys() & data.keys()
-
 
 class TestV2ScaleCompatibility:
     """2.x scale dicts carry ``max_pareto_points``, since removed."""

@@ -1,9 +1,12 @@
 """Tests for campaign aggregation: counters, speedups, round-trips."""
 
+import re
+
 import pytest
 
 from repro.campaigns import CampaignReport, aggregate, run_campaign
 from repro.campaigns.report import format_table, format_throughput_rows
+from repro.core.schema import DecodeError
 
 
 class TestAggregation:
@@ -65,6 +68,18 @@ class TestAggregation:
         assert loaded.to_json() == report.to_json()
         assert loaded.counters == report.counters
         assert loaded.spec == stub_spec
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"cells": []}', "required field 'name' is missing"),
+        ('{"name": "x", "cells": [{"cell_id": "a", "solver": "s"}]}',
+         "campaign report.cells[0]: required field 'workload' is missing"),
+        ('{"name": "x", "cells": "oops"}', "'cells' must be a list"),
+        ('[]', "campaign report must be a JSON object"),
+    ], ids=["no-name", "cell-no-workload", "cells-not-list", "not-object"])
+    def test_malformed_report_raises_decode_error(self, text, message):
+        # a report without a name once raised a bare KeyError
+        with pytest.raises(DecodeError, match=re.escape(message)):
+            CampaignReport.from_json(text)
 
     def test_failures_render_as_zero(self, stub_spec, stub_a, stub_b):
         bad = stub_spec.expand()[0]

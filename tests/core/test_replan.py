@@ -143,11 +143,3 @@ class TestWarmStartMechanics:
             == first.configurations_evaluated
         assert second.stats.memo_hits > 0
         assert _plan_bytes(second.best_plan) == _plan_bytes(first.best_plan)
-
-    def test_stats_round_trip_warm_fields(self):
-        from repro.core import SearchStats
-        stats = SearchStats(warm=True,
-                            warm_seed={"num_stages": 2, "gacc": 4,
-                                       "matched": True})
-        again = SearchStats.from_dict(stats.to_dict())
-        assert again.warm and again.warm_seed == stats.warm_seed

@@ -11,6 +11,7 @@ tier-1 stays deterministic."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,11 @@ from repro.api import SolveReport, TuningJob
 from repro.api.job import JOB
 from repro.api.report import REPORT
 from repro.benchmarking import plan_hash
-from repro.campaigns import CampaignSpec
+from repro.benchmarking.bench import BASELINE as BENCH_BASELINE
+from repro.campaigns import CampaignReport, CampaignSpec, aggregate
+from repro.campaigns.manifest import (CELL_RECORD, MANIFEST,
+                                      pending_cell_record)
+from repro.campaigns.report import CAMPAIGN_REPORT
 from repro.campaigns.spec import CAMPAIGN
 from repro.core.plan import PLAN, STAGE, StageConfig, TrainingPlan
 from repro.core.schema import (
@@ -55,6 +60,7 @@ from repro.hardware import (
 )
 from repro.hardware.delta import DELTA, OP_TABLES
 from repro.hardware.topology import FLEET, GROUP, NODES
+from repro.loadgen.report import BASELINE as LOAD_BASELINE
 from repro.service.server import (
     CAMPAIGN_BODY,
     JOB_BODY,
@@ -323,6 +329,25 @@ def _replan_body(body):
     return _parse_job_body(body, REPLAN_BODY)
 
 
+def _records(spec):
+    return [pending_cell_record(cell) for cell in spec.expand()]
+
+
+def _manifest(spec):
+    return {"version": 1, "name": spec.name,
+            "fingerprint": spec.fingerprint(), "spec": spec.to_dict(),
+            "cells": _records(spec)}
+
+
+def _decoder(table):
+    return lambda doc: decode(table, doc, "doc")
+
+
+def _committed(name):
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+    return st.just(json.loads((path / name).read_text()))
+
+
 _CELL = st.builds(lambda job, solver: {"job": job.to_dict(),
                                        "solver": solver},
                   jobs(), _names)
@@ -345,6 +370,17 @@ DOCUMENTS = {
        for kind, table in OP_TABLES.items()},
     "campaign": (CAMPAIGN, campaigns.map(CampaignSpec.to_dict),
                  CampaignSpec.from_dict),
+    "cell record": (CELL_RECORD, campaigns.map(lambda s: _records(s)[0]),
+                    _decoder(CELL_RECORD)),
+    "campaign manifest": (MANIFEST, campaigns.map(_manifest),
+                          _decoder(MANIFEST)),
+    "campaign report": (CAMPAIGN_REPORT, campaigns.map(
+        lambda s: aggregate(s, _records(s)).to_dict()),
+        CampaignReport.from_dict),
+    "bench baseline": (BENCH_BASELINE, _committed("BENCH_smoke.json"),
+                       _decoder(BENCH_BASELINE)),
+    "load baseline": (LOAD_BASELINE, _committed("LOAD_smoke.json"),
+                      _decoder(LOAD_BASELINE)),
     "jobs body": (JOB_BODY, _CELL, _job_body),
     "replan body": (REPLAN_BODY, st.builds(
         lambda cell, delta, budget: dict(cell, delta={"ops": [delta]},

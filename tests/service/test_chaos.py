@@ -2,7 +2,7 @@
 
 Two failure-injection levers:
 
-* a real ``SIGKILL`` on a routed worker pid (tier-level tests — the
+* a real ``SIGKILL`` on a worker pid (tier-level tests — the
   honest "someone OOM-killed my worker" scenario);
 * the synthetic solver's ``die_file`` hook (service/campaign tests —
   the worker hard-exits via ``os._exit`` *iff* a flag file exists, so
@@ -34,25 +34,20 @@ LONG_JOB = TuningJob(model="gpt3-1.3b", gpu="L4", num_gpus=2,
                      options={"synthetic": {"seconds": 30.0}})
 
 
-def _kill_routed_worker(tier: ProcessWorkerTier, job: TuningJob,
-                        solver: str = "synthetic",
-                        after: float = 0.5) -> int:
-    """SIGKILL the worker the job routed to, once it is mid-search."""
+def _kill_only_worker(tier: ProcessWorkerTier, after: float = 0.5) -> None:
+    """SIGKILL a one-slot tier's worker, once it is mid-search."""
     time.sleep(after)
-    index = tier.route(solver, job.fingerprint())
-    pid = tier.worker_pids()[index]
+    [pid] = tier.worker_pids()
     assert pid is not None, "worker was never spawned"
     os.kill(pid, signal.SIGKILL)
-    return index
 
 
 class TestTierChaos:
     def test_kill_mid_search_fails_cleanly_without_retry(self):
-        tier = ProcessWorkerTier(2, retries=0)
+        tier = ProcessWorkerTier(1, retries=0)
         try:
             tier.warm(timeout=120)
-            killer = threading.Thread(
-                target=_kill_routed_worker, args=(tier, LONG_JOB))
+            killer = threading.Thread(target=_kill_only_worker, args=(tier,))
             killer.start()
             with pytest.raises(WorkerDiedError, match="died mid-search"):
                 tier.run(LONG_JOB, "synthetic")
@@ -70,11 +65,10 @@ class TestTierChaos:
     def test_kill_mid_search_retries_once_and_succeeds(self):
         job = dataclasses.replace(
             LONG_JOB, options={"synthetic": {"seconds": 2.0}})
-        tier = ProcessWorkerTier(2, retries=1)
+        tier = ProcessWorkerTier(1, retries=1)
         try:
             tier.warm(timeout=120)
-            killer = threading.Thread(
-                target=_kill_routed_worker, args=(tier, job))
+            killer = threading.Thread(target=_kill_only_worker, args=(tier,))
             killer.start()
             report = tier.run(job, "synthetic")
             killer.join()

@@ -1,7 +1,8 @@
-"""Worker tiers: routing, plan identity, coalescing, solver errors.
+"""Worker tiers: free-slot dispatch, plan identity, coalescing, solver
+errors.
 
 The differential tests are the PR's core guarantee: a plan produced by
-a routed worker *process* is bit-identical (by
+a worker *process* is bit-identical (by
 :func:`repro.benchmarking.plan_hash`) to the plan the same job gets
 from inline :func:`repro.api.solve` and from the thread tier — caching
 and multi-process execution change *where* a search runs, never what
@@ -11,13 +12,18 @@ it answers.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
+import signal
 import threading
+import time
 
 import pytest
 
 from repro.api import PlanCache, TuningJob, solve
 from repro.benchmarking import plan_hash
 from repro.service import running_service
+from repro.core.tuner import SearchCancelled
 from repro.service.workers import (
     ProcessWorkerTier,
     ThreadWorkerTier,
@@ -38,38 +44,6 @@ SMOKE_JOB = TuningJob(model="gpt3-1.3b", gpu="L4", num_gpus=2,
 HETERO_JOB = TuningJob.for_cluster(MIXED_CLUSTER, model="gpt3-1.3b",
                                    global_batch=16, scale="smoke",
                                    interference="none")
-
-
-class TestRouting:
-    def test_route_is_deterministic(self):
-        tier = ProcessWorkerTier(4)
-        fp = SMOKE_JOB.fingerprint()
-        assert tier.route("mist", fp) == tier.route("mist", fp)
-
-    def test_route_depends_on_solver_and_fingerprint(self):
-        tier = ProcessWorkerTier(64)
-        fp = SMOKE_JOB.fingerprint()
-        indices = {tier.route(solver, fp)
-                   for solver in ("mist", "alpa", "synthetic", "svc-stub")}
-        other = tier.route(
-            "mist", dataclasses.replace(SMOKE_JOB,
-                                        global_batch=8).fingerprint())
-        # with 64 slots, 4 solvers + a second fingerprint collapsing to
-        # one index would mean routing ignores its inputs
-        assert len(indices | {other}) > 1
-
-    def test_route_covers_all_workers(self):
-        tier = ProcessWorkerTier(4)
-        jobs = [dataclasses.replace(SMOKE_JOB, options={"cell": i})
-                for i in range(64)]
-        hit = {tier.route("mist", job.fingerprint()) for job in jobs}
-        assert hit == {0, 1, 2, 3}
-
-    def test_route_in_range(self):
-        tier = ProcessWorkerTier(3)
-        for i in range(32):
-            job = dataclasses.replace(SMOKE_JOB, options={"cell": i})
-            assert 0 <= tier.route("mist", job.fingerprint()) < 3
 
 
 class TestMakeTier:
@@ -172,20 +146,129 @@ class TestCoalescingUnderProcesses:
         assert joined + hits == 3, (joined, hits, metrics)
 
 
-class TestRunOn:
-    def test_run_on_uses_only_the_named_slot(self):
-        job = dataclasses.replace(
-            SMOKE_JOB, options={"synthetic": {"seconds": 0.01}})
-        for index in (0, 1):
-            tier = ProcessWorkerTier(2)
-            try:
-                report = tier.run_on(index, job, "synthetic")
-                assert report.measured["throughput"] == 100.0
-                pids = tier.worker_pids()
-                assert pids[index] is not None
-                assert pids[1 - index] is None
-            finally:
-                tier.shutdown()
+def _synthetic(cell: int, seconds: float) -> TuningJob:
+    return dataclasses.replace(
+        SMOKE_JOB, options={"cell": cell, "synthetic": {"seconds": seconds}})
+
+
+def _jobs_hashed_to_slot_zero(seconds: float) -> list[TuningJob]:
+    """Two synthetic jobs that ``sha256(solver:fingerprint) % 2``, the
+    tier's former routing rule, sends to the same slot."""
+    jobs = []
+    for cell in range(64):
+        job = _synthetic(cell, seconds)
+        digest = hashlib.sha256(
+            f"synthetic:{job.fingerprint()}".encode()).digest()
+        if int.from_bytes(digest[:8], "big") % 2 == 0:
+            jobs.append(job)
+            if len(jobs) == 2:
+                return jobs
+    raise AssertionError("no two cells hash to slot 0")
+
+
+def _run_concurrently(tier: ProcessWorkerTier, jobs: list[TuningJob],
+                      ends: list | None = None) -> list:
+    """Each job's report, or the exception its search raised; each
+    search's end time is appended to ``ends``."""
+    outcomes: list = [None] * len(jobs)
+
+    def run(slot: int) -> None:
+        try:
+            outcomes[slot] = tier.run(jobs[slot], "synthetic")
+        except Exception as exc:  # noqa: BLE001 — the test inspects it
+            outcomes[slot] = exc
+        if ends is not None:
+            ends.append(time.monotonic())
+
+    threads = [threading.Thread(target=run, args=(slot,))
+               for slot in range(len(jobs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return outcomes
+
+
+class TestFreeSlotDispatch:
+    def test_searches_run_on_distinct_workers_at_once(self):
+        jobs = _jobs_hashed_to_slot_zero(seconds=2.0)
+        tier = ProcessWorkerTier(2)
+        try:
+            # no warm(): a slot learns its worker's pid from a search
+            ends: list = []
+            reports = _run_concurrently(tier, jobs, ends)
+            assert [r.measured["throughput"] for r in reports] == [100.0] * 2
+            pids = tier.worker_pids()
+            assert None not in pids and len(set(pids)) == 2, pids
+            # back to back on one worker they would end 2 s apart
+            assert max(ends) - min(ends) < 1.0, ends
+        finally:
+            tier.shutdown()
+
+    def test_kill_fails_only_the_search_on_that_worker(self):
+        jobs = _jobs_hashed_to_slot_zero(seconds=3.0)
+        tier = ProcessWorkerTier(2, retries=0)
+        try:
+            pids = tier.warm(timeout=120)
+            killer = threading.Timer(1.0, os.kill, (pids[0], signal.SIGKILL))
+            killer.start()
+            outcomes = _run_concurrently(tier, jobs)
+            killer.join()
+            died = [o for o in outcomes if isinstance(o, WorkerDiedError)]
+            done = [o for o in outcomes if not isinstance(o, Exception)]
+            assert len(died) == 1, outcomes
+            assert [r.measured["throughput"] for r in done] == [100.0]
+            assert tier.stats()["restarts"] == 1
+        finally:
+            tier.shutdown()
+
+    def test_search_cancelled_in_the_queue_never_reaches_a_worker(
+            self, tmp_path):
+        cache = PlanCache(tmp_path / "plans")
+        busy, queued, after = (_synthetic(0, 1.0), _synthetic(1, 0.05),
+                               _synthetic(2, 0.05))
+        tier = ProcessWorkerTier(1)
+        try:
+            tier.warm(timeout=120)
+            holder = threading.Thread(target=tier.run,
+                                      args=(busy, "synthetic"),
+                                      kwargs={"cache": cache})
+            holder.start()
+            time.sleep(0.3)  # ``busy`` holds the only slot
+            stop = threading.Event()
+            threading.Timer(0.2, stop.set).start()
+            with pytest.raises(SearchCancelled):
+                tier.run(queued, "synthetic", cache=cache,
+                         should_stop=stop.is_set)
+            holder.join()
+            # the worker runs its searches in order: had the cancelled
+            # one been queued there, it would be stored by now
+            tier.run(after, "synthetic", cache=cache)
+            assert cache.load(busy, "synthetic") is not None
+            assert cache.load(queued, "synthetic") is None
+        finally:
+            tier.shutdown()
+
+    def test_abandoned_search_holds_its_slot_until_it_finishes(
+            self, tmp_path):
+        cache = PlanCache(tmp_path / "plans")
+        abandoned = _synthetic(0, 2.0)
+        tier = ProcessWorkerTier(2)
+        try:
+            tier.warm(timeout=120)
+            stop = threading.Event()
+            threading.Timer(0.3, stop.set).start()
+            with pytest.raises(SearchCancelled):
+                tier.run(abandoned, "synthetic", cache=cache,
+                         should_stop=stop.is_set)
+            # both later searches take the idle slot, not the one whose
+            # worker still runs the abandoned search
+            for cell in (1, 2):
+                tier.run(_synthetic(cell, 0.05), "synthetic", cache=cache)
+            assert cache.load(abandoned, "synthetic") is None
+        finally:
+            tier.shutdown(wait=True)
+        assert cache.load(abandoned, "synthetic") is not None
 
 
 class TestSolverErrorsInWorkers:

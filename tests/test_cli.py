@@ -678,13 +678,75 @@ def _campaign_dir_unwritable(tmp_path, monkeypatch):
 def _campaign_status_bad_spec(tmp_path, monkeypatch):
     run_dir = _bad_manifest_dir(tmp_path)
     return (["campaign", "status", "--dir", str(run_dir)],
-            [str(run_dir / "manifest.json"), "must be a JSON object"])
+            [str(run_dir / "manifest.json"),
+             "'spec' must be null or an object"])
 
 
 def _campaign_report_bad_spec(tmp_path, monkeypatch):
     run_dir = _bad_manifest_dir(tmp_path)
     return (["campaign", "report", "--dir", str(run_dir)],
-            [str(run_dir / "manifest.json"), "must be a JSON object"])
+            [str(run_dir / "manifest.json"),
+             "'spec' must be null or an object"])
+
+
+def _rewrite_manifest(run_dir: Path, edit) -> None:
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _campaign_report_cell_no_workload(tmp_path, monkeypatch):
+    # once a KeyError traceback from the report's table
+    run_dir = tmp_path / "run"
+    assert main(["campaign", "run", str(_spec_file(tmp_path)),
+                 "--dir", str(run_dir)]) == 0
+    _rewrite_manifest(run_dir, lambda m: m["cells"][0].pop("workload"))
+    return (["campaign", "report", "--dir", str(run_dir)],
+            [str(run_dir / "manifest.json"),
+             "manifest.cells[0]: required field 'workload' is missing"])
+
+
+def _campaign_report_cells_not_list(tmp_path, monkeypatch):
+    # once reported as a campaign of zero cells, exit 0
+    run_dir = tmp_path / "run"
+    assert main(["campaign", "run", str(_spec_file(tmp_path)),
+                 "--dir", str(run_dir)]) == 0
+    _rewrite_manifest(run_dir, lambda m: m.update(cells="oops"))
+    return (["campaign", "report", "--dir", str(run_dir)],
+            [str(run_dir / "manifest.json"), "'cells' must be a list"])
+
+
+def _bench_baseline_no_benchmarks(tmp_path, monkeypatch):
+    # once a KeyError traceback from the baseline gate
+    import repro.benchmarking
+
+    monkeypatch.setattr(repro.benchmarking, "run_bench",
+                        lambda scale, **_: {"schema": "repro-bench/1",
+                                            "scale": scale,
+                                            "benchmarks": {}})
+    monkeypatch.setattr(repro.benchmarking, "format_bench", lambda _: "")
+    baseline = tmp_path / "base.json"
+    baseline.write_text(json.dumps({"schema": "repro-bench/1",
+                                    "scale": "smoke"}))
+    return (["bench", "--scale", "smoke", "--no-exhaustive", "--no-replan",
+             "--baseline", str(baseline), "--out", str(tmp_path / "b.json")],
+            [str(baseline), "required field 'benchmarks' is missing"])
+
+
+def _load_baseline_bad_latency(tmp_path, monkeypatch):
+    # once an AttributeError traceback from the p99 gate
+    import repro.loadgen
+
+    run = {"schema": "repro-load/1", "scale": "smoke", "mode": "closed",
+           "latency_seconds": {"p99": 0.1}, "requests": {"ok": 1}}
+    monkeypatch.setattr(repro.loadgen, "run_load", lambda *_, **__: run)
+    monkeypatch.setattr(repro.loadgen, "format_load", lambda _: "")
+    baseline = tmp_path / "base.json"
+    baseline.write_text(json.dumps(dict(run, latency_seconds=5)))
+    return (["load", "--url", "http://127.0.0.1:9", "--baseline",
+             str(baseline), "--out", str(tmp_path / "l.json")],
+            [str(baseline), "'latency_seconds' latency must be an object"])
 
 
 def _cluster_dir(tmp_path, monkeypatch):
@@ -737,7 +799,9 @@ class TestErrorBoundary:
         _campaign_run_json,
         _campaign_report_json, _bench_out, _load_out,
         _campaign_dir_unwritable, _campaign_status_bad_spec,
-        _campaign_report_bad_spec, _cluster_dir, _tune_cluster_dir,
+        _campaign_report_bad_spec, _campaign_report_cell_no_workload,
+        _campaign_report_cells_not_list, _bench_baseline_no_benchmarks,
+        _load_baseline_bad_latency, _cluster_dir, _tune_cluster_dir,
         _replan_delta_dir, _campaign_spec_dir, _serve_port,
         _unknown_compare,
     ], ids=lambda case: case.__name__.lstrip("_"))

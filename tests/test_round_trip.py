@@ -102,7 +102,6 @@ def finding():
 CASES = {
     StageConfig: stage,
     TrainingPlan: plan,
-    SearchStats: stats,
     TuningJob: job,
     SolveReport: report,
     ClusterDelta: lambda: (ClusterDelta.remove_nodes(1, group="l4")
