@@ -313,8 +313,8 @@ class SymbolicPerformanceAnalyzer:
         follows ``tp``), and recomputation only adds to them, so their
         value at ckpt 0, ZeRO 0 and no offload floors every
         configuration of the same (dp, tp, b), layer count and stage
-        position — the per-position floor the (S, G) cell bounds are
-        built from (:meth:`repro.core.tuner.MistTuner._cell_bounds`).
+        position — the floor :meth:`repro.core.tuner.MistTuner._cell_bounds`
+        composes into every (S, G) cell bound, one DP per pipeline depth.
         """
         channels = self._channels(env)
         return _column(channels[0] + channels[4], _row_shape(env))

@@ -24,9 +24,9 @@ test oracles stay beside it, outside :mod:`repro.core`'s public names:
 :func:`solve_exact` enumerates every assignment, and :func:`solve_milp`
 is the paper's binary MILP solved by scipy's HiGHS backend. Only
 :func:`solve_milp` imports scipy, when it is called, so the tuner runs
-without it. :func:`objective_floor` is the tuner's (S, G) cell bound:
-the same objective with every delta at zero over per-stage time floors,
-minimised exactly over the layer assignments.
+without it. :func:`objective_floors` is the tuner's (S, G) cell bound,
+one DP per pipeline depth: the same objective with every delta at zero
+over per-stage time floors, minimised exactly over layer assignments.
 
 Heterogeneous clusters extend the stage partition with a *device-group
 assignment*: every pipeline stage is pinned to one
@@ -56,41 +56,50 @@ __all__ = [
     "InterStageSolution",
     "StageSlot",
     "group_stage_assignments",
-    "objective_floor",
+    "objective_floors",
     "solve",
     "solve_milp",
     "solve_exact",
 ]
 
-def objective_floor(floors: list[dict[int, float]], total_layers: int,
-                    gacc: int) -> float:
-    """Least Eq. (1) with every delta at zero over the layer assignments
-    ``floors`` offers: ``(G-1) * max_i f_i + sum_i f_i``.
+def objective_floors(floors: np.ndarray, layer_counts: list[int],
+                     total_layers: int, gaccs: list[int]) -> np.ndarray:
+    """Least Eq. (1) with every delta at zero, ``(G-1) * max_i f_i +
+    sum_i f_i``, for each cell of a batch of one pipeline depth.
 
-    ``floors[i][l]`` is stage ``i``'s time with ``l`` layers; the
-    minimum runs over one layer count per stage, summing to
-    ``total_layers`` (``inf`` when none does). A min-plus DP per
-    bottleneck candidate ``M`` (every floor value): ``least[m, u]`` is
-    the least ``sum f_i`` placing ``u`` layers with every ``f_i <=
-    M_m``. The optimum's bottleneck is one of the candidates, and any
-    row's ``(G-1) * M_m + sum`` is no less than its path's Eq. (1), so
-    the least row is the exact minimum. Sums accumulate in stage order,
-    as a path's own ``sum`` does.
+    ``floors[c, i, k]`` is cell ``c``'s stage ``i`` time with
+    ``layer_counts[k]`` layers and ``gaccs[c]`` its ``G``; the minimum
+    runs over one layer count per stage, summing to ``total_layers``
+    (``inf`` when none does). A min-plus DP per bottleneck candidate
+    ``M`` (each distinct floor of the cell): ``least[c, m, u]`` is the
+    least ``sum f_i`` placing ``u`` layers with every ``f_i <= M_m``.
+    The optimum's bottleneck is a candidate, and any row's ``(G-1) *
+    M_m + sum`` is no less than its path's Eq. (1), so the least row is
+    the exact minimum. Sums accumulate in stage order, as a path's own
+    does, so a cell gets the same bits alone as in a batch.
     """
-    values = np.unique([f for stage in floors for f in stage.values()])
-    least = np.full((values.size, total_layers + 1), np.inf)
-    least[:, 0] = 0.0
-    for stage in floors:
+    # a cell's distinct floors, ascending, then its largest repeated
+    # (an inf pad would give 0 * inf at G = 1)
+    flat = np.sort(floors.reshape(len(floors), -1), axis=1)
+    repeat = np.pad(flat[:, 1:] == flat[:, :-1], ((0, 0), (1, 0)))
+    values = np.sort(np.where(repeat, flat[:, -1:], flat), axis=1)
+    values = values[:, :int((~repeat).sum(axis=1).max(initial=0))]
+    above = values[:, :, None, None] < floors[:, None]
+    least = np.full(values.shape + (total_layers + 1,), np.inf)
+    least[:, :, 0] = 0.0
+    for stage in range(floors.shape[1]):
         step = np.full_like(least, np.inf)
-        for layers, f in stage.items():
+        for k, layers in enumerate(layer_counts):
             if layers > total_layers:
                 continue
-            reach = least[:, :total_layers + 1 - layers] + f
-            reach[values < f] = np.inf
-            np.minimum(step[:, layers:], reach, out=step[:, layers:])
+            reach = (least[:, :, :total_layers + 1 - layers]
+                     + floors[:, stage, k, None, None])
+            np.copyto(reach, np.inf, where=above[:, :, stage, k, None])
+            np.minimum(step[:, :, layers:], reach, out=step[:, :, layers:])
         least = step
-    objective = (gacc - 1) * values + least[:, total_layers]
-    return float(objective.min(initial=np.inf))
+    gacc = np.asarray(gaccs, dtype=np.float64)[:, None]
+    objective = (gacc - 1) * values + least[:, :, total_layers]
+    return objective.min(axis=1, initial=np.inf)
 
 
 class StageSlot(NamedTuple):

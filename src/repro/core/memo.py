@@ -17,10 +17,14 @@ fresh computation produced, so a memo hit replays the counters and
 ``TuningResult.configurations_evaluated`` stays deterministic no matter
 how warm the memo is — only the hit/miss telemetry differs.
 
+It also holds one :class:`CellBounds` entry per search grid, keyed by
+everything its floors read (:meth:`repro.core.tuner.MistTuner._cell_bounds`);
+it counts toward the same 4096-entry LRU and hit/miss telemetry.
+
 The module-level :data:`GLOBAL_MENU_MEMO` is the default shared
-instance (bounded at :data:`_MENU_MEMO_SIZE` entries). Menus are pure
-functions of their key, so sharing it process-wide is safe: a hit
-returns bit-identical menus to a fresh computation.
+instance (bounded at :data:`_MENU_MEMO_SIZE` entries of either kind).
+Entries are pure functions of their key, so sharing it process-wide is
+safe: a hit returns bit-identical values to a fresh computation.
 
 Beside it, :data:`GLOBAL_KERNEL_CACHE` (a :class:`KernelCache`) holds
 the work every solve would otherwise redo before its search starts:
@@ -31,8 +35,8 @@ kernels, the engine's component function; the engine's memory kernel
 needs no GPU and is keyed ``(ModelConfig, flash, "engine.memory")``). Tuner,
 analyzer and execution engine all read from it, so a model is traced
 and compiled once per process.
-``GLOBAL_MENU_MEMO.clear()`` empties it too, which keeps a "cold" solve
-cold. Like the menu memo, it never enters a fingerprint.
+``GLOBAL_MENU_MEMO.clear()`` drops menus, bounds and kernels, keeping a
+"cold" solve cold. Like the menu memo, it never enters a fingerprint.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, TypeVar
+from typing import Any, NamedTuple, TypeVar
 
-__all__ = ["GLOBAL_KERNEL_CACHE", "GLOBAL_MENU_MEMO", "KernelCache",
-           "MemoEntry", "MenuMemo"]
+__all__ = ["GLOBAL_KERNEL_CACHE", "GLOBAL_MENU_MEMO", "CellBounds",
+           "KernelCache", "MemoEntry", "MenuMemo"]
 
 #: entries of the process-wide menu memo
 _MENU_MEMO_SIZE = 4096
@@ -69,8 +73,17 @@ class MemoEntry:
     prefiltered: int
 
 
+class CellBounds(NamedTuple):
+    """A search grid's (S, G) cell bounds and feasibility flags, in grid
+    order; an infeasible cell's bound is ``inf``."""
+
+    bounds: tuple[float, ...]
+    feasible: tuple[bool, ...]
+
+
 class MenuMemo:
-    """Thread-safe LRU cache of :class:`MemoEntry` by subproblem key.
+    """Thread-safe LRU cache of :class:`MemoEntry` and
+    :class:`CellBounds` by subproblem key.
 
     Lookups never block computation: concurrent misses on the same key
     may compute the entry twice, but both computations are pure and
@@ -83,13 +96,13 @@ class MenuMemo:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, MemoEntry]" = OrderedDict()
+        self._entries: OrderedDict[tuple, MemoEntry | CellBounds] = OrderedDict()
         self._hits = 0
         self._misses = 0
         #: emptied together with the menus (see :meth:`clear`)
         self._kernels = kernels
 
-    def lookup(self, key: tuple) -> MemoEntry | None:
+    def lookup(self, key: tuple) -> MemoEntry | CellBounds | None:
         """Return the entry for ``key`` (refreshing LRU order) or None."""
         with self._lock:
             entry = self._entries.get(key)
@@ -100,7 +113,7 @@ class MenuMemo:
             self._hits += 1
             return entry
 
-    def store(self, key: tuple, entry: MemoEntry) -> None:
+    def store(self, key: tuple, entry: MemoEntry | CellBounds) -> None:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)

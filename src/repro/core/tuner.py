@@ -31,9 +31,9 @@ bit-identical plans:
   lower bound, ties broken by enumeration order: each stage position's
   least compute-channel time at every layer count the cell offers,
   composed through Eq. (1) with every delta at zero and minimised
-  exactly over the cell's layer assignments
-  (:meth:`MistTuner._cell_bounds`,
-  :func:`repro.core.inter_stage.objective_floor`). It skips any cell
+  exactly over the cell's layer assignments, one DP per pipeline depth
+  and memoised per grid (:meth:`MistTuner._cell_bounds`,
+  :func:`repro.core.inter_stage.objective_floors`). It skips any cell
   whose bound already exceeds the current ``keep_top``-th best
   incumbent — so ``top_plans`` stays identical, not just the winner.
   Incumbents come only from solved cells, which is what makes the
@@ -102,7 +102,8 @@ from .intra_stage import (
     StageShape,
     stage_parallelism_options,
 )
-from .memo import GLOBAL_KERNEL_CACHE, GLOBAL_MENU_MEMO, MenuMemo
+from .memo import (GLOBAL_KERNEL_CACHE, GLOBAL_MENU_MEMO, CellBounds,
+                   MemoEntry, MenuMemo)
 from .objectives import throughput
 from .plan import TrainingPlan
 from .spaces import SPACE_MIST, SearchSpace
@@ -499,12 +500,12 @@ class MistTuner:
             # only.
             bound_ok = all(a.interference.min_factor() >= 1.0
                            for a in self.analyzers.values())
-            bounds, feasible = self._cell_bounds(global_batch, grid)
+            bounds, feasible = self._cell_bounds(global_batch, grid, memo)
         else:
             # exhaustive reference: no bounds, no feasibility screen —
             # every cell is solved, in enumeration order
             bound_ok = False
-            bounds, feasible = [math.inf] * total, [True] * total
+            bounds, feasible = (math.inf,) * total, (True,) * total
         stats.bound_pruning = bound_ok
         seed_idx = None
         if incumbent is not None:
@@ -600,7 +601,7 @@ class MistTuner:
         )
 
     def _cell_bounds(self, global_batch: int, grid: list[tuple],
-                     ) -> tuple[list[float], list[bool]]:
+                     memo: MenuMemo) -> CellBounds:
         """Optimistic lower bound + feasibility flag per (S, G) cell.
 
         For every stage position ``(device group, stage GPUs, gacc,
@@ -608,10 +609,12 @@ class MistTuner:
         compute-channel time over the slot's (dp, tp, b) options at ckpt
         0, ZeRO 0 and no offload, at each layer count the cell's menus
         offer — one batched evaluation per device group. A cell's bound
-        is :func:`~repro.core.inter_stage.objective_floor` of its
-        positions' floors: Eq. (1) with every delta at zero, minimised
-        exactly over the layer assignments the inter-stage solve could
-        pick.
+        is :func:`~repro.core.inter_stage.objective_floors` of its
+        positions' floors (one DP per pipeline depth): Eq. (1) with
+        every delta at zero, minimised exactly over the layer
+        assignments the inter-stage solve could pick. The grid's bounds
+        are one ``memo`` entry, keyed by all a floor reads, so a replan
+        whose delta moves no floor (a degraded link) evaluates none.
 
         Soundness, when every interference factor is >= 1 (the
         condition :meth:`_search` checks before it cuts): a menu point's
@@ -628,16 +631,23 @@ class MistTuner:
         find nothing).
         """
         total_layers = self.model.num_layers
-        cells: list[tuple[int, list[int], list[tuple]]] = []
+        cells: list[tuple[int, tuple[int, ...], tuple[tuple, ...]]] = []
         wanted: dict[tuple, set[int]] = {}
         for gacc, layer_counts, slots in grid:
-            counts = layer_counts if len(slots) > 1 else [total_layers]
-            keys = [(slot.group, slot.stage_gpus, gacc, idx == 0,
-                     idx == len(slots) - 1)
-                    for idx, slot in enumerate(slots)]
+            counts = (tuple(layer_counts) if len(slots) > 1
+                      else (total_layers,))
+            keys = tuple((slot.group, slot.stage_gpus, gacc, idx == 0,
+                          idx == len(slots) - 1)
+                         for idx, slot in enumerate(slots))
             cells.append((gacc, counts, keys))
             for key in keys:
                 wanted.setdefault(key, set()).update(counts)
+        # each group's scope once, not hashed again per stage position
+        memo_key = ("bounds", global_batch,
+                    tuple(self._memo_scopes.items()), tuple(cells))
+        cached = memo.lookup(memo_key)
+        if isinstance(cached, CellBounds):
+            return cached
 
         # positions with no (dp, tp, b) option get no floors
         floors: dict[tuple, dict[int, float]] = {}
@@ -670,22 +680,29 @@ class MistTuner:
                 floors[key] = dict(zip(counts, least.tolist()))
                 pos += size
 
-        bounds: list[float] = []
-        feasible: list[bool] = []
-        for gacc, counts, keys in cells:
-            if not all(key in floors for key in keys):
-                bounds.append(math.inf)
-                feasible.append(False)
-                continue
+        # cells of one depth share their layer counts: one DP for all
+        by_depth: dict[tuple, list[int]] = {}
+        for idx, (_, counts, keys) in enumerate(cells):
+            if all(key in floors for key in keys):
+                by_depth.setdefault((len(keys), counts), []).append(idx)
+        bounds = [math.inf] * len(cells)
+        feasible = [False] * len(cells)
+        for (_, counts), members in by_depth.items():
             # a slot shared with deeper or shallower cells has floors at
             # their layer counts too; this cell offers only its own
-            cell_floors = [{n: floors[key][n] for n in counts}
-                           for key in keys]
-            bound = inter_stage.objective_floor(
-                cell_floors, total_layers, gacc)
-            bounds.append(bound * (1.0 - _BOUND_SAFETY))
-            feasible.append(True)
-        return bounds, feasible
+            stacked = np.array([[[floors[key][n] for n in counts]
+                                 for key in cells[idx][2]]
+                                for idx in members])
+            least = inter_stage.objective_floors(
+                stacked, list(counts), total_layers,
+                [cells[idx][0] for idx in members])
+            for idx, bound in zip(members,
+                                  (least * (1.0 - _BOUND_SAFETY)).tolist()):
+                bounds[idx] = bound
+                feasible[idx] = True
+        entry = CellBounds(tuple(bounds), tuple(feasible))
+        memo.store(memo_key, entry)
+        return entry
 
     def _solve_cell(
             self, global_batch: int, task: tuple, memo: MenuMemo,
@@ -719,7 +736,7 @@ class MistTuner:
             key = (self._memo_scopes[group], global_batch, shape,
                    tuple(lcounts))
             entry = memo.lookup(key)
-            if entry is None:
+            if not isinstance(entry, MemoEntry):
                 counts.memo_misses += 1
                 tuner = intra.get(group)
                 if tuner is None:

@@ -2,11 +2,12 @@
 
 ``MistTuner._cell_bounds`` floors every stage position's time by its
 least compute-channel time at each layer count, and
-:func:`~repro.core.inter_stage.objective_floor` composes the floors
-through Eq. (1) with every delta at zero. The tests check the bound
-against the objectives of exhaustive searches, the kernel premises it
-rests on, the DP against brute-force enumeration, and ratchet how few
-cells two reference searches explore.
+:func:`~repro.core.inter_stage.objective_floors` composes the floors
+through Eq. (1) with every delta at zero, one DP per pipeline depth.
+The tests check the bound against the objectives of exhaustive
+searches, the kernel premises it rests on, the DP against brute-force
+enumeration and the memo key of the bounds against cold solves, and
+ratchet how few cells two reference searches explore.
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import TuningJob
+from repro.api import TuningJob, delta_job, replan, solve
 from repro.api.solvers import MistSolver
+from repro.benchmarking import plan_hash
 from repro.core import NAMED_SPACES
-from repro.core.inter_stage import objective_floor
+from repro.core.analyzer import SymbolicPerformanceAnalyzer
+from repro.core.inter_stage import objective_floors
+from repro.core.memo import GLOBAL_MENU_MEMO, MenuMemo
 from repro.symbolic import free_symbols
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -56,7 +60,8 @@ def test_bound_never_exceeds_the_solved_objective(job):
     assert all(analyzer.interference.min_factor() >= 1.0
                for analyzer in tuner.analyzers.values())
     grid = tuner._sg_grid(job.global_batch)
-    bounds, feasible = tuner._cell_bounds(job.global_batch, grid)
+    bounds, feasible = tuner._cell_bounds(job.global_batch, grid,
+                                          MenuMemo())
     result = tuner.search(job.global_batch, prune=False)
     solved = 0
     for bound, ok, entry in zip(bounds, feasible, result.search_log,
@@ -112,27 +117,120 @@ def _enumerated_floor(floors, total_layers, gacc):
     return best
 
 
-class TestObjectiveFloor:
+@st.composite
+def _depth_batches(draw):
+    """Cells of one depth: shared layer counts, per-cell floors and G.
+
+    Floors come partly from a few small integers, so cells differ in how
+    many distinct values they hold (the padded rows of the DP).
+    """
+    stages = draw(st.integers(1, 4))
+    layer_counts = sorted(draw(st.sets(st.integers(1, 6), min_size=1,
+                                       max_size=4)))
+    cells = draw(st.integers(1, 4))
+    value = st.one_of(st.integers(0, 3).map(float),
+                      st.floats(0.0, 10.0, allow_nan=False))
+    floors = np.array(draw(st.lists(
+        st.lists(st.lists(value, min_size=len(layer_counts),
+                          max_size=len(layer_counts)),
+                 min_size=stages, max_size=stages),
+        min_size=cells, max_size=cells)))
+    gaccs = draw(st.lists(st.sampled_from([1, 1, 2, 3, 8]),
+                          min_size=cells, max_size=cells))
+    return floors, layer_counts, gaccs
+
+
+class TestObjectiveFloors:
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(floors=st.lists(
-               st.dictionaries(st.integers(1, 6),
-                               st.floats(0.0, 10.0, allow_nan=False),
-                               min_size=1, max_size=4),
-               min_size=1, max_size=4),
-           total_layers=st.integers(1, 16), gacc=st.integers(1, 8))
-    def test_equals_enumeration(self, floors, total_layers, gacc):
-        assert objective_floor(floors, total_layers, gacc) \
-            == _enumerated_floor(floors, total_layers, gacc)
+    @given(batch=_depth_batches(), total_layers=st.integers(1, 16))
+    def test_equals_enumeration(self, batch, total_layers):
+        floors, layer_counts, gaccs = batch
+        least = objective_floors(floors, layer_counts, total_layers, gaccs)
+        assert least.shape == (len(floors),)
+        for cell, gacc, got in zip(floors, gaccs, least.tolist()):
+            stages = [dict(zip(layer_counts, row.tolist())) for row in cell]
+            assert got == _enumerated_floor(stages, total_layers, gacc)
+            # a cell gets the same bits on its own as in the batch
+            alone = objective_floors(cell[None], layer_counts,
+                                     total_layers, [gacc])
+            assert float(alone[0]).hex() == float(got).hex()
 
     def test_bottleneck_trades_against_the_sum(self):
         # a balanced 2 + 2 split costs (G-1)*3 + 6; the skewed 3 + 1
         # split's bottleneck is 4, which only wins when G is small
-        floors = [{1: 1.0, 2: 3.0, 3: 4.0}, {1: 1.0, 2: 3.0, 3: 4.0}]
-        assert objective_floor(floors, 4, 1) == 5.0
-        assert objective_floor(floors, 4, 8) == 7 * 3.0 + 6.0
+        cell = [[1.0, 3.0, 4.0], [1.0, 3.0, 4.0]]
+        least = objective_floors(np.array([cell, cell]), [1, 2, 3], 4, [1, 8])
+        assert least.tolist() == [5.0, 7 * 3.0 + 6.0]
+
+    def test_short_row_pads_with_its_own_largest_floor(self):
+        # the second cell holds one distinct floor, the first three; at
+        # G = 1 an inf pad would make the short row NaN
+        floors = np.array([[[1.0, 2.0], [3.0, 2.0]], [[2.0, 2.0], [2.0, 2.0]]])
+        least = objective_floors(floors, [1, 2], 3, [1, 1])
+        assert least.tolist() == [3.0, 4.0]
 
     def test_unreachable_depth_is_infinite(self):
-        assert objective_floor([{2: 1.0}, {2: 1.0}], 5, 4) == math.inf
+        least = objective_floors(np.array([[[1.0], [1.0]]]), [2], 5, [4])
+        assert least.tolist() == [math.inf]
+
+
+#: cluster deltas on the mixed fleet: a link change moves no compute
+#: floor, a resized or grown group does, and a retyped group moves its
+#: floors at unchanged stage positions (only its memo scope tells)
+_MIXED_DELTAS = st.one_of(
+    st.floats(0.05, 2.0, exclude_min=True).map(
+        lambda factor: {"op": "degrade_link", "factor": factor,
+                        "link": "inter_group"}),
+    st.sampled_from([{"gpus_per_node": 2}, {"gpus_per_node": 1},
+                     {"num_nodes": 2}]).map(
+        lambda size: {"op": "resize_group", "group": "l4", **size}),
+    st.integers(1, 2).map(
+        lambda count: {"op": "add_nodes", "count": count, "group": "a100"}),
+    st.sampled_from(["A100-80GB", "T4"]).map(
+        lambda gpu: {"op": "retype_group", "group": "l4", "gpu": gpu}),
+)
+
+
+def _bounds(report):
+    return [entry.get("bound") for entry in report.search_log]
+
+
+class TestBoundsMemo:
+    """A replan reuses the base solve's bounds when its delta leaves
+    every floor alone (the memo key is not too fine), and always gets
+    the bounds a cold solve gets (not too coarse)."""
+
+    @settings(derandomize=True, max_examples=16, deadline=None)
+    @given(op=_MIXED_DELTAS)
+    def test_warm_replan_matches_cold_solve(self, op):
+        delta = {"ops": [op]}
+        GLOBAL_MENU_MEMO.clear()
+        base = solve(MIXED_BASE)
+        warm = replan(MIXED_BASE, delta, incumbent=base)
+        GLOBAL_MENU_MEMO.clear()
+        cold = solve(delta_job(MIXED_BASE, delta))
+        # the predicted winner; ``report.plan`` is the best *measured*
+        # of the top plans, and a replan keeps only its winner
+        assert plan_hash(warm.top_plans[0]) == plan_hash(cold.top_plans[0])
+        assert warm.predicted == cold.predicted
+        assert _bounds(warm) == _bounds(cold)
+
+    @pytest.mark.parametrize("op, evaluates", [
+        ({"op": "degrade_link", "factor": 0.5, "link": "inter_group"}, False),
+        ({"op": "resize_group", "group": "l4", "gpus_per_node": 2}, True),
+        ({"op": "retype_group", "group": "l4", "gpu": "T4"}, True),
+    ], ids=["degrade-link", "resize-l4", "retype-l4"])
+    def test_replan_evaluates_floors_only_when_they_move(
+            self, monkeypatch, op, evaluates):
+        GLOBAL_MENU_MEMO.clear()
+        base = solve(MIXED_BASE)
+        calls = []
+        channel = SymbolicPerformanceAnalyzer.compute_channel
+        monkeypatch.setattr(
+            SymbolicPerformanceAnalyzer, "compute_channel",
+            lambda self, env: calls.append(1) or channel(self, env))
+        replan(MIXED_BASE, {"ops": [op]}, incumbent=base)
+        assert bool(calls) is evaluates
 
 
 @pytest.mark.parametrize("job, limit", [

@@ -1,17 +1,19 @@
-"""Metamorphic relation: a larger search space never predicts a slower plan.
+"""Metamorphic relations the pruned search's predictions must keep.
 
-The named spaces nest, ``3d`` ⊂ ``3d-zero`` ⊂ ``3d-ckpt`` ⊂ ``oo`` ⊂
-``ao`` ⊂ ``go`` ⊂ ``wo`` ⊂ ``mist``, so along that chain the pruned
-search's predicted iteration time may only fall. A bound cut that drops
-a winner breaks the relation even where prune and exhaustive still
-agree on the job at hand.
+A larger search space never predicts a slower plan: the named spaces
+nest, ``3d`` ⊂ ``3d-zero`` ⊂ ``3d-ckpt`` ⊂ ``oo`` ⊂ ``ao`` ⊂ ``go`` ⊂
+``wo`` ⊂ ``mist``, so along that chain the predicted iteration time may
+only fall. A worse link never predicts a faster plan: degrading the
+mixed fleet's inter-group link may only raise it. A bound cut that drops
+a winner breaks a relation even where prune and exhaustive still agree
+on the job at hand.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import TuningJob
+from repro.api import TuningJob, delta_job
 from repro.api.solvers import MistSolver
 from repro.core import NAMED_SPACES
 from repro.core.spaces import SCALES
@@ -55,3 +57,31 @@ def test_larger_space_never_predicts_slower(model, gpus, batch):
         predicted.append(result.predicted_iteration_time)
     for name, small, large in zip(CHAIN[1:], predicted, predicted[1:]):
         assert large <= small, (name, predicted)
+
+
+#: the mixed A100 + L4 fleet of examples/mixed_a100_l4.json
+MIXED_A100_L4 = {
+    "groups": [
+        {"name": "a100", "gpu": "A100-40GB", "num_nodes": 1,
+         "gpus_per_node": 4, "inter_node_bandwidth_gbps": 400},
+        {"name": "l4", "gpu": "L4", "num_nodes": 1,
+         "gpus_per_node": 4, "inter_node_bandwidth_gbps": 100},
+    ],
+    "inter_group_bandwidth_gbps": 100,
+    "inter_group_latency_us": 25.0,
+}
+
+
+def test_worse_link_never_predicts_faster():
+    base = TuningJob.for_cluster(MIXED_A100_L4, model="gpt3-2.7b",
+                                 global_batch=64, scale="smoke")
+    predicted = []
+    for factor in (1, 0.9, 0.75, 0.5, 0.3, 0.2, 0.1, 0.05):
+        job = delta_job(base, {"ops": [{"op": "degrade_link",
+                                        "factor": factor,
+                                        "link": "inter_group"}]})
+        result = MistSolver().make_tuner(job).search(
+            job.global_batch, keep_top=job.keep_top)
+        predicted.append(result.predicted_iteration_time)
+    assert all(slow <= slower
+               for slow, slower in zip(predicted, predicted[1:])), predicted
