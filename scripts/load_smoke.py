@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI load smoke for `repro load`: gates, plan identity, tier scaling.
 
-Three proofs against real `repro serve` subprocesses:
+Four proofs against real `repro serve` subprocesses:
 
 1. the smoke trace, driven through the actual CLI entry point
    (`repro load --scale smoke --url ...`): every request must succeed
@@ -11,7 +11,10 @@ Three proofs against real `repro serve` subprocesses:
    (by plan hash) to an inline in-process solve() of the same job —
    multi-process serving changes *where* a search runs, never what it
    answers;
-3. worker-tier scaling: the synthetic (CPU-bound busy-spin) trace is
+3. the same trace as an open loop (`repro load --mode open --spawn`)
+   on a freshly spawned daemon, so every cell is cold again: validity
+   gates only, no baseline;
+4. worker-tier scaling: the synthetic (CPU-bound busy-spin) trace is
    replayed against a 1-thread-worker daemon and a 4-process-worker
    daemon. The >=2x throughput gate is asserted only on multi-core
    runners (os.cpu_count() >= 4); single-core boxes print the ratio
@@ -63,6 +66,12 @@ def _gated_cli_run(url: str, out: Path) -> int:
     return cli_main(argv)
 
 
+def _open_cli_run() -> int:
+    with tempfile.TemporaryDirectory(prefix="repro-load-open-") as tmp:
+        return cli_main(["load", "--scale", "smoke", "--mode", "open",
+                         "--spawn", "--out", str(Path(tmp) / "open.json")])
+
+
 def _synthetic_rps(workers: int, worker_mode: str) -> float:
     spec = TRACE_SCALES["synthetic"]
     trace = synthesize_trace(spec)
@@ -100,6 +109,10 @@ def main() -> int:
                 "daemon plan diverged from inline solve()"
             print("plan identity: daemon answer hash-matches inline "
                   "solve()")
+
+    code = _open_cli_run()
+    if code != 0:
+        return code
 
     cores = os.cpu_count() or 1
     thread_rps = _synthetic_rps(1, "thread")

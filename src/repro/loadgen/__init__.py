@@ -9,9 +9,13 @@ a seeded spec — against any ``repro serve`` URL, in either loop shape:
 * **closed loop** — ``concurrency`` virtual clients, each submitting
   its next request the moment the previous one resolves (throughput
   measurement);
-* **open loop** — requests fire at seeded Poisson arrival offsets
-  regardless of completions (latency-under-offered-load measurement;
-  open loops expose queueing collapse that closed loops hide).
+* **open loop** — one client per request, each sending at its seeded
+  Poisson arrival offset regardless of completions
+  (latency-under-offered-load measurement; open loops expose queueing
+  collapse that closed loops hide).
+
+Both shapes run the same client loop, and every latency is timed from
+when its request was due, so a late send counts against the request.
 
 One run emits a ``repro-load/1`` JSON document that rides the same
 validate / baseline-gate machinery as ``repro bench``: zero transport

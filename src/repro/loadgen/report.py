@@ -3,8 +3,9 @@
 Mirrors ``repro.benchmarking.bench``'s machinery so the CI load-smoke
 job reads exactly like the perf job:
 
-* :func:`validate_load` — one run's internal consistency: zero 5xx /
-  transport errors, zero solver failures or timeouts, at least one
+* :func:`validate_load` — one run's internal consistency: zero 4xx
+  other than 429 (a request the daemon refused as malformed), zero 5xx
+  / transport errors, zero solver failures or timeouts, at least one
   completed request, and no plan-hash divergence across repeats of a
   cell (a cache bug would show up as exactly that);
 * :func:`check_against_baseline` — p99 end-to-end latency against the
@@ -45,7 +46,8 @@ def validate_load(result: dict) -> list:
     requests = result.get("requests", {})
     if requests.get("ok", 0) <= 0:
         problems.append("no request completed successfully")
-    for counter, label in (("server_errors", "5xx response(s)"),
+    for counter, label in (("client_errors", "non-429 4xx response(s)"),
+                           ("server_errors", "5xx response(s)"),
                            ("transport_errors", "transport error(s)"),
                            ("failed", "solver failure(s)"),
                            ("timeout", "request timeout(s)")):

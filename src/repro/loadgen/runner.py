@@ -21,6 +21,7 @@ is directly comparable to inline :func:`repro.api.solve` hashes.
 
 from __future__ import annotations
 
+import math
 import platform
 import threading
 import time
@@ -47,22 +48,22 @@ def _plan_hash_of(report_dict: "dict | None") -> "str | None":
     return plan_hash(TrainingPlan.from_dict(plan))
 
 
-def _issue(client: Client, request, timeout: float,
+def _issue(client: Client, request, due: float, timeout: float,
            poll_interval: float) -> dict:
-    """One trace request -> one outcome dict (never raises)."""
+    """One trace request -> one outcome dict (never raises); latency
+    runs from ``due`` (a ``perf_counter`` reading)."""
     outcome = {
         "index": request.index, "cell": request.cell,
         "solver": request.solver, "status": "ok", "http_status": 202,
         "latency_seconds": 0.0, "from_cache": False, "coalesced": False,
         "plan_hash": None, "error": None,
     }
-    start = time.perf_counter()
     try:
         record = client.submit(request.job, request.solver)
         if record["status"] not in _TERMINAL:
             record = client.wait(record["id"], timeout=timeout,
                                  poll_interval=poll_interval)
-        outcome["latency_seconds"] = time.perf_counter() - start
+        outcome["latency_seconds"] = time.perf_counter() - due
         outcome["from_cache"] = bool(record.get("from_cache"))
         outcome["coalesced"] = bool(record.get("coalesced"))
         if record["status"] == "done":
@@ -71,7 +72,7 @@ def _issue(client: Client, request, timeout: float,
             outcome["status"] = "failed"
             outcome["error"] = record.get("error") or record["status"]
     except ServiceError as exc:
-        outcome["latency_seconds"] = time.perf_counter() - start
+        outcome["latency_seconds"] = time.perf_counter() - due
         outcome["error"] = str(exc)
         if exc.status == 429:
             outcome["status"] = "rejected"
@@ -87,7 +88,7 @@ def _issue(client: Client, request, timeout: float,
             outcome["status"] = "transport"
             outcome["http_status"] = None
     except TimeoutError as exc:
-        outcome["latency_seconds"] = time.perf_counter() - start
+        outcome["latency_seconds"] = time.perf_counter() - due
         outcome["status"] = "timeout"
         outcome["error"] = str(exc)
     return outcome
@@ -99,54 +100,50 @@ def run_load(url: str, spec: TraceSpec, trace: list, *,
              client_id: str = "repro-load") -> dict:
     """Replay ``trace`` against the daemon at ``url``; return the report.
 
-    ``mode="closed"``: ``concurrency`` workers pull the next request as
-    soon as their current one resolves. ``mode="open"``: one thread per
-    request, fired at the trace's seeded arrival offsets.
+    One client loop serves both modes: each client takes the next
+    request, waits until it is due and times the request from then.
+    ``mode="closed"`` runs ``concurrency`` clients; a request is due when
+    a client takes it. ``mode="open"`` runs one client per request, due
+    at its seeded arrival ``offset``. Every client starts before the
+    clock does, so no thread starts inside the schedule.
     """
     if mode not in ("closed", "open"):
         raise ValueError(f"unknown load mode {mode!r}")
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be a finite number > 0, "
+                         f"got {timeout}")
     client = Client(url, timeout=max(timeout, 30.0), client_id=client_id)
     outcomes: list = [None] * len(trace)
-    start = time.perf_counter()
-    if mode == "closed":
-        pending = iter(list(enumerate(trace)))
-        guard = threading.Lock()
+    pending = iter(list(enumerate(trace)))
+    guard = threading.Lock()
+    go = threading.Event()
 
-        def loop() -> None:
-            while True:
-                with guard:
-                    item = next(pending, None)
-                if item is None:
-                    return
-                index, request = item
-                outcomes[index] = _issue(client, request, timeout,
-                                         poll_interval)
-
-        threads = [threading.Thread(target=loop, daemon=True)
-                   for _ in range(max(1, min(concurrency, len(trace))))]
-    else:
-        def fire(index: int, request) -> None:
-            outcomes[index] = _issue(client, request, timeout,
+    def loop() -> None:
+        go.wait()
+        while True:
+            with guard:
+                item = next(pending, None)
+            if item is None:
+                return
+            index, request = item
+            due = start + request.offset if mode == "open" \
+                else time.perf_counter()
+            time.sleep(max(0.0, due - time.perf_counter()))
+            outcomes[index] = _issue(client, request, due, timeout,
                                      poll_interval)
 
-        def loop() -> None:
-            for index, request in enumerate(trace):
-                delay = start + request.offset - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                shots.append(threading.Thread(target=fire, daemon=True,
-                                              args=(index, request)))
-                shots[-1].start()
-
-        shots: list = []
-        threads = [threading.Thread(target=loop, daemon=True)]
+    clients = min(concurrency, len(trace)) if mode == "closed" \
+        else len(trace)
+    threads = [threading.Thread(target=loop, daemon=True)
+               for _ in range(clients)]
     for thread in threads:
         thread.start()
+    start = time.perf_counter()
+    go.set()
     for thread in threads:
         thread.join()
-    if mode == "open":
-        for shot in shots:
-            shot.join()
     wall = time.perf_counter() - start
     return _build_report(url, spec, mode, concurrency, outcomes, wall,
                          client)

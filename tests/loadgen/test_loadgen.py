@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
+import time
+import types
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.loadgen import (
     format_load,
     main_check,
     run_load,
+    runner,
     synthesize_trace,
     validate_load,
 )
@@ -127,6 +131,41 @@ class TestRunLoad:
         assert result["requests"]["ok"] == 10
         assert validate_load(result) == []
 
+    def test_open_loop_sends_on_due_times(self, tmp_path, monkeypatch):
+        # a 50 ms Thread.start: no thread may start inside the schedule,
+        # or request k goes out at least 50*k ms after it was due
+        class SlowThread(threading.Thread):
+            def start(self):
+                time.sleep(0.05)
+                super().start()
+
+        shim = types.SimpleNamespace(**vars(threading))
+        shim.Thread = SlowThread
+        monkeypatch.setattr(runner, "threading", shim)
+        sent: dict = {}
+        submit = runner.Client.submit
+
+        def timed_submit(client, job, solver="mist"):
+            sent[job.fingerprint()] = time.perf_counter()
+            return submit(client, job, solver)
+
+        monkeypatch.setattr(runner.Client, "submit", timed_submit)
+        spec = TraceSpec(name="due", requests=5, unique_jobs=5,
+                         solver="loadgen-stub", arrival_rate=20.0)
+        trace = synthesize_trace(spec)
+        with running_service(workers=2,
+                             cache=PlanCache(tmp_path / "plans")
+                             ) as (service, _):
+            url = f"http://{service.host}:{service.port}"
+            result = run_load(url, spec, trace, mode="open", timeout=30.0)
+        assert result["requests"]["ok"] == 5
+        first = trace[0]
+        for request in trace:
+            lag = ((sent[request.job.fingerprint()]
+                    - sent[first.job.fingerprint()])
+                   - (request.offset - first.offset))
+            assert abs(lag) < 0.04, (request.index, lag)
+
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown load mode"):
             self._run(tmp_path, mode="sideways")
@@ -176,6 +215,11 @@ class TestGates:
         problems = validate_load(bad)
         assert any("5xx" in p for p in problems)
         assert any("no request completed" in p for p in problems)
+
+    def test_validate_flags_client_errors(self):
+        bad = self._ok_report()
+        bad["requests"]["client_errors"] = 1
+        assert any("4xx" in p for p in validate_load(bad))
 
     def test_validate_flags_plan_hash_divergence(self):
         bad = self._ok_report()

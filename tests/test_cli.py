@@ -424,14 +424,28 @@ class TestSweep:
 
 
 class TestLoadCommand:
+    # no daemon listens on URL: a bound must be rejected before any
+    # request is sent
+    URL = "http://127.0.0.1:9"
+
     @pytest.mark.parametrize("argv, message", [
         (["--requests", "0"], "requests must be >= 1"),
         (["--requests", "3", "--unique-jobs", "5"],
          "need 1 <= unique_jobs <= requests"),
-    ], ids=["zero-requests", "more-jobs-than-requests"])
+        (["--url", URL, "--concurrency", "0"], "concurrency must be >= 1"),
+        (["--url", URL, "--timeout", "-1"],
+         "timeout must be a finite number > 0"),
+        (["--url", URL, "--timeout", "nan"],
+         "timeout must be a finite number > 0"),
+        (["--url", URL, "--timeout", "inf"],
+         "timeout must be a finite number > 0"),
+    ], ids=["zero-requests", "more-jobs-than-requests", "zero-concurrency",
+            "negative-timeout", "nan-timeout", "infinite-timeout"])
     def test_bad_trace_override_rejected(self, argv, message, capsys):
         assert main(["load", *argv]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.splitlines()) == 1
 
 
 class TestCampaignCommand:
