@@ -7,28 +7,34 @@ every combination of
 * ``(dp, tp, b)`` grids (with ``b = B / (G * dp)`` forced integral),
 * ZeRO level, checkpoint count, and offloading ratios from the
   :class:`~repro.core.spaces.SearchSpace` grids,
-* candidate per-stage layer counts,
+* candidate per-stage layer counts.
 
-materializes the whole menu as one **axis-factored** symbol environment
-(from :func:`~repro.tracing.symbols.symbol_env`): every symbol that
-varies over the menu is an array along its own grid axis, extent 1 on
-the others, and the stage's constants are scalars. One memory kernel
-call prices the whole grid, and the ``(dp, tp, b)`` option blocks with
-no row within budget (Eq. 4's constraint) are dropped. One runtime
-kernel call then computes each subexpression of the rest at the size of
-the axes it reads (Section 5.2's "batched value substitutions"), and
-Algorithm 1 runs as one stacked sweep per menu, each segment at the
-size of the axes it reads, or over the gathered memory-feasible rows
-when those are fewer. The stable time does not read every axis; along
-those it does not read, one row per fiber is all the frontier
-extraction needs, which then finds the Pareto frontier over
-``(t_stable, d_delta)`` per layer count. Because querying single
-points is nearly free, the enumeration is brute force — "which would
-not miss any optimization possibilities" (Section 5.3).
+One :meth:`IntraStageTuner.tune` call prices a cell's stage positions
+at once: positions that share a device group, stage GPUs,
+gradient-accumulation steps and p2p link differ only in ``inflight``,
+``has_pre`` and ``has_post``, so they are one more grid axis. The
+tuner materializes the whole stack of menus as one **axis-factored**
+symbol environment (from :func:`~repro.tracing.symbols.symbol_env`):
+every symbol that varies over it is an array along its own grid axis,
+extent 1 on the others, and the constants are scalars. One memory
+kernel call prices the whole grid, and the ``(dp, tp, b)`` option
+blocks with no row within budget (Eq. 4's constraint) at any position
+are dropped. One runtime kernel call then computes each subexpression
+of the rest at the size of the axes it reads (Section 5.2's "batched
+value substitutions"), and Algorithm 1 runs as one stacked sweep per
+stack, each segment at the size of the axes it reads, or over the
+gathered memory-feasible rows when those are fewer. The stable time
+does not read every axis; along those it does not read, one row per
+fiber is all the frontier extraction needs, which then finds the
+Pareto frontier over ``(t_stable, d_delta)`` per position and layer
+count. A stack is cut at :data:`_STACK_ROWS` rows per grid, so wide
+full-scale menus are still priced one position at a time. Because
+querying single points is nearly free, the enumeration is brute force —
+"which would not miss any optimization possibilities" (Section 5.3).
 
-Python loops here run over layer-count segments and already-reduced
-frontiers, never over menu rows. The row-at-a-time reference the
-differential tests compare against is
+Python loops here run over stage positions, layer-count segments and
+already-reduced frontiers, never over menu rows. The row-at-a-time
+reference the differential tests compare against is
 :meth:`repro.symbolic.CompiledExpr.interpret`, swapped in by the tests.
 
 The frontier — rather than a single winner — is the hand-off to the
@@ -57,10 +63,17 @@ __all__ = ["ParetoPoint", "StageShape", "IntraStageTuner", "ckpt_pairs",
 
 #: the configuration values along each axis of a menu grid, in axis
 #: order (see :meth:`IntraStageTuner._menu_axes`)
-_GRID_AXES = (("dp", "tp", "b"), ("l", "ckpt"), ("zero",), ("wo",), ("go",),
-              ("oo",), ("ao",))
-#: the grid axis of the ``(l, ckpt)`` pairs
-_LAYER_AXIS = 1
+_GRID_AXES = (("inflight", "has_pre", "has_post"), ("dp", "tp", "b"),
+              ("l", "ckpt"), ("zero",), ("wo",), ("go",), ("oo",), ("ao",))
+#: the grid axes of the stage positions, the ``(dp, tp, b)`` options and
+#: the ``(l, ckpt)`` pairs
+_POSITION_AXIS, _OPTION_AXIS, _LAYER_AXIS = 0, 1, 2
+#: the most rows :meth:`IntraStageTuner.tune` stacks into one grid,
+#: unless one position alone has more. Stacking saves the fixed cost a
+#: call pays, which matters for small menus; stacking full-scale menus
+#: too raised the peak RSS of solving gpt3-1.3b/2/B32 and
+#: gpt3-2.7b/4/B64 at full scale from 48 to 59 MB
+_STACK_ROWS = 16_384
 
 
 def stage_parallelism_options(analyzer: SymbolicPerformanceAnalyzer,
@@ -237,20 +250,27 @@ class IntraStageTuner:
 
     # -- menu materialization -----------------------------------------------
 
-    def _menu_axes(self, options: list[tuple[int, int, int]],
+    def _menu_axes(self, shapes: list[StageShape],
+                   options: list[tuple[int, int, int]],
                    layer_counts: list[int]) -> dict[str, np.ndarray]:
-        """The values along each axis of the stage's menu grid.
+        """The values along each axis of the stack's menu grid.
 
-        The axes (:data:`_GRID_AXES`) are the ``(dp, tp, b)`` option,
-        the valid ``(l, ckpt)`` pairs, the ZeRO level, ``wo``, ``go``,
-        ``oo`` and ``ao``. The grid's C-order flat index is the meshgrid
-        enumeration order, option blocks in option order: the order the
-        stable frontier extraction's tie-breaking depends on.
+        The axes (:data:`_GRID_AXES`) are the stage position (its
+        ``inflight``, ``has_pre`` and ``has_post``), the ``(dp, tp, b)``
+        option, the valid ``(l, ckpt)`` pairs, the ZeRO level, ``wo``,
+        ``go``, ``oo`` and ``ao``. Within one position, the grid's
+        C-order flat index is the meshgrid enumeration order, option
+        blocks in option order: the order the stable frontier
+        extraction's tie-breaking depends on.
         """
         l, ckpt = ckpt_pairs(self.space, layer_counts)
         dp, tp, b = np.asarray(options, dtype=int).reshape(-1, 3).T
         space = self.space
-        return {"dp": dp, "tp": tp, "b": b, "l": l, "ckpt": ckpt,
+        return {"inflight": np.asarray([s.inflight for s in shapes]),
+                "has_pre": np.asarray([s.has_pre for s in shapes], dtype=int),
+                "has_post": np.asarray([s.has_post for s in shapes],
+                                       dtype=int),
+                "dp": dp, "tp": tp, "b": b, "l": l, "ckpt": ckpt,
                 "zero": np.asarray(space.zero_levels, dtype=int),
                 "wo": np.asarray(space.wo_grid, dtype=float),
                 "go": np.asarray(space.go_grid, dtype=float),
@@ -263,8 +283,9 @@ class IntraStageTuner:
 
         Each configuration value lies along its own grid axis, extent 1
         on the others, and one that takes a single value is a scalar,
-        like the stage's constants, so the compiled kernels compute
-        each subexpression at the size of the axes it reads.
+        like the constants ``shape`` shares with the rest of its stack,
+        so the compiled kernels compute each subexpression at the size
+        of the axes it reads.
         """
         values = {}
         for k, names in enumerate(_GRID_AXES):
@@ -275,93 +296,135 @@ class IntraStageTuner:
                                     for j in range(len(_GRID_AXES))]))
         return self.analyzer.build_env(
             **values, s=self.seq_len, gacc=shape.gacc,
-            inflight=shape.inflight, has_pre=int(shape.has_pre),
-            has_post=int(shape.has_post), p2p_link=shape.p2p_link,
+            p2p_link=shape.p2p_link,
         )
 
     # -- tuning -----------------------------------------------------------------
 
-    def tune(self, shape: StageShape, layer_counts: list[int]) -> MemoEntry:
-        """Pareto frontiers per layer count, with the work that built them.
+    def tune(self, shapes: list[StageShape],
+             layer_counts: list[int]) -> list[MemoEntry]:
+        """Pareto frontiers per layer count, with the work that built
+        them, one :class:`~repro.core.memo.MemoEntry` per shape.
 
-        Returns a :class:`~repro.core.memo.MemoEntry`: ``menus`` is
-        ``{l: [ParetoPoint, ...]}``, each list the whole frontier of the
-        memory-feasible rows in ascending ``t`` order (see
-        :func:`_pareto_rows`), empty for layer counts with no feasible
-        configuration; ``evaluated`` counts the menu's configurations
-        and ``prefiltered`` those over the memory budget.
+        ``shapes`` are stage positions of one device group that share
+        their stage GPUs, gradient-accumulation steps and p2p link; they
+        may differ only in ``inflight``, ``has_pre`` and ``has_post``.
+        In each entry, ``menus`` is ``{l: [ParetoPoint, ...]}``, each
+        list the whole frontier of the position's memory-feasible rows
+        in ascending ``t`` order (see :func:`_pareto_rows`), empty for
+        layer counts with no feasible configuration; ``evaluated``
+        counts the position's configurations and ``prefiltered`` those
+        over the memory budget. Every entry is the one ``tune([shape],
+        layer_counts)`` gives, bit for bit.
 
-        The whole menu is one grid environment (:meth:`_menu_env`),
-        priced in one pass: peak memory first
+        The positions are one more grid axis, so a stack of them is
+        priced in one pass (:meth:`_tune_stack`); stacks are cut so that
+        one grid holds at most :data:`_STACK_ROWS` rows, unless a single
+        position's menu is larger.
+        """
+        first = shapes[0]
+        shared = (first.stage_gpus, first.gacc, first.group, first.p2p_link)
+        if any((s.stage_gpus, s.gacc, s.group, s.p2p_link) != shared
+               for s in shapes):
+            raise ValueError("tune: shapes must share stage_gpus, gacc, "
+                             "group and p2p_link")
+        options = stage_parallelism_options(
+            self.analyzer, first.stage_gpus, first.gacc, self.global_batch)
+        axes = self._menu_axes(shapes, options, layer_counts)
+        size = math.prod(axes[names[0]].size for names in _GRID_AXES[1:])
+        if not size:  # no (dp, tp, b) option
+            return [MemoEntry({l: [] for l in layer_counts}, evaluated=0,
+                              prefiltered=0) for _ in shapes]
+        step = max(1, _STACK_ROWS // size)
+        entries = []
+        for start in range(0, len(shapes), step):
+            stack = {name: axes[name][start:start + step]
+                     for name in _GRID_AXES[_POSITION_AXIS]}
+            entries += self._tune_stack(first, {**axes, **stack},
+                                        layer_counts)
+        return entries
+
+    def _tune_stack(self, shape: StageShape, axes: dict[str, np.ndarray],
+                    layer_counts: list[int]) -> list[MemoEntry]:
+        """:meth:`tune` of the positions along the position axis of
+        ``axes``, whose other constants ``shape`` holds.
+
+        The whole grid is one environment (:meth:`_menu_env`), priced in
+        one pass: peak memory first
         (:meth:`~SymbolicPerformanceAnalyzer.predict_memory`), then the
-        option blocks with no row within budget are dropped, then one
+        option blocks with no row within budget at any position are
+        dropped, then one
         :meth:`~SymbolicPerformanceAnalyzer.predict_feasible` call runs
         the runtime kernel and Algorithm 1 on the blocks that are left.
-        Along the grid axes the stable time does not read, only the
-        first row of least delta per fiber can join a frontier
-        (:func:`_fiber_winners`), so only those reach
-        :func:`_pareto_rows`.
+        Along the grid axes the stable time does not read, except the
+        position axis, only the first row of least delta per fiber can
+        join a frontier (:func:`_fiber_winners`), so only those reach
+        :func:`_pareto_rows`, once per position.
         """
-        menus: dict[int, list[ParetoPoint]] = {l: [] for l in layer_counts}
         analyzer = self.analyzer
-        options = stage_parallelism_options(
-            analyzer, shape.stage_gpus, shape.gacc, self.global_batch)
-        axes = self._menu_axes(options, layer_counts)
         grid = tuple(axes[names[0]].size for names in _GRID_AXES)
-        n = math.prod(grid)  # 0 without a (dp, tp, b) option
-        if not n:
-            return MemoEntry(menus, evaluated=0, prefiltered=0)
+        size = math.prod(grid[1:])
         env = self._menu_env(shape, axes)
         peak = analyzer.predict_memory(env)
-        fits = peak <= analyzer.memory_budget
-        entry = MemoEntry(menus, evaluated=n,
-                          prefiltered=n - int(np.count_nonzero(fits)))
-        blocks = np.flatnonzero(fits.reshape(grid[0], -1).any(axis=1))
+        fits = (peak <= analyzer.memory_budget).reshape(grid[0], grid[1], -1)
+        entries = [MemoEntry({l: [] for l in layer_counts}, evaluated=size,
+                             prefiltered=size - int(np.count_nonzero(f)))
+                   for f in fits]
+        blocks = np.flatnonzero(fits.any(axis=(0, 2)))
         if not blocks.size:
-            return entry
-        if blocks.size < grid[0]:
-            for name in _GRID_AXES[0]:
+            return entries
+        if blocks.size < grid[_OPTION_AXIS]:
+            for name in _GRID_AXES[_OPTION_AXIS]:
                 axes[name] = axes[name][blocks]
-            grid = (blocks.size,) + grid[1:]
+            grid = grid[:1] + (blocks.size,) + grid[2:]
             env = self._menu_env(shape, axes)
-            peak = peak[blocks]
+            peak = peak[:, blocks]
 
         rows, pred = analyzer.predict_feasible(env, peak)
         if not rows.size:
-            return entry
+            return entries
         t_shape = (1,) * (len(grid) - pred.t_stable.ndim) + pred.t_stable.shape
-        # axes t_stable does not read, but never the (l, ckpt) axis: a
-        # fiber keeps to one layer count
+        # axes t_stable does not read, but never the position axis or
+        # the (l, ckpt) axis: a fiber keeps to one position and one
+        # layer count
         reduced = [k for k, extent in enumerate(grid)
-                   if extent > 1 and t_shape[k] == 1 and k != _LAYER_AXIS]
+                   if extent > 1 and t_shape[k] == 1
+                   and k not in (_POSITION_AXIS, _LAYER_AXIS)]
         keep = _fiber_winners(rows, pred.delta, grid, reduced)
         rows, delta = rows[keep], pred.delta[keep]
+        t_col = gather_rows(pred.t_stable, rows, grid)
         # each row's index along the (l, ckpt) axis picks its layer count
         l_col = axes["l"][rows // math.prod(grid[_LAYER_AXIS + 1:])
                           % grid[_LAYER_AXIS]]
-        frontiers = _pareto_rows(l_col, gather_rows(pred.t_stable, rows, grid),
-                                 delta)
+        # each position's rows are one run of the ascending ``rows``
+        cuts = np.searchsorted(
+            rows, np.arange(grid[0] + 1) * math.prod(grid[1:])).tolist()
+        frontiers = []  # (menus, layer count, positions in rows)
+        for entry, lo, hi in zip(entries, cuts, cuts[1:]):
+            for layers, kept in _pareto_rows(
+                    l_col[lo:hi], t_col[lo:hi], delta[lo:hi]).items():
+                frontiers.append((entry.menus, layers, kept + lo))
         if not frontiers:
-            return entry
+            return entries
 
         # frontier rows back to their configurations
-        picked = np.concatenate(list(frontiers.values()))
+        picked = np.concatenate([kept for *_, kept in frontiers])
         flat = rows[picked]
         index = np.unravel_index(flat, grid)
         config = {name: axes[name][index[k]].tolist()
-                  for k, names in enumerate(_GRID_AXES) for name in names}
+                  for k, names in enumerate(_GRID_AXES)
+                  if k != _POSITION_AXIS for name in names}
         points = [
-            ParetoPoint(t=t, d=d, peak_mem=peak, config=StageConfig(
+            ParetoPoint(t=t, d=d, peak_mem=mem, config=StageConfig(
                 layers=l, microbatch=b, dp=dp, tp=tp, zero=zero, ckpt=ckpt,
                 wo=wo, go=go, oo=oo, ao=ao, device_group=shape.group))
-            for t, d, peak, dp, tp, b, l, ckpt, zero, wo, go, oo, ao in zip(
-                gather_rows(pred.t_stable, flat, grid).tolist(),
-                delta[picked].tolist(),
+            for t, d, mem, dp, tp, b, l, ckpt, zero, wo, go, oo, ao in zip(
+                t_col[picked].tolist(), delta[picked].tolist(),
                 gather_rows(pred.peak_mem, flat, grid).tolist(),
                 *config.values())
         ]
         start = 0
-        for layers, kept in frontiers.items():
+        for menus, layers, kept in frontiers:
             menus[layers] = points[start:start + kept.size]
             start += kept.size
-        return entry
+        return entries

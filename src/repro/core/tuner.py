@@ -98,7 +98,6 @@ from .analyzer import SymbolicPerformanceAnalyzer
 from .inter_stage import StageSlot, group_stage_assignments
 from .intra_stage import (
     IntraStageTuner,
-    ParetoPoint,
     StageShape,
     stage_parallelism_options,
 )
@@ -704,6 +703,23 @@ class MistTuner:
         memo.store(memo_key, entry)
         return entry
 
+    def _cell_stages(self, task: tuple,
+                     ) -> tuple[list[StageShape], list[int]]:
+        """A cell's :class:`StageShape` per stage, in pipeline order, and
+        the layer counts its stage menus offer."""
+        gacc, layer_counts, slots = task
+        num_stages = len(slots)
+        links = self.cluster.p2p_links([slot.group for slot in slots])
+        shapes = [
+            StageShape(stage_gpus=gpus, gacc=gacc,
+                       inflight=min(gacc, num_stages - idx),
+                       has_pre=(idx == 0), has_post=(idx == num_stages - 1),
+                       group=group, p2p_link=link)
+            for idx, ((group, gpus), link) in enumerate(zip(slots, links))
+        ]
+        return shapes, (list(layer_counts) if num_stages > 1
+                        else [self.model.num_layers])
+
     def _solve_cell(
             self, global_batch: int, task: tuple, memo: MenuMemo,
     ) -> "tuple[inter_stage.InterStageSolution | None, _CellCounts]":
@@ -713,7 +729,11 @@ class MistTuner:
         ``memo``, which stores pure menus keyed by the full subproblem
         fingerprint; a hit replays the evaluated/prefiltered counters
         its original computation recorded, keeping work accounting
-        deterministic. The menus then go through one exact
+        deterministic. The positions that miss and share a device
+        group, stage GPUs and p2p link are priced by one
+        :meth:`IntraStageTuner.tune` call; a position repeated in the
+        cell is looked up again after the store, so it counts as a hit.
+        The menus then go through one exact
         :func:`~repro.core.inter_stage.solve`, so a cell's solution is
         the same whether the search prunes or not.
 
@@ -725,49 +745,53 @@ class MistTuner:
         (:meth:`~repro.hardware.HeterogeneousCluster.p2p_links`, which
         the execution engine applies too).
         """
-        gacc, layer_counts, slots = task
-        num_stages = len(slots)
+        gacc = task[0]
+        shapes, stage_counts = self._cell_stages(task)
+        keys = [(self._memo_scopes[shape.group], global_batch, shape,
+                 tuple(stage_counts)) for shape in shapes]
+
         counts = _CellCounts()
-        intra: dict[str, IntraStageTuner] = {}
-        seen_in_cell: set[tuple] = set()
-
-        def menus_for(group: str, shape: StageShape, lcounts: list[int],
-                      ) -> dict[int, list[ParetoPoint]]:
-            key = (self._memo_scopes[group], global_batch, shape,
-                   tuple(lcounts))
+        entries: dict[tuple, MemoEntry | None] = {}
+        repeats = []
+        # the misses of one device group, stage GPUs and p2p link are
+        # positions of one grid: one tune call prices them together
+        stacks: dict[tuple, list[tuple]] = {}
+        for key in keys:
+            if key in entries:
+                repeats.append(key)
+                continue
             entry = memo.lookup(key)
-            if not isinstance(entry, MemoEntry):
-                counts.memo_misses += 1
-                tuner = intra.get(group)
-                if tuner is None:
-                    tuner = intra[group] = IntraStageTuner(
-                        self.analyzers[group], self.space,
-                        global_batch=global_batch, seq_len=self.seq_len,
-                    )
-                entry = tuner.tune(shape, lcounts)
-                memo.store(key, entry)
-            else:
+            if isinstance(entry, MemoEntry):
                 counts.memo_hits += 1
-            # count each unique subproblem once per cell, so a cell
-            # reports the same work however warm the memo is
-            if key not in seen_in_cell:
-                seen_in_cell.add(key)
-                counts.evaluated += entry.evaluated
-                counts.prefiltered += entry.prefiltered
-            return entry.menus
-
-        stage_counts = (layer_counts if num_stages > 1
-                        else [self.model.num_layers])
-        links = self.cluster.p2p_links([slot.group for slot in slots])
-        menus = []
-        for idx, ((group, gpus), link) in enumerate(zip(slots, links)):
-            shape = StageShape(
-                stage_gpus=gpus, gacc=gacc,
-                inflight=min(gacc, num_stages - idx),
-                has_pre=(idx == 0), has_post=(idx == num_stages - 1),
-                group=group, p2p_link=link,
-            )
-            menus.append(menus_for(group, shape, stage_counts))
+                entries[key] = entry
+            else:
+                counts.memo_misses += 1
+                entries[key] = None
+                shape = key[2]
+                stacks.setdefault(
+                    (shape.group, shape.stage_gpus, shape.p2p_link),
+                    []).append(key)
+        for (group, *_), stack in stacks.items():
+            tuner = IntraStageTuner(self.analyzers[group], self.space,
+                                    global_batch=global_batch,
+                                    seq_len=self.seq_len)
+            for key, entry in zip(stack, tuner.tune(
+                    [key[2] for key in stack], stage_counts)):
+                memo.store(key, entry)
+                entries[key] = entry
+        # a position the cell repeats is looked up after the store, so
+        # it counts as a hit
+        for key in repeats:
+            if isinstance(memo.lookup(key), MemoEntry):
+                counts.memo_hits += 1
+            else:
+                counts.memo_misses += 1
+        # count each unique subproblem once per cell, so a cell reports
+        # the same work however warm the memo is
+        for entry in entries.values():
+            counts.evaluated += entry.evaluated
+            counts.prefiltered += entry.prefiltered
+        menus = [entries[key].menus for key in keys]
 
         solution = inter_stage.solve(
             menus, self.model.num_layers, gacc,

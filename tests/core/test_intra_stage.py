@@ -5,14 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import TuningJob, solve
+from repro.api import TuningJob, delta_job, solve
+from repro.api.solvers import MistSolver
 from repro.core import SPACE_3D, SPACE_MIST, SymbolicPerformanceAnalyzer
 from repro.core import intra_stage
 from repro.core.analyzer import StagePrediction
 from repro.core.intra_stage import (IntraStageTuner, StageShape,
                                     _fiber_winners, _pareto_rows,
                                     ckpt_pairs, stage_parallelism_options)
-from repro.core.memo import GLOBAL_MENU_MEMO
+from repro.core.memo import GLOBAL_MENU_MEMO, MenuMemo
 from repro.costmodel.interference import InterferenceModel
 from repro.core.spaces import SCALES
 from repro.hardware import make_cluster
@@ -41,25 +42,27 @@ SHAPE = StageShape(stage_gpus=2, gacc=4, inflight=2, has_pre=True,
 class TestEnumeration:
     def test_returns_menu_per_layer_count(self, analyzer):
         tuner = make_tuner(analyzer)
-        menus = tuner.tune(SHAPE, [10, 12, 14]).menus
+        menus = tuner.tune([SHAPE], [10, 12, 14])[0].menus
         assert set(menus) == {10, 12, 14}
         assert any(menus.values())
 
     def test_counts_evaluated_configs(self, analyzer):
-        entry = make_tuner(analyzer).tune(SHAPE, [12])
+        [entry] = make_tuner(analyzer).tune([SHAPE], [12])
         assert entry.evaluated > 100
         assert 0 <= entry.prefiltered <= entry.evaluated
 
     def test_bigger_space_evaluates_more(self, analyzer):
         small = make_tuner(analyzer, space=SPACE_3D)
         big = make_tuner(analyzer, space=SPACE_MIST)
-        assert big.tune(SHAPE, [12]).evaluated \
-            > small.tune(SHAPE, [12]).evaluated
+        assert big.tune([SHAPE], [12])[0].evaluated \
+            > small.tune([SHAPE], [12])[0].evaluated
 
     def test_microbatch_follows_dp(self, analyzer):
         tuner = make_tuner(analyzer, global_batch=16)
-        menus = tuner.tune(StageShape(stage_gpus=4, gacc=4, inflight=1,
-                                      has_pre=True, has_post=True), [24]).menus
+        [entry] = tuner.tune([StageShape(stage_gpus=4, gacc=4, inflight=1,
+                                         has_pre=True, has_post=True)],
+                              [24])
+        menus = entry.menus
         for point in menus[24]:
             cfg = point.config
             assert cfg.dp * cfg.microbatch * 4 == 16
@@ -70,7 +73,7 @@ class TestEnumeration:
         tuner = make_tuner(analyzer, space=space)
         shape = StageShape(stage_gpus=1, gacc=4, inflight=1, has_pre=True,
                            has_post=True)
-        entry = tuner.tune(shape, [12])
+        [entry] = tuner.tune([shape], [12])
         [point] = entry.menus[12]
         assert (entry.evaluated, entry.prefiltered) == (1, 0)
         cfg = point.config
@@ -88,7 +91,7 @@ class TestEnumeration:
         space = SPACE_3D.with_(zero_levels=(0,), ckpt_policy="full")
         shape = StageShape(stage_gpus=2, gacc=1, inflight=1, has_pre=True,
                            has_post=True)
-        entry = make_tuner(analyzer, space=space).tune(shape, [24])
+        [entry] = make_tuner(analyzer, space=space).tune([shape], [24])
         assert (entry.evaluated, entry.prefiltered) == (2, 1)
         [point] = entry.menus[24]
         cfg = point.config
@@ -109,14 +112,14 @@ class TestEnumeration:
                                          layer_counts, monkeypatch)
         assert name == "predict_memory"
         peak = analyzer.predict_memory(env)
-        entry = tuner.tune(shape, layer_counts)
+        [entry] = tuner.tune([shape], layer_counts)
         assert entry.evaluated == peak.size
         assert entry.prefiltered \
             == int((peak > analyzer.memory_budget).sum()) > 0
 
     def test_prefilter_knob_is_gone(self, analyzer):
         with pytest.raises(TypeError, match="prefilter"):
-            make_tuner(analyzer).tune(SHAPE, [12], prefilter=True)
+            make_tuner(analyzer).tune([SHAPE], [12], prefilter=True)
         assert not hasattr(analyzer, "_comp_fn")
         assert [f.name for f in dataclasses.fields(StagePrediction)] \
             == ["t_stable", "delta", "peak_mem", "t_first", "t_last"]
@@ -124,8 +127,9 @@ class TestEnumeration:
     def test_infeasible_batch_yields_empty(self, analyzer):
         # global batch 3 cannot split over gacc=2
         tuner = make_tuner(analyzer, global_batch=3)
-        entry = tuner.tune(StageShape(stage_gpus=2, gacc=2, inflight=1,
-                                      has_pre=True, has_post=True), [24])
+        [entry] = tuner.tune([StageShape(stage_gpus=2, gacc=2, inflight=1,
+                                         has_pre=True, has_post=True)],
+                              [24])
         assert entry.menus[24] == []
         assert (entry.evaluated, entry.prefiltered) == (0, 0)
 
@@ -148,7 +152,7 @@ class TestCkptPairs:
 class TestParetoFrontier:
     def test_frontier_is_nondominated(self, analyzer):
         tuner = make_tuner(analyzer)
-        points = tuner.tune(SHAPE, [12]).menus[12]
+        points = tuner.tune([SHAPE], [12])[0].menus[12]
         assert points
         for i, a in enumerate(points):
             for j, b in enumerate(points):
@@ -161,27 +165,27 @@ class TestParetoFrontier:
 
     def test_frontier_sorted_by_t(self, analyzer):
         tuner = make_tuner(analyzer)
-        points = tuner.tune(SHAPE, [12]).menus[12]
+        points = tuner.tune([SHAPE], [12])[0].menus[12]
         ts = [p.t for p in points]
         assert ts == sorted(ts)
 
     def test_memory_respected(self, analyzer):
         tuner = make_tuner(analyzer)
-        for points in tuner.tune(SHAPE, [10, 12]).menus.values():
+        for points in tuner.tune([SHAPE], [10, 12])[0].menus.values():
             for point in points:
                 assert point.peak_mem <= analyzer.memory_budget
 
     def test_full_ckpt_policy_forces_recompute(self, analyzer):
         space = SPACE_3D.with_(name="full", ckpt_policy="full")
         tuner = make_tuner(analyzer, space=space)
-        points = tuner.tune(SHAPE, [12]).menus[12]
+        points = tuner.tune([SHAPE], [12])[0].menus[12]
         assert points
         for point in points:
             assert point.config.ckpt == point.config.layers
 
     def test_auto_policy_is_full_or_none(self, analyzer):
         tuner = make_tuner(analyzer, space=SPACE_3D)
-        points = tuner.tune(SHAPE, [12]).menus[12]
+        points = tuner.tune([SHAPE], [12])[0].menus[12]
         for point in points:
             assert point.config.ckpt in (0, point.config.layers)
 
@@ -217,7 +221,7 @@ def _priced_envs(analyzer, tuner, shape, layer_counts, monkeypatch):
             seen.append((name, env))
             return method(env, *args)
         monkeypatch.setattr(analyzer, name, spy)
-    tuner.tune(shape, layer_counts)
+    tuner.tune([shape], layer_counts)
     monkeypatch.undo()
     return seen
 
@@ -268,8 +272,9 @@ class TestFrontierIsExact:
         menu = _full_menu(analyzer, _case_tuner(analyzer, global_batch),
                           shape, layer_counts, monkeypatch)
         expected = _brute_force_frontier(*menu, analyzer.memory_budget)
-        menus = _case_tuner(analyzer, global_batch).tune(
-            shape, layer_counts).menus
+        [entry] = _case_tuner(analyzer, global_batch).tune(
+            [shape], layer_counts)
+        menus = entry.menus
         assert set(menus) == set(layer_counts)
         for layers in layer_counts:
             got = [(p.t, p.d) for p in menus[layers]]
@@ -288,7 +293,7 @@ class TestFrontierIsExact:
         # the oracle above covers the block drop only if some case has
         # an option block with no row within budget
         def blocks(env):
-            return (np.shape(env["b"]) or (1,))[0]
+            return (np.shape(env["b"]) or (1,) * 8)[intra_stage._OPTION_AXIS]
 
         dropped = 0
         for shape, layer_counts, global_batch in BRUTE_FORCE_CASES:
@@ -386,11 +391,16 @@ class TestFiberWinners:
 #: symbols constant within a (dp, tp, b) option block
 BLOCK_SYMBOLS = frozenset(
     ("b", "dp", "tp") + tuple(sym.name for sym in HARDWARE_SYMBOLS))
-#: symbols constant within a stage shape
-STAGE_SYMBOLS = frozenset(("s", "gacc", "inflight", "has_pre", "has_post"))
+#: symbols constant within a stack of stage positions
+STAGE_SYMBOLS = frozenset(("s", "gacc"))
+#: symbols that vary by stage position, along the menu grid's axis 0
+POSITION_SYMBOLS = frozenset(("inflight", "has_pre", "has_post"))
 #: symbols that vary by menu row, and the menu grid axis each lies on
-ROW_AXES = {"l": 1, "ckpt": 1, "z1": 2, "z2": 2, "z3": 2,
-            "wo": 3, "go": 4, "oo": 5, "ao": 6}
+ROW_AXES = {"l": 2, "ckpt": 2, "z1": 3, "z2": 3, "z3": 3,
+            "wo": 4, "go": 5, "oo": 6, "ao": 7}
+#: the last stage of SHAPE's pipeline: the two stack in one grid
+LAST = StageShape(stage_gpus=2, gacc=4, inflight=1, has_pre=False,
+                  has_post=True)
 
 
 def _kernel_calls(analyzer, monkeypatch, tuner, *args, **kwargs):
@@ -412,31 +422,41 @@ def _kernel_calls(analyzer, monkeypatch, tuner, *args, **kwargs):
 class TestAxisFactoredMenus:
     """``tune`` prices the whole menu as one grid: each row symbol on
     its own axis, the option block's constants along the block axis,
-    so each kernel subexpression runs at the size of the axes it
-    reads."""
+    the stage positions' values along the position axis, so each
+    kernel subexpression runs at the size of the axes it reads."""
 
-    def test_each_row_symbol_lies_on_one_axis(self, analyzer, monkeypatch):
+    @pytest.mark.parametrize("stack", [[SHAPE], [SHAPE, LAST]],
+                             ids=["one-position", "two-positions"])
+    def test_each_row_symbol_lies_on_one_axis(self, analyzer, monkeypatch,
+                                              stack):
         assert len(BLOCK_SYMBOLS) == 11 and len(ROW_AXES) == 9
         blocks = len(stage_parallelism_options(
             analyzer, SHAPE.stage_gpus, SHAPE.gacc, 16))
         assert blocks > 1
-        calls = _kernel_calls(analyzer, monkeypatch, make_tuner(analyzer),
-                              SHAPE, [10, 12, 14])
+        # the quick-scale menu, so two positions fit in one grid
+        tuner = (make_tuner(analyzer) if len(stack) == 1
+                 else _case_tuner(analyzer, 16))
+        calls = _kernel_calls(analyzer, monkeypatch, tuner, stack,
+                              [10, 12, 14])
 
         # one memory pass over the whole menu, then one runtime call
         assert [fn for fn, _ in calls] == [analyzer._mem_fn, analyzer._fn]
         (_, memory), (_, runtime) = calls
-        assert memory["b"].shape == (blocks,) + (1,) * 6
+        assert memory["b"].shape == (1, blocks) + (1,) * 6
         assert runtime.keys() == BLOCK_SYMBOLS | STAGE_SYMBOLS \
-            | ROW_AXES.keys()
+            | POSITION_SYMBOLS | ROW_AXES.keys()
         for fn, env in calls:
             for name, value in env.items():
-                if name in STAGE_SYMBOLS:
+                if name in STAGE_SYMBOLS or (name in POSITION_SYMBOLS
+                                             and len(stack) == 1):
                     assert isinstance(value, np.float64), name
+                elif name in POSITION_SYMBOLS:
+                    assert np.shape(value) == (len(stack),) + (1,) * 7, name
                 elif name in BLOCK_SYMBOLS:
                     # along the block axis, or a scalar for one block
                     assert np.shape(value) in {
-                        (), (np.shape(env["b"])[:1] or (1,)) + (1,) * 6}, name
+                        (), (1, *(np.shape(env["b"])[1:2] or (1,)))
+                        + (1,) * 6}, name
                     assert np.ndim(value) == np.ndim(env["b"]), name
                 else:
                     long = [k for k, extent in enumerate(np.shape(value))
@@ -448,12 +468,13 @@ class TestAxisFactoredMenus:
         shape = StageShape(stage_gpus=1, gacc=4, inflight=2, has_pre=True,
                            has_post=False)
         calls = _kernel_calls(analyzer, monkeypatch,
-                              make_tuner(analyzer, space=space), shape, [12])
+                              make_tuner(analyzer, space=space), [shape],
+                              [12])
         [env] = [env for fn, env in calls if fn is analyzer._fn]
-        for name in BLOCK_SYMBOLS | {"wo", "go"}:
+        for name in BLOCK_SYMBOLS | POSITION_SYMBOLS | {"wo", "go"}:
             assert isinstance(env[name], np.float64), name
         assert env["go"] == 0.5
-        assert np.shape(env["oo"]) == (1, 1, 1, 1, 1, 5, 1)
+        assert np.shape(env["oo"]) == (1, 1, 1, 1, 1, 1, 5, 1)
 
 
 class TestSavedWork:
@@ -493,3 +514,160 @@ class TestSavedWork:
         assert counts["algorithm1"] <= 1.6 * counts["feasible"]
         # 1.0 without the fiber reduction
         assert counts["frontier_input"] <= 0.25 * counts["feasible"]
+
+
+# -- stacked stage positions ------------------------------------------------
+
+#: the mixed A100 + L4 fleet of examples/mixed_a100_l4.json
+MIXED_A100_L4 = {
+    "groups": [
+        {"name": "a100", "gpu": "A100-40GB", "num_nodes": 1,
+         "gpus_per_node": 4, "inter_node_bandwidth_gbps": 400},
+        {"name": "l4", "gpu": "L4", "num_nodes": 1,
+         "gpus_per_node": 4, "inter_node_bandwidth_gbps": 100},
+    ],
+    "inter_group_bandwidth_gbps": 100,
+    "inter_group_latency_us": 25.0,
+}
+#: one cluster delta of each kind
+MIXED_DELTAS = (
+    {"ops": [{"op": "resize_group", "group": "l4", "gpus_per_node": 2}]},
+    {"ops": [{"op": "degrade_link", "factor": 0.5, "link": "inter_group"}]},
+    {"ops": [{"op": "add_nodes", "count": 1, "group": "a100"}]},
+    {"ops": [{"op": "remove_group", "group": "a100"}]},
+)
+#: the paper's Table-4 GPT-3 grid on L4: (model, GPUs, global batch)
+TABLE4_GRID = (
+    ("gpt3-1.3b", 2, 32), ("gpt3-2.7b", 4, 64), ("gpt3-6.7b", 8, 128),
+    ("gpt3-13b", 16, 256), ("gpt3-22b", 32, 512),
+)
+
+
+def _stack_jobs():
+    """The five Table-4 quick jobs, gpt3-2.7b full, and the mixed
+    fleet's base job with each delta applied."""
+    jobs = [TuningJob(model=model, num_gpus=gpus, global_batch=batch,
+                      scale="quick") for model, gpus, batch in TABLE4_GRID]
+    jobs.append(TuningJob(model="gpt3-2.7b", num_gpus=4, global_batch=64,
+                          scale="full"))
+    base = TuningJob.for_cluster(MIXED_A100_L4, model="gpt3-2.7b",
+                                 global_batch=64, scale="smoke")
+    return jobs + [base] + [delta_job(base, delta) for delta in MIXED_DELTAS]
+
+
+def _cell_stacks(job):
+    """``(tuner, shapes, layer counts)`` per stack of every (S, G) cell
+    of ``job``'s grid: the cell's distinct positions that share a device
+    group, stage GPUs and p2p link, in pipeline order. A stack that
+    recurs in another cell is listed once."""
+    mist = MistSolver().make_tuner(job)
+    stacks = {}
+    for task in mist._sg_grid(job.global_batch):
+        shapes, counts = mist._cell_stages(task)
+        cell = {}
+        for shape in dict.fromkeys(shapes):
+            cell.setdefault((shape.group, shape.stage_gpus, shape.p2p_link),
+                            []).append(shape)
+        for stack in cell.values():
+            stacks[tuple(stack), tuple(counts)] = None
+    tuners = {group: IntraStageTuner(
+        analyzer, mist.space, global_batch=job.global_batch,
+        seq_len=mist.seq_len) for group, analyzer in mist.analyzers.items()}
+    return [(tuners[stack[0].group], list(stack), list(counts))
+            for stack, counts in stacks]
+
+
+def _entry_bits(entry):
+    """Everything of a tuned entry, floats by ``float.hex``."""
+    return (entry.evaluated, entry.prefiltered, [
+        (layers, [(p.t.hex(), p.d.hex(), p.peak_mem.hex(), p.config)
+                  for p in points])
+        for layers, points in entry.menus.items()])
+
+
+@pytest.fixture(scope="module")
+def cell_stacks():
+    """Every stack of :func:`_stack_jobs`, with each position's entry
+    from a one-position ``tune``."""
+    out = []
+    for job in _stack_jobs():
+        for tuner, shapes, counts in _cell_stacks(job):
+            alone = [_entry_bits(tuner.tune([shape], counts)[0])
+                     for shape in shapes]
+            out.append((tuner, shapes, counts, alone))
+    return out
+
+
+class TestStackedPositions:
+    """One ``tune`` call prices a stack of stage positions, and each
+    position's entry is the one it gets priced alone."""
+
+    @pytest.mark.parametrize("mode", ["cap-1-row", "unbounded", "reversed"])
+    def test_stack_equals_each_position_alone(self, cell_stacks, mode,
+                                              monkeypatch):
+        if mode == "cap-1-row":
+            monkeypatch.setattr(intra_stage, "_STACK_ROWS", 1)
+        elif mode == "unbounded":
+            monkeypatch.setattr(intra_stage, "_STACK_ROWS", 2**62)
+        stacked = 0
+        for tuner, shapes, counts, alone in cell_stacks:
+            order = shapes[::-1] if mode == "reversed" else shapes
+            got = dict(zip(order, tuner.tune(order, counts)))
+            assert len(got) == len(shapes)
+            for shape, want in zip(shapes, alone):
+                assert _entry_bits(got[shape]) == want, (shape, counts)
+            stacked += len(shapes) > 1
+        # every job family brings stacks of more than one position
+        assert stacked > 50
+
+    def test_stacks_stay_under_the_row_cap(self, monkeypatch):
+        grids = []
+        predict_memory = SymbolicPerformanceAnalyzer.predict_memory
+
+        def spy(analyzer, env):
+            peak = predict_memory(analyzer, env)
+            if peak.ndim == len(intra_stage._GRID_AXES):  # a menu grid
+                grids.append(peak.shape)
+            return peak
+
+        monkeypatch.setattr(SymbolicPerformanceAnalyzer, "predict_memory",
+                            spy)
+
+        def search(model, gpus, batch, scale):
+            grids.clear()
+            job = TuningJob(model=model, num_gpus=gpus, global_batch=batch,
+                            scale=scale)
+            MistSolver().make_tuner(job).search(batch, memo=MenuMemo())
+            assert grids
+            return list(grids)
+
+        cap = intra_stage._STACK_ROWS
+        quick = [grid for job in TABLE4_GRID
+                 for grid in search(*job, "quick")]
+        assert all(np.prod(grid) <= cap or grid[0] == 1 for grid in quick)
+        assert any(grid[0] > 1 for grid in quick)
+        # full-scale menus are priced one position per call
+        for job in TABLE4_GRID[:2]:
+            assert {grid[0] for grid in search(*job, "full")} == {1}
+
+    def test_repeated_position_counts_as_hit(self):
+        job = TuningJob(model="gpt3-6.7b", num_gpus=8, global_batch=128,
+                        scale="quick")
+        mist = MistSolver().make_tuner(job)
+        task = next(task for task in mist._sg_grid(128)
+                    if len(set(mist._cell_stages(task)[0])) < len(task[2]))
+        positions = len(task[2])
+        unique = len(set(mist._cell_stages(task)[0]))
+        memo = MenuMemo()
+        _, cold = mist._solve_cell(128, task, memo)
+        assert (cold.memo_misses, cold.memo_hits) \
+            == (memo.misses, memo.hits) == (unique, positions - unique)
+        _, warm = mist._solve_cell(128, task, memo)
+        assert (warm.memo_misses, warm.memo_hits) == (0, positions)
+        assert (warm.evaluated, warm.prefiltered) \
+            == (cold.evaluated, cold.prefiltered)
+
+    def test_shapes_must_share_a_grid(self, analyzer):
+        other = dataclasses.replace(SHAPE, stage_gpus=1)
+        with pytest.raises(ValueError, match="must share"):
+            make_tuner(analyzer).tune([SHAPE, other], [12])

@@ -3,20 +3,23 @@
 A larger search space never predicts a slower plan: the named spaces
 nest, ``3d`` ⊂ ``3d-zero`` ⊂ ``3d-ckpt`` ⊂ ``oo`` ⊂ ``ao`` ⊂ ``go`` ⊂
 ``wo`` ⊂ ``mist``, so along that chain the predicted iteration time may
-only fall. A worse link never predicts a faster plan: degrading the
-mixed fleet's inter-group link may only raise it. A bound cut that drops
-a winner breaks a relation even where prune and exhaustive still agree
-on the job at hand.
+only fall. A worse cluster never predicts a faster plan: degrading the
+mixed fleet's inter-group link, an inter-node link or the device memory
+may only raise it. A bound cut that drops a winner breaks a relation
+even where prune and exhaustive still agree on the job at hand.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.api import TuningJob, delta_job
 from repro.api.solvers import MistSolver
-from repro.core import NAMED_SPACES
+from repro.core import NAMED_SPACES, MistTuner
 from repro.core.spaces import SCALES
+from repro.hardware import DeviceGroup, HeterogeneousCluster
 
 CHAIN = ("3d", "3d-zero", "3d-ckpt", "oo", "ao", "go", "wo", "mist")
 #: the paper's Table 4 GPT-3 grid on L4: (model, GPUs, global batch)
@@ -72,16 +75,76 @@ MIXED_A100_L4 = {
 }
 
 
-def test_worse_link_never_predicts_faster():
-    base = TuningJob.for_cluster(MIXED_A100_L4, model="gpt3-2.7b",
-                                 global_batch=64, scale="smoke")
+#: how far each degraded factor is scaled, from intact to 1/20
+FACTORS = (1, 0.9, 0.75, 0.5, 0.3, 0.2, 0.1, 0.05)
+
+#: the mixed fleet with each group on two nodes of two GPUs, so its
+#: stages' traffic crosses the inter-node link
+MIXED_2X2 = {**MIXED_A100_L4, "groups": [
+    {**group, "num_nodes": 2, "gpus_per_node": 2}
+    for group in MIXED_A100_L4["groups"]]}
+#: (cluster document, model, global batch, the degraded link)
+LINK_CASES = {
+    "inter_group": (MIXED_A100_L4, "gpt3-2.7b", 64, {"link": "inter_group"}),
+    "inter_node-l4-2x2": ({"gpu": "L4", "num_nodes": 2, "gpus_per_node": 2},
+                          "gpt3-1.3b", 32, {"link": "inter_node"}),
+    "inter_node-mixed-2x2": (MIXED_2X2, "gpt3-2.7b", 64,
+                             {"link": "inter_node", "group": "l4"}),
+}
+
+
+def _never_faster(predicted: list[float]) -> None:
+    """``predicted`` never falls, and the last factor made it rise."""
+    assert all(fast <= slow
+               for fast, slow in zip(predicted, predicted[1:])), predicted
+    assert predicted[0] < predicted[-1], predicted
+
+
+@pytest.mark.parametrize("case", sorted(LINK_CASES))
+def test_worse_link_never_predicts_faster(case):
+    cluster, model, batch, link = LINK_CASES[case]
+    base = TuningJob.for_cluster(cluster, model=model, global_batch=batch,
+                                 scale="smoke")
     predicted = []
-    for factor in (1, 0.9, 0.75, 0.5, 0.3, 0.2, 0.1, 0.05):
+    for factor in FACTORS:
         job = delta_job(base, {"ops": [{"op": "degrade_link",
-                                        "factor": factor,
-                                        "link": "inter_group"}]})
+                                        "factor": factor, **link}]})
         result = MistSolver().make_tuner(job).search(
             job.global_batch, keep_top=job.keep_top)
         predicted.append(result.predicted_iteration_time)
-    assert all(slow <= slower
-               for slow, slower in zip(predicted, predicted[1:])), predicted
+    _never_faster(predicted)
+
+
+def _less_memory(cluster, factor: float):
+    """``cluster`` with every GPU's device memory scaled by ``factor``."""
+    def scaled(spec):
+        return dataclasses.replace(spec, gpu=dataclasses.replace(
+            spec.gpu, memory_bytes=int(spec.gpu.memory_bytes * factor)))
+
+    if isinstance(cluster, HeterogeneousCluster):
+        return dataclasses.replace(cluster, groups=tuple(
+            DeviceGroup(group.name, scaled(group.cluster))
+            for group in cluster.groups))
+    return scaled(cluster)
+
+
+@pytest.mark.parametrize("name", ["l4", "mixed"])
+def test_less_device_memory_never_predicts_faster(name):
+    job = (TuningJob(model="gpt3-2.7b", num_gpus=4, global_batch=64,
+                     scale="smoke") if name == "l4"
+           else TuningJob.for_cluster(MIXED_A100_L4, model="gpt3-2.7b",
+                                      global_batch=64, scale="smoke"))
+    tuner = MistSolver().make_tuner(job)
+    # the job's own per-group interference, on every scaled cluster
+    interference = {group: analyzer.interference
+                    for group, analyzer in tuner.analyzers.items()}
+    predicted = []
+    for factor in FACTORS:
+        scaled = MistTuner(
+            tuner.model, _less_memory(tuner.cluster, factor),
+            seq_len=tuner.seq_len, flash=tuner.flash, space=tuner.space,
+            interference=interference,
+            max_gacc_candidates=tuner.max_gacc_candidates)
+        result = scaled.search(job.global_batch, keep_top=job.keep_top)
+        predicted.append(result.predicted_iteration_time)
+    _never_faster(predicted)

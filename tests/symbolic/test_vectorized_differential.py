@@ -246,11 +246,21 @@ GRID_CASES = [
 #: columns over the feasible rows; the others keep their grid axes
 ROW_FIELDS = ("t_first", "t_last", "delta")
 
+#: ``(inflight, has_pre, has_post)`` of the stage positions one tune
+#: call stacks: a last stage alone, or a last, first and middle stage
+POSITION_STACKS = {
+    "one-position": [(2, False, True)],
+    "three-positions": [(2, False, True), (2, True, False),
+                        (1, False, False)],
+}
+
 
 class TestFactoredGridDifferential:
+    @pytest.mark.parametrize("stack", sorted(POSITION_STACKS))
     @pytest.mark.parametrize("case", GRID_CASES,
                              ids=[f"{c[0]}-{c[1]}" for c in GRID_CASES])
-    def test_factored_grid_matches_flat_columns(self, case, monkeypatch):
+    def test_factored_grid_matches_flat_columns(self, case, stack,
+                                                monkeypatch):
         gpu, model, stage_gpus, global_batch, link = case
         cluster = make_cluster(gpu, 1, 8)
         analyzer = SymbolicPerformanceAnalyzer(
@@ -259,8 +269,10 @@ class TestFactoredGridDifferential:
         tuner = IntraStageTuner(
             analyzer, get_scale("quick").apply(SPACE_MIST),
             global_batch=global_batch, seq_len=2048)
-        shape = StageShape(stage_gpus=stage_gpus, gacc=2, inflight=2,
-                           has_pre=False, has_post=True, p2p_link=link)
+        shapes = [StageShape(stage_gpus=stage_gpus, gacc=2,
+                             inflight=inflight, has_pre=has_pre,
+                             has_post=has_post, p2p_link=link)
+                  for inflight, has_pre, has_post in POSITION_STACKS[stack]]
         # factored and flat evaluation agree only because every kernel
         # op is correctly rounded; np.power need not be
         for fn in (analyzer._fn, analyzer._mem_fn):
@@ -275,11 +287,13 @@ class TestFactoredGridDifferential:
             return rows, pred
 
         monkeypatch.setattr(analyzer, "predict_feasible", spy)
-        tuner.tune(shape, [2, 4])
+        tuner.tune(shapes, [2, 4])
         monkeypatch.undo()
         [(env, rows, tuned)] = seen
         grid = np.broadcast(*env.values()).shape
-        assert len(grid) == 7 and sum(extent > 1 for extent in grid) >= 5
+        assert len(grid) == 8 and sum(extent > 1 for extent in grid) >= 5
+        # axis 0 holds the stage positions
+        assert grid[0] == len(shapes)
         flat = {name: np.broadcast_to(value, grid).ravel()
                 for name, value in env.items()}
 
