@@ -162,10 +162,8 @@ class MistSolver:
         space = scale.apply(job.resolved_space())
         model = job.resolved_model()
         engine = ExecutionEngine(job.resolved_cluster(), system="mist")
-        best = fastest(engine.execute(
-            tuning.top_plans or (
-                [tuning.best_plan] if tuning.best_plan else []),
-            model, seq_len=job.seq_len, flash=job.flash))
+        best = fastest(engine.execute(tuning.top_plans, model,
+                                      seq_len=job.seq_len, flash=job.flash))
         predicted = {}
         if tuning.found:
             predicted = {

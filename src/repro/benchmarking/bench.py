@@ -41,10 +41,12 @@ import platform
 import sys
 
 from repro import __version__
+from repro.api import MistSolver
+from repro.core import MenuMemo
 from repro.core.schema import OBJECT, Field, Num, Str, Table
 from repro.core.spaces import get_scale
 
-from .fig16 import measure_fig16, plan_hash
+from .fig16 import fig16_job, measure_fig16, plan_hash
 from .fig_replan import measure_replan
 
 __all__ = ["BENCH_SCHEMA", "check_against_baseline", "check_warm_speedup",
@@ -74,36 +76,28 @@ BASELINE = Table("bench baseline", (
 ), ignore=frozenset({"derived", "environment"}))
 
 
-def run_bench(scale_name: str = "smoke", *,
-              include_exhaustive: bool = True,
-              include_replan: bool = True) -> dict:
-    """Run the benchmark suite at ``scale_name`` and build the snapshot.
-
-    ``include_exhaustive=False`` skips the exhaustive reference pass
-    (and with it the plan-hash cross-check) — useful for quick local
-    timing runs, never for the CI artifact. ``include_replan=False``
-    skips the warm-vs-cold replan pass and its speedup gate.
-    """
+def run_bench(scale_name: str = "smoke") -> dict:
+    """Run the benchmark suite at ``scale_name`` and build the snapshot."""
     scale = get_scale(scale_name)
-    benchmarks: dict[str, dict] = {}
-    benchmarks[PRIMARY_BENCH] = measure_fig16(scale, prune=True)
-    derived: dict = {}
+    # untimed: whichever pass ran first would otherwise pay the
+    # process's trace and kernel compiles on its first space
+    job = fig16_job(scale)
+    MistSolver().make_tuner(job).search(job.global_batch, memo=MenuMemo())
+    benchmarks = {PRIMARY_BENCH: measure_fig16(scale, prune=True),
+                  REFERENCE_BENCH: measure_fig16(scale, prune=False),
+                  REPLAN_BENCH: measure_replan(scale)}
     pruned = benchmarks[PRIMARY_BENCH]
-    if include_exhaustive:
-        benchmarks[REFERENCE_BENCH] = measure_fig16(scale, prune=False)
-        reference = benchmarks[REFERENCE_BENCH]
-        derived["fig16_speedup"] = (
+    reference = benchmarks[REFERENCE_BENCH]
+    replan = benchmarks[REPLAN_BENCH]
+    derived = {
+        "fig16_speedup": (
             reference["wall_time_seconds"] / pruned["wall_time_seconds"]
-            if pruned["wall_time_seconds"] > 0 else 0.0
-        )
-        derived["plans_match_exhaustive"] = (
-            pruned["plan_hashes"] == reference["plan_hashes"]
-        )
-    if include_replan:
-        benchmarks[REPLAN_BENCH] = measure_replan(scale)
-        replan = benchmarks[REPLAN_BENCH]
-        derived["fig_replan_speedup"] = replan["config_speedup_geomean"]
-        derived["replan_plans_match"] = replan["plans_match"]
+            if pruned["wall_time_seconds"] > 0 else 0.0),
+        "plans_match_exhaustive": (
+            pruned["plan_hashes"] == reference["plan_hashes"]),
+        "fig_replan_speedup": replan["config_speedup_geomean"],
+        "replan_plans_match": replan["plans_match"],
+    }
     return {
         "schema": BENCH_SCHEMA,
         "scale": scale.name,
@@ -266,7 +260,7 @@ def check_warm_speedup(current: dict, *,
     ``cold configs_evaluated / warm configs_evaluated`` ratios —
     deterministic work counters, not wall time, so the gate cannot
     flake with machine load. Applies only when the snapshot carries the
-    replan pass; ``include_replan=False`` snapshots pass vacuously.
+    replan pass; a snapshot without it passes vacuously.
     """
     speedup = current.get("derived", {}).get("fig_replan_speedup")
     if speedup is None or min_speedup <= 0:

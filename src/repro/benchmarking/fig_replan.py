@@ -48,14 +48,13 @@ def _hetero_pair() -> HeterogeneousCluster:
     })
 
 
-def replan_scenarios(scale_name: str) -> list[dict]:
+def replan_scenarios() -> list[dict]:
     """The cluster-change suite: grow, shrink, degrade, hetero-resize.
 
     The same events run at every scale — the scale preset coarsens the
     search space, not the fleet. Each scenario dict carries the model
     name, the pre-delta cluster, the delta, and the global batch.
     """
-    del scale_name  # one suite; the TuningScale does the coarsening
     return [
         {"name": "degrade_link", "model": "gpt3-1.3b",
          "cluster": make_cluster("L4", 1, 8),
@@ -98,7 +97,7 @@ def measure_replan(scale: TuningScale) -> dict:
     speedups: list[float] = []
     all_match = True
     memo_hits = 0
-    for scenario in replan_scenarios(scale.name):
+    for scenario in replan_scenarios():
         old_cluster = scenario["cluster"]
         delta: ClusterDelta = scenario["delta"]
         new_cluster = delta.apply(old_cluster)

@@ -501,25 +501,16 @@ def _cmd_bench(args) -> int:
     from repro.benchmarking.bench import BASELINE, main_check
 
     baseline = _read_baseline(args.baseline, BASELINE)
-    print(f"running bench suite at scale {args.scale!r} "
-          f"(exhaustive reference: "
-          f"{'off' if args.no_exhaustive else 'on'}, "
-          f"replan suite: "
-          f"{'off' if args.no_replan else 'on'}) ...")
-    result = run_bench(args.scale,
-                       include_exhaustive=not args.no_exhaustive,
-                       include_replan=not args.no_replan)
+    print(f"running bench suite at scale {args.scale!r} ...")
+    result = run_bench(args.scale)
     print(format_bench(result))
     with open(args.out, "w") as fh:
         json.dump(result, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"wrote {args.out}")
-    if args.no_exhaustive and args.no_replan and baseline is None:
-        return 0  # timing-only run: no gates to apply
     return main_check(result, baseline,
                       max_regression=args.max_regression,
-                      min_warm_speedup=(0.0 if args.no_replan
-                                        else args.min_warm_speedup))
+                      min_warm_speedup=args.min_warm_speedup)
 
 
 def _cmd_serve(args) -> int:
@@ -802,13 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-regression", type=float, default=0.25,
                          help="tolerated fractional wall-time regression "
                               "vs the baseline (default: 0.25)")
-    p_bench.add_argument("--no-exhaustive", action="store_true",
-                         help="skip the exhaustive reference pass "
-                              "(timing-only; disables the plan-hash gate)")
-    p_bench.add_argument("--no-replan", action="store_true",
-                         help="skip the warm-vs-cold replan suite "
-                              "(disables its bit-identity and speedup "
-                              "gates)")
     p_bench.add_argument("--min-warm-speedup", type=float, default=2.0,
                          metavar="FACTOR",
                          help="fail unless warm replans beat cold "

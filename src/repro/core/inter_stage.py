@@ -295,7 +295,10 @@ def solve_milp(menus: Menus, total_layers: int, gacc: int,
         constraints=constraints,
         integrality=integrality,
         bounds=bounds,
-        options={"time_limit": time_limit, "presolve": True},
+        # HiGHS stops within 0.01% of the optimum by default; an oracle
+        # must not
+        options={"time_limit": time_limit, "presolve": True,
+                 "mip_rel_gap": 0.0},
     )
     if not result.success or result.x is None:
         return None

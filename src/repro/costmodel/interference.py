@@ -124,7 +124,10 @@ class InterferenceModel:
     ``factors[combo][channel]`` is the slowdown of ``channel`` while all
     channels in ``combo`` (a frozenset of channel names) are active.
     Higher-order combinations default to capped products of the pairwise
-    factors; calibration may overwrite any entry.
+    factors; calibration may overwrite any entry. The execution engine's
+    contention ground truth is one too
+    (:func:`repro.execution.events.contention_model`), applied by
+    piecewise integration instead of Algorithm 1.
     """
 
     factors: dict[frozenset[str], dict[str, float]] = field(default_factory=dict)
@@ -157,6 +160,8 @@ class InterferenceModel:
         return cls.from_pairs(_default_pairs(pcie_only))
 
     def factor(self, combo: frozenset[str], channel: str) -> float:
+        """Slowdown of ``channel`` while the channels in ``combo`` run;
+        1.0 for a combo the model has no entry for (one channel alone)."""
         entry = self.factors.get(combo)
         if entry is None:
             return 1.0
@@ -220,10 +225,6 @@ class InterferenceModel:
             x[k] = a
         total = self.sweep(x.reshape(4, -1))
         return total.reshape(shape) if shape else total[0]
-
-    def predict_scalar(self, comp: float = 0.0, g2g: float = 0.0,
-                       c2g: float = 0.0, g2c: float = 0.0) -> float:
-        return float(self.predict(comp, g2g, c2g, g2c))
 
     def min_factor(self) -> float:
         """Smallest slowdown factor across all combinations.

@@ -22,12 +22,13 @@ needs scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from repro.costmodel import InterferenceModel
-from repro.execution import ContentionSpec, make_oracle
+from repro.execution import contention_model, corun_total_time
 
 __all__ = ["CalibrationResult", "fit_interference_model",
            "refit_interference", "sample_corun_workloads"]
@@ -105,8 +106,9 @@ def refit_interference(pcie_only: bool) -> InterferenceModel:
 
     The fit behind the checked-in table (needs scipy).
     """
-    spec = ContentionSpec.default(pcie_only=pcie_only)
+    oracle = partial(corun_total_time,
+                     model=contention_model(pcie_only=pcie_only))
     # through the module global, which the benchmark's span wraps
-    result = fit_interference_model(make_oracle(spec), pcie_only=pcie_only,
+    result = fit_interference_model(oracle, pcie_only=pcie_only,
                                     n_samples=192)
     return result.model

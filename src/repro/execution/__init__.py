@@ -8,7 +8,7 @@ order, and :func:`fastest` keeps the first best measured one.
 """
 
 from .engine import ExecutionEngine, Fastest, IterationResult, fastest
-from .events import ContentionSpec, corun_total_time, make_oracle
+from .events import contention_model, corun_total_time
 from .memory_tracker import (
     ALLOCATOR_SLACK,
     OOMError,
@@ -25,30 +25,25 @@ from .schedule import (
     MIST_IMPL_OVERHEAD,
     SCHEDULES,
     OverlapCapability,
-    PhaseComponents,
-    phase_wall_time,
 )
 from .timeline import render_timeline, timeline_summary
 
 __all__ = [
     "ALLOCATOR_SLACK",
-    "ContentionSpec",
     "ExecutionEngine",
     "Fastest",
     "IterationResult",
     "MIST_IMPL_OVERHEAD",
     "OOMError",
     "OverlapCapability",
-    "PhaseComponents",
     "PhaseRecord",
     "PipelineResult",
     "SCHEDULES",
     "StageMemoryReport",
+    "contention_model",
     "corun_total_time",
     "fastest",
-    "make_oracle",
     "one_f_one_b_order",
-    "phase_wall_time",
     "render_timeline",
     "simulate_pipeline",
     "timeline_summary",

@@ -40,7 +40,7 @@ from repro.symbolic import compile_expr
 from repro.tracing import ALL_SYMBOLS, TracedModel
 from repro.tracing.symbols import symbol_env
 
-from .events import ContentionSpec
+from .events import contention_model
 from .memory_tracker import (
     OOMError,
     StageMemoryReport,
@@ -133,7 +133,7 @@ class ExecutionEngine:
         # conservative: contention factors of the weakest fabric
         pcie_only = any(not sub.gpu.has_nvlink
                         for _, sub in self.cluster.sub_clusters)
-        self.contention = ContentionSpec.default(pcie_only=pcie_only)
+        self.contention = contention_model(pcie_only=pcie_only)
 
     # -- traces and kernels -------------------------------------------------
 

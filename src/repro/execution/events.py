@@ -4,12 +4,14 @@ The engine models each GPU as four concurrent hardware channels —
 compute, NCCL, H2D, D2H. When several channels are busy at once they
 slow each other down. The engine resolves this with *piecewise
 integration*: at every instant, each active channel progresses at
-``1 / slowdown(channel, active_set)``, where the slowdown is the
-product of pairwise contention coefficients; the integrator advances to
-the next channel-completion boundary and repeats.
+``1 / slowdown(channel, active_set)``; the integrator advances to the
+next channel-completion boundary and repeats.
 
-This plays the role the real hardware plays in the paper: the
-analyzer's Algorithm-1 interference model (a different, cheaper
+The slowdowns are an :class:`~repro.costmodel.InterferenceModel` built
+from pairwise contention coefficients (:func:`contention_model`), the
+same capped-product composition Algorithm 1's factors start from; only
+the coefficients and the way they are applied differ. This plays the
+role the real hardware plays in the paper: Algorithm 1 (a cheaper
 computation with per-combination fitted factors) is *calibrated
 against* this integrator offline (``scripts/refresh_calibration.py``),
 just as the paper fits its factors to benchmarked co-runs.
@@ -17,13 +19,11 @@ just as the paper fits its factors to benchmarked co-runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.costmodel.interference import CHANNELS
+from repro.costmodel.interference import CHANNELS, InterferenceModel
 
-__all__ = ["ContentionSpec", "corun_total_time", "make_oracle"]
+__all__ = ["contention_model", "corun_total_time"]
 
 
 def _default_pairs(pcie_only: bool) -> dict[frozenset[str], dict[str, float]]:
@@ -49,56 +49,32 @@ def _default_pairs(pcie_only: bool) -> dict[frozenset[str], dict[str, float]]:
     }
 
 
-@dataclass(frozen=True)
-class ContentionSpec:
-    """Pairwise contention coefficients with product composition."""
-
-    pair_factors: dict[frozenset[str], dict[str, float]] = field(
-        default_factory=dict
-    )
-    max_factor: float = 3.0
-    #: ``table[mask, ch]`` = slowdown of channel ``ch`` while the
-    #: channels in bitmask ``mask`` are active; built once per spec
-    table: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        table = np.ones((16, 4))
-        for mask in range(16):
-            active = frozenset(CHANNELS[i] for i in range(4) if mask >> i & 1)
-            for i in range(4):
-                if mask >> i & 1:
-                    table[mask, i] = self.slowdown(CHANNELS[i], active)
-        object.__setattr__(self, "table", table)
-
-    @classmethod
-    def default(cls, *, pcie_only: bool) -> "ContentionSpec":
-        return cls(pair_factors=_default_pairs(pcie_only))
-
-    def slowdown(self, channel: str, active: frozenset[str]) -> float:
-        """Slowdown of ``channel`` given the set of active channels."""
-        factor = 1.0
-        # CHANNELS order, not set order: the product must not depend on
-        # the string hash seed
-        for other in CHANNELS:
-            if other == channel or other not in active:
-                continue
-            pair = self.pair_factors.get(frozenset((channel, other)), {})
-            factor *= pair.get(channel, 1.0)
-        return min(factor, self.max_factor)
+def contention_model(*, pcie_only: bool) -> InterferenceModel:
+    """The engine's ground-truth contention for one fabric."""
+    return InterferenceModel.from_pairs(_default_pairs(pcie_only),
+                                        max_factor=3.0)
 
 
-def corun_total_time(times, spec: ContentionSpec) -> np.ndarray:
+def corun_total_time(times, model: InterferenceModel) -> np.ndarray:
     """Completion time of co-running channels, integrated piece by piece.
 
     ``times`` is ``(..., 4)`` of busy seconds per channel, in the order
-    of :data:`repro.costmodel.interference.CHANNELS`. Returns the total
-    wall time for each row.
+    of :data:`repro.costmodel.interference.CHANNELS`; ``model`` gives
+    each channel's slowdown under each set of active channels. Returns
+    the total wall time for each row.
     """
     arr = np.asarray(times, dtype=float)
     squeeze = arr.ndim == 1
     work = arr.reshape(-1, 4).copy()
     total = np.zeros(work.shape[0])
-    table = spec.table
+    # table[mask, i]: slowdown of CHANNELS[i] while the channels in
+    # bitmask ``mask`` are active
+    table = np.ones((16, 4))
+    for mask in range(16):
+        active = frozenset(CHANNELS[i] for i in range(4) if mask >> i & 1)
+        for i in range(4):
+            if mask >> i & 1:
+                table[mask, i] = model.factor(active, CHANNELS[i])
 
     # At most 4 channels finish, so at most 4 integration segments.
     for _ in range(4):
@@ -116,12 +92,3 @@ def corun_total_time(times, spec: ContentionSpec) -> np.ndarray:
         total += dt
 
     return total[0] if squeeze else total.reshape(arr.shape[:-1])
-
-
-def make_oracle(spec: ContentionSpec):
-    """Adapt the integrator to the calibration oracle signature."""
-
-    def oracle(workloads: np.ndarray) -> np.ndarray:
-        return corun_total_time(workloads, spec)
-
-    return oracle

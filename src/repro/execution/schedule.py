@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import ContentionSpec, corun_total_time
+from repro.costmodel.interference import InterferenceModel
 
-__all__ = ["PhaseComponents", "OverlapCapability", "SCHEDULES",
-           "PHASE_RESOURCES", "phase_wall_time", "phase_wall_times",
-           "MIST_IMPL_OVERHEAD"]
+from .events import corun_total_time
+
+__all__ = ["OverlapCapability", "SCHEDULES", "PHASE_RESOURCES",
+           "phase_wall_times", "MIST_IMPL_OVERHEAD"]
 
 #: relative compute overhead of Mist's orchestrated execution engine
 MIST_IMPL_OVERHEAD = 0.015
@@ -36,29 +37,6 @@ MIST_IMPL_OVERHEAD = 0.015
 
 #: resource order of a phase row (:func:`phase_wall_times` columns)
 PHASE_RESOURCES = ("comp", "tp", "dp", "p2p", "d2h", "h2d")
-
-
-@dataclass(frozen=True)
-class PhaseComponents:
-    """Busy seconds of one (stage, phase) pair, by resource."""
-
-    comp: float = 0.0
-    tp: float = 0.0
-    dp: float = 0.0
-    p2p: float = 0.0
-    d2h: float = 0.0
-    h2d: float = 0.0
-
-    def row(self) -> tuple[float, ...]:
-        """The components in :data:`PHASE_RESOURCES` order."""
-        return tuple(getattr(self, f) for f in PHASE_RESOURCES)
-
-    def scaled(self, factor: float) -> "PhaseComponents":
-        return PhaseComponents(*(value * factor for value in self.row()))
-
-    def __add__(self, other: "PhaseComponents") -> "PhaseComponents":
-        return PhaseComponents(*(a + b for a, b in
-                                 zip(self.row(), other.row())))
 
 
 @dataclass(frozen=True)
@@ -102,7 +80,7 @@ SCHEDULES: dict[str, OverlapCapability] = {
 
 
 def phase_wall_times(rows, capability: OverlapCapability,
-                     contention: ContentionSpec) -> np.ndarray:
+                     contention: InterferenceModel) -> np.ndarray:
     """Wall-clock durations of phases under ``capability``.
 
     ``rows`` is ``(n, 6)`` of busy seconds per resource, columns in
@@ -132,11 +110,3 @@ def phase_wall_times(rows, capability: OverlapCapability,
     overlapped = corun_total_time(np.stack([compute, g2g, c2g, g2c], axis=-1),
                                   contention)
     return overlapped + serial
-
-
-def phase_wall_time(components: PhaseComponents, capability: OverlapCapability,
-                    contention: ContentionSpec) -> float:
-    """Wall-clock duration of one phase: a one-row
-    :func:`phase_wall_times`."""
-    return float(phase_wall_times([components.row()], capability,
-                                  contention)[0])

@@ -1,6 +1,7 @@
 """Solves do not depend on the string hash seed.
 
-Interference and contention factors are products over channel names;
+Algorithm 1's factors and the engine's contention ground truth are both
+:class:`~repro.costmodel.InterferenceModel` products over channel names;
 multiplying them in ``frozenset`` iteration order let ``PYTHONHASHSEED``
 move the last bit of predicted and measured times between processes.
 """

@@ -1,10 +1,14 @@
 """Tests for interference-model calibration against the engine oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.evaluation.runner import fit_interference_model, sample_corun_workloads
-from repro.execution import ContentionSpec, make_oracle
+from repro.execution import contention_model, corun_total_time
+
+ORACLE = partial(corun_total_time, model=contention_model(pcie_only=True))
 
 
 class TestWorkloadSampling:
@@ -27,8 +31,7 @@ class TestWorkloadSampling:
 class TestFitting:
     @pytest.fixture(scope="class")
     def result(self):
-        spec = ContentionSpec.default(pcie_only=True)
-        return fit_interference_model(make_oracle(spec), pcie_only=True,
+        return fit_interference_model(ORACLE, pcie_only=True,
                                       n_samples=128, seed=3)
 
     def test_fit_converges(self, result):
@@ -36,10 +39,8 @@ class TestFitting:
         assert result.n_samples == 128
 
     def test_fitted_model_predicts_oracle(self, result):
-        spec = ContentionSpec.default(pcie_only=True)
-        oracle = make_oracle(spec)
         fresh = sample_corun_workloads(64, seed=99)
-        measured = oracle(fresh)
+        measured = ORACLE(fresh)
         predicted = result.model.predict(fresh[:, 0], fresh[:, 1],
                                          fresh[:, 2], fresh[:, 3])
         rel = np.abs(predicted - measured) / np.maximum(measured, 1e-9)

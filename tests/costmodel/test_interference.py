@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel import (
+    CHANNELS,
     InterferenceModel,
     all_gather_time,
     all_reduce_time,
@@ -13,6 +14,7 @@ from repro.costmodel import (
     p2p_time,
     reduce_scatter_time,
 )
+from repro.execution import corun_total_time
 from repro.symbolic import evaluate
 
 
@@ -58,24 +60,24 @@ class TestInterferenceModel:
         return InterferenceModel.default(pcie_only=True)
 
     def test_single_channel_unaffected(self, model):
-        assert model.predict_scalar(comp=5e-3) == pytest.approx(5e-3)
-        assert model.predict_scalar(g2g=2e-3) == pytest.approx(2e-3)
+        assert model.predict(5e-3, 0.0, 0.0, 0.0) == pytest.approx(5e-3)
+        assert model.predict(0.0, 2e-3, 0.0, 0.0) == pytest.approx(2e-3)
 
     def test_two_channels_between_max_and_sum(self, model):
         comp, g2g = 5e-3, 3e-3
-        total = model.predict_scalar(comp=comp, g2g=g2g)
+        total = model.predict(comp, g2g, 0.0, 0.0)
         assert max(comp, g2g) < total < comp + g2g
 
     def test_perfect_overlap_when_factors_one(self):
         model = InterferenceModel.from_pairs({})
-        total = model.predict_scalar(comp=5e-3, g2g=3e-3, c2g=1e-3)
+        total = model.predict(5e-3, 3e-3, 1e-3, 0.0)
         assert total == pytest.approx(5e-3)
 
     def test_pcie_contention_worse_than_nvlink(self):
         pcie = InterferenceModel.default(pcie_only=True)
         nvlink = InterferenceModel.default(pcie_only=False)
-        kwargs = dict(g2g=4e-3, c2g=4e-3)
-        assert pcie.predict_scalar(**kwargs) > nvlink.predict_scalar(**kwargs)
+        times = (0.0, 4e-3, 4e-3, 0.0)
+        assert pcie.predict(*times) > nvlink.predict(*times)
 
     def test_batched_matches_scalar(self, model):
         rng = np.random.default_rng(7)
@@ -83,7 +85,7 @@ class TestInterferenceModel:
         batched = model.predict(times[:, 0], times[:, 1], times[:, 2],
                                 times[:, 3])
         for i in range(64):
-            scalar = model.predict_scalar(*times[i])
+            scalar = model.predict(*times[i])
             assert batched[i] == pytest.approx(scalar)
 
     def test_broadcasting(self, model):
@@ -93,15 +95,15 @@ class TestInterferenceModel:
         assert np.all(np.diff(out) > 0)
 
     def test_four_way_concurrency(self, model):
-        total = model.predict_scalar(comp=4e-3, g2g=3e-3, c2g=2e-3, g2c=1e-3)
+        total = model.predict(4e-3, 3e-3, 2e-3, 1e-3)
         assert 4e-3 < total < 10e-3
 
     def test_pair_vector_roundtrip(self, model):
         keys, values = model.pair_vector()
         rebuilt = InterferenceModel.from_pair_vector(keys, values)
-        sample = dict(comp=3e-3, g2g=2e-3, c2g=1e-3, g2c=0.5e-3)
-        assert rebuilt.predict_scalar(**sample) == pytest.approx(
-            model.predict_scalar(**sample)
+        sample = (3e-3, 2e-3, 1e-3, 0.5e-3)
+        assert rebuilt.predict(*sample) == pytest.approx(
+            model.predict(*sample)
         )
 
     @settings(max_examples=100, deadline=None)
@@ -114,7 +116,7 @@ class TestInterferenceModel:
     def test_monotone_bounds_property(self, times):
         """Prediction is always within [max(times), factor_cap * sum]."""
         model = InterferenceModel.default(pcie_only=True)
-        total = model.predict_scalar(*times)
+        total = model.predict(*times)
         assert total >= max(times) - 1e-12
         assert total <= model.max_factor * sum(times) + 1e-12
 
@@ -125,6 +127,21 @@ class TestInterferenceModel:
     )
     def test_adding_work_never_reduces_total(self, base, extra):
         model = InterferenceModel.default(pcie_only=False)
-        t0 = model.predict_scalar(comp=base, g2g=base / 2)
-        t1 = model.predict_scalar(comp=base + extra, g2g=base / 2)
+        t0 = model.predict(base, base / 2, 0.0, 0.0)
+        t1 = model.predict(base + extra, base / 2, 0.0, 0.0)
         assert t1 >= t0 - 1e-12
+
+    def test_factor_reads_one_without_an_entry(self):
+        comp, g2g, h2d, d2h = CHANNELS
+        model = InterferenceModel(factors={
+            frozenset((comp, g2g)): {comp: 1.2, g2g: 1.3}})
+        assert model.factor(frozenset((comp, g2g)), g2g) == 1.3
+        assert model.factor(frozenset((comp,)), comp) == 1.0
+        assert model.factor(frozenset((h2d, d2h)), h2d) == 1.0
+        # an empty model integrates co-runs as fully overlapped
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0.0, 3.0, size=(64, 4))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        np.testing.assert_allclose(
+            corun_total_time(rows, InterferenceModel()), rows.max(axis=1),
+            rtol=1e-12)

@@ -27,7 +27,7 @@ import repro.execution.pipeline as pipeline_mod
 from repro.core.plan import StageConfig, TrainingPlan, uniform_plan
 from repro.execution import ExecutionEngine, timeline_summary
 from repro.execution.engine import _COMPONENT_FIELDS
-from repro.execution.events import ContentionSpec, corun_total_time
+from repro.execution.events import contention_model, corun_total_time
 from repro.execution.memory_tracker import (ALLOCATOR_SLACK, FP16_BYTES,
                                             GRAD_BYTES, OPT_BYTES,
                                             StageMemoryReport,
@@ -35,8 +35,7 @@ from repro.execution.memory_tracker import (ALLOCATOR_SLACK, FP16_BYTES,
                                             track_stage_memory)
 from repro.execution.pipeline import PhaseRecord, one_f_one_b_order, \
     simulate_pipeline
-from repro.execution.schedule import SCHEDULES, PhaseComponents, \
-    phase_wall_time, phase_wall_times
+from repro.execution.schedule import SCHEDULES, phase_wall_times
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model, list_models
 from repro.models.graph import trace_model
@@ -169,26 +168,44 @@ def reference_track_stage_memory(graph, gpu, stage, *, stage_idx,
     )
 
 
-def reference_phase_wall_time(components, capability, contention):
-    """The scalar pricing: one ``corun_total_time`` call per phase."""
-    comp = components.comp * (1.0 + capability.impl_overhead) + components.tp
+def reference_phase_wall_time(row, capability, contention):
+    """The scalar pricing: one ``corun_total_time`` call per phase, whose
+    ``row`` holds its busy seconds in ``PHASE_RESOURCES`` order."""
+    comp, tp, dp, p2p, d2h, h2d = row
+    comp = comp * (1.0 + capability.impl_overhead) + tp
     g2g = 0.0
     serial = 0.0
     if capability.overlap_dp:
-        g2g += components.dp
+        g2g += dp
     else:
-        serial += components.dp
+        serial += dp
     if capability.overlap_p2p:
-        g2g += components.p2p
+        g2g += p2p
     else:
-        serial += components.p2p
+        serial += p2p
     if capability.overlap_offload:
-        c2g, g2c = components.h2d, components.d2h
+        c2g, g2c = h2d, d2h
     else:
-        serial += components.h2d + components.d2h
+        serial += h2d + d2h
         c2g = g2c = 0.0
     overlapped = corun_total_time(np.array([comp, g2g, c2g, g2c]), contention)
     return float(overlapped) + serial
+
+
+def phase_rows(comp):
+    """A stage's four distinct phases as ``PHASE_RESOURCES`` rows: the
+    stable forward and backward, then microbatch 0's forward with its
+    extras and microbatch gacc-1's backward with its extra."""
+    fwd = (comp["comp_fwd"], comp["tp_fwd"], comp["dp_fwd"],
+           comp["p2p_fwd"], comp["d2h_fwd"], comp["h2d_fwd"])
+    bwd = (comp["comp_bwd"], comp["tp_bwd"], comp["dp_bwd"],
+           comp["p2p_bwd"], comp["d2h_bwd"], comp["h2d_bwd"])
+    first_extra = (comp["comp_first"], 0.0, comp["dp_first"], 0.0,
+                   comp["d2h_first"], comp["h2d_first"])
+    last_extra = (0.0, 0.0, comp["dp_last"], 0.0, 0.0, 0.0)
+    first = tuple(a + b for a, b in zip(fwd, first_extra))
+    last = tuple(a + b for a, b in zip(bwd, last_extra))
+    return fwd, bwd, first, last
 
 
 def reference_run(engine, plan, model, *, seq_len, flash=True):
@@ -215,21 +232,9 @@ def reference_run(engine, plan, model, *, seq_len, flash=True):
         env = engine._stage_env(plan, idx, seq_len, gcluster, links[idx])
         comp = dict(zip(_COMPONENT_FIELDS,
                         map(float, engine._components_fn(traced)(**env))))
-        fwd = PhaseComponents(
-            comp=comp["comp_fwd"], tp=comp["tp_fwd"], dp=comp["dp_fwd"],
-            p2p=comp["p2p_fwd"], d2h=comp["d2h_fwd"], h2d=comp["h2d_fwd"],
-        )
-        bwd = PhaseComponents(
-            comp=comp["comp_bwd"], tp=comp["tp_bwd"], dp=comp["dp_bwd"],
-            p2p=comp["p2p_bwd"], d2h=comp["d2h_bwd"], h2d=comp["h2d_bwd"],
-        )
-        first_extra = PhaseComponents(
-            comp=comp["comp_first"], dp=comp["dp_first"],
-            d2h=comp["d2h_first"], h2d=comp["h2d_first"],
-        )
-        last_extra = PhaseComponents(dp=comp["dp_last"])
-        fwd_row = [wall(fwd + first_extra)]
-        bwd_row = [wall(bwd + last_extra)]
+        fwd, bwd, first, last = phase_rows(comp)
+        fwd_row = [wall(first)]
+        bwd_row = [wall(last)]
         if plan.gacc > 1:
             fwd_row += [wall(fwd)] * (plan.gacc - 1)
             bwd_row = [wall(bwd)] * (plan.gacc - 1) + bwd_row
@@ -376,7 +381,7 @@ def test_memory_tracker_matches_evaluate_walk(name, flash):
 @pytest.mark.parametrize("system", sorted(SCHEDULES))
 def test_row_pricing_matches_scalar_calls(system, pcie_only):
     capability = SCHEDULES[system]
-    contention = ContentionSpec.default(pcie_only=pcie_only)
+    contention = contention_model(pcie_only=pcie_only)
     rng = np.random.default_rng(11)
     rows = rng.uniform(0.0, 3.0, size=(64, 6))
     rows[rng.random(rows.shape) < 0.3] = 0.0
@@ -384,11 +389,10 @@ def test_row_pricing_matches_scalar_calls(system, pcie_only):
     walls = phase_wall_times(rows, capability, contention)
     assert walls.shape == (64,)
     for row, got in zip(rows.tolist(), walls.tolist()):
-        want = reference_phase_wall_time(PhaseComponents(*row), capability,
-                                         contention)
+        want = reference_phase_wall_time(row, capability, contention)
         assert _hex(got) == _hex(want)
-        assert _hex(phase_wall_time(PhaseComponents(*row), capability,
-                                    contention)) == _hex(want)
+        assert _hex(phase_wall_times([row], capability,
+                                     contention)[0]) == _hex(want)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from repro.core.plan import StageConfig, TrainingPlan
 from repro.execution import ExecutionEngine
 from repro.execution.engine import _COMPONENT_FIELDS
 from repro.execution.pipeline import simulate_pipeline
-from repro.execution.schedule import SCHEDULES, PhaseComponents, \
-    phase_wall_time
+from repro.execution.schedule import SCHEDULES, phase_wall_times
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model
 
@@ -40,27 +39,22 @@ def per_microbatch_oracle(engine: ExecutionEngine, plan: TrainingPlan, *,
         comp = dict(zip(_COMPONENT_FIELDS,
                         (float(np.asarray(v).reshape(-1)[0])
                          for v in fn(**env))))
-        fwd = PhaseComponents(
-            comp=comp["comp_fwd"], tp=comp["tp_fwd"], dp=comp["dp_fwd"],
-            p2p=comp["p2p_fwd"], d2h=comp["d2h_fwd"], h2d=comp["h2d_fwd"],
-        )
-        bwd = PhaseComponents(
-            comp=comp["comp_bwd"], tp=comp["tp_bwd"], dp=comp["dp_bwd"],
-            p2p=comp["p2p_bwd"], d2h=comp["d2h_bwd"], h2d=comp["h2d_bwd"],
-        )
-        first_extra = PhaseComponents(
-            comp=comp["comp_first"], dp=comp["dp_first"],
-            d2h=comp["d2h_first"], h2d=comp["h2d_first"],
-        )
-        last_extra = PhaseComponents(dp=comp["dp_last"])
+        # rows in PHASE_RESOURCES order: comp, tp, dp, p2p, d2h, h2d
+        fwd = np.array([comp["comp_fwd"], comp["tp_fwd"], comp["dp_fwd"],
+                        comp["p2p_fwd"], comp["d2h_fwd"], comp["h2d_fwd"]])
+        bwd = np.array([comp["comp_bwd"], comp["tp_bwd"], comp["dp_bwd"],
+                        comp["p2p_bwd"], comp["d2h_bwd"], comp["h2d_bwd"]])
+        first_extra = np.array([comp["comp_first"], 0.0, comp["dp_first"],
+                                0.0, comp["d2h_first"], comp["h2d_first"]])
+        last_extra = np.array([0.0, 0.0, comp["dp_last"], 0.0, 0.0, 0.0])
         stage_fwd, stage_bwd = [], []
         for k in range(plan.gacc):
             fwd_k = fwd + first_extra if k == 0 else fwd
             bwd_k = bwd + last_extra if k == plan.gacc - 1 else bwd
-            stage_fwd.append(phase_wall_time(fwd_k, engine.capability,
-                                             engine.contention))
-            stage_bwd.append(phase_wall_time(bwd_k, engine.capability,
-                                             engine.contention))
+            stage_fwd.append(float(phase_wall_times(
+                [fwd_k], engine.capability, engine.contention)[0]))
+            stage_bwd.append(float(phase_wall_times(
+                [bwd_k], engine.capability, engine.contention)[0]))
         fwd_times.append(stage_fwd)
         bwd_times.append(stage_bwd)
         max_p2p_lat = max(max_p2p_lat, env["p2p_lat"])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.costmodel import InterferenceModel
 from repro.execution import (
-    ContentionSpec,
+    contention_model,
     corun_total_time,
     one_f_one_b_order,
     simulate_pipeline,
@@ -137,33 +138,34 @@ class TestSimulatePipeline:
 
 class TestContentionIntegrator:
     def test_single_channel_exact(self):
-        spec = ContentionSpec.default(pcie_only=True)
-        assert corun_total_time([5.0, 0, 0, 0], spec) == pytest.approx(5.0)
+        model = contention_model(pcie_only=True)
+        assert corun_total_time([5.0, 0, 0, 0], model) == pytest.approx(5.0)
 
     def test_no_contention_equals_max(self):
-        spec = ContentionSpec(pair_factors={})
-        assert corun_total_time([3.0, 2.0, 1.0, 0.5], spec) == pytest.approx(3.0)
+        model = InterferenceModel()
+        assert corun_total_time([3.0, 2.0, 1.0, 0.5], model) == \
+            pytest.approx(3.0)
 
     def test_contention_slows_down(self):
-        spec = ContentionSpec.default(pcie_only=True)
-        total = corun_total_time([3.0, 2.0, 0, 0], spec)
+        model = contention_model(pcie_only=True)
+        total = corun_total_time([3.0, 2.0, 0, 0], model)
         assert 3.0 < total < 5.0
 
     def test_batched_matches_scalar(self):
-        spec = ContentionSpec.default(pcie_only=False)
+        model = contention_model(pcie_only=False)
         rng = np.random.default_rng(3)
         batch = rng.uniform(0, 4.0, size=(32, 4))
-        totals = corun_total_time(batch, spec)
+        totals = corun_total_time(batch, model)
         for i in range(32):
             assert totals[i] == pytest.approx(
-                float(corun_total_time(batch[i], spec))
+                float(corun_total_time(batch[i], model))
             )
 
     @settings(max_examples=60, deadline=None)
     @given(times=st.lists(st.floats(min_value=0, max_value=10),
                           min_size=4, max_size=4))
     def test_bounds_property(self, times):
-        spec = ContentionSpec.default(pcie_only=True)
-        total = float(corun_total_time(times, spec))
+        model = contention_model(pcie_only=True)
+        total = float(corun_total_time(times, model))
         assert total >= max(times) - 1e-9
-        assert total <= spec.max_factor * sum(times) + 1e-9
+        assert total <= model.max_factor * sum(times) + 1e-9

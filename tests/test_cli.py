@@ -736,15 +736,15 @@ def _bench_baseline_no_benchmarks(tmp_path, monkeypatch):
     import repro.benchmarking
 
     monkeypatch.setattr(repro.benchmarking, "run_bench",
-                        lambda scale, **_: {"schema": "repro-bench/1",
+                        lambda scale: {"schema": "repro-bench/1",
                                             "scale": scale,
                                             "benchmarks": {}})
     monkeypatch.setattr(repro.benchmarking, "format_bench", lambda _: "")
     baseline = tmp_path / "base.json"
     baseline.write_text(json.dumps({"schema": "repro-bench/1",
                                     "scale": "smoke"}))
-    return (["bench", "--scale", "smoke", "--no-exhaustive", "--no-replan",
-             "--baseline", str(baseline), "--out", str(tmp_path / "b.json")],
+    return (["bench", "--scale", "smoke", "--baseline", str(baseline),
+             "--out", str(tmp_path / "b.json")],
             [str(baseline), "required field 'benchmarks' is missing"])
 
 
