@@ -514,7 +514,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    # imported here: the service pulls in asyncio plumbing no other
+    # imported here: the service pulls in HTTP-server plumbing no other
     # subcommand needs
     from repro.service import TuningService
 

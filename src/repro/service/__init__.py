@@ -1,9 +1,9 @@
 """Tuning-as-a-service: a long-running daemon over the solver registry.
 
 Every caller of :func:`repro.api.solve` pays a cold search; the service
-amortizes it. ``repro serve`` starts an asyncio HTTP daemon whose
-bounded worker pool runs solver-registry jobs off the event loop, with
-two layers of reuse:
+amortizes it. ``repro serve`` starts a threaded HTTP daemon (a thread
+per connection) whose bounded worker pool runs solver-registry jobs,
+with two layers of reuse:
 
 * **coalescing** — concurrent submissions of the same
   ``(solver, TuningJob.fingerprint())`` share one in-flight search;

@@ -1,11 +1,12 @@
-"""The ``repro serve`` daemon: asyncio HTTP front, tiered solver workers.
+"""The ``repro serve`` daemon: threaded HTTP front, tiered solver workers.
 
-Architecture — one event loop, one bounded
-:class:`~concurrent.futures.ThreadPoolExecutor` of *flight
+Architecture — one :class:`http.server.ThreadingHTTPServer`, one
+bounded :class:`~concurrent.futures.ThreadPoolExecutor` of *flight
 supervisors*, and a pluggable worker tier (``repro.service.workers``):
 
-* the loop accepts connections and parses/serializes JSON; nothing on
-  it ever runs a solver;
+* each connection gets its own thread, which parses the request, runs
+  its route (cache reads and admission included) and writes the JSON
+  reply; no connection thread ever runs a solver;
 * submissions — ``POST /jobs``, ``/replan`` and every ``/campaigns``
   cell — pass through one locked step keyed by
   ``(solver, TuningJob.fingerprint())``: a cache hit completes
@@ -20,14 +21,12 @@ supervisors*, and a pluggable worker tier (``repro.service.workers``):
   to whichever worker *process* is idle so searches use real cores —
   both share the same on-disk :class:`~repro.api.cache.PlanCache`.
 
-Only the stdlib is used: the HTTP layer is a minimal HTTP/1.1
-request/response exchange over :func:`asyncio.start_server`
-(``Connection: close``, JSON bodies both ways).
+Only the stdlib is used: one HTTP/1.1 exchange per connection
+(``Connection: close``, JSON both ways, http.server's own errors too).
 """
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import json
 import math
@@ -40,6 +39,10 @@ import traceback
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from email.message import Message
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from socketserver import TCPServer
 from typing import Any, Literal
 from urllib.parse import parse_qs, urlsplit
 
@@ -100,11 +103,8 @@ class UnknownCampaignError(KeyError):
 _MAX_BODY_BYTES = 8 * 2**20  # a TuningJob is KBs; reject absurd bodies
 #: what TuningJob.fingerprint() returns: 20 lowercase hex digits
 _FINGERPRINT = re.compile(r"[0-9a-f]{20}")
-
-_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
-            404: "Not Found", 405: "Method Not Allowed",
-            409: "Conflict", 413: "Payload Too Large",
-            429: "Too Many Requests", 500: "Internal Server Error"}
+#: how often the serving thread checks for :meth:`TuningService.stop`
+_STOP_POLL_S = 0.01
 
 
 class _HttpError(Exception):
@@ -217,8 +217,7 @@ class TuningService:
         supervisors = workers if worker_mode == "thread" else workers * 4
         self._pool = ThreadPoolExecutor(max_workers=supervisors,
                                         thread_name_prefix="repro-solve")
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
+        self._server: _Server | None = None
         self._shutting_down = False
 
     # -- job lifecycle (thread-safe, usable without HTTP) ------------------
@@ -513,17 +512,6 @@ class TuningService:
             worker_tier=self._tier.stats(),
             max_pending=self.max_pending, quota=self.quota)
 
-    def _jobs_body(self) -> dict[str, Any]:
-        with self._lock:
-            records = list(self._jobs.values())
-        return {"jobs": [r.to_dict(include_report=False) for r in records]}
-
-    def _campaigns_body(self) -> dict[str, Any]:
-        with self._lock:
-            campaigns = list(self._campaigns.values())
-        return {"campaigns": [c.to_dict(include_cells=False)
-                              for c in campaigns]}
-
     def _finish_flight(self, flight: InFlight) -> None:
         """Detach the flight so later submissions go to the cache.
 
@@ -538,77 +526,12 @@ class TuningService:
 
     # -- HTTP front --------------------------------------------------------
 
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        status = 500
-        payload: dict[str, Any] = {"error": "internal error"}
-        extra_headers: dict[str, str] = {}
-        try:
-            method, path, headers, body = await self._read_request(reader)
-            status, payload = await self._dispatch(method, path, headers,
-                                                   body)
-        except _HttpError as exc:
-            status = exc.status
-            payload = {"error": exc.message, **exc.extra}
-            extra_headers = exc.headers
-        except (asyncio.IncompleteReadError, ConnectionError):
-            writer.close()
-            return
-        except Exception:  # noqa: BLE001 — connection-scoped failure
-            # log server-side; never leak tracebacks to remote clients
-            print("repro serve: unhandled error\n"
-                  + traceback.format_exc(limit=5),
-                  file=sys.stderr, flush=True)
-            status, payload = 500, {"error": "internal server error"}
-        data = json.dumps(payload, sort_keys=True).encode()
-        extra = "".join(f"{name}: {value}\r\n"
-                        for name, value in extra_headers.items())
-        head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"{extra}"
-                f"Content-Length: {len(data)}\r\n"
-                f"Connection: close\r\n\r\n").encode()
-        try:
-            writer.write(head + data)
-            await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
-
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader,
-                            ) -> tuple[str, str, dict[str, str], bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise _HttpError(400, f"malformed request line {request_line!r}")
-        method, path, _version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            content_length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(400, "bad Content-Length") from None
-        if content_length < 0:
-            raise _HttpError(400, "bad Content-Length")
-        if content_length > _MAX_BODY_BYTES:
-            raise _HttpError(413, "request body too large")
-        body = (await reader.readexactly(content_length)
-                if content_length else b"")
-        return method, path, headers, body
-
-    async def _dispatch(self, method: str, path: str, headers: dict[str, str],
-                        body: bytes) -> tuple[int, dict[str, Any]]:
+    def _dispatch(self, method: str, path: str, headers: Message,
+                  body: bytes) -> tuple[int, dict[str, Any]]:
         """Route one request; the service's typed errors map to HTTP
         statuses here, once for every route."""
         try:
-            return await self._handle(method, path, headers, body)
+            return self._handle(method, path, headers, body)
         except (SolverNotFoundError, UnknownJobError,
                 UnknownCampaignError) as exc:
             raise _HttpError(404, exc.args[0]) from None
@@ -623,13 +546,12 @@ class TuningService:
             # fit the cluster (DeltaError)
             raise _HttpError(400, str(exc)) from None
 
-    async def _handle(self, method: str, path: str, headers: dict[str, str],
-                      body: bytes) -> tuple[int, dict[str, Any]]:
+    def _handle(self, method: str, path: str, headers: Message,
+                body: bytes) -> tuple[int, dict[str, Any]]:
         split = urlsplit(path)
         segments = [s for s in split.path.split("/") if s]
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
         client = headers.get("x-repro-client", "")
-        loop = asyncio.get_running_loop()
 
         if segments == ["healthz"] and method == "GET":
             return 200, {
@@ -643,66 +565,54 @@ class TuningService:
                 "cache_dir": str(self.cache.root),
             }
         if segments == ["metrics"] and method == "GET":
-            # self._lock may be held by a submission doing cache I/O, so
-            # even short lock acquisitions stay off the event loop
-            return 200, await loop.run_in_executor(None, self._metrics_body)
+            return 200, self._metrics_body()
         if segments == ["jobs"]:
             if method == "POST":
                 job, fields = _parse_job_body(self._parse_json(body))
-                # submit touches the cache (disk): keep it off the loop
-                record = await loop.run_in_executor(
-                    None, functools.partial(self.submit, job,
-                                            fields["solver"], client=client))
+                record = self.submit(job, fields["solver"], client=client)
                 return 202, record.to_dict()
             if method == "GET":
-                return 200, await loop.run_in_executor(
-                    None, self._jobs_body)
+                with self._lock:
+                    records = list(self._jobs.values())
+                return 200, {"jobs": [r.to_dict(include_report=False)
+                                      for r in records]}
             raise _HttpError(405, f"{method} not allowed on /jobs")
         if len(segments) == 2 and segments[0] == "jobs" and method == "GET":
-            record = await loop.run_in_executor(
-                None, self.get_job, segments[1])
-            return 200, record.to_dict()
+            return 200, self.get_job(segments[1]).to_dict()
         if (len(segments) == 3 and segments[0] == "jobs"
                 and segments[2] == "cancel" and method == "POST"):
-            record = await loop.run_in_executor(
-                None, self.cancel_job, segments[1])
-            return 200, record.to_dict()
+            return 200, self.cancel_job(segments[1]).to_dict()
         if segments == ["campaigns"]:
             if method == "POST":
                 fields = decode(CAMPAIGN_BODY, self._parse_json(body),
                                 "body")
-                campaign = await loop.run_in_executor(
-                    None, functools.partial(
-                        self.submit_campaign, fields["cells"],
-                        fields["name"], client=client))
+                campaign = self.submit_campaign(
+                    fields["cells"], fields["name"], client=client)
                 return 202, campaign.to_dict()
             if method == "GET":
-                return 200, await loop.run_in_executor(
-                    None, self._campaigns_body)
+                with self._lock:
+                    campaigns = list(self._campaigns.values())
+                return 200, {"campaigns": [c.to_dict(include_cells=False)
+                                           for c in campaigns]}
             raise _HttpError(405, f"{method} not allowed on /campaigns")
         if (len(segments) == 2 and segments[0] == "campaigns"
                 and method == "GET"):
-            campaign = await loop.run_in_executor(
-                None, self.get_campaign, segments[1])
-            return 200, campaign.to_dict()
+            return 200, self.get_campaign(segments[1]).to_dict()
         if segments == ["replan"] and method == "POST":
             job, fields = _parse_job_body(self._parse_json(body),
                                           REPLAN_BODY)
             delta = ClusterDelta.from_dict(fields["delta"])
-            # finite: json.loads takes NaN and Infinity, and a NaN budget
-            # would skip the wait, an infinite one hold an executor
-            # thread until the search ends
+            # finite: REPLAN_BODY refuses the NaN and Infinity that
+            # json.loads takes, so the wait below always ends
             budget = float(fields["budget_seconds"])
-            record, plan = await loop.run_in_executor(
-                None, functools.partial(self.submit_replan, job, delta,
-                                        fields["solver"], client=client))
-            # latency budget: wait on the loop (``record.finished`` is
-            # a lock-free read) until the search lands or the budget
-            # runs out, whichever comes first, so no executor thread
-            # that the state routes need is held for the budget
-            deadline = loop.time() + budget
-            while not record.finished and loop.time() < deadline:
-                await asyncio.sleep(0.02)
+            record, plan = self.submit_replan(job, delta, fields["solver"],
+                                              client=client)
+            # latency budget: this connection's thread polls the
+            # lock-free ``record.finished`` until the search lands or
+            # the budget runs out, whichever comes first
+            deadline = time.monotonic() + budget
+            while not record.finished and time.monotonic() < deadline:
+                time.sleep(0.02)
             out = record.to_dict()
             if record.finished:
                 self.metrics.inc("replan_within_budget")
@@ -725,8 +635,7 @@ class TuningService:
             if not _FINGERPRINT.fullmatch(segments[1]):
                 raise _HttpError(
                     404, f"not a job fingerprint: {segments[1]!r}")
-            report = await loop.run_in_executor(
-                None, self.cache.load_fingerprint, segments[1], solver)
+            report = self.cache.load_fingerprint(segments[1], solver)
             if report is None:
                 raise _HttpError(
                     404, f"no cached plan for {solver}-{segments[1]}")
@@ -746,52 +655,47 @@ class TuningService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def _main(self, ready: threading.Event | None = None,
-                    banner: bool = False) -> None:
-        loop = asyncio.get_running_loop()
-        stop_event = asyncio.Event()
-        self._loop = loop
-        self._stop_event = stop_event
-        try:
-            # graceful SIGTERM: without this, terminating the daemon
-            # orphans process-mode workers (they hold the inherited
-            # stdout pipe open, wedging any parent draining it)
-            loop.add_signal_handler(signal.SIGTERM, stop_event.set)
-        except (NotImplementedError, ValueError, RuntimeError):
-            pass  # non-main thread or unsupported platform
-        server = await asyncio.start_server(self._handle_conn,
-                                            self.host, self.port)
-        self.port = server.sockets[0].getsockname()[1]
-        # spawn worker processes (process mode) before declaring ready
-        # so the first request never pays process start-up latency
-        await loop.run_in_executor(None, self._tier.warm)
-        if banner:
-            print(f"repro serve: listening on http://{self.host}:{self.port}"
-                  f" ({self.workers} {self.worker_mode} workers, "
-                  f"cache {self.cache.root})",
-                  flush=True)
-        if ready is not None:
-            ready.set()
-        async with server:
-            await stop_event.wait()
-        self._shutting_down = True
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        self._tier.shutdown()
+    def _serve(self, ready: threading.Event | None = None,
+               banner: bool = False) -> None:
+        """Bind, warm the workers, serve until :meth:`stop`, shut down."""
+        with _Server((self.host, self.port), _Handler) as server:
+            server.service = self
+            self._server = server
+            self.port = server.server_address[1]
+            try:
+                # spawn worker processes (process mode) before declaring
+                # ready so no request pays process start-up latency
+                self._tier.warm()
+                if banner:
+                    print(f"repro serve: listening on http://{self.host}:"
+                          f"{self.port} ({self.workers} {self.worker_mode} "
+                          f"workers, cache {self.cache.root})", flush=True)
+                if ready is not None:
+                    ready.set()
+                server.serve_forever(poll_interval=_STOP_POLL_S)
+            finally:
+                self._shutting_down = True
+                self._pool.shutdown(wait=True, cancel_futures=True)
+                self._tier.shutdown()
 
     def serve_forever(self, *, banner: bool = True) -> None:
-        """Run in the current thread until interrupted (the CLI path)."""
+        """Run in this thread until SIGTERM or Ctrl-C (the CLI path)."""
+        # graceful SIGTERM: without this, terminating the daemon
+        # orphans process-mode workers (they hold the inherited
+        # stdout pipe open, wedging any parent draining it)
+        previous = signal.signal(signal.SIGTERM, lambda *_: self.stop())
         try:
-            asyncio.run(self._main(banner=banner))
+            self._serve(banner=banner)
         except KeyboardInterrupt:
-            self._shutting_down = True
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._tier.shutdown()
+            pass
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def run_in_thread(self) -> ServiceHandle:
         """Start on a daemon thread; returns once the port is bound."""
         ready = threading.Event()
-        thread = threading.Thread(target=lambda: asyncio.run(
-            self._main(ready=ready)), daemon=True, name="repro-serve")
+        thread = threading.Thread(target=self._serve, kwargs={"ready": ready},
+                                  daemon=True, name="repro-serve")
         thread.start()
         if not ready.wait(timeout=30):
             raise RuntimeError("service failed to start within 30s")
@@ -800,6 +704,99 @@ class TuningService:
     def stop(self) -> None:
         """Signal shutdown: stop accepting, cancel queued searches."""
         self._shutting_down = True
-        loop, event = self._loop, self._stop_event
-        if loop is not None and event is not None and loop.is_running():
-            loop.call_soon_threadsafe(event.set)
+        if self._server is not None:
+            # shutdown() waits for the serving thread to leave its loop,
+            # and a SIGTERM handler runs on that very thread
+            threading.Thread(target=self._server.shutdown,
+                             daemon=True).start()
+
+
+class _Server(ThreadingHTTPServer):
+    """Accepts connections and answers each on its own thread."""
+
+    #: TCPServer's default backlog (5) would refuse a burst of clients
+    request_queue_size = 100
+    service: TuningService
+
+    def server_bind(self) -> None:
+        # HTTPServer.server_bind also resolves the host's FQDN, a DNS
+        # lookup for CGI variables no handler here reads
+        TCPServer.server_bind(self)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: every method and path goes to
+    :meth:`TuningService._dispatch`, and every reply is JSON."""
+
+    server: _Server
+    protocol_version = "HTTP/1.1"
+    #: for replies to an unreadable request line (HTTP/0.9 has no status)
+    default_request_version = "HTTP/1.1"
+    #: a reply is two small writes (head, body): no Nagle wait between
+    disable_nagle_algorithm = True
+
+    def __getattr__(self, name: str) -> Any:
+        # do_<METHOD>: the router answers every method (404/405, no 501)
+        if name.startswith("do_"):
+            return self._route
+        raise AttributeError(name)
+
+    def _route(self) -> None:
+        headers: dict[str, str] = {}
+        try:
+            status, payload = self.server.service._dispatch(
+                self.command, self.path, self.headers, self._body())
+        except _HttpError as exc:
+            status, headers = exc.status, exc.headers
+            payload = {"error": exc.message, **exc.extra}
+        except ConnectionError:
+            raise  # the client hung up; handle() drops the connection
+        except Exception:  # noqa: BLE001 — connection-scoped failure
+            # log server-side; never leak tracebacks to remote clients
+            print(f"repro serve: unhandled error\n{traceback.format_exc(5)}",
+                  file=sys.stderr, flush=True)
+            status, payload = 500, {"error": "internal server error"}
+        self._reply(status, payload, headers)
+
+    def _body(self) -> bytes:
+        """The body, once the request line and Content-Length check out."""
+        if len(self.requestline.split()) != 3:
+            # no version: http.server took the line for HTTP/0.9
+            raise _HttpError(400,
+                             f"malformed request line {self.requestline!r}")
+        try:
+            length = int(self.headers.get("content-length", "0"))
+        except ValueError:
+            raise _HttpError(400, "bad Content-Length") from None
+        if length < 0:
+            raise _HttpError(400, "bad Content-Length")
+        if length > _MAX_BODY_BYTES:
+            raise _HttpError(413, "request body too large")
+        return self.rfile.read(length)
+
+    def _reply(self, status: int, payload: dict[str, Any],
+               headers: dict[str, str] | None = None) -> None:
+        data = json.dumps(payload, sort_keys=True).encode()
+        self.send_response_only(status)
+        self.send_header("Content-Type", "application/json")
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """http.server's own rejections keep the JSON contract too."""
+        del explain
+        self._reply(code, {"error": message or HTTPStatus(code).phrase})
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client hung up mid-exchange
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """No per-request log lines."""

@@ -1,9 +1,9 @@
 """Shared service state: job records, in-flight coalescing, metrics.
 
-Everything here is touched from the asyncio event loop *and* from
-solver worker threads, so each structure guards its mutable fields with
-its own lock and exposes snapshot-style accessors that return plain
-JSON-serializable data.
+Everything here is touched from the daemon's connection threads *and*
+from its supervisor threads, so each structure guards its mutable
+fields with its own lock and exposes snapshot-style accessors that
+return plain JSON-serializable data.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ and is not already in flight, the search is handed to a *worker tier*:
   thread via :func:`repro.api.solve`. Cheap, shares the process-wide
   menu memo, but the GIL serializes the search hot path.
 * :class:`ProcessWorkerTier` — ``N`` single-process pools
-  (``spawn`` start method: forking a threaded asyncio daemon is
+  (``spawn`` start method: forking a multi-threaded daemon is
   deadlock-prone). Searches run on real cores; results come back as
   serialized :class:`~repro.api.SolveReport` dicts.
 

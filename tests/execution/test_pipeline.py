@@ -101,6 +101,22 @@ class TestSimulatePipeline:
                                    [[1.0] * 2 for _ in range(4)])
         assert result.bubble_fraction(0) > 0.2
 
+    @pytest.mark.parametrize("stages", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("microbatches", [1, 2, 3, 4, 8, 16])
+    def test_uniform_phases_match_the_1f1b_closed_form(self, stages,
+                                                       microbatches):
+        """Narayanan et al. (Megatron-LM): p stages, m microbatches,
+        uniform f and b, free p2p: T = (m+p-1)(f+b), and the first stage
+        idles (p-1)/(m+p-1) of it."""
+        f, b = 0.75, 1.5
+        result = simulate_pipeline(
+            [[f] * microbatches for _ in range(stages)],
+            [[b] * microbatches for _ in range(stages)], p2p_delay=0.0)
+        span = microbatches + stages - 1
+        assert result.total_time == span * (f + b)
+        assert result.bubble_fraction(0) == pytest.approx(
+            (stages - 1) / span, rel=0, abs=1e-12)
+
     def test_p2p_delay_increases_total(self):
         fast = simulate_pipeline([[1.0] * 4, [1.0] * 4],
                                  [[1.0] * 4, [1.0] * 4], p2p_delay=0.0)

@@ -1,6 +1,6 @@
 """Shared fixtures for the tuning-service tests.
 
-Tests drive the real daemon (asyncio HTTP server + worker pool) over
+Tests drive the real daemon (threaded HTTP server + worker pool) over
 real sockets, but through *stub solvers* registered in the process-wide
 registry — a solve takes microseconds unless a test deliberately blocks
 it, so the whole suite stays fast.

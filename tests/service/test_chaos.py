@@ -124,6 +124,19 @@ class TestServiceChaos:
             assert client.health()["status"] == "ok"
             assert daemon.process.poll() is None
 
+    def test_sigterm_stops_a_process_daemon_cleanly(self, tmp_path):
+        # the daemon shuts its worker processes down before it exits:
+        # an orphaned worker would keep the daemon's stdout pipe open
+        from repro.service.launch import spawn_daemon
+
+        with spawn_daemon(workers=2, worker_mode="process",
+                          cache_dir=str(tmp_path / "plans")) as daemon:
+            daemon.process.send_signal(signal.SIGTERM)
+            assert daemon.process.wait(timeout=10) == 0
+        # spawn_daemon closes the pipe only once its reader saw EOF
+        assert daemon.process.stdout.closed
+        assert not any("Traceback" in line for line in daemon.output)
+
     def test_campaign_worker_death_leaves_manifest_resumable(
             self, tmp_path, monkeypatch):
         flag = tmp_path / "chaos-flag"

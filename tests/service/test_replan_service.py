@@ -179,8 +179,9 @@ class TestReplanEndpoint:
 
     def test_budgeted_replans_leave_state_routes_responsive(
             self, service, client, job, slow):
-        # more waiting replans than asyncio's default executor has
-        # threads: /metrics must not queue behind their budgets
+        # each budgeted replan waits on its own connection thread; more
+        # of them than a default thread pool has workers must still not
+        # queue /metrics behind their budgets
         executor_threads = min(32, (os.cpu_count() or 1) + 4)
         count = executor_threads + 2
         records = []

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client as http_client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -286,8 +288,6 @@ class TestInProcessApi:
             client.wait(record["id"], timeout=0)
 
     def test_negative_content_length_400(self, client):
-        import http.client as http_client
-
         conn = http_client.HTTPConnection(
             client.base_url.removeprefix("http://"), timeout=5)
         try:
@@ -298,3 +298,25 @@ class TestInProcessApi:
             assert response.status == 400
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"garbage\r\n\r\n", 400),
+        # no version: not an HTTP/0.9 reply without status line or headers
+        (b"GET /healthz\r\n\r\n", 400),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (8 * 2**20 + 1), 413),
+        (b"PUT /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 405),
+    ], ids=["garbage-line", "no-version", "bad-length", "huge-body",
+            "put-jobs"])
+    def test_malformed_http_gets_a_json_4xx(self, client, request_bytes,
+                                            status):
+        host, port = client.base_url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(request_bytes)
+            response = http_client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+        assert response.status == status
+        assert response.getheader("Content-Type") == "application/json"
+        assert isinstance(payload, dict) and payload["error"]

@@ -6,7 +6,8 @@ scipy, and numpy is the package's only runtime dependency. A fresh
 interpreter whose import system refuses every ``scipy`` module must
 still import every module under ``repro``, solve on both fabrics with
 interference on, and run ``repro tune``; and none of that may load the
-offline refit (``repro.evaluation``).
+offline refit (``repro.evaluation``). The daemon and the load
+generator run on threads, so neither imports ``asyncio``.
 """
 
 from __future__ import annotations
@@ -103,3 +104,16 @@ def test_cli_import_stays_lazy():
     assert _run(script).split() == [
         "api", "baselines", "benchmarking", "cli", "core", "costmodel",
         "execution", "hardware", "models", "symbolic", "tracing"]
+
+
+def test_service_and_loadgen_import_without_asyncio():
+    script = textwrap.dedent("""
+        import sys
+
+        import repro.loadgen
+        import repro.service
+
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] == "asyncio"))
+    """)
+    assert _run(script) == "[]"
