@@ -179,7 +179,7 @@ class MistSolver:
             tuning_time_seconds=tuning.tuning_time_seconds,
             configurations_evaluated=tuning.configurations_evaluated,
             search_log=tuning.search_log,
-            search_stats=(tuning.stats.to_dict() if tuning.stats else {}),
+            search_stats=tuning.stats.to_dict(),
             top_plans=list(tuning.top_plans),
             extra={"space": space.name, "scale": scale.name},
             result=best.result,

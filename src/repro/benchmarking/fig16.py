@@ -75,11 +75,10 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True) -> dict:
             "configurations_evaluated": result.configurations_evaluated,
             "objective": (float(result.predicted_iteration_time)
                           if result.found else None),
+            "stats": result.stats.to_dict(),
         }
-        if result.stats is not None:
-            entry["stats"] = result.stats.to_dict()
-            for key in totals:
-                totals[key] += getattr(result.stats, key)
+        for key in totals:
+            totals[key] += getattr(result.stats, key)
         per_space[space.name] = entry
         hashes[space.name] = plan_hash(result.best_plan)
 

@@ -125,24 +125,22 @@ def measure_replan(scale: TuningScale) -> dict:
         speedup = (cold.configurations_evaluated
                    / max(1, warm.configurations_evaluated))
         speedups.append(speedup)
-        warm_stats = warm.stats.to_dict() if warm.stats else {}
-        cold_stats = cold.stats.to_dict() if cold.stats else {}
-        memo_hits += warm_stats.get("memo_hits", 0)
+        memo_hits += warm.stats.memo_hits
         scenarios[scenario["name"]] = {
             "delta": delta.describe(),
             "workload": f"{scenario['model']}/gb{gb}",
             "cold": {
                 "seconds": cold_seconds,
                 "configurations_evaluated": cold.configurations_evaluated,
-                "cells_explored": cold_stats.get("cells_explored"),
+                "cells_explored": cold.stats.cells_explored,
                 "plan_hash": plan_hash(cold.best_plan),
             },
             "warm": {
                 "seconds": warm_seconds,
                 "configurations_evaluated": warm.configurations_evaluated,
-                "cells_explored": warm_stats.get("cells_explored"),
-                "memo_hits": warm_stats.get("memo_hits", 0),
-                "matched": (warm_stats.get("warm_seed") or {}).get(
+                "cells_explored": warm.stats.cells_explored,
+                "memo_hits": warm.stats.memo_hits,
+                "matched": (warm.stats.warm_seed or {}).get(
                     "matched", False),
                 "plan_hash": plan_hash(warm.best_plan),
             },

@@ -10,7 +10,6 @@ from .inter_stage import InterStageSolution, solve
 from .intra_stage import IntraStageTuner, ParetoPoint, StageShape
 from .objectives import (
     pipeline_iteration_time,
-    pipeline_time_average,
     pipeline_time_uniform,
     throughput,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "space_ref",
     "space_to_dict",
     "pipeline_iteration_time",
-    "pipeline_time_average",
     "pipeline_time_uniform",
     "throughput",
     "solve",

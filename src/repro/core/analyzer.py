@@ -305,8 +305,8 @@ class SymbolicPerformanceAnalyzer:
         """Compute-channel busy time (fwd + bwd), interference-free:
         the runtime kernel's outputs 0 and 4.
 
-        With all interference factors >= 1 (see
-        :meth:`repro.costmodel.interference.InterferenceModel.min_factor`)
+        Every interference factor is >= 1 (see
+        :class:`repro.costmodel.interference.InterferenceModel`), so
         this never exceeds the stable microbatch time :meth:`predict`
         returns for the same configuration. The two channels read only
         ``b, tp, l, ckpt, has_pre, has_post, s`` (and the TP link that

@@ -26,7 +26,8 @@ instance (bounded at :data:`_MENU_MEMO_SIZE` entries of either kind).
 Entries are pure functions of their key, so sharing it process-wide is
 safe: a hit returns bit-identical values to a fresh computation.
 
-Beside it, :data:`GLOBAL_KERNEL_CACHE` (a :class:`KernelCache`) holds
+Beside it, :data:`GLOBAL_KERNEL_CACHE` (a second, 64-entry
+:class:`MenuMemo`, filled through :meth:`MenuMemo.get`) holds
 the work every solve would otherwise redo before its search starts:
 each :class:`~repro.tracing.TracedModel`, keyed by the frozen
 ``(ModelConfig, GPUSpec, flash)``, and each compiled kernel, keyed by
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple, TypeVar
 
 __all__ = ["GLOBAL_KERNEL_CACHE", "GLOBAL_MENU_MEMO", "CellBounds",
-           "KernelCache", "MemoEntry", "MenuMemo"]
+           "MemoEntry", "MenuMemo"]
 
 #: entries of the process-wide menu memo
 _MENU_MEMO_SIZE = 4096
@@ -82,8 +83,9 @@ class CellBounds(NamedTuple):
 
 
 class MenuMemo:
-    """Thread-safe LRU cache of :class:`MemoEntry` and
-    :class:`CellBounds` by subproblem key.
+    """Thread-safe LRU cache by key: :class:`MemoEntry` and
+    :class:`CellBounds` through :meth:`lookup` / :meth:`store`, traced
+    models and compiled kernels through :meth:`get`.
 
     Lookups never block computation: concurrent misses on the same key
     may compute the entry twice, but both computations are pure and
@@ -91,27 +93,26 @@ class MenuMemo:
     """
 
     def __init__(self, maxsize: int = _MENU_MEMO_SIZE, *,
-                 kernels: "KernelCache | None" = None):
+                 kernels: "MenuMemo | None" = None):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, MemoEntry | CellBounds] = OrderedDict()
+        self._entries: OrderedDict[tuple, Any] = OrderedDict()
         self._hits = 0
         self._misses = 0
-        #: emptied together with the menus (see :meth:`clear`)
+        #: emptied together with this memo (see :meth:`clear`)
         self._kernels = kernels
 
     def lookup(self, key: tuple) -> MemoEntry | CellBounds | None:
         """Return the entry for ``key`` (refreshing LRU order) or None."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            if key not in self._entries:
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return entry
+            return self._entries[key]
 
     def store(self, key: tuple, entry: MemoEntry | CellBounds) -> None:
         with self._lock:
@@ -119,6 +120,26 @@ class MenuMemo:
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
+
+    def get(self, key: tuple, build: Callable[[], _T]) -> _T:
+        """The entry for ``key``, calling ``build()`` on a miss.
+
+        ``build`` runs outside the lock: concurrent misses on one key
+        may build it twice, but the first value stored wins and every
+        caller gets that one object. Not counted in :attr:`hits` /
+        :attr:`misses`, which track :meth:`lookup` alone.
+        """
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        value = build()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        return value
 
     def clear(self) -> None:
         with self._lock:
@@ -143,47 +164,8 @@ class MenuMemo:
             return self._misses
 
 
-class KernelCache:
-    """Thread-safe LRU of traced models and compiled kernels.
-
-    :meth:`get` builds a missing entry outside the lock: concurrent
-    misses on one key may build it twice, but the first value stored
-    wins and every caller gets that one object. Values are pure
-    functions of their key, so a hit is bit-identical to a rebuild.
-    """
-
-    def __init__(self, maxsize: int = _KERNEL_CACHE_SIZE):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
-
-    def get(self, key: tuple, build: Callable[[], _T]) -> _T:
-        """The entry for ``key``, calling ``build()`` on a miss."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return self._entries[key]
-        value = build()
-        with self._lock:
-            value = self._entries.setdefault(key, value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 #: process-wide traces and compiled kernels (tuner, analyzer, engine)
-GLOBAL_KERNEL_CACHE = KernelCache()
+GLOBAL_KERNEL_CACHE = MenuMemo(_KERNEL_CACHE_SIZE)
 
 #: default process-wide memo shared by every tuner's pruned search
 GLOBAL_MENU_MEMO = MenuMemo(kernels=GLOBAL_KERNEL_CACHE)

@@ -11,8 +11,8 @@ microbatch deltas ``d_i``, the iteration time of a 1F1B pipeline with
 The third term credits deltas that hide inside the pipeline ramp: a
 late stage's first-microbatch overhead overlaps with earlier stages'
 work (Figure 10), so only the part exceeding the accumulated ramp is
-exposed. The imbalance-unaware variants used by the baselines (and the
-Fig. 13/15 ablations) are provided alongside.
+exposed. The imbalance-unaware variant used by the baselines (and the
+Fig. 13/15 ablations) is provided alongside.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "pipeline_iteration_time",
     "pipeline_iteration_time_rows",
     "pipeline_time_uniform",
-    "pipeline_time_average",
     "throughput",
 ]
 
@@ -68,16 +67,6 @@ def pipeline_time_uniform(t: npt.ArrayLike, gacc: int) -> float:
     """
     t = np.asarray(t, dtype=float)
     return float((gacc - 1) * t.max() + t.sum())
-
-
-def pipeline_time_average(t: npt.ArrayLike, d: npt.ArrayLike,
-                          gacc: int) -> float:
-    """Averaged-microbatch model (Shortcoming #3): spreads the deltas
-    evenly across microbatches, mispredicting the bottleneck."""
-    t = np.asarray(t, dtype=float)
-    d = np.asarray(d, dtype=float)
-    t_avg = t + d / max(gacc, 1)
-    return float((gacc - 1) * t_avg.max() + t_avg.sum())
 
 
 def throughput(global_batch: int, iteration_time: float) -> float:

@@ -307,8 +307,7 @@ def _log10_add(a: float, b: float) -> float:
 def log10_configurations(num_layers: int, num_gpus: int, *,
                          zero: bool = False, ckpt: bool = False,
                          oo: bool = False, go: bool = False,
-                         po: bool = False, ao: bool = False,
-                         max_stages: int | None = None) -> float:
+                         po: bool = False, ao: bool = False) -> float:
     """log10 of the unpruned configuration count (Figure 5).
 
     Counts, for every pipeline depth ``S``: the layer compositions
@@ -318,7 +317,7 @@ def log10_configurations(num_layers: int, num_gpus: int, *,
     """
     if num_layers < 1 or num_gpus < 1:
         raise ValueError("need at least one layer and one GPU")
-    max_stages = min(max_stages or num_gpus, num_layers, num_gpus)
+    max_stages = min(num_layers, num_gpus)
 
     # per-stage multiplicative factor (log10)
     parallel_options = max(1, int(math.log2(num_gpus)) + 1)  # dp*tp splits

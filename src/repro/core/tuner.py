@@ -192,8 +192,6 @@ class SearchStats:
     configs_prefiltered: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    #: False disables the bound cut (e.g. interference factors < 1)
-    bound_pruning: bool = True
     #: True when the search was warm-started from an incumbent plan
     #: (:meth:`MistTuner.replan`)
     warm: bool = False
@@ -226,6 +224,8 @@ class TuningResult:
     predicted_throughput: float
     tuning_time_seconds: float
     configurations_evaluated: int
+    #: explored/pruned/memo-hit accounting for this search
+    stats: SearchStats
     #: per-(S, G) best objective, for diagnostics
     search_log: list[dict] = field(default_factory=list)
     #: predicted-best plans across (S, G) candidates, best first — the
@@ -233,8 +233,6 @@ class TuningResult:
     #: benchmark-one-case step), which de-biases the winner's curse of
     #: picking the argmin of noisy predictions
     top_plans: list[TrainingPlan] = field(default_factory=list)
-    #: explored/pruned/memo-hit accounting for this search
-    stats: "SearchStats | None" = None
 
     @property
     def found(self) -> bool:
@@ -493,19 +491,14 @@ class MistTuner:
         total = len(grid)
         stats = SearchStats(prune=prune, cells_total=total)
         if prune:
-            # The bound argument needs every interference factor >= 1
-            # (see InterferenceModel.min_factor); a physically
-            # meaningless model silently falls back to memoization
-            # only.
-            bound_ok = all(a.interference.min_factor() >= 1.0
-                           for a in self.analyzers.values())
+            # sound because every interference factor is >= 1 (see
+            # InterferenceModel)
             bounds, feasible = self._cell_bounds(global_batch, grid, memo)
         else:
-            # exhaustive reference: no bounds, no feasibility screen —
-            # every cell is solved, in enumeration order
-            bound_ok = False
-            bounds, feasible = (math.inf,) * total, (True,) * total
-        stats.bound_pruning = bound_ok
+            # exhaustive reference: -inf bounds cut nothing and there is
+            # no feasibility screen — every cell is solved, in
+            # enumeration order
+            bounds, feasible = (-math.inf,) * total, (True,) * total
         seed_idx = None
         if incumbent is not None:
             # Warm start (replan): solve the incumbent plan's (S, G)
@@ -538,7 +531,7 @@ class MistTuner:
                     f"search cancelled after {done}/{total} cells")
             if not feasible[idx]:
                 outcomes[idx] = ("infeasible", None, _CellCounts())
-            elif bound_ok and bounds[idx] > incumbents.threshold():
+            elif bounds[idx] > incumbents.threshold():
                 outcomes[idx] = ("pruned", None, _CellCounts())
             else:
                 solution, counts = self._solve_cell(

@@ -40,6 +40,7 @@ and :func:`calibrated_interference` reads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -117,6 +118,17 @@ def _default_pairs(pcie_only: bool) -> dict[frozenset[str], dict[str, float]]:
     }
 
 
+def _check_factors(table: dict[frozenset[str], dict[str, float]]) -> None:
+    """Refuse any slowdown factor that is not finite and >= 1."""
+    for combo, entry in table.items():
+        for channel, value in entry.items():
+            if not 1.0 <= value < math.inf:  # also refuses NaN
+                raise ValueError(
+                    f"interference factor of {channel!r} in combo "
+                    f"{sorted(combo)} must be finite and >= 1, "
+                    f"got {value!r}")
+
+
 @dataclass
 class InterferenceModel:
     """Slowdown-factor model with the Algorithm 1 batched estimator.
@@ -128,16 +140,28 @@ class InterferenceModel:
     contention ground truth is one too
     (:func:`repro.execution.events.contention_model`), applied by
     piecewise integration instead of Algorithm 1.
+
+    Interference can only *slow down* co-running kernels, so a model
+    with a non-finite or < 1 factor is refused when it is built. The
+    tuner's branch-and-bound cut rests on this: with every factor >= 1,
+    ``predict(...) >= max(channel busy times) >= compute channel``, so
+    a stage position's least interference-free compute time at each
+    layer count floors its microbatch latency, and the cell bounds
+    compose those floors through Eq. (1).
     """
 
     factors: dict[frozenset[str], dict[str, float]] = field(default_factory=dict)
     #: cap on combined slowdowns — contention never fully serializes
     max_factor: float = 2.6
 
+    def __post_init__(self) -> None:
+        _check_factors(self.factors)
+
     @classmethod
     def from_pairs(cls, pairs: dict[frozenset[str], dict[str, float]],
                    max_factor: float = 2.6) -> "InterferenceModel":
         """Build all 2/3/4-way factors from pairwise ones (capped products)."""
+        _check_factors(pairs)  # before the cap can hide an inf
         factors: dict[frozenset[str], dict[str, float]] = {}
         for combo_idx in _COMBOS:
             # CHANNELS order, not set order: the products must not
@@ -226,23 +250,6 @@ class InterferenceModel:
         total = self.sweep(x.reshape(4, -1))
         return total.reshape(shape) if shape else total[0]
 
-    def min_factor(self) -> float:
-        """Smallest slowdown factor across all combinations.
-
-        Interference can only *slow down* co-running kernels, so every
-        factor is >= 1 for any physically meaningful model (calibration
-        clamps its fits accordingly). The pruned tuner checks this
-        before enabling its branch-and-bound cut: when all factors are
-        >= 1, ``predict(...) >= max(channel busy times) >= compute
-        channel``, so a stage position's least interference-free
-        compute time at each layer count floors its microbatch latency,
-        and the cell bounds compose those floors through Eq. (1).
-        """
-        values = [factor
-                  for entry in self.factors.values()
-                  for factor in entry.values()]
-        return min(values, default=1.0)
-
     def fingerprint(self) -> tuple:
         """Canonical hashable identity of this model's parameters.
 
@@ -266,12 +273,13 @@ class InterferenceModel:
         return list(PAIR_KEYS), np.array(values)
 
     @classmethod
-    def from_pair_vector(cls, keys, values,
-                         max_factor: float = 2.6) -> "InterferenceModel":
+    def from_pair_vector(cls, keys, values) -> "InterferenceModel":
+        """Inverse of :meth:`pair_vector`. Values below 1 are clamped to
+        1, so an optimizer's trial point always builds a model."""
         pairs: dict[frozenset[str], dict[str, float]] = {}
         for (names, ch), value in zip(keys, values):
             pairs.setdefault(names, {})[ch] = float(max(1.0, value))
-        return cls.from_pairs(pairs, max_factor=max_factor)
+        return cls.from_pairs(pairs)
 
 
 @lru_cache(maxsize=4)

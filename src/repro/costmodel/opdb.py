@@ -60,8 +60,6 @@ class OperatorDatabase:
     def __init__(self, gpu: GPUSpec):
         self.gpu = gpu
         self._cache: dict[tuple, OpTimings] = {}
-        self._lookups = 0
-        self._misses = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -69,11 +67,9 @@ class OperatorDatabase:
         """Forward/backward time expressions for ``op`` (memoized)."""
         key = (op.name, op.kind, op.flops, op.io_bytes,
                op.bwd_flops_factor, op.bwd_io_factor)
-        self._lookups += 1
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        self._misses += 1
         timings = OpTimings(fwd=self._price(op, backward=False),
                             bwd=self._price(op, backward=True))
         self._cache[key] = timings
@@ -84,11 +80,6 @@ class OperatorDatabase:
 
     def bwd_time(self, op: Op) -> Expr:
         return self.timings(op).bwd
-
-    @property
-    def cache_stats(self) -> tuple[int, int]:
-        """(lookups, misses) — mirrors the paper's profile-once behaviour."""
-        return self._lookups, self._misses
 
     # -- analytic kernel model ------------------------------------------------
 

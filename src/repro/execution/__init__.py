@@ -26,7 +26,7 @@ from .schedule import (
     SCHEDULES,
     OverlapCapability,
 )
-from .timeline import render_timeline, timeline_summary
+from .timeline import render_timeline
 
 __all__ = [
     "ALLOCATOR_SLACK",
@@ -46,6 +46,5 @@ __all__ = [
     "one_f_one_b_order",
     "render_timeline",
     "simulate_pipeline",
-    "timeline_summary",
     "track_stage_memory",
 ]

@@ -121,10 +121,6 @@ class PipelineResult:
         return len(self.stage_busy)
 
     @property
-    def num_phases(self) -> int:
-        return len(self.starts)
-
-    @property
     def timeline(self) -> list[PhaseRecord]:
         """Every executed phase, ordered by ``(start, stage)`` (phases
         that tie keep their execution order). Built on each access."""

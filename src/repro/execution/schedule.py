@@ -9,9 +9,9 @@ capability:
   p2p all co-run with compute (subject to contention); tensor-parallel
   all-reduces stay on the critical path (the consuming kernel waits on
   them), as they do on real systems.
-* **Megatron-style** systems overlap only the gradient-synchronization
-  collectives with backward compute; everything else serializes.
-* **Serial** overlaps nothing (the no-overlap ablation).
+* **Megatron-style** systems overlap data-parallel collectives and
+  pipeline p2p with compute (Megatron-LM's overlapped gradient sync and
+  asynchronous p2p) but serialize offload traffic.
 
 Mist's extra machinery costs a small compute overhead
 (``MIST_IMPL_OVERHEAD``): with identical search spaces Mist is slightly
@@ -44,12 +44,8 @@ class OverlapCapability:
     """What the executing system can hide behind compute."""
 
     name: str
-    #: DP collectives (grad sync, ZeRO gathers) overlap with compute
-    overlap_dp: bool
-    #: pipeline p2p transfers are asynchronous
-    overlap_p2p: bool
     #: host-link offloading traffic overlaps with compute
-    overlap_offload: bool
+    overlap_offload: bool = False
     #: constant relative compute overhead of the runtime
     impl_overhead: float = 0.0
     #: device memory the runtime itself pins beyond the common framework
@@ -60,22 +56,18 @@ class OverlapCapability:
 
 SCHEDULES: dict[str, OverlapCapability] = {
     # Mist: fully overlapped schedule, small orchestration overhead.
-    "mist": OverlapCapability("mist", True, True, True,
+    "mist": OverlapCapability("mist", overlap_offload=True,
                               impl_overhead=MIST_IMPL_OVERHEAD),
     # Megatron-LM: the hand-optimized reference runtime.
-    "megatron": OverlapCapability("megatron", True, True, False),
+    "megatron": OverlapCapability("megatron"),
     # DeepSpeed: serial offload traffic, a less tuned pipeline/kernel
     # path, and a memory-hungrier runtime (the paper measures it
     # consistently below Megatron-LM and observes its OOMs).
-    "deepspeed": OverlapCapability("deepspeed", True, True, False,
-                                   impl_overhead=0.03,
+    "deepspeed": OverlapCapability("deepspeed", impl_overhead=0.03,
                                    extra_memory_bytes=1.6 * 1024**3),
     # Aceso: research prototype runtime on Megatron-like foundations.
-    "aceso": OverlapCapability("aceso", True, True, False,
-                               impl_overhead=0.012,
+    "aceso": OverlapCapability("aceso", impl_overhead=0.012,
                                extra_memory_bytes=0.4 * 1024**3),
-    # No-overlap ablation.
-    "serial": OverlapCapability("serial", False, False, False),
 }
 
 
@@ -86,27 +78,17 @@ def phase_wall_times(rows, capability: OverlapCapability,
     ``rows`` is ``(n, 6)`` of busy seconds per resource, columns in
     :data:`PHASE_RESOURCES` order; all ``n`` phases are integrated in
     one :func:`corun_total_time` call. TP all-reduces always serialize
-    with compute (dependent kernels); overlappable components co-run
-    through the contention integrator; non-overlappable ones are added
-    serially.
+    with compute (dependent kernels); DP collectives and p2p share the
+    ``g2g`` channel; offload traffic co-runs on the host links when the
+    system overlaps it and is added serially otherwise.
     """
     comp, tp, dp, p2p, d2h, h2d = np.asarray(rows, dtype=float).T
     compute = comp * (1.0 + capability.impl_overhead) + tp
-    g2g = np.zeros_like(comp)
-    serial = np.zeros_like(comp)
-    if capability.overlap_dp:
-        g2g += dp
-    else:
-        serial += dp
-    if capability.overlap_p2p:
-        g2g += p2p
-    else:
-        serial += p2p
     if capability.overlap_offload:
-        c2g, g2c = h2d, d2h
+        c2g, g2c, serial = h2d, d2h, 0.0
     else:
-        serial += h2d + d2h
         c2g = g2c = np.zeros_like(comp)
-    overlapped = corun_total_time(np.stack([compute, g2g, c2g, g2c], axis=-1),
-                                  contention)
+        serial = h2d + d2h
+    overlapped = corun_total_time(
+        np.stack([compute, dp + p2p, c2g, g2c], axis=-1), contention)
     return overlapped + serial

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .pipeline import PipelineResult
 
-__all__ = ["render_timeline", "timeline_summary"]
+__all__ = ["render_timeline"]
 
 
 def render_timeline(result: PipelineResult, *, width: int = 100) -> str:
@@ -44,17 +44,3 @@ def render_timeline(result: PipelineResult, *, width: int = 100) -> str:
         )
     return "\n".join(lines)
 
-
-def timeline_summary(result: PipelineResult) -> dict:
-    """Aggregate statistics of an executed schedule."""
-    return {
-        "total_time": result.total_time,
-        "stage_busy": list(result.stage_busy),
-        "bubble_fractions": [
-            result.bubble_fraction(i) for i in range(result.num_stages)
-        ],
-        "max_bubble_fraction": max(
-            result.bubble_fraction(i) for i in range(result.num_stages)
-        ),
-        "num_phases": result.num_phases,
-    }

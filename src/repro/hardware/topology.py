@@ -205,12 +205,11 @@ class ClusterSpec:
             tp *= 2
         return options
 
-    def pipeline_stage_counts(self, max_stages: int | None = None) -> list[int]:
+    def pipeline_stage_counts(self) -> list[int]:
         """Candidate pipeline sizes: powers of two dividing the cluster."""
-        limit = self.total_gpus if max_stages is None else min(max_stages, self.total_gpus)
         sizes = []
         s = 1
-        while s <= limit:
+        while s <= self.total_gpus:
             if self.total_gpus % s == 0:
                 sizes.append(s)
             s *= 2

@@ -98,12 +98,6 @@ class ModelConfig:
             + self.head_params
         )
 
-    #: TP all-reduces per transformer layer in the forward pass. Falcon's
-    #: parallel attention+MLP needs only one (Section 6.1).
-    @property
-    def tp_allreduces_per_layer(self) -> int:
-        return 1 if self.parallel_attn else 2
-
     def with_layers(self, num_layers: int) -> "ModelConfig":
         """Clone with a different depth (used by the Fig. 14 layer sweep)."""
         from dataclasses import replace

@@ -221,7 +221,7 @@ def build_transformer_layer(config: ModelConfig, *, flash: bool) -> LayerGraph:
     if config.parallel_attn:
         # Falcon: one shared input norm; attention and MLP run on the same
         # normed activations; their outputs fold into a single residual add
-        # and a single TP all-reduce (tp_allreduces_per_layer == 1).
+        # and a single TP all-reduce.
         ops.append(_norm("input_norm", "x", "x_norm", h))
         ops.extend(_attention_ops(config, flash, "x_norm",
                                   allreduce_output=False))

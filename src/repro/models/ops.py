@@ -120,18 +120,6 @@ class LayerGraph:
     def output_bytes(self) -> Expr:
         return self.ops[-1].output_bytes
 
-    def fwd_flops(self) -> Expr:
-        total: Expr = Const(0)
-        for op in self.ops:
-            total = total + op.flops
-        return total
-
-    def bwd_flops(self) -> Expr:
-        total: Expr = Const(0)
-        for op in self.ops:
-            total = total + op.flops * op.bwd_flops_factor
-        return total
-
     def saved_activation_bytes(self) -> Expr:
         """Bytes stashed for backward when the layer is NOT checkpointed."""
         total: Expr = Const(0)

@@ -6,7 +6,8 @@ supervisors*, and a pluggable worker tier (``repro.service.workers``):
 
 * each connection gets its own thread, which parses the request, runs
   its route (cache reads and admission included) and writes the JSON
-  reply; no connection thread ever runs a solver;
+  reply; no connection thread ever runs a solver, and a budgeted
+  ``POST /replan`` waits there on its job record's terminal event;
 * submissions — ``POST /jobs``, ``/replan`` and every ``/campaigns``
   cell — pass through one locked step keyed by
   ``(solver, TuningJob.fingerprint())``: a cache hit completes
@@ -58,7 +59,7 @@ from repro.core.tuner import SearchCancelled
 from repro.hardware import ClusterDelta
 
 from .state import CampaignRecord, InFlight, JobRecord, ServiceMetrics
-from .workers import SolveFn, make_tier
+from .workers import make_tier
 
 #: one flight's search body:
 #: ``runner(progress=..., should_stop=...) -> report``
@@ -171,14 +172,11 @@ class TuningService:
     """Long-running tuning daemon over the solver registry.
 
     ``port=0`` binds an ephemeral port (read it back from
-    :attr:`port` once started). ``solve_fn`` is the solver entry point
-    and exists for tests — it must match :func:`repro.api.solve`'s
-    signature.
+    :attr:`port` once started).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 2, cache: PlanCache | None = None,
-                 solve_fn: SolveFn | None = None,
                  worker_mode: str = "thread",
                  max_pending: int = 0, quota: int = 0,
                  worker_retries: int = 1):
@@ -203,8 +201,7 @@ class TuningService:
         self.quota = quota
         self.cache = cache if cache is not None else PlanCache()
         self.metrics = ServiceMetrics()
-        self._tier = make_tier(worker_mode, workers, solve_fn=solve_fn,
-                               retries=worker_retries)
+        self._tier = make_tier(worker_mode, workers, retries=worker_retries)
         self._jobs: dict[str, JobRecord] = {}
         self._campaigns: dict[str, CampaignRecord] = {}
         self._inflight: dict[tuple[str, str], InFlight] = {}
@@ -607,14 +604,13 @@ class TuningService:
             budget = float(fields["budget_seconds"])
             record, plan = self.submit_replan(job, delta, fields["solver"],
                                               client=client)
-            # latency budget: this connection's thread polls the
-            # lock-free ``record.finished`` until the search lands or
-            # the budget runs out, whichever comes first
-            deadline = time.monotonic() + budget
-            while not record.finished and time.monotonic() < deadline:
-                time.sleep(0.02)
+            # latency budget: this connection's thread waits for the
+            # record's terminal event or the budget, whichever is first
+            # (capped: Event.wait overflows past TIMEOUT_MAX)
+            finished = record.terminal.wait(
+                min(budget, threading.TIMEOUT_MAX))
             out = record.to_dict()
-            if record.finished:
+            if finished:
                 self.metrics.inc("replan_within_budget")
                 return 200, out
             # budget expired (or none given): hand back the tracking
@@ -678,14 +674,14 @@ class TuningService:
                 self._pool.shutdown(wait=True, cancel_futures=True)
                 self._tier.shutdown()
 
-    def serve_forever(self, *, banner: bool = True) -> None:
+    def serve_forever(self) -> None:
         """Run in this thread until SIGTERM or Ctrl-C (the CLI path)."""
         # graceful SIGTERM: without this, terminating the daemon
         # orphans process-mode workers (they hold the inherited
         # stdout pipe open, wedging any parent draining it)
         previous = signal.signal(signal.SIGTERM, lambda *_: self.stop())
         try:
-            self._serve(banner=banner)
+            self._serve(banner=True)
         except KeyboardInterrupt:
             pass
         finally:

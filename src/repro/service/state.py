@@ -92,8 +92,10 @@ class JobRecord:
     #: True while this record holds one of its client's quota slots —
     #: flipped off exactly once, at the terminal transition
     counted: bool = field(default=False, repr=False)
-    cancel_event: threading.Event = field(default_factory=threading.Event,
-                                          repr=False)
+    #: set once, by whichever of :meth:`complete` / :meth:`fail` /
+    #: :meth:`cancel` moves the record to a terminal state
+    terminal: threading.Event = field(default_factory=threading.Event,
+                                      repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
@@ -129,8 +131,7 @@ class JobRecord:
             self.status = "done"
             self.report = report
             self.from_cache = from_cache
-            self.finished_at = time.time()  # repro: allow[determinism] display timestamp
-            self._finished_monotonic = time.monotonic()
+            self._finish()
             return True
 
     def fail(self, error: str) -> bool:
@@ -139,8 +140,7 @@ class JobRecord:
                 return False
             self.status = "failed"
             self.error = error
-            self.finished_at = time.time()  # repro: allow[determinism] display timestamp
-            self._finished_monotonic = time.monotonic()
+            self._finish()
             return True
 
     def cancel(self) -> bool:
@@ -148,11 +148,15 @@ class JobRecord:
         with self._lock:
             if self.finished:
                 return False
-            self.cancel_event.set()
             self.status = "cancelled"
-            self.finished_at = time.time()  # repro: allow[determinism] display timestamp
-            self._finished_monotonic = time.monotonic()
+            self._finish()
             return True
+
+    def _finish(self) -> None:
+        """Stamp the terminal transition; caller holds ``_lock``."""
+        self.finished_at = time.time()  # repro: allow[determinism] display timestamp
+        self._finished_monotonic = time.monotonic()
+        self.terminal.set()
 
     def to_dict(self, *, include_report: bool = True) -> dict[str, Any]:
         with self._lock:
@@ -276,7 +280,7 @@ class InFlight:
         """True once all attached records requested cancellation."""
         records = self.records()
         return bool(records) and all(
-            r.cancel_event.is_set() for r in records)
+            r.status == "cancelled" for r in records)
 
 
 class ServiceMetrics:

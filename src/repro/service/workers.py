@@ -5,8 +5,10 @@ tier-agnostic: once a ``(solver, fingerprint)`` key misses the cache
 and is not already in flight, the search is handed to a *worker tier*:
 
 * :class:`ThreadWorkerTier` — the search runs on the calling pool
-  thread via :func:`repro.api.solve`. Cheap, shares the process-wide
-  menu memo, but the GIL serializes the search hot path.
+  thread via :func:`repro.api.solve`, looked up as this module's
+  ``solve`` on every call (a tool that wraps that name sees every
+  search). Cheap, shares the process-wide menu memo, but the GIL
+  serializes the search hot path.
 * :class:`ProcessWorkerTier` — ``N`` single-process pools
   (``spawn`` start method: forking a multi-threaded daemon is
   deadlock-prone). Searches run on real cores; results come back as
@@ -56,8 +58,6 @@ from repro.core.tuner import SearchCancelled
 __all__ = ["ProcessWorkerTier", "ThreadWorkerTier", "WorkerDiedError",
            "make_tier"]
 
-#: injected solver entry point — must match :func:`repro.api.solve`
-SolveFn = Callable[..., SolveReport]
 #: per-cell progress relay: ``progress(done, total)``
 ProgressFn = Callable[[int, int], None]
 #: cooperative cancellation poll: True means stop searching
@@ -78,21 +78,20 @@ def _process_ping() -> int:
 
 class ThreadWorkerTier:
     """Run searches inline on the caller's (pool) thread, through
-    :func:`repro.api.solve` or the injected ``solve_fn``, with full
-    ``progress`` / ``should_stop`` hook fidelity."""
+    :func:`repro.api.solve`, with full ``progress`` / ``should_stop``
+    hook fidelity."""
 
     mode = "thread"
 
-    def __init__(self, workers: int, *, solve_fn: SolveFn | None = None):
+    def __init__(self, workers: int):
         self.workers = int(workers)
-        self._solve: SolveFn = solve_fn if solve_fn is not None else solve
 
     def run(self, job: TuningJob, solver: str, *,
             cache: PlanCache | None = None,
             progress: ProgressFn | None = None,
             should_stop: StopFn | None = None) -> SolveReport:
-        return self._solve(job, solver, cache=cache,
-                           progress=progress, should_stop=should_stop)
+        return solve(job, solver, cache=cache,
+                     progress=progress, should_stop=should_stop)
 
     def warm(self, timeout: float = 60.0) -> list[int]:
         """Nothing to pre-spawn; searches run in this process."""
@@ -262,16 +261,12 @@ class ProcessWorkerTier:
             pool.shutdown(wait=wait, cancel_futures=True)
 
 
-def make_tier(mode: str, workers: int, *, solve_fn: SolveFn | None = None,
+def make_tier(mode: str, workers: int, *,
               retries: int = 1) -> "ThreadWorkerTier | ProcessWorkerTier":
     """Build the worker tier for ``repro serve --worker-mode <mode>``."""
     if mode == "thread":
-        return ThreadWorkerTier(workers, solve_fn=solve_fn)
+        return ThreadWorkerTier(workers)
     if mode == "process":
-        if solve_fn is not None:
-            raise ValueError(
-                "solve_fn injection requires worker_mode='thread' "
-                "(a callable cannot cross the process boundary)")
         return ProcessWorkerTier(workers, retries=retries)
     raise ValueError(
         f"unknown worker mode {mode!r}; expected 'thread' or 'process'")

@@ -43,12 +43,10 @@ class EvaluationError(RuntimeError):
     """Raised when an expression references a symbol missing from the env."""
 
 
-def _describe_root(expr: Expr, limit: int = 80) -> str:
+def _describe_root(expr: Expr) -> str:
     """A short human-readable label for an expression root."""
     text = repr(expr)
-    if len(text) > limit:
-        text = text[: limit - 3] + "..."
-    return text
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def evaluate(expr: Expr, env: Mapping[str, ArrayLike]) -> ArrayLike:

@@ -16,7 +16,8 @@ import pytest
 
 import repro.core.tuner as tuner_module
 from repro.api import TuningJob, solve
-from repro.core.memo import GLOBAL_KERNEL_CACHE, GLOBAL_MENU_MEMO, KernelCache
+from repro.core.memo import (GLOBAL_KERNEL_CACHE, GLOBAL_MENU_MEMO, MemoEntry,
+                             MenuMemo)
 from repro.core.tuner import traced_model
 from repro.hardware import get_gpu
 from repro.models import get_model
@@ -33,9 +34,9 @@ def served(report) -> dict:
     return {name: data[name] for name in SERVED}
 
 
-class TestKernelCache:
+class TestMemoGet:
     def test_bound_evicts_least_recently_used(self):
-        cache = KernelCache(maxsize=3)
+        cache = MenuMemo(maxsize=3)
         for key in ("a", "b", "c"):
             cache.get((key,), lambda key=key: key)
         cache.get(("a",), lambda: pytest.fail("a is cached"))
@@ -47,10 +48,10 @@ class TestKernelCache:
 
     def test_rejects_empty_bound(self):
         with pytest.raises(ValueError):
-            KernelCache(maxsize=0)
+            MenuMemo(maxsize=0)
 
     def test_concurrent_misses_share_the_first_stored_value(self):
-        cache = KernelCache(maxsize=2)
+        cache = MenuMemo(maxsize=2)
         barrier = threading.Barrier(8, timeout=10)
         seen = []
 
@@ -74,8 +75,21 @@ class TestKernelCache:
         assert len(seen) == 8 and all(value is seen[0] for value in seen)
         assert len(cache) == 1
 
+    def test_get_leaves_the_lookup_counters_alone(self):
+        cache = MenuMemo(maxsize=4)
+        cache.get(("k",), lambda: "built")
+        assert cache.get(("k",), lambda: pytest.fail("k is cached")) \
+            == "built"
+        assert (cache.hits, cache.misses) == (0, 0)
+        entry = MemoEntry(menus={}, evaluated=1, prefiltered=0)
+        cache.store(("m",), entry)
+        assert cache.lookup(("m",)) is entry
+        assert cache.lookup(("absent",)) is None
+        assert (cache.hits, cache.misses) == (1, 1)
+
     def test_global_bound_is_fixed(self):
-        assert GLOBAL_KERNEL_CACHE.maxsize == KernelCache().maxsize
+        assert GLOBAL_KERNEL_CACHE.maxsize == 64
+        assert GLOBAL_MENU_MEMO.maxsize == MenuMemo().maxsize
 
 
 class TestSharedTraces:

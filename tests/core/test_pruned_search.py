@@ -166,7 +166,7 @@ class TestExhaustiveMode:
         result = tuner.search(16, prune=False)
         stats = result.stats
         grid = tuner._sg_grid(16)
-        assert not stats.prune and not stats.bound_pruning
+        assert not stats.prune
         assert stats.cells_explored == stats.cells_total == len(grid)
         assert stats.cells_pruned == stats.cells_infeasible == 0
         # no bounds, but the same memory pass over every menu: it drops

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import MistTuner
 from repro.costmodel import (
     CHANNELS,
     InterferenceModel,
@@ -15,6 +16,8 @@ from repro.costmodel import (
     reduce_scatter_time,
 )
 from repro.execution import corun_total_time
+from repro.hardware import make_cluster
+from repro.models import get_model
 from repro.symbolic import evaluate
 
 
@@ -145,3 +148,46 @@ class TestInterferenceModel:
         np.testing.assert_allclose(
             corun_total_time(rows, InterferenceModel()), rows.max(axis=1),
             rtol=1e-12)
+
+
+#: factors no co-run can produce: a speed-up, and two non-numbers
+UNPHYSICAL = [0.9, float("nan"), float("inf")]
+
+
+class TestPhysicalFactors:
+    """Every factor is finite and >= 1 from the moment a model exists:
+    the tuner's branch-and-bound cut relies on it."""
+
+    @pytest.mark.parametrize("value", UNPHYSICAL, ids=str)
+    def test_constructor_rejects(self, value):
+        comp, g2g = CHANNELS[:2]
+        with pytest.raises(ValueError,
+                           match=r"'g2g' in combo \['comp', 'g2g'\]"):
+            InterferenceModel(factors={
+                frozenset((comp, g2g)): {comp: 1.1, g2g: value}})
+
+    @pytest.mark.parametrize("value", UNPHYSICAL, ids=str)
+    def test_from_pairs_rejects(self, value):
+        comp, _, h2d, d2h = CHANNELS
+        with pytest.raises(ValueError,
+                           match=r"'c2g' in combo \['c2g', 'g2c'\]"):
+            InterferenceModel.from_pairs(
+                {frozenset((h2d, d2h)): {h2d: value, d2h: 1.2},
+                 frozenset((comp, h2d)): {comp: 1.05}})
+
+    @pytest.mark.parametrize("value", UNPHYSICAL, ids=str)
+    def test_tuner_cannot_be_built_with_one(self, value):
+        comp, g2g = CHANNELS[:2]
+        with pytest.raises(ValueError, match="must be finite and >= 1"):
+            MistTuner(get_model("gpt3-1.3b"), make_cluster("L4", 1, 2),
+                      seq_len=2048,
+                      interference=InterferenceModel.from_pairs(
+                          {frozenset((comp, g2g)): {comp: value}}))
+
+    def test_from_pair_vector_clamps_fits_to_one(self):
+        keys, values = InterferenceModel.default(pcie_only=True).pair_vector()
+        values[::2] = 0.5  # an optimizer's trial point below 1
+        model = InterferenceModel.from_pair_vector(keys, values)
+        rebuilt = dict(zip(keys, model.pair_vector()[1]))
+        for i, key in enumerate(keys):
+            assert rebuilt[key] == (1.0 if i % 2 == 0 else values[i])

@@ -71,15 +71,8 @@ class TestOperatorDatabase:
 
     def test_memoization(self):
         db = OperatorDatabase(get_gpu("L4"))
-        layer = _layer()
-        for op in layer.ops:
-            db.timings(op)
-        lookups_before, misses_before = db.cache_stats
-        for op in layer.ops:
-            db.timings(op)
-        lookups_after, misses_after = db.cache_stats
-        assert lookups_after == lookups_before + len(layer.ops)
-        assert misses_after == misses_before  # all hits
+        for op in _layer().ops:
+            assert db.timings(op) is db.timings(op)
 
     def test_realistic_magnitude(self, a100_db):
         """A 6.7B layer fwd at b=1,s=2048 should be ~1-10 ms on A100."""

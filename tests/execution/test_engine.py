@@ -188,16 +188,6 @@ class TestSystemDifferences:
         )
         assert mist.throughput > ds.throughput
 
-    def test_serial_slowest(self, model, cluster):
-        plan = fig2b_plan(model, cluster)
-        serial = ExecutionEngine(cluster, system="serial").run(
-            plan, model, seq_len=4096
-        )
-        mist = ExecutionEngine(cluster, system="mist").run(
-            plan, model, seq_len=4096
-        )
-        assert serial.throughput <= mist.throughput * 1.02
-
 
 class TestTimeline:
     def test_render_contains_all_stages(self, engine, model, cluster):

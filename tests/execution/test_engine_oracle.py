@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import repro.execution.pipeline as pipeline_mod
 from repro.core.plan import StageConfig, TrainingPlan, uniform_plan
-from repro.execution import ExecutionEngine, timeline_summary
+from repro.execution import ExecutionEngine
 from repro.execution.engine import _COMPONENT_FIELDS
 from repro.execution.events import contention_model, corun_total_time
 from repro.execution.memory_tracker import (ALLOCATOR_SLACK, FP16_BYTES,
@@ -173,21 +173,12 @@ def reference_phase_wall_time(row, capability, contention):
     ``row`` holds its busy seconds in ``PHASE_RESOURCES`` order."""
     comp, tp, dp, p2p, d2h, h2d = row
     comp = comp * (1.0 + capability.impl_overhead) + tp
-    g2g = 0.0
-    serial = 0.0
-    if capability.overlap_dp:
-        g2g += dp
-    else:
-        serial += dp
-    if capability.overlap_p2p:
-        g2g += p2p
-    else:
-        serial += p2p
+    g2g = dp + p2p
     if capability.overlap_offload:
-        c2g, g2c = h2d, d2h
+        c2g, g2c, serial = h2d, d2h, 0.0
     else:
-        serial += h2d + d2h
         c2g = g2c = 0.0
+        serial = h2d + d2h
     overlapped = corun_total_time(np.array([comp, g2g, c2g, g2c]), contention)
     return float(overlapped) + serial
 
@@ -267,7 +258,7 @@ def assert_pipeline_matches(result, total, timeline, stage_busy):
     assert _hex(result.total_time) == _hex(total)
     assert [_hex(b) for b in result.stage_busy] == \
         [_hex(b) for b in stage_busy]
-    assert result.num_phases == len(timeline)
+    assert len(result.starts) == len(timeline)
     assert _records(result.timeline) == _records(timeline)
 
 
@@ -324,21 +315,15 @@ class TestSimulatorDifferential:
         bwd[1][2] += 1.0
         assert a != simulate_pipeline(fwd, bwd)
 
-    def test_timeline_summary_matches_reference(self, monkeypatch):
+    def test_bubble_fractions_match_reference(self, monkeypatch):
         fwd, bwd = _durations(np.random.default_rng(3), "outliers", 4, 9)
         result = simulate_pipeline(fwd, bwd, 0.1)
-        total, timeline, busy = reference_simulate_pipeline(fwd, bwd, 0.1)
+        total, _, busy = reference_simulate_pipeline(fwd, bwd, 0.1)
         built = _count_constructions(monkeypatch, [PhaseRecord])
-        summary = timeline_summary(result)
-        assert built.count == 0  # counting phases builds no records
-        bubbles = [1.0 - b / total for b in busy]
-        assert summary == {
-            "total_time": total,
-            "stage_busy": busy,
-            "bubble_fractions": bubbles,
-            "max_bubble_fraction": max(bubbles),
-            "num_phases": len(timeline),
-        }
+        bubbles = [result.bubble_fraction(i)
+                   for i in range(result.num_stages)]
+        assert built.count == 0  # bubbles are read without records
+        assert bubbles == [1.0 - b / total for b in busy]
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +497,8 @@ class TestSavedWork:
         assert evaluations.count == 0
         assert pricings.count == 1
         assert records.count == 0  # the timeline is built on access only
-        assert len(result.pipeline.timeline) == result.pipeline.num_phases
-        assert records.count == result.pipeline.num_phases
+        assert len(result.pipeline.timeline) == len(result.pipeline.starts)
+        assert records.count == len(result.pipeline.starts)
 
     def test_sweep_order_is_cached_per_shape(self):
         pipeline_mod._sweep.cache_clear()

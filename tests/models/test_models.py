@@ -48,10 +48,6 @@ class TestRegistry:
         assert get_model("falcon-6.7b").parallel_attn
         assert not get_model("gpt3-6.7b").rotary
 
-    def test_falcon_single_allreduce(self):
-        assert get_model("falcon-6.7b").tp_allreduces_per_layer == 1
-        assert get_model("gpt3-6.7b").tp_allreduces_per_layer == 2
-
     def test_with_layers_clone(self):
         base = get_model("gpt3-22b")
         deeper = base.with_layers(80)
@@ -76,13 +72,22 @@ class TestModelConfigValidation:
 ENV = {"b": 4, "s": 2048, "tp": 1}
 
 
+def fwd_flops(layer: LayerGraph, env: dict) -> float:
+    return sum(evaluate(op.flops, env) for op in layer.ops)
+
+
+def bwd_flops(layer: LayerGraph, env: dict) -> float:
+    return sum(evaluate(op.flops * op.bwd_flops_factor, env)
+               for op in layer.ops)
+
+
 class TestLayerGraphs:
     @pytest.mark.parametrize("spec", ["gpt3-2.7b", "llama-2.7b", "falcon-2.7b"])
     @pytest.mark.parametrize("flash", [True, False])
     def test_build_all_families(self, spec, flash):
         layer = build_transformer_layer(get_model(spec), flash=flash)
         assert isinstance(layer, LayerGraph)
-        assert evaluate(layer.fwd_flops(), ENV) > 0
+        assert fwd_flops(layer, ENV) > 0
 
     def test_saved_activations_match_literature(self):
         """GPT block (no flash) saves bsh(8 + 24/tp) + 2·b·a·s²/tp bytes,
@@ -110,15 +115,15 @@ class TestLayerGraphs:
 
     def test_flops_scale_inverse_with_tp(self):
         layer = build_transformer_layer(get_model("gpt3-6.7b"), flash=True)
-        f1 = evaluate(layer.fwd_flops(), {"b": 4, "s": 2048, "tp": 1})
-        f4 = evaluate(layer.fwd_flops(), {"b": 4, "s": 2048, "tp": 4})
+        f1 = fwd_flops(layer, {"b": 4, "s": 2048, "tp": 1})
+        f4 = fwd_flops(layer, {"b": 4, "s": 2048, "tp": 4})
         # the sharded GEMMs dominate; norm/residual work is replicated
         assert f4 == pytest.approx(f1 / 4, rel=0.05)
 
     def test_bwd_flops_roughly_twice_fwd(self):
         layer = build_transformer_layer(get_model("gpt3-6.7b"), flash=False)
-        fwd = evaluate(layer.fwd_flops(), ENV)
-        bwd = evaluate(layer.bwd_flops(), ENV)
+        fwd = fwd_flops(layer, ENV)
+        bwd = bwd_flops(layer, ENV)
         assert 1.8 <= bwd / fwd <= 2.2
 
     def test_gpt_layer_flops_formula(self):
@@ -126,7 +131,7 @@ class TestLayerGraphs:
         model = get_model("gpt3-6.7b")
         layer = build_transformer_layer(model, flash=False)
         b, s, h = 4, 2048, model.hidden_size
-        measured = evaluate(layer.fwd_flops(), ENV)
+        measured = fwd_flops(layer, ENV)
         expected = 24 * b * s * h * h + 4 * b * s * s * h
         assert measured == pytest.approx(expected, rel=0.05)
 

@@ -177,6 +177,22 @@ class TestReplanEndpoint:
         assert "budget_expired" not in record
         assert elapsed < 10
 
+    @pytest.mark.parametrize("budget", [10, 1e12],
+                             ids=["10s", "past-timeout-max"])
+    def test_budgeted_replan_answers_200(self, service, job, slow, budget):
+        # the connection thread waits on the record's terminal event; a
+        # budget past threading.TIMEOUT_MAX waits too, it never overflows
+        threading.Timer(0.2, slow.release.set).start()
+        status, _, record = _post(
+            f"http://{service.host}:{service.port}", "/replan",
+            {"job": job.to_dict(), "delta": DELTA.to_dict(),
+             "solver": "svc-slow", "budget_seconds": budget})
+        assert status == 200
+        assert record["status"] == "done"
+        replan = service.metrics.snapshot()["replan"]
+        assert replan["within_budget"] == 1
+        assert replan["budget_expired"] == 0
+
     def test_budgeted_replans_leave_state_routes_responsive(
             self, service, client, job, slow):
         # each budgeted replan waits on its own connection thread; more

@@ -68,10 +68,6 @@ class TestMakeTier:
         with pytest.raises(ValueError, match="unknown worker mode"):
             make_tier("fork", 2)
 
-    def test_solve_fn_requires_thread_mode(self):
-        with pytest.raises(ValueError, match="thread"):
-            make_tier("process", 2, solve_fn=lambda *a, **k: None)
-
     def test_bad_worker_counts_rejected(self):
         with pytest.raises(ValueError):
             ProcessWorkerTier(0)

@@ -51,7 +51,7 @@ def stats():
     return SearchStats(prune=True, cells_total=9, cells_explored=4,
                        cells_pruned=3, cells_infeasible=2,
                        configs_evaluated=120, configs_prefiltered=30,
-                       memo_hits=5, memo_misses=7, bound_pruning=False,
+                       memo_hits=5, memo_misses=7,
                        warm=True,
                        warm_seed={"num_stages": 2, "gacc": 2,
                                   "matched": True})
